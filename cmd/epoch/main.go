@@ -369,6 +369,13 @@ func runOnce(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.C
 		}
 	}
 	fmt.Fprintf(out, "  io        %+v\n", st.IO)
+	if reads := st.IO.Reads + st.IO.FeatReads; reads > 0 && st.IO.UserCPUNanos+st.IO.SysCPUNanos > 0 {
+		// Worker-thread CPU per ring read: user is what the engine adds
+		// (draw, plan, SQE prep, CQ harvest, frontier build), sys the
+		// kernel's read path under io_uring_enter.
+		fmt.Fprintf(out, "  cpu       user %.0f ns/read  sys %.0f ns/read  (%d reads on %d worker threads)\n",
+			float64(st.IO.UserCPUNanos)/float64(reads), float64(st.IO.SysCPUNanos)/float64(reads), reads, st.Workers)
+	}
 	for wid, ws := range st.PerWorker {
 		fmt.Fprintf(out, "  worker %2d %+v\n", wid, ws)
 	}

@@ -1,7 +1,5 @@
 package core
 
-import "hash/fnv"
-
 // Layer holds one sampling layer of a mini-batch in CSR form: the
 // frontier nodes targeted at this layer, and each node's sampled
 // neighbors concatenated, delimited by Starts.
@@ -53,6 +51,27 @@ func (b *Batch) TotalSampled() int64 {
 	return n
 }
 
+// FNV-1a, 64-bit: the parameters of hash/fnv's New64a, folded inline so
+// a digest costs a multiply per byte instead of a hash.Hash call per
+// word.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvU32 folds v's four little-endian bytes into h.
+func fnvU32(h uint64, v uint32) uint64 {
+	h = (h ^ uint64(v&0xff)) * fnvPrime64
+	h = (h ^ uint64(v>>8&0xff)) * fnvPrime64
+	h = (h ^ uint64(v>>16&0xff)) * fnvPrime64
+	return (h ^ uint64(v>>24)) * fnvPrime64
+}
+
+// fnvU64 folds v's eight little-endian bytes into h.
+func fnvU64(h uint64, v uint64) uint64 {
+	return fnvU32(fnvU32(h, uint32(v)), uint32(v>>32))
+}
+
 // Digest folds the batch's complete sample structure — every layer's
 // targets, starts and neighbors — into an FNV-1a sum, so any single
 // differing byte changes the result. Byte-identical batches (and only
@@ -60,42 +79,32 @@ func (b *Batch) TotalSampled() int64 {
 // thread-invariance guarantee and the fault sweeps are asserted by
 // comparing streams of these.
 func (b *Batch) Digest() uint64 {
-	h := fnv.New64a()
-	var word [8]byte
-	put32 := func(v uint32) {
-		word[0], word[1], word[2], word[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-		h.Write(word[:4])
-	}
-	put64 := func(v int64) {
-		u := uint64(v)
-		for i := 0; i < 8; i++ {
-			word[i] = byte(u >> (8 * i))
-		}
-		h.Write(word[:8])
-	}
+	h := uint64(fnvOffset64)
 	for li := range b.Layers {
 		l := &b.Layers[li]
-		put64(int64(li))
+		h = fnvU64(h, uint64(li))
 		for _, v := range l.Targets {
-			put32(v)
+			h = fnvU32(h, v)
 		}
 		for _, v := range l.Starts {
-			put64(v)
+			h = fnvU64(h, uint64(v))
 		}
 		for _, v := range l.Neighbors {
-			put32(v)
+			h = fnvU32(h, v)
 		}
 	}
 	// Feature payload, when the feature stage ran. Skipped entirely for
 	// feature-less batches so their digests are unchanged from before
 	// the feature store existed.
 	if b.FeatureDim > 0 || len(b.FeatNodes) > 0 || len(b.Features) > 0 {
-		put64(int64(b.FeatureDim))
-		put64(int64(len(b.FeatNodes)))
+		h = fnvU64(h, uint64(b.FeatureDim))
+		h = fnvU64(h, uint64(len(b.FeatNodes)))
 		for _, v := range b.FeatNodes {
-			put32(v)
+			h = fnvU32(h, v)
 		}
-		h.Write(b.Features)
+		for _, c := range b.Features {
+			h = (h ^ uint64(c)) * fnvPrime64
+		}
 	}
-	return h.Sum64()
+	return h
 }

@@ -244,6 +244,7 @@ func (s *Sampler) RunEpochSeeded(ctx context.Context, seed uint64, targets []uin
 			defer wg.Done()
 			runtime.LockOSThread()
 			defer runtime.UnlockOSThread()
+			clock := StartThreadClock()
 			w, err := s.NewWorker(wid)
 			if err != nil {
 				select {
@@ -253,7 +254,7 @@ func (s *Sampler) RunEpochSeeded(ctx context.Context, seed uint64, targets []uin
 				return
 			}
 			defer func() {
-				perWorker[wid] = w.IOStats()
+				perWorker[wid] = clock.Stamp(w.IOStats())
 				w.Close()
 			}()
 			for bi := range idxCh {

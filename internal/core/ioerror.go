@@ -129,6 +129,15 @@ type IOStats struct {
 	// count for the paper's syscalls-per-batch metric.
 	SubmitSyscalls int64
 	WaitSyscalls   int64
+	// UserCPUNanos / SysCPUNanos are the CPU time the worker's pinned OS
+	// thread spent in user space and in the kernel between the worker's
+	// start and this snapshot (stamped by a ThreadClock the worker's
+	// owner runs: the epoch runner and the serve pool; zero for
+	// workers run on unpinned goroutines, and on non-Linux). Divided by
+	// Reads+FeatReads they are the per-read cost split — what the engine
+	// adds on top of the kernel's read path.
+	UserCPUNanos int64
+	SysCPUNanos  int64
 	// Active* record which fast-path knobs actually ran for this worker —
 	// after capability downgrades — so benchmark output is honest about
 	// what was measured. OR-merged by Add.
@@ -159,6 +168,8 @@ func (s *IOStats) Add(o IOStats) {
 	s.AlignSlackBytes += o.AlignSlackBytes
 	s.SubmitSyscalls += o.SubmitSyscalls
 	s.WaitSyscalls += o.WaitSyscalls
+	s.UserCPUNanos += o.UserCPUNanos
+	s.SysCPUNanos += o.SysCPUNanos
 	s.ActiveFixed = s.ActiveFixed || o.ActiveFixed
 	s.ActiveRegFiles = s.ActiveRegFiles || o.ActiveRegFiles
 	s.ActiveSQPoll = s.ActiveSQPoll || o.ActiveSQPoll

@@ -85,13 +85,14 @@ func ChunkSeedState(seed uint64) uint64 {
 // a pure function of the layer (sort+dedup or verbatim), so the router
 // can run it without shard state.
 func NextFrontierFor(name string, l *Layer, dst []uint32) ([]uint32, error) {
+	var scratch []uint32
 	switch name {
 	case "", StrategyUniform:
-		return uniformStrategy{}.NextFrontier(l, dst), nil
+		return uniformStrategy{}.NextFrontier(l, dst, &scratch), nil
 	case StrategyWeighted:
-		return weightedStrategy{}.NextFrontier(l, dst), nil
+		return weightedStrategy{}.NextFrontier(l, dst, &scratch), nil
 	case StrategyWalk:
-		return walkStrategy{}.NextFrontier(l, dst), nil
+		return walkStrategy{}.NextFrontier(l, dst, &scratch), nil
 	default:
 		return nil, fmt.Errorf("core: unknown strategy %q", name)
 	}

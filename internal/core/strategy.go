@@ -59,8 +59,9 @@ type Strategy interface {
 	Draw(rng *sample.RNG, v uint32, deg, k int, out []int) []int
 	// NextFrontier builds the next layer's target set from l's sampled
 	// neighbors into dst[:0] and returns it. l is fully built and must
-	// not be modified.
-	NextFrontier(l *Layer, dst []uint32) []uint32
+	// not be modified. scratch is the caller's reusable sort workspace
+	// (sample.SortDedupScratch); strategies that do not sort ignore it.
+	NextFrontier(l *Layer, dst []uint32, scratch *[]uint32) []uint32
 }
 
 // uniformStrategy is today's paper-default draw: Floyd's
@@ -80,9 +81,9 @@ func (uniformStrategy) Draw(rng *sample.RNG, _ uint32, deg, k int, out []int) []
 	return out
 }
 
-func (uniformStrategy) NextFrontier(l *Layer, dst []uint32) []uint32 {
+func (uniformStrategy) NextFrontier(l *Layer, dst []uint32, scratch *[]uint32) []uint32 {
 	dst = append(dst[:0], l.Neighbors...)
-	return sample.SortDedup(dst)
+	return sample.SortDedupScratch(dst, scratch)
 }
 
 // walkStrategy samples fixed-length random walks (Het
@@ -101,7 +102,7 @@ func (walkStrategy) Draw(rng *sample.RNG, _ uint32, deg, _ int, out []int) []int
 	return append(out, rng.Intn(deg))
 }
 
-func (walkStrategy) NextFrontier(l *Layer, dst []uint32) []uint32 {
+func (walkStrategy) NextFrontier(l *Layer, dst []uint32, _ *[]uint32) []uint32 {
 	return append(dst[:0], l.Neighbors...)
 }
 
@@ -151,9 +152,9 @@ func (s weightedStrategy) Draw(rng *sample.RNG, v uint32, deg, k int, out []int)
 	return out
 }
 
-func (weightedStrategy) NextFrontier(l *Layer, dst []uint32) []uint32 {
+func (weightedStrategy) NextFrontier(l *Layer, dst []uint32, scratch *[]uint32) []uint32 {
 	dst = append(dst[:0], l.Neighbors...)
-	return sample.SortDedup(dst)
+	return sample.SortDedupScratch(dst, scratch)
 }
 
 // strategyFor resolves a strategy name for one batch: the sampler's

@@ -184,6 +184,7 @@ type Worker struct {
 	runs        []ioRun      // coalesced read requests (edge entries or feature records)
 	frontier    []uint32     // target workspace (strategies rebuild it between layers)
 	featNodes   []uint32     // feature stage: batch node-union accumulation
+	sortTmp     []uint32     // radix scratch of the frontier and node-union sort+dedup
 	buf         []byte       // current stage buffer (arena prefix or heapBuf)
 	heapBuf     []byte       // heap backing for stages that skip the arena
 	idxs        []int        // fanout-index scratch
@@ -237,10 +238,19 @@ type rio struct {
 	freeHeap  []int
 }
 
-// dslot is one O_DIRECT scratch slot.
+// dslot is one O_DIRECT scratch slot and, while a request holds it, that
+// request's window: the aligned destination and the interior the run
+// actually wants. Window state lives here rather than in ioReq so the
+// buffered path never builds, copies or reads it.
 type dslot struct {
 	buf   []byte
 	fixed bool // arena-backed: reads through it may use PrepReadFixed
+
+	win      []byte // aligned window destination, a prefix of buf
+	wStart   int64  // aligned window start offset
+	intOff   int64  // interior: first byte the run wants
+	intLen   int64  // interior length
+	devBytes int64  // device bytes delivered for this request so far
 }
 
 // directChunkBytes is the size of each arena-backed O_DIRECT scratch
@@ -274,24 +284,17 @@ type ioRun struct {
 
 // ioReq is the live state of run i while it is in flight: the byte
 // range still outstanding (which shrinks as short-read prefixes land)
-// and how many retries it has consumed. On the O_DIRECT path the
-// outstanding range is the aligned window (scratch != nil) and the
-// int* fields remember the interior the run actually wants; offsets
+// and how many retries it has consumed — 32 bytes, everything a
+// buffered read needs. On the O_DIRECT path the outstanding range is
+// the aligned window of the scratch slot the request holds (slot >= 0),
+// whose dslot remembers the interior the run actually wants; offsets
 // stay aligned across resubmission by rounding progress down.
 type ioReq struct {
 	off      int64 // next file byte offset to read
 	bufPos   int64 // write position in the stage buffer (interior pos)
 	remain   int64 // bytes still outstanding
-	attempts int
-	fixed    bool // destination is registered: prep via PrepReadFixed
-
-	// O_DIRECT window state (scratch == nil on the buffered path).
-	scratch  []byte // aligned window destination (slot-backed)
-	slot     int    // scratch slot index (-1 when none held)
-	wStart   int64  // aligned window start offset
-	intOff   int64  // interior: first byte the run wants
-	intLen   int64  // interior length
-	devBytes int64  // device bytes delivered for this request so far
+	attempts int32
+	slot     int32 // O_DIRECT scratch slot held (-1: buffered, or released)
 }
 
 // NewWorker creates worker `id` with its own edge ring (and, when the
@@ -541,7 +544,7 @@ func (w *Worker) sampleBatch(targets []uint32, fanouts []int, features bool, str
 		// and dedup'd for neighbor sampling, kept verbatim for walks.
 		// layer.Targets holds its own copy, so reusing the frontier
 		// workspace as the destination is safe.
-		w.frontier = strat.NextFrontier(layer, w.frontier)
+		w.frontier = strat.NextFrontier(layer, w.frontier, &w.sortTmp)
 	}
 	if features {
 		if err := w.fetchBatchFeatures(batch); err != nil {
@@ -719,7 +722,7 @@ func (w *Worker) fetchBatchFeatures(b *Batch) error {
 		}
 		w.featNodes = append(w.featNodes, b.Layers[li].Neighbors...)
 	}
-	b.FeatNodes = append([]uint32(nil), sample.SortDedup(w.featNodes)...)
+	b.FeatNodes = append([]uint32(nil), sample.SortDedupScratch(w.featNodes, &w.sortTmp)...)
 	feats, err := w.featuresFor(b.FeatNodes)
 	if err != nil {
 		return err
@@ -792,9 +795,9 @@ func (w *Worker) featuresFor(nodes []uint32) ([]byte, error) {
 	if err := w.feat.issue(w.runs, w.buf); err != nil {
 		return nil, err
 	}
-	out := make([]byte, total*stride)
-	copy(out, w.buf[:total*stride])
-	return out, nil
+	// One pass: appending to an empty slice allocates without zero-filling
+	// the bytes the copy is about to overwrite.
+	return append([]byte{}, w.buf[:total*stride]...), nil
 }
 
 // issue drives the planned reads through this driver's ring. With the
@@ -930,11 +933,11 @@ func (r *rio) issueReads(runs []ioRun, buf []byte) error {
 			case c.Res < 0:
 				errno := syscall.Errno(-c.Res)
 				if !transientErrno(errno) {
-					return &IOError{Offset: rq.off, Bytes: rq.remain, Attempts: rq.attempts, Errno: errno}
+					return &IOError{Offset: rq.off, Bytes: rq.remain, Attempts: int(rq.attempts), Errno: errno}
 				}
 				w.stats.TransientErrs++
-				if rq.attempts >= maxRetries {
-					return &IOError{Offset: rq.off, Bytes: rq.remain, Attempts: rq.attempts, Errno: errno}
+				if int(rq.attempts) >= maxRetries {
+					return &IOError{Offset: rq.off, Bytes: rq.remain, Attempts: int(rq.attempts), Errno: errno}
 				}
 				rq.attempts++
 				w.stats.Retries++
@@ -942,7 +945,7 @@ func (r *rio) issueReads(runs []ioRun, buf []byte) error {
 			case int64(c.Res) > rq.remain:
 				return fmt.Errorf("core: overlong read at offset %d: got %d bytes, want %d",
 					rq.off, c.Res, rq.remain)
-			case rq.scratch != nil:
+			case rq.slot >= 0:
 				done, err := r.completeDirect(int(c.ID), rq, int64(c.Res), buf, maxRetries)
 				if err != nil {
 					return err
@@ -953,7 +956,7 @@ func (r *rio) issueReads(runs []ioRun, buf []byte) error {
 			case int64(c.Res) == rq.remain:
 				*r.reads++
 				*r.bytesRead += int64(c.Res)
-				if rq.fixed {
+				if w.bufFixed {
 					w.stats.FixedReads++
 				}
 				completed++
@@ -965,8 +968,8 @@ func (r *rio) issueReads(runs []ioRun, buf []byte) error {
 				rq.off += int64(c.Res)
 				rq.bufPos += int64(c.Res)
 				rq.remain -= int64(c.Res)
-				if rq.attempts >= maxRetries {
-					return &IOError{Offset: rq.off, Bytes: rq.remain, Attempts: rq.attempts, ShortRead: true}
+				if int(rq.attempts) >= maxRetries {
+					return &IOError{Offset: rq.off, Bytes: rq.remain, Attempts: int(rq.attempts), ShortRead: true}
 				}
 				rq.attempts++
 				w.stats.Retries++
@@ -1006,40 +1009,36 @@ func (r *rio) stageNew(id int, runs []ioRun, buf []byte) bool {
 	intLen := int64(run.entries) * r.entryBytes
 	rq := &r.reqs[id]
 	if r.align == 0 {
-		*rq = ioReq{off: intOff, bufPos: run.bufPos, remain: intLen, fixed: r.w.bufFixed, slot: -1}
-	} else {
-		lo := storage.AlignDown(intOff, r.align)
-		win := storage.AlignUp(intOff+intLen, r.align) - lo
-		slot, scratch, fixed := r.getSlot(int(win))
-		*rq = ioReq{
-			off: lo, wStart: lo, remain: win,
-			bufPos: run.bufPos, intOff: intOff, intLen: intLen,
-			scratch: scratch, slot: slot, fixed: fixed,
-		}
+		*rq = ioReq{off: intOff, bufPos: run.bufPos, remain: intLen, slot: -1}
+		return r.prepReq(id, buf)
 	}
+	lo := storage.AlignDown(intOff, r.align)
+	win := storage.AlignUp(intOff+intLen, r.align) - lo
+	slot := r.getSlot(int(win))
+	ds := &r.dslots[slot]
+	ds.wStart, ds.intOff, ds.intLen, ds.devBytes = lo, intOff, intLen, 0
+	*rq = ioReq{off: lo, bufPos: run.bufPos, remain: win, slot: int32(slot)}
 	if !r.prepReq(id, buf) {
-		if rq.slot >= 0 {
-			r.putSlot(rq.slot)
-			rq.slot = -1
-		}
+		r.putSlot(slot)
+		rq.slot = -1
 		return false
 	}
 	return true
 }
 
-// prepReq stages request id's outstanding byte range into the ring,
-// routing the destination (stage buffer or aligned scratch window) and
-// the prep flavor (fixed or plain) from the request state.
+// prepReq stages request id's outstanding byte range into the ring: the
+// stage buffer through the worker's prep flavor on the buffered path,
+// the held slot's aligned window through the slot's on the direct path.
 func (r *rio) prepReq(id int, buf []byte) bool {
 	rq := &r.reqs[id]
-	var dst []byte
-	if rq.scratch != nil {
-		pos := rq.off - rq.wStart
-		dst = rq.scratch[pos : pos+rq.remain]
-	} else {
-		dst = buf[rq.bufPos : rq.bufPos+rq.remain]
+	dst, fixed := buf, r.w.bufFixed
+	pos := rq.bufPos
+	if rq.slot >= 0 {
+		ds := &r.dslots[rq.slot]
+		dst, fixed, pos = ds.win, ds.fixed, rq.off-ds.wStart
 	}
-	if rq.fixed {
+	dst = dst[pos : pos+rq.remain]
+	if fixed {
 		return r.ring.PrepReadFixed(uint64(id), rq.off, dst, 0)
 	}
 	return r.ring.PrepRead(uint64(id), rq.off, dst)
@@ -1055,30 +1054,30 @@ func (r *rio) prepReq(id int, buf []byte) bool {
 // O_DIRECT-legal.
 func (r *rio) completeDirect(id int, rq *ioReq, got int64, buf []byte, maxRetries int) (bool, error) {
 	w := r.w
-	rq.devBytes += got
+	ds := &r.dslots[rq.slot]
+	ds.devBytes += got
 	covered := rq.off + got // absolute file position delivered through
-	if covered >= rq.intOff+rq.intLen {
-		copy(buf[rq.bufPos:rq.bufPos+rq.intLen], rq.scratch[rq.intOff-rq.wStart:])
+	if covered >= ds.intOff+ds.intLen {
+		copy(buf[rq.bufPos:rq.bufPos+ds.intLen], ds.win[ds.intOff-ds.wStart:])
 		*r.reads++
-		*r.bytesRead += rq.intLen
-		w.stats.AlignSlackBytes += rq.devBytes - rq.intLen
-		if rq.fixed {
+		*r.bytesRead += ds.intLen
+		w.stats.AlignSlackBytes += ds.devBytes - ds.intLen
+		if ds.fixed {
 			w.stats.FixedReads++
 		}
-		r.putSlot(rq.slot)
+		r.putSlot(int(rq.slot))
 		rq.slot = -1
-		rq.scratch = nil
 		return true, nil
 	}
 	// Short of the interior: resubmit the rest of the window from an
 	// aligned resume point.
 	w.stats.ShortReads++
-	if rq.attempts >= maxRetries {
-		return false, &IOError{Offset: covered, Bytes: rq.intOff + rq.intLen - covered, Attempts: rq.attempts, ShortRead: true}
+	if int(rq.attempts) >= maxRetries {
+		return false, &IOError{Offset: covered, Bytes: ds.intOff + ds.intLen - covered, Attempts: int(rq.attempts), ShortRead: true}
 	}
 	rq.attempts++
 	w.stats.Retries++
-	wEnd := rq.wStart + int64(len(rq.scratch))
+	wEnd := ds.wStart + int64(len(ds.win))
 	rq.off = storage.AlignDown(covered, r.align)
 	rq.remain = wEnd - rq.off
 	r.retryQ = append(r.retryQ, id)
@@ -1120,27 +1119,28 @@ func (r *rio) resetSlots() {
 	}
 }
 
-// getSlot leases a scratch slot able to hold a win-byte aligned window,
-// preferring arena-backed (fixed) chunks. Heap slots grow to the
+// getSlot leases a scratch slot and points its window at win aligned
+// bytes, preferring arena-backed (fixed) chunks. Heap slots grow to the
 // largest window they have carried and are reused; total slot count is
 // bounded by the in-flight cap, never the run count.
-func (r *rio) getSlot(win int) (slot int, scratch []byte, fixed bool) {
-	if win <= directChunkBytes && len(r.freeFixed) > 0 {
+func (r *rio) getSlot(win int) int {
+	var slot int
+	switch {
+	case win <= directChunkBytes && len(r.freeFixed) > 0:
 		slot = r.freeFixed[len(r.freeFixed)-1]
 		r.freeFixed = r.freeFixed[:len(r.freeFixed)-1]
-		return slot, r.dslots[slot].buf[:win], true
-	}
-	if len(r.freeHeap) > 0 {
+	case len(r.freeHeap) > 0:
 		slot = r.freeHeap[len(r.freeHeap)-1]
 		r.freeHeap = r.freeHeap[:len(r.freeHeap)-1]
 		if len(r.dslots[slot].buf) < win {
 			r.dslots[slot].buf = storage.AlignedSlice(win, r.align)
 		}
-		return slot, r.dslots[slot].buf[:win], false
+	default:
+		slot = len(r.dslots)
+		r.dslots = append(r.dslots, dslot{buf: storage.AlignedSlice(win, r.align)})
 	}
-	slot = len(r.dslots)
-	r.dslots = append(r.dslots, dslot{buf: storage.AlignedSlice(win, r.align)})
-	return slot, r.dslots[slot].buf[:win], false
+	r.dslots[slot].win = r.dslots[slot].buf[:win]
+	return slot
 }
 
 // putSlot returns a leased slot to its free list.

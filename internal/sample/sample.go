@@ -9,6 +9,7 @@
 package sample
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 )
@@ -163,8 +164,81 @@ const floydScanThreshold = 64
 // SortDedup sorts xs ascending and removes duplicates in place,
 // returning the shortened slice. This is the between-layer frontier
 // build of paper §2.1: sampled neighbors of layer l become the unique
-// target set of layer l+1.
+// target set of layer l+1. It allocates a scratch of len(xs) above the
+// radix crossover; hot paths pass their own to SortDedupScratch.
 func SortDedup(xs []uint32) []uint32 {
-	slices.Sort(xs)
-	return slices.Compact(xs)
+	var scratch []uint32
+	return SortDedupScratch(xs, &scratch)
+}
+
+const (
+	// radixBits splits a uint32 key into three LSD digits of 11, 11 and
+	// 10 bits: three scatter passes, histograms that fit L1 together.
+	radixBits    = 11
+	radixBuckets = 1 << radixBits
+	radixMask    = radixBuckets - 1
+
+	// radixMinLen is the crossover below which the comparison sort wins:
+	// the radix path pays ~3 µs of histogram clearing and prefix sums
+	// however short the input (measured on node ids under 1M: pdqsort
+	// 5x ahead at 64 elements, level at 384-512, radix 1.6x ahead at 1k,
+	// 8x at 8k-64k).
+	radixMinLen = 512
+)
+
+// SortDedupScratch is SortDedup with caller-owned scratch, grown to
+// len(xs) and kept for the next call, so a worker's steady state
+// allocates nothing. Above radixMinLen it is a least-significant-digit
+// radix sort — one pass over xs fills all three digit histograms, each
+// scatter pass ping-pongs between xs and the scratch, a digit on which
+// every key agrees (the top one, for any graph under 4M nodes) costs no
+// pass — followed by one compaction pass that lands the unique keys
+// back in xs. The result is exactly slices.Sort + slices.Compact's.
+func SortDedupScratch(xs []uint32, scratch *[]uint32) []uint32 {
+	n := len(xs)
+	if n < radixMinLen || uint64(n) > math.MaxUint32 {
+		slices.Sort(xs)
+		return slices.Compact(xs)
+	}
+	if cap(*scratch) < n {
+		*scratch = make([]uint32, n)
+	}
+	var hist [3][radixBuckets]uint32
+	for _, v := range xs {
+		hist[0][v&radixMask]++
+		hist[1][(v>>radixBits)&radixMask]++
+		hist[2][v>>(2*radixBits)]++
+	}
+	src, dst := xs, (*scratch)[:n]
+	for d := 0; d < 3; d++ {
+		h := &hist[d]
+		shift := uint(d * radixBits)
+		if h[(src[0]>>shift)&radixMask] == uint32(n) {
+			continue
+		}
+		var sum uint32
+		for b := range h {
+			c := h[b]
+			h[b] = sum
+			sum += c
+		}
+		for _, v := range src {
+			b := (v >> shift) & radixMask
+			dst[h[b]] = v
+			h[b]++
+		}
+		src, dst = dst, src
+	}
+	// Compact src (sorted; xs itself or the scratch) into xs. In place
+	// this is slices.Compact's own loop: the write index never passes
+	// the read index.
+	w := 1
+	xs[0] = src[0]
+	for _, v := range src[1:] {
+		if v != xs[w-1] {
+			xs[w] = v
+			w++
+		}
+	}
+	return xs[:w]
 }

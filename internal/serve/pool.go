@@ -81,33 +81,22 @@ func (p *pool) newWorker() (*core.Worker, error) {
 	return p.s.NewWorker(id)
 }
 
-// publish snapshots a live worker's stats so /metrics stays current
+// publish stores a live worker's stats so /metrics stays current
 // without per-job locking (one lock per group).
-func (p *pool) publish(slot int, w *core.Worker) {
-	if w == nil {
-		return
-	}
-	st := w.IOStats()
+func (p *pool) publish(slot int, st core.IOStats) {
 	p.mu.Lock()
 	p.live[slot] = st
 	p.mu.Unlock()
 }
 
-// retire merges a broken worker's counters into the aggregate, closes
-// it, and returns a replacement (nil when replacement creation fails;
-// the slot then retries lazily on the next job).
-func (p *pool) retire(slot int, w *core.Worker) *core.Worker {
+// retire merges a finished worker's counters into the aggregate —
+// retirement never drops them — and closes it.
+func (p *pool) retire(slot int, w *core.Worker, st core.IOStats) {
 	p.mu.Lock()
-	p.retired.Add(w.IOStats())
+	p.retired.Add(st)
 	p.live[slot] = core.IOStats{}
 	p.mu.Unlock()
 	w.Close()
-	p.met.workersRetired.Add(1)
-	nw, err := p.newWorker()
-	if err != nil {
-		return nil
-	}
-	return nw
 }
 
 // run is one pool slot: pin the OS thread (rings and the Go scheduler
@@ -117,6 +106,9 @@ func (p *pool) run(slot int) {
 	defer p.wg.Done()
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
+	// The slot thread's CPU is attributed to whichever worker it is
+	// running: the clock restarts with each replacement.
+	cpu := core.StartThreadClock()
 	w, _ := p.s.NewWorker(slot)
 	for g := range p.groups {
 		for _, j := range g {
@@ -143,17 +135,19 @@ func (p *pool) run(slot int) {
 			if err != nil && w.Broken() {
 				// PR 4's quarantine path: a ring that could not be proven
 				// empty is never reused — retire the worker, keep its
-				// stats, lease a fresh one.
-				w = p.retire(slot, w)
+				// stats, lease a fresh one (nil when creation fails; the
+				// slot then retries lazily on the next job).
+				p.retire(slot, w, cpu.Stamp(w.IOStats()))
+				p.met.workersRetired.Add(1)
+				cpu = core.StartThreadClock()
+				w, _ = p.newWorker()
 			}
 		}
-		p.publish(slot, w)
+		if w != nil {
+			p.publish(slot, cpu.Stamp(w.IOStats()))
+		}
 	}
 	if w != nil {
-		p.mu.Lock()
-		p.retired.Add(w.IOStats())
-		p.live[slot] = core.IOStats{}
-		p.mu.Unlock()
-		w.Close()
+		p.retire(slot, w, cpu.Stamp(w.IOStats()))
 	}
 }

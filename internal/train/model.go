@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sort"
+	"unsafe"
 
 	"ringsampler/internal/core"
 	"ringsampler/internal/sample"
@@ -139,6 +139,13 @@ type Model struct {
 	grad params
 	// steps counts applied SGD updates (one per Step call).
 	steps int64
+
+	// Per-step workspaces, reused across steps: the forward state, the
+	// backward pass's hidden-state gradients, and the node-id index the
+	// position arrays are resolved through (all zero between uses).
+	st    batchState
+	dHid  [][]float32
+	index []int32
 }
 
 // NewModel builds a model with Glorot-uniform initial weights derived
@@ -204,34 +211,134 @@ func (m *Model) WeightsDigest() uint64 {
 // for the backward pass.
 type batchState struct {
 	feats []float32 // decoded Batch.Features
-	nodes []uint32  // Batch.FeatNodes (sorted)
 
 	// Per model level l: the frontier's pre-activations, hidden states,
 	// and aggregated neighbor inputs, indexed like b.Layers[l].Targets.
 	pre, hid, agg [][]float32
-	// lookup[l] maps a node id to its index in b.Layers[l].Targets
-	// (first occurrence wins for the walk strategy's duplicate-carrying
-	// frontiers). lookup[0] is unused.
-	lookup []map[uint32]int
+	// Position arrays, resolved once per batch so the passes index
+	// instead of searching. self[l][i] is b.Layers[l].Targets[i]'s row in
+	// feats (its position in Batch.FeatNodes). nbr[l][j] is where
+	// b.Layers[l].Neighbors[j]'s aggregator input lives: its row in feats
+	// at the deepest level, its index in b.Layers[l+1].Targets (the row
+	// of hid[l+1]) above it. Where a node id repeats, the first
+	// occurrence wins — the walk strategy's frontiers carry duplicates.
+	self, nbr [][]int32
 	// dlogits is dLoss/dlogits per level-0 target, already scaled by
-	// 1/batch so accumulated gradients are means. Nil on Eval.
+	// 1/batch so accumulated gradients are means. Unused on Eval.
 	dlogits []float32
+	logits  []float32
 }
 
-// featOf returns node v's decoded feature vector.
-func (st *batchState) featOf(v uint32, dim int) ([]float32, error) {
-	i := sort.Search(len(st.nodes), func(i int) bool { return st.nodes[i] >= v })
-	if i == len(st.nodes) || st.nodes[i] != v {
-		return nil, fmt.Errorf("train: node %d missing from batch feature payload", v)
+// fillIndex records each node's position+1 in index (0 means absent),
+// first occurrence winning. A node id outside the index — outside the
+// graph the label array describes — is rejected.
+func fillIndex(index []int32, nodes []uint32) error {
+	for i, v := range nodes {
+		if int64(v) >= int64(len(index)) {
+			return fmt.Errorf("train: node %d outside label array (%d nodes)", v, len(index))
+		}
+		if index[v] == 0 {
+			index[v] = int32(i + 1)
+		}
 	}
-	return st.feats[i*dim : (i+1)*dim], nil
+	return nil
 }
 
-// matvecAdd computes y += W·x for row-major W (len(y) rows).
+// clearIndex undoes fillIndex, leaving the index all zero again at a
+// cost proportional to the batch, not the graph.
+func clearIndex(index []int32, nodes []uint32) {
+	for _, v := range nodes {
+		if int64(v) < int64(len(index)) {
+			index[v] = 0
+		}
+	}
+}
+
+// positions resolves nodes through the index into dst[:0]. frontier
+// names what the index holds for the error a missing node gets: the
+// layer whose Targets it was filled from, or -1 for Batch.FeatNodes.
+func positions(dst []int32, index []int32, nodes []uint32, frontier int) ([]int32, error) {
+	dst = dst[:0]
+	for _, v := range nodes {
+		if int64(v) >= int64(len(index)) || index[v] == 0 {
+			if frontier < 0 {
+				return dst, fmt.Errorf("train: node %d missing from batch feature payload", v)
+			}
+			return dst, fmt.Errorf("train: layer-%d neighbor %d missing from layer-%d frontier", frontier-1, v, frontier)
+		}
+		dst = append(dst, index[v]-1)
+	}
+	return dst, nil
+}
+
+// resolve fills st.self and st.nbr for the batch through one dense
+// node-id index: over Batch.FeatNodes for every feature row, then over
+// each lower frontier for the hidden-state rows above it. Every lookup
+// is validated here, so the passes index unchecked.
+func (m *Model) resolve(b *core.Batch, numNodes int) error {
+	st, deepest := &m.st, m.cfg.Layers-1
+	if len(m.index) < numNodes {
+		m.index = make([]int32, numNodes)
+	}
+	index := m.index[:numNodes]
+
+	err := fillIndex(index, b.FeatNodes)
+	for l := 0; l <= deepest && err == nil; l++ {
+		st.self[l], err = positions(st.self[l], index, b.Layers[l].Targets, -1)
+	}
+	if err == nil {
+		st.nbr[deepest], err = positions(st.nbr[deepest], index, b.Layers[deepest].Neighbors, -1)
+	}
+	clearIndex(index, b.FeatNodes)
+	for l := 0; l < deepest && err == nil; l++ {
+		below := b.Layers[l+1].Targets
+		if err = fillIndex(index, below); err == nil {
+			st.nbr[l], err = positions(st.nbr[l], index, b.Layers[l].Neighbors, l+1)
+		}
+		clearIndex(index, below)
+	}
+	return err
+}
+
+// zeroed returns buf resized to n zeros, reusing its storage.
+func zeroed(buf []float32, n int) []float32 {
+	if cap(buf) < n {
+		return make([]float32, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// matvecAdd computes y += W·x for row-major W (len(y) rows), four rows
+// per pass over x. A single row's dot product is one dependency chain —
+// each add waits for the last — so four independent accumulators run
+// four chains at once and share each load of x. Every row still sums
+// its own products in column order, so each y[r] is bit-identical to
+// the one-row-at-a-time loop's (f32 addition is not associative; the
+// order within a row is the only order there is).
 func matvecAdd(y []float32, w, x []float32) {
 	cols := len(x)
-	for r := range y {
-		row := w[r*cols : (r+1)*cols]
+	r := 0
+	for ; r+4 <= len(y); r += 4 {
+		row0 := w[(r+0)*cols:][:cols]
+		row1 := w[(r+1)*cols:][:cols]
+		row2 := w[(r+2)*cols:][:cols]
+		row3 := w[(r+3)*cols:][:cols]
+		var s0, s1, s2, s3 float32
+		for d, xv := range x {
+			s0 += row0[d] * xv
+			s1 += row1[d] * xv
+			s2 += row2[d] * xv
+			s3 += row3[d] * xv
+		}
+		y[r] += s0
+		y[r+1] += s1
+		y[r+2] += s2
+		y[r+3] += s3
+	}
+	for ; r < len(y); r++ {
+		row := w[r*cols:][:cols]
 		var s float32
 		for d, xv := range x {
 			s += row[d] * xv
@@ -282,13 +389,15 @@ func (m *Model) Step(b *core.Batch, labels []uint32) (loss float64, correct int,
 	if err := m.backward(b, st); err != nil {
 		return 0, 0, err
 	}
+	grads := m.grad.tensors()
 	for ti, t := range m.params.tensors() {
-		g := m.grad.tensors()[ti]
+		g := grads[ti]
 		for i := range t {
 			t[i] -= m.cfg.LR * g[i]
 		}
 	}
 	m.steps++
+	m.st.feats = nil // a view of b.Features: do not keep the batch alive
 	return loss, correct, nil
 }
 
@@ -296,6 +405,7 @@ func (m *Model) Step(b *core.Batch, labels []uint32) (loss float64, correct int,
 // weight update.
 func (m *Model) Eval(b *core.Batch, labels []uint32) (loss float64, correct int, err error) {
 	_, loss, correct, err = m.forward(b, labels, false)
+	m.st.feats = nil
 	return loss, correct, err
 }
 
@@ -314,22 +424,15 @@ func (m *Model) forward(b *core.Batch, labels []uint32, retain bool) (*batchStat
 	if len(b.FeatNodes)*c.FeatureDim*4 != len(b.Features) {
 		return nil, 0, 0, fmt.Errorf("train: feature payload %d bytes inconsistent with %d nodes × dim %d", len(b.Features), len(b.FeatNodes), c.FeatureDim)
 	}
-	st := &batchState{
-		nodes:  b.FeatNodes,
-		feats:  decodeF32(b.Features),
-		pre:    make([][]float32, c.Layers),
-		hid:    make([][]float32, c.Layers),
-		agg:    make([][]float32, c.Layers),
-		lookup: make([]map[uint32]int, c.Layers),
+	st := &m.st
+	if st.pre == nil {
+		st.pre, st.hid, st.agg = make([][]float32, c.Layers), make([][]float32, c.Layers), make([][]float32, c.Layers)
+		st.self, st.nbr = make([][]int32, c.Layers), make([][]int32, c.Layers)
+		st.logits = make([]float32, c.Classes)
 	}
-	for l := 1; l < c.Layers; l++ {
-		lk := make(map[uint32]int, len(b.Layers[l].Targets))
-		for i, v := range b.Layers[l].Targets {
-			if _, ok := lk[v]; !ok {
-				lk[v] = i
-			}
-		}
-		st.lookup[l] = lk
+	st.feats = decodeF32(b.Features)
+	if err := m.resolve(b, len(labels)); err != nil {
+		return nil, 0, 0, err
 	}
 
 	// Bottom-up: the deepest level aggregates raw neighbor features,
@@ -338,29 +441,20 @@ func (m *Model) forward(b *core.Batch, labels []uint32, retain bool) (*batchStat
 		lay := &b.Layers[l]
 		n := len(lay.Targets)
 		aggW := c.aggIn(l)
-		st.pre[l] = make([]float32, n*c.Hidden)
-		st.hid[l] = make([]float32, n*c.Hidden)
-		st.agg[l] = make([]float32, n*aggW)
-		for i, v := range lay.Targets {
+		st.pre[l] = zeroed(st.pre[l], n*c.Hidden)
+		st.hid[l] = zeroed(st.hid[l], n*c.Hidden)
+		st.agg[l] = zeroed(st.agg[l], n*aggW)
+		// rows is what this level aggregates, aggW wide, addressed by nbr.
+		rows := st.feats
+		if l < c.Layers-1 {
+			rows = st.hid[l+1]
+		}
+		for i := range lay.Targets {
 			agg := st.agg[l][i*aggW : (i+1)*aggW]
-			neigh := lay.NeighborsOf(i)
-			if len(neigh) > 0 {
+			if neigh := st.nbr[l][lay.Starts[i]:lay.Starts[i+1]]; len(neigh) > 0 {
 				inv := float32(1) / float32(len(neigh))
-				for _, u := range neigh {
-					var src []float32
-					if l == c.Layers-1 {
-						f, err := st.featOf(u, c.FeatureDim)
-						if err != nil {
-							return nil, 0, 0, err
-						}
-						src = f
-					} else {
-						j, ok := st.lookup[l+1][u]
-						if !ok {
-							return nil, 0, 0, fmt.Errorf("train: neighbor %d of layer-%d node %d missing from layer-%d frontier", u, l, v, l+1)
-						}
-						src = st.hid[l+1][j*c.Hidden : (j+1)*c.Hidden]
-					}
+				for _, j := range neigh {
+					src := rows[int(j)*aggW:][:aggW]
 					for d, sv := range src {
 						agg[d] += sv
 					}
@@ -369,10 +463,7 @@ func (m *Model) forward(b *core.Batch, labels []uint32, retain bool) (*batchStat
 					agg[d] *= inv
 				}
 			}
-			self, err := st.featOf(v, c.FeatureDim)
-			if err != nil {
-				return nil, 0, 0, err
-			}
+			self := st.feats[int(st.self[l][i])*c.FeatureDim:][:c.FeatureDim]
 			z := st.pre[l][i*c.Hidden : (i+1)*c.Hidden]
 			copy(z, m.B[l])
 			matvecAdd(z, m.Wself[l], self)
@@ -392,9 +483,9 @@ func (m *Model) forward(b *core.Batch, labels []uint32, retain bool) (*batchStat
 	var sumLoss float64
 	var corr int
 	targets := b.Layers[0].Targets
-	logits := make([]float32, c.Classes)
+	logits := st.logits
 	if retain {
-		st.dlogits = make([]float32, len(targets)*c.Classes)
+		st.dlogits = zeroed(st.dlogits, len(targets)*c.Classes)
 	}
 	for i, v := range targets {
 		if int64(v) >= int64(len(labels)) {
@@ -443,9 +534,12 @@ func (m *Model) backward(b *core.Batch, st *batchState) error {
 	c := m.cfg
 	m.grad.zero()
 	// dHid[l] is dLoss/d(hidden state) for level l's frontier.
-	dHid := make([][]float32, c.Layers)
+	if m.dHid == nil {
+		m.dHid = make([][]float32, c.Layers)
+	}
+	dHid := m.dHid
 	for l := 0; l < c.Layers; l++ {
-		dHid[l] = make([]float32, len(b.Layers[l].Targets)*c.Hidden)
+		dHid[l] = zeroed(dHid[l], len(b.Layers[l].Targets)*c.Hidden)
 	}
 	for i := range b.Layers[0].Targets {
 		dl := st.dlogits[i*c.Classes : (i+1)*c.Classes]
@@ -461,7 +555,7 @@ func (m *Model) backward(b *core.Batch, st *batchState) error {
 		lay := &b.Layers[l]
 		aggW := c.aggIn(l)
 		dAgg := make([]float32, aggW)
-		for i, v := range lay.Targets {
+		for i := range lay.Targets {
 			z := st.pre[l][i*c.Hidden : (i+1)*c.Hidden]
 			dh := dHid[l][i*c.Hidden : (i+1)*c.Hidden]
 			for d := range dz {
@@ -471,16 +565,13 @@ func (m *Model) backward(b *core.Batch, st *batchState) error {
 					dz[d] = 0
 				}
 			}
-			self, err := st.featOf(v, c.FeatureDim)
-			if err != nil {
-				return err
-			}
+			self := st.feats[int(st.self[l][i])*c.FeatureDim:][:c.FeatureDim]
 			outerAdd(m.grad.Wself[l], dz, self)
 			outerAdd(m.grad.Wneigh[l], dz, st.agg[l][i*aggW:(i+1)*aggW])
 			for d, g := range dz {
 				m.grad.B[l][d] += g
 			}
-			neigh := lay.NeighborsOf(i)
+			neigh := st.nbr[l][lay.Starts[i]:lay.Starts[i+1]]
 			if l == c.Layers-1 || len(neigh) == 0 {
 				continue
 			}
@@ -489,9 +580,8 @@ func (m *Model) backward(b *core.Batch, st *batchState) error {
 			}
 			matvecTAdd(dAgg, m.Wneigh[l], dz)
 			inv := float32(1) / float32(len(neigh))
-			for _, u := range neigh {
-				j := st.lookup[l+1][u] // validated during forward
-				dst := dHid[l+1][j*c.Hidden : (j+1)*c.Hidden]
+			for _, j := range neigh {
+				dst := dHid[l+1][int(j)*c.Hidden:][:c.Hidden]
 				for d, g := range dAgg {
 					dst[d] += g * inv
 				}
@@ -501,9 +591,23 @@ func (m *Model) backward(b *core.Batch, st *batchState) error {
 	return nil
 }
 
-// decodeF32 reinterprets little-endian f32 bytes as a float32 slice.
+// hostLittleEndian reports whether a float32's bytes in memory are the
+// feature file's byte order.
+var hostLittleEndian = func() bool {
+	one := uint16(1)
+	return *(*byte)(unsafe.Pointer(&one)) == 1
+}()
+
+// decodeF32 reinterprets little-endian f32 bytes as a float32 slice: a
+// zero-copy view of raw where the host stores floats the same way and
+// the payload is 4-byte aligned (every Batch.Features the sampler
+// allocates is), a decoded copy otherwise. The passes only read it.
 func decodeF32(raw []byte) []float32 {
-	out := make([]float32, len(raw)/4)
+	n := len(raw) / 4
+	if n > 0 && hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(raw)))%4 == 0 {
+		return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(raw))), n)
+	}
+	out := make([]float32, n)
 	for i := range out {
 		u := uint32(raw[i*4]) | uint32(raw[i*4+1])<<8 | uint32(raw[i*4+2])<<16 | uint32(raw[i*4+3])<<24
 		out[i] = math.Float32frombits(u)

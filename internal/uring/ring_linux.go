@@ -3,9 +3,11 @@
 package uring
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"syscall"
 	"unsafe"
@@ -91,8 +93,10 @@ var (
 
 // iouRing implements Ring on a real kernel ring pair.
 type iouRing struct {
-	fd   int
-	file *os.File
+	fd int
+	// fileFD is the read target's descriptor, resolved once at
+	// construction: every plain SQE carries it.
+	fileFD int32
 
 	sqRing []byte
 	cqRing []byte
@@ -121,10 +125,12 @@ type iouRing struct {
 	// fixed pins the registered arenas for the ring's lifetime: the
 	// kernel holds their pages pinned, so the GC must not reclaim them.
 	fixed [][]byte
-	// bufs pins the destination buffers of in-flight reads so the GC
-	// keeps them alive while only the kernel holds their address.
-	bufs map[uint64][]byte
-	cq   []CQE
+	// pins keeps the destination memory of in-flight reads GC-reachable
+	// while only the kernel holds its address (see pin). Append-only
+	// between idle moments; cleared when the ring goes idle.
+	pins     [][]byte
+	pinLimit int
+	cq       []CQE
 
 	sys Syscalls
 }
@@ -176,7 +182,10 @@ func newRawRing(f *os.File, o Options) (*iouRing, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &iouRing{fd: fd, sqpoll: o.SQPoll, bufs: make(map[uint64][]byte)}
+	r := &iouRing{fd: fd, fileFD: -1, sqpoll: o.SQPoll, pinLimit: pinCompactAt}
+	if f != nil {
+		r.fileFD = int32(f.Fd())
+	}
 	fail := func(err error) (*iouRing, error) {
 		r.Close()
 		return nil, err
@@ -233,7 +242,7 @@ func newRawRing(f *os.File, o Options) (*iouRing, error) {
 		runtime.KeepAlive(iovs)
 	}
 	if o.RegisterFile {
-		fds := [1]int32{int32(f.Fd())}
+		fds := [1]int32{r.fileFD}
 		if err := register(fd, registerFiles, unsafe.Pointer(&fds[0]), 1); err != nil {
 			return fail(fmt.Errorf("uring: IORING_REGISTER_FILES: %w", err))
 		}
@@ -264,7 +273,6 @@ func newIOURing(f *os.File, o Options) (Ring, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.file = f
 	return r, nil
 }
 
@@ -312,8 +320,14 @@ func (r *iouRing) prep(id uint64, off int64, buf []byte, opcode uint8, bufIndex 
 	if r.staged >= r.sqEntries || r.inflight+r.staged >= r.cqEntries {
 		return false
 	}
-	head := atomic.LoadUint32(r.sqHead)
-	if r.localTail-head >= r.sqEntries {
+	// SQ slots still owned by the kernel: at most what the published head
+	// shows, and at most the requests not yet harvested — an SQE whose CQE
+	// was harvested has been consumed. The second bound matters under
+	// SQPOLL, where the SQ thread posts inline completions BEFORE it
+	// publishes sq.head: user space can harvest a whole group while the
+	// head still shows a full SQ, and trusting the head alone would refuse
+	// an idle ring.
+	if r.localTail-atomic.LoadUint32(r.sqHead) >= r.sqEntries && r.staged+r.inflight >= r.sqEntries {
 		return false
 	}
 	idx := r.localTail & r.sqMask
@@ -325,7 +339,7 @@ func (r *iouRing) prep(id uint64, off int64, buf []byte, opcode uint8, bufIndex 
 		*(*uint8)(unsafe.Add(sqe, 1)) = iosqeFixedFile // flags
 		*(*int32)(unsafe.Add(sqe, 4)) = 0              // fixed-file index
 	} else {
-		*(*int32)(unsafe.Add(sqe, 4)) = int32(r.file.Fd()) // fd
+		*(*int32)(unsafe.Add(sqe, 4)) = r.fileFD // fd
 	}
 	*(*uint64)(unsafe.Add(sqe, 8)) = uint64(off)                               // off
 	*(*uint64)(unsafe.Add(sqe, 16)) = uint64(uintptr(unsafe.Pointer(&buf[0]))) // addr
@@ -335,8 +349,46 @@ func (r *iouRing) prep(id uint64, off int64, buf []byte, opcode uint8, bufIndex 
 	r.sqArray[idx] = idx
 	r.localTail++
 	r.staged++
-	r.bufs[id] = buf
+	r.pin(buf)
 	return true
+}
+
+// pinCompactAt is the pin-list length at which duplicates are squeezed
+// out (doubled whenever squeezing does not halve the list).
+const pinCompactAt = 1024
+
+// pin keeps buf's backing memory GC-reachable until the ring next goes
+// idle. Callers read into a few large buffers — a stage buffer filled
+// front to back, a handful of recycled scratch slots — so instead of a
+// map entry per request the ring records a destination only when it
+// does not lie inside the last one recorded (extended to its capacity,
+// so later reads further into the same buffer are covered), and forgets
+// them all when nothing is staged or in flight. Registered arenas are
+// pinned for the ring's lifetime by r.fixed and never recorded.
+func (r *iouRing) pin(buf []byte) {
+	if n := len(r.pins); n > 0 && sliceWithin(r.pins[n-1], buf) {
+		return
+	}
+	for _, arena := range r.fixed {
+		if sliceWithin(arena, buf) {
+			return
+		}
+	}
+	if len(r.pins) >= r.pinLimit {
+		// Destinations alternating between allocations (recycled O_DIRECT
+		// scratch slots) repeat: keep one entry, the longest, per base.
+		slices.SortFunc(r.pins, func(a, b []byte) int {
+			pa, pb := uintptr(unsafe.Pointer(unsafe.SliceData(a))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+			return cmp.Or(cmp.Compare(pa, pb), cmp.Compare(len(b), len(a)))
+		})
+		r.pins = slices.CompactFunc(r.pins, func(a, b []byte) bool {
+			return unsafe.SliceData(a) == unsafe.SliceData(b)
+		})
+		if len(r.pins) > r.pinLimit/2 {
+			r.pinLimit *= 2
+		}
+	}
+	r.pins = append(r.pins, buf[:cap(buf)])
 }
 
 func (r *iouRing) PrepRead(id uint64, off int64, buf []byte) bool {
@@ -393,11 +445,14 @@ func (r *iouRing) drainCQ() {
 		id := *(*uint64)(c)
 		res := *(*int32)(unsafe.Add(c, 8))
 		r.cq = append(r.cq, CQE{ID: id, Res: res})
-		delete(r.bufs, id)
 		r.inflight--
 		head++
 	}
 	atomic.StoreUint32(r.cqHead, head)
+	if r.inflight == 0 && r.staged == 0 && len(r.pins) > 0 {
+		clear(r.pins)
+		r.pins = r.pins[:0]
+	}
 }
 
 func (r *iouRing) Wait(min int) ([]CQE, error) {
@@ -445,5 +500,6 @@ func (r *iouRing) Close() error {
 		r.fd = -1
 	}
 	r.fixed = nil
+	r.pins = nil
 	return nil
 }

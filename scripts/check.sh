@@ -18,6 +18,13 @@ fi
 go vet ./...
 go build ./...
 
+# The benchmark harness is a module of its own (cmd/bench/go.mod), so
+# nothing above compiles it: vet it and run its unit tests (-short skips
+# the 20k-node smoke run) so an API change in uring/sample/core/serve/
+# shard/train underneath it cannot break the benchmark silently.
+go vet -C cmd/bench ./...
+go test -C cmd/bench -short ./...
+
 # Thread-count invariance: the epoch runner must produce byte-identical
 # per-batch sample digests at Threads=1,2,8 (the test runs all three and
 # diffs the digest streams; -race also sweeps the fan-out for races),
