@@ -45,6 +45,7 @@
 //
 //	go run ./cmd/epoch -data benchdata/bench/ogbn-papers-div20000 -threads 8 -targets 4096
 //	go run ./cmd/epoch -train -train-epochs 5        # temporary labeled graph
+//	go run ./cmd/epoch -train -train-epochs 3 -feature-cache-mb 1   # prints the feature cache's learning curve
 //	go run ./cmd/epoch -targets 2048 -bench-train benchdata/BENCH_train.json
 //	go run ./cmd/epoch -targets 8192 -invariance   # generates a temporary R-MAT graph
 //	go run ./cmd/epoch -targets 4096 -cache-mb 64 -bench-json benchdata/BENCH_epoch.json
@@ -711,12 +712,30 @@ func runTrain(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.
 	}
 	fmt.Fprintf(out, "training %d-layer GraphSAGE (hidden %d, lr %g) on %d targets, %s pipeline\n",
 		o.layers, o.hidden, o.lr, len(targets), mode)
+	if cfg.FeatureCacheBudgetBytes > 0 {
+		fn, fb := s.FeatureCacheInfo()
+		policy := "static degree-first"
+		if s.FeatureCacheAdaptive() {
+			policy = "re-admitted by measured access counts at epoch boundaries"
+		}
+		fmt.Fprintf(out, "featcache pinned %d nodes / %d B under a %d B budget, %s\n", fn, fb, cfg.FeatureCacheBudgetBytes, policy)
+	}
 	tr := &train.Trainer{Model: m, Labels: labels}
 	stats, err := tr.Run(ctx, s, targets, o.epochs, serialized)
 	for _, st := range stats {
 		fmt.Fprintf(out, "epoch %2d: loss %.4f  acc %.3f  %8.4fs (compute %.4fs, stall %.4fs, overlap %.2f)  %12.0f entries/s  weights %s\n",
 			st.Epoch, st.Loss, st.Accuracy, st.Seconds, st.ComputeSeconds, st.StallSeconds,
 			st.OverlapEfficiency, st.EntriesPerSec, st.WeightsDigest)
+		// The sampler's side of the same epoch, and — with an adaptive
+		// feature cache — its learning curve: the hit ratio rises and the
+		// device bytes fall as re-admissions follow the access pattern.
+		fmt.Fprintf(out, "          io: %.1f device B/target", float64(st.IO.DeviceBytes())/float64(st.Targets))
+		if lookups := st.IO.FeatCacheHits + st.IO.FeatCacheMisses; lookups > 0 {
+			fmt.Fprintf(out, "  featcache hit %.4f  admitted %d evicted %d rows  re-admission %.2f ms (%.2f%% of epoch)",
+				float64(st.IO.FeatCacheHits)/float64(lookups), st.IO.FeatCacheAdmitted, st.IO.FeatCacheEvicted,
+				st.ReadmitSeconds*1e3, 100*st.ReadmitSeconds/st.Seconds)
+		}
+		fmt.Fprintln(out)
 	}
 	return err
 }

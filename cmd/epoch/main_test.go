@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -265,15 +266,62 @@ func TestRunTrain(t *testing.T) {
 		if !strings.Contains(out, "labels: 4 classes") {
 			t.Fatalf("startup log missing label line:\n%s", out)
 		}
+		// Each epoch prints its trainer line, then the sampler's io line.
 		lines := strings.Split(strings.TrimSpace(out), "\n")
-		last := lines[len(lines)-1]
+		last := lines[len(lines)-2]
 		if !strings.Contains(last, "epoch  1:") || !strings.Contains(last, "weights ") {
 			t.Fatalf("missing final epoch line:\n%s", out)
+		}
+		if io := lines[len(lines)-1]; !strings.Contains(io, "device B/target") {
+			t.Fatalf("missing the final epoch's io line:\n%s", out)
 		}
 		return last[strings.LastIndex(last, " ")+1:]
 	}
 	if over, ser := digest(false), digest(true); over != ser {
 		t.Fatalf("overlapped and serialized final weights differ: %s vs %s", over, ser)
+	}
+}
+
+// TestRunTrainPrintsLearningCurve: with a feature cache big enough to
+// carry counters, -train reports per epoch what the sampler moved and
+// what the cache re-admitted: nothing before the first epoch, rows from
+// the second on, and a hit ratio that rises once an epoch was learned
+// from.
+func TestRunTrainPrintsLearningCurve(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{
+		// 1 MiB pins 9362 of the temporary graph's 12000 16-dim vectors.
+		"-backend", "pool", "-nodes", "12000", "-edges", "150000", "-targets", "1024", "-batch", "128",
+		"-threads", "2", "-train", "-train-epochs", "3", "-train-hidden", "8", "-feature-cache-mb", "1",
+	}, &sb); err != nil {
+		t.Fatalf("run -train: %v\n%s", err, sb.String())
+	}
+	out := sb.String()
+	if !strings.Contains(out, "re-admitted by measured access counts at epoch boundaries") {
+		t.Fatalf("feature cache policy line missing:\n%s", out)
+	}
+	var hits []float64
+	var admitted []int
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.Contains(line, "featcache hit ") {
+			continue
+		}
+		var devB, hit, ms, pct float64
+		var in, outRows int
+		if _, err := fmt.Sscanf(strings.TrimSpace(line), "io: %f device B/target  featcache hit %f  admitted %d evicted %d rows  re-admission %f ms (%f%% of epoch)",
+			&devB, &hit, &in, &outRows, &ms, &pct); err != nil {
+			t.Fatalf("io line %q: %v", line, err)
+		}
+		if in != outRows || devB <= 0 {
+			t.Fatalf("io line %q: admitted and evicted rows differ, or no device bytes", line)
+		}
+		hits, admitted = append(hits, hit), append(admitted, in)
+	}
+	if len(hits) != 3 {
+		t.Fatalf("want 3 io lines with cache counters:\n%s", out)
+	}
+	if admitted[0] != 0 || admitted[1] == 0 || hits[1] <= hits[0] {
+		t.Fatalf("admitted %v, hit ratios %v: no learning curve:\n%s", admitted, hits, out)
 	}
 }
 

@@ -1,47 +1,60 @@
-// Package cache implements the hot-neighbor cache: the complete
-// neighbor lists of the highest-degree nodes, pinned in memory under an
-// explicit memctl budget. On skewed (R-MAT-like) graphs a small number
-// of hub nodes appear in a large fraction of sampled frontiers, so
-// caching their lists slashes device traffic the way DiskGNN and GIDS
-// report — while the engine's memory story stays honest, because every
-// cached byte is charged against the budget.
+// Package cache implements the engine's two memory-budgeted row stores:
+// the hot-neighbor cache (the complete neighbor lists of the hottest
+// nodes) and the hot-node feature cache (their feature vectors). On
+// skewed (R-MAT-like) graphs a small number of nodes appear in a large
+// fraction of sampled frontiers, so keeping their rows in memory slashes
+// device traffic the way DiskGNN and GIDS report — while the engine's
+// memory story stays honest, because every cached byte, the index and
+// the access counters are charged against an explicit memctl budget.
 //
-// The cache is strictly an I/O bypass: it stores the same little-endian
-// entry bytes the edge file holds, so a consumer that draws its fanout
-// indices first and only then consults the cache produces bit-identical
-// samples with the cache on or off, at any budget.
+// Both caches are strictly I/O bypasses: they store the same bytes the
+// files hold, so a consumer that draws first and only then consults the
+// cache produces bit-identical output with the cache on or off, at any
+// budget, whatever is pinned.
+//
+// One order decides what is pinned: (measured heat desc, degree desc,
+// node id asc). Heat is an access count the owner feeds in (Count, then
+// Fold when the epoch it was taken over completed); with nothing
+// measured the order is degree-first, which is what Build and
+// BuildFeatures pin. A cache whose budget affords the counters (see
+// learner) re-ranks itself on Readmit and swaps only the rows that
+// changed; one that cannot stays static for its lifetime.
 package cache
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"sync"
 
 	"ringsampler/internal/memctl"
 )
 
-// Graph is the subset of a dataset the cache builder reads: the node
-// count, each node's entry-index range, and raw byte access to the edge
-// file. storage.Dataset satisfies it.
+// Graph is the subset of a dataset the neighbor-cache builder reads: the
+// CSR offset index (NumNodes+1 entry indices; node v's list is entries
+// Offsets()[v] to Offsets()[v+1], read-only) and raw byte access to the
+// edge file. storage.Dataset satisfies it.
 type Graph interface {
-	NumNodes() int64
-	Range(v uint32) (start, end int64)
+	Offsets() []int64
 	ReadAt(p []byte, off int64) (int, error)
 }
 
-// Owner is optionally implemented by graphs that hold only a node
-// range's bytes (shard datasets). The builders restrict candidates to
-// owned nodes — only their bytes are readable locally, and the caches
-// are pure I/O bypasses, so membership never affects sampled output.
-type Owner interface {
-	Owns(v uint32) bool
+// FeatureSource is the subset of a dataset the feature-cache builder
+// reads: the offset index (degree is the cold-start heat proxy), the
+// feature record stride, and raw byte access to the feature file.
+// storage.Dataset satisfies it.
+type FeatureSource interface {
+	Offsets() []int64
+	FeatureStride() int64
+	FeatureReadAt(p []byte, off int64) (int, error)
 }
 
-// ownsFn returns g's ownership predicate, or an always-true one.
-func ownsFn(g any) func(uint32) bool {
-	if o, ok := g.(Owner); ok {
-		return o.Owns
-	}
-	return func(uint32) bool { return true }
+// Owner is optionally implemented by graphs that hold only a node
+// range's bytes (shard datasets). The builder restricts candidates to
+// the owned range [lo, hi) — only those bytes are readable locally, and
+// the caches are pure I/O bypasses, so membership never affects sampled
+// output.
+type Owner interface {
+	ShardRange() (lo, hi int64)
 }
 
 // EntryBytes is the on-disk size of one neighbor entry (little-endian
@@ -49,113 +62,251 @@ func ownsFn(g any) func(uint32) bool {
 // depend on it.
 const EntryBytes = 4
 
-// nodeOverheadBytes is the per-node bookkeeping charge: the index map
-// entry (key + span) plus amortized map internals. Charged against the
-// budget alongside the list bytes so the cache cannot hide
-// node-proportional memory from memctl.
+// nodeOverheadBytes is the per-row bookkeeping charge. Everything a
+// cache holds besides the row bytes fits in rows × nodeOverheadBytes, so
+// the cache cannot hide node-proportional memory from memctl: the index
+// table is 16 B/row, a variable-row cache adds 8 B/row of offsets, and
+// the learner's counters are attached only where they fit beside the
+// index (see build).
 const nodeOverheadBytes = 48
 
-// span locates one cached node's list inside the flat data buffer.
-// n is int64 so a pathologically large list (> 2 GiB of entry bytes)
-// cannot silently truncate into a short Lookup slice.
-type span struct {
-	off int64
-	n   int64 // bytes
+// source describes the file of per-node rows one cache is built over.
+type source struct {
+	// offsets is the graph's CSR offset index: node v has degree
+	// offsets[v+1]-offsets[v]. Read in place, never copied — a degree
+	// snapshot would be node-proportional memory nobody is charged for.
+	offsets []int64
+	// lo, hi bound the owned node range; with minDeg they define the
+	// candidates.
+	lo, hi int64
+	// minDeg is the smallest degree a candidate has: 1 for neighbor
+	// lists (an isolated node has no row), 0 for feature vectors (every
+	// node has one, and degree-0 nodes can be layer-0 targets).
+	minDeg int64
+	// stride is the fixed row size; 0 means node v's row is its neighbor
+	// list, degree × EntryBytes at its entry range.
+	stride int64
+	readAt func(p []byte, off int64) (int, error)
+	what   string
 }
 
-// Hot is an immutable hot-neighbor cache. Safe for concurrent Lookup
-// use after Build returns; a nil *Hot is a valid always-miss cache.
+func (s *source) numNodes() int64 { return int64(len(s.offsets)) - 1 }
+
+func (s *source) degree(v int64) int64 { return s.offsets[v+1] - s.offsets[v] }
+
+func (s *source) rowBytes(deg int64) int64 {
+	if s.stride > 0 {
+		return s.stride
+	}
+	return deg * EntryBytes
+}
+
+func (s *source) rowOff(v int64) int64 {
+	if s.stride > 0 {
+		return v * s.stride
+	}
+	return s.offsets[v] * EntryBytes
+}
+
+// Hot is a fixed-capacity store of per-node rows behind an
+// open-addressed index. A nil *Hot is a valid always-miss cache.
+//
+// A static cache (Adaptive() == false) never changes after Build and
+// needs no synchronization. An adaptive one is mutated in place by
+// Readmit under the write lock: readers bracket their Lookups, and every
+// use of the slices Lookup returned, with RLock/RUnlock.
 type Hot struct {
-	index map[uint32]span
-	data  []byte
-	bytes int64 // cached list bytes (excluding overhead)
+	mu     sync.RWMutex
+	index  table
+	data   []byte
+	stride int64   // fixed row bytes; 0: rows are located by off
+	off    []int64 // variable rows: row of slot s is data[off[s]:off[s+1]]
+	nodes  int
+	bytes  int64 // cached row bytes (excluding overhead)
+	learn  *learner
 }
 
-// Build selects nodes degree-first (ties broken by ascending node id)
-// and pins their complete neighbor lists, charging listBytes +
+// Build pins the complete neighbor lists of the highest-degree nodes
+// (ties broken by ascending node id), charging listBytes +
 // nodeOverheadBytes per node against budget. Selection stops at the
-// first candidate that does not fit: the selected set is a prefix of
-// the fixed degree-ordered candidate list, so a larger budget always
-// caches a superset of a smaller one — which is what makes device
-// traffic provably monotone in the budget for a fixed workload.
+// first candidate that does not fit: the selected set is a prefix of one
+// fixed order, so a larger budget always caches a superset of a smaller
+// one — which is what makes device traffic provably monotone in the
+// budget for a fixed workload. The neighbor cache is always static.
 func Build(g Graph, budget *memctl.Budget) (*Hot, error) {
+	return build(newSource(g, source{minDeg: 1, readAt: g.ReadAt, what: "list"}), budget, false)
+}
+
+// BuildFeatures pins feature vectors under budget, stride +
+// nodeOverheadBytes per node, in the same prefix-of-one-order fashion as
+// Build: degree-first at construction, because nothing has been measured
+// yet and hubs dominate frontiers on skewed graphs. When the overhead
+// charge also covers per-node access counters the cache is adaptive (see
+// Count, Fold, Readmit); the pinned row count never changes either way.
+func BuildFeatures(g FeatureSource, budget *memctl.Budget) (*Hot, error) {
+	stride := g.FeatureStride()
+	if stride <= 0 {
+		return nil, fmt.Errorf("cache: feature stride %d must be positive", stride)
+	}
+	return build(newSource(g, source{stride: stride, readAt: g.FeatureReadAt, what: "features"}), budget, true)
+}
+
+// newSource completes src with g's offset index and owned node range.
+func newSource(g interface{ Offsets() []int64 }, src source) *source {
+	src.offsets = g.Offsets()
+	src.lo, src.hi = 0, src.numNodes()
+	if o, ok := g.(Owner); ok {
+		src.lo, src.hi = o.ShardRange()
+	}
+	return &src
+}
+
+// build selects the cold-start prefix of src's candidates under budget,
+// charges it, and fills the rows in file order.
+func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 	if budget == nil {
 		return nil, fmt.Errorf("cache: nil budget")
 	}
-	numNodes := g.NumNodes()
-	if numNodes <= 0 || numNodes > int64(^uint32(0)) {
-		return nil, fmt.Errorf("cache: node count %d outside uint32 range", numNodes)
+	if n := src.numNodes(); n <= 0 || n > int64(^uint32(0)) {
+		return nil, fmt.Errorf("cache: node count %d outside uint32 range", n)
 	}
-	type cand struct {
-		id  uint32
-		deg int64
+	if src.lo < 0 || src.hi > src.numNodes() || src.lo > src.hi {
+		return nil, fmt.Errorf("cache: owned range [%d,%d) outside the %d nodes", src.lo, src.hi, src.numNodes())
 	}
-	owns := ownsFn(g)
-	cands := make([]cand, 0, numNodes)
-	for v := int64(0); v < numNodes; v++ {
-		st, en := g.Range(uint32(v))
-		if deg := en - st; deg > 0 && owns(uint32(v)) {
-			cands = append(cands, cand{id: uint32(v), deg: deg})
+	var maxDeg, numCands int64
+	for v := src.lo; v < src.hi; v++ {
+		if deg := src.degree(v); deg >= src.minDeg {
+			numCands++
+			maxDeg = max(maxDeg, deg)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].deg != cands[j].deg {
-			return cands[i].deg > cands[j].deg
-		}
-		return cands[i].id < cands[j].id
-	})
-
-	// Prefix selection under the budget.
-	var picked []cand
+	rank := newRanking(src, maxDeg)
+	allowance := budget.Remaining()
+	if allowance < 0 {
+		allowance = math.MaxInt64
+	}
+	var picked []uint32
+	rank.admitted(rank.selectTop(allowance), func(v uint32) { picked = append(picked, v) })
+	h := &Hot{stride: src.stride}
+	if len(picked) == 0 {
+		return h, nil
+	}
 	var dataBytes int64
-	for _, c := range cands {
-		listBytes := c.deg * EntryBytes
-		if err := budget.Charge(listBytes + nodeOverheadBytes); err != nil {
-			if memctl.IsOOM(err) {
-				break
-			}
+	for _, v := range picked {
+		if src.stride == 0 {
+			h.off = append(h.off, dataBytes)
+		}
+		dataBytes += src.rowBytes(src.degree(int64(v)))
+	}
+	if err := budget.Charge(dataBytes + int64(len(picked))*nodeOverheadBytes); err != nil {
+		return nil, err
+	}
+	h.nodes, h.bytes = len(picked), dataBytes
+	h.data = make([]byte, dataBytes)
+	h.index = newTable(len(picked))
+	if src.stride == 0 {
+		h.off = append(h.off, dataBytes)
+	}
+	// Ascending id is file order for both layouts, and slots are handed
+	// out in the same order, so neighbouring rows merge into one read.
+	fill := filler{src: src, data: h.data}
+	var at int64
+	for slot, v := range picked {
+		n := src.rowBytes(src.degree(int64(v)))
+		if err := fill.add(v, src.rowOff(int64(v)), at, n); err != nil {
 			return nil, err
 		}
-		picked = append(picked, c)
-		dataBytes += listBytes
-	}
-	h := &Hot{
-		index: make(map[uint32]span, len(picked)),
-		data:  make([]byte, dataBytes),
-		bytes: dataBytes,
-	}
-	// Fill in file order so the build pass reads the edge file
-	// sequentially rather than hopping hub to hub.
-	sort.Slice(picked, func(i, j int) bool {
-		si, _ := g.Range(picked[i].id)
-		sj, _ := g.Range(picked[j].id)
-		return si < sj
-	})
-	var at int64
-	for _, c := range picked {
-		st, _ := g.Range(c.id)
-		n := c.deg * EntryBytes
-		if _, err := g.ReadAt(h.data[at:at+n], st*EntryBytes); err != nil {
-			return nil, fmt.Errorf("cache: read node %d list: %w", c.id, err)
-		}
-		h.index[c.id] = span{off: at, n: n}
+		h.index.insert(v, slot)
 		at += n
+	}
+	if err := fill.flush(); err != nil {
+		return nil, err
+	}
+	// Learning needs something to choose between, and room for its
+	// counters beside the index inside the overhead already charged.
+	if learn && int64(len(picked)) < numCands {
+		if l := newLearner(rank, picked); h.index.bytes()+l.bytes() <= int64(len(picked))*nodeOverheadBytes {
+			h.learn = l
+		}
 	}
 	return h, nil
 }
 
-// Lookup returns node v's complete neighbor list as raw little-endian
-// entry bytes (EntryBytes per neighbor), or nil when v is not cached.
-// The returned slice aliases the cache; callers must not modify it.
+// filler reads rows into the data buffer, merging rows that are adjacent
+// both in the file and in the buffer into one read.
+type filler struct {
+	src  *source
+	data []byte
+
+	first            uint32 // node of the pending run's first row
+	fileOff, dataOff int64
+	n                int64
+
+	reads, bytes int64
+}
+
+// maxFillRun bounds one merged read (an O_DIRECT source bounces the
+// whole read through an aligned copy).
+const maxFillRun = 1 << 20
+
+func (f *filler) add(v uint32, fileOff, dataOff, n int64) error {
+	if f.n > 0 && fileOff == f.fileOff+f.n && dataOff == f.dataOff+f.n && f.n+n <= maxFillRun {
+		f.n += n
+		return nil
+	}
+	if err := f.flush(); err != nil {
+		return err
+	}
+	f.first, f.fileOff, f.dataOff, f.n = v, fileOff, dataOff, n
+	return nil
+}
+
+func (f *filler) flush() error {
+	if f.n == 0 {
+		return nil
+	}
+	if _, err := f.src.readAt(f.data[f.dataOff:f.dataOff+f.n], f.fileOff); err != nil {
+		return fmt.Errorf("cache: read %d bytes of %s from node %d: %w", f.n, f.src.what, f.first, err)
+	}
+	f.reads++
+	f.bytes += f.n
+	f.n = 0
+	return nil
+}
+
+// Lookup returns node v's cached row as raw file bytes (a neighbor list,
+// EntryBytes per neighbor, or a feature vector), or nil when v is not
+// cached. The returned slice aliases the cache; callers must not modify
+// it, and on an adaptive cache must hold the read lock while they use it.
 func (h *Hot) Lookup(v uint32) []byte {
-	if h == nil {
+	if h == nil || h.nodes == 0 {
 		return nil
 	}
-	s, ok := h.index[v]
-	if !ok {
+	slot := h.index.find(v)
+	if slot < 0 {
 		return nil
 	}
-	return h.data[s.off : s.off+s.n]
+	if h.stride > 0 {
+		o := int64(slot) * h.stride
+		return h.data[o : o+h.stride]
+	}
+	return h.data[h.off[slot]:h.off[slot+1]]
+}
+
+// RLock takes the read lock an adaptive cache's readers hold across a
+// batch of Lookups. A no-op on a nil or static cache, which never
+// changes.
+func (h *Hot) RLock() {
+	if h.Adaptive() {
+		h.mu.RLock()
+	}
+}
+
+// RUnlock releases RLock.
+func (h *Hot) RUnlock() {
+	if h.Adaptive() {
+		h.mu.RUnlock()
+	}
 }
 
 // Nodes returns how many nodes are cached.
@@ -163,10 +314,10 @@ func (h *Hot) Nodes() int {
 	if h == nil {
 		return 0
 	}
-	return len(h.index)
+	return h.nodes
 }
 
-// Bytes returns the cached list bytes (excluding per-node overhead).
+// Bytes returns the cached row bytes (excluding per-node overhead).
 func (h *Hot) Bytes() int64 {
 	if h == nil {
 		return 0

@@ -13,7 +13,8 @@ type fakeGraph struct {
 	edges   []byte // little-endian u32 entries
 }
 
-func (g *fakeGraph) NumNodes() int64 { return int64(len(g.offsets) - 1) }
+func (g *fakeGraph) NumNodes() int64  { return int64(len(g.offsets) - 1) }
+func (g *fakeGraph) Offsets() []int64 { return g.offsets }
 func (g *fakeGraph) Range(v uint32) (int64, int64) {
 	return g.offsets[v], g.offsets[v+1]
 }

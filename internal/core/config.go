@@ -108,8 +108,11 @@ type Config struct {
 	FetchFeatures bool
 	// FeatureCacheBudgetBytes is the memctl-accounted budget for the
 	// hot-node feature cache — a second budget axis next to
-	// CacheBudgetBytes, pinning the feature vectors of the highest-degree
-	// nodes so their fetches never touch the ring. 0 disables it.
+	// CacheBudgetBytes, pinning the feature vectors of the hottest nodes
+	// so their fetches never touch the ring: the highest-degree nodes at
+	// construction, and from then on the nodes completed epochs fetched
+	// most often, re-admitted at epoch boundaries (RunEpochSeeded) when
+	// the budget is large enough to carry the counters. 0 disables it.
 	// Requires a dataset with a feature file. Feature payloads are
 	// identical at any budget — only device traffic changes.
 	FeatureCacheBudgetBytes int64

@@ -111,7 +111,9 @@ func (h *LatencyHist) String() string {
 // EpochStats aggregates one RunEpoch: merged ring-level I/O counters,
 // the per-worker breakdown they were merged from, per-batch sample
 // digests (in batch order), a batch-latency histogram, and wall-clock
-// throughput. IO always equals the sum of PerWorker.
+// throughput. IO equals the sum of PerWorker plus what the epoch-start
+// feature-cache re-admission did (FeatCacheAdmitted/Evicted and the
+// FeatReads/FeatBytesRead of its fill), which no worker performed.
 type EpochStats struct {
 	// Batches is the number of mini-batches the target stream sharded
 	// into; Targets is the epoch's target-node count.
@@ -139,10 +141,14 @@ type EpochStats struct {
 	Latency LatencyHist
 	// Seconds is the wall-clock epoch duration; EntriesPerSec and
 	// BytesPerSec are the headline sampled-entry and device-byte
-	// throughputs derived from it.
+	// (IO.DeviceBytes) throughputs derived from it.
 	Seconds       float64
 	EntriesPerSec float64
 	BytesPerSec   float64
+	// ReadmitSeconds is the part of Seconds the epoch-start feature-cache
+	// re-admission took (ranking plus fill): nothing to speak of when no
+	// epoch completed since the last one, zero when the cache is static.
+	ReadmitSeconds float64
 }
 
 // epochResult carries one finished mini-batch from a worker to the
@@ -193,6 +199,20 @@ func (s *Sampler) RunEpochCtx(ctx context.Context, targets []uint32, onBatch fun
 // resamples different neighborhoods while keeping the determinism
 // contract — the batch stream is still a pure function of (dataset,
 // config, targets, seed), independent of Threads.
+//
+// An epoch that fetches features is also what an adaptive feature cache
+// learns from. On the collecting goroutine every batch's FeatNodes are
+// counted; the counts are folded into the cache's heat only when the
+// epoch completes — an error or a cancellation discards them, because
+// which batches ran then depends on timing — and the next such epoch
+// starts by re-admitting: the cache re-ranks by (heat, degree, id),
+// swaps the rows that changed, and the bytes that fill read are charged
+// to that epoch's IO. Counts are sums, so they do not depend on the
+// order batches arrive in: an epoch's device bytes are a pure function
+// of (dataset, config, targets, seed) and the sampler's history of
+// completed epochs — never of Threads or timing. The first epoch of a
+// sampler has no history and reads exactly what a static degree-first
+// cache reads.
 func (s *Sampler) RunEpochSeeded(ctx context.Context, seed uint64, targets []uint32, onBatch func(index int, b *Batch) error) (*EpochStats, error) {
 	cfg := &s.cfg
 	if len(targets) == 0 {
@@ -216,6 +236,24 @@ func (s *Sampler) RunEpochSeeded(ctx context.Context, seed uint64, targets []uin
 	)
 	perWorker := make([]IOStats, workers)
 	start := time.Now()
+	stats := &EpochStats{
+		Batches: numBatches,
+		Targets: len(targets),
+		Workers: workers,
+		Digests: make([]uint64, numBatches),
+	}
+	learning := cfg.FetchFeatures && s.featHot.Adaptive() && s.learnMu.TryLock()
+	if learning {
+		defer s.learnMu.Unlock()
+		t0 := time.Now()
+		re, err := s.featHot.Readmit()
+		if err != nil {
+			return nil, fmt.Errorf("core: epoch feature-cache re-admission: %w", err)
+		}
+		stats.IO.FeatCacheAdmitted, stats.IO.FeatCacheEvicted = re.Admitted, re.Evicted
+		stats.IO.FeatReads, stats.IO.FeatBytesRead = re.Reads, re.Bytes
+		stats.ReadmitSeconds = time.Since(t0).Seconds()
+	}
 	go func() {
 		defer close(idxCh)
 		for bi := 0; bi < numBatches; bi++ {
@@ -281,12 +319,6 @@ func (s *Sampler) RunEpochSeeded(ctx context.Context, seed uint64, targets []uin
 		}(wid)
 	}
 
-	stats := &EpochStats{
-		Batches: numBatches,
-		Targets: len(targets),
-		Workers: workers,
-		Digests: make([]uint64, numBatches),
-	}
 	// In-order delivery: completions arrive in any order; pending parks
 	// the early ones until every predecessor has been handed out.
 	pending := make(map[int]*Batch)
@@ -318,6 +350,9 @@ collect:
 		stats.Sampled += r.batch.TotalSampled()
 		stats.Digests[r.index] = r.batch.Digest()
 		stats.Completed++
+		if learning {
+			s.featHot.Count(r.batch.FeatNodes)
+		}
 		if onBatch == nil {
 			continue
 		}
@@ -337,6 +372,13 @@ collect:
 	}
 	close(stop)
 	wg.Wait()
+	if learning {
+		if firstErr != nil || canceled {
+			s.featHot.Discard()
+		} else {
+			s.featHot.Fold()
+		}
+	}
 	if firstErr != nil {
 		return nil, firstErr
 	}
@@ -347,7 +389,7 @@ collect:
 	stats.PerWorker = perWorker
 	if stats.Seconds > 0 {
 		stats.EntriesPerSec = float64(stats.Sampled) / stats.Seconds
-		stats.BytesPerSec = float64(stats.IO.BytesRead) / stats.Seconds
+		stats.BytesPerSec = float64(stats.IO.DeviceBytes()) / stats.Seconds
 	}
 	if canceled {
 		return stats, context.Cause(ctx)

@@ -115,13 +115,20 @@ type IOStats struct {
 	FeatCacheHits   int64
 	FeatCacheMisses int64
 	FeatCacheBytes  int64
+	// FeatCacheAdmitted / FeatCacheEvicted count the rows an adaptive
+	// feature cache swapped in and out at epoch-boundary re-admissions
+	// (RunEpochSeeded). The reads that filled the admitted rows are in
+	// FeatReads / FeatBytesRead, so what learning costs the device is
+	// part of the epoch it served. No worker performs a re-admission:
+	// these appear in EpochStats.IO, never in PerWorker.
+	FeatCacheAdmitted int64
+	FeatCacheEvicted  int64
 	// FixedReads is how many requests completed through a registered
 	// fixed buffer (IORING_OP_READ_FIXED, or its pool/sim emulation).
 	FixedReads int64
 	// AlignSlackBytes is the device bytes the O_DIRECT path read beyond
 	// the requested entry ranges: alignment rounding plus re-read overlap
-	// after aligned resubmission. Device traffic for a worker is
-	// BytesRead + AlignSlackBytes.
+	// after aligned resubmission (see DeviceBytes).
 	AlignSlackBytes int64
 	// SubmitSyscalls / WaitSyscalls are the worker ring's kernel
 	// crossings (see uring.Syscalls): submission-side enters (or preads
@@ -164,6 +171,8 @@ func (s *IOStats) Add(o IOStats) {
 	s.FeatCacheHits += o.FeatCacheHits
 	s.FeatCacheMisses += o.FeatCacheMisses
 	s.FeatCacheBytes += o.FeatCacheBytes
+	s.FeatCacheAdmitted += o.FeatCacheAdmitted
+	s.FeatCacheEvicted += o.FeatCacheEvicted
 	s.FixedReads += o.FixedReads
 	s.AlignSlackBytes += o.AlignSlackBytes
 	s.SubmitSyscalls += o.SubmitSyscalls
@@ -174,6 +183,13 @@ func (s *IOStats) Add(o IOStats) {
 	s.ActiveRegFiles = s.ActiveRegFiles || o.ActiveRegFiles
 	s.ActiveSQPoll = s.ActiveSQPoll || o.ActiveSQPoll
 	s.ActiveODirect = s.ActiveODirect || o.ActiveODirect
+}
+
+// DeviceBytes is everything these counters saw cross the storage
+// boundary: edge bytes, the O_DIRECT path's alignment slack, and feature
+// bytes (cache fills included).
+func (s *IOStats) DeviceBytes() int64 {
+	return s.BytesRead + s.AlignSlackBytes + s.FeatBytesRead
 }
 
 // transientErrno reports whether errno is worth retrying: the request

@@ -28,9 +28,16 @@ type Sampler struct {
 	// immutable after New, so workers consult it with no
 	// synchronization.
 	hot *cache.Hot
-	// featHot is the shared hot-node feature cache (nil when disabled),
-	// immutable like hot.
+	// featHot is the shared hot-node feature cache (nil when disabled).
+	// When its budget affords access counters it is adaptive: the epoch
+	// runner re-admits rows at epoch boundaries, so workers hold its read
+	// lock across each feature stage's lookups and copies.
 	featHot *cache.Hot
+	// learnMu is the token of the one epoch that measures feature heat:
+	// RunEpochSeeded re-admits, counts and folds only while it holds it,
+	// so epochs run concurrently on one sampler stay race-free (the
+	// extra ones read the cache without teaching it).
+	learnMu sync.Mutex
 	// defStrat is the pre-resolved Config.Strategy (uniform when
 	// unset), consulted lock-free on every batch. Per-batch overrides
 	// resolve through the lazily built strats registry.
@@ -84,7 +91,10 @@ func resolveKnobs(cfg *Config, backend uring.Backend, ds *storage.Dataset) activ
 // support it (callers gate on uring.Probe()). When
 // Config.CacheBudgetBytes (or FeatureCacheBudgetBytes) is positive the
 // corresponding hot cache is populated here, degree-first, charged
-// against a memctl budget of that size.
+// against a memctl budget of that size. The feature cache then follows
+// the measured access pattern from the second epoch on (see
+// RunEpochSeeded) — unless its budget is too small to carry the
+// counters, which is logged once here and leaves it degree-first.
 func New(ds *storage.Dataset, cfg Config, backend uring.Backend) (*Sampler, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -119,6 +129,10 @@ func New(ds *storage.Dataset, cfg Config, backend uring.Backend) (*Sampler, erro
 			return nil, fmt.Errorf("core: build hot-node feature cache: %w", err)
 		}
 		s.featHot = fh
+		if lo, hi := ds.ShardRange(); !fh.Adaptive() && int64(fh.Nodes()) < hi-lo {
+			log.Printf("core: feature cache budget %d B pins %d rows, too few to pay for per-node access counters; admission stays degree-first",
+				cfg.FeatureCacheBudgetBytes, fh.Nodes())
+		}
 	}
 	// Resolve the default strategy eagerly so a misnamed Config.Strategy
 	// (or a failing weighted alias build) surfaces here, not mid-epoch.
@@ -144,6 +158,11 @@ func (s *Sampler) CacheInfo() (nodes int, bytes int64) {
 func (s *Sampler) FeatureCacheInfo() (nodes int, bytes int64) {
 	return s.featHot.Nodes(), s.featHot.Bytes()
 }
+
+// FeatureCacheAdaptive reports whether the feature cache re-admits rows
+// by measured access counts at epoch boundaries. False when the cache is
+// off, pins every node, or its budget is too small for the counters.
+func (s *Sampler) FeatureCacheAdaptive() bool { return s.featHot.Adaptive() }
 
 // Worker is one sampling thread (paper Fig 3a): private rings, a
 // private RNG, and private offset/neighbor/target workspaces. Workers
@@ -757,19 +776,40 @@ func (w *Worker) featuresFor(nodes []uint32) ([]byte, error) {
 	if err := w.ensureFeat(); err != nil {
 		return nil, err
 	}
+	total, err := w.planFeatures(nodes)
+	if err != nil {
+		return nil, err
+	}
+	if err := w.feat.issue(w.runs, w.buf); err != nil {
+		return nil, err
+	}
+	// One pass: appending to an empty slice allocates without zero-filling
+	// the bytes the copy is about to overwrite.
+	return append([]byte{}, w.buf[:total]...), nil
+}
+
+// planFeatures is featuresFor's memory half: it plans the runs of the
+// uncached nodes, sizes the stage buffer and lands the cached vectors in
+// it, returning the stage's byte count. The feature cache's read lock is
+// held once across all of it — the lookups and the copies out of the
+// rows they returned — so an epoch-boundary re-admission can never swap
+// a row under a stage.
+func (w *Worker) planFeatures(nodes []uint32) (int64, error) {
 	stride := w.feat.entryBytes
 	// On a shard dataset only the owned range's vectors are present;
 	// the router scatters feature fetches by ownership, so a non-owned
 	// node here is a caller bug, rejected before any I/O. Unsharded,
 	// the range is [0, NumNodes) and this is the plain bounds check.
-	ownLo, ownHi := ds.ShardRange()
+	ownLo, ownHi := w.s.ds.ShardRange()
 	hot := w.s.featHot
+	hot.RLock()
+	defer hot.RUnlock()
 	w.runs = w.runs[:0]
 	w.cachedPicks = w.cachedPicks[:0]
 	var total int64
 	for _, v := range nodes {
 		if int64(v) < ownLo || int64(v) >= ownHi {
-			return nil, fmt.Errorf("core: feature fetch for node %d outside [%d,%d)", v, ownLo, ownHi)
+			return 0, fmt.Errorf("core: feature fetch for node %d outside [%d,%d)", v, ownLo, ownHi)
 		}
 		if fb := hot.Lookup(v); fb != nil {
 			w.cachedPicks = append(w.cachedPicks, cachedPick{bufPos: total * stride, src: fb})
@@ -792,12 +832,7 @@ func (w *Worker) featuresFor(nodes []uint32) ([]byte, error) {
 	}
 	w.sizeBuf(total*stride, w.feat.align)
 	w.copyCached()
-	if err := w.feat.issue(w.runs, w.buf); err != nil {
-		return nil, err
-	}
-	// One pass: appending to an empty slice allocates without zero-filling
-	// the bytes the copy is about to overwrite.
-	return append([]byte{}, w.buf[:total*stride]...), nil
+	return total * stride, nil
 }
 
 // issue drives the planned reads through this driver's ring. With the

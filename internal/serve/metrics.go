@@ -174,6 +174,8 @@ func (m *metrics) write(w io.Writer, ioStats core.IOStats, workers, queueCap int
 	writeMetric(w, "ringsampler_io_feat_cache_hits_total", "counter", "Hot-node feature cache hits.", ioStats.FeatCacheHits)
 	writeMetric(w, "ringsampler_io_feat_cache_misses_total", "counter", "Hot-node feature cache misses.", ioStats.FeatCacheMisses)
 	writeMetric(w, "ringsampler_io_feat_cache_bytes_total", "counter", "Feature bytes served from the cache.", ioStats.FeatCacheBytes)
+	writeMetric(w, "ringsampler_io_feat_cache_admitted_total", "counter", "Feature-cache rows admitted by epoch-boundary re-admissions.", ioStats.FeatCacheAdmitted)
+	writeMetric(w, "ringsampler_io_feat_cache_evicted_total", "counter", "Feature-cache rows evicted by epoch-boundary re-admissions.", ioStats.FeatCacheEvicted)
 	writeMetric(w, "ringsampler_io_worker_user_cpu_nanoseconds_total", "counter", "User-space CPU time of the pinned worker threads.", ioStats.UserCPUNanos)
 	writeMetric(w, "ringsampler_io_worker_sys_cpu_nanoseconds_total", "counter", "Kernel CPU time of the pinned worker threads.", ioStats.SysCPUNanos)
 }

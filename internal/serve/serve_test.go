@@ -433,6 +433,12 @@ func TestServeE2EFeatureDeterminism(t *testing.T) {
 	if hits <= 0 || misses <= 0 {
 		t.Fatalf("feature cache never exercised under load: hits=%v misses=%v", hits, misses)
 	}
+	// Serving has no epoch boundary: the cache is exported, never re-admitted.
+	for _, name := range []string{"ringsampler_io_feat_cache_admitted_total", "ringsampler_io_feat_cache_evicted_total"} {
+		if got := metricValue(t, body, name); got != 0 {
+			t.Fatalf("%s = %v, want 0 while serving", name, got)
+		}
+	}
 }
 
 // TestServeFeatureValidation: feature requests against an edge-only

@@ -218,6 +218,13 @@ func (d *Dataset) Range(v uint32) (start, end int64) {
 	return d.offsets[v], d.offsets[v+1]
 }
 
+// Offsets exposes the in-memory offset index itself: NumNodes+1 entry
+// indices, Range(v) = (Offsets()[v], Offsets()[v+1]), global on a shard
+// dataset like Range. For consumers that scan every node (the cache
+// builders rank all degrees several times over); callers must not
+// modify it.
+func (d *Dataset) Offsets() []int64 { return d.offsets }
+
 // Degree returns node v's out-degree.
 func (d *Dataset) Degree(v uint32) int64 {
 	return d.offsets[v+1] - d.offsets[v]

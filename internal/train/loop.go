@@ -59,6 +59,16 @@ type EpochStats struct {
 
 	// WeightsDigest is Model.WeightsDigest after the epoch.
 	WeightsDigest string `json:"weightsDigest"`
+
+	// IO is what sampling and fetching this epoch's batches moved: the
+	// epoch runner's merged counters (feature-cache re-admission
+	// included) in the overlapped mode, the single worker's in the
+	// serialized one. ReadmitSeconds is the runner's share of Seconds
+	// spent re-ranking and refilling the feature cache before the first
+	// batch (always zero serialized: only the epoch runner teaches the
+	// cache).
+	IO             core.IOStats `json:"io"`
+	ReadmitSeconds float64      `json:"readmitSeconds"`
 }
 
 // Trainer drives a Model over a sampler's epoch batches against a
@@ -119,6 +129,7 @@ func (t *Trainer) EpochOverlapped(ctx context.Context, s *core.Sampler, targets 
 		return nil, err
 	}
 	st.Sampled = es.Sampled
+	st.IO, st.ReadmitSeconds = es.IO, es.ReadmitSeconds
 	t.finish(st, sumLoss, correct, start)
 	return st, nil
 }
@@ -175,6 +186,7 @@ func (t *Trainer) EpochSerialized(ctx context.Context, s *core.Sampler, targets 
 		sumLoss += loss
 		correct += corr
 	}
+	st.IO = w.IOStats()
 	t.finish(st, sumLoss, correct, start)
 	return st, nil
 }

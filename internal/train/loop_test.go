@@ -179,3 +179,52 @@ func TestTrainRequiresFeatures(t *testing.T) {
 		t.Fatal("serialized epoch accepted a sampler without FetchFeatures")
 	}
 }
+
+// TestTrainEpochStatsCarryIO: the trainer's report carries the sampler's
+// I/O counters of the same epoch — the runner's merged counters when
+// overlapped, the single worker's when serialized — and, through them,
+// the feature cache's learning curve: same weights as without a cache,
+// a hit ratio that rises once an epoch has been learned from.
+func TestTrainEpochStatsCarryIO(t *testing.T) {
+	ds := testLabeledDataset(t)
+	targets := testTargets(ds, 320)
+	run := func(cacheRows int64, serialized bool) []*train.EpochStats {
+		cfg := trainCfg(2)
+		cfg.FeatureCacheBudgetBytes = cacheRows * (ds.FeatureStride() + 48)
+		s, err := core.New(ds, cfg, uring.BackendPool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cacheRows > 0 && !s.FeatureCacheAdaptive() {
+			t.Fatalf("%d rows do not make the feature cache adaptive", cacheRows)
+		}
+		stats, err := newTrainer(t, ds).Run(context.Background(), s, targets, 3, serialized)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	plain := run(0, false)
+	for _, serialized := range []bool{false, true} {
+		for e, st := range run(0, serialized) {
+			if st.IO.Reads == 0 || st.IO.FeatReads == 0 || st.IO.DeviceBytes() != plain[e].IO.DeviceBytes() {
+				t.Fatalf("serialized=%v epoch %d: IO %+v, want the overlapped run's %d device bytes", serialized, e, st.IO, plain[e].IO.DeviceBytes())
+			}
+		}
+	}
+	cached := run(500, false)
+	for e, st := range cached {
+		if st.WeightsDigest != plain[e].WeightsDigest {
+			t.Fatalf("epoch %d: the feature cache changed the weights", e)
+		}
+		if (e == 0) != (st.IO.FeatCacheAdmitted == 0) {
+			t.Fatalf("epoch %d admitted %d rows", e, st.IO.FeatCacheAdmitted)
+		}
+	}
+	hit := func(st *train.EpochStats) float64 {
+		return float64(st.IO.FeatCacheHits) / float64(st.IO.FeatCacheHits+st.IO.FeatCacheMisses)
+	}
+	if hit(cached[1]) <= hit(cached[0]) {
+		t.Fatalf("feature hit ratio %.4f → %.4f did not rise after the first re-admission", hit(cached[0]), hit(cached[1]))
+	}
+}

@@ -41,6 +41,11 @@ go test -race -run 'TestShardConformance' ./internal/serve
 # threads (fixed-order gradient reduction over the in-order batch
 # stream; DESIGN.md §13).
 go test -race -run 'TestTrainThreadInvariance|TestTrainOverlappedMatchesSerialized' ./internal/train
+# So does the adaptive feature cache (DESIGN.md §10): what it pins and
+# what each epoch reads must not depend on the thread count, payloads
+# must stay byte-identical to a cache-off run across re-admissions, and
+# re-admitting while other workers sample must be race-free.
+go test -race -run 'TestFeatureCacheThreadInvariance|TestFeatureCacheBypassAcrossReadmissions|TestFeatureCacheReadmitConcurrentWithSamplers' ./internal/core
 
 if [ "${QUICK:-0}" = "1" ]; then
     go test -race -short ./...
