@@ -1,8 +1,9 @@
 // Benchmarks mirroring the paper's evaluation, one per table/figure.
 // Each benchmark runs its experiment at a reduced scale per iteration
 // and reports the modeled epoch time as the "paper-facing" metric
-// (modeled-s/op) next to Go's wall-clock numbers. For full-resolution
-// tables, run cmd/benchrunner instead.
+// (modeled-s/op) next to Go's wall-clock numbers. These are micro-benches
+// on the 5 550-node checked-in graph; measured end-to-end numbers come
+// from the benchmark harness, go run -C cmd/bench . (cmd/bench/README.md).
 package ringsampler
 
 import (

@@ -10,26 +10,18 @@
 //
 // -cache-mb pins the hottest neighbor lists in a memory-budgeted cache
 // (see DESIGN.md §7); digests are identical with the cache on or off.
-// -bench-json additionally reruns the workload at cache budgets 0 and
-// 64 MiB and writes the machine-readable throughput summary the bench
-// harness tracks.
 //
 // -features runs the post-draw feature-fetch stage (the dataset needs a
 // feature file; generate a temporary one with -feature-dim);
 // -feature-cache-mb pins the hottest nodes' vectors under a second
-// memory budget. -bench-features runs the feature cache-budget ablation
-// and writes benchdata/BENCH_features.json-shaped output, asserting the
-// largest budget reaches zero device feature bytes. -probe with -data
-// additionally reports the dataset's feature presence, dim and stride.
+// memory budget. -probe with -data additionally reports the dataset's
+// feature presence, dim and stride.
 //
 // The io_uring fast-path knobs are plumbed through as flags:
 // -uring-fixed (registered buffers + READ_FIXED), -uring-regfiles
 // (IOSQE_FIXED_FILE), -uring-sqpoll (kernel-thread submission),
 // -odirect (page-cache bypass with probed alignment) and -depth
-// (in-flight cap). -probe prints the per-feature capability set;
-// -bench-uring runs the knob-ablation sweep and writes
-// benchdata/BENCH_uring.json-shaped output with digest identity
-// enforced across combinations.
+// (in-flight cap). -probe prints the per-feature capability set.
 //
 // -train trains a minimal GraphSAGE node classifier end to end through
 // the double-buffered sample→fetch→train pipeline (workers sample and
@@ -37,31 +29,29 @@
 // is the no-overlap reference, bit-identical in weights (DESIGN.md
 // §13). The dataset needs features and labels (temporary graphs default
 // to 16-dim features / 8 classes under -train; tune with -feature-dim
-// and -classes). -bench-train runs the {overlapped, serialized} ×
-// {feature cache off, full} sweep and writes
-// benchdata/BENCH_train.json-shaped output.
+// and -classes).
+//
+// Measured numbers come from the benchmark harness, not from here:
+// go run -C cmd/bench . (see cmd/bench/README.md).
 //
 // Usage:
 //
 //	go run ./cmd/epoch -data benchdata/bench/ogbn-papers-div20000 -threads 8 -targets 4096
 //	go run ./cmd/epoch -train -train-epochs 5        # temporary labeled graph
 //	go run ./cmd/epoch -train -train-epochs 3 -feature-cache-mb 1   # prints the feature cache's learning curve
-//	go run ./cmd/epoch -targets 2048 -bench-train benchdata/BENCH_train.json
 //	go run ./cmd/epoch -targets 8192 -invariance   # generates a temporary R-MAT graph
-//	go run ./cmd/epoch -targets 4096 -cache-mb 64 -bench-json benchdata/BENCH_epoch.json
 //	go run ./cmd/epoch -probe
 //	go run ./cmd/epoch -targets 4096 -uring-fixed -uring-sqpoll -odirect
-//	go run ./cmd/epoch -targets 2048 -bench-uring benchdata/BENCH_uring.json
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -76,11 +66,6 @@ import (
 	"ringsampler/internal/train"
 	"ringsampler/internal/uring"
 )
-
-func genTemp(dir string, nodes, edges int64, seed uint64, featureDim, classes int) (graph.Manifest, error) {
-	return gen.GenerateWith(dir, "epoch-tmp", "rmat", nodes, edges, seed,
-		gen.Options{FeatureDim: featureDim, NumClasses: classes})
-}
 
 // testWrapRing, when non-nil, decorates each run's rings keyed by that
 // run's thread count. It exists so the CLI tests can perturb a single
@@ -108,20 +93,15 @@ func run(args []string, out io.Writer) error {
 		backend     = fs.String("backend", "auto", "ring backend: auto, io_uring, pool, sim")
 		invariance  = fs.Bool("invariance", false, "rerun at 1 and 2 threads and diff per-batch digests")
 		cacheMB     = fs.Int64("cache-mb", 0, "hot-neighbor cache budget in MiB (0: cache off)")
-		benchJSON   = fs.String("bench-json", "", "write a JSON throughput summary at cache budgets 0 and 64 MiB to this file")
 		probe       = fs.Bool("probe", false, "print the probed io_uring capability set and exit")
 		uringFixed  = fs.Bool("uring-fixed", false, "register worker arenas and read via IORING_OP_READ_FIXED (emulated on pool/sim)")
 		uringReg    = fs.Bool("uring-regfiles", false, "register the edge file and submit with IOSQE_FIXED_FILE (real backend only)")
 		uringSQP    = fs.Bool("uring-sqpoll", false, "create SQPOLL rings: kernel-thread submission, zero steady-state submit syscalls (real backend only)")
 		odirect     = fs.Bool("odirect", false, "open the edge file O_DIRECT (falls back to buffered with a logged reason when unsupported)")
 		depth       = fs.Int("depth", 0, "cap in-flight reads per worker (0: bounded only by the ring)")
-		benchUring  = fs.String("bench-uring", "", "run the knob-ablation sweep and write its JSON summary to this file")
-		benchQuick  = fs.Bool("bench-uring-quick", false, "shrink the knob sweep to the plain-vs-fixed smoke pair")
 		featureDim  = fs.Int("feature-dim", 0, "per-node f32 feature dimension for the temporary graph (with empty -data; 0: no features)")
 		features    = fs.Bool("features", false, "fetch feature vectors for every sampled node after each batch's draw")
 		featMB      = fs.Int64("feature-cache-mb", 0, "hot-node feature cache budget in MiB (0: cache off)")
-		benchFeat   = fs.String("bench-features", "", "run the feature cache-budget ablation and write its JSON summary to this file")
-		benchFeatQ  = fs.Bool("bench-features-quick", false, "shrink the feature ablation to the cache-off/cache-all smoke pair")
 		classes     = fs.Int("classes", 0, "per-node label class count for the temporary graph (with empty -data; 0: no labels)")
 		trainMode   = fs.Bool("train", false, "train a GraphSAGE classifier through the double-buffered sample→fetch→train pipeline")
 		trainEpochs = fs.Int("train-epochs", 3, "training epoch count (with -train)")
@@ -129,11 +109,7 @@ func run(args []string, out io.Writer) error {
 		trainLayers = fs.Int("train-layers", 2, "GraphSAGE depth; must not exceed the sampling fanout depth (with -train)")
 		trainLR     = fs.Float64("train-lr", 0.1, "SGD learning rate (with -train)")
 		trainSerial = fs.Bool("train-serial", false, "serialize the pipeline: sample each batch to completion before training on it (with -train)")
-		benchTrain  = fs.String("bench-train", "", "run the training pipeline sweep and write its JSON summary to this file")
-		benchTrainQ = fs.Bool("bench-train-quick", false, "shrink the training sweep to a 1-epoch smoke run (skips the throughput assertion)")
 		strategy    = fs.String("strategy", "", "sampling strategy: uniform, weighted, walk (empty: uniform)")
-		benchStrat  = fs.String("bench-strategy", "", "run the strategy sweep (thread invariance enforced per strategy) and write its JSON summary to this file")
-		benchStratQ = fs.Bool("bench-strategy-quick", false, "shrink the strategy sweep to the uniform-vs-walk smoke pair")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -145,9 +121,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  fixed buffers:    %v\n", caps.ReadFixed)
 		fmt.Fprintf(out, "  registered files: %v\n", caps.RegisteredFiles)
 		fmt.Fprintf(out, "  sqpoll:           %v\n", caps.SQPoll)
-		// -probe with -data also inspects the dataset itself; before, the
-		// flag was silently ignored here and a featureful dataset was
-		// indistinguishable from an edge-only one.
+		// With -data the probe also reports what the dataset carries.
 		if *data != "" {
 			man, err := graph.LoadManifest(filepath.Join(*data, storage.ManifestFile))
 			if err != nil {
@@ -174,11 +148,22 @@ func run(args []string, out io.Writer) error {
 	// printed before the command exits nonzero.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	if *cacheMB < 0 {
-		return fmt.Errorf("-cache-mb %d must be non-negative", *cacheMB)
+	cacheBytes, err := mibFlag("-cache-mb", *cacheMB)
+	if err != nil {
+		return err
 	}
-	if *featMB < 0 {
-		return fmt.Errorf("-feature-cache-mb %d must be non-negative", *featMB)
+	featCacheBytes, err := mibFlag("-feature-cache-mb", *featMB)
+	if err != nil {
+		return err
+	}
+	if *threads < 0 {
+		return fmt.Errorf("-threads %d must be non-negative (0: config default)", *threads)
+	}
+	if *batch < 0 {
+		return fmt.Errorf("-batch %d must be non-negative (0: config default)", *batch)
+	}
+	if *targets <= 0 {
+		return fmt.Errorf("-targets %d must be positive", *targets)
 	}
 	if *featureDim < 0 {
 		return fmt.Errorf("-feature-dim %d must be non-negative", *featureDim)
@@ -192,8 +177,7 @@ func run(args []string, out io.Writer) error {
 	if *classes > 0 && *data != "" {
 		return fmt.Errorf("-classes only applies to the temporary graph; %s already fixes its labels", *data)
 	}
-	training := *trainMode || *benchTrain != ""
-	if training && *data == "" {
+	if *trainMode && *data == "" {
 		// Training needs features and labels; default the temporary graph
 		// to a trainable shape instead of failing on an edge-only one.
 		if *featureDim == 0 {
@@ -225,7 +209,8 @@ func run(args []string, out io.Writer) error {
 		default:
 			fmt.Fprintf(out, "generating temporary R-MAT graph (%d nodes, %d edges) ...\n", *nodes, *edges)
 		}
-		if _, err := genTemp(dir, *nodes, *edges, *seed, *featureDim, *classes); err != nil {
+		if _, err := gen.GenerateWith(dir, "epoch-tmp", "rmat", *nodes, *edges, *seed,
+			gen.Options{FeatureDim: *featureDim, NumClasses: *classes}); err != nil {
 			return err
 		}
 	}
@@ -238,13 +223,13 @@ func run(args []string, out io.Writer) error {
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Strategy = *strategy
-	cfg.CacheBudgetBytes = *cacheMB << 20
+	cfg.CacheBudgetBytes = cacheBytes
 	cfg.FixedBuffers = *uringFixed
 	cfg.RegisteredFiles = *uringReg
 	cfg.SQPoll = *uringSQP
 	cfg.Depth = *depth
 	cfg.FetchFeatures = *features
-	cfg.FeatureCacheBudgetBytes = *featMB << 20
+	cfg.FeatureCacheBudgetBytes = featCacheBytes
 	if *threads > 0 {
 		cfg.Threads = *threads
 	}
@@ -262,7 +247,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "O_DIRECT active: %d-byte alignment\n", ds.DirectAlign())
 	}
 
-	if training {
+	if *trainMode {
 		// Training touches every target's label, but a shard dataset only
 		// serves a node range — its neighbor lists point outside the shard
 		// and gradient batches would silently mix shards. Labels are always
@@ -279,28 +264,10 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("training needs node labels: %s has no label file (regenerate with a class count)", dir)
 		}
 		cfg.FetchFeatures = true
-	}
-	if *benchTrain != "" {
-		return writeBenchTrain(out, *benchTrain, dir, ds, cfg, be, *targets, trainSweepOpts{
-			epochs: *trainEpochs, hidden: *trainHidden, layers: *trainLayers,
-			lr: float32(*trainLR), quick: *benchTrainQ,
-		})
-	}
-	if *trainMode {
-		return runTrain(ctx, out, ds, cfg, be, *targets, trainSweepOpts{
+		return runTrain(ctx, out, ds, cfg, be, *targets, trainOpts{
 			epochs: *trainEpochs, hidden: *trainHidden, layers: *trainLayers,
 			lr: float32(*trainLR),
 		}, *trainSerial)
-	}
-
-	if *benchUring != "" {
-		return writeBenchUring(out, *benchUring, dir, cfg, be, *targets, *benchQuick)
-	}
-	if *benchFeat != "" {
-		return writeBenchFeatures(out, *benchFeat, dir, ds, cfg, be, *targets, *benchFeatQ)
-	}
-	if *benchStrat != "" {
-		return writeBenchStrategy(out, *benchStrat, dir, ds, cfg, be, *targets, *benchStratQ)
 	}
 
 	rng := sample.NewRNG(sample.Mix(*seed, 0xe90c))
@@ -330,9 +297,6 @@ func run(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "invariance: %d vs %d threads — all %d per-batch digests identical\n",
 				cfg.Threads, th, len(ref.Digests))
 		}
-	}
-	if *benchJSON != "" {
-		return writeBenchJSON(ctx, out, *benchJSON, dir, ds, cfg, be, epochTargets)
 	}
 	return nil
 }
@@ -393,290 +357,10 @@ func runOnce(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.C
 	return st, nil
 }
 
-// benchPoint is one cache budget of the -bench-json summary.
-type benchPoint struct {
-	CacheMB       int64   `json:"cache_mb"`
-	CacheNodes    int     `json:"cache_nodes"`
-	CacheHitRate  float64 `json:"cache_hit_rate"`
-	EntriesPerSec float64 `json:"entries_per_sec"`
-	BytesPerSec   float64 `json:"bytes_per_sec"`
-	DeviceBytes   int64   `json:"device_bytes"`
-	Sampled       int64   `json:"sampled_entries"`
-}
-
-type benchFile struct {
-	Dataset   string       `json:"dataset"`
-	Backend   string       `json:"backend"`
-	Threads   int          `json:"threads"`
-	BatchSize int          `json:"batch_size"`
-	Targets   int          `json:"targets"`
-	Points    []benchPoint `json:"points"`
-}
-
-// writeBenchJSON reruns the workload at cache budgets 0 and 64 MiB and
-// writes the throughput/hit-rate summary the bench harness diffs across
-// commits (benchdata/BENCH_epoch.json in CI).
-func writeBenchJSON(ctx context.Context, out io.Writer, path, dir string, ds *storage.Dataset, cfg core.Config, be uring.Backend, targets []uint32) error {
-	bf := benchFile{
-		Dataset:   dir,
-		Backend:   string(be),
-		Threads:   cfg.Threads,
-		BatchSize: cfg.BatchSize,
-		Targets:   len(targets),
-	}
-	for _, mb := range []int64{0, 64} {
-		c := cfg
-		c.CacheBudgetBytes = mb << 20
-		if testWrapRing != nil {
-			c.WrapRing = testWrapRing(c.Threads)
-		}
-		s, err := core.New(ds, c, be)
-		if err != nil {
-			return err
-		}
-		st, err := s.RunEpochCtx(ctx, targets, nil)
-		if err != nil {
-			return err
-		}
-		p := benchPoint{
-			CacheMB:       mb,
-			EntriesPerSec: st.EntriesPerSec,
-			BytesPerSec:   st.BytesPerSec,
-			DeviceBytes:   st.IO.BytesRead,
-			Sampled:       st.Sampled,
-		}
-		p.CacheNodes, _ = s.CacheInfo()
-		if lookups := st.IO.CacheHits + st.IO.CacheMisses; lookups > 0 {
-			p.CacheHitRate = float64(st.IO.CacheHits) / float64(lookups)
-		}
-		bf.Points = append(bf.Points, p)
-	}
-	data, err := json.MarshalIndent(bf, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "bench summary written to %s\n", path)
-	return nil
-}
-
-// writeBenchUring runs the knob-ablation sweep (exp.UringSweep) on the
-// dataset and writes the per-combination JSON summary
-// (benchdata/BENCH_uring.json in CI): entries/s, syscalls-per-batch,
-// and device bytes per knob combination, with digest identity enforced
-// by the sweep itself.
-func writeBenchUring(out io.Writer, path, dir string, cfg core.Config, be uring.Backend, targets int, quick bool) error {
-	combos := exp.DefaultUringCombos(quick)
-	reps := 3
-	if quick {
-		reps = 1
-	}
-	points, err := exp.UringSweep(dir, exp.Options{
-		Targets:   targets,
-		BatchSize: cfg.BatchSize,
-		Threads:   cfg.Threads,
-	}, be, combos, reps, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	// The micro section isolates the ring I/O path from the (CPU-bound)
-	// sampling work: raw 4 KiB reads at each submission depth and knob
-	// combination, where deep batching and fixed buffers are visible
-	// instead of diluted.
-	micro, err := exp.UringMicro(dir, be, exp.DefaultUringMicroCombos(quick), 4096, 16384, reps, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	type sweepFile struct {
-		Dataset string                `json:"dataset"`
-		Backend string                `json:"backend"`
-		Caps    string                `json:"caps"`
-		Threads int                   `json:"threads"`
-		Targets int                   `json:"targets"`
-		Points  []exp.UringPoint      `json:"points"`
-		Micro   []exp.UringMicroPoint `json:"micro"`
-	}
-	sf := sweepFile{
-		Dataset: dir,
-		Backend: string(be),
-		Caps:    uring.Probe().String(),
-		Threads: cfg.Threads,
-		Targets: targets,
-	}
-	sf.Points = points
-	sf.Micro = micro
-	for _, p := range points {
-		fmt.Fprintf(out, "%-40s %12.0f entries/s  %8.1f syscalls/batch  %9d device B  (active %s)\n",
-			p.Combo, p.EntriesPerSec, p.SyscallsPerBatch, p.DeviceBytes, p.Active)
-	}
-	for _, m := range micro {
-		fmt.Fprintf(out, "micro %-34s %12.0f reads/s  %10.1f MB/s  %8.2f syscalls/read  (active %s)\n",
-			m.Name, m.ReadsPerSec, m.MBPerSec, m.SyscallsPerRead, m.Active)
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(sf, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "uring knob sweep written to %s\n", path)
-	return nil
-}
-
-// writeBenchFeatures runs the feature-store ablation (exp.FeatureSweep)
-// and writes the per-budget JSON summary (benchdata/BENCH_features.json
-// in CI): entries/s, feature hit rate, and device feature bytes at each
-// feature-cache budget, with byte-identical payloads enforced by the
-// sweep itself. The final budget is large enough to pin every node, so
-// a healthy run ends at zero device feature bytes.
-func writeBenchFeatures(out io.Writer, path, dir string, ds *storage.Dataset, cfg core.Config, be uring.Backend, targets int, quick bool) error {
-	budgets := []int64{0, 1 << 20, 4 << 20, 1 << 30}
-	if quick {
-		budgets = []int64{0, 1 << 30}
-	}
-	points, err := exp.FeatureSweep(ds, exp.Options{
-		Targets:   targets,
-		BatchSize: cfg.BatchSize,
-		Threads:   cfg.Threads,
-	}, be, budgets, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	type featPoint struct {
-		BudgetMB        int64   `json:"budget_mb"`
-		CacheNodes      int     `json:"cache_nodes"`
-		CacheBytes      int64   `json:"cache_bytes"`
-		FeatHitRate     float64 `json:"feat_hit_rate"`
-		EntriesPerSec   float64 `json:"entries_per_sec"`
-		DeviceFeatBytes int64   `json:"device_feat_bytes"`
-		FeatReads       int64   `json:"feat_reads"`
-		Digest          string  `json:"digest"`
-	}
-	type featFile struct {
-		Dataset    string      `json:"dataset"`
-		Backend    string      `json:"backend"`
-		Threads    int         `json:"threads"`
-		Targets    int         `json:"targets"`
-		FeatureDim int         `json:"feature_dim"`
-		Points     []featPoint `json:"points"`
-	}
-	ff := featFile{
-		Dataset:    dir,
-		Backend:    string(be),
-		Threads:    cfg.Threads,
-		Targets:    targets,
-		FeatureDim: ds.FeatureDim(),
-	}
-	for _, p := range points {
-		fp := featPoint{
-			BudgetMB:        p.BudgetBytes >> 20,
-			CacheNodes:      p.CacheNodes,
-			CacheBytes:      p.CacheBytes,
-			FeatHitRate:     p.HitRate,
-			EntriesPerSec:   p.Stats.EntriesPerSec,
-			DeviceFeatBytes: p.Stats.IO.FeatBytesRead,
-			FeatReads:       p.Stats.IO.FeatReads,
-			Digest:          fmt.Sprintf("%#016x", p.Digest),
-		}
-		ff.Points = append(ff.Points, fp)
-		fmt.Fprintf(out, "feature cache %6d MB: %5d nodes pinned, hit rate %.3f, %9d device feature B, %12.0f entries/s\n",
-			fp.BudgetMB, fp.CacheNodes, fp.FeatHitRate, fp.DeviceFeatBytes, fp.EntriesPerSec)
-	}
-	if last := ff.Points[len(ff.Points)-1]; last.DeviceFeatBytes != 0 {
-		return fmt.Errorf("feature sweep's largest budget (%d MB) still read %d feature bytes from the device — cache admission is broken",
-			last.BudgetMB, last.DeviceFeatBytes)
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(ff, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "feature ablation written to %s\n", path)
-	return nil
-}
-
-// writeBenchStrategy runs the sampling-strategy sweep (exp.StrategySweep)
-// and writes the per-strategy JSON summary (benchdata/BENCH_strategy.json
-// in CI): entries/s, device bytes, and the folded digest of each
-// strategy's epoch, with 1-thread vs multi-thread digest identity
-// enforced per strategy by the sweep itself.
-func writeBenchStrategy(out io.Writer, path, dir string, ds *storage.Dataset, cfg core.Config, be uring.Backend, targets int, quick bool) error {
-	strategies := core.StrategyNames()
-	if quick {
-		strategies = []string{core.StrategyUniform, core.StrategyWalk}
-	}
-	points, err := exp.StrategySweep(ds, exp.Options{
-		Targets:   targets,
-		BatchSize: cfg.BatchSize,
-		Threads:   cfg.Threads,
-	}, be, strategies, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	type stratPoint struct {
-		Strategy      string  `json:"strategy"`
-		Threads       int     `json:"threads"`
-		EntriesPerSec float64 `json:"entries_per_sec"`
-		DeviceBytes   int64   `json:"device_bytes"`
-		Sampled       int64   `json:"sampled_entries"`
-		Digest        string  `json:"digest"`
-	}
-	type stratFile struct {
-		Dataset string       `json:"dataset"`
-		Backend string       `json:"backend"`
-		Threads int          `json:"threads"`
-		Targets int          `json:"targets"`
-		Points  []stratPoint `json:"points"`
-	}
-	sf := stratFile{
-		Dataset: dir,
-		Backend: string(be),
-		Threads: cfg.Threads,
-		Targets: targets,
-	}
-	for _, p := range points {
-		sp := stratPoint{
-			Strategy:      p.Strategy,
-			Threads:       p.Threads,
-			EntriesPerSec: p.Stats.EntriesPerSec,
-			DeviceBytes:   p.Stats.IO.BytesRead,
-			Sampled:       p.Stats.Sampled,
-			Digest:        fmt.Sprintf("%#016x", p.Digest),
-		}
-		sf.Points = append(sf.Points, sp)
-		fmt.Fprintf(out, "strategy %-9s %12.0f entries/s  %9d device B  %10d sampled  digest %s\n",
-			sp.Strategy, sp.EntriesPerSec, sp.DeviceBytes, sp.Sampled, sp.Digest)
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(sf, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "strategy sweep written to %s\n", path)
-	return nil
-}
-
-// trainSweepOpts bundles the -train-* model/optimizer flags.
-type trainSweepOpts struct {
+// trainOpts bundles the -train-* model/optimizer flags.
+type trainOpts struct {
 	epochs, hidden, layers int
 	lr                     float32
-	quick                  bool
 }
 
 // runTrain trains a GraphSAGE classifier for -train-epochs epochs and
@@ -684,7 +368,7 @@ type trainSweepOpts struct {
 // mode (default) trains batch i while the epoch runner's workers sample
 // and fetch batch i+1; -train-serial is the no-overlap reference — both
 // produce bit-identical weights (DESIGN.md §13).
-func runTrain(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.Config, be uring.Backend, numTargets int, o trainSweepOpts, serialized bool) error {
+func runTrain(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.Config, be uring.Backend, numTargets int, o trainOpts, serialized bool) error {
 	labels, err := ds.Labels()
 	if err != nil {
 		return err
@@ -740,94 +424,24 @@ func runTrain(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.
 	return err
 }
 
-// writeBenchTrain runs the training pipeline sweep (exp.TrainSweep) and
-// writes the per-configuration JSON summary (benchdata/BENCH_train.json
-// in CI): epochs-to-accuracy and end-to-end throughput for {overlapped,
-// serialized} × {feature cache off, full}, with bit-identical weights
-// enforced across all four points by the sweep itself. In full mode the
-// sweep also asserts the overlapped pipeline's throughput strictly
-// beats the serialized reference.
-func writeBenchTrain(out io.Writer, path, dir string, ds *storage.Dataset, cfg core.Config, be uring.Backend, targets int, o trainSweepOpts) error {
-	points, err := exp.TrainSweep(ds, exp.TrainOptions{
-		Options: exp.Options{
-			Targets:   targets,
-			BatchSize: cfg.BatchSize,
-			Threads:   cfg.Threads,
-		},
-		Epochs: o.epochs,
-		Hidden: o.hidden,
-		Layers: o.layers,
-		LR:     o.lr,
-		Quick:  o.quick,
-	}, be, cfg.Seed)
-	if err != nil {
-		return err
+// mibFlag converts a MiB flag value to bytes, refusing a negative value
+// and one whose byte count does not fit an int64.
+func mibFlag(name string, mb int64) (int64, error) {
+	if mb < 0 || mb > math.MaxInt64>>20 {
+		return 0, fmt.Errorf("%s %d must be between 0 and %d MiB", name, mb, int64(math.MaxInt64>>20))
 	}
-	type trainFile struct {
-		Dataset    string           `json:"dataset"`
-		Backend    string           `json:"backend"`
-		Threads    int              `json:"threads"`
-		Targets    int              `json:"targets"`
-		Epochs     int              `json:"epochs"`
-		FeatureDim int              `json:"feature_dim"`
-		Classes    int              `json:"classes"`
-		Hidden     int              `json:"hidden"`
-		Layers     int              `json:"layers"`
-		LR         float32          `json:"lr"`
-		Points     []exp.TrainPoint `json:"points"`
-	}
-	tf := trainFile{
-		Dataset:    dir,
-		Backend:    string(be),
-		Threads:    cfg.Threads,
-		Targets:    targets,
-		Epochs:     o.epochs,
-		FeatureDim: ds.FeatureDim(),
-		Classes:    ds.NumClasses(),
-		Hidden:     o.hidden,
-		Layers:     o.layers,
-		LR:         o.lr,
-		Points:     points,
-	}
-	for _, p := range points {
-		mode := "overlapped"
-		if p.Serialized {
-			mode = "serialized"
-		}
-		cache := "cache off"
-		if p.FeatCache {
-			cache = "cache full"
-		}
-		fmt.Fprintf(out, "train %-10s %-10s loss %.4f  acc %.3f  %12.0f entries/s  weights %s\n",
-			mode, cache, p.FinalLoss, p.FinalAccuracy, p.EntriesPerSec, p.FinalDigest)
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(tf, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "training sweep written to %s\n", path)
-	return nil
+	return mb << 20, nil
 }
 
 func pickBackend(name string) (uring.Backend, error) {
-	switch name {
+	switch be := uring.Backend(name); be {
 	case "auto":
 		if uring.Probe().Ring {
 			return uring.BackendIOURing, nil
 		}
 		return uring.BackendPool, nil
-	case "io_uring":
-		return uring.BackendIOURing, nil
-	case "pool":
-		return uring.BackendPool, nil
-	case "sim":
-		return uring.BackendSim, nil
+	case uring.BackendIOURing, uring.BackendPool, uring.BackendSim:
+		return be, nil
 	default:
 		return "", fmt.Errorf("unknown backend %q", name)
 	}

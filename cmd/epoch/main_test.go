@@ -1,15 +1,16 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"ringsampler/internal/exp"
 	"ringsampler/internal/gen"
+	"ringsampler/internal/sample"
 	"ringsampler/internal/uring"
 )
 
@@ -101,53 +102,51 @@ func TestRunInvarianceDetectsPerturbation(t *testing.T) {
 	}
 }
 
-// TestRunBenchJSON: -bench-json writes the two-point (0 and 64 MiB)
-// summary; 64 MiB swallows the whole test graph, so the cached point
-// must show a full hit rate and zero device bytes.
-func TestRunBenchJSON(t *testing.T) {
-	dir := testGraphDir(t)
-	path := filepath.Join(t.TempDir(), "BENCH_epoch.json")
-	err := run([]string{
-		"-data", dir, "-backend", "pool", "-targets", "256", "-batch", "64",
-		"-threads", "2", "-bench-json", path,
-	}, io.Discard)
-	if err != nil {
-		t.Fatalf("run: %v", err)
+// TestRunRejectsBadFlags: flag-level errors surface as one-line errors
+// naming the flag (non-zero exit) before any dataset is generated or
+// opened — never a panic, never a wrapped-around byte count.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string // must appear in the error
+	}{
+		{[]string{"-backend", "nope"}, `unknown backend "nope"`},
+		{[]string{"-cache-mb", "-3"}, "-cache-mb -3"},
+		{[]string{"-cache-mb", "9000000000000"}, "-cache-mb 9000000000000"},
+		{[]string{"-feature-cache-mb", "-3"}, "-feature-cache-mb -3"},
+		{[]string{"-feature-cache-mb", "9000000000000"}, "-feature-cache-mb 9000000000000"},
+		{[]string{"-targets", "-5"}, "-targets -5"},
+		{[]string{"-targets", "0"}, "-targets 0"},
+		{[]string{"-train", "-targets", "-5"}, "-targets -5"},
+		{[]string{"-threads", "-3"}, "-threads -3"},
+		{[]string{"-batch", "-1"}, "-batch -1"},
+	} {
+		var sb strings.Builder
+		err := run(tc.args, &sb)
+		if err == nil {
+			t.Fatalf("%v accepted", tc.args)
+		}
+		if msg := err.Error(); !strings.Contains(msg, tc.want) || strings.Contains(msg, "\n") {
+			t.Fatalf("%v: error %q, want one line naming %q", tc.args, msg, tc.want)
+		}
+		if sb.Len() != 0 {
+			t.Fatalf("%v: work started before the flag was rejected:\n%s", tc.args, sb.String())
+		}
 	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
+	// The largest MiB value that fits is a budget, not an error.
+	if _, err := mibFlag("-cache-mb", math.MaxInt64>>20); err != nil {
 		t.Fatal(err)
-	}
-	var bf benchFile
-	if err := json.Unmarshal(raw, &bf); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(bf.Points) != 2 || bf.Points[0].CacheMB != 0 || bf.Points[1].CacheMB != 64 {
-		t.Fatalf("unexpected points: %+v", bf.Points)
-	}
-	p0, p64 := bf.Points[0], bf.Points[1]
-	if p0.EntriesPerSec <= 0 || p64.EntriesPerSec <= 0 {
-		t.Fatalf("non-positive throughput: %+v", bf.Points)
-	}
-	if p0.CacheHitRate != 0 || p0.CacheNodes != 0 {
-		t.Fatalf("cache-off point reports cache activity: %+v", p0)
-	}
-	if p64.CacheHitRate != 1 || p64.DeviceBytes != 0 {
-		t.Fatalf("64 MiB point should fully cache the test graph: %+v", p64)
-	}
-	if p0.Sampled != p64.Sampled {
-		t.Fatalf("cache changed the sampled-entry count: %d vs %d", p0.Sampled, p64.Sampled)
 	}
 }
 
-// TestRunRejectsBadFlags: flag-level errors surface as errors (non-zero
-// exit), not silent acceptance.
-func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run([]string{"-backend", "nope"}, io.Discard); err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-	if err := run([]string{"-cache-mb", "-3"}, io.Discard); err == nil {
-		t.Fatal("negative cache budget accepted")
+// TestUniformTargetsNonPositive: the shared target draw returns nothing
+// for n ≤ 0 instead of panicking in makeslice.
+func TestUniformTargetsNonPositive(t *testing.T) {
+	rng := sample.NewRNG(1)
+	for _, tc := range []struct{ n, want int }{{-5, 0}, {-1, 0}, {0, 0}, {3, 3}} {
+		if got := exp.UniformTargets(&rng, 100, tc.n); len(got) != tc.want {
+			t.Fatalf("UniformTargets(n=%d) drew %d targets, want %d", tc.n, len(got), tc.want)
+		}
 	}
 }
 
@@ -180,56 +179,6 @@ func TestRunKnobFlags(t *testing.T) {
 	}, io.Discard)
 	if err != nil {
 		t.Fatalf("run with knob flags: %v", err)
-	}
-}
-
-// TestRunBenchUring: the quick knob sweep writes a two-point
-// (plain, fixed) JSON summary with identical digests and positive
-// throughput.
-func TestRunBenchUring(t *testing.T) {
-	dir := testGraphDir(t)
-	path := filepath.Join(t.TempDir(), "BENCH_uring.json")
-	err := run([]string{
-		"-data", dir, "-backend", "pool", "-targets", "256", "-batch", "64",
-		"-threads", "2", "-bench-uring", path, "-bench-uring-quick",
-	}, io.Discard)
-	if err != nil {
-		t.Fatalf("run -bench-uring: %v", err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sf struct {
-		Backend string `json:"backend"`
-		Caps    string `json:"caps"`
-		Points  []struct {
-			Combo         string  `json:"combo"`
-			Active        string  `json:"active"`
-			EntriesPerSec float64 `json:"entries_per_sec"`
-			FixedReads    int64   `json:"fixed_reads"`
-			Digest        uint64  `json:"digest"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal(raw, &sf); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if len(sf.Points) != 2 || sf.Points[0].Combo != "plain" || sf.Points[1].Combo != "fixed" {
-		t.Fatalf("unexpected points: %+v", sf.Points)
-	}
-	if sf.Points[0].Digest != sf.Points[1].Digest {
-		t.Fatal("quick sweep digests differ between plain and fixed")
-	}
-	for _, p := range sf.Points {
-		if p.EntriesPerSec <= 0 {
-			t.Fatalf("non-positive throughput: %+v", p)
-		}
-	}
-	if sf.Points[1].FixedReads == 0 {
-		t.Fatal("fixed point recorded no fixed reads")
-	}
-	if sf.Caps == "" {
-		t.Fatal("sweep file missing probed caps")
 	}
 }
 
@@ -388,47 +337,5 @@ func TestRunProbeLabels(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "labels:           none") {
 		t.Fatalf("probe output missing labels-none report:\n%s", sb.String())
-	}
-}
-
-// TestRunBenchTrain: the quick training sweep writes the four-point
-// JSON summary with bit-identical final weights across all points.
-func TestRunBenchTrain(t *testing.T) {
-	dir := labeledGraphDir(t)
-	path := filepath.Join(t.TempDir(), "BENCH_train.json")
-	err := run([]string{
-		"-data", dir, "-backend", "pool", "-targets", "256", "-batch", "64",
-		"-threads", "2", "-train-epochs", "1", "-train-hidden", "8",
-		"-bench-train", path, "-bench-train-quick",
-	}, io.Discard)
-	if err != nil {
-		t.Fatalf("run -bench-train: %v", err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tf struct {
-		Classes int `json:"classes"`
-		Points  []struct {
-			Serialized    bool    `json:"serialized"`
-			FeatCache     bool    `json:"featCache"`
-			FinalDigest   string  `json:"finalDigest"`
-			EntriesPerSec float64 `json:"entriesPerSec"`
-		} `json:"points"`
-	}
-	if err := json.Unmarshal(raw, &tf); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if tf.Classes != 4 || len(tf.Points) != 4 {
-		t.Fatalf("unexpected sweep file: classes %d, %d points", tf.Classes, len(tf.Points))
-	}
-	for _, p := range tf.Points {
-		if p.FinalDigest != tf.Points[0].FinalDigest {
-			t.Fatalf("final weights differ across points: %+v", tf.Points)
-		}
-		if p.EntriesPerSec <= 0 {
-			t.Fatalf("non-positive training throughput: %+v", p)
-		}
 	}
 }

@@ -22,37 +22,32 @@
 // second signal (or -drain-timeout expiring) force-cancels what is
 // left.
 //
-// With -bench-json the command skips serving and instead runs the
-// closed-loop load sweep (exp.ServeLoad) against an in-process server,
-// writing the machine-readable summary the bench harness tracks.
-//
 // Sharded serving (DESIGN.md §12): -shards N partitions the dataset by
 // node range into N shards, runs every shard in-process, and serves
 // the same /v1/sample API through the scatter/gather router — responses
 // are byte-identical to a single-node run. -router url1,url2 instead
 // fronts already-running shard servers (each a plain `serve -data
-// <shard-dir>` whose dataset is one shard) over HTTP. -bench-shard-json
-// runs the shard sweep (exp.ShardSweep): conformance at every shard
-// count, then closed-loop throughput.
+// <shard-dir>` whose dataset is one shard) over HTTP.
+//
+// Serving throughput and latency are measured by the benchmark harness
+// (go run -C cmd/bench . -workload serve_closed; see cmd/bench/README.md).
 //
 // Usage:
 //
 //	go run ./cmd/serve -data benchdata/bench/ogbn-papers-div20000 -addr :8080 -threads 8
 //	go run ./cmd/serve -addr 127.0.0.1:8080        # temporary R-MAT graph
-//	go run ./cmd/serve -bench-json benchdata/BENCH_serve.json
 //	go run ./cmd/serve -shards 4                   # partitioned, router-fronted
 //	go run ./cmd/serve -router http://s0:8080,http://s1:8080
-//	go run ./cmd/serve -bench-shard-json benchdata/BENCH_shard.json
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -63,7 +58,6 @@ import (
 	"time"
 
 	"ringsampler/internal/core"
-	"ringsampler/internal/exp"
 	"ringsampler/internal/gen"
 	"ringsampler/internal/serve"
 	"ringsampler/internal/shard"
@@ -73,12 +67,14 @@ import (
 
 func main() {
 	log.SetFlags(0)
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }
 
-func run(args []string, out io.Writer) error {
+// run serves until ctx is canceled or a SIGINT/SIGTERM arrives, then
+// drains.
+func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8080", "listen address")
@@ -96,9 +92,6 @@ func run(args []string, out io.Writer) error {
 		seed         = fs.Uint64("seed", 1, "seed for the temporary graph")
 		backend      = fs.String("backend", "auto", "ring backend: auto, io_uring, pool, sim")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max graceful-drain wait on SIGINT/SIGTERM")
-		benchJSON    = fs.String("bench-json", "", "run the closed-loop load sweep instead of serving; write the JSON summary to this file")
-		benchShard   = fs.String("bench-shard-json", "", "run the shard conformance+throughput sweep instead of serving; write the JSON summary to this file")
-		benchQuick   = fs.Bool("bench-quick", false, "shrink the load sweep to a smoke-test size")
 		shards       = fs.Int("shards", 0, "partition the dataset into this many node-range shards and serve through the scatter/gather router (0: single-node)")
 		routerURLs   = fs.String("router", "", "comma-separated shard server base URLs to front as a router (no local dataset)")
 		uringFixed   = fs.Bool("uring-fixed", false, "register worker arenas and read via IORING_OP_READ_FIXED (emulated on pool/sim)")
@@ -110,11 +103,19 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *cacheMB < 0 {
-		return fmt.Errorf("-cache-mb %d must be non-negative", *cacheMB)
+	cacheBytes, err := mibFlag("-cache-mb", *cacheMB)
+	if err != nil {
+		return err
 	}
-	if *featMB < 0 {
-		return fmt.Errorf("-feature-cache-mb %d must be non-negative", *featMB)
+	featCacheBytes, err := mibFlag("-feature-cache-mb", *featMB)
+	if err != nil {
+		return err
+	}
+	if *threads < 0 {
+		return fmt.Errorf("-threads %d must be non-negative (0: config default)", *threads)
+	}
+	if *batch < 0 {
+		return fmt.Errorf("-batch %d must be non-negative (0: config default)", *batch)
 	}
 	if *featureDim < 0 {
 		return fmt.Errorf("-feature-dim %d must be non-negative", *featureDim)
@@ -126,8 +127,8 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *routerURLs != "" && (*shards != 0 || *data != "" || *benchJSON != "" || *benchShard != "") {
-		return fmt.Errorf("-router fronts remote shard servers and combines with none of -shards/-data/-bench-json/-bench-shard-json")
+	if *routerURLs != "" && (*shards != 0 || *data != "") {
+		return fmt.Errorf("-router fronts remote shard servers and combines with neither -shards nor -data")
 	}
 	if *shards < 0 || *shards == 1 {
 		return fmt.Errorf("-shards %d: need 0 (single-node) or ≥ 2", *shards)
@@ -150,7 +151,7 @@ func run(args []string, out io.Writer) error {
 			if u == "" {
 				continue
 			}
-			eng, err := shard.NewRemote(context.Background(), u, nil)
+			eng, err := shard.NewRemote(ctx, u, nil)
 			if err != nil {
 				return err
 			}
@@ -169,7 +170,7 @@ func run(args []string, out io.Writer) error {
 		rt := srv.Router()
 		fmt.Fprintf(out, "routing %d shards: %d nodes, %d edges\n", rt.Shards(), rt.NumNodes(), rt.NumEdges())
 		fmt.Fprintf(out, "serving on http://%s\n", ln.Addr())
-		return serveLoop(out, srv, ln, *drainTimeout)
+		return serveLoop(ctx, out, srv, ln, *drainTimeout)
 	}
 
 	dir := *data
@@ -197,8 +198,8 @@ func run(args []string, out io.Writer) error {
 
 	cfg := serve.DefaultConfig()
 	cfg.Backend = be
-	cfg.Core.CacheBudgetBytes = *cacheMB << 20
-	cfg.Core.FeatureCacheBudgetBytes = *featMB << 20
+	cfg.Core.CacheBudgetBytes = cacheBytes
+	cfg.Core.FeatureCacheBudgetBytes = featCacheBytes
 	cfg.Core.FixedBuffers = *uringFixed
 	cfg.Core.RegisteredFiles = *uringReg
 	cfg.Core.SQPoll = *uringSQP
@@ -217,23 +218,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if *maxBatch > 0 {
 		cfg.MaxBatchTargets = *maxBatch
-	}
-
-	if *benchShard != "" {
-		ds.Close()
-		return runShardBench(out, dir, cfg, *benchShard, *benchQuick)
-	}
-	if *benchJSON != "" {
-		// The load sweep skips the listener, so report the dataset shape
-		// (the feature/label lines the serving path prints) here.
-		fmt.Fprintf(out, "dataset %s: %d nodes, %d edges; backend %s\n", dir, ds.NumNodes(), ds.NumEdges(), cfg.Backend)
-		if ds.HasFeatures() {
-			fmt.Fprintf(out, "features: %d-dim f32 per node; request them with POST /v1/sample?features=true\n", ds.FeatureDim())
-		}
-		if ds.HasLabels() {
-			fmt.Fprintf(out, "labels: %d classes per node (training datasets carry the full label file)\n", ds.NumClasses())
-		}
-		return runBench(out, ds, cfg, *benchJSON, *benchQuick)
 	}
 
 	if *shards >= 2 {
@@ -281,7 +265,7 @@ func run(args []string, out io.Writer) error {
 		rt := srv.Router()
 		fmt.Fprintf(out, "routing %d shards: %d nodes, %d edges; backend %s\n", rt.Shards(), rt.NumNodes(), rt.NumEdges(), cfg.Backend)
 		fmt.Fprintf(out, "serving on http://%s\n", ln.Addr())
-		return serveLoop(out, srv, ln, *drainTimeout)
+		return serveLoop(ctx, out, srv, ln, *drainTimeout)
 	}
 
 	srv, err := serve.New(ds, cfg)
@@ -307,7 +291,7 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "serving on http://%s (%d workers, queue %d, window %v)\n",
 		ln.Addr(), eff.Core.Threads, eff.QueueDepth, eff.BatchWindow)
-	return serveLoop(out, srv, ln, *drainTimeout)
+	return serveLoop(ctx, out, srv, ln, *drainTimeout)
 }
 
 // server is the surface the drain loop needs; serve.Server and
@@ -318,11 +302,12 @@ type server interface {
 	IOStats() core.IOStats
 }
 
-// serveLoop serves until SIGINT/SIGTERM, then drains gracefully. The
-// first signal stops admission and lets in-flight requests finish
-// (bounded by drainTimeout); a second signal force-cancels.
-func serveLoop(out io.Writer, srv server, ln net.Listener, drainTimeout time.Duration) error {
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+// serveLoop serves until SIGINT/SIGTERM (or ctx is canceled), then
+// drains gracefully. The first signal stops admission and lets
+// in-flight requests finish (bounded by drainTimeout); a second signal
+// force-cancels.
+func serveLoop(ctx context.Context, out io.Writer, srv server, ln net.Listener, drainTimeout time.Duration) error {
+	sigCtx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
@@ -333,9 +318,9 @@ func serveLoop(out io.Writer, srv server, ln net.Listener, drainTimeout time.Dur
 	}
 	stop() // restore default handling: a second signal kills the drain
 	fmt.Fprintf(out, "signal received, draining (timeout %v) ...\n", drainTimeout)
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	shutErr := srv.Shutdown(ctx)
+	shutErr := srv.Shutdown(drainCtx)
 	if err := <-done; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
@@ -347,86 +332,13 @@ func serveLoop(out io.Writer, srv server, ln net.Listener, drainTimeout time.Dur
 	return nil
 }
 
-// runBench runs the closed-loop offered-load sweep in-process and
-// writes benchdata/BENCH_serve.json-shaped output.
-func runBench(out io.Writer, ds *storage.Dataset, cfg serve.Config, path string, quick bool) error {
-	lc := exp.ServeLoadConfig{
-		Serve:             cfg,
-		Clients:           []int{1, 4, 16, 64},
-		RequestsPerClient: 32,
-		TargetsPerRequest: 256,
-		Fanouts:           []int{10, 10, 5},
-		Seed:              7,
+// mibFlag converts a MiB flag value to bytes, refusing a negative value
+// and one whose byte count does not fit an int64.
+func mibFlag(name string, mb int64) (int64, error) {
+	if mb < 0 || mb > math.MaxInt64>>20 {
+		return 0, fmt.Errorf("%s %d must be between 0 and %d MiB", name, mb, int64(math.MaxInt64>>20))
 	}
-	if quick {
-		lc.Clients = []int{1, 4, 16}
-		lc.RequestsPerClient = 8
-		lc.TargetsPerRequest = 64
-		lc.Fanouts = []int{5, 5}
-	}
-	res, err := exp.ServeLoad(ds, lc)
-	if err != nil {
-		return err
-	}
-	for _, p := range res.Points {
-		fmt.Fprintf(out, "clients %3d: %6.1f req/s  p50 %7.2fms  p99 %7.2fms  rejected %.1f%%  (%d ok / %d total in %.2fs)\n",
-			p.Clients, p.Throughput, p.P50MS, p.P99MS, 100*p.RejectionRate, p.OK, p.Requests, p.Seconds)
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "load sweep written to %s\n", path)
-	return nil
-}
-
-// runShardBench runs the shard conformance + throughput sweep over the
-// dataset directory and writes benchdata/BENCH_shard.json-shaped
-// output. Every shard count is digest-checked against the single-node
-// baseline before it is timed; a divergence aborts the sweep.
-func runShardBench(out io.Writer, dir string, cfg serve.Config, path string, quick bool) error {
-	sc := exp.ShardSweepConfig{
-		Serve:             cfg,
-		Shards:            []int{1, 2, 4},
-		Clients:           16,
-		RequestsPerClient: 16,
-		TargetsPerRequest: 256,
-		Fanouts:           []int{10, 10, 5},
-		Seed:              7,
-	}
-	if quick {
-		sc.Shards = []int{1, 2}
-		sc.Clients = 4
-		sc.RequestsPerClient = 4
-		sc.TargetsPerRequest = 64
-		sc.Fanouts = []int{5, 5}
-	}
-	res, err := exp.ShardSweep(dir, sc)
-	if err != nil {
-		return err
-	}
-	for _, p := range res.Points {
-		fmt.Fprintf(out, "shards %d: conformance %d/%d ok; %6.1f req/s  p50 %7.2fms  p99 %7.2fms  (%d ok / %d total in %.2fs)\n",
-			p.Shards, p.ConformanceRequests, p.ConformanceRequests, p.Throughput, p.P50MS, p.P99MS, p.OK, p.Requests, p.Seconds)
-	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "shard sweep written to %s\n", path)
-	return nil
+	return mb << 20, nil
 }
 
 func pickBackend(name string) (uring.Backend, error) {

@@ -158,14 +158,16 @@ func TestCacheAdversarialTargetOrder(t *testing.T) {
 
 // TestCacheMonotoneDeviceBytes: the prefix rule makes a larger budget's
 // cached node set a superset of a smaller one's, so for a fixed
-// workload, device bytes are non-increasing and cache-served bytes
-// non-decreasing in the budget.
+// workload, device bytes are non-increasing and cache-served bytes and
+// hits (so, over a fixed lookup count, the hit rate) non-decreasing in
+// the budget.
 func TestCacheMonotoneDeviceBytes(t *testing.T) {
 	ds := testDataset(t)
 	targets := testTargets(ds, 256)
 	for _, offset := range []bool{true, false} {
 		prevDevice := int64(-1)
 		prevCached := int64(-1)
+		prevHits := int64(-1)
 		for _, budget := range cacheBudgets {
 			cfg := DefaultConfig()
 			cfg.Seed = 33
@@ -188,17 +190,80 @@ func TestCacheMonotoneDeviceBytes(t *testing.T) {
 				if st.BytesRead > prevDevice {
 					t.Fatalf("offset=%v budget=%d: device bytes grew %d -> %d", offset, budget, prevDevice, st.BytesRead)
 				}
-				if st.CacheBytes < prevCached {
-					t.Fatalf("offset=%v budget=%d: cache bytes shrank %d -> %d", offset, budget, prevCached, st.CacheBytes)
+				if st.CacheBytes < prevCached || st.CacheHits < prevHits {
+					t.Fatalf("offset=%v budget=%d: cache bytes %d -> %d or hits %d -> %d shrank",
+						offset, budget, prevCached, st.CacheBytes, prevHits, st.CacheHits)
 				}
 			}
-			prevDevice, prevCached = st.BytesRead, st.CacheBytes
+			prevDevice, prevCached, prevHits = st.BytesRead, st.CacheBytes, st.CacheHits
 		}
 		// The unlimited budget caches the whole edge file: zero device
 		// traffic is the fixed point the sweep must reach.
 		if prevDevice != 0 {
 			t.Fatalf("offset=%v: full-cache run still read %d device bytes", offset, prevDevice)
 		}
+	}
+}
+
+// TestFeatureCacheMonotoneDeviceBytes is the same contract on the second
+// budget axis: a fresh sampler's first feature epoch (before anything is
+// learned, so the admission order is the degree-first prefix) yields the
+// same per-batch digests — feature payloads included — at every feature
+// cache budget, reads non-increasing feature bytes from the device as
+// the budget grows, exactly none once every row is pinned, and never
+// moves an edge byte.
+func TestFeatureCacheMonotoneDeviceBytes(t *testing.T) {
+	ds := openDS(t, testFeatureDatasetDir(t), false)
+	targets := testTargets(ds, 256)
+	row := ds.FeatureStride() + 48 // what memctl is charged per pinned row
+	budgets := []struct {
+		bytes int64
+		rows  int // pinned rows the budget must buy
+	}{
+		{0, 0},
+		{row, 1},
+		{ds.NumNodes() / 4 * row, int(ds.NumNodes() / 4)},
+		{1 << 30, int(ds.NumNodes())},
+	}
+	var ref *EpochStats
+	prevDevice := int64(-1)
+	for _, b := range budgets {
+		cfg := DefaultConfig()
+		cfg.Seed = 33
+		cfg.BatchSize = 64
+		cfg.Threads = 2
+		cfg.FetchFeatures = true
+		cfg.FeatureCacheBudgetBytes = b.bytes
+		s, err := New(ds, cfg, uring.BackendPool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := s.FeatureCacheInfo(); n != b.rows {
+			t.Fatalf("budget %d pinned %d rows, want %d", b.bytes, n, b.rows)
+		}
+		st, err := s.RunEpoch(targets, nil)
+		if err != nil {
+			t.Fatalf("budget %d: %v", b.bytes, err)
+		}
+		if ref == nil {
+			ref = st
+			if st.IO.FeatBytesRead == 0 || st.IO.FeatCacheHits != 0 || st.IO.FeatCacheBytes != 0 {
+				t.Fatalf("cache-off epoch: %+v, want device feature reads and no cache traffic", st.IO)
+			}
+		}
+		if !slices.Equal(ref.Digests, st.Digests) {
+			t.Fatalf("budget %d: per-batch digests diverge from the cache-off epoch", b.bytes)
+		}
+		if st.IO.BytesRead != ref.IO.BytesRead {
+			t.Fatalf("budget %d: the feature cache moved edge bytes: %d, cache-off %d", b.bytes, st.IO.BytesRead, ref.IO.BytesRead)
+		}
+		if prevDevice >= 0 && st.IO.FeatBytesRead > prevDevice {
+			t.Fatalf("budget %d: device feature bytes grew %d -> %d", b.bytes, prevDevice, st.IO.FeatBytesRead)
+		}
+		prevDevice = st.IO.FeatBytesRead
+	}
+	if prevDevice != 0 {
+		t.Fatalf("every row pinned, yet the epoch read %d feature bytes from the device", prevDevice)
 	}
 }
 

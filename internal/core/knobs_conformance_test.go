@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"syscall"
 	"testing"
 
@@ -127,6 +128,93 @@ func TestKnobMatrixConformance(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestKnobMatrixFillsRing repeats the knob matrix on the real ring with
+// batches large enough that every layer needs dozens of submit groups.
+// The 2 000-node matrix above never stages more than one SQ's worth per
+// layer; that is how the SQPOLL false stall (the SQ thread posts CQEs
+// before it publishes sq.head, so a full-looking SQ can be idle) passed
+// 48 combinations and failed on the first 1M-node graph. The stall is a
+// race with the SQ thread, so each combination runs eight batches, about
+// 500 full groups: with the harvested-means-consumed bound taken out of
+// the ring's prep, every buffered unbounded SQPOLL combination stalls.
+func TestKnobMatrixFillsRing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates a 100k-node graph; skipped in -short mode")
+	}
+	caps := uring.Probe()
+	if !caps.Ring {
+		t.Skip("io_uring unavailable; the pool and sim backends have no SQ to fill")
+	}
+	dir := t.TempDir()
+	if _, err := gen.Generate(dir, "ringfill", "rmat", 100_000, 2_000_000, 11); err != nil {
+		t.Fatal(err)
+	}
+	base := DefaultConfig()
+	base.Seed = 42
+	base.Fanouts = []int{20, 15, 10}
+	base.BatchSize = 512
+	base.Threads = 1
+	const batches = 8
+	targets := testTargets(openDS(t, dir, false), batches*base.BatchSize)
+
+	// The reference comes from the pool backend, which shares none of the
+	// ring's submission code.
+	s, err := New(openDS(t, dir, false), base, uring.BackendPool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := s.RunEpoch(targets, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for mask := 0; mask < 32; mask++ {
+		fixed, regFiles, sqpoll := mask&1 != 0, mask&2 != 0, mask&4 != 0
+		direct, bounded := mask&8 != 0, mask&16 != 0
+		if fixed && !caps.ReadFixed || regFiles && !caps.RegisteredFiles || sqpoll && !caps.SQPoll {
+			continue
+		}
+		name := fmt.Sprintf("odirect=%v/fixed=%v/regfiles=%v/sqpoll=%v/bounded=%v", direct, fixed, regFiles, sqpoll, bounded)
+		t.Run(name, func(t *testing.T) {
+			ds := openDS(t, dir, direct)
+			if direct && ds.DirectAlign() == 0 {
+				t.Skipf("O_DIRECT fell back to buffered: %v", ds.DirectFallback())
+			}
+			cfg := base
+			cfg.FixedBuffers = fixed
+			cfg.RegisteredFiles = regFiles
+			cfg.SQPoll = sqpoll
+			if bounded {
+				cfg.Depth = 64
+			}
+			s, err := New(ds, cfg, uring.BackendIOURing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := s.RunEpoch(targets, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(st.Digests, ref.Digests) {
+				t.Fatalf("per-batch digests %x differ from the plain pool run's %x", st.Digests, ref.Digests)
+			}
+			io := st.IO
+			if io.ActiveFixed != fixed || io.ActiveRegFiles != regFiles || io.ActiveSQPoll != sqpoll || io.ActiveODirect != direct {
+				t.Fatalf("active knobs (fixed=%v reg=%v sqpoll=%v odirect=%v) differ from the probed request",
+					io.ActiveFixed, io.ActiveRegFiles, io.ActiveSQPoll, io.ActiveODirect)
+			}
+			// The premise: far more reads than one SQ per layer, harvested
+			// in several groups. SQPOLL submits without a syscall, so the
+			// wait side carries the proof there.
+			perLayer := int64(batches * len(cfg.Fanouts))
+			if io.Reads <= perLayer*int64(cfg.RingSize) || (io.SubmitSyscalls <= perLayer && io.WaitSyscalls <= perLayer) {
+				t.Fatalf("%d reads in %d submit / %d wait syscalls over %d layers: the batches never filled the %d-entry ring",
+					io.Reads, io.SubmitSyscalls, io.WaitSyscalls, perLayer, cfg.RingSize)
+			}
+		})
 	}
 }
 

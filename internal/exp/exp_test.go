@@ -8,7 +8,6 @@ import (
 	"ringsampler/internal/core"
 	"ringsampler/internal/device"
 	"ringsampler/internal/sample"
-	"ringsampler/internal/serve"
 	"ringsampler/internal/simrun"
 	"ringsampler/internal/uring"
 )
@@ -261,39 +260,6 @@ func assertFaultPoints(t *testing.T, points []FaultPoint) {
 	}
 }
 
-// TestEpochScalingInvariance: the real-engine thread sweep on the
-// checked-in dataset — every thread count must reproduce the same
-// per-batch digest stream (EpochScaling errors out otherwise), with
-// sane stats at every point.
-func TestEpochScalingInvariance(t *testing.T) {
-	p, err := Prepare(benchRoot, "ogbn-papers", 20_000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := p.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	o := Options{Targets: 256, BatchSize: 64}
-	points, err := EpochScaling(ds, o, uring.BackendPool, []int{1, 2, 4}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("got %d points, want 3", len(points))
-	}
-	for _, pt := range points {
-		t.Logf("threads %d: %.0f entries/s, io %+v", pt.Threads, pt.Stats.EntriesPerSec, pt.Stats.IO)
-		if pt.Stats.Sampled == 0 || pt.Stats.Batches != 4 {
-			t.Fatalf("threads %d: degenerate stats %+v", pt.Threads, pt.Stats)
-		}
-		if pt.Digest != points[0].Digest {
-			t.Fatalf("threads %d: folded digest differs", pt.Threads)
-		}
-	}
-}
-
 func TestFig6Milestones(t *testing.T) {
 	o := Options{Divisor: 20_000, Targets: 8, BatchSize: 1, Threads: 1}
 	res, err := Fig6(benchRoot, o, 8)
@@ -312,105 +278,5 @@ func TestFig6Milestones(t *testing.T) {
 			t.Fatalf("milestones not monotonically increasing: %+v", res.Milestones)
 		}
 		prev = m.TimeSec
-	}
-}
-
-// TestCacheSweepAblation: the hot-neighbor cache budget sweep on the
-// checked-in dataset. CacheSweep itself enforces digest invariance and
-// monotone device bytes; the test additionally pins the endpoints — no
-// cache traffic at budget 0, a fully-pinned edge file and zero device
-// reads at an effectively unlimited budget — and that hit rate never
-// drops as the budget grows.
-func TestCacheSweepAblation(t *testing.T) {
-	p, err := Prepare(benchRoot, "ogbn-papers", 20_000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := p.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	o := Options{Targets: 256, BatchSize: 64, Threads: 2}
-	budgets := []int64{0, 64 << 10, 256 << 10, 1 << 30}
-	points, err := CacheSweep(ds, o, uring.BackendPool, budgets, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != len(budgets) {
-		t.Fatalf("got %d points, want %d", len(points), len(budgets))
-	}
-	for i, pt := range points {
-		t.Logf("budget %d: pinned %d nodes / %d B, hit rate %.3f, device %d B",
-			pt.BudgetBytes, pt.CacheNodes, pt.CacheBytes, pt.HitRate, pt.Stats.IO.BytesRead)
-		if pt.Stats.Sampled == 0 || pt.Stats.Batches != 4 {
-			t.Fatalf("budget %d: degenerate stats %+v", pt.BudgetBytes, pt.Stats)
-		}
-		if i > 0 && pt.HitRate < points[i-1].HitRate {
-			t.Fatalf("hit rate fell from %.3f to %.3f as the budget grew", points[i-1].HitRate, pt.HitRate)
-		}
-	}
-	first, last := points[0], points[len(points)-1]
-	if first.CacheNodes != 0 || first.Stats.IO.CacheHits != 0 || first.Stats.IO.CacheBytes != 0 {
-		t.Fatalf("budget 0 point has cache traffic: %+v", first.Stats.IO)
-	}
-	if last.Stats.IO.BytesRead != 0 || last.HitRate != 1 {
-		t.Fatalf("unlimited-budget point still touched the device: %+v", last.Stats.IO)
-	}
-	if last.Stats.IO.BytesRead >= first.Stats.IO.BytesRead {
-		t.Fatal("cache did not reduce device traffic")
-	}
-
-	// Decreasing budgets are a caller error, not a silent mis-sweep.
-	if _, err := CacheSweep(ds, o, uring.BackendPool, []int64{1 << 20, 0}, 7); err == nil {
-		t.Fatal("decreasing budget list accepted")
-	}
-}
-
-// TestServeLoadQuick runs the closed-loop serving sweep at smoke-test
-// scale: three offered-load points against the sim backend, each
-// required to complete its full request budget with sane latency
-// ordering.
-func TestServeLoadQuick(t *testing.T) {
-	p, err := Prepare(benchRoot, "ogbn-papers", 20_000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := p.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	scfg := serve.DefaultConfig()
-	scfg.Backend = uring.BackendSim
-	scfg.Core.Threads = 2
-	scfg.Core.BatchSize = 64
-	res, err := ServeLoad(ds, ServeLoadConfig{
-		Serve:             scfg,
-		Clients:           []int{1, 2, 4},
-		RequestsPerClient: 4,
-		TargetsPerRequest: 32,
-		Fanouts:           []int{5, 5},
-		Seed:              9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != 3 {
-		t.Fatalf("sweep has %d points, want 3", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.OK+p.Rejected+p.Errors != p.Requests {
-			t.Fatalf("point %d clients: %d+%d+%d != %d requests", p.Clients, p.OK, p.Rejected, p.Errors, p.Requests)
-		}
-		if p.Errors != 0 {
-			t.Fatalf("point %d clients: %d non-429 failures", p.Clients, p.Errors)
-		}
-		if p.OK == 0 || p.Throughput <= 0 {
-			t.Fatalf("degenerate point: %+v", p)
-		}
-		if p.P99MS < p.P50MS {
-			t.Fatalf("p99 %.3fms below p50 %.3fms", p.P99MS, p.P50MS)
-		}
 	}
 }

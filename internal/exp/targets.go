@@ -13,8 +13,11 @@ import (
 // Uint32n did for smaller counts and returns the same result, so
 // every existing bench digest is unchanged; the cast back to uint32
 // is safe because a drawn target is always < numNodes, and node IDs
-// only exist within uint32 range.
+// only exist within uint32 range. A non-positive n draws nothing.
 func UniformTargets(rng *sample.RNG, numNodes int64, n int) []uint32 {
+	if n <= 0 {
+		return nil
+	}
 	targets := make([]uint32, n)
 	num := uint64(numNodes)
 	for i := range targets {

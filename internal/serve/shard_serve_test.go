@@ -55,13 +55,13 @@ func openShard(t *testing.T, dir string) *storage.Dataset {
 // TestShardConformance is the end-to-end conformance gate: the same
 // /v1/sample requests against (a) a single-node server over the full
 // dataset, (b) a router over 2 shards — one reached over live HTTP
-// (Remote), one in-process (Local) with a fault-injected ring — and
-// (c) a router over 4 shard servers, all Remote. Every response must
-// be byte-identical to the single-node one (and to a direct core run)
-// across strategies × features, digests included. Mixing Local and
-// Remote in one partition is the interchangeability proof for the
-// Engine seam; the faulty shard proves faults are absorbed below the
-// determinism contract.
+// (Remote), one in-process (Local) with a fault-injected ring — (c) a
+// router over 4 shard servers, all Remote, and (d) a router over 4
+// in-process shards, all Local. Every response must be byte-identical
+// to the single-node one (and to a direct core run) across strategies ×
+// features, digests included. Mixing Local and Remote in one partition
+// is the interchangeability proof for the Engine seam; the faulty shard
+// proves faults are absorbed below the determinism contract.
 func TestShardConformance(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "g")
 	if _, err := gen.GenerateWith(dir, "conform", "rmat", 2_000, 30_000, 11, gen.Options{FeatureDim: testFeatureDim}); err != nil {
@@ -136,70 +136,68 @@ func TestShardConformance(t *testing.T) {
 		}
 	}
 
-	// 2 shards: shard 0 behind a live shard server over HTTP (Remote),
-	// shard 1 in-process (Local) with a fault-wrapped ring.
-	{
-		dirs, err := gen.Partition(dir, filepath.Join(t.TempDir(), "p2"), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sds0 := openShard(t, dirs[0])
-		_, shardBase := startServer(t, sds0, cfg)
-		remote, err := shard.NewRemote(context.Background(), shardBase, client)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := remote.Info(); got.Index != 0 || got.Total != 2 {
-			t.Fatalf("remote shard identity %+v, want shard 0/2", got)
-		}
-
-		sds1 := openShard(t, dirs[1])
-		faultCfg := cfg.Core
-		faultCfg.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {
-			return uring.NewFault(r, uring.FaultPlan{
-				Seed: 5, ShortReadRate: 0.2, TransientRate: 0.1, DelayRate: 0.2, MaxDelay: 4,
-			})
-		}
-		local, err := shard.NewLocal(sds1, faultCfg, uring.BackendPool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, routerBase := startRouterServer(t, []shard.Engine{remote, local}, cfg)
-		checkRouter("2-shard router (remote+faulty local)", routerBase)
-		if rs.Router().Shards() != 2 {
-			t.Fatalf("router has %d shards, want 2", rs.Router().Shards())
-		}
-
-		// Router observability: /metrics counts the requests, /healthz is live.
-		body := scrapeMetrics(t, client, routerBase)
-		if got := metricValue(t, body, "ringsampler_serve_responses_ok_total"); got != float64(len(combos)) {
-			t.Fatalf("router responses_ok_total = %v, want %d", got, len(combos))
-		}
-		// The shard server's own metrics must show shard-protocol traffic.
-		sbody := scrapeMetrics(t, client, shardBase)
-		if got := metricValue(t, sbody, "ringsampler_serve_shard_calls_total"); got <= 0 {
-			t.Fatalf("shard server served %v shard calls, want > 0", got)
-		}
+	// Router topologies. A remote shard sits behind its own live shard
+	// server over HTTP; a local one runs in-process on the given config.
+	// The last row is what `cmd/serve -shards 4` builds.
+	faulty := cfg.Core
+	faulty.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {
+		return uring.NewFault(r, uring.FaultPlan{
+			Seed: 5, ShortReadRate: 0.2, TransientRate: 0.1, DelayRate: 0.2, MaxDelay: 4,
+		})
 	}
-
-	// 4 shards, every engine Remote over its own shard server.
-	{
-		dirs, err := gen.Partition(dir, filepath.Join(t.TempDir(), "p4"), 4)
+	for _, topo := range []struct {
+		label  string
+		shards int
+		remote func(i int) bool
+		local  core.Config
+	}{
+		{"2-shard router (remote + faulty local)", 2, func(i int) bool { return i == 0 }, faulty},
+		{"4-shard router (all remote)", 4, func(int) bool { return true }, cfg.Core},
+		{"4-shard router (all local)", 4, func(int) bool { return false }, cfg.Core},
+	} {
+		dirs, err := gen.Partition(dir, filepath.Join(t.TempDir(), "p"), topo.shards)
 		if err != nil {
 			t.Fatal(err)
 		}
 		engines := make([]shard.Engine, len(dirs))
+		var shardBases []string
 		for i, sdir := range dirs {
 			sds := openShard(t, sdir)
+			if !topo.remote(i) {
+				if engines[i], err = shard.NewLocal(sds, topo.local, uring.BackendPool); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
 			_, shardBase := startServer(t, sds, cfg)
 			remote, err := shard.NewRemote(context.Background(), shardBase, client)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if got := remote.Info(); got.Index != i || got.Total != topo.shards {
+				t.Fatalf("%s: remote shard identity %+v, want shard %d/%d", topo.label, got, i, topo.shards)
+			}
 			engines[i] = remote
+			shardBases = append(shardBases, shardBase)
 		}
-		_, routerBase := startRouterServer(t, engines, cfg)
-		checkRouter("4-shard router (all remote)", routerBase)
+		rs, routerBase := startRouterServer(t, engines, cfg)
+		checkRouter(topo.label, routerBase)
+		if rs.Router().Shards() != topo.shards {
+			t.Fatalf("%s: router has %d shards", topo.label, rs.Router().Shards())
+		}
+
+		// Router observability: /metrics counts the requests, and every
+		// shard server's own metrics show shard-protocol traffic.
+		body := scrapeMetrics(t, client, routerBase)
+		if got := metricValue(t, body, "ringsampler_serve_responses_ok_total"); got != float64(len(combos)) {
+			t.Fatalf("%s: router responses_ok_total = %v, want %d", topo.label, got, len(combos))
+		}
+		for _, shardBase := range shardBases {
+			sbody := scrapeMetrics(t, client, shardBase)
+			if got := metricValue(t, sbody, "ringsampler_serve_shard_calls_total"); got <= 0 {
+				t.Fatalf("%s: shard server %s served %v shard calls, want > 0", topo.label, shardBase, got)
+			}
+		}
 	}
 }
 

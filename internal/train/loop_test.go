@@ -183,8 +183,9 @@ func TestTrainRequiresFeatures(t *testing.T) {
 // TestTrainEpochStatsCarryIO: the trainer's report carries the sampler's
 // I/O counters of the same epoch — the runner's merged counters when
 // overlapped, the single worker's when serialized — and, through them,
-// the feature cache's learning curve: same weights as without a cache,
-// a hit ratio that rises once an epoch has been learned from.
+// the feature cache's learning curve: in either mode the same weights
+// and losses as without a cache, and overlapped a hit ratio that rises
+// once an epoch has been learned from.
 func TestTrainEpochStatsCarryIO(t *testing.T) {
 	ds := testLabeledDataset(t)
 	targets := testTargets(ds, 320)
@@ -212,19 +213,23 @@ func TestTrainEpochStatsCarryIO(t *testing.T) {
 			}
 		}
 	}
-	cached := run(500, false)
-	for e, st := range cached {
-		if st.WeightsDigest != plain[e].WeightsDigest {
-			t.Fatalf("epoch %d: the feature cache changed the weights", e)
-		}
-		if (e == 0) != (st.IO.FeatCacheAdmitted == 0) {
-			t.Fatalf("epoch %d admitted %d rows", e, st.IO.FeatCacheAdmitted)
-		}
-	}
 	hit := func(st *train.EpochStats) float64 {
 		return float64(st.IO.FeatCacheHits) / float64(st.IO.FeatCacheHits+st.IO.FeatCacheMisses)
 	}
-	if hit(cached[1]) <= hit(cached[0]) {
-		t.Fatalf("feature hit ratio %.4f → %.4f did not rise after the first re-admission", hit(cached[0]), hit(cached[1]))
+	for _, serialized := range []bool{false, true} {
+		cached := run(500, serialized)
+		for e, st := range cached {
+			if st.WeightsDigest != plain[e].WeightsDigest || st.Loss != plain[e].Loss {
+				t.Fatalf("serialized=%v epoch %d: the feature cache changed the weights or the loss", serialized, e)
+			}
+			// Only the epoch runner re-admits; a serialized run's cache
+			// stays as built.
+			if (e == 0 || serialized) != (st.IO.FeatCacheAdmitted == 0) {
+				t.Fatalf("serialized=%v epoch %d admitted %d rows", serialized, e, st.IO.FeatCacheAdmitted)
+			}
+		}
+		if !serialized && hit(cached[1]) <= hit(cached[0]) {
+			t.Fatalf("feature hit ratio %.4f → %.4f did not rise after the first re-admission", hit(cached[0]), hit(cached[1]))
+		}
 	}
 }
