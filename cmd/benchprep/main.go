@@ -1,7 +1,7 @@
-// Command benchprep (re)builds the checked-in benchmark datasets under
-// benchdata/bench and prints the ablation statistics the benchmarks
-// assert. Generation is deterministic, so running it on a clean
-// checkout reproduces the committed files byte for byte.
+// Command benchprep (re)builds the checked-in benchmark dataset under
+// benchdata/bench and prints its node, edge and byte counts. Generation
+// is deterministic, so running it on a clean checkout reproduces the
+// committed files byte for byte.
 //
 // With -shards N the prepared dataset is additionally partitioned by
 // node range into N shard datasets under <dataset>-shards/N/ — the
@@ -20,11 +20,8 @@ import (
 	"log"
 	"path/filepath"
 
-	"ringsampler/internal/core"
-	"ringsampler/internal/device"
 	"ringsampler/internal/exp"
 	"ringsampler/internal/gen"
-	"ringsampler/internal/simrun"
 	"ringsampler/internal/storage"
 )
 
@@ -61,41 +58,5 @@ func main() {
 				i, len(dirs), sdir, lo, hi, sds.Manifest().BinBytes/storage.EntryBytes)
 			sds.Close()
 		}
-	}
-
-	ds, err := p.Open()
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer ds.Close()
-
-	base := core.SimConfig{
-		Config:       core.DefaultConfig(),
-		ScaleDivisor: *divisor,
-		BudgetBytes:  simrun.GBytes(1),
-		Targets:      512,
-		WorkloadSeed: 1,
-	}
-	base.Config.BatchSize = 128
-	base.Config.Threads = 8
-	for _, mode := range []struct {
-		name   string
-		offset bool
-		async  bool
-	}{
-		{"offset+async", true, true},
-		{"offset+sync", true, false},
-		{"full-fetch", false, true},
-	} {
-		sc := base
-		sc.Config.OffsetSampling = mode.offset
-		sc.Config.AsyncPipeline = mode.async
-		r := core.RunSim(ds, device.NVMe(), sc)
-		if r.Err != nil {
-			log.Fatalf("%s: %v", mode.name, r.Err)
-		}
-		fmt.Printf("%-14s modeled %.6fs  devOps %8d  devMB %8.2f  sampled %d\n",
-			mode.name, r.ModeledSeconds, r.DeviceOps,
-			float64(r.DeviceBytes)/(1<<20), r.Sampled)
 	}
 }

@@ -1,0 +1,67 @@
+package ringsampler
+
+import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// runDocLint runs scripts/doclint.sh over docs (none: README.md and
+// DESIGN.md) and returns its stderr and whether it passed.
+func runDocLint(t *testing.T, docs ...string) (string, bool) {
+	t.Helper()
+	sh, err := exec.LookPath("sh")
+	if err != nil {
+		t.Fatalf("doclint needs a POSIX sh: %v", err)
+	}
+	cmd := exec.Command(sh, append([]string{"scripts/doclint.sh"}, docs...)...)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err = cmd.Run()
+	if _, failed := err.(*exec.ExitError); err != nil && !failed {
+		t.Fatal(err)
+	}
+	return stderr.String(), err == nil
+}
+
+// TestDocLint: README.md and DESIGN.md cite only paths, commands and
+// tests that exist, and the lint that keeps them so catches each kind
+// of dead reference when one is planted.
+func TestDocLint(t *testing.T) {
+	t.Run("tree", func(t *testing.T) {
+		if out, ok := runDocLint(t); !ok {
+			t.Fatalf("doclint fails on README.md/DESIGN.md:\n%s", out)
+		}
+	})
+	plant := func(t *testing.T, body string) string {
+		doc := filepath.Join(t.TempDir(), "PLANTED.md")
+		if err := os.WriteFile(doc, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	t.Run("live", func(t *testing.T) {
+		doc := plant(t, "See `core/worker.go:1`, `cmd/<name>/main.go`, "+
+			"`scripts/check.sh`, `go run ./cmd/epoch` and TestEndToEnd.\n")
+		if out, ok := runDocLint(t, doc); !ok {
+			t.Fatalf("doclint rejects live references:\n%s", out)
+		}
+	})
+	for _, tc := range []struct{ name, body, want string }{
+		{"dead_path", "See `internal/nosuchpkg/x.go`.\n", "internal/nosuchpkg/x.go"},
+		{"dead_go_run", "Run `go run ./cmd/nosuchcmd`.\n", "cmd/nosuchcmd"},
+		{"dead_test", "Held by TestNoSuchContract.\n", "TestNoSuchContract"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, ok := runDocLint(t, plant(t, tc.body))
+			if ok {
+				t.Fatalf("doclint accepted %q", tc.body)
+			}
+			if !strings.Contains(out, tc.want) {
+				t.Fatalf("doclint failed without naming %s:\n%s", tc.want, out)
+			}
+		})
+	}
+}

@@ -3,9 +3,8 @@
 // workers with private rings/RNG/workspaces and zero cross-thread
 // synchronization, an asynchronous I/O-group pipeline overlapping
 // submission preparation with completion draining, and between-layer
-// sort+dedup frontier building. The same algorithm runs two ways: for
-// real against a uring backend (worker.go) and under the virtual-time
-// device model for the cross-system experiments (sim.go).
+// sort+dedup frontier building, all run for real against a uring
+// backend (worker.go).
 package core
 
 import (
@@ -33,8 +32,7 @@ type Config struct {
 	BatchSize int
 	// Threads is the worker count for epoch runs (mini-batch-per-
 	// thread, Fig 3a): RunEpoch fans mini-batches out to this many
-	// OS-thread-pinned workers, and RunSim models the same distribution
-	// in virtual time. Output never depends on it — per-batch RNG
+	// OS-thread-pinned workers. Output never depends on it — per-batch RNG
 	// reseeding makes the sampled stream identical at every thread
 	// count — only throughput does.
 	Threads int

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
-	"ringsampler/internal/device"
 	"ringsampler/internal/gen"
 	"ringsampler/internal/sample"
 	"ringsampler/internal/storage"
@@ -104,21 +104,6 @@ func TestWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestOffsetFullFetchSameSamples: the ablation baseline draws the same
-// fanout indices, so both modes return identical neighbors — they
-// differ only in what crosses the storage boundary.
-func TestOffsetFullFetchSameSamples(t *testing.T) {
-	ds := testDataset(t)
-	cfg := DefaultConfig()
-	cfg.Seed = 7
-	targets := testTargets(ds, 64)
-	offset := sampleOnce(t, ds, cfg, uring.BackendPool, targets)
-	full := cfg
-	full.OffsetSampling = false
-	fetched := sampleOnce(t, ds, full, uring.BackendPool, targets)
-	assertBatchesEqual(t, offset, fetched, "offset/full-fetch")
-}
-
 // TestDistinctWorkersDiverge: different worker IDs sample independent
 // streams.
 func TestDistinctWorkersDiverge(t *testing.T) {
@@ -167,91 +152,168 @@ func TestDistinctWorkersDiverge(t *testing.T) {
 	}
 }
 
-// TestSyncAsyncSameSamples: the pipeline switch changes scheduling,
-// never sampling decisions.
-func TestSyncAsyncSameSamples(t *testing.T) {
-	ds := testDataset(t)
-	cfg := DefaultConfig()
-	cfg.Seed = 3
-	cfg.RingSize = 16 // small ring so the async path actually wraps
-	targets := testTargets(ds, 64)
-	a := sampleOnce(t, ds, cfg, uring.BackendPool, targets)
-	sync := cfg
-	sync.AsyncPipeline = false
-	b := sampleOnce(t, ds, sync, uring.BackendPool, targets)
-	assertBatchesEqual(t, a, b, "async/sync")
+// The paper's §3 ablations run on the real engine over the checked-in
+// benchmark graph: 512 uniform targets (seed 1) in four batches of 128
+// through one worker, on every available backend.
+const (
+	ablationData    = "../../benchdata/bench/ogbn-papers-div20000"
+	ablationTargets = 512
+	ablationBatch   = 128
+)
+
+func ablationBackends() []uring.Backend {
+	backends := []uring.Backend{uring.BackendPool, uring.BackendSim}
+	if uring.Probe().Ring {
+		backends = append(backends, uring.BackendIOURing)
+	}
+	return backends
 }
 
-func TestSimDeterministic(t *testing.T) {
-	ds := testDataset(t)
-	sc := SimConfig{
-		Config:       DefaultConfig(),
-		ScaleDivisor: 1,
-		Targets:      256,
-		WorkloadSeed: 5,
+// runAblation samples the ablation workload under cfg (Seed and
+// BatchSize are overridden) and returns the batches and the worker's
+// I/O accounting.
+func runAblation(t *testing.T, ds *storage.Dataset, cfg Config, backend uring.Backend) ([]*Batch, IOStats) {
+	t.Helper()
+	cfg.Seed = 1
+	cfg.BatchSize = ablationBatch
+	s, err := New(ds, cfg, backend)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := RunSim(ds, device.NVMe(), sc)
-	b := RunSim(ds, device.NVMe(), sc)
-	if a.Err != nil || b.Err != nil {
-		t.Fatalf("sim errors: %v / %v", a.Err, b.Err)
+	w, err := s.NewWorker(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if a.ModeledSeconds != b.ModeledSeconds || a.DeviceBytes != b.DeviceBytes ||
-		a.DeviceOps != b.DeviceOps || a.Sampled != b.Sampled {
-		t.Fatalf("sim not deterministic: %+v vs %+v", a, b)
+	defer w.Close()
+	r := sample.NewRNG(1)
+	targets := make([]uint32, ablationTargets)
+	for i := range targets {
+		targets[i] = r.Uint32n(uint32(ds.NumNodes()))
 	}
-	if a.Sampled == 0 || a.DeviceBytes == 0 || a.ModeledSeconds <= 0 {
-		t.Fatalf("sim produced degenerate result: %+v", a)
+	var batches []*Batch
+	for at := 0; at < len(targets); at += ablationBatch {
+		b, err := w.SampleBatch(targets[at : at+ablationBatch])
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, b)
 	}
+	return batches, w.IOStats()
 }
 
-func TestSimOOM(t *testing.T) {
-	ds := testDataset(t)
-	sc := SimConfig{
-		Config:       DefaultConfig(),
-		ScaleDivisor: 20_000, // paper-scale index ≈ 300+ MB
-		BudgetBytes:  1 << 20,
-		Targets:      16,
-		WorkloadSeed: 5,
+func openAblationData(t *testing.T) *storage.Dataset {
+	t.Helper()
+	ds, err := storage.Open(ablationData)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := RunSim(ds, device.NVMe(), sc)
-	if !r.OOM || r.Err == nil {
-		t.Fatalf("expected OOM under 1 MiB paper-scale budget, got %+v", r)
-	}
+	t.Cleanup(func() { ds.Close() })
+	return ds
 }
 
-func TestCountRuns(t *testing.T) {
-	cases := []struct {
-		idxs []int
-		want int
-	}{
-		{nil, 0},
-		{[]int{4}, 1},
-		{[]int{4, 5, 6}, 1},
-		{[]int{6, 4, 5}, 1}, // unsorted input, same runs
-		{[]int{1, 3, 5}, 3},
-		{[]int{9, 0, 1, 2, 8}, 2},
-	}
-	for _, c := range cases {
-		if got := countRuns(c.idxs); got != c.want {
-			t.Fatalf("countRuns(%v) = %d, want %d", c.idxs, got, c.want)
+func assertRunsEqual(t *testing.T, a, b []*Batch, label string) {
+	t.Helper()
+	for i := range a {
+		assertBatchesEqual(t, a[i], b[i], label)
+		if a[i].Digest() != b[i].Digest() {
+			t.Fatalf("%s: batch %d digests differ", label, i)
 		}
 	}
-	// Exercise the heap fallback for fanouts beyond the stack buffer.
-	big := make([]int, 100)
-	for i := range big {
-		big[i] = i * 2
-	}
-	if got := countRuns(big); got != 100 {
-		t.Fatalf("countRuns(big) = %d, want 100", got)
+}
+
+// TestOffsetFullFetchSameSamples is the Fig 2 ablation: full-neighbor
+// fetching draws the same fanout indices, so both modes return identical
+// neighbors and differ only in what crosses the storage boundary —
+// offset reads move ≥ 10× fewer edge-file bytes. The byte counts are
+// exact: they move only if the draw or the read planner changes.
+func TestOffsetFullFetchSameSamples(t *testing.T) {
+	const wantOffsetBytes, wantFullBytes = 133_956, 1_886_008
+	ds := openAblationData(t)
+	for _, be := range ablationBackends() {
+		t.Run(string(be), func(t *testing.T) {
+			offset, offIO := runAblation(t, ds, DefaultConfig(), be)
+			full := DefaultConfig()
+			full.OffsetSampling = false
+			fetched, fullIO := runAblation(t, ds, full, be)
+			assertRunsEqual(t, offset, fetched, "offset/full-fetch")
+			if offIO.BytesRead != wantOffsetBytes || fullIO.BytesRead != wantFullBytes {
+				t.Fatalf("BytesRead offset %d / full %d, want %d / %d",
+					offIO.BytesRead, fullIO.BytesRead, wantOffsetBytes, wantFullBytes)
+			}
+			if ratio := float64(fullIO.BytesRead) / float64(offIO.BytesRead); ratio < 10 {
+				t.Fatalf("offset reads moved only %.2fx fewer bytes than full fetch, want ≥ 10x", ratio)
+			}
+		})
 	}
 }
 
-func TestWorkspaceBytesScaleIndependent(t *testing.T) {
-	cfg := DefaultConfig()
-	got := WorkspaceBytes(&cfg)
-	// 1024 targets × (20 + 20·15 + 20·15·10) entries × 12 bytes.
-	want := int64(1024) * (20 + 300 + 3000) * 12
-	if got != want {
-		t.Fatalf("WorkspaceBytes = %d, want %d", got, want)
+// waitRecorder records, for every Wait on the wrapped ring, the min the
+// engine asked for next to the reads in flight at that moment.
+type waitRecorder struct {
+	uring.Ring
+	inflight int
+	waits    []waitCall
+}
+
+type waitCall struct{ min, inflight int }
+
+func (r *waitRecorder) Submit() (int, error) {
+	n, err := r.Ring.Submit()
+	r.inflight += n
+	return n, err
+}
+
+func (r *waitRecorder) Wait(min int) ([]uring.CQE, error) {
+	r.waits = append(r.waits, waitCall{min, r.inflight})
+	cqes, err := r.Ring.Wait(min)
+	r.inflight -= len(cqes)
+	return cqes, err
+}
+
+// TestSyncAsyncSameSamples is the Fig 3b ablation: the pipeline switch
+// changes scheduling, never sampling decisions. Reads, bytes and
+// syscalls are identical either way on this graph, so the test watches
+// the ring instead. With a 16-entry ring every layer's reads wrap into
+// several groups. Synchronous mode waits for every read in flight before
+// staging more; the async pipeline, with the ring full and more reads
+// queued behind it, waits for only part of the window.
+func TestSyncAsyncSameSamples(t *testing.T) {
+	ds := openAblationData(t)
+	run := func(t *testing.T, async bool, be uring.Backend) ([]*Batch, *waitRecorder) {
+		cfg := DefaultConfig()
+		cfg.RingSize = 16
+		cfg.AsyncPipeline = async
+		rec := &waitRecorder{}
+		cfg.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {
+			if rec.Ring != nil {
+				return nil, errors.New("a second ring would bypass the recorder")
+			}
+			rec.Ring = r
+			return rec, nil
+		}
+		batches, _ := runAblation(t, ds, cfg, be)
+		if len(rec.waits) == 0 {
+			t.Fatal("no Wait reached the ring")
+		}
+		return batches, rec
+	}
+	for _, be := range ablationBackends() {
+		t.Run(string(be), func(t *testing.T) {
+			a, arec := run(t, true, be)
+			b, srec := run(t, false, be)
+			assertRunsEqual(t, a, b, "async/sync")
+			for _, w := range srec.waits {
+				if w.min != w.inflight {
+					t.Fatalf("sync pipeline waited for %d of %d reads in flight", w.min, w.inflight)
+				}
+			}
+			overlapped := false
+			for _, w := range arec.waits {
+				overlapped = overlapped || (w.inflight >= arec.Entries() && w.min < w.inflight)
+			}
+			if !overlapped {
+				t.Fatal("async pipeline never left reads in flight while the full ring had more queued")
+			}
+		})
 	}
 }

@@ -1,14 +1,13 @@
 package exp
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"ringsampler/internal/core"
-	"ringsampler/internal/device"
 	"ringsampler/internal/sample"
-	"ringsampler/internal/simrun"
 	"ringsampler/internal/uring"
 )
 
@@ -76,105 +75,71 @@ func TestPrepareRejectsUnknownDataset(t *testing.T) {
 	}
 }
 
-// TestAblationGuards pins the two headline ablation properties on the
-// checked-in dataset at the benchmark configuration: offset-based
-// sampling moves ≥10x fewer device bytes than full-neighborhood
-// fetching, and the async pipeline beats the synchronous one.
-func TestAblationGuards(t *testing.T) {
-	p, err := Prepare(benchRoot, "ogbn-papers", 20_000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds, err := p.Open()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ds.Close()
-	base := core.SimConfig{
-		Config:       core.DefaultConfig(),
-		ScaleDivisor: 20_000,
-		BudgetBytes:  simrun.GBytes(1),
-		Targets:      512,
-		WorkloadSeed: 1,
-	}
-	base.Config.BatchSize = 128
-	base.Config.Threads = 8
-
-	offset := core.RunSim(ds, device.NVMe(), base)
-	if offset.Err != nil {
-		t.Fatal(offset.Err)
-	}
-	syncCfg := base
-	syncCfg.Config.AsyncPipeline = false
-	syn := core.RunSim(ds, device.NVMe(), syncCfg)
-	if syn.Err != nil {
-		t.Fatal(syn.Err)
-	}
-	fullCfg := base
-	fullCfg.Config.OffsetSampling = false
-	full := core.RunSim(ds, device.NVMe(), fullCfg)
-	if full.Err != nil {
-		t.Fatal(full.Err)
-	}
-
-	if offset.Sampled != full.Sampled {
-		t.Fatalf("modes sampled different totals: %d vs %d", offset.Sampled, full.Sampled)
-	}
-	ratio := float64(full.DeviceBytes) / float64(offset.DeviceBytes)
-	if ratio < 10 {
-		t.Fatalf("offset sampling moved only %.2fx fewer device bytes (%d vs %d), want ≥10x",
-			ratio, offset.DeviceBytes, full.DeviceBytes)
-	}
-	if offset.ModeledSeconds >= syn.ModeledSeconds {
-		t.Fatalf("async pipeline (%.6fs) not faster than sync (%.6fs)",
-			offset.ModeledSeconds, syn.ModeledSeconds)
+// TestPrepareRejectsBadDivisor: a divisor that is not positive, or that
+// scales the graph to nothing, is refused before anything is written.
+func TestPrepareRejectsBadDivisor(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		divisor int
+	}{
+		{"zero", 0},
+		{"negative", -20_000},
+		{"collapses", 1 << 40},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			if _, err := Prepare(root, "ogbn-papers", tc.divisor, false); err == nil {
+				t.Fatalf("divisor %d accepted", tc.divisor)
+			}
+			if left, _ := os.ReadDir(root); len(left) != 0 {
+				t.Fatalf("rejected divisor %d still wrote %d entries", tc.divisor, len(left))
+			}
+		})
 	}
 }
 
-// TestRunSystemLabels: RingSampler results are honest engine runs;
-// every baseline is explicitly labeled a stub.
-func TestRunSystemLabels(t *testing.T) {
-	p, err := Prepare(benchRoot, "ogbn-papers", 20_000, false)
+// TestPrepareRegenMatchesCheckedIn: regenerating the benchmark dataset
+// from scratch reproduces every checked-in file byte for byte, which is
+// what lets cmd/benchprep -regen rebuild benchdata on any checkout.
+func TestPrepareRegenMatchesCheckedIn(t *testing.T) {
+	p, err := Prepare(t.TempDir(), "ogbn-papers", 20_000, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds, err := p.Open()
+	want := filepath.Join(benchRoot, "ogbn-papers-div20000")
+	files, err := os.ReadDir(want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ds.Close()
-	o := Options{Divisor: 20_000, Targets: 64, BatchSize: 32, Threads: 4}
-	for _, sys := range Fig4Systems {
-		r := RunSystem(ds, sys, o, 0, core.DefaultFanouts)
-		if r.System != sys {
-			t.Fatalf("result labeled %q, want %q", r.System, sys)
+	for _, f := range files {
+		a, err := os.ReadFile(filepath.Join(want, f.Name()))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if sys == "RingSampler" {
-			if r.Stub {
-				t.Fatal("RingSampler result marked as stub")
-			}
-			if r.Err != nil {
-				t.Fatalf("RingSampler: %v", r.Err)
-			}
-			if r.Seconds() <= 0 || r.DeviceBytes == 0 {
-				t.Fatalf("RingSampler degenerate result: %+v", r)
-			}
-			continue
+		b, err := os.ReadFile(filepath.Join(p.Dir, f.Name()))
+		if err != nil {
+			t.Fatalf("regenerated dataset lacks %s: %v", f.Name(), err)
 		}
-		if !r.Stub {
-			t.Fatalf("%s result not marked as stub", sys)
-		}
-		if r.Err != nil && !r.OOM {
-			t.Fatalf("%s: unexpected error: %v", sys, r.Err)
-		}
-		// Out-of-core baselines move data across the device boundary;
-		// a zero count means the stub forgot to model it.
-		if (sys == "Marius" || sys == "SmartSSD") && r.Err == nil && r.DeviceBytes == 0 {
-			t.Fatalf("%s reports zero device traffic", sys)
+		if !bytes.Equal(a, b) {
+			t.Fatalf("regenerated %s differs from the checked-in file", f.Name())
 		}
 	}
-	if r := RunSystem(ds, "NoSuchSystem", o, 0, core.DefaultFanouts); r.Err == nil {
-		t.Fatal("unknown system accepted")
+}
+
+// TestUniformTargetsMatchesUint32Draw: below 2³² nodes the 64-bit draw
+// returns exactly what the old rng.Uint32n draw did, stream position
+// included, so switching to it moved no digest.
+func TestUniformTargetsMatchesUint32Draw(t *testing.T) {
+	const numNodes, n = 5550, 512
+	rng, r := sample.NewRNG(1), sample.NewRNG(1)
+	got := UniformTargets(&rng, numNodes, n)
+	for i, g := range got {
+		if want := r.Uint32n(numNodes); g != want {
+			t.Fatalf("target %d = %d, Uint32n draws %d", i, g, want)
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("drew %d targets, want %d", len(got), n)
 	}
 }
 
@@ -257,26 +222,5 @@ func assertFaultPoints(t *testing.T, points []FaultPoint) {
 		if pt.Rate > 0 && pt.IO.Retries == 0 {
 			t.Fatalf("rate %v: faults injected but no retries recorded", pt.Rate)
 		}
-	}
-}
-
-func TestFig6Milestones(t *testing.T) {
-	o := Options{Divisor: 20_000, Targets: 8, BatchSize: 1, Threads: 1}
-	res, err := Fig6(benchRoot, o, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests != 8 {
-		t.Fatalf("Requests = %d, want 8", res.Requests)
-	}
-	if len(res.Milestones) != 4 {
-		t.Fatalf("got %d milestones, want 4", len(res.Milestones))
-	}
-	prev := 0.0
-	for _, m := range res.Milestones {
-		if m.TimeSec < prev || m.TimeSec <= 0 {
-			t.Fatalf("milestones not monotonically increasing: %+v", res.Milestones)
-		}
-		prev = m.TimeSec
 	}
 }

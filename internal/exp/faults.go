@@ -20,8 +20,7 @@ type FaultPoint struct {
 	Rate float64
 	// Entries is the total sampled neighbor entries.
 	Entries int64
-	// Seconds is the wall-clock sampling time (real I/O, so this is a
-	// measurement, not a modeled figure).
+	// Seconds is the wall-clock sampling time over real I/O.
 	Seconds float64
 	// EntriesPerSec is the headline throughput.
 	EntriesPerSec float64

@@ -1,6 +1,6 @@
-// Package exp is the experiment harness behind the benchmark suite:
-// dataset preparation at any scale divisor, per-system modeled epoch
-// runs (Figure 4/5/7/8), and the inference latency workload (Figure 6).
+// Package exp prepares the checked-in benchmark dataset at any scale
+// divisor, draws uniform epoch targets, and runs the real-engine fault
+// sweep.
 package exp
 
 import (
@@ -15,14 +15,10 @@ import (
 
 // Options are the common knobs of a scaled experiment run.
 type Options struct {
-	// Divisor scales the paper's dataset sizes and memory budgets.
-	Divisor int
 	// Targets is the epoch's target-node count.
 	Targets int
 	// BatchSize is the mini-batch size.
 	BatchSize int
-	// Threads is the modeled worker count.
-	Threads int
 }
 
 // paperDataset holds the full-scale |V| and |E| of a paper Table 1

@@ -135,15 +135,6 @@ func TestPartitionRejectsTamperedShard(t *testing.T) {
 		t.Fatal("Open accepted a truncated shard edge file")
 	}
 
-	// LoadEdges is a whole-graph operation; a shard must refuse it.
-	sd, err := storage.Open(dirs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sd.Close()
-	if _, err := sd.LoadEdges(); err == nil {
-		t.Fatal("LoadEdges succeeded on a shard dataset")
-	}
 }
 
 // TestPartitionCarriesFullLabels is the regression test for the

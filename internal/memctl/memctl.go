@@ -1,8 +1,7 @@
 // Package memctl is the repo's cgroup substitute: an explicit memory
-// budget every modeled system allocates through. Exceeding the budget
-// yields ErrOOM — the modeled equivalent of the kernel OOM-killing a
-// paper baseline (Figures 4/5) — and the high-water mark feeds the
-// memory-proportionality claims.
+// budget the engine's in-memory structures (neighbor and feature
+// caches, alias tables) are charged against. Exceeding the budget
+// yields ErrOOM, so a structure that does not fit is refused up front.
 package memctl
 
 import (
@@ -14,7 +13,7 @@ import (
 var ErrOOM = errors.New("memctl: out of memory")
 
 // Budget is a memory accountant. A limit of 0 means unlimited. Not
-// safe for concurrent use; modeled runs are single-goroutine.
+// safe for concurrent use; each structure is built by one goroutine.
 type Budget struct {
 	limit int64
 	used  int64

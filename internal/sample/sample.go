@@ -1,11 +1,10 @@
-// Package sample provides the seeded sampling primitives shared by the
-// RingSampler engine and the modeled systems: a fast xorshift RNG,
-// Floyd's without-replacement fanout selection, and the sort+dedup used
-// to build between-layer frontiers (paper §2.1, Fig 1).
+// Package sample provides the seeded sampling primitives of the
+// RingSampler engine: a fast xorshift RNG, Floyd's without-replacement
+// fanout selection, and the sort+dedup used to build between-layer
+// frontiers (paper §2.1, Fig 1).
 //
 // Everything here is deterministic for a fixed seed, which is what lets
-// tests assert bit-identical sample sets and lets the modeled
-// experiments reproduce exactly.
+// tests assert bit-identical sample sets and exact I/O counts.
 package sample
 
 import (

@@ -11,9 +11,7 @@ import (
 
 // Dataset is an opened on-disk graph: the manifest, the in-memory
 // offset index, and the edge file handle the sampler reads through.
-// The edge data itself stays on disk; LoadEdges pulls it into memory
-// only for the modeled experiments (which need closed-form access) and
-// caches it.
+// The edge data itself stays on disk.
 //
 // Dataset is safe for concurrent read use: the offset index is
 // immutable after Open and reads go through (*os.File).ReadAt.
@@ -45,10 +43,6 @@ type Dataset struct {
 	// edge file's.
 	featF     *os.File
 	featAlign int
-
-	edgesOnce sync.Once
-	edges     []uint32
-	edgesErr  error
 
 	// labelPath is the validated label file (empty for unlabeled
 	// datasets); the decoded array is lazily loaded by Labels.
@@ -313,28 +307,6 @@ func readAtMaybeDirect(f *os.File, align int, p []byte, off int64) (int, error) 
 		err = io.EOF
 	}
 	return int(got), err
-}
-
-// LoadEdges reads the whole edge file into memory (cached after the
-// first call). Only the modeled experiments use this; the real engine
-// never does.
-func (d *Dataset) LoadEdges() ([]uint32, error) {
-	if d.IsSharded() {
-		return nil, fmt.Errorf("storage: LoadEdges on shard %d/%d of %s: modeled experiments need the whole edge file", d.man.ShardIndex, d.man.NumShards, d.dir)
-	}
-	d.edgesOnce.Do(func() {
-		data, err := os.ReadFile(filepath.Join(d.dir, EdgesFile))
-		if err != nil {
-			d.edgesErr = fmt.Errorf("storage: load edges: %w", err)
-			return
-		}
-		edges := make([]uint32, len(data)/EntryBytes)
-		for i := range edges {
-			edges[i] = binary.LittleEndian.Uint32(data[i*EntryBytes:])
-		}
-		d.edges = edges
-	})
-	return d.edges, d.edgesErr
 }
 
 // Close releases the edge and feature file handles.

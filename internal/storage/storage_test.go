@@ -31,6 +31,21 @@ func writeTestDataset(t *testing.T, dir string) {
 	}
 }
 
+// edgesFromFile decodes dir's whole edge file straight from disk: the
+// reference Dataset.ReadAt is checked against.
+func edgesFromFile(t *testing.T, dir string) []uint32 {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, EdgesFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := make([]uint32, len(data)/EntryBytes)
+	for i := range edges {
+		edges[i] = binary.LittleEndian.Uint32(data[i*EntryBytes:])
+	}
+	return edges
+}
+
 func TestWriterReaderRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	writeTestDataset(t, dir)
@@ -45,10 +60,7 @@ func TestWriterReaderRoundtrip(t *testing.T) {
 			t.Fatalf("degree(%d) = %d, want %d", v, got, want)
 		}
 	}
-	edges, err := ds.LoadEdges()
-	if err != nil {
-		t.Fatal(err)
-	}
+	edges := edgesFromFile(t, dir)
 	want := []uint32{1, 2, 3, 0, 3, 2}
 	if len(edges) != len(want) {
 		t.Fatalf("edges = %v, want %v", edges, want)
@@ -165,18 +177,18 @@ func TestReadAtEdgeCases(t *testing.T) {
 		}
 	}
 
-	// ReadAt and LoadEdges must agree byte for byte over the whole file.
+	// ReadAt and the raw file must agree byte for byte over the whole file.
 	all := make([]byte, size)
 	if n, err := ds.ReadAt(all, 0); int64(n) != size || (err != nil && err != io.EOF) {
 		t.Fatalf("full read: (%d, %v)", n, err)
 	}
-	edges, err := ds.LoadEdges()
-	if err != nil {
-		t.Fatal(err)
+	edges := edgesFromFile(t, dir)
+	if int64(len(edges)) != ds.NumEdges() {
+		t.Fatalf("edge file holds %d entries, manifest says %d", len(edges), ds.NumEdges())
 	}
 	for i, e := range edges {
 		if got := binary.LittleEndian.Uint32(all[i*EntryBytes:]); got != e {
-			t.Fatalf("entry %d: ReadAt sees %d, LoadEdges sees %d", i, got, e)
+			t.Fatalf("entry %d: ReadAt sees %d, the file holds %d", i, got, e)
 		}
 	}
 }

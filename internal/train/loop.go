@@ -192,8 +192,7 @@ func (t *Trainer) EpochSerialized(ctx context.Context, s *core.Sampler, targets 
 }
 
 // Run trains for epochs epochs in the selected mode, returning the
-// per-epoch stats in order. A convenience wrapper both cmd/epoch -train
-// and exp.TrainSweep drive.
+// per-epoch stats in order; cmd/epoch -train drives it.
 func (t *Trainer) Run(ctx context.Context, s *core.Sampler, targets []uint32, epochs int, serialized bool) ([]*EpochStats, error) {
 	if epochs <= 0 {
 		return nil, fmt.Errorf("train: epochs %d must be positive", epochs)

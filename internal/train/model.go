@@ -1,7 +1,7 @@
-// Package train closes the loop the paper's Fig 4/5 baselines imply: a
-// minimal, dependency-free GraphSAGE consumer that trains on the
-// batches the sampler produces — mean-aggregator layers over
-// Batch.Features, f32 dense matmuls, softmax cross-entropy, plain SGD.
+// Package train closes the loop from sampling to training: a minimal,
+// dependency-free GraphSAGE consumer that trains on the batches the
+// sampler produces — mean-aggregator layers over Batch.Features, f32
+// dense matmuls, softmax cross-entropy, plain SGD.
 //
 // The package inherits the repo's determinism contract (DESIGN.md §13):
 // a training run's loss curve and final weights are a pure function of

@@ -1,12 +1,12 @@
 #!/bin/sh
-# Repo-wide checks: formatting, vet, build, tests (with the race
-# detector). CI runs the same steps; run this locally before pushing.
-# It writes nothing into the tree. Numbers come from the benchmark
-# harness (go run -C cmd/bench .), never from here.
+# Repo-wide checks: formatting, the docs lint, vet, build, tests (with
+# the race detector). CI runs the same steps; run this locally before
+# pushing. It writes nothing into the tree. Numbers come from the
+# benchmark harness (go run -C cmd/bench .), never from here.
 #
-# QUICK=1 passes -short to go test, which skips the slow tests (the
-# internal/exp fault sweep, the ring-filling knob matrix on a generated
-# 100k-node graph); the default runs everything under -race.
+# QUICK=1 passes -short to go test, which skips the slow tests
+# (TestFaultSweepFull's rate sweep, TestKnobMatrixFillsRing on a
+# generated 100k-node graph); the default runs everything under -race.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -16,6 +16,9 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
+
+# README.md and DESIGN.md cite only paths, commands and tests that exist.
+sh scripts/doclint.sh
 
 go vet ./...
 go build ./...

@@ -1,0 +1,81 @@
+#!/bin/sh
+# Fails when README.md or DESIGN.md cites something the tree does not
+# have: a repo path quoted in backticks (internal/…, cmd/…, scripts/…,
+# *.go, *.md), a `go run ./cmd/<x>` or `go run -C <dir>` target, or a
+# Test…/Benchmark…/Fuzz… name with no `func <Name>(` in any .go file.
+# scripts/check.sh and CI both run it; arguments, given as absolute
+# paths or relative to the repo root, replace the two default docs.
+set -eu
+cd "$(dirname "$0")/.."
+[ $# -gt 0 ] || set -- README.md DESIGN.md
+bad=0
+miss() {
+    echo "doclint: $1" >&2
+    bad=1
+}
+
+# exists P: P names a file or directory, as written, under internal/
+# (DESIGN.md says core/worker.go), or — a bare file name — anywhere.
+exists() {
+    [ -e "$1" ] || [ -e "internal/$1" ] && return 0
+    case $1 in
+    */*) return 1 ;;
+    esac
+    [ -n "$(find . -path ./.git -prune -o -name "$1" -print | head -n 1)" ]
+}
+
+# literal P: P with ./ and :line dropped, and — when it holds a
+# placeholder or glob — cut back to the directory before it
+# (cmd/<name>/main.go → cmd/).
+literal() {
+    p=${1#./}
+    p=${p%%:[0-9]*}
+    case $p in
+    *[\<*{[]*)
+        p=${p%%[\<*{[]*}
+        p=${p%"${p##*/}"}
+        ;;
+    esac
+    printf '%s\n' "$p"
+}
+
+for doc; do
+    [ -f "$doc" ] || miss "$doc is missing"
+done
+
+# Word splitting on newlines only; no globbing of what we read.
+set -f
+IFS='
+'
+for hit in $(grep -Ho '`[^` ]*`' "$@"); do
+    file=${hit%%:*}
+    span=${hit#*:}
+    span=${span#\`}
+    span=${span%\`}
+    case $span in
+    internal/* | cmd/* | ./cmd/* | scripts/* | *.go | *.go:[0-9]* | *.md) ;;
+    *) continue ;;
+    esac
+    p=$(literal "$span")
+    [ -z "$p" ] && continue
+    exists "$p" || miss "$file cites \`$span\`, which does not exist"
+done
+
+for hit in $(grep -EHo 'go run (-C [^ `]+|[^ `]+)' "$@"); do
+    file=${hit%%:*}
+    target=${hit#*go run }
+    target=${target#-C }
+    case $target in
+    -*) continue ;;
+    esac
+    p=$(literal "$target")
+    [ -z "$p" ] || [ -d "$p" ] || miss "$file: \`go run\` target $target does not exist"
+done
+
+for hit in $(grep -EHo '(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' "$@" | sort -u); do
+    name=${hit#*:}
+    grep -rqs --include='*.go' "^func $name(" . ||
+        miss "${hit%%:*} cites $name, but no func $name( exists"
+done
+
+exit $bad
