@@ -182,6 +182,12 @@ func TestFeatureCacheFoldsOnlyCompletedEpochs(t *testing.T) {
 	}
 
 	s := newLearningSampler(t, ds, cfg, uring.BackendPool)
+	// The canceled epoch runs on one worker. With two, one can stall on
+	// batch 0 while the other finishes every later batch, so all of them
+	// are dispatched before the handler's cancel and the epoch completes.
+	// With one, idxCh is unbuffered and resCh holds a single result: at
+	// most batches 0–2 of 10 have been dispatched when cancel runs.
+	s.cfg.Threads = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	if st, err := s.RunEpochSeeded(ctx, epochSeed(0), targets, func(i int, _ *Batch) error {
 		if i == 0 {
@@ -191,6 +197,7 @@ func TestFeatureCacheFoldsOnlyCompletedEpochs(t *testing.T) {
 	}); !errors.Is(err, context.Canceled) || st.Completed == 0 {
 		t.Fatalf("canceled epoch: err %v, stats %+v", err, st)
 	}
+	s.cfg.Threads = cfg.Threads
 	boom := errors.New("handler failed")
 	if _, err := s.RunEpochSeeded(context.Background(), epochSeed(0), targets, func(i int, _ *Batch) error {
 		if i == 2 {

@@ -14,13 +14,13 @@ import (
 type Options struct {
 	// FeatureDim, when positive, emits features.bin: one FeatureDim-wide
 	// f32 vector per node, deterministic per (seed, node), with its size
-	// and FNV-1a checksum recorded in the manifest.
+	// and CRC-32C checksum recorded in the manifest.
 	FeatureDim int
 
 	// NumClasses, when ≥ 2, emits labels.bin: one uint32 class id per
 	// node derived from the node's feature vector (so the labeling is
 	// linearly realizable — see writeLabels), with the class count and
-	// FNV-1a checksum recorded in the manifest. Requires FeatureDim > 0.
+	// CRC-32C checksum recorded in the manifest. Requires FeatureDim > 0.
 	NumClasses int
 }
 

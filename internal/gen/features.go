@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -35,18 +33,18 @@ func nodeFeature(seed uint64, v int64, vec []float32) {
 }
 
 // writeFeatures emits dir/features.bin: one dim-wide f32 vector per
-// node, values from nodeFeature. Returns the byte count and FNV-1a 64
-// hex checksum for the manifest.
+// node, values from nodeFeature. Returns the byte count and the
+// storage.ChecksumFile digest for the manifest.
 func writeFeatures(dir string, nodes int64, dim int, seed uint64) (int64, string, error) {
 	if dim <= 0 {
 		return 0, "", fmt.Errorf("gen: feature dim %d must be positive", dim)
 	}
-	f, err := os.Create(filepath.Join(dir, storage.FeaturesFile))
+	path := filepath.Join(dir, storage.FeaturesFile)
+	f, err := os.Create(path)
 	if err != nil {
 		return 0, "", fmt.Errorf("gen: create feature file: %w", err)
 	}
-	h := fnv.New64a()
-	bw := bufio.NewWriterSize(io.MultiWriter(f, h), 1<<16)
+	bw := bufio.NewWriterSize(f, 1<<16)
 	vec := make([]float32, dim)
 	var rec [storage.FeatureElemBytes]byte
 	for v := int64(0); v < nodes; v++ {
@@ -66,5 +64,9 @@ func writeFeatures(dir string, nodes int64, dim int, seed uint64) (int64, string
 	if err := f.Close(); err != nil {
 		return 0, "", fmt.Errorf("gen: close feature file: %w", err)
 	}
-	return nodes * int64(dim) * storage.FeatureElemBytes, fmt.Sprintf("%016x", h.Sum64()), nil
+	sum, err := storage.ChecksumFile(path)
+	if err != nil {
+		return 0, "", err
+	}
+	return nodes * int64(dim) * storage.FeatureElemBytes, sum, nil
 }

@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -59,7 +57,7 @@ func nodeLabel(weights [][]float32, vec []float32) uint32 {
 // hyperplanes, where x_v is exactly the feature vector writeFeatures
 // emits for node v. Like the features, every label is a pure function
 // of (seed, v, classes) — independent of write order. Returns the
-// FNV-1a 64 hex checksum for the manifest.
+// storage.ChecksumFile digest for the manifest.
 func writeLabels(dir string, nodes int64, dim, classes int, seed uint64) (string, error) {
 	if dim <= 0 {
 		return "", fmt.Errorf("gen: labels need features (dim %d must be positive)", dim)
@@ -68,12 +66,12 @@ func writeLabels(dir string, nodes int64, dim, classes int, seed uint64) (string
 		return "", fmt.Errorf("gen: numClasses %d must be at least 2", classes)
 	}
 	weights := classWeights(seed, classes, dim)
-	f, err := os.Create(filepath.Join(dir, storage.LabelsFile))
+	path := filepath.Join(dir, storage.LabelsFile)
+	f, err := os.Create(path)
 	if err != nil {
 		return "", fmt.Errorf("gen: create label file: %w", err)
 	}
-	h := fnv.New64a()
-	bw := bufio.NewWriterSize(io.MultiWriter(f, h), 1<<16)
+	bw := bufio.NewWriterSize(f, 1<<16)
 	vec := make([]float32, dim)
 	var rec [storage.LabelBytes]byte
 	for v := int64(0); v < nodes; v++ {
@@ -91,5 +89,5 @@ func writeLabels(dir string, nodes int64, dim, classes int, seed uint64) (string
 	if err := f.Close(); err != nil {
 		return "", fmt.Errorf("gen: close label file: %w", err)
 	}
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	return storage.ChecksumFile(path)
 }

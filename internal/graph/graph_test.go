@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"ringsampler/internal/sample"
@@ -174,5 +175,15 @@ func TestManifestRejectsCorruption(t *testing.T) {
 	}
 	if _, err := LoadManifest(stale); err == nil {
 		t.Fatal("version mismatch accepted")
+	}
+	// A version-1 manifest carries FNV-1a sums nothing verifies; the
+	// refusal names the fix.
+	v1 := filepath.Join(dir, "v1.json")
+	m = Manifest{Version: 1, Name: "fnv", NumNodes: 1}
+	if err := m.Save(v1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadManifest(v1); err == nil || !strings.Contains(err.Error(), "regenerate") {
+		t.Fatalf("version-1 manifest: err %v, want a refusal that says regenerate", err)
 	}
 }

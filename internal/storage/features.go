@@ -1,9 +1,8 @@
 package storage
 
 import (
-	"bufio"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -26,20 +25,31 @@ const (
 	maxFeatureDim = 1 << 20
 )
 
-// ChecksumFile streams path through FNV-1a 64 and returns the
-// fixed-width hex digest recorded in (and verified against) the
-// manifest's featChecksum field.
+// castagnoli is the CRC-32C polynomial table. CRC-32C is the on-disk
+// format's one integrity checksum (DESIGN.md §10): hash/crc32 runs it
+// on the SSE4.2 / ARMv8 CRC instructions, so checking a file costs
+// about as much as reading it, and every error burst of up to 32 bits
+// changes the sum.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// formatChecksum renders a CRC-32C as the fixed-width 8-hex-digit form
+// the manifest records.
+func formatChecksum(sum uint32) string { return fmt.Sprintf("%08x", sum) }
+
+// ChecksumFile streams path through CRC-32C and returns the fixed-width
+// hex digest recorded in (and verified against) the manifest's
+// featChecksum and labelChecksum fields.
 func ChecksumFile(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return "", fmt.Errorf("storage: open %s for checksum: %w", path, err)
 	}
 	defer f.Close()
-	h := fnv.New64a()
-	if _, err := io.Copy(h, bufio.NewReaderSize(f, 1<<16)); err != nil {
+	h := crc32.New(castagnoli)
+	if _, err := io.Copy(h, f); err != nil {
 		return "", fmt.Errorf("storage: checksum %s: %w", path, err)
 	}
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	return formatChecksum(h.Sum32()), nil
 }
 
 // validateFeatures checks the manifest's feature fields against the

@@ -247,8 +247,8 @@ func TestChecksumFile(t *testing.T) {
 	if s1 != s2 {
 		t.Fatalf("identical content hashed differently: %s vs %s", s1, s2)
 	}
-	if len(s1) != 16 {
-		t.Fatalf("checksum %q is not fixed-width 16 hex chars", s1)
+	if len(s1) != 8 {
+		t.Fatalf("checksum %q is not fixed-width 8 hex chars", s1)
 	}
 	content[0] ^= 1
 	if err := os.WriteFile(p2, content, 0o644); err != nil {

@@ -24,7 +24,7 @@ func FuzzOpen(f *testing.F) {
 	f.Add(man, flipByte(off, 8), edges)          // non-monotone offsets
 	f.Add(man, flipByte(off, len(off)-1), edges) // offsets overrun the edge file
 	f.Add(corruptCount(man), off, edges)         // manifest/file count mismatch
-	f.Add([]byte(`{"version":1,"name":"x","numNodes":-4,"numEdges":6,"binBytes":24}`), off, edges)
+	f.Add([]byte(`{"version":2,"name":"x","numNodes":-4,"numEdges":6,"binBytes":24}`), off, edges)
 	f.Add([]byte{}, []byte{}, []byte{})
 
 	f.Fuzz(func(t *testing.T, man, off, edges []byte) {

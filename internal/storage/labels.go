@@ -1,10 +1,9 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -33,10 +32,8 @@ const (
 // labeled dataset whose file is truncated, whose bytes fail the
 // checksum, or which contains a class id at or above NumClasses is
 // rejected at open rather than surfacing as a panic (or silently wrong
-// supervision) mid-training. The scan and the checksum share one pass
-// over the file. Returns the label file path for a labeled dataset, or
-// "" for a valid unlabeled one. Labels are always whole-graph, so the
-// expected size is NumNodes*LabelBytes even on a shard dataset.
+// supervision) mid-training. Returns the label file path for a labeled
+// dataset, or "" for a valid unlabeled one.
 func validateLabels(dir string, man Manifest) (string, error) {
 	if man.NumClasses < 0 {
 		return "", fmt.Errorf("storage: manifest %s has negative numClasses %d", dir, man.NumClasses)
@@ -55,35 +52,62 @@ func validateLabels(dir string, man Manifest) (string, error) {
 		return "", fmt.Errorf("storage: manifest %s declares %d classes but no labelChecksum", dir, man.NumClasses)
 	}
 	path := filepath.Join(dir, LabelsFile)
+	if err := readLabels(path, man, nil); err != nil {
+		return "", err
+	}
+	return path, nil
+}
+
+// labelChunkBytes is how much of the label file readLabels holds at a
+// time: a whole number of records, so no record straddles two reads.
+const labelChunkBytes = 1 << 16
+
+// readLabels is the one reader of labels.bin, shared by Open and Labels
+// so the bytes a training consumer decodes are the bytes that were
+// verified. In a single pass over the file it checks the size (labels
+// are whole-graph, so NumNodes*LabelBytes even on a shard dataset),
+// range-checks every class id against NumClasses and folds the bytes
+// into a CRC-32C compared with LabelChecksum. When out is non-nil
+// (length NumNodes) it also receives the decoded labels.
+func readLabels(path string, man Manifest, out []uint32) error {
 	fi, err := os.Stat(path)
 	if err != nil {
-		return "", fmt.Errorf("storage: stat label file: %w", err)
+		return fmt.Errorf("storage: stat label file: %w", err)
 	}
 	want := man.NumNodes * LabelBytes
 	if fi.Size() != want {
-		return "", fmt.Errorf("storage: label file %s is %d bytes, manifest expects %d (truncated capture?)", path, fi.Size(), want)
+		return fmt.Errorf("storage: label file %s is %d bytes, manifest expects %d (truncated capture?)", path, fi.Size(), want)
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return "", fmt.Errorf("storage: open label file: %w", err)
+		return fmt.Errorf("storage: open label file: %w", err)
 	}
 	defer f.Close()
-	h := fnv.New64a()
-	br := bufio.NewReaderSize(io.TeeReader(f, h), 1<<16)
-	var rec [LabelBytes]byte
-	for v := int64(0); v < man.NumNodes; v++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return "", fmt.Errorf("storage: read label file %s at node %d: %w", path, v, err)
+	var sum uint32
+	buf := make([]byte, min(want, labelChunkBytes))
+	for off := int64(0); off < want; {
+		chunk := buf[:min(want-off, int64(len(buf)))]
+		if _, err := io.ReadFull(f, chunk); err != nil {
+			return fmt.Errorf("storage: read label file %s at node %d: %w", path, off/LabelBytes, err)
 		}
-		if lab := binary.LittleEndian.Uint32(rec[:]); lab >= uint32(man.NumClasses) {
-			return "", fmt.Errorf("storage: label file %s has label %d out of range [0,%d) at node %d",
-				path, lab, man.NumClasses, v)
+		for i := 0; i < len(chunk); i += LabelBytes {
+			lab := binary.LittleEndian.Uint32(chunk[i:])
+			v := (off + int64(i)) / LabelBytes
+			if lab >= uint32(man.NumClasses) {
+				return fmt.Errorf("storage: label file %s has label %d out of range [0,%d) at node %d",
+					path, lab, man.NumClasses, v)
+			}
+			if out != nil {
+				out[v] = lab
+			}
 		}
+		sum = crc32.Update(sum, castagnoli, chunk)
+		off += int64(len(chunk))
 	}
-	if sum := fmt.Sprintf("%016x", h.Sum64()); sum != man.LabelChecksum {
-		return "", fmt.Errorf("storage: label file %s checksum %s != manifest %s (corrupt capture?)", path, sum, man.LabelChecksum)
+	if got := formatChecksum(sum); got != man.LabelChecksum {
+		return fmt.Errorf("storage: label file %s checksum %s != manifest %s (corrupt capture?)", path, got, man.LabelChecksum)
 	}
-	return path, nil
+	return nil
 }
 
 // HasLabels reports whether the dataset carries a per-node label file.
@@ -94,8 +118,10 @@ func (d *Dataset) HasLabels() bool { return d.labelPath != "" }
 func (d *Dataset) NumClasses() int { return d.man.NumClasses }
 
 // Labels returns the whole graph's per-node label array (labels[v] is
-// node v's class id), lazily loaded and cached on first call. The array
-// is node-proportional — 4 bytes per node, half the offset index the
+// node v's class id), lazily loaded and cached on first call. The load
+// re-verifies the file exactly as Open did, so a label file replaced
+// after Open fails here instead of being trained on. The array is
+// node-proportional — 4 bytes per node, half the offset index the
 // sampler already holds — which is what lets the training consumer keep
 // every target's supervision in memory while the features stay on disk
 // behind the ring. Callers must not mutate the returned slice.
@@ -104,14 +130,10 @@ func (d *Dataset) Labels() ([]uint32, error) {
 		return nil, fmt.Errorf("storage: dataset %s has no label file", d.dir)
 	}
 	d.labelsOnce.Do(func() {
-		data, err := os.ReadFile(d.labelPath)
-		if err != nil {
-			d.labelsErr = fmt.Errorf("storage: load labels: %w", err)
+		labels := make([]uint32, d.man.NumNodes)
+		if err := readLabels(d.labelPath, d.man, labels); err != nil {
+			d.labelsErr = err
 			return
-		}
-		labels := make([]uint32, len(data)/LabelBytes)
-		for i := range labels {
-			labels[i] = binary.LittleEndian.Uint32(data[i*LabelBytes:])
 		}
 		d.labels = labels
 	})

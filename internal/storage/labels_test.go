@@ -156,7 +156,7 @@ func TestOpenLabelsRejectsCorruption(t *testing.T) {
 				t.Fatal("no labelChecksum in manifest")
 			}
 			i += len(`"labelChecksum": "`)
-			copy(man[i:i+16], sum)
+			copy(man[i:i+len(sum)], sum)
 			if err := os.WriteFile(filepath.Join(dir, ManifestFile), man, 0o644); err != nil {
 				t.Fatal(err)
 			}

@@ -104,8 +104,8 @@ func (w *Writer) Add(src, dst uint32) error {
 // SetFeatures stages the feature-file metadata Finish records in the
 // manifest. The caller is responsible for having written
 // dir/features.bin with exactly featBytes = numNodes*dim*
-// FeatureElemBytes bytes whose FNV-1a 64 digest is checksum — Open
-// re-verifies all three.
+// FeatureElemBytes bytes whose ChecksumFile digest (CRC-32C) is
+// checksum — Open re-verifies all three.
 func (w *Writer) SetFeatures(dim int, featBytes int64, checksum string) error {
 	if dim <= 0 {
 		return fmt.Errorf("storage: feature dim %d must be positive", dim)
@@ -122,8 +122,8 @@ func (w *Writer) SetFeatures(dim int, featBytes int64, checksum string) error {
 // SetLabels stages the label-file metadata Finish records in the
 // manifest. The caller is responsible for having written dir/labels.bin
 // with numNodes little-endian uint32 class ids, all in
-// [0, numClasses), whose FNV-1a 64 digest is checksum — Open re-verifies
-// every record.
+// [0, numClasses), whose ChecksumFile digest (CRC-32C) is checksum —
+// Open re-verifies every record.
 func (w *Writer) SetLabels(numClasses int, checksum string) error {
 	if numClasses < 2 {
 		return fmt.Errorf("storage: numClasses %d must be at least 2", numClasses)

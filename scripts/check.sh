@@ -6,9 +6,14 @@
 #
 # QUICK=1 passes -short to go test, which skips the slow tests
 # (TestFaultSweepFull's rate sweep, TestKnobMatrixFillsRing on a
-# generated 100k-node graph); the default runs everything under -race.
+# generated 100k-node graph, the harness's smoke run); the default runs
+# everything under -race.
 set -eu
 cd "$(dirname "$0")/.."
+short=
+if [ "${QUICK:-0}" = "1" ]; then
+    short=-short
+fi
 
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -24,11 +29,13 @@ go vet ./...
 go build ./...
 
 # The benchmark harness is a module of its own (cmd/bench/go.mod), so
-# nothing above compiles it: vet it and run its unit tests (-short skips
-# the 20k-node smoke run) so an API change underneath it cannot break
-# the benchmark silently.
+# nothing above compiles it: vet it and run its tests so an API change
+# underneath it cannot break the benchmark silently. The smoke run
+# (TestSmokeNoDrift, ~7 s on 2 cores) generates a 20k-node dataset,
+# checksums it and opens it through every workload — the path a
+# dataset-format change moves.
 go vet -C cmd/bench ./...
-go test -C cmd/bench -short ./...
+go test -C cmd/bench $short ./...
 
 # Determinism gates, also part of the full suite below — run first so a
 # break fails loudly and early. Per-batch digests identical across
@@ -44,11 +51,7 @@ go test -race -run 'TestShardConformance' ./internal/serve
 go test -race -run 'TestTrainThreadInvariance|TestTrainOverlappedMatchesSerialized' ./internal/train
 go test -race -run 'TestFeatureCacheThreadInvariance|TestFeatureCacheBypassAcrossReadmissions|TestFeatureCacheReadmitConcurrentWithSamplers' ./internal/core
 
-if [ "${QUICK:-0}" = "1" ]; then
-    go test -race -short ./...
-else
-    go test -race ./...
-fi
+go test -race $short ./...
 
 # cmd/bench superseded the per-command sweep modes and their checked-in
 # JSON summaries; fail if either grows back outside it.
