@@ -27,25 +27,27 @@ import (
 	"sync"
 
 	"ringsampler/internal/memctl"
+	"ringsampler/internal/uring"
 )
 
 // Graph is the subset of a dataset the neighbor-cache builder reads: the
 // CSR offset index (NumNodes+1 entry indices; node v's list is entries
-// Offsets()[v] to Offsets()[v+1], read-only) and raw byte access to the
-// edge file. storage.Dataset satisfies it.
+// Offsets()[v] to Offsets()[v+1], read-only) and a batch read of the
+// edge file, which fills every read's Buf and returns the bytes it moved
+// from the file. storage.Dataset satisfies it.
 type Graph interface {
 	Offsets() []int64
-	ReadAt(p []byte, off int64) (int, error)
+	ReadBatch(reads []uring.Read) (int64, error)
 }
 
 // FeatureSource is the subset of a dataset the feature-cache builder
 // reads: the offset index (degree is the cold-start heat proxy), the
-// feature record stride, and raw byte access to the feature file.
+// feature record stride, and a batch read of the feature file.
 // storage.Dataset satisfies it.
 type FeatureSource interface {
 	Offsets() []int64
 	FeatureStride() int64
-	FeatureReadAt(p []byte, off int64) (int, error)
+	FeatureReadBatch(reads []uring.Read) (int64, error)
 }
 
 // Owner is optionally implemented by graphs that hold only a node
@@ -85,9 +87,9 @@ type source struct {
 	minDeg int64
 	// stride is the fixed row size; 0 means node v's row is its neighbor
 	// list, degree × EntryBytes at its entry range.
-	stride int64
-	readAt func(p []byte, off int64) (int, error)
-	what   string
+	stride    int64
+	readBatch func(reads []uring.Read) (int64, error)
+	what      string
 }
 
 func (s *source) numNodes() int64 { return int64(len(s.offsets)) - 1 }
@@ -134,7 +136,7 @@ type Hot struct {
 // one — which is what makes device traffic provably monotone in the
 // budget for a fixed workload. The neighbor cache is always static.
 func Build(g Graph, budget *memctl.Budget) (*Hot, error) {
-	return build(newSource(g, source{minDeg: 1, readAt: g.ReadAt, what: "list"}), budget, false)
+	return build(newSource(g, source{minDeg: 1, readBatch: g.ReadBatch, what: "list"}), budget, false)
 }
 
 // BuildFeatures pins feature vectors under budget, stride +
@@ -148,7 +150,7 @@ func BuildFeatures(g FeatureSource, budget *memctl.Budget) (*Hot, error) {
 	if stride <= 0 {
 		return nil, fmt.Errorf("cache: feature stride %d must be positive", stride)
 	}
-	return build(newSource(g, source{stride: stride, readAt: g.FeatureReadAt, what: "features"}), budget, true)
+	return build(newSource(g, source{stride: stride, readBatch: g.FeatureReadBatch, what: "features"}), budget, true)
 }
 
 // newSource completes src with g's offset index and owned node range.
@@ -208,18 +210,17 @@ func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 		h.off = append(h.off, dataBytes)
 	}
 	// Ascending id is file order for both layouts, and slots are handed
-	// out in the same order, so neighbouring rows merge into one read.
+	// out in the same order, so neighbouring rows merge into one read;
+	// the reads go out together.
 	fill := filler{src: src, data: h.data}
 	var at int64
 	for slot, v := range picked {
 		n := src.rowBytes(src.degree(int64(v)))
-		if err := fill.add(v, src.rowOff(int64(v)), at, n); err != nil {
-			return nil, err
-		}
+		fill.add(src.rowOff(int64(v)), at, n)
 		h.index.insert(v, slot)
 		at += n
 	}
-	if err := fill.flush(); err != nil {
+	if _, err := fill.run(); err != nil {
 		return nil, err
 	}
 	// Learning needs something to choose between, and room for its
@@ -232,46 +233,44 @@ func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 	return h, nil
 }
 
-// filler reads rows into the data buffer, merging rows that are adjacent
-// both in the file and in the buffer into one read.
+// filler plans the reads that copy rows from the file into the data
+// buffer, merging rows that are adjacent both in the file and in the
+// buffer into one read, and issues them all as one batch.
 type filler struct {
-	src  *source
-	data []byte
-
-	first            uint32 // node of the pending run's first row
-	fileOff, dataOff int64
-	n                int64
-
-	reads, bytes int64
+	src   *source
+	data  []byte
+	reads []uring.Read
+	at    int64 // data offset of the last planned read
+	bytes int64 // requested bytes planned
 }
 
 // maxFillRun bounds one merged read (an O_DIRECT source bounces the
-// whole read through an aligned copy).
+// whole read through an aligned window).
 const maxFillRun = 1 << 20
 
-func (f *filler) add(v uint32, fileOff, dataOff, n int64) error {
-	if f.n > 0 && fileOff == f.fileOff+f.n && dataOff == f.dataOff+f.n && f.n+n <= maxFillRun {
-		f.n += n
-		return nil
+// add plans the n-byte row at file offset fileOff into data[dataOff:].
+func (f *filler) add(fileOff, dataOff, n int64) {
+	f.bytes += n
+	if k := len(f.reads) - 1; k >= 0 {
+		last := &f.reads[k]
+		if m := int64(len(last.Buf)); fileOff == last.Off+m && dataOff == f.at+m && m+n <= maxFillRun {
+			last.Buf = f.data[f.at : dataOff+n]
+			return
+		}
 	}
-	if err := f.flush(); err != nil {
-		return err
-	}
-	f.first, f.fileOff, f.dataOff, f.n = v, fileOff, dataOff, n
-	return nil
+	f.reads = append(f.reads, uring.Read{Off: fileOff, Buf: f.data[dataOff : dataOff+n]})
+	f.at = dataOff
 }
 
-func (f *filler) flush() error {
-	if f.n == 0 {
-		return nil
+// run issues the planned reads and returns the bytes the source moved
+// from the file to serve them: f.bytes, plus alignment slack when the
+// source is O_DIRECT.
+func (f *filler) run() (int64, error) {
+	moved, err := f.src.readBatch(f.reads)
+	if err != nil {
+		return 0, fmt.Errorf("cache: fill %d bytes of %s in %d reads: %w", f.bytes, f.src.what, len(f.reads), err)
 	}
-	if _, err := f.src.readAt(f.data[f.dataOff:f.dataOff+f.n], f.fileOff); err != nil {
-		return fmt.Errorf("cache: read %d bytes of %s from node %d: %w", f.n, f.src.what, f.first, err)
-	}
-	f.reads++
-	f.bytes += f.n
-	f.n = 0
-	return nil
+	return moved, nil
 }
 
 // Lookup returns node v's cached row as raw file bytes (a neighbor list,

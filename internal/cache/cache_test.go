@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ringsampler/internal/memctl"
+	"ringsampler/internal/uring"
 )
 
 // fakeGraph is an in-memory CSR standing in for storage.Dataset.
@@ -18,8 +19,12 @@ func (g *fakeGraph) Offsets() []int64 { return g.offsets }
 func (g *fakeGraph) Range(v uint32) (int64, int64) {
 	return g.offsets[v], g.offsets[v+1]
 }
-func (g *fakeGraph) ReadAt(p []byte, off int64) (int, error) {
-	return copy(p, g.edges[off:]), nil
+func (g *fakeGraph) ReadBatch(reads []uring.Read) (int64, error) {
+	var moved int64
+	for _, rd := range reads {
+		moved += int64(copy(rd.Buf, g.edges[rd.Off:]))
+	}
+	return moved, nil
 }
 
 // buildFake makes a graph where node v has degrees[v] neighbors, each

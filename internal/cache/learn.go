@@ -103,7 +103,10 @@ func (h *Hot) Discard() {
 // admitted rows read from the file.
 type Readmission struct {
 	Admitted, Evicted int64 // rows
-	Reads, Bytes      int64 // fill reads issued and the bytes they moved
+	Reads, Bytes      int64 // fill reads issued and the row bytes they requested
+	// Moved is the bytes the fill moved from the file: Bytes, plus the
+	// alignment slack of the windows an O_DIRECT source reads.
+	Moved int64
 }
 
 // Readmit re-ranks the candidates by the folded heat and makes the
@@ -142,16 +145,8 @@ func (h *Hot) Readmit() (Readmission, error) {
 	}
 	// The cache is full before and after, so there is a free slot for
 	// every node still wanted. Ascending ids meet ascending slots, and
-	// neighbouring pairs merge into one read.
+	// neighbouring pairs merge into one read; the reads go out together.
 	fill := filler{src: src, data: h.data}
-	fail := func(err error) (Readmission, error) {
-		clear(h.index)
-		clear(l.want)
-		for slot := range l.slotNode {
-			l.slotNode[slot] = freeSlot
-		}
-		return Readmission{}, err
-	}
 	slot := 0
 	for wi, w := range l.want {
 		for ; w != 0; w &= w - 1 {
@@ -161,17 +156,20 @@ func (h *Hot) Readmit() (Readmission, error) {
 			}
 			l.slotNode[slot] = v
 			h.index.insert(v, slot)
-			if err := fill.add(v, src.rowOff(int64(v)), int64(slot)*h.stride, h.stride); err != nil {
-				return fail(err)
-			}
+			fill.add(src.rowOff(int64(v)), int64(slot)*h.stride, h.stride)
 			res.Admitted++
 		}
 		l.want[wi] = 0
 	}
-	if err := fill.flush(); err != nil {
-		return fail(err)
+	moved, err := fill.run()
+	if err != nil {
+		clear(h.index)
+		for slot := range l.slotNode {
+			l.slotNode[slot] = freeSlot
+		}
+		return Readmission{}, err
 	}
-	res.Reads, res.Bytes = fill.reads, fill.bytes
+	res.Reads, res.Bytes, res.Moved = int64(len(fill.reads)), fill.bytes, moved
 	l.dirty = false
 	return res, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ringsampler/internal/memctl"
+	"ringsampler/internal/uring"
 )
 
 // fakeFeatures is an in-memory feature file over a CSR offset index:
@@ -37,19 +38,23 @@ func (g *fakeFeatures) row(v uint32) []byte {
 	return rec
 }
 
-func (g *fakeFeatures) FeatureReadAt(p []byte, off int64) (int, error) {
-	g.reads++
-	if g.failAt > 0 {
-		if g.failAt--; g.failAt == 0 {
-			return 0, errFakeRead
+func (g *fakeFeatures) FeatureReadBatch(reads []uring.Read) (int64, error) {
+	var moved int64
+	for _, rd := range reads {
+		g.reads++
+		if g.failAt > 0 {
+			if g.failAt--; g.failAt == 0 {
+				return moved, errFakeRead
+			}
 		}
+		for p, off := rd.Buf, rd.Off; len(p) > 0; {
+			v, in := uint32(off/g.stride), off%g.stride
+			n := copy(p, g.row(v)[in:])
+			p, off = p[n:], off+int64(n)
+		}
+		moved += int64(len(rd.Buf))
 	}
-	for len(p) > 0 {
-		v, in := uint32(off/g.stride), off%g.stride
-		n := copy(p, g.row(v)[in:])
-		p, off = p[n:], off+int64(n)
-	}
-	return len(p), nil
+	return moved, nil
 }
 
 func newFakeFeatures(degrees []int64, stride int64) *fakeFeatures {
@@ -282,7 +287,7 @@ func TestReadmitMatchesSort(t *testing.T) {
 		if re.Admitted != int64(rows-stayed) || re.Evicted != re.Admitted {
 			t.Fatalf("round %d: admitted %d evicted %d, but %d of %d rows stayed", round, re.Admitted, re.Evicted, stayed, rows)
 		}
-		if re.Bytes != re.Admitted*stride || re.Reads != int64(f.reads) || re.Reads > re.Admitted {
+		if re.Bytes != re.Admitted*stride || re.Moved != re.Bytes || re.Reads != int64(f.reads) || re.Reads > re.Admitted {
 			t.Fatalf("round %d: fill reported %d reads / %d B for %d rows (%d reads seen)", round, re.Reads, re.Bytes, re.Admitted, f.reads)
 		}
 		if round == 0 && re.Admitted == 0 {
@@ -513,6 +518,17 @@ func TestReadmitFillFailure(t *testing.T) {
 		t.Fatal("recovered cache is not the reference top set")
 	}
 	assertRows(t, h, f, "after recovery")
+}
+
+// TestBuildFillFailure: a failed fill read at build fails the build with
+// the read error; no half-filled cache is returned.
+func TestBuildFillFailure(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	f := newFakeFeatures(tiedDegrees(rng, 300), 16)
+	f.failAt = 2
+	if h, err := BuildFeatures(f, memctl.New(100*(16+nodeOverheadBytes))); !errors.Is(err, errFakeRead) || h != nil {
+		t.Fatalf("BuildFeatures over a failing read returned %v, %v", h, err)
+	}
 }
 
 // TestLookupDuringReadmit runs readers that hold the read lock across

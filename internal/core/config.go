@@ -58,7 +58,10 @@ type Config struct {
 	// MaxIORetries bounds how many times one ring read is resubmitted
 	// after a transient result (-EINTR/-EAGAIN, or a short read's
 	// remaining byte range) before the worker surfaces a structured
-	// *IOError. 0 disables retries entirely.
+	// *IOError. 0 disables retries entirely. It governs the workers'
+	// sampling and feature reads; the cache fills at New and at
+	// re-admission run outside any worker and keep the default bound,
+	// uring.DefaultRetries.
 	MaxIORetries int
 	// FixedBuffers registers each worker's workspace arena with its ring
 	// (IORING_REGISTER_BUFFERS) and issues IORING_OP_READ_FIXED, skipping
@@ -134,7 +137,7 @@ func DefaultConfig() Config {
 		AsyncPipeline:  true,
 		OffsetSampling: true,
 		Seed:           1,
-		MaxIORetries:   8,
+		MaxIORetries:   uring.DefaultRetries,
 	}
 }
 

@@ -207,7 +207,8 @@ func (s *Sampler) RunEpochCtx(ctx context.Context, targets []uint32, onBatch fun
 // which batches ran then depends on timing — and the next such epoch
 // starts by re-admitting: the cache re-ranks by (heat, degree, id),
 // swaps the rows that changed, and the bytes that fill read are charged
-// to that epoch's IO. Counts are sums, so they do not depend on the
+// to that epoch's IO (FeatReads/FeatBytesRead, and on an O_DIRECT feature
+// file the windows' slack to AlignSlackBytes, as for sampling reads). Counts are sums, so they do not depend on the
 // order batches arrive in: an epoch's device bytes are a pure function
 // of (dataset, config, targets, seed) and the sampler's history of
 // completed epochs — never of Threads or timing. The first epoch of a
@@ -252,6 +253,7 @@ func (s *Sampler) RunEpochSeeded(ctx context.Context, seed uint64, targets []uin
 		}
 		stats.IO.FeatCacheAdmitted, stats.IO.FeatCacheEvicted = re.Admitted, re.Evicted
 		stats.IO.FeatReads, stats.IO.FeatBytesRead = re.Reads, re.Bytes
+		stats.IO.AlignSlackBytes = re.Moved - re.Bytes
 		stats.ReadmitSeconds = time.Since(t0).Seconds()
 	}
 	go func() {

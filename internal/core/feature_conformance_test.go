@@ -361,13 +361,13 @@ func TestFeatureCacheAdversarialOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := make([]byte, 0, 3*stride)
-			rec := make([]byte, stride)
-			for _, n := range nodes {
-				if _, err := ds.FeatureReadAt(rec, int64(n)*stride); err != nil {
-					t.Fatal(err)
-				}
-				want = append(want, rec...)
+			want := make([]byte, 3*stride)
+			reads := make([]uring.Read, len(nodes))
+			for i, n := range nodes {
+				reads[i] = uring.Read{Off: int64(n) * stride, Buf: want[int64(i)*stride : int64(i+1)*stride]}
+			}
+			if _, err := ds.FeatureReadBatch(reads); err != nil {
+				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("adversarial order corrupted the payload:\n got %x\nwant %x", got, want)

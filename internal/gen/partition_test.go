@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ringsampler/internal/storage"
+	"ringsampler/internal/uring"
 )
 
 // TestPartitionCoversGraphAndPreservesBytes: shard ranges tile
@@ -73,10 +74,10 @@ func TestPartitionCoversGraphAndPreservesBytes(t *testing.T) {
 				stride := full.FeatureStride()
 				want := make([]byte, stride)
 				got := make([]byte, stride)
-				if _, err := full.FeatureReadAt(want, v*stride); err != nil {
+				if _, err := full.FeatureReadBatch([]uring.Read{{Off: v * stride, Buf: want}}); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := sd.FeatureReadAt(got, v*stride); err != nil {
+				if _, err := sd.FeatureReadBatch([]uring.Read{{Off: v * stride, Buf: got}}); err != nil {
 					t.Fatalf("shard %d node %d feature read: %v", i, v, err)
 				}
 				if string(want) != string(got) {

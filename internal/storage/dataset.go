@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -75,6 +76,13 @@ func Open(dir string) (*Dataset, error) {
 // a truncated or inconsistent directory is rejected here rather than
 // surfacing as short reads mid-epoch.
 //
+// After the manifest, the three validations that read whole files run
+// concurrently: the offset index with the edge-file size, the feature
+// file and the label file, each checksummed on up to GOMAXPROCS cores.
+// Open waits for all three and reports the first failure in that fixed
+// order, whichever finished first, so what it accepts and the error it
+// returns do not depend on scheduling.
+//
 // A shard dataset (manifest NumShards > 0, DESIGN.md §12) carries the
 // full offset index but only the owned node range's slice of the edge
 // and feature files; the size checks then apply to the local slices and
@@ -97,41 +105,23 @@ func OpenWith(dir string, opts OpenOptions) (*Dataset, error) {
 		}
 		shardLo, shardHi = man.ShardLo, man.ShardHi
 	}
-	// The offset index is read before the edge-file size check because a
-	// shard's expected edge bytes are offsets[hi]-offsets[lo] entries; for
-	// an unsharded dataset the two orderings accept/reject identically
-	// (offsets must span exactly [0, NumEdges]).
-	offPath := filepath.Join(dir, OffsetsFile)
-	offsets, err := readOffsets(offPath, man.NumNodes)
-	if err != nil {
-		return nil, err
-	}
-	if offsets[0] != 0 || offsets[man.NumNodes] != man.NumEdges {
-		return nil, fmt.Errorf("storage: offset index %s spans [%d,%d], want [0,%d]", offPath, offsets[0], offsets[man.NumNodes], man.NumEdges)
-	}
-	for v := int64(0); v < man.NumNodes; v++ {
-		if offsets[v] > offsets[v+1] {
-			return nil, fmt.Errorf("storage: offset index %s not monotone at node %d", offPath, v)
-		}
-	}
-	wantEdgeBytes := (offsets[shardHi] - offsets[shardLo]) * EntryBytes
-	if man.BinBytes != wantEdgeBytes {
-		return nil, fmt.Errorf("storage: manifest %s binBytes %d != local entries*%d = %d", dir, man.BinBytes, EntryBytes, wantEdgeBytes)
-	}
-	edgePath := filepath.Join(dir, EdgesFile)
-	fi, err := os.Stat(edgePath)
-	if err != nil {
-		return nil, fmt.Errorf("storage: stat edge file: %w", err)
-	}
-	if fi.Size() != wantEdgeBytes {
-		return nil, fmt.Errorf("storage: edge file %s is %d bytes, manifest expects %d (truncated capture?)", edgePath, fi.Size(), wantEdgeBytes)
-	}
-	featPath, err := validateFeatures(dir, man, shardLo, shardHi)
-	if err != nil {
-		return nil, err
-	}
-	labelPath, err := validateLabels(dir, man)
-	if err != nil {
+	var (
+		wg                  sync.WaitGroup
+		featPath, labelPath string
+		featErr, labelErr   error
+	)
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		featPath, featErr = validateFeatures(dir, man, shardLo, shardHi)
+	}()
+	go func() {
+		defer wg.Done()
+		labelPath, labelErr = validateLabels(dir, man)
+	}()
+	offsets, edgeBytes, err := validateGraph(dir, man, shardLo, shardHi)
+	wg.Wait()
+	if err := cmp.Or(err, featErr, labelErr); err != nil {
 		return nil, err
 	}
 	d := &Dataset{
@@ -145,8 +135,9 @@ func OpenWith(dir string, opts OpenOptions) (*Dataset, error) {
 			return nil, fmt.Errorf("storage: open feature file: %w", err)
 		}
 	}
+	edgePath := filepath.Join(dir, EdgesFile)
 	if opts.Direct {
-		f, align, derr := openDirect(edgePath, fi.Size())
+		f, align, derr := openDirect(edgePath, edgeBytes)
 		if derr == nil {
 			d.f = f
 			d.directAlign = align
@@ -161,6 +152,41 @@ func OpenWith(dir string, opts OpenOptions) (*Dataset, error) {
 	}
 	d.f = f
 	return d, nil
+}
+
+// validateGraph reads the offset index and checks it and the edge file's
+// size against the manifest, returning the index and the local edge
+// bytes. The index is read before the edge-file size check because a
+// shard's expected edge bytes are offsets[hi]-offsets[lo] entries; for
+// an unsharded dataset the two orderings accept/reject identically
+// (offsets must span exactly [0, NumEdges]).
+func validateGraph(dir string, man Manifest, shardLo, shardHi int64) ([]int64, int64, error) {
+	offPath := filepath.Join(dir, OffsetsFile)
+	offsets, err := readOffsets(offPath, man.NumNodes)
+	if err != nil {
+		return nil, 0, err
+	}
+	if offsets[0] != 0 || offsets[man.NumNodes] != man.NumEdges {
+		return nil, 0, fmt.Errorf("storage: offset index %s spans [%d,%d], want [0,%d]", offPath, offsets[0], offsets[man.NumNodes], man.NumEdges)
+	}
+	for v := int64(0); v < man.NumNodes; v++ {
+		if offsets[v] > offsets[v+1] {
+			return nil, 0, fmt.Errorf("storage: offset index %s not monotone at node %d", offPath, v)
+		}
+	}
+	wantEdgeBytes := (offsets[shardHi] - offsets[shardLo]) * EntryBytes
+	if man.BinBytes != wantEdgeBytes {
+		return nil, 0, fmt.Errorf("storage: manifest %s binBytes %d != local entries*%d = %d", dir, man.BinBytes, EntryBytes, wantEdgeBytes)
+	}
+	edgePath := filepath.Join(dir, EdgesFile)
+	fi, err := os.Stat(edgePath)
+	if err != nil {
+		return nil, 0, fmt.Errorf("storage: stat edge file: %w", err)
+	}
+	if fi.Size() != wantEdgeBytes {
+		return nil, 0, fmt.Errorf("storage: edge file %s is %d bytes, manifest expects %d (truncated capture?)", edgePath, fi.Size(), wantEdgeBytes)
+	}
+	return offsets, wantEdgeBytes, nil
 }
 
 // openMaybeDirect opens path O_DIRECT when direct is requested and the
@@ -268,28 +294,24 @@ func (d *Dataset) DirectFallback() error { return d.directErr }
 
 // ReadAt reads raw edge-file bytes at the given GLOBAL byte offset
 // (entry index * EntryBytes over the whole graph). It is the access
-// path for consumers that want file bytes without a ring — the
-// hot-neighbor cache builder reads each pinned node's list through it.
-// On a shard dataset the offset is translated into the local slice, so
-// callers address owned nodes exactly as they would on the full
-// dataset; reads outside the owned slice fail like any out-of-file
-// read. On an O_DIRECT handle, arbitrary offsets and lengths are
-// served through an aligned bounce buffer, so callers stay oblivious
-// to the alignment constraint.
+// path for consumers that want one range of file bytes without a ring —
+// the weighted alias build reads each hub's list through it; consumers
+// with many ranges use ReadBatch. On a shard dataset the offset is
+// translated into the local slice, so callers address owned nodes
+// exactly as they would on the full dataset; reads outside the owned
+// slice fail like any out-of-file read. On an O_DIRECT handle,
+// arbitrary offsets and lengths are served through an aligned bounce
+// buffer, so callers stay oblivious to the alignment constraint.
 func (d *Dataset) ReadAt(p []byte, off int64) (int, error) {
-	return readAtMaybeDirect(d.f, d.directAlign, p, off-d.entryBase*EntryBytes)
-}
-
-// readAtMaybeDirect serves an arbitrary (offset, length) read from f,
-// bouncing through an aligned buffer when the handle is O_DIRECT.
-func readAtMaybeDirect(f *os.File, align int, p []byte, off int64) (int, error) {
+	off -= d.entryBase * EntryBytes
+	align := d.directAlign
 	if align == 0 || len(p) == 0 {
-		return f.ReadAt(p, off)
+		return d.f.ReadAt(p, off)
 	}
 	lo := AlignDown(off, align)
 	hi := AlignUp(off+int64(len(p)), align)
 	buf := AlignedSlice(int(hi-lo), align)
-	n, err := f.ReadAt(buf, lo)
+	n, err := d.f.ReadAt(buf, lo)
 	got := int64(n) - (off - lo)
 	if got < 0 {
 		got = 0

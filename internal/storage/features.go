@@ -2,8 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -24,33 +22,6 @@ const (
 	// count the manifest accepts.
 	maxFeatureDim = 1 << 20
 )
-
-// castagnoli is the CRC-32C polynomial table. CRC-32C is the on-disk
-// format's one integrity checksum (DESIGN.md §10): hash/crc32 runs it
-// on the SSE4.2 / ARMv8 CRC instructions, so checking a file costs
-// about as much as reading it, and every error burst of up to 32 bits
-// changes the sum.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// formatChecksum renders a CRC-32C as the fixed-width 8-hex-digit form
-// the manifest records.
-func formatChecksum(sum uint32) string { return fmt.Sprintf("%08x", sum) }
-
-// ChecksumFile streams path through CRC-32C and returns the fixed-width
-// hex digest recorded in (and verified against) the manifest's
-// featChecksum and labelChecksum fields.
-func ChecksumFile(path string) (string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", fmt.Errorf("storage: open %s for checksum: %w", path, err)
-	}
-	defer f.Close()
-	h := crc32.New(castagnoli)
-	if _, err := io.Copy(h, f); err != nil {
-		return "", fmt.Errorf("storage: checksum %s: %w", path, err)
-	}
-	return formatChecksum(h.Sum32()), nil
-}
 
 // validateFeatures checks the manifest's feature fields against the
 // directory contents with the same strictness as the edge-file checks:
@@ -125,16 +96,3 @@ func (d *Dataset) FeatureFile() *os.File { return d.featF }
 // FeatureAlign returns the O_DIRECT transfer granularity of the feature
 // file handle, or 0 when the handle is buffered (or absent).
 func (d *Dataset) FeatureAlign() int { return d.featAlign }
-
-// FeatureReadAt reads raw feature-file bytes at the given GLOBAL byte
-// offset (node id * stride over the whole graph) — the ringless access
-// path the feature-cache builder uses, with the same aligned bounce
-// handling as ReadAt when the handle is O_DIRECT. On a shard dataset
-// the offset is translated into the local slice of owned nodes'
-// records, mirroring ReadAt.
-func (d *Dataset) FeatureReadAt(p []byte, off int64) (int, error) {
-	if d.featF == nil {
-		return 0, fmt.Errorf("storage: dataset %s has no feature file", d.dir)
-	}
-	return readAtMaybeDirect(d.featF, d.featAlign, p, off-d.shardLo*d.FeatureStride())
-}

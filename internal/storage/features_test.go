@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ringsampler/internal/uring"
 )
 
 // writeFeatureDataset builds a tiny featureful dataset by hand: the
@@ -66,8 +68,8 @@ func TestOpenFeaturesRoundTrip(t *testing.T) {
 	stride := ds.FeatureStride()
 	buf := make([]byte, stride)
 	for v := int64(0); v < ds.NumNodes(); v++ {
-		if _, err := ds.FeatureReadAt(buf, v*stride); err != nil {
-			t.Fatalf("FeatureReadAt(node %d): %v", v, err)
+		if _, err := ds.FeatureReadBatch([]uring.Read{{Off: v * stride, Buf: buf}}); err != nil {
+			t.Fatalf("FeatureReadBatch(node %d): %v", v, err)
 		}
 		if want := feats[v*stride : (v+1)*stride]; !bytes.Equal(buf, want) {
 			t.Fatalf("node %d feature bytes = %x, want %x", v, buf, want)
@@ -98,8 +100,8 @@ func TestOpenEdgeOnlyHasNoFeatures(t *testing.T) {
 		t.Fatalf("edge-only dataset reports features: has=%v dim=%d stride=%d",
 			ds.HasFeatures(), ds.FeatureDim(), ds.FeatureStride())
 	}
-	if _, err := ds.FeatureReadAt(make([]byte, 4), 0); err == nil {
-		t.Fatal("FeatureReadAt on an edge-only dataset did not error")
+	if _, err := ds.FeatureReadBatch([]uring.Read{{Buf: make([]byte, 4)}}); err == nil {
+		t.Fatal("FeatureReadBatch on an edge-only dataset did not error")
 	}
 }
 
@@ -325,7 +327,7 @@ func FuzzOpenFeatures(f *testing.F) {
 		}
 		buf := make([]byte, stride)
 		last := ds.NumNodes() - 1
-		if _, err := ds.FeatureReadAt(buf, last*stride); err != nil {
+		if _, err := ds.FeatureReadBatch([]uring.Read{{Off: last * stride, Buf: buf}}); err != nil {
 			t.Fatalf("accepted dataset cannot read node %d's record: %v", last, err)
 		}
 	})

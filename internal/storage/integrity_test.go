@@ -124,6 +124,71 @@ func TestOpenRejectsEveryCorruption(t *testing.T) {
 	ds.Close()
 }
 
+// TestOpenReportsFirstFailureInOrder: Open validates the offset index
+// (with the edge-file size), the feature file and the label file
+// concurrently, yet with any two of offsets, edges, features and labels
+// damaged it must return exactly the error the sequential checks did —
+// that of the file first in that order, as when it alone is damaged —
+// on every one of 100 runs.
+func TestOpenReportsFirstFailureInOrder(t *testing.T) {
+	dir := genDataset(t, 20_000, 80_000, 16, 5, 3) // features span several checksum chunks
+	damage := []struct {
+		file string
+		mut  func([]byte) []byte
+	}{
+		{storage.OffsetsFile, func(b []byte) []byte { return b[:len(b)-storage.OffsetBytes] }},
+		{storage.EdgesFile, func(b []byte) []byte { return b[:len(b)-storage.EntryBytes] }},
+		{storage.FeaturesFile, func(b []byte) []byte { b[len(b)*2/3] ^= 0x10; return b }},
+		{storage.LabelsFile, func(b []byte) []byte { b[len(b)/2] ^= 0x01; return b }},
+	}
+	orig := make([][]byte, len(damage))
+	for i, d := range damage {
+		b, err := os.ReadFile(filepath.Join(dir, d.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		orig[i] = b
+	}
+	write := func(i int, b []byte) {
+		if err := os.WriteFile(filepath.Join(dir, damage[i].file), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	openErr := func() string {
+		ds, err := storage.Open(dir)
+		if err == nil {
+			ds.Close()
+			return ""
+		}
+		return err.Error()
+	}
+	alone := make([]string, len(damage))
+	for i, d := range damage {
+		write(i, d.mut(bytes.Clone(orig[i])))
+		alone[i] = openErr()
+		write(i, orig[i])
+		if !strings.Contains(alone[i], d.file) {
+			t.Fatalf("damaged %s alone: error %q does not name it", d.file, alone[i])
+		}
+	}
+	for i := range damage {
+		for j := i + 1; j < len(damage); j++ {
+			write(i, damage[i].mut(bytes.Clone(orig[i])))
+			write(j, damage[j].mut(bytes.Clone(orig[j])))
+			for run := 0; run < 100; run++ {
+				if got := openErr(); got != alone[i] {
+					t.Fatalf("%s and %s damaged, run %d: error %q, want %s's %q", damage[i].file, damage[j].file, run, got, damage[i].file, alone[i])
+				}
+			}
+			write(i, orig[i])
+			write(j, orig[j])
+		}
+	}
+	if got := openErr(); got != "" {
+		t.Fatalf("restored dataset fails Open: %s", got)
+	}
+}
+
 // TestLabelsRejectsFileReplacedAfterOpen: Labels re-verifies what it
 // loads. Two datasets of the same shape from different seeds have label
 // files of the same size with every id in range, so only the checksum

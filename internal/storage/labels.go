@@ -3,8 +3,6 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 )
@@ -58,17 +56,14 @@ func validateLabels(dir string, man Manifest) (string, error) {
 	return path, nil
 }
 
-// labelChunkBytes is how much of the label file readLabels holds at a
-// time: a whole number of records, so no record straddles two reads.
-const labelChunkBytes = 1 << 16
-
 // readLabels is the one reader of labels.bin, shared by Open and Labels
 // so the bytes a training consumer decodes are the bytes that were
-// verified. In a single pass over the file it checks the size (labels
-// are whole-graph, so NumNodes*LabelBytes even on a shard dataset),
-// range-checks every class id against NumClasses and folds the bytes
-// into a CRC-32C compared with LabelChecksum. When out is non-nil
-// (length NumNodes) it also receives the decoded labels.
+// verified. In one chunked, concurrent pass over the file (see checksum)
+// it checks the size (labels are whole-graph, so NumNodes*LabelBytes
+// even on a shard dataset), range-checks every class id against
+// NumClasses — reporting the first bad node — and compares the CRC-32C
+// with LabelChecksum. When out is non-nil (length NumNodes) it also
+// receives the decoded labels.
 func readLabels(path string, man Manifest, out []uint32) error {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -83,15 +78,9 @@ func readLabels(path string, man Manifest, out []uint32) error {
 		return fmt.Errorf("storage: open label file: %w", err)
 	}
 	defer f.Close()
-	var sum uint32
-	buf := make([]byte, min(want, labelChunkBytes))
-	for off := int64(0); off < want; {
-		chunk := buf[:min(want-off, int64(len(buf)))]
-		if _, err := io.ReadFull(f, chunk); err != nil {
-			return fmt.Errorf("storage: read label file %s at node %d: %w", path, off/LabelBytes, err)
-		}
-		for i := 0; i < len(chunk); i += LabelBytes {
-			lab := binary.LittleEndian.Uint32(chunk[i:])
+	sum, err := checksum(f, want, func(off int64, b []byte) error {
+		for i := 0; i < len(b); i += LabelBytes {
+			lab := binary.LittleEndian.Uint32(b[i:])
 			v := (off + int64(i)) / LabelBytes
 			if lab >= uint32(man.NumClasses) {
 				return fmt.Errorf("storage: label file %s has label %d out of range [0,%d) at node %d",
@@ -101,8 +90,10 @@ func readLabels(path string, man Manifest, out []uint32) error {
 				out[v] = lab
 			}
 		}
-		sum = crc32.Update(sum, castagnoli, chunk)
-		off += int64(len(chunk))
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if got := formatChecksum(sum); got != man.LabelChecksum {
 		return fmt.Errorf("storage: label file %s checksum %s != manifest %s (corrupt capture?)", path, got, man.LabelChecksum)
