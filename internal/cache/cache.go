@@ -175,20 +175,13 @@ func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 	if src.lo < 0 || src.hi > src.numNodes() || src.lo > src.hi {
 		return nil, fmt.Errorf("cache: owned range [%d,%d) outside the %d nodes", src.lo, src.hi, src.numNodes())
 	}
-	var maxDeg, numCands int64
-	for v := src.lo; v < src.hi; v++ {
-		if deg := src.degree(v); deg >= src.minDeg {
-			numCands++
-			maxDeg = max(maxDeg, deg)
-		}
-	}
-	rank := newRanking(src, maxDeg)
+	rank := newRanking(src)
 	allowance := budget.Remaining()
 	if allowance < 0 {
 		allowance = math.MaxInt64
 	}
-	var picked []uint32
-	rank.admitted(rank.selectTop(allowance), func(v uint32) { picked = append(picked, v) })
+	cut := rank.selectTop(allowance)
+	picked := rank.admitted(cut)
 	h := &Hot{stride: src.stride}
 	if len(picked) == 0 {
 		return h, nil
@@ -223,12 +216,12 @@ func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 	if _, err := fill.run(); err != nil {
 		return nil, err
 	}
-	// Learning needs something to choose between, and room for its
-	// counters beside the index inside the overhead already charged.
-	if learn && int64(len(picked)) < numCands {
-		if l := newLearner(rank, picked); h.index.bytes()+l.bytes() <= int64(len(picked))*nodeOverheadBytes {
-			h.learn = l
-		}
+	// Learning needs something to choose between — a cut that left a
+	// candidate out — and room for its counters beside the index inside
+	// the overhead already charged.
+	rows := int64(len(picked))
+	if learn && !cut.all && h.index.bytes()+learnerBytes(src.numNodes(), rows) <= rows*nodeOverheadBytes {
+		h.learn = newLearner(rank, picked)
 	}
 	return h, nil
 }

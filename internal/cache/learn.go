@@ -36,17 +36,23 @@ const (
 	heatMax  = 1<<16 - 1
 )
 
+// newLearner attaches counters, all zero, to the cold-start ranking of a
+// cache that pinned picked into slots in that order.
 func newLearner(rank ranking, picked []uint32) *learner {
+	n := rank.src.numNodes()
+	rank.heat = make([]uint32, n)
 	return &learner{
 		rank:     rank,
-		slotNode: append([]uint32(nil), picked...),
-		want:     make([]uint64, (rank.src.numNodes()+63)/64),
+		slotNode: picked,
+		want:     make([]uint64, (n+63)/64),
 	}
 }
 
-func (l *learner) bytes() int64 {
-	return int64(len(l.rank.heat))*4 + int64(len(l.slotNode))*4 + int64(len(l.want))*8
-}
+// learnerBytes is what a learner over numNodes nodes holds for a cache of
+// rows rows: the counters, the slot map and the bitmap.
+func learnerBytes(numNodes, rows int64) int64 { return numNodes*4 + rows*4 + (numNodes+63)/64*8 }
+
+func (l *learner) bytes() int64 { return learnerBytes(l.rank.src.numNodes(), int64(len(l.slotNode))) }
 
 // Adaptive reports whether the cache carries access counters and
 // re-ranks itself on Readmit. False for a nil cache, the neighbor cache,
@@ -124,8 +130,9 @@ func (h *Hot) Readmit() (Readmission, error) {
 	}
 	l := h.learn
 	src := l.rank.src
-	cut := l.rank.selectTop(int64(h.nodes) * l.rank.cost(0))
-	l.rank.admitted(cut, func(v uint32) { l.want[v>>6] |= 1 << (v & 63) })
+	for _, v := range l.rank.admitted(l.rank.selectTop(int64(h.nodes) * l.rank.cost(0))) {
+		l.want[v>>6] |= 1 << (v & 63)
+	}
 
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -3,7 +3,9 @@ package cache
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -76,10 +78,10 @@ func tiedDegrees(rng *rand.Rand, n int) []int64 {
 	return degrees
 }
 
-// referencePrefix is the order the selection must reproduce, the slow
-// obvious way: sort every candidate by (heat desc, degree desc, id asc)
-// and charge rows until the first that does not fit.
-func referencePrefix(degrees []int64, heat []uint32, minDeg int64, cost func(deg int64) int64, allowance int64) []uint32 {
+// referenceOrder is the order the selection must reproduce, the slow
+// obvious way: every candidate, sorted by (heat desc, degree desc, id
+// asc).
+func referenceOrder(degrees []int64, heat []uint32, minDeg int64) []uint32 {
 	var cands []uint32
 	for v, d := range degrees {
 		if d >= minDeg {
@@ -96,8 +98,14 @@ func referencePrefix(degrees []int64, heat []uint32, minDeg int64, cost func(deg
 		}
 		return a < b
 	})
+	return cands
+}
+
+// referencePrefix charges the reference order's rows until the first
+// that does not fit, and returns them in ascending id order.
+func referencePrefix(degrees []int64, heat []uint32, minDeg int64, cost func(deg int64) int64, allowance int64) []uint32 {
 	var picked []uint32
-	for _, v := range cands {
+	for _, v := range referenceOrder(degrees, heat, minDeg) {
 		c := cost(degrees[v])
 		if c > allowance {
 			break
@@ -105,8 +113,114 @@ func referencePrefix(degrees []int64, heat []uint32, minDeg int64, cost func(deg
 		allowance -= c
 		picked = append(picked, v)
 	}
-	sort.Slice(picked, func(i, j int) bool { return picked[i] < picked[j] })
+	slices.Sort(picked)
 	return picked
+}
+
+// coreCounts are the GOMAXPROCS settings the select is checked at: one
+// part — the sequential select — and 2, 3 and 8 parts, whose boundaries
+// fall on different nodes.
+var coreCounts = []int{1, 2, 3, 8}
+
+// cutBudgets returns allowances whose cut lands at every place the
+// select must get right, for the reference order over n nodes and its
+// rows' costs: before the first candidate (nothing admitted), inside the
+// hottest keys, inside the low digit (the first candidate of degree
+// below 2^digitBits, and half-way from there to the end), on and around
+// every part boundary at every core count — where tied keys straddle it
+// when the inputs put a run of ties there — and after every candidate
+// (everything admitted).
+func cutBudgets(order []uint32, n int, degrees []int64, cost func(deg int64) int64) []int64 {
+	pre := make([]int64, len(order)+1)
+	at := make([]int, n) // node → 1 + its position in order; 0: no candidate
+	for j, v := range order {
+		pre[j+1] = pre[j] + cost(degrees[v])
+		at[v] = j + 1
+	}
+	// fits(j) is an allowance under which exactly the first j fit.
+	fits := func(j int) int64 {
+		if j = max(j, 0); j >= len(order) {
+			return pre[len(order)]
+		}
+		return pre[j] + cost(degrees[order[j]]) - 1
+	}
+	budgets := []int64{fits(0), fits(1), fits(2), fits(3)}
+	if j := slices.IndexFunc(order, func(v uint32) bool { return degrees[v] < 1<<digitBits }); j >= 0 {
+		budgets = append(budgets, fits(j+1), fits(j+2), fits((j+len(order))/2))
+	}
+	for _, procs := range coreCounts {
+		parts := min(procs, n)
+		for k := 1; k < parts; k++ {
+			if j := at[n*k/parts] - 1; j >= 0 {
+				budgets = append(budgets, fits(j-1), fits(j), fits(j+1))
+			}
+		}
+	}
+	return append(budgets, fits(len(order)), fits(len(order))+1)
+}
+
+// tiesAtBoundaries gives the nodes around every part boundary at every
+// core count the same value, so that some cut there splits a run of ties
+// between two parts.
+func tiesAtBoundaries(vals []int64, value int64) {
+	n := len(vals)
+	for _, procs := range coreCounts {
+		for k := 1; k < min(procs, n); k++ {
+			b := n * k / min(procs, n)
+			for v := max(0, b-3); v < min(n, b+3); v++ {
+				vals[v] = value
+			}
+		}
+	}
+}
+
+// TestSelectCutsMatchSort drives the select routine itself through every
+// kind of cut (see cutBudgets), for neighbor lists and fixed rows, over
+// degree-only and learned keys, at every core count: each pick must be
+// the sort's, with runs of tied keys placed across every part boundary.
+func TestSelectCutsMatchSort(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	rng := rand.New(rand.NewSource(31))
+	const n, stride = 400, 24
+	degrees := tiedDegrees(rng, n)
+	tiesAtBoundaries(degrees, 7)
+	counts := make([]uint32, n)
+	for v := range counts {
+		counts[v] = []uint32{0, 1, 1, 2, 3, 3000}[rng.Intn(6)]
+		if degrees[v] == 7 { // the boundary runs stay tied under heat too
+			counts[v] = 2
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		src    *source
+		minDeg int64
+		cost   func(deg int64) int64
+	}{
+		{"lists", newSource(buildFake(degrees), source{minDeg: 1}), 1, func(d int64) int64 { return d*EntryBytes + nodeOverheadBytes }},
+		{"rows", newSource(newFakeFeatures(degrees, stride), source{stride: stride}), 0, func(int64) int64 { return stride + nodeOverheadBytes }},
+	} {
+		for _, heat := range [][]uint32{nil, counts} {
+			order := referenceOrder(degrees, heat, c.minDeg)
+			for _, procs := range coreCounts {
+				runtime.GOMAXPROCS(procs)
+				for _, allowance := range cutBudgets(order, n, degrees, c.cost) {
+					r := newRanking(c.src)
+					if heat != nil {
+						r.heat = make([]uint32, n)
+						for v, h := range heat {
+							r.heat[v] = h << 16
+							r.maxHeat = max(r.maxHeat, h)
+						}
+					}
+					got := r.admitted(r.selectTop(allowance))
+					if want := referencePrefix(degrees, heat, c.minDeg, c.cost, allowance); !slices.Equal(got, want) {
+						t.Fatalf("%s, learned %v, GOMAXPROCS %d, allowance %d: picked %v, sort picks %v", c.name, heat != nil, procs, allowance, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 func pinnedSet(h *Hot, n int) []uint32 {
@@ -120,10 +234,19 @@ func pinnedSet(h *Hot, n int) []uint32 {
 }
 
 // TestColdStartMatchesSort is the property the O(n) selection rests on:
-// on random degree sequences with heavy ties, at random budgets, both
-// builders pin exactly the (degree desc, id asc) prefix a full sort and
-// a charging loop pick, and charge exactly its cost.
+// on random degree sequences with heavy ties, at random budgets and at
+// every kind of cut (see cutBudgets), at every core count, both builders
+// pin exactly the (degree desc, id asc) prefix a full sort and a charging
+// loop pick, and charge exactly its cost.
 func TestColdStartMatchesSort(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range coreCounts {
+		runtime.GOMAXPROCS(procs)
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), coldStartMatchesSort)
+	}
+}
+
+func coldStartMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(400)
@@ -133,6 +256,9 @@ func TestColdStartMatchesSort(t *testing.T) {
 				degrees[i] = 5
 			}
 		}
+		if trial%10 == 1 {
+			tiesAtBoundaries(degrees, 7)
+		}
 		lists := func(deg int64) int64 { return deg*EntryBytes + nodeOverheadBytes }
 		var total int64
 		for _, d := range degrees {
@@ -140,7 +266,14 @@ func TestColdStartMatchesSort(t *testing.T) {
 				total += lists(d)
 			}
 		}
-		for _, limit := range []int64{1, nodeOverheadBytes + EntryBytes, 1 + rng.Int63n(total+1), total - 1, total, 0} {
+		limits := []int64{1, nodeOverheadBytes + EntryBytes, 1 + rng.Int63n(total+1), total - 1, total, 0}
+		// Every kind of cut, on a few trials: each build copies the rows.
+		cuts := trial%10 < 3
+		if cuts {
+			limits = append(limits, cutBudgets(referenceOrder(degrees, nil, 1), n, degrees, lists)...)
+		}
+		g := buildFake(degrees)
+		for _, limit := range limits {
 			if limit < 0 {
 				continue
 			}
@@ -148,7 +281,6 @@ func TestColdStartMatchesSort(t *testing.T) {
 			if limit == 0 {
 				allowance = 1 << 60
 			}
-			g := buildFake(degrees)
 			budget := memctl.New(limit)
 			h, err := Build(g, budget)
 			if err != nil {
@@ -163,7 +295,7 @@ func TestColdStartMatchesSort(t *testing.T) {
 				charged += lists(degrees[v])
 			}
 			if budget.Used() != charged {
-				t.Fatalf("trial %d list budget %d: charged %d, the prefix costs %d", trial, limit, budget.Used(), charged)
+				t.Fatalf("trial %d, list budget %d: charged %d, the prefix costs %d", trial, limit, budget.Used(), charged)
 			}
 			for _, v := range want {
 				if st, en := g.Range(v); !bytes.Equal(h.Lookup(v), g.edges[st*EntryBytes:en*EntryBytes]) {
@@ -174,7 +306,11 @@ func TestColdStartMatchesSort(t *testing.T) {
 
 		const stride = 24
 		rows := func(int64) int64 { return stride + nodeOverheadBytes }
-		for _, limit := range []int64{1, rows(0), rows(0)*int64(1+rng.Intn(n)) + int64(rng.Intn(40)), rows(0) * int64(n), 0} {
+		limits = []int64{1, rows(0), rows(0)*int64(1+rng.Intn(n)) + int64(rng.Intn(40)), rows(0) * int64(n), 0}
+		if cuts {
+			limits = append(limits, cutBudgets(referenceOrder(degrees, nil, 0), n, degrees, rows)...)
+		}
+		for _, limit := range limits {
 			allowance := limit
 			if limit == 0 {
 				allowance = 1 << 60
@@ -302,8 +438,17 @@ func TestReadmitMatchesSort(t *testing.T) {
 
 // TestSelectDeepKeys drives the select through keys of three degree
 // digits and two heat digits — every combination of "the cut is in the
-// bucket the scan looked ahead into" and "it is not" — against the sort.
+// bucket the scan looked ahead into" and "it is not" — against the sort,
+// at every core count.
 func TestSelectDeepKeys(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range coreCounts {
+		runtime.GOMAXPROCS(procs)
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), selectDeepKeys)
+	}
+}
+
+func selectDeepKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n, stride = 400, 16
 	values := []int64{0, 1, 1, 3, 2047, 2048, 5000, 4_200_000, 4_200_001, 9_000_000}
@@ -336,6 +481,53 @@ func TestSelectDeepKeys(t *testing.T) {
 				t.Fatalf("%d rows, round %d: pinned set differs from the sort", rows, round)
 			}
 			assertRows(t, h, f, "deep keys")
+		}
+	}
+}
+
+// TestReadmitSameAtEveryCoreCount: one sequence of three re-admissions,
+// run at every core count, pins after each round exactly the rows the
+// sequential select (GOMAXPROCS 1) pins — the sort's — and fills them
+// with the same reads.
+func TestReadmitSameAtEveryCoreCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const n, stride, rows = 700, 16, 260
+	degrees := tiedDegrees(rand.New(rand.NewSource(37)), n)
+	tiesAtBoundaries(degrees, 7)
+	cost := func(int64) int64 { return stride + nodeOverheadBytes }
+	var sequential [][]uint32
+	var fills []Readmission
+	for _, procs := range coreCounts {
+		runtime.GOMAXPROCS(procs)
+		h, f := adaptiveFake(t, degrees, stride, rows)
+		rng := rand.New(rand.NewSource(41))
+		heat := make([]uint32, n)
+		for round := 0; round < 3; round++ {
+			var batch []uint32
+			for v := range n {
+				// Degree-7 nodes, the runs across the part boundaries among
+				// them, are counted together and stay tied.
+				if degrees[v] == 7 && round > 0 || degrees[v] != 7 && rng.Intn(3) == 0 {
+					batch = append(batch, uint32(v))
+					heat[v]++
+				}
+			}
+			h.Count(batch)
+			h.Fold()
+			re, err := h.Readmit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := pinnedSet(h, n)
+			if procs == 1 {
+				if want := referencePrefix(degrees, heat, 0, cost, rows*cost(0)); !slices.Equal(got, want) {
+					t.Fatalf("round %d: the sequential select pinned %v, the sort picks %v", round, got, want)
+				}
+				sequential, fills = append(sequential, got), append(fills, re)
+			} else if !slices.Equal(got, sequential[round]) || re != fills[round] {
+				t.Fatalf("GOMAXPROCS %d, round %d: pinned %v with fill %+v; sequentially %v with %+v", procs, round, got, re, sequential[round], fills[round])
+			}
+			assertRows(t, h, f, "after re-admission")
 		}
 	}
 }

@@ -78,3 +78,42 @@ func TestDigestMatchesHashFNV(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkBatchDigest times Digest on a batch shaped like train_feat's:
+// fanouts {10,10} over 512 targets, and 4,200 feature rows of 128 B.
+// SetBytes is the feature payload, which the fold spends most of its
+// time on.
+func BenchmarkBatchDigest(b *testing.B) {
+	r := sample.NewRNG(5)
+	words := func(n int) []uint32 {
+		out := make([]uint32, n)
+		for i := range out {
+			out[i] = uint32(r.Next() % 1_000_000)
+		}
+		return out
+	}
+	layer := func(targets, fanout int) Layer {
+		starts := make([]int64, targets+1)
+		for i := range starts {
+			starts[i] = int64(i * fanout)
+		}
+		return Layer{Targets: words(targets), Starts: starts, Neighbors: words(targets * fanout)}
+	}
+	const rows, rowBytes = 4200, 128
+	batch := &Batch{
+		Layers:     []Layer{layer(512, 10), layer(3800, 10)},
+		FeatNodes:  words(rows),
+		Features:   make([]byte, rows*rowBytes),
+		FeatureDim: rowBytes / 4,
+	}
+	for i := range batch.Features {
+		batch.Features[i] = byte(r.Next())
+	}
+	b.SetBytes(int64(len(batch.Features)))
+	b.ResetTimer()
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink ^= batch.Digest()
+	}
+	_ = sink
+}

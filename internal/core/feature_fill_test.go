@@ -204,3 +204,34 @@ func BenchmarkNewFeatureCache(b *testing.B) {
 		b.SetBytes(pinned)
 	}
 }
+
+// BenchmarkNewNeighborCache times the cold start of a serving sampler:
+// New on a 100k-node graph with a neighbor cache of a quarter of
+// edges.dat, which selects the highest-degree lists and fills them.
+// SetBytes is the pinned list bytes.
+func BenchmarkNewNeighborCache(b *testing.B) {
+	dir := b.TempDir()
+	if _, err := gen.GenerateWith(dir, "coldstart", "rmat", 100_000, 800_000, 7, gen.Options{}); err != nil {
+		b.Fatal(err)
+	}
+	ds, err := storage.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ds.Close()
+	backend := uring.BackendPool
+	if uring.Probe().Ring {
+		backend = uring.BackendIOURing
+	}
+	cfg := DefaultConfig()
+	cfg.CacheBudgetBytes = ds.Manifest().BinBytes / 4
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := New(ds, cfg, backend)
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, pinned := s.CacheInfo()
+		b.SetBytes(pinned)
+	}
+}

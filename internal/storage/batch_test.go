@@ -2,9 +2,14 @@ package storage_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ringsampler/internal/storage"
@@ -67,6 +72,37 @@ func TestReadBatch(t *testing.T) {
 			if moved != want {
 				t.Fatalf("%s (direct %v): moved %d bytes, want %d", f.name, direct, moved, want)
 			}
+		}
+	}
+}
+
+// TestReadBatchFirstPartError: a batch is read in GOMAXPROCS parts at
+// once, and when several fail the error is the first part's — for reads
+// planned in file order, the lowest offset's — whichever part finished
+// first, on each of 100 runs.
+func TestReadBatchFirstPartError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	dir := genDataset(t, 20_000, 60_000, 0, 0, 9)
+	ds, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	size := ds.NumEdges() * storage.EntryBytes
+	// 400 equal reads cut into four parts of 100; parts 1, 2 and 3 each
+	// hold one read past the end of the file, at ascending offsets.
+	reads := make([]uring.Read, 400)
+	for i := range reads {
+		reads[i] = uring.Read{Off: int64(i) * 512, Buf: make([]byte, 64)}
+	}
+	for _, i := range []int{150, 250, 350} {
+		reads[i].Off = size + int64(i)
+	}
+	want := fmt.Sprintf("at offset %d: %v", size+150, io.ErrUnexpectedEOF)
+	for run := 0; run < 100; run++ {
+		_, err := ds.ReadBatch(reads)
+		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("run %d: error %v, want the read %s", run, err, want)
 		}
 	}
 }

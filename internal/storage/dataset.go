@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"unsafe"
 )
 
 // Dataset is an opened on-disk graph: the manifest, the in-memory
@@ -204,18 +205,36 @@ func openMaybeDirect(path string, size int64, direct bool) (*os.File, int, error
 	return f, 0, nil
 }
 
+// readOffsets reads the offset index of a numNodes-node graph. The file's
+// size is checked before anything is allocated, so a manifest that lies
+// about the node count costs a stat, and the index is then read straight
+// into the slice it is served from.
 func readOffsets(path string, numNodes int64) ([]int64, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: read offset index: %w", err)
 	}
-	want := (numNodes + 1) * OffsetBytes
-	if int64(len(data)) != want {
-		return nil, fmt.Errorf("storage: offset index %s is %d bytes, want %d (truncated capture?)", path, len(data), want)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("storage: read offset index: %w", err)
+	}
+	// The comparison cannot overflow; want, the message's, wraps for
+	// counts no file can match.
+	if size := fi.Size(); size%OffsetBytes != 0 || size/OffsetBytes-1 != numNodes {
+		want := (numNodes + 1) * OffsetBytes
+		return nil, fmt.Errorf("storage: offset index %s is %d bytes, want %d (truncated capture?)", path, size, want)
 	}
 	offsets := make([]int64, numNodes+1)
-	for i := range offsets {
-		offsets[i] = int64(binary.LittleEndian.Uint64(data[i*OffsetBytes:]))
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(offsets))), len(offsets)*OffsetBytes)
+	if _, err := io.ReadFull(f, raw); err != nil {
+		return nil, fmt.Errorf("storage: read offset index: %w", err)
+	}
+	if binary.NativeEndian.Uint16([]byte{1, 0}) != 1 {
+		// A big-endian host: decode the little-endian file in place.
+		for i := range offsets {
+			offsets[i] = int64(binary.LittleEndian.Uint64(raw[i*OffsetBytes:]))
+		}
 	}
 	return offsets, nil
 }
@@ -241,8 +260,7 @@ func (d *Dataset) Range(v uint32) (start, end int64) {
 // Offsets exposes the in-memory offset index itself: NumNodes+1 entry
 // indices, Range(v) = (Offsets()[v], Offsets()[v+1]), global on a shard
 // dataset like Range. For consumers that scan every node (the cache
-// builders rank all degrees several times over); callers must not
-// modify it.
+// builders' select reads every degree); callers must not modify it.
 func (d *Dataset) Offsets() []int64 { return d.offsets }
 
 // Degree returns node v's out-degree.

@@ -3,6 +3,8 @@ package storage
 import (
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -105,4 +107,108 @@ func corruptCount(man []byte) []byte {
 		}
 	}
 	return out
+}
+
+// TestFuzzSeedsKeepTheirVerdicts opens every checked-in seed of FuzzOpen,
+// FuzzOpenFeatures and FuzzOpenLabels and compares Open's verdict — "ok",
+// or the error with the temp dir written as DIR — with the one recorded
+// for it, seed by seed: a change to how Open reads or checks a file must
+// accept and reject exactly what it did, with the same message.
+func TestFuzzSeedsKeepTheirVerdicts(t *testing.T) {
+	files := map[string][]string{
+		"FuzzOpen":         {ManifestFile, OffsetsFile, EdgesFile},
+		"FuzzOpenFeatures": {ManifestFile, OffsetsFile, EdgesFile, FeaturesFile},
+		"FuzzOpenLabels":   {ManifestFile, OffsetsFile, EdgesFile, LabelsFile},
+	}
+	seen := 0
+	for target, names := range files {
+		seeds, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range seeds {
+			args := fuzzSeedArgs(t, seed)
+			if len(args) != len(names) {
+				t.Fatalf("%s: %d arguments, %s takes %d", seed, len(args), target, len(names))
+			}
+			dir := t.TempDir()
+			for i, name := range names {
+				if err := os.WriteFile(filepath.Join(dir, name), args[i], 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := "ok"
+			if ds, err := Open(dir); err != nil {
+				got = strings.ReplaceAll(err.Error(), dir, "DIR")
+			} else {
+				ds.Close()
+			}
+			key := target + "/" + filepath.Base(seed)
+			if want, ok := seedVerdicts[key]; !ok || got != want {
+				t.Errorf("seed %s: verdict %q, recorded %q", key, got, want)
+			}
+			seen++
+		}
+	}
+	if seen != len(seedVerdicts) {
+		t.Fatalf("%d seeds checked in, %d verdicts recorded", seen, len(seedVerdicts))
+	}
+}
+
+// fuzzSeedArgs decodes a corpus file of []byte arguments ("go test fuzz
+// v1", then one []byte("...") literal per line).
+func fuzzSeedArgs(t *testing.T, path string) [][]byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s: not a fuzz corpus file", path)
+	}
+	var args [][]byte
+	for _, line := range lines[1:] {
+		lit, ok := strings.CutPrefix(line, "[]byte(")
+		if lit, ok = strings.CutSuffix(lit, ")"); !ok {
+			t.Fatalf("%s: %q is not a []byte argument", path, line)
+		}
+		s, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		args = append(args, []byte(s))
+	}
+	return args
+}
+
+// seedVerdicts is Open's verdict on every checked-in seed, as recorded
+// while the offset index was still decoded from a copy of the file.
+var seedVerdicts = map[string]string{
+	"FuzzOpen/14073a29b88ab2fa":           "graph: decode manifest DIR/manifest.json: invalid character '\\n' in string literal",
+	"FuzzOpen/24ed21e2f5f0ea44":           "graph: decode manifest DIR/manifest.json: unexpected end of JSON input",
+	"FuzzOpen/3e575163d7a9efe6":           "graph: decode manifest DIR/manifest.json: invalid character '\\x01' looking for beginning of value",
+	"FuzzOpen/637a3b765c4d0b1c":           "storage: offset index DIR/offsets.idx not monotone at node 3",
+	"FuzzOpen/6ca18ac65166f9fc":           "graph: decode manifest DIR/manifest.json: invalid character '\\x7f' looking for beginning of value",
+	"FuzzOpen/74b222b5a80b9489":           "graph: decode manifest DIR/manifest.json: unexpected end of JSON input",
+	"FuzzOpen/7e14cd3b0acaca7b":           "graph: decode manifest DIR/manifest.json: invalid character 'A' after object key:value pair",
+	"FuzzOpen/8c43c88388885b6c":           "graph: decode manifest DIR/manifest.json: invalid character 'è' looking for beginning of value",
+	"FuzzOpen/b10bcad37f38c99d":           "graph: decode manifest DIR/manifest.json: invalid character '0' after object key",
+	"FuzzOpen/b6020ef4403a9e55":           "graph: manifest DIR/manifest.json has version 0, want 2",
+	"FuzzOpen/bec780b446763b2b":           "graph: decode manifest DIR/manifest.json: invalid character '\\x01' after object key",
+	"FuzzOpen/cbe341c9005d5f1d":           "graph: decode manifest DIR/manifest.json: invalid character '0' looking for beginning of object key string",
+	"FuzzOpen/d91734d62ad088ab":           "graph: decode manifest DIR/manifest.json: unexpected end of JSON input",
+	"FuzzOpenFeatures/checksum-flip":      "storage: feature file DIR/features.bin checksum 0760efaf != manifest 5a418fda (corrupt capture?)",
+	"FuzzOpenFeatures/dim-huge":           "storage: manifest DIR featureDim 1048577 exceeds limit 1048576",
+	"FuzzOpenFeatures/dim-zero":           "storage: manifest DIR has featureDim 0 but featBytes 64 / checksum \"5a418fda\" — inconsistent feature fields",
+	"FuzzOpenFeatures/stride-mismatch":    "storage: manifest DIR featBytes 60 != ownedNodes*dim*4 = 64 (stride mismatch)",
+	"FuzzOpenFeatures/truncated-features": "storage: feature file DIR/features.bin is 61 bytes, manifest expects 64 (truncated capture?)",
+	"FuzzOpenFeatures/valid-featureful":   "ok",
+	"FuzzOpenLabels/classes-huge":         "storage: manifest DIR numClasses 1048577 exceeds limit 1048576",
+	"FuzzOpenLabels/classes-negative":     "storage: manifest DIR has negative numClasses -3",
+	"FuzzOpenLabels/classes-shrunk":       "storage: label file DIR/labels.bin has label 2 out of range [0,2) at node 2",
+	"FuzzOpenLabels/classes-zero":         "storage: manifest DIR has numClasses 0 but labelChecksum \"e179b494\" — inconsistent label fields",
+	"FuzzOpenLabels/label-flip":           "storage: label file DIR/labels.bin has label 65280 out of range [0,3) at node 0",
+	"FuzzOpenLabels/truncated-labels":     "storage: label file DIR/labels.bin is 13 bytes, manifest expects 16 (truncated capture?)",
+	"FuzzOpenLabels/valid-labeled":        "ok",
 }

@@ -2,9 +2,11 @@ package storage
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -124,6 +126,40 @@ func TestOpenRejectsManifestMismatch(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil {
 		t.Fatal("Open accepted dataset with wrong manifest counts")
+	}
+}
+
+// TestOpenRejectsLyingNodeCount: a manifest that claims 2^40 nodes over
+// a 16-byte offset index is rejected by the index's size, with an error
+// naming the file, before anything near the claimed 8 TiB is allocated.
+func TestOpenRejectsLyingNodeCount(t *testing.T) {
+	dir := t.TempDir()
+	writeTestDataset(t, dir)
+	man, err := loadManifest(filepath.Join(dir, ManifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.NumNodes = 1 << 40
+	if err := man.Save(filepath.Join(dir, ManifestFile)); err != nil {
+		t.Fatal(err)
+	}
+	offPath := filepath.Join(dir, OffsetsFile)
+	if err := os.Truncate(offPath, 16); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ds, err := Open(dir)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		ds.Close()
+		t.Fatal("Open accepted 2^40 nodes over a 16-byte offset index")
+	}
+	if want := fmt.Sprintf("storage: offset index %s is 16 bytes, want %d (truncated capture?)", offPath, (1<<40+1)*OffsetBytes); err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the manifest allocated %d bytes", grew)
 	}
 }
 
