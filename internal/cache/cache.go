@@ -33,11 +33,11 @@ import (
 // Graph is the subset of a dataset the neighbor-cache builder reads: the
 // CSR offset index (NumNodes+1 entry indices; node v's list is entries
 // Offsets()[v] to Offsets()[v+1], read-only) and a batch read of the
-// edge file, which fills every read's Buf and returns the bytes it moved
-// from the file. storage.Dataset satisfies it.
+// edge file, which fills dst as the reads say and returns the bytes it
+// moved from the file. storage.Dataset satisfies it.
 type Graph interface {
 	Offsets() []int64
-	ReadBatch(reads []uring.Read) (int64, error)
+	ReadBatch(dst []byte, reads []uring.Read) (int64, error)
 }
 
 // FeatureSource is the subset of a dataset the feature-cache builder
@@ -47,7 +47,7 @@ type Graph interface {
 type FeatureSource interface {
 	Offsets() []int64
 	FeatureStride() int64
-	FeatureReadBatch(reads []uring.Read) (int64, error)
+	FeatureReadBatch(dst []byte, reads []uring.Read) (int64, error)
 }
 
 // Owner is optionally implemented by graphs that hold only a node
@@ -88,7 +88,7 @@ type source struct {
 	// stride is the fixed row size; 0 means node v's row is its neighbor
 	// list, degree × EntryBytes at its entry range.
 	stride    int64
-	readBatch func(reads []uring.Read) (int64, error)
+	readBatch func(dst []byte, reads []uring.Read) (int64, error)
 	what      string
 }
 
@@ -233,7 +233,6 @@ type filler struct {
 	src   *source
 	data  []byte
 	reads []uring.Read
-	at    int64 // data offset of the last planned read
 	bytes int64 // requested bytes planned
 }
 
@@ -244,22 +243,14 @@ const maxFillRun = 1 << 20
 // add plans the n-byte row at file offset fileOff into data[dataOff:].
 func (f *filler) add(fileOff, dataOff, n int64) {
 	f.bytes += n
-	if k := len(f.reads) - 1; k >= 0 {
-		last := &f.reads[k]
-		if m := int64(len(last.Buf)); fileOff == last.Off+m && dataOff == f.at+m && m+n <= maxFillRun {
-			last.Buf = f.data[f.at : dataOff+n]
-			return
-		}
-	}
-	f.reads = append(f.reads, uring.Read{Off: fileOff, Buf: f.data[dataOff : dataOff+n]})
-	f.at = dataOff
+	f.reads = uring.Append(f.reads, fileOff, dataOff, n, maxFillRun)
 }
 
 // run issues the planned reads and returns the bytes the source moved
 // from the file to serve them: f.bytes, plus alignment slack when the
 // source is O_DIRECT.
 func (f *filler) run() (int64, error) {
-	moved, err := f.src.readBatch(f.reads)
+	moved, err := f.src.readBatch(f.data, f.reads)
 	if err != nil {
 		return 0, fmt.Errorf("cache: fill %d bytes of %s in %d reads: %w", f.bytes, f.src.what, len(f.reads), err)
 	}

@@ -19,10 +19,10 @@ func (g *fakeGraph) Offsets() []int64 { return g.offsets }
 func (g *fakeGraph) Range(v uint32) (int64, int64) {
 	return g.offsets[v], g.offsets[v+1]
 }
-func (g *fakeGraph) ReadBatch(reads []uring.Read) (int64, error) {
+func (g *fakeGraph) ReadBatch(dst []byte, reads []uring.Read) (int64, error) {
 	var moved int64
 	for _, rd := range reads {
-		moved += int64(copy(rd.Buf, g.edges[rd.Off:]))
+		moved += int64(copy(dst[rd.Pos:rd.Pos+rd.Len], g.edges[rd.Off:]))
 	}
 	return moved, nil
 }

@@ -40,7 +40,7 @@ func (g *fakeFeatures) row(v uint32) []byte {
 	return rec
 }
 
-func (g *fakeFeatures) FeatureReadBatch(reads []uring.Read) (int64, error) {
+func (g *fakeFeatures) FeatureReadBatch(dst []byte, reads []uring.Read) (int64, error) {
 	var moved int64
 	for _, rd := range reads {
 		g.reads++
@@ -49,12 +49,12 @@ func (g *fakeFeatures) FeatureReadBatch(reads []uring.Read) (int64, error) {
 				return moved, errFakeRead
 			}
 		}
-		for p, off := rd.Buf, rd.Off; len(p) > 0; {
+		for p, off := dst[rd.Pos:rd.Pos+rd.Len], rd.Off; len(p) > 0; {
 			v, in := uint32(off/g.stride), off%g.stride
 			n := copy(p, g.row(v)[in:])
 			p, off = p[n:], off+int64(n)
 		}
-		moved += int64(len(rd.Buf))
+		moved += rd.Len
 	}
 	return moved, nil
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestSampleBatchAllocFlat pins the steady-state allocation count of
-// Worker.SampleBatchSeeded: once a worker's workspaces have grown to a
+// Worker.SampleBatchOpts: once a worker's workspaces have grown to a
 // batch's size, the only allocations left are the returned Batch itself
 // — the Batch, its Layers, and each layer's Targets, Starts and
 // Neighbors (plus FeatNodes and Features when the feature stage runs).
@@ -34,7 +34,7 @@ func TestSampleBatchAllocFlat(t *testing.T) {
 				t.Fatal(err)
 			}
 			sampleOne := func() {
-				if _, err := w.SampleBatchSeeded(targets, 42); err != nil {
+				if _, err := w.SampleBatchOpts(targets, BatchOpts{Seed: 42}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -45,7 +45,7 @@ func TestCacheDigestInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				b, err := w.SampleBatchSeeded(targets, sample.Mix(cfg.Seed, 0))
+				b, err := w.SampleBatchOpts(targets, BatchOpts{Seed: sample.Mix(cfg.Seed, 0)})
 				if err != nil {
 					t.Fatalf("backend=%v offset=%v budget=%d: %v", be, offset, budget, err)
 				}
@@ -131,7 +131,7 @@ func TestCacheAdversarialTargetOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := w.SampleBatchSeeded(targets, sample.Mix(cfg.Seed, 0))
+		got, err := w.SampleBatchOpts(targets, BatchOpts{Seed: sample.Mix(cfg.Seed, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestCacheAdversarialTargetOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := wo.SampleBatchSeeded(targets, sample.Mix(cfg.Seed, 0))
+		want, err := wo.SampleBatchOpts(targets, BatchOpts{Seed: sample.Mix(cfg.Seed, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestCacheMonotoneDeviceBytes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := w.SampleBatchSeeded(targets, sample.Mix(cfg.Seed, 0)); err != nil {
+			if _, err := w.SampleBatchOpts(targets, BatchOpts{Seed: sample.Mix(cfg.Seed, 0)}); err != nil {
 				t.Fatal(err)
 			}
 			st := w.IOStats()

@@ -29,6 +29,12 @@ func faultWrap(plan uring.FaultPlan) func(r uring.Ring, workerID int) (uring.Rin
 	}
 }
 
+// transientErrno reports whether e is one of the errnos the driver
+// retries.
+func transientErrno(e syscall.Errno) bool {
+	return e == syscall.EINTR || e == syscall.EAGAIN
+}
+
 func TestCrossBackendConformance(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
@@ -98,7 +104,7 @@ func TestCrossBackendConformance(t *testing.T) {
 			}
 			if c.wrap != nil {
 				st := w.IOStats()
-				fs, _ := uring.Faults(w.edge.ring)
+				fs, _ := uring.Faults(w.edge.Ring)
 				t.Logf("io stats: %+v; injected: %+v", st, fs)
 				if fs.Total() == 0 {
 					t.Fatal("fault-wrapped run injected nothing — plan too weak to prove anything")
@@ -112,7 +118,7 @@ func TestCrossBackendConformance(t *testing.T) {
 }
 
 // TestConformanceFullFetchUnderFaults: the full-neighborhood ablation
-// path shares issue(), so it must survive the same fault plan and agree
+// path shares the read driver, so it must survive the same fault plan and agree
 // with the fault-free offset path.
 func TestConformanceFullFetchUnderFaults(t *testing.T) {
 	ds := testDataset(t)

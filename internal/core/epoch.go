@@ -304,7 +304,7 @@ func (s *Sampler) RunEpochSeeded(ctx context.Context, seed uint64, targets []uin
 					hi = len(targets)
 				}
 				t0 := time.Now()
-				b, err := w.SampleBatchSeeded(targets[lo:hi], sample.Mix(seed, uint64(bi)))
+				b, err := w.SampleBatchOpts(targets[lo:hi], BatchOpts{Seed: sample.Mix(seed, uint64(bi))})
 				r := epochResult{index: bi, batch: b, lat: time.Since(t0), err: err}
 				if err != nil {
 					r.err = fmt.Errorf("core: epoch batch %d (worker %d): %w", bi, wid, err)

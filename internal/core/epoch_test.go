@@ -119,7 +119,7 @@ func TestEpochMatchesSeededBatches(t *testing.T) {
 	for bi := 0; bi < st.Batches; bi++ {
 		lo := bi * cfg.BatchSize
 		hi := min(lo+cfg.BatchSize, len(targets))
-		b, err := w.SampleBatchSeeded(targets[lo:hi], sample.Mix(cfg.Seed, uint64(bi)))
+		b, err := w.SampleBatchOpts(targets[lo:hi], BatchOpts{Seed: sample.Mix(cfg.Seed, uint64(bi))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +368,7 @@ func TestEpochCancellation(t *testing.T) {
 	for bi := 0; bi < delivered; bi++ {
 		lo := bi * cfg.BatchSize
 		hi := min(lo+cfg.BatchSize, len(targets))
-		b, err := w.SampleBatchSeeded(targets[lo:hi], sample.Mix(cfg.Seed, uint64(bi)))
+		b, err := w.SampleBatchOpts(targets[lo:hi], BatchOpts{Seed: sample.Mix(cfg.Seed, uint64(bi))})
 		if err != nil {
 			t.Fatal(err)
 		}

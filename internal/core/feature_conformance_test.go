@@ -226,10 +226,10 @@ func TestFeatureFaultRecovery(t *testing.T) {
 			if got.Digest() != refB.Digest() {
 				t.Fatal("digest differs under feature-ring faults")
 			}
-			if fs, ok := uring.Faults(w.edge.ring); ok && fs.Total() != 0 {
+			if fs, ok := uring.Faults(w.edge.Ring); ok && fs.Total() != 0 {
 				t.Fatalf("edge ring saw %d injected faults; the wrap was meant to be feature-only", fs.Total())
 			}
-			fs, ok := uring.Faults(w.feat.ring)
+			fs, ok := uring.Faults(w.feat.Ring)
 			if !ok || fs.Total() == 0 {
 				t.Fatal("feature ring injected nothing")
 			}
@@ -364,9 +364,9 @@ func TestFeatureCacheAdversarialOrder(t *testing.T) {
 			want := make([]byte, 3*stride)
 			reads := make([]uring.Read, len(nodes))
 			for i, n := range nodes {
-				reads[i] = uring.Read{Off: int64(n) * stride, Buf: want[int64(i)*stride : int64(i+1)*stride]}
+				reads[i] = uring.Read{Off: int64(n) * stride, Pos: int64(i) * stride, Len: stride}
 			}
-			if _, err := ds.FeatureReadBatch(reads); err != nil {
+			if _, err := ds.FeatureReadBatch(want, reads); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {

@@ -2,18 +2,13 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"io"
-	"syscall"
+
+	"ringsampler/internal/uring"
 )
 
-// ErrRingStalled marks a ring that violated the never-refuse-while-idle
-// contract: the worker had reads outstanding (fresh or awaiting retry),
-// nothing staged and nothing in flight, yet the ring refused every
-// PrepRead and produced no completions — the iteration could not make
-// progress and would have spun forever. Surfaced wrapped with the
-// stalled request counts; match with errors.Is.
-var ErrRingStalled = errors.New("ring refused to stage while idle")
+// ErrRingStalled marks a ring that refused to stage while idle (see
+// uring.ErrRingStalled); match with errors.Is.
+var ErrRingStalled = uring.ErrRingStalled
 
 // ErrWorkerBroken marks a worker whose ring could not be proven empty
 // after a failed batch: the ring errored (or stopped producing
@@ -25,51 +20,8 @@ var ErrRingStalled = errors.New("ring refused to stage while idle")
 var ErrWorkerBroken = errors.New("worker ring may hold stale completions from a failed batch; create a new worker")
 
 // IOError is the structured error a worker surfaces when one ring read
-// cannot be completed: either a non-retryable errno came back, or the
-// bounded retry budget was exhausted by transient results (-EINTR,
-// -EAGAIN, short reads). Offset/Bytes describe the byte range that was
-// still outstanding when the worker gave up — after partial progress
-// through short reads, that is the unread tail, not the original
-// request.
-type IOError struct {
-	// Offset is the edge-file byte offset of the failed read.
-	Offset int64
-	// Bytes is how many bytes were still outstanding.
-	Bytes int64
-	// Attempts is how many retries had been spent on the request.
-	Attempts int
-	// Errno is the final negated-errno result, or 0 when the retry
-	// budget was exhausted by short reads alone.
-	Errno syscall.Errno
-	// ShortRead records that the final completion before giving up was
-	// a short read — the device kept delivering truncated prefixes (or
-	// zero bytes, as reads at or past EOF do) until the retry budget ran
-	// out. It distinguishes a truncated-file/racing-writer condition
-	// from an errno failure without overloading Errno with a sentinel.
-	ShortRead bool
-}
-
-func (e *IOError) Error() string {
-	if e.Errno != 0 {
-		return fmt.Sprintf("core: read of %d bytes at offset %d failed after %d retries: %v",
-			e.Bytes, e.Offset, e.Attempts, e.Errno)
-	}
-	if e.ShortRead {
-		return fmt.Sprintf("core: read of %d bytes at offset %d: retry budget exhausted by short reads after %d attempts (truncated file or racing writer?)",
-			e.Bytes, e.Offset, e.Attempts)
-	}
-	return fmt.Sprintf("core: read of %d bytes at offset %d still short after %d retries",
-		e.Bytes, e.Offset, e.Attempts)
-}
-
-// Unwrap exposes the underlying cause for errors.Is/As: the final
-// errno, or io.ErrUnexpectedEOF for short-read exhaustion.
-func (e *IOError) Unwrap() error {
-	if e.Errno != 0 {
-		return e.Errno
-	}
-	return io.ErrUnexpectedEOF
-}
+// cannot be completed (see uring.IOError); match with errors.As.
+type IOError = uring.IOError
 
 // IOStats counts a worker's ring-level I/O activity, including the
 // retry traffic the fault-injection suite provokes. Counters accumulate
@@ -190,11 +142,4 @@ func (s *IOStats) Add(o IOStats) {
 // bytes (cache fills included).
 func (s *IOStats) DeviceBytes() int64 {
 	return s.BytesRead + s.AlignSlackBytes + s.FeatBytesRead
-}
-
-// transientErrno reports whether errno is worth retrying: the request
-// did not execute and may succeed verbatim. EWOULDBLOCK aliases EAGAIN
-// on every platform this builds on.
-func transientErrno(e syscall.Errno) bool {
-	return e == syscall.EINTR || e == syscall.EAGAIN
 }

@@ -285,7 +285,7 @@ func TestKnobsWithFaultsConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			assertBatchesEqual(t, ref, got, string(be))
-			fs, _ := uring.Faults(w.edge.ring)
+			fs, _ := uring.Faults(w.edge.Ring)
 			if fs.Total() == 0 {
 				t.Fatal("fault-wrapped run injected nothing")
 			}
@@ -327,7 +327,7 @@ func TestBadBufIndexSurfacesIOError(t *testing.T) {
 			if !errors.Is(err, syscall.EINVAL) {
 				t.Fatal("IOError does not unwrap to EINVAL")
 			}
-			fs, _ := uring.Faults(w.edge.ring)
+			fs, _ := uring.Faults(w.edge.Ring)
 			if fs.BadBufIndex == 0 {
 				t.Fatal("no buffer-index corruptions recorded")
 			}

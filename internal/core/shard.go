@@ -64,7 +64,7 @@ func (w *Worker) SampleLayer(frontier []uint32, p LayerParams) (*Layer, uint64, 
 	fan := strat.LayerFanout(p.Layer, p.Fanout)
 	w.frontier = append(w.frontier[:0], frontier...)
 	layer := new(Layer)
-	if err := w.sampleLayerOffset(layer, fan, strat); err != nil {
+	if err := w.sampleLayer(layer, fan, strat); err != nil {
 		return nil, 0, err
 	}
 	return layer, w.rng.State(), nil
@@ -99,16 +99,25 @@ func NextFrontierFor(name string, l *Layer, dst []uint32) ([]uint32, error) {
 }
 
 // FeatNodeUnion returns the batch's feature node set — layer-0 targets
-// plus every layer's sampled neighbors, sorted and deduplicated —
-// exactly the set fetchBatchFeatures computes, so a router-assembled
-// batch requests the same vectors in the same order as a single node.
+// plus every layer's sampled neighbors (deeper layers' targets are
+// subsets of earlier neighbors), sorted and deduplicated. It is the set
+// the feature stage of SampleBatchOpts fetches, collected by the same
+// loop, so a router-assembled batch requests the same vectors in the
+// same order as a single node.
 func FeatNodeUnion(b *Batch) []uint32 {
-	var nodes []uint32
+	var scratch []uint32
+	return featNodeUnion(b, nil, &scratch)
+}
+
+// featNodeUnion collects b's feature node set into buf, sorting with
+// scratch's help, and returns it (aliasing buf's backing array).
+func featNodeUnion(b *Batch, buf []uint32, scratch *[]uint32) []uint32 {
+	buf = buf[:0]
 	for li := range b.Layers {
 		if li == 0 {
-			nodes = append(nodes, b.Layers[li].Targets...)
+			buf = append(buf, b.Layers[li].Targets...)
 		}
-		nodes = append(nodes, b.Layers[li].Neighbors...)
+		buf = append(buf, b.Layers[li].Neighbors...)
 	}
-	return sample.SortDedup(nodes)
+	return sample.SortDedupScratch(buf, scratch)
 }

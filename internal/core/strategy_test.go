@@ -134,7 +134,7 @@ func TestStrategyBatchOptsOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ww.Close()
-	want, err := ww.SampleBatchSeeded(targets, seed)
+	want, err := ww.SampleBatchOpts(targets, BatchOpts{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

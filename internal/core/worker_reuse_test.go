@@ -14,7 +14,7 @@ import (
 // ring, so a reused worker's next Wait harvested stale CQEs whose IDs
 // were routed into the NEW batch's request table — silent buffer and
 // accounting corruption (or an index panic when an old ID exceeded the
-// new table). issue() now quarantines in-flight requests before
+// new table). The read driver now drains in-flight requests before
 // surfacing the error, and SampleBatch refuses a worker whose ring
 // could not be proven empty.
 
@@ -103,7 +103,7 @@ func TestWorkerReuseAfterFailedBatch(t *testing.T) {
 	}
 	defer w.Close()
 	t1 := testTargets(ds, 64)
-	_, err = w.SampleBatchSeeded(t1, sample.Mix(cfg.Seed, 1))
+	_, err = w.SampleBatchOpts(t1, BatchOpts{Seed: sample.Mix(cfg.Seed, 1)})
 	var ioe *IOError
 	if !errors.As(err, &ioe) || ioe.Errno != syscall.EIO {
 		t.Fatalf("failed batch: err = %v, want *IOError with EIO", err)
@@ -115,7 +115,7 @@ func TestWorkerReuseAfterFailedBatch(t *testing.T) {
 	// Reuse after quarantine: the second batch must match a fresh
 	// worker sampling the same (targets, seed) fault-free.
 	t2 := testTargets(ds, 48)
-	got, err := w.SampleBatchSeeded(t2, sample.Mix(cfg.Seed, 2))
+	got, err := w.SampleBatchOpts(t2, BatchOpts{Seed: sample.Mix(cfg.Seed, 2)})
 	if err != nil {
 		t.Fatalf("reused worker: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestWorkerReuseAfterFailedBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wf.Close()
-	want, err := wf.SampleBatchSeeded(t2, sample.Mix(cfg.Seed, 2))
+	want, err := wf.SampleBatchOpts(t2, BatchOpts{Seed: sample.Mix(cfg.Seed, 2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestWorkerReuseUnderFaultRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wc.Close()
-	ref, err := wc.SampleBatchSeeded(t2, seed2)
+	ref, err := wc.SampleBatchOpts(t2, BatchOpts{Seed: seed2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,13 +194,13 @@ func TestWorkerReuseUnderFaultRing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err1 := w.SampleBatchSeeded(t1, seed1)
+		_, err1 := w.SampleBatchOpts(t1, BatchOpts{Seed: seed1})
 		var ioe *IOError
 		if !errors.As(err1, &ioe) || ioe.Errno != syscall.EIO || w.IOStats().StaleDrained == 0 {
 			w.Close()
 			continue // batch 1 didn't fail mid-flight under this seed
 		}
-		got, err2 := w.SampleBatchSeeded(t2, seed2)
+		got, err2 := w.SampleBatchOpts(t2, BatchOpts{Seed: seed2})
 		if err2 != nil {
 			w.Close()
 			continue // injected -EIO hit batch 2 as well; try another seed
@@ -216,7 +216,7 @@ func TestWorkerReuseUnderFaultRing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := wf.SampleBatchSeeded(t2, seed2)
+		fresh, err := wf.SampleBatchOpts(t2, BatchOpts{Seed: seed2})
 		wf.Close()
 		if err != nil {
 			continue // fresh worker's ring replay hit -EIO earlier; seed unusable

@@ -74,10 +74,10 @@ func TestPartitionCoversGraphAndPreservesBytes(t *testing.T) {
 				stride := full.FeatureStride()
 				want := make([]byte, stride)
 				got := make([]byte, stride)
-				if _, err := full.FeatureReadBatch([]uring.Read{{Off: v * stride, Buf: want}}); err != nil {
+				if _, err := full.FeatureReadBatch(want, []uring.Read{{Off: v * stride, Len: stride}}); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := sd.FeatureReadBatch([]uring.Read{{Off: v * stride, Buf: got}}); err != nil {
+				if _, err := sd.FeatureReadBatch(got, []uring.Read{{Off: v * stride, Len: stride}}); err != nil {
 					t.Fatalf("shard %d node %d feature read: %v", i, v, err)
 				}
 				if string(want) != string(got) {

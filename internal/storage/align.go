@@ -1,6 +1,6 @@
 package storage
 
-import "unsafe"
+import "ringsampler/internal/uring"
 
 // Alignment helpers for the O_DIRECT read path. O_DIRECT demands that
 // file offsets, transfer lengths, and user memory are all multiples of
@@ -21,14 +21,4 @@ func AlignUp(v int64, align int) int64 {
 // starts on an align-byte boundary (align a power of two), suitable as
 // an O_DIRECT read destination. The slice keeps its own backing array
 // alive; no registration or pinning is implied.
-func AlignedSlice(n, align int) []byte {
-	raw := make([]byte, n+align)
-	var off int
-	if align > 0 {
-		base := int64(sliceAddr(raw))
-		off = int(AlignUp(base, align) - base)
-	}
-	return raw[off : off+n : off+n]
-}
-
-func sliceAddr(b []byte) uintptr { return uintptr(unsafe.Pointer(&b[0])) }
+func AlignedSlice(n, align int) []byte { return uring.AlignedSlice(n, align) }

@@ -9,40 +9,34 @@ import (
 	"ringsampler/internal/uring"
 )
 
-// directScratchBytes bounds the aligned scratch a batch read on an
-// O_DIRECT handle bounces its windows through, shared out among its
-// parts: windows are read a scratchful at a time, so memory does not grow
-// with the batch.
-const directScratchBytes = 4 << 20
-
-// ReadBatch fills every read's Buf from the edge file, Off being a
-// GLOBAL byte offset as for ReadAt, in one pass through rings with many
-// reads in flight, one ring per core — the access path of consumers that
-// read many ranges at once (the cache builders). It returns the bytes
-// moved from the file: the requested bytes on a buffered handle, the
-// aligned windows around them on an O_DIRECT one.
-func (d *Dataset) ReadBatch(reads []uring.Read) (int64, error) {
-	return readBatch(d.f, d.directAlign, reads, d.entryBase*EntryBytes)
+// ReadBatch fills dst from the edge file, read i landing at
+// dst[Pos:Pos+Len] from GLOBAL byte offset Off as for ReadAt, in one pass
+// through rings with many reads in flight, one ring per core — the access
+// path of consumers that read many ranges at once (the cache builders).
+// It returns the bytes moved from the file: the requested bytes on a
+// buffered handle, the aligned windows around them on an O_DIRECT one.
+func (d *Dataset) ReadBatch(dst []byte, reads []uring.Read) (int64, error) {
+	return readBatch(d.f, d.directAlign, dst, reads, d.entryBase*EntryBytes)
 }
 
 // FeatureReadBatch is ReadBatch over the feature file, Off being a
 // GLOBAL byte offset (node id * stride over the whole graph).
-func (d *Dataset) FeatureReadBatch(reads []uring.Read) (int64, error) {
+func (d *Dataset) FeatureReadBatch(dst []byte, reads []uring.Read) (int64, error) {
 	if d.featF == nil {
 		return 0, fmt.Errorf("storage: dataset %s has no feature file", d.dir)
 	}
-	return readBatch(d.featF, d.featAlign, reads, d.shardLo*d.FeatureStride())
+	return readBatch(d.featF, d.featAlign, dst, reads, d.shardLo*d.FeatureStride())
 }
 
 // readBatch reads reads from f, whose first byte is global offset base.
 // The reads are cut into up to GOMAXPROCS contiguous parts of about equal
 // cost, and each part goes through a one-shot ring of its own on a thread
 // of its own: io_uring where the probe allows it, the pread pool
-// otherwise. Each read's Need is ignored; every Buf is filled. The bytes
-// moved are summed over the parts; of several failing parts the first
-// one's error is returned — the lowest-offset one, the callers planning
-// their reads in file order — whichever finished first.
-func readBatch(f *os.File, align int, reads []uring.Read, base int64) (int64, error) {
+// otherwise. The bytes moved are summed over the parts; of several
+// failing parts the first one's error is returned — the lowest-offset
+// one, the callers planning their reads in file order — whichever
+// finished first.
+func readBatch(f *os.File, align int, dst []byte, reads []uring.Read, base int64) (int64, error) {
 	cuts := cutParts(reads, runtime.GOMAXPROCS(0))
 	moved := make([]int64, len(cuts)-1)
 	errs := make([]error, len(cuts)-1)
@@ -51,7 +45,7 @@ func readBatch(f *os.File, align int, reads []uring.Read, base int64) (int64, er
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			moved[p], errs[p] = readPart(f, align, reads[cuts[p]:cuts[p+1]], base, len(moved))
+			moved[p], errs[p] = readPart(f, align, dst, reads[cuts[p]:cuts[p+1]], base)
 		}()
 	}
 	wg.Wait()
@@ -82,12 +76,12 @@ func cutParts(reads []uring.Read, parts int) []int {
 	parts = min(parts, len(reads))
 	var total int64
 	for _, rd := range reads {
-		total += int64(len(rd.Buf)) + readCostBytes
+		total += rd.Len + readCostBytes
 	}
 	cuts := []int{0}
 	var sum int64
 	for i, rd := range reads {
-		sum += int64(len(rd.Buf)) + readCostBytes
+		sum += rd.Len + readCostBytes
 		// Cut after read i once the parts so far hold their share, while
 		// enough reads remain for the parts still to come.
 		if k := len(cuts); k < parts && sum*int64(parts) >= total*int64(k) && len(reads)-i-1 >= parts-k {
@@ -100,9 +94,9 @@ func cutParts(reads []uring.Read, parts int) []int {
 	return cuts
 }
 
-// readPart reads one part of a batch through a ring of its own. parts is
-// how many share the batch, and so the O_DIRECT scratch budget.
-func readPart(f *os.File, align int, reads []uring.Read, base int64, parts int) (int64, error) {
+// readPart reads one part of a batch through a ring and driver of its
+// own, with the default retry bound.
+func readPart(f *os.File, align int, dst []byte, reads []uring.Read, base int64) (int64, error) {
 	backend := uring.BackendPool
 	if uring.Probe().Ring {
 		backend = uring.BackendIOURing
@@ -116,60 +110,11 @@ func readPart(f *os.File, align int, reads []uring.Read, base int64, parts int) 
 		return 0, fmt.Errorf("batch read ring: %w", err)
 	}
 	defer ring.Close()
-	if align > 0 {
-		return readWindows(ring, align, reads, base, directScratchBytes/int64(parts))
-	}
 	local := make([]uring.Read, len(reads))
 	for i, rd := range reads {
-		local[i] = uring.Read{Off: rd.Off - base, Buf: rd.Buf}
+		local[i] = uring.Read{Off: rd.Off - base, Pos: rd.Pos, Len: rd.Len}
 	}
-	return uring.ReadAll(ring, local, 0, uring.DefaultRetries)
-}
-
-// readWindows serves reads from an O_DIRECT ring: each read becomes the
-// aligned window around it, read into a scratch of about scratchBytes
-// (at least the largest window) and copied out, a scratchful of windows
-// per ReadAll.
-func readWindows(ring uring.Ring, align int, reads []uring.Read, base, scratchBytes int64) (int64, error) {
-	var maxWin int64
-	for _, rd := range reads {
-		off := rd.Off - base
-		maxWin = max(maxWin, AlignUp(off+int64(len(rd.Buf)), align)-AlignDown(off, align))
-	}
-	scratch := AlignedSlice(int(max(maxWin, AlignUp(scratchBytes, align))), align)
-	var (
-		moved   int64
-		windows []uring.Read
-		used    int64
-		first   int // reads[first:] are not yet copied out
-	)
-	flush := func(end int) error {
-		n, err := uring.ReadAll(ring, windows, align, uring.DefaultRetries)
-		moved += n
-		if err != nil {
-			return err
-		}
-		for k, w := range windows {
-			rd := reads[first+k]
-			copy(rd.Buf, w.Buf[rd.Off-base-w.Off:])
-		}
-		windows, used, first = windows[:0], 0, end
-		return nil
-	}
-	for i, rd := range reads {
-		off := rd.Off - base
-		lo, hi := AlignDown(off, align), AlignUp(off+int64(len(rd.Buf)), align)
-		if used+hi-lo > int64(len(scratch)) {
-			if err := flush(i); err != nil {
-				return moved, err
-			}
-		}
-		windows = append(windows, uring.Read{
-			Off:  lo,
-			Buf:  scratch[used : used+hi-lo],
-			Need: int(off + int64(len(rd.Buf)) - lo),
-		})
-		used += hi - lo
-	}
-	return moved, flush(len(reads))
+	d := uring.Driver{Ring: ring, Align: align, Retries: uring.DefaultRetries}
+	err = d.Run(dst, local)
+	return d.Stats.Bytes + d.Stats.SlackBytes, err
 }

@@ -3,13 +3,11 @@ package storage_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 
 	"ringsampler/internal/storage"
@@ -36,7 +34,7 @@ func TestReadBatch(t *testing.T) {
 		for _, f := range []struct {
 			name  string
 			align int
-			read  func([]uring.Read) (int64, error)
+			read  func([]byte, []uring.Read) (int64, error)
 		}{
 			{storage.EdgesFile, ds.DirectAlign(), ds.ReadBatch},
 			{storage.FeaturesFile, ds.FeatureAlign(), ds.FeatureReadBatch},
@@ -47,26 +45,30 @@ func TestReadBatch(t *testing.T) {
 			}
 			size := int64(len(raw))
 			rng := rand.New(rand.NewSource(int64(len(raw))))
-			reads := []uring.Read{{Off: size - 3, Buf: make([]byte, 3)}}
+			reads := []uring.Read{{Off: size - 3, Len: 3}}
+			var dstLen int64 = 3
 			for len(reads) < 3000 {
 				off := rng.Int63n(size)
-				reads = append(reads, uring.Read{Off: off, Buf: make([]byte, 1+rng.Int63n(min(size-off, 3000)))})
+				n := 1 + rng.Int63n(min(size-off, 3000))
+				reads = append(reads, uring.Read{Off: off, Pos: dstLen, Len: n})
+				dstLen += n
 			}
+			dst := make([]byte, dstLen)
 			var want int64
 			for _, rd := range reads {
-				lo, hi := rd.Off, rd.Off+int64(len(rd.Buf))
+				lo, hi := rd.Off, rd.Off+rd.Len
 				if f.align > 0 {
 					lo, hi = storage.AlignDown(lo, f.align), min(storage.AlignUp(hi, f.align), size)
 				}
 				want += hi - lo
 			}
-			moved, err := f.read(reads)
+			moved, err := f.read(dst, reads)
 			if err != nil {
 				t.Fatalf("%s (direct %v): %v", f.name, direct, err)
 			}
 			for _, rd := range reads {
-				if !bytes.Equal(rd.Buf, raw[rd.Off:rd.Off+int64(len(rd.Buf))]) {
-					t.Fatalf("%s (direct %v): %d bytes at %d differ from the file", f.name, direct, len(rd.Buf), rd.Off)
+				if !bytes.Equal(dst[rd.Pos:rd.Pos+rd.Len], raw[rd.Off:rd.Off+rd.Len]) {
+					t.Fatalf("%s (direct %v): %d bytes at %d differ from the file", f.name, direct, rd.Len, rd.Off)
 				}
 			}
 			if moved != want {
@@ -79,7 +81,8 @@ func TestReadBatch(t *testing.T) {
 // TestReadBatchFirstPartError: a batch is read in GOMAXPROCS parts at
 // once, and when several fail the error is the first part's — for reads
 // planned in file order, the lowest offset's — whichever part finished
-// first, on each of 100 runs.
+// first, on each of 100 runs. A read past the end of the file completes
+// with zero bytes until its retry budget runs out.
 func TestReadBatchFirstPartError(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	dir := genDataset(t, 20_000, 60_000, 0, 0, 9)
@@ -93,16 +96,17 @@ func TestReadBatchFirstPartError(t *testing.T) {
 	// hold one read past the end of the file, at ascending offsets.
 	reads := make([]uring.Read, 400)
 	for i := range reads {
-		reads[i] = uring.Read{Off: int64(i) * 512, Buf: make([]byte, 64)}
+		reads[i] = uring.Read{Off: int64(i) * 512, Pos: int64(i) * 64, Len: 64}
 	}
+	dst := make([]byte, 400*64)
 	for _, i := range []int{150, 250, 350} {
 		reads[i].Off = size + int64(i)
 	}
-	want := fmt.Sprintf("at offset %d: %v", size+150, io.ErrUnexpectedEOF)
 	for run := 0; run < 100; run++ {
-		_, err := ds.ReadBatch(reads)
-		if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), want) {
-			t.Fatalf("run %d: error %v, want the read %s", run, err, want)
+		_, err := ds.ReadBatch(dst, reads)
+		var ioe *uring.IOError
+		if !errors.As(err, &ioe) || !errors.Is(err, io.ErrUnexpectedEOF) || ioe.Offset != size+150 {
+			t.Fatalf("run %d: error %v, want the read at offset %d past the end", run, err, size+150)
 		}
 	}
 }

@@ -68,7 +68,7 @@ func TestOpenFeaturesRoundTrip(t *testing.T) {
 	stride := ds.FeatureStride()
 	buf := make([]byte, stride)
 	for v := int64(0); v < ds.NumNodes(); v++ {
-		if _, err := ds.FeatureReadBatch([]uring.Read{{Off: v * stride, Buf: buf}}); err != nil {
+		if _, err := ds.FeatureReadBatch(buf, []uring.Read{{Off: v * stride, Len: stride}}); err != nil {
 			t.Fatalf("FeatureReadBatch(node %d): %v", v, err)
 		}
 		if want := feats[v*stride : (v+1)*stride]; !bytes.Equal(buf, want) {
@@ -100,7 +100,7 @@ func TestOpenEdgeOnlyHasNoFeatures(t *testing.T) {
 		t.Fatalf("edge-only dataset reports features: has=%v dim=%d stride=%d",
 			ds.HasFeatures(), ds.FeatureDim(), ds.FeatureStride())
 	}
-	if _, err := ds.FeatureReadBatch([]uring.Read{{Buf: make([]byte, 4)}}); err == nil {
+	if _, err := ds.FeatureReadBatch(make([]byte, 4), []uring.Read{{Len: 4}}); err == nil {
 		t.Fatal("FeatureReadBatch on an edge-only dataset did not error")
 	}
 }
@@ -327,7 +327,7 @@ func FuzzOpenFeatures(f *testing.F) {
 		}
 		buf := make([]byte, stride)
 		last := ds.NumNodes() - 1
-		if _, err := ds.FeatureReadBatch([]uring.Read{{Off: last * stride, Buf: buf}}); err != nil {
+		if _, err := ds.FeatureReadBatch(buf, []uring.Read{{Off: last * stride, Len: stride}}); err != nil {
 			t.Fatalf("accepted dataset cannot read node %d's record: %v", last, err)
 		}
 	})

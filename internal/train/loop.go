@@ -171,7 +171,7 @@ func (t *Trainer) EpochSerialized(ctx context.Context, s *core.Sampler, targets 
 		if hi > len(targets) {
 			hi = len(targets)
 		}
-		b, err := w.SampleBatchSeeded(targets[lo:hi], sample.Mix(epochSeed, uint64(bi)))
+		b, err := w.SampleBatchOpts(targets[lo:hi], core.BatchOpts{Seed: sample.Mix(epochSeed, uint64(bi))})
 		if err != nil {
 			return nil, fmt.Errorf("train: serialized batch %d: %w", bi, err)
 		}

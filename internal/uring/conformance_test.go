@@ -2,11 +2,7 @@ package uring
 
 import (
 	"bytes"
-	"errors"
 	"os"
-	"regexp"
-	"strconv"
-	"strings"
 	"syscall"
 	"testing"
 )
@@ -295,169 +291,6 @@ func TestRingConformanceIdlePrep(t *testing.T) {
 					}
 				}
 			}
-		})
-	}
-}
-
-// TestReadAllConformance runs the batch driver over every backend, the
-// fault-injecting ones included (short reads, -EINTR/-EAGAIN, delayed
-// and reordered completions, SQ-full refusals): every destination must
-// end byte-identical to the file, every byte delivered once, and the
-// ring idle. The windows case reads aligned windows, one of them past
-// EOF with only its head needed, through the align-resuming path.
-func TestReadAllConformance(t *testing.T) {
-	const n, align = 509, 64 // a file end inside a window
-	f := testFile(t, n)
-	raw, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	size := int64(len(raw))
-	for _, bk := range conformanceBackends(t) {
-		t.Run(bk.name, func(t *testing.T) {
-			r, err := bk.open(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			var reads []Read
-			var want int64
-			for _, p := range conformancePlan(n) {
-				reads = append(reads, Read{Off: p.off, Buf: make([]byte, p.n)})
-				want += int64(p.n)
-			}
-			moved, err := ReadAll(r, reads, 0, testRetries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, rd := range reads {
-				if !bytes.Equal(rd.Buf, raw[rd.Off:rd.Off+int64(len(rd.Buf))]) {
-					t.Fatalf("read at offset %d (%d bytes): bytes differ from the file", rd.Off, len(rd.Buf))
-				}
-			}
-			if moved != want {
-				t.Fatalf("moved %d bytes for %d requested", moved, want)
-			}
-			assertIdle(t, r)
-
-			var windows []Read
-			for lo := int64(0); lo < size; lo += 3 * align {
-				w := Read{Off: lo, Buf: make([]byte, 2*align)}
-				if end := lo + 2*align; end > size {
-					w.Need = int(size - lo)
-				}
-				windows = append(windows, w)
-			}
-			if windows[len(windows)-1].Need == 0 {
-				t.Fatal("no window straddles the end of the file")
-			}
-			if _, err := ReadAll(r, windows, align, testRetries); err != nil {
-				t.Fatal(err)
-			}
-			for _, w := range windows {
-				end := min(w.Off+int64(len(w.Buf)), size)
-				if !bytes.Equal(w.Buf[:end-w.Off], raw[w.Off:end]) {
-					t.Fatalf("window at offset %d: bytes differ from the file", w.Off)
-				}
-			}
-			assertIdle(t, r)
-			if st, ok := Faults(r); ok {
-				t.Logf("injected faults: %+v (total %d)", st, st.Total())
-			}
-		})
-	}
-}
-
-// testRetries is the retry bound of the ReadAll conformance runs: at the
-// nasty plan's rates (0.4 of attempts transient or short) the default
-// bound can exhaust legitimately, so it is raised as fault harnesses do.
-const testRetries = 64
-
-// TestReadAllRetryBound: a read that only ever completes -EINTR/-EAGAIN
-// is attempted exactly retries+1 times, then fails the batch naming the
-// errno and the attempts, with nothing in flight; 0 fails at once.
-func TestReadAllRetryBound(t *testing.T) {
-	f := testFile(t, 64)
-	for _, retries := range []int{0, 3} {
-		inner, err := New(BackendSim, f, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewFault(inner, FaultPlan{Seed: 5, TransientRate: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = ReadAll(r, []Read{{Off: 8, Buf: make([]byte, 16)}}, 0, retries)
-		if !errors.Is(err, syscall.EINTR) && !errors.Is(err, syscall.EAGAIN) {
-			t.Fatalf("retries %d: error %v, want a transient errno", retries, err)
-		}
-		if want := "after " + strconv.Itoa(retries+1) + " attempts"; !strings.Contains(err.Error(), want) {
-			t.Fatalf("retries %d: error %q does not say %q", retries, err, want)
-		}
-		if st, _ := Faults(r); st.Transient != int64(retries+1) {
-			t.Fatalf("retries %d: %d transient completions, want %d", retries, st.Transient, retries+1)
-		}
-		assertIdle(t, r)
-		r.Close()
-	}
-}
-
-// assertIdle checks that r holds nothing in flight: a fault ring's own
-// counters are inspected, and any ring must yield nothing on a poll.
-func assertIdle(t *testing.T, r Ring) {
-	t.Helper()
-	if fr, ok := r.(*faultRing); ok && (fr.inflight != 0 || fr.innerInflight != 0 || len(fr.held) != 0) {
-		t.Fatalf("fault ring still holds %d requests (%d below it, %d held)", fr.inflight, fr.innerInflight, len(fr.held))
-	}
-	if cqes, err := r.Wait(0); err != nil || len(cqes) != 0 {
-		t.Fatalf("idle ring polled %d completions (err %v)", len(cqes), err)
-	}
-}
-
-// TestReadAllHardError: a hard -EIO anywhere in the batch fails ReadAll
-// with an error that names the failing offset and unwraps to the errno,
-// and nothing is left in flight — on every inner backend.
-func TestReadAllHardError(t *testing.T) {
-	const n = 512
-	f := testFile(t, n)
-	backends := []Backend{BackendSim, BackendPool}
-	if Probe().Ring {
-		backends = append(backends, BackendIOURing)
-	}
-	for _, be := range backends {
-		t.Run(string(be), func(t *testing.T) {
-			inner, err := New(be, f, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := NewFault(inner, FaultPlan{Seed: 3, HardErrRate: 0.05, ShortReadRate: 0.1, DelayRate: 0.3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			var reads []Read
-			offsets := map[int64]bool{}
-			for _, p := range conformancePlan(n) {
-				reads = append(reads, Read{Off: p.off, Buf: make([]byte, p.n)})
-				for o := p.off; o < p.off+int64(p.n); o++ {
-					offsets[o] = true
-				}
-			}
-			_, err = ReadAll(r, reads, 0, testRetries)
-			if !errors.Is(err, syscall.EIO) {
-				t.Fatalf("ReadAll error %v, want one wrapping EIO", err)
-			}
-			m := regexp.MustCompile(`at offset (\d+)`).FindStringSubmatch(err.Error())
-			if m == nil {
-				t.Fatalf("error %q names no offset", err)
-			}
-			if off, _ := strconv.ParseInt(m[1], 10, 64); !offsets[off] {
-				t.Fatalf("error %q names offset %d, which no read requested", err, off)
-			}
-			if st, _ := Faults(r); st.Hard == 0 {
-				t.Fatal("no hard error was injected")
-			}
-			assertIdle(t, r)
 		})
 	}
 }

@@ -16,7 +16,9 @@
 // All backends share the io_uring shape deliberately: requests are
 // prepared into a bounded submission queue, published in one Submit,
 // and harvested as a batch of completions — the asynchronous group
-// pipeline of paper §3.2 depends on exactly these semantics.
+// pipeline of paper §3.2 depends on exactly these semantics. Driver is
+// that pipeline: the one read loop every reader of the engine runs on
+// a Ring.
 package uring
 
 import (

@@ -60,3 +60,11 @@ if git grep -n -e "${dash}bench-" -e "BENCH${under}" -- . ':!cmd/bench' ':!CHANG
     echo "check: a second measurement harness is growing back (matches above); use cmd/bench" >&2
     exit 1
 fi
+
+# Every read goes through uring.Driver (DESIGN.md §4); fail if a second
+# read loop grows back. cmd/bench's probe drives the raw ring on purpose,
+# and tests wrap rings.
+if git grep -n '\.PrepRead' -- '*.go' ':!internal/uring' ':!cmd/bench' ':!*_test.go'; then
+    echo "check: a second read loop is growing back (matches above); use uring.Driver" >&2
+    exit 1
+fi
