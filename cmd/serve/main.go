@@ -1,7 +1,8 @@
 // Command serve runs the online sampling service: an HTTP front end
-// that coalesces concurrent sampling requests into the micro-batches
-// the ring workers are built for, with admission control and a
-// Prometheus metrics surface (see DESIGN.md §8).
+// that cuts sampling requests into the mini-batch chunks the ring
+// workers are built for and admits them through a bounded queue to a
+// fixed pool of pinned workers, with a Prometheus metrics surface (see
+// DESIGN.md §8).
 //
 //	POST /v1/sample  — {"targets":[...],"fanouts":[...],"seed":N,"features":bool,"strategy":"..."}
 //	GET  /healthz    — liveness (503 while draining)
@@ -57,7 +58,6 @@ import (
 	"syscall"
 	"time"
 
-	"ringsampler/internal/core"
 	"ringsampler/internal/gen"
 	"ringsampler/internal/serve"
 	"ringsampler/internal/shard"
@@ -87,8 +87,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		featMB       = fs.Int64("feature-cache-mb", 0, "hot-node feature cache budget in MiB (0: cache off)")
 		featureDim   = fs.Int("feature-dim", 0, "per-node f32 feature dimension for the temporary graph (with empty -data; 0: no features)")
 		queue        = fs.Int("queue", 0, "admission queue bound in jobs; full queue fast-fails 429 (0: default 256)")
-		batchWindow  = fs.Duration("batch-window", 0, "max wait for more jobs before flushing a partial micro-batch (0: default 2ms)")
-		maxBatch     = fs.Int("max-batch", 0, "flush a micro-batch at this many targets (0: engine batch size)")
 		seed         = fs.Uint64("seed", 1, "seed for the temporary graph")
 		backend      = fs.String("backend", "auto", "ring backend: auto, io_uring, pool, sim")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max graceful-drain wait on SIGINT/SIGTERM")
@@ -159,18 +157,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			info := eng.Info()
 			fmt.Fprintf(out, "shard %d/%d at %s: nodes [%d,%d)\n", info.Index, info.Total, u, info.Lo, info.Hi)
 		}
-		srv, err := serve.NewRouter(engines, cfg)
-		if err != nil {
-			return err
-		}
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			return err
-		}
-		rt := srv.Router()
-		fmt.Fprintf(out, "routing %d shards: %d nodes, %d edges\n", rt.Shards(), rt.NumNodes(), rt.NumEdges())
-		fmt.Fprintf(out, "serving on http://%s\n", ln.Addr())
-		return serveLoop(ctx, out, srv, ln, *drainTimeout)
+		return route(ctx, out, engines, cfg, *addr, *drainTimeout)
 	}
 
 	dir := *data
@@ -213,12 +200,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *queue > 0 {
 		cfg.QueueDepth = *queue
 	}
-	if *batchWindow > 0 {
-		cfg.BatchWindow = *batchWindow
-	}
-	if *maxBatch > 0 {
-		cfg.MaxBatchTargets = *maxBatch
-	}
 
 	if *shards >= 2 {
 		// Sharded-local mode: partition by node range, run every shard
@@ -229,7 +210,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 		defer os.RemoveAll(tmp)
-		fmt.Fprintf(out, "partitioning %s into %d shards ...\n", dir, *shards)
+		fmt.Fprintf(out, "partitioning %s into %d shards (backend %s) ...\n", dir, *shards, cfg.Backend)
 		dirs, err := gen.Partition(dir, tmp, *shards)
 		if err != nil {
 			return err
@@ -254,18 +235,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			lo, hi := sds.ShardRange()
 			fmt.Fprintf(out, "shard %d/%d: nodes [%d,%d)\n", i, len(dirs), lo, hi)
 		}
-		srv, err := serve.NewRouter(engines, cfg)
-		if err != nil {
-			return err
-		}
-		ln, err := net.Listen("tcp", *addr)
-		if err != nil {
-			return err
-		}
-		rt := srv.Router()
-		fmt.Fprintf(out, "routing %d shards: %d nodes, %d edges; backend %s\n", rt.Shards(), rt.NumNodes(), rt.NumEdges(), cfg.Backend)
-		fmt.Fprintf(out, "serving on http://%s\n", ln.Addr())
-		return serveLoop(ctx, out, srv, ln, *drainTimeout)
+		return route(ctx, out, engines, cfg, *addr, *drainTimeout)
 	}
 
 	srv, err := serve.New(ds, cfg)
@@ -289,24 +259,31 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "dataset is shard %d/%d (nodes [%d,%d)): serving /v1/shard/* for a router\n",
 			ds.ShardIndex(), ds.NumShards(), lo, hi)
 	}
-	fmt.Fprintf(out, "serving on http://%s (%d workers, queue %d, window %v)\n",
-		ln.Addr(), eff.Core.Threads, eff.QueueDepth, eff.BatchWindow)
+	fmt.Fprintf(out, "serving on http://%s (%d workers, queue %d)\n", ln.Addr(), eff.Core.Threads, eff.QueueDepth)
 	return serveLoop(ctx, out, srv, ln, *drainTimeout)
 }
 
-// server is the surface the drain loop needs; serve.Server and
-// serve.RouterServer both provide it.
-type server interface {
-	Serve(net.Listener) error
-	Shutdown(context.Context) error
-	IOStats() core.IOStats
+// route serves the engines through the scatter/gather router front end.
+func route(ctx context.Context, out io.Writer, engines []shard.Engine, cfg serve.Config, addr string, drainTimeout time.Duration) error {
+	srv, err := serve.NewRouter(engines, cfg)
+	if err != nil {
+		return err
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	rt := srv.Router()
+	fmt.Fprintf(out, "routing %d shards: %d nodes, %d edges\n", rt.Shards(), rt.NumNodes(), rt.NumEdges())
+	fmt.Fprintf(out, "serving on http://%s\n", ln.Addr())
+	return serveLoop(ctx, out, srv, ln, drainTimeout)
 }
 
 // serveLoop serves until SIGINT/SIGTERM (or ctx is canceled), then
 // drains gracefully. The first signal stops admission and lets
 // in-flight requests finish (bounded by drainTimeout); a second signal
 // force-cancels.
-func serveLoop(ctx context.Context, out io.Writer, srv server, ln net.Listener, drainTimeout time.Duration) error {
+func serveLoop(ctx context.Context, out io.Writer, srv *serve.Server, ln net.Listener, drainTimeout time.Duration) error {
 	sigCtx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	done := make(chan error, 1)

@@ -59,15 +59,6 @@ func durBounds() []int64 {
 	return out
 }
 
-// sizeBounds covers [1, 65536] in power-of-two steps.
-func sizeBounds() []int64 {
-	out := make([]int64, 17)
-	for i := range out {
-		out[i] = 1 << i
-	}
-	return out
-}
-
 // metrics is the serving layer's observability surface, exported in
 // Prometheus text format by GET /metrics. Everything is atomic: the
 // hot path never takes a lock to count.
@@ -87,24 +78,19 @@ type metrics struct {
 	// Pipeline gauges and counters.
 	queueDepth     atomic.Int64 // jobs admitted but not yet picked up
 	inflight       atomic.Int64 // requests currently being handled
-	dispatched     atomic.Int64 // micro-batches flushed to the pool
 	workersRetired atomic.Int64 // broken workers retired and replaced
 
-	// Batch-shape and per-stage latency histograms.
-	batchTargets *hist // targets per micro-batch
-	batchJobs    *hist // jobs per micro-batch
-	queueWait    *hist // ns: enqueue → worker pickup
-	sampleLat    *hist // ns: one job's sampling time
-	requestLat   *hist // ns: admission → response, successful requests
+	// Per-stage latency histograms.
+	queueWait  *hist // ns: enqueue → worker pickup
+	sampleLat  *hist // ns: one job's sampling time
+	requestLat *hist // ns: admission → response, successful requests
 }
 
 func newMetrics() *metrics {
 	return &metrics{
-		batchTargets: newHist(sizeBounds()),
-		batchJobs:    newHist(sizeBounds()),
-		queueWait:    newHist(durBounds()),
-		sampleLat:    newHist(durBounds()),
-		requestLat:   newHist(durBounds()),
+		queueWait:  newHist(durBounds()),
+		sampleLat:  newHist(durBounds()),
+		requestLat: newHist(durBounds()),
 	}
 }
 
@@ -151,11 +137,8 @@ func (m *metrics) write(w io.Writer, ioStats core.IOStats, workers, queueCap int
 	writeMetric(w, "ringsampler_serve_queue_capacity", "gauge", "Bounded admission queue capacity (jobs).", int64(queueCap))
 	writeMetric(w, "ringsampler_serve_inflight_requests", "gauge", "Requests currently being handled.", m.inflight.Load())
 	writeMetric(w, "ringsampler_serve_workers", "gauge", "Size of the pinned worker pool.", int64(workers))
-	writeMetric(w, "ringsampler_serve_batches_total", "counter", "Micro-batches dispatched to the worker pool.", m.dispatched.Load())
 	writeMetric(w, "ringsampler_serve_workers_retired_total", "counter", "Broken workers retired and replaced.", m.workersRetired.Load())
 
-	writeHist(w, "ringsampler_serve_batch_targets", "Target nodes per dispatched micro-batch.", m.batchTargets, 1)
-	writeHist(w, "ringsampler_serve_batch_jobs", "Jobs per dispatched micro-batch.", m.batchJobs, 1)
 	writeHist(w, "ringsampler_serve_queue_wait_seconds", "Time from admission to worker pickup.", m.queueWait, 1e-9)
 	writeHist(w, "ringsampler_serve_sample_seconds", "Per-job engine sampling time.", m.sampleLat, 1e-9)
 	writeHist(w, "ringsampler_serve_request_seconds", "End-to-end latency of successful requests.", m.requestLat, 1e-9)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -14,22 +15,75 @@ import (
 // fails; the slot stays alive and retries on the next job.
 var errNoWorker = errors.New("serve: no worker available in this pool slot")
 
-// group is one micro-batch: the jobs a dispatch window coalesced,
-// executed back to back on a single leased worker.
-type group []*job
+// job is one unit of pool work: one Core.BatchSize chunk of a sample
+// request, or one shard-protocol call. run does the work on the slot's
+// worker and leaves its result where the handler will read it; the
+// slot then reports run's error — or why run never ran — to req.
+type job struct {
+	ctx context.Context
+	enq time.Time
+	run func(w *core.Worker) error
+	req *request
+}
+
+// request tracks the fan-out/fan-in of one API call across its jobs:
+// the first error wins, and done closes when the last job reports in.
+// The first error also cancels the context the request's jobs carry,
+// so sibling jobs still queued behind it are skipped (dead-context
+// check) instead of burning worker time on a response that is already
+// doomed.
+type request struct {
+	cancel context.CancelFunc
+	// batches[i] is chunk i's result, written by whoever ran the chunk
+	// before it reports in; read only after done closes.
+	batches []*core.Batch
+
+	mu     sync.Mutex
+	err    error
+	remain int
+	done   chan struct{}
+}
+
+func newRequest(jobs int, cancel context.CancelFunc) *request {
+	return &request{
+		cancel:  cancel,
+		batches: make([]*core.Batch, jobs),
+		remain:  jobs,
+		done:    make(chan struct{}),
+	}
+}
+
+func (r *request) jobDone(err error) {
+	r.mu.Lock()
+	first := err != nil && r.err == nil
+	if first {
+		r.err = err
+	}
+	r.remain--
+	last := r.remain == 0
+	r.mu.Unlock()
+	if first {
+		// First error wins and is already recorded, so canceling the
+		// siblings here can never replace it with context.Canceled.
+		r.cancel()
+	}
+	if last {
+		close(r.done)
+	}
+}
 
 // pool is a fixed set of OS-thread-pinned core workers reused across
-// requests. Workers are leased per micro-batch rather than owned per
-// epoch: a slot picks up a group, runs every job on its private worker,
-// and goes back for more. A worker whose ring cannot be proven empty
-// after a failed batch (core.ErrWorkerBroken semantics) is retired —
-// its IOStats merged into the aggregate, never dropped — and replaced
-// with a fresh worker on a fresh ring.
+// requests, never one per connection. Each slot takes jobs straight
+// off the server's bounded admission queue and runs them on its
+// private worker until the queue is closed and empty. A worker whose
+// ring cannot be proven empty after a failed job (core.ErrWorkerBroken
+// semantics) is retired — its IOStats merged into the aggregate, never
+// dropped — and replaced with a fresh worker on a fresh ring.
 type pool struct {
-	s      *core.Sampler
-	met    *metrics
-	groups chan group
-	wg     sync.WaitGroup
+	s    *core.Sampler
+	met  *metrics
+	jobs <-chan *job
+	wg   sync.WaitGroup
 
 	mu      sync.Mutex
 	live    []core.IOStats // latest per-slot snapshot
@@ -37,11 +91,11 @@ type pool struct {
 	nextID  int
 }
 
-func newPool(s *core.Sampler, met *metrics, workers int) *pool {
+func newPool(s *core.Sampler, met *metrics, workers int, jobs <-chan *job) *pool {
 	p := &pool{
 		s:      s,
 		met:    met,
-		groups: make(chan group),
+		jobs:   jobs,
 		live:   make([]core.IOStats, workers),
 		nextID: workers,
 	}
@@ -66,7 +120,7 @@ func (p *pool) Stats() core.IOStats {
 	return s
 }
 
-// wait blocks until every slot has exited (the groups channel must be
+// wait blocks until every slot has exited (the jobs channel must be
 // closed first) and final worker stats are merged.
 func (p *pool) wait() { p.wg.Wait() }
 
@@ -81,8 +135,7 @@ func (p *pool) newWorker() (*core.Worker, error) {
 	return p.s.NewWorker(id)
 }
 
-// publish stores a live worker's stats so /metrics stays current
-// without per-job locking (one lock per group).
+// publish stores a live worker's stats so /metrics stays current.
 func (p *pool) publish(slot int, st core.IOStats) {
 	p.mu.Lock()
 	p.live[slot] = st
@@ -101,7 +154,7 @@ func (p *pool) retire(slot int, w *core.Worker, st core.IOStats) {
 
 // run is one pool slot: pin the OS thread (rings and the Go scheduler
 // interact badly when a ring migrates threads), create a private
-// worker, and serve micro-batches until the groups channel closes.
+// worker, and serve jobs until the jobs channel closes and drains.
 func (p *pool) run(slot int) {
 	defer p.wg.Done()
 	runtime.LockOSThread()
@@ -110,42 +163,43 @@ func (p *pool) run(slot int) {
 	// running: the clock restarts with each replacement.
 	cpu := core.StartThreadClock()
 	w, _ := p.s.NewWorker(slot)
-	for g := range p.groups {
-		for _, j := range g {
-			p.met.queueDepth.Add(-1)
-			if j.ctx.Err() != nil {
-				// The request already died (deadline, client gone, or a
-				// rejected sibling chunk) — don't burn device time on it.
-				p.met.canceledJobs.Add(1)
-				j.finish(nil, j.ctx.Err())
-				continue
-			}
-			if w == nil {
-				w, _ = p.newWorker()
-			}
-			if w == nil {
-				j.finish(nil, errNoWorker)
-				continue
-			}
-			p.met.queueWait.Observe(time.Since(j.enq).Nanoseconds())
-			t0 := time.Now()
-			b, err := w.SampleBatchOpts(j.targets, core.BatchOpts{Fanouts: j.fanouts, Seed: j.seed, Features: j.features, Strategy: j.strategy})
-			p.met.sampleLat.Observe(time.Since(t0).Nanoseconds())
-			j.finish(b, err)
-			if err != nil && w.Broken() {
-				// PR 4's quarantine path: a ring that could not be proven
-				// empty is never reused — retire the worker, keep its
-				// stats, lease a fresh one (nil when creation fails; the
-				// slot then retries lazily on the next job).
-				p.retire(slot, w, cpu.Stamp(w.IOStats()))
-				p.met.workersRetired.Add(1)
-				cpu = core.StartThreadClock()
-				w, _ = p.newWorker()
-			}
+	for j := range p.jobs {
+		p.met.queueDepth.Add(-1)
+		if err := j.ctx.Err(); err != nil {
+			// The request already died (deadline, client gone, forced
+			// drain, or a failed sibling job) — don't burn device time on
+			// it.
+			p.met.canceledJobs.Add(1)
+			j.req.jobDone(err)
+			continue
+		}
+		if w == nil {
+			w, _ = p.newWorker()
+		}
+		if w == nil {
+			j.req.jobDone(errNoWorker)
+			continue
+		}
+		p.met.queueWait.Observe(time.Since(j.enq).Nanoseconds())
+		t0 := time.Now()
+		err := j.run(w)
+		p.met.sampleLat.Observe(time.Since(t0).Nanoseconds())
+		if err != nil && w.Broken() {
+			// The §4 quarantine path: a ring that could not be proven
+			// empty is never reused — retire the worker, keep its stats,
+			// lease a fresh one (nil when creation fails; the slot then
+			// retries lazily on the next job).
+			p.retire(slot, w, cpu.Stamp(w.IOStats()))
+			p.met.workersRetired.Add(1)
+			cpu = core.StartThreadClock()
+			w, _ = p.newWorker()
 		}
 		if w != nil {
 			p.publish(slot, cpu.Stamp(w.IOStats()))
 		}
+		// Report last, so the job's counters are in Stats (and /metrics)
+		// by the time its response is written.
+		j.req.jobDone(err)
 	}
 	if w != nil {
 		p.retire(slot, w, cpu.Stamp(w.IOStats()))

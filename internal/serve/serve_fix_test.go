@@ -69,8 +69,8 @@ func TestServeNegativeTimeoutRejected(t *testing.T) {
 // TestServeForcedShutdownQueueGaugeZero forces a drain (expired
 // deadline) while a slow 1-worker server is saturated with multi-chunk
 // requests and asserts the queue_depth gauge lands back at exactly
-// zero: every admitted job's increment must be released by the pool,
-// or by the shutdown abandonment sweep — the leak this PR fixes.
+// zero: every admitted job's increment must be released by the pool
+// slots, which drain the closed queue.
 func TestServeForcedShutdownQueueGaugeZero(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
@@ -81,8 +81,6 @@ func TestServeForcedShutdownQueueGaugeZero(t *testing.T) {
 		return &slowRing{Ring: r, delay: 10 * time.Millisecond}, nil
 	}
 	cfg.QueueDepth = 4096
-	cfg.MaxBatchTargets = 16 // one job per micro-batch
-	cfg.BatchWindow = time.Millisecond
 	srv, err := New(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +163,6 @@ func TestServeNoWorkerCleanError(t *testing.T) {
 		}
 		return r, nil
 	}
-	cfg.BatchWindow = time.Millisecond
 	_, base := startServer(t, ds, cfg)
 	client := &http.Client{Timeout: 15 * time.Second}
 

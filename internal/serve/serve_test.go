@@ -257,8 +257,7 @@ func metricValue(t *testing.T, body, name string) float64 {
 // fanouts, seeds, and sizes (some spanning multiple chunks) at a
 // 4-worker server and asserts every response is byte-identical to a
 // direct single-threaded core run of the same request — the serving
-// layer's determinism contract, independent of coalescing and worker
-// scheduling.
+// layer's determinism contract, independent of worker scheduling.
 func TestServeE2EDeterminism(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
@@ -266,7 +265,6 @@ func TestServeE2EDeterminism(t *testing.T) {
 	cfg.Core.Threads = 4
 	cfg.Core.BatchSize = 64
 	cfg.QueueDepth = 4096
-	cfg.BatchWindow = time.Millisecond
 	_, base := startServer(t, ds, cfg)
 
 	fanoutMixes := [][]int{nil, {5}, {10, 5}, {20, 15, 10}, {3, 3, 3}}
@@ -318,15 +316,53 @@ func TestServeE2EDeterminism(t *testing.T) {
 	if got := metricValue(t, body, "ringsampler_serve_queue_depth"); got != 0 {
 		t.Fatalf("queue_depth = %v after drain, want 0", got)
 	}
-	batches := metricValue(t, body, "ringsampler_serve_batches_total")
-	if batches < 1 {
-		t.Fatalf("batches_total = %v, want ≥ 1", batches)
+	// Every chunk is one job, picked up and run exactly once.
+	chunks := 0
+	for _, req := range reqs {
+		chunks += (len(req.Targets) + cfg.Core.BatchSize - 1) / cfg.Core.BatchSize
 	}
-	if got := metricValue(t, body, "ringsampler_serve_batch_targets_count"); got != batches {
-		t.Fatalf("batch_targets histogram count %v != batches_total %v", got, batches)
+	for _, name := range []string{"ringsampler_serve_queue_wait_seconds_count", "ringsampler_serve_sample_seconds_count"} {
+		if got := metricValue(t, body, name); got != float64(chunks) {
+			t.Fatalf("%s = %v, want %d (one per chunk)", name, got, chunks)
+		}
 	}
 	if got := metricValue(t, body, "ringsampler_io_bytes_read_total"); got <= 0 {
 		t.Fatalf("io_bytes_read_total = %v, want > 0", got)
+	}
+}
+
+// TestServeSmallRequestNotWindowed: an idle server starts a small
+// request at once. Admitted chunks go straight to a free pool slot, so
+// sequential 4-target requests on a 1-worker server wait well under a
+// millisecond in the queue — no batching window sits in front of the
+// pool.
+func TestServeSmallRequestNotWindowed(t *testing.T) {
+	ds := testDataset(t)
+	cfg := DefaultConfig()
+	cfg.Backend = uring.BackendPool
+	cfg.Core.Threads = 1
+	_, base := startServer(t, ds, cfg)
+	client := &http.Client{Timeout: 30 * time.Second}
+
+	rng := sample.NewRNG(13)
+	const n = 20
+	for i := 0; i < n; i++ {
+		targets := make([]uint32, 4)
+		for j := range targets {
+			targets[j] = rng.Uint32n(uint32(ds.NumNodes()))
+		}
+		st, data := postSample(t, client, base, sampleRequest{Targets: targets, Fanouts: []int{5, 5}, Seed: uint64(i)})
+		if st != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, st, data)
+		}
+	}
+	body := scrapeMetrics(t, client, base)
+	if got := metricValue(t, body, "ringsampler_serve_queue_wait_seconds_count"); got != n {
+		t.Fatalf("queue_wait_seconds_count = %v, want %d", got, n)
+	}
+	mean := metricValue(t, body, "ringsampler_serve_queue_wait_seconds_sum") / n
+	if mean >= 1e-3 {
+		t.Fatalf("mean queue wait %.3f ms on an idle server, want < 1 ms", mean*1e3)
 	}
 }
 
@@ -334,8 +370,8 @@ func TestServeE2EDeterminism(t *testing.T) {
 // 80 concurrent mixed-fanout requests against a 4-worker server with a
 // live hot-node feature cache, most asking for features (half through
 // the body field, half through the ?features=true query parameter) and
-// every third one plain — so feature and non-feature chunks coalesce
-// into the same micro-batches. Every response, feature payload bytes
+// every third one plain — so feature and non-feature chunks share the
+// queue and the workers. Every response, feature payload bytes
 // included, must be byte-identical to a direct single-threaded core run
 // of the same request.
 func TestServeE2EFeatureDeterminism(t *testing.T) {
@@ -348,7 +384,6 @@ func TestServeE2EFeatureDeterminism(t *testing.T) {
 	// feature cache while the determinism contract must still hold.
 	cfg.Core.FeatureCacheBudgetBytes = 16 << 10
 	cfg.QueueDepth = 4096
-	cfg.BatchWindow = time.Millisecond
 	_, base := startServer(t, ds, cfg)
 
 	fanoutMixes := [][]int{nil, {5}, {10, 5}, {20, 15, 10}, {3, 3, 3}}
@@ -370,7 +405,7 @@ func TestServeE2EFeatureDeterminism(t *testing.T) {
 		}
 		paths[i] = "/v1/sample"
 		if i%3 == 0 {
-			continue // plain request, coalesces with featureful neighbors
+			continue // plain request, interleaved with featureful neighbors
 		}
 		featureCount++
 		if i%2 == 0 {
@@ -535,8 +570,6 @@ func TestServeSaturationFastFail(t *testing.T) {
 		return &slowRing{Ring: r, delay: 2 * time.Millisecond}, nil
 	}
 	cfg.QueueDepth = 2
-	cfg.MaxBatchTargets = 32 // one job per micro-batch
-	cfg.BatchWindow = time.Millisecond
 	_, base := startServer(t, ds, cfg)
 
 	rng := sample.NewRNG(7)
@@ -768,7 +801,6 @@ func TestServeGracefulDrain(t *testing.T) {
 	cfg.Core.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {
 		return &slowRing{Ring: r, delay: 5 * time.Millisecond}, nil
 	}
-	cfg.BatchWindow = time.Millisecond
 	srv, err := New(ds, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -864,7 +896,7 @@ func TestServeValidation(t *testing.T) {
 // TestServeStrategy: the request body's "strategy" field selects the
 // draw strategy per request — responses must be byte-identical to a
 // direct core run under the same strategy, strategies must coexist in
-// one server (they coalesce into the same micro-batches), and unknown
+// one server (they share the queue and the workers), and unknown
 // names are 400s that never reach the rings.
 func TestServeStrategy(t *testing.T) {
 	ds := testDataset(t)
@@ -872,7 +904,6 @@ func TestServeStrategy(t *testing.T) {
 	cfg.Backend = uring.BackendPool
 	cfg.Core.Threads = 2
 	cfg.Core.BatchSize = 64
-	cfg.BatchWindow = time.Millisecond
 	_, base := startServer(t, ds, cfg)
 	client := &http.Client{Timeout: 60 * time.Second}
 
@@ -945,7 +976,6 @@ func TestServePoisonedChunkCancelsSiblings(t *testing.T) {
 	cfg.Core.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {
 		return uring.NewFault(r, uring.FaultPlan{Seed: 5, HardErrRate: 1})
 	}
-	cfg.BatchWindow = time.Millisecond
 	_, base := startServer(t, ds, cfg)
 	client := &http.Client{Timeout: 30 * time.Second}
 

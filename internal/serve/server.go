@@ -1,19 +1,25 @@
 // Package serve is the online sampling service in front of the core
-// engine: a long-running HTTP server that coalesces many small
-// concurrent sampling requests into the micro-batches the per-thread
-// ring workers are built for (paper Fig 3a), with admission control in
-// front of them.
+// engine: a long-running HTTP server whose handlers cut requests into
+// the mini-batch chunks the per-thread ring workers are built for
+// (paper Fig 3a) and admit them, through a bounded queue, straight to
+// a fixed pool of pinned workers.
 //
 // The shape follows what DiskGNN and Jiang et al. argue for disk-based
-// GNN serving: a single coalescing/admission layer in front of a fixed
-// worker pool, never a worker per connection — uncoordinated concurrent
+// GNN serving: a single admission layer in front of a fixed worker
+// pool, never a worker per connection — uncoordinated concurrent
 // samplers destroy disk throughput, and a bounded queue that fast-fails
 // beats one that queues unboundedly.
 //
 //	POST /v1/sample  — {"targets":[...],"fanouts":[...],"seed":N,"strategy":"..."} → layered samples
 //	GET  /healthz    — liveness (503 while draining)
-//	GET  /metrics    — Prometheus text: queue depth, batch-size histogram,
-//	                   per-stage latency, ring IOStats, rejection counts
+//	GET  /metrics    — Prometheus text: queue depth, per-stage latency,
+//	                   ring IOStats, rejection counts
+//
+// A server over one dataset also answers the shard protocol
+// (/v1/shard/info, /v1/shard/layer, /v1/shard/features), its calls
+// riding the same queue and pool. NewRouter builds the same Server
+// over a partition's shard engines instead: admitted chunks fan out
+// through a shard.Router rather than the pool (DESIGN.md §12).
 //
 // The optional "strategy" field selects the draw strategy per request
 // (DESIGN.md §11: "uniform", "weighted", "walk"; empty means the
@@ -24,9 +30,8 @@
 // strategy) is byte-identical to a direct single-threaded core run —
 // the request is sharded into Core.BatchSize chunks and chunk i is
 // sampled with RNG seed sample.Mix(seed, i), exactly how
-// core.RunEpoch seeds its mini-batches — regardless of which
-// micro-batch the chunks were coalesced into or which pooled worker
-// ran them.
+// core.RunEpoch seeds its mini-batches — regardless of which pooled
+// worker (or which shards) ran them.
 package serve
 
 import (
@@ -67,13 +72,6 @@ type Config struct {
 	// queue fast-fails new requests with 429 instead of queuing
 	// unboundedly. Default 256.
 	QueueDepth int
-	// BatchWindow is how long the dispatcher waits for more jobs after
-	// a group's first job before flushing a partial micro-batch.
-	// Default 2ms.
-	BatchWindow time.Duration
-	// MaxBatchTargets flushes a micro-batch as soon as it holds this
-	// many targets. Default Core.BatchSize.
-	MaxBatchTargets int
 	// MaxTargetsPerRequest rejects oversized requests with 400.
 	// Default 4 × Core.BatchSize.
 	MaxTargetsPerRequest int
@@ -93,7 +91,6 @@ func DefaultConfig() Config {
 	return Config{
 		Core:           core.DefaultConfig(),
 		QueueDepth:     256,
-		BatchWindow:    2 * time.Millisecond,
 		DefaultTimeout: 10 * time.Second,
 		MaxTimeout:     60 * time.Second,
 	}
@@ -102,12 +99,6 @@ func DefaultConfig() Config {
 func (c *Config) fillDefaults() {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatchTargets == 0 {
-		c.MaxBatchTargets = c.Core.BatchSize
 	}
 	if c.MaxTargetsPerRequest == 0 {
 		c.MaxTargetsPerRequest = 4 * c.Core.BatchSize
@@ -137,42 +128,31 @@ func (c *Config) validate() error {
 	if c.QueueDepth < 1 {
 		return fmt.Errorf("serve: queue depth %d must be positive", c.QueueDepth)
 	}
-	if c.BatchWindow < 0 {
-		return fmt.Errorf("serve: batch window %v must be non-negative", c.BatchWindow)
-	}
-	if c.MaxBatchTargets < 1 {
-		return fmt.Errorf("serve: max batch targets %d must be positive", c.MaxBatchTargets)
-	}
 	if c.MaxTargetsPerRequest < 1 {
 		return fmt.Errorf("serve: max targets per request %d must be positive", c.MaxTargetsPerRequest)
 	}
 	return nil
 }
 
-// Server is the running service: sampler + worker pool + dispatcher +
-// HTTP front end. Create with New, serve with Serve, stop with
-// Shutdown.
+// Server is the running service: one HTTP front end over either a
+// worker pool on one dataset (New) or a shard router (NewRouter).
+// Serve with Serve, stop with Shutdown.
 type Server struct {
-	cfg  Config
-	ds   *storage.Dataset
-	s    *core.Sampler
-	met  *metrics
-	pool *pool
-	// local answers the shard protocol (/v1/shard/*) over the same
-	// sampler, so this server can serve as one shard of a partition —
-	// or as the sole shard of a 1-partition — behind a router.
-	local *shard.Local
+	cfg Config
+	met *metrics
 
-	queue        chan *job
-	quit         chan struct{}
-	dispatchDone chan struct{}
+	// Pooled mode: admitted jobs wait in queue for the pool's slots.
+	ds    *storage.Dataset
+	queue chan *job
+	pool  *pool
+	// Router mode: admitted chunks fan out to the shard engines.
+	rt *shard.Router
 
 	http     *http.Server
 	draining atomic.Bool
-	// handlers tracks in-flight HTTP handlers. Shutdown waits on it
-	// before stopping the dispatcher, so no handler can enqueue a job
-	// after the dispatcher's final drain — the hole that used to leak
-	// the queue_depth gauge on a forced drain.
+	// handlers tracks in-flight HTTP handlers and the router chunks
+	// they start. Shutdown waits on it before closing the queue, so no
+	// handler can still send on it.
 	handlers sync.WaitGroup
 	// baseCtx force-cancels every in-flight request when a drain
 	// deadline expires.
@@ -183,8 +163,8 @@ type Server struct {
 }
 
 // New validates the config, builds the sampler (hot cache included when
-// budgeted), and starts the worker pool and dispatcher. The server is
-// live once Serve is called on a listener.
+// budgeted), and starts the worker pool. The server is live once Serve
+// is called on a listener.
 func New(ds *storage.Dataset, cfg Config) (*Server, error) {
 	cfg.fillDefaults()
 	if err := cfg.validate(); err != nil {
@@ -194,41 +174,77 @@ func New(ds *storage.Dataset, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		cfg:          cfg,
-		ds:           ds,
-		s:            sampler,
-		met:          newMetrics(),
-		queue:        make(chan *job, cfg.QueueDepth),
-		quit:         make(chan struct{}),
-		dispatchDone: make(chan struct{}),
-	}
-	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
-	s.pool = newPool(sampler, s.met, cfg.Core.Threads)
-	s.local = shard.NewLocalFrom(ds, sampler)
-	go s.dispatch()
+	s := &Server{cfg: cfg, met: newMetrics(), ds: ds, queue: make(chan *job, cfg.QueueDepth)}
+	s.pool = newPool(sampler, s.met, cfg.Core.Threads, s.queue)
+	s.initHTTP()
+	return s, nil
+}
 
+// NewRouter validates that the engines tile the graph (shard.NewRouter
+// does the partition checks) and returns the scatter/gather front end
+// of a sharded deployment: the same /v1/sample API, answered by fanning
+// each chunk's layers out to the shard engines. It holds no graph bytes
+// and no RNG, so any number of router replicas can front the same
+// shards; responses are byte-identical — digest included — to a
+// single-node Server over the unpartitioned dataset (DESIGN.md §12).
+// Queue depth and pool size do not apply (their metrics read zero).
+// The engines are owned by the server from here on: Shutdown closes
+// them.
+func NewRouter(engines []shard.Engine, cfg Config) (*Server, error) {
+	if len(cfg.Core.Fanouts) == 0 {
+		cfg.Core.Fanouts = core.DefaultConfig().Fanouts
+	}
+	if cfg.Core.BatchSize == 0 {
+		cfg.Core.BatchSize = core.DefaultConfig().BatchSize
+	}
+	cfg.fillDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if !core.ValidStrategy(cfg.Core.Strategy) {
+		return nil, fmt.Errorf("serve: unknown default strategy %q", cfg.Core.Strategy)
+	}
+	rt, err := shard.NewRouter(engines)
+	if err != nil {
+		return nil, err
+	}
+	s := &Server{cfg: cfg, met: newMetrics(), rt: rt}
+	s.initHTTP()
+	return s, nil
+}
+
+// initHTTP wires the HTTP front end both modes share; the shard protocol
+// is mounted only over a dataset.
+func (s *Server) initHTTP() {
+	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sample", s.handleSample)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /v1/shard/info", s.handleShardInfo)
-	mux.HandleFunc("POST /v1/shard/layer", s.handleShardLayer)
-	mux.HandleFunc("POST /v1/shard/features", s.handleShardFeatures)
+	if s.rt == nil {
+		mux.HandleFunc("GET /v1/shard/info", s.handleShardInfo)
+		mux.HandleFunc("POST /v1/shard/layer", s.handleShardLayer)
+		mux.HandleFunc("POST /v1/shard/features", s.handleShardFeatures)
+	}
 	s.http = &http.Server{Handler: mux}
-	return s, nil
 }
 
 // Config returns the server's effective (default-filled) config.
 func (s *Server) Config() Config { return s.cfg }
 
+// Router exposes the scatter/gather router of a NewRouter server (nil
+// for a pooled one).
+func (s *Server) Router() *shard.Router { return s.rt }
+
 // IOStats returns the merged ring-level I/O counters: the pool's
-// workers (retired included) plus any workers the shard endpoints
-// leased.
+// workers, retired ones included, or the sum over the router's engines
+// (zeros from remote engines — their counters live in their own
+// servers' /metrics).
 func (s *Server) IOStats() core.IOStats {
-	st := s.pool.Stats()
-	st.Add(s.local.Stats())
-	return st
+	if s.rt != nil {
+		return s.rt.Stats()
+	}
+	return s.pool.Stats()
 }
 
 // Serve accepts connections on ln until Shutdown. It returns
@@ -236,10 +252,10 @@ func (s *Server) IOStats() core.IOStats {
 func (s *Server) Serve(ln net.Listener) error { return s.http.Serve(ln) }
 
 // Shutdown drains gracefully: stop admitting, let in-flight requests
-// finish through the pipeline, then stop the dispatcher and workers.
-// When ctx expires first, outstanding requests are force-canceled and
-// connections closed — workers still never die mid-batch. Safe to call
-// once; later calls return the first result.
+// finish through the pipeline, then stop the pool (or close the shard
+// engines). When ctx expires first, outstanding requests are
+// force-canceled and connections closed — workers still never die
+// mid-job. Safe to call once; later calls return the first result.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutOnce.Do(func() {
 		s.draining.Store(true)
@@ -254,29 +270,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			s.cancelBase()
 			s.http.Close()
 		}
-		// Every handler that could enqueue jobs did handlers.Add before
-		// its draining check; once Wait returns, no new job can enter the
-		// queue, so stopping the dispatcher cannot strand a later one.
+		// Every handler that could enqueue did handlers.Add before its
+		// draining check; once Wait returns, nothing can send on the
+		// queue, so closing it is safe. The slots run or skip (dead
+		// contexts) whatever is left, so queue_depth returns to zero.
 		s.handlers.Wait()
-		close(s.quit)
-		<-s.dispatchDone
-		// Abandonment sweep: anything still queued was admitted without a
-		// consumer left to run it. Release each job's queue_depth
-		// increment and report it, so the gauge provably returns to zero
-		// and no request waits forever on a chunk nobody will run.
-		for {
-			select {
-			case j := <-s.queue:
-				s.met.queueDepth.Add(-1)
-				s.met.canceledJobs.Add(1)
-				j.finish(nil, context.Canceled)
-				continue
-			default:
-			}
-			break
+		if s.pool != nil {
+			close(s.queue)
+			s.pool.wait()
+		} else if cerr := s.rt.Close(); err == nil {
+			err = cerr
 		}
-		s.pool.wait()
-		s.local.Close()
 		s.cancelBase()
 		s.shutErr = err
 	})
@@ -293,8 +297,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	workers := 0
+	if s.pool != nil {
+		workers = s.cfg.Core.Threads
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.write(w, s.IOStats(), s.cfg.Core.Threads, s.cfg.QueueDepth)
+	s.met.write(w, s.IOStats(), workers, cap(s.queue))
 }
 
 // sampleRequest is the POST /v1/sample body.
@@ -380,8 +388,8 @@ func checkTargets(targets []uint32, numNodes int64) error {
 	return nil
 }
 
-// validateSample is the admission validation shared by the pooled
-// server and the router front end. It resolves the ?features query
+// validateSample is the admission validation of a sample request. It
+// resolves the ?features query
 // flag into req, and returns the effective fanouts and per-request
 // timeout — or the message for a 400.
 func (c *Config) validateSample(r *http.Request, req *sampleRequest, numNodes int64, hasFeatures bool) ([]int, time.Duration, error) {
@@ -434,9 +442,9 @@ func (c *Config) validateSample(r *http.Request, req *sampleRequest, numNodes in
 	return fanouts, timeout, nil
 }
 
-// buildResponse assembles the wire response from ordered batches —
-// shared by the pooled server and the router, which is what keeps the
-// two response formats (and digests) identical by construction.
+// buildResponse assembles the wire response from ordered batches, in
+// pooled and router mode alike — which is what keeps the two response
+// formats (and digests) identical by construction.
 func buildResponse(batches []*core.Batch, t0 time.Time) sampleResponse {
 	resp := sampleResponse{Batches: make([]batchJSON, len(batches))}
 	var folded uint64
@@ -462,44 +470,124 @@ func buildResponse(batches []*core.Batch, t0 time.Time) sampleResponse {
 	return resp
 }
 
-func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
+// enter counts a work-carrying handler in and refuses it while
+// draining; every caller defers leave. The handlers.Add comes before
+// the draining check, so a handler that passes it is one Shutdown
+// waits for before closing the queue.
+func (s *Server) enter(w http.ResponseWriter) bool {
 	s.handlers.Add(1)
-	defer s.handlers.Done()
 	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
 	if s.draining.Load() {
 		s.met.rejectedDraining.Add(1)
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server draining"})
+		return false
+	}
+	return true
+}
+
+func (s *Server) leave() {
+	s.met.inflight.Add(-1)
+	s.handlers.Done()
+}
+
+// decode reads the JSON request body into v, answering 400 when it is
+// malformed.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(v); err != nil {
+		s.badRequest(w, "malformed JSON: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// await runs one call of n jobs: it bounds the call by timeout and by
+// a forced drain, lets admit start the jobs under a context the first
+// failing job cancels, and waits for them all. It answers every
+// failure itself — 429 when admit finds the queue full, 504/503 for a
+// dead context, 500 naming what failed — and returns the finished
+// request only on success.
+func (s *Server) await(w http.ResponseWriter, r *http.Request, timeout time.Duration, n int, what string, admit func(ctx context.Context, rq *request) bool) *request {
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
+	defer context.AfterFunc(s.baseCtx, cancel)()
+	// Jobs carry a child of the call's context: the first failing job
+	// cancels it (request.jobDone), so its siblings are skipped — while
+	// this call keeps waiting on rq.done and reports the real error, not
+	// its own cancellation.
+	jobCtx, jobCancel := context.WithCancel(ctx)
+	defer jobCancel()
+	rq := newRequest(n, jobCancel)
+	if !admit(jobCtx, rq) {
+		// Admission control: the bounded queue is full — fast-fail rather
+		// than queue unboundedly. The deferred cancels make the pool skip
+		// the jobs already admitted.
+		s.met.rejectedFull.Add(1)
+		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "sampling queue full, retry later"})
+		return nil
+	}
+	select {
+	case <-rq.done:
+	case <-ctx.Done():
+		s.failCanceled(w, ctx)
+		return nil
+	}
+	if err := rq.err; err != nil {
+		// Jobs can also surface the call's own cancellation.
+		if ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			s.failCanceled(w, ctx)
+			return nil
+		}
+		s.met.sampleErrors.Add(1)
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: what + " failed: " + err.Error()})
+		return nil
+	}
+	return rq
+}
+
+// enqueue admits one job that runs fn on a pool worker and reports to
+// rq; false when the bounded queue is full.
+func (s *Server) enqueue(ctx context.Context, rq *request, fn func(*core.Worker) error) bool {
+	select {
+	case s.queue <- &job{ctx: ctx, enq: time.Now(), run: fn, req: rq}:
+		s.met.queueDepth.Add(1)
+		return true
+	default:
+		return false
+	}
+}
+
+func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
+	defer s.leave()
+	if !s.enter(w) {
 		return
 	}
-	if s.ds.IsSharded() {
+	var numNodes int64
+	var hasFeatures bool
+	switch {
+	case s.rt != nil:
+		numNodes, hasFeatures = s.rt.NumNodes(), s.rt.HasFeatures()
+	case s.ds.IsSharded():
 		s.badRequest(w, fmt.Sprintf("dataset is shard %d/%d: whole-graph sampling needs a router over the full partition (this server answers /v1/shard/*)",
 			s.ds.ShardIndex(), s.ds.NumShards()))
 		return
+	default:
+		numNodes, hasFeatures = s.ds.NumNodes(), s.ds.HasFeatures()
 	}
 	var req sampleRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		s.badRequest(w, "malformed JSON: "+err.Error())
+	if !s.decode(w, r, &req) {
 		return
 	}
-	fanouts, timeout, verr := s.cfg.validateSample(r, &req, s.ds.NumNodes(), s.ds.HasFeatures())
+	fanouts, timeout, verr := s.cfg.validateSample(r, &req, numNodes, hasFeatures)
 	if verr != nil {
 		s.badRequest(w, verr.Error())
 		return
 	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-	// A forced drain cancels every in-flight request through baseCtx.
-	stopAfter := context.AfterFunc(s.baseCtx, cancel)
-	defer stopAfter()
-	// Jobs carry a child of the handler context: the first failing
-	// chunk cancels it (request.jobDone), so sibling chunks are skipped
-	// by the pool — while the handler keeps waiting on rq.done and
-	// reports the real error, not its own cancellation.
-	jobCtx, jobCancel := context.WithCancel(ctx)
-	defer jobCancel()
+	// Resolve the default here: a router's shards must all replay under
+	// the same explicit name, and a worker resolves "" to this same one.
+	strategy := req.Strategy
+	if strategy == "" {
+		strategy = s.cfg.Core.Strategy
+	}
 
 	t0 := time.Now()
 	s.met.requests.Add(1)
@@ -510,87 +598,60 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	// Shard into the engine's mini-batch granularity. Chunk i samples
 	// under sample.Mix(seed, i) — the same derivation core.RunEpoch
 	// uses per batch — which is what makes the response independent of
-	// coalescing, worker identity, and pool size.
+	// worker identity, pool size and sharding.
 	chunkSize := s.cfg.Core.BatchSize
 	numChunks := (len(req.Targets) + chunkSize - 1) / chunkSize
-	rq := newRequest(numChunks, jobCancel)
-	for ci := 0; ci < numChunks; ci++ {
-		lo := ci * chunkSize
-		hi := lo + chunkSize
-		if hi > len(req.Targets) {
-			hi = len(req.Targets)
+	rq := s.await(w, r, timeout, numChunks, "sampling", func(ctx context.Context, rq *request) bool {
+		for ci := 0; ci < numChunks; ci++ {
+			targets := req.Targets[ci*chunkSize : min((ci+1)*chunkSize, len(req.Targets))]
+			seed := sample.Mix(req.Seed, uint64(ci))
+			if s.rt != nil {
+				// Chunks are independent whole pipelines: fan them out
+				// concurrently, each scattering its layers to the shards.
+				s.handlers.Add(1)
+				go func() {
+					defer s.handlers.Done()
+					var err error
+					rq.batches[ci], err = s.rt.SampleChunk(ctx, targets, fanouts, seed, strategy, req.Features)
+					rq.jobDone(err)
+				}()
+				continue
+			}
+			opts := core.BatchOpts{Fanouts: fanouts, Seed: seed, Features: req.Features, Strategy: strategy}
+			if !s.enqueue(ctx, rq, func(w *core.Worker) (err error) {
+				rq.batches[ci], err = w.SampleBatchOpts(targets, opts)
+				return err
+			}) {
+				return false
+			}
 		}
-		j := &job{
-			ctx:      jobCtx,
-			targets:  req.Targets[lo:hi],
-			fanouts:  fanouts,
-			seed:     sample.Mix(req.Seed, uint64(ci)),
-			features: req.Features,
-			strategy: req.Strategy,
-			enq:      time.Now(),
-			chunk:    ci,
-			req:      rq,
-		}
-		select {
-		case s.queue <- j:
-			s.met.queueDepth.Add(1)
-		default:
-			// Admission control: the bounded queue is full — fast-fail
-			// rather than queue unboundedly. Cancel the request context
-			// so chunks already admitted are skipped, not sampled.
-			cancel()
-			s.met.rejectedFull.Add(1)
-			writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "sampling queue full, retry later"})
-			return
-		}
-	}
-
-	select {
-	case <-rq.done:
-	case <-ctx.Done():
-		s.failCanceled(w, ctx)
+		return true
+	})
+	if rq == nil {
 		return
 	}
-	batches, err := rq.result()
-	if err != nil {
-		// Jobs can also surface the request's own cancellation.
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			s.failCanceled(w, ctx)
-			return
-		}
-		s.met.sampleErrors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "sampling failed: " + err.Error()})
-		return
-	}
-
-	resp := buildResponse(batches, t0)
+	resp := buildResponse(rq.batches, t0)
 	s.met.responsesOK.Add(1)
 	s.met.requestLat.Observe(time.Since(t0).Nanoseconds())
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // Shard protocol handlers: this server as one engine of a partition.
-// They answer over the same sampler (caches shared with the pool) but
-// lease workers per call through the shard.Local engine instead of
-// riding the micro-batching queue — layer calls are already
-// router-batched and must not coalesce with anything.
+// Layer and feature calls are jobs on the same queue and pinned pool
+// as sample chunks — same admission control, deadline and drain — and
+// share the sampler's caches.
 
 func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.local.Info())
+	writeJSON(w, http.StatusOK, shard.InfoOf(s.ds))
 }
 
 func (s *Server) handleShardLayer(w http.ResponseWriter, r *http.Request) {
-	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
-	if s.draining.Load() {
-		s.met.rejectedDraining.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server draining"})
+	defer s.leave()
+	if !s.enter(w) {
 		return
 	}
 	var req shard.LayerRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		s.badRequest(w, "malformed JSON: "+err.Error())
+	if !s.decode(w, r, &req) {
 		return
 	}
 	state, err := shard.ParseState(req.RNGState)
@@ -617,34 +678,32 @@ func (s *Server) handleShardLayer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.met.shardCalls.Add(1)
-	layer, nextState, err := s.local.SampleLayer(r.Context(), req.Frontier, core.LayerParams{
-		Layer: req.Layer, Fanout: req.Fanout, Strategy: req.Strategy, RNGState: state,
-	})
-	if err != nil {
-		s.met.sampleErrors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "shard layer failed: " + err.Error()})
+	params := core.LayerParams{Layer: req.Layer, Fanout: req.Fanout, Strategy: req.Strategy, RNGState: state}
+	var layer *core.Layer
+	var next uint64
+	if s.await(w, r, s.cfg.DefaultTimeout, 1, "shard layer", func(ctx context.Context, rq *request) bool {
+		return s.enqueue(ctx, rq, func(w *core.Worker) (err error) {
+			layer, next, err = w.SampleLayer(req.Frontier, params)
+			return err
+		})
+	}) == nil {
 		return
 	}
 	writeJSON(w, http.StatusOK, shard.LayerResponse{
 		Targets:   layer.Targets,
 		Starts:    layer.Starts,
 		Neighbors: layer.Neighbors,
-		RNGState:  shard.EncodeState(nextState),
+		RNGState:  shard.EncodeState(next),
 	})
 }
 
 func (s *Server) handleShardFeatures(w http.ResponseWriter, r *http.Request) {
-	s.met.inflight.Add(1)
-	defer s.met.inflight.Add(-1)
-	if s.draining.Load() {
-		s.met.rejectedDraining.Add(1)
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "server draining"})
+	defer s.leave()
+	if !s.enter(w) {
 		return
 	}
 	var req shard.FeaturesRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		s.badRequest(w, "malformed JSON: "+err.Error())
+	if !s.decode(w, r, &req) {
 		return
 	}
 	if !s.ds.HasFeatures() {
@@ -663,10 +722,13 @@ func (s *Server) handleShardFeatures(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.met.shardCalls.Add(1)
-	feats, err := s.local.Features(r.Context(), req.Nodes)
-	if err != nil {
-		s.met.sampleErrors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "shard features failed: " + err.Error()})
+	var feats []byte
+	if s.await(w, r, s.cfg.DefaultTimeout, 1, "shard features", func(ctx context.Context, rq *request) bool {
+		return s.enqueue(ctx, rq, func(w *core.Worker) (err error) {
+			feats, err = w.FetchFeatures(req.Nodes)
+			return err
+		})
+	}) == nil {
 		return
 	}
 	writeJSON(w, http.StatusOK, shard.FeaturesResponse{Features: feats})
@@ -675,12 +737,8 @@ func (s *Server) handleShardFeatures(w http.ResponseWriter, r *http.Request) {
 // failCanceled maps a dead request context to its status: 504 for a
 // deadline, 503 for everything else (client gone, forced drain).
 func (s *Server) failCanceled(w http.ResponseWriter, ctx context.Context) {
-	failCanceled(w, ctx, s.met)
-}
-
-func failCanceled(w http.ResponseWriter, ctx context.Context, m *metrics) {
 	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		m.deadlineExceeded.Add(1)
+		s.met.deadlineExceeded.Add(1)
 		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "deadline exceeded"})
 		return
 	}

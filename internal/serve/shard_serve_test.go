@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net"
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,10 +22,10 @@ import (
 	"ringsampler/internal/uring"
 )
 
-// startRouterServer boots a RouterServer over engines on a loopback
+// startRouter boots a router Server over engines on a loopback
 // listener. Shutdown (which closes the engines) is registered as
 // cleanup.
-func startRouterServer(t *testing.T, engines []shard.Engine, cfg Config) (*RouterServer, string) {
+func startRouter(t *testing.T, engines []shard.Engine, cfg Config) (*Server, string) {
 	t.Helper()
 	srv, err := NewRouter(engines, cfg)
 	if err != nil {
@@ -74,7 +77,6 @@ func TestShardConformance(t *testing.T) {
 	cfg.Core.Fanouts = []int{6, 4}
 	cfg.Core.CacheBudgetBytes = 32 << 10
 	cfg.Core.FeatureCacheBudgetBytes = 32 << 10
-	cfg.BatchWindow = time.Millisecond
 
 	ds := openShard(t, dir)
 	_, singleBase := startServer(t, ds, cfg)
@@ -180,7 +182,7 @@ func TestShardConformance(t *testing.T) {
 			engines[i] = remote
 			shardBases = append(shardBases, shardBase)
 		}
-		rs, routerBase := startRouterServer(t, engines, cfg)
+		rs, routerBase := startRouter(t, engines, cfg)
 		checkRouter(topo.label, routerBase)
 		if rs.Router().Shards() != topo.shards {
 			t.Fatalf("%s: router has %d shards", topo.label, rs.Router().Shards())
@@ -309,5 +311,133 @@ func TestShardServerEndpoints(t *testing.T) {
 	}
 	if _, err := shard.ParseState(lresp.RNGState); err != nil {
 		t.Fatalf("layer response carries a bad RNG state: %v", err)
+	}
+}
+
+// lockedBuffer is an io.Writer safe to read while a server logs to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestShardCallsUseThePool: shard-protocol calls are jobs on the
+// server's one admission queue and pinned pool. 16 concurrent layer
+// calls on a 1-thread server build rings for exactly one worker id —
+// the pool slot's — never a worker per call. A forced drain during
+// such calls returns cleanly: they enqueue, so Shutdown must count them
+// before it closes the queue, and no handler may panic on a send to a
+// closed queue; queue_depth and inflight land back at zero.
+func TestShardCallsUseThePool(t *testing.T) {
+	ds := testDataset(t)
+	var mu sync.Mutex
+	ids := make(map[int]bool)
+	cfg := DefaultConfig()
+	cfg.Backend = uring.BackendPool
+	cfg.Core.Threads = 1
+	cfg.Core.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {
+		mu.Lock()
+		ids[workerID] = true
+		mu.Unlock()
+		return &slowRing{Ring: r, delay: 2 * time.Millisecond}, nil
+	}
+	srv, err := New(ds, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serverLog lockedBuffer
+	srv.http.ErrorLog = log.New(&serverLog, "", 0)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	base := "http://" + ln.Addr().String()
+	client := &http.Client{Timeout: 60 * time.Second}
+
+	// layerCalls fires n concurrent layer calls; a status of 0 is a
+	// transport error (a forced drain may sever the connection).
+	rng := sample.NewRNG(71)
+	layerCalls := func(n int) (statuses []int, wait func()) {
+		statuses = make([]int, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			frontier := make([]uint32, 32)
+			for j := range frontier {
+				frontier[j] = rng.Uint32n(uint32(ds.NumNodes()))
+			}
+			body, err := json.Marshal(shard.LayerRequest{
+				Frontier: frontier, Fanout: 8, Strategy: core.StrategyUniform,
+				RNGState: shard.EncodeState(core.ChunkSeedState(uint64(i))),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, err := client.Post(base+"/v1/shard/layer", "application/json", bytes.NewReader(body))
+				if err != nil {
+					return
+				}
+				resp.Body.Close()
+				statuses[i] = resp.StatusCode
+			}(i)
+		}
+		return statuses, wg.Wait
+	}
+
+	statuses, wait := layerCalls(16)
+	wait()
+	for i, st := range statuses {
+		if st != http.StatusOK {
+			t.Fatalf("layer call %d: status %d", i, st)
+		}
+	}
+	mu.Lock()
+	got := len(ids)
+	mu.Unlock()
+	if got != 1 {
+		t.Fatalf("16 concurrent layer calls on a 1-thread server built rings for %d worker ids, want 1 (the pool slot's)", got)
+	}
+
+	// Forced drain once all 16 more are admitted, most of them queued
+	// behind the slow worker.
+	_, wait = layerCalls(16)
+	for srv.met.shardCalls.Load() < 32 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel()
+	done := make(chan struct{})
+	go func() {
+		srv.Shutdown(ctx)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("forced shutdown hung")
+	}
+	wait()
+	if got := srv.met.queueDepth.Load(); got != 0 {
+		t.Fatalf("queue_depth gauge = %d after forced shutdown, want 0", got)
+	}
+	if got := srv.met.inflight.Load(); got != 0 {
+		t.Fatalf("inflight gauge = %d after forced shutdown, want 0", got)
+	}
+	if strings.Contains(serverLog.String(), "panic") {
+		t.Fatalf("a handler panicked during the forced drain:\n%s", serverLog.String())
 	}
 }

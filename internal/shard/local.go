@@ -12,9 +12,9 @@ import (
 
 // Local is the in-process Engine: today's storage + cache + ring-worker
 // bundle over one (possibly shard) dataset, behind the shard seam. It
-// leases workers from a lazily grown free list — the same
-// lease/retire-on-broken discipline as the serve pool, minus the
-// micro-batching (the router already batches by chunk).
+// leases workers from a lazily grown free list, retiring one a failed
+// call left broken — the serve pool's retirement discipline, with one
+// worker per concurrent router call instead of a fixed pinned set.
 type Local struct {
 	s    *core.Sampler
 	info Info
@@ -34,28 +34,7 @@ func NewLocal(ds *storage.Dataset, cfg core.Config, backend uring.Backend) (*Loc
 	if err != nil {
 		return nil, err
 	}
-	return NewLocalFrom(ds, s), nil
-}
-
-// NewLocalFrom wraps an existing sampler as a Local engine, sharing its
-// caches and strategies — the serve layer's path, where the same
-// sampler also backs the shard HTTP endpoints.
-func NewLocalFrom(ds *storage.Dataset, s *core.Sampler) *Local {
-	lo, hi := ds.ShardRange()
-	total, index := ds.NumShards(), ds.ShardIndex()
-	if total == 0 {
-		// An unsharded dataset serves as the sole shard of a
-		// 1-partition — what makes a single Local a valid "cluster".
-		total = 1
-	}
-	return &Local{
-		s: s,
-		info: Info{
-			Index: index, Total: total, Lo: lo, Hi: hi,
-			NumNodes: ds.NumNodes(), NumEdges: ds.NumEdges(),
-			FeatureDim: ds.FeatureDim(),
-		},
-	}
+	return &Local{s: s, info: InfoOf(ds)}, nil
 }
 
 // Info implements Engine.
@@ -138,10 +117,6 @@ func (l *Local) Stats() core.IOStats {
 	}
 	return st
 }
-
-// Sampler exposes the underlying sampler (cache introspection, shared
-// serve wiring). Nil-safe only on a non-nil engine.
-func (l *Local) Sampler() *core.Sampler { return l.s }
 
 // Close retires every idle worker. Leased workers are retired as they
 // are released.

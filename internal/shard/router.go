@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"ringsampler/internal/core"
-	"ringsampler/internal/sample"
 	"ringsampler/internal/storage"
 )
 
@@ -305,11 +304,4 @@ func (r *Router) fetchFeatures(ctx context.Context, nodes []uint32) ([]byte, err
 		}
 	}
 	return out, nil
-}
-
-// MixChunkSeed is re-exported glue for callers assembling whole
-// requests: chunk ci of a request seeded `seed` samples with
-// Mix(seed, ci), the identical derivation the serve layer uses.
-func MixChunkSeed(seed uint64, chunk int) uint64 {
-	return sample.Mix(seed, uint64(chunk))
 }

@@ -25,6 +25,7 @@ import (
 	"strconv"
 
 	"ringsampler/internal/core"
+	"ringsampler/internal/storage"
 )
 
 // Info identifies a shard: its position in the partition, its owned
@@ -42,6 +43,23 @@ type Info struct {
 	NumEdges int64 `json:"num_edges"`
 	// FeatureDim is the per-node f32 feature width (0: no features).
 	FeatureDim int `json:"feature_dim,omitempty"`
+}
+
+// InfoOf returns the identity ds serves under: its position in the
+// partition and its owned node range. An unsharded dataset serves as
+// the sole shard of a 1-partition — what makes a single engine over it
+// a valid "cluster".
+func InfoOf(ds *storage.Dataset) Info {
+	lo, hi := ds.ShardRange()
+	total := ds.NumShards()
+	if total == 0 {
+		total = 1
+	}
+	return Info{
+		Index: ds.ShardIndex(), Total: total, Lo: lo, Hi: hi,
+		NumNodes: ds.NumNodes(), NumEdges: ds.NumEdges(),
+		FeatureDim: ds.FeatureDim(),
+	}
 }
 
 // Engine is the shard seam: one node-range shard's storage + cache +

@@ -51,6 +51,13 @@ go test -race -run 'TestShardConformance' ./internal/serve
 go test -race -run 'TestTrainThreadInvariance|TestTrainOverlappedMatchesSerialized' ./internal/train
 go test -race -run 'TestFeatureCacheThreadInvariance|TestFeatureCacheBypassAcrossReadmissions|TestFeatureCacheReadmitConcurrentWithSamplers' ./internal/core
 
+# Serving shutdown order (DESIGN.md §8): no handler may still send on the
+# admission queue when Shutdown closes it, and the queue_depth and
+# inflight gauges must land back at zero after a graceful or forced
+# drain — sample requests and shard calls alike. Repeated, because a
+# wrong order loses a race only sometimes.
+go test -race -count=5 -run 'TestServeForcedShutdownQueueGaugeZero|TestServeGracefulDrain|TestShardCallsUseThePool' ./internal/serve
+
 go test -race $short ./...
 
 # cmd/bench superseded the per-command sweep modes and their checked-in
@@ -66,5 +73,13 @@ fi
 # and tests wrap rings.
 if git grep -n '\.PrepRead' -- '*.go' ':!internal/uring' ':!cmd/bench' ':!*_test.go'; then
     echo "check: a second read loop is growing back (matches above); use uring.Driver" >&2
+    exit 1
+fi
+
+# One serving front end (DESIGN.md §8, §12): pooled and router mode are
+# the same serve.Server; fail if a second HTTP front end grows back.
+muxes=$(git grep -c 'http.NewServeMux' -- 'internal/serve/*.go' ':!*_test.go' | awk -F: '{n += $2} END {print n + 0}')
+if [ "$muxes" -ne 1 ]; then
+    echo "check: internal/serve builds $muxes HTTP muxes, want exactly one front end" >&2
     exit 1
 fi
