@@ -1,33 +1,49 @@
-// Command benchprep (re)builds the checked-in benchmark dataset under
-// benchdata/bench and prints its node, edge and byte counts. Generation
-// is deterministic, so running it on a clean checkout reproduces the
-// committed files byte for byte.
+// Command benchprep verifies or rebuilds the checked-in benchmark
+// dataset, benchdata/bench/ogbn-papers-div20000 — ogbn-papers (paper
+// Table 1: 111 M nodes, 1.6 B edges) scaled down 20 000× to 5 550 nodes
+// and 80 000 edges, with node features and training labels — and prints
+// its node, edge and byte counts. Files that verify are reused as they
+// are; generation is deterministic, so -regen on a clean checkout
+// reproduces the committed files byte for byte.
 //
-// With -shards N the prepared dataset is additionally partitioned by
-// node range into N shard datasets under <dataset>-shards/N/ — the
-// on-disk layout the sharded serving mode (cmd/serve -router,
-// DESIGN.md §12) deploys one shard server per directory over.
+// With -shards N the dataset is additionally partitioned by node range
+// into N shard datasets under <dataset>-shards/N/ — the on-disk layout
+// the sharded serving mode (cmd/serve -router, DESIGN.md §12) deploys
+// one shard server per directory over.
 //
 // Usage:
 //
-//	go run ./cmd/benchprep [-root benchdata/bench] [-divisor 20000] [-regen]
+//	go run ./cmd/benchprep [-root benchdata/bench] [-regen]
 //	go run ./cmd/benchprep -shards 4
 package main
 
 import (
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"log"
 	"path/filepath"
 
-	"ringsampler/internal/exp"
 	"ringsampler/internal/gen"
+	"ringsampler/internal/graph"
 	"ringsampler/internal/storage"
+)
+
+// The checked-in dataset's shape. Features and labels let the
+// feature-store and training benchmarks run on the same graph as the
+// structural ones; verify checks all of it, so a checkout that differs
+// in any of it regenerates.
+const (
+	benchName       = "ogbn-papers"
+	benchDir        = "ogbn-papers-div20000"
+	benchNodes      = 111_000_000 / 20_000
+	benchEdges      = 1_600_000_000 / 20_000
+	benchFeatureDim = 16
+	benchNumClasses = 8
 )
 
 func main() {
 	root := flag.String("root", "benchdata/bench", "dataset root directory")
-	divisor := flag.Int("divisor", 20_000, "paper-scale divisor")
 	regen := flag.Bool("regen", false, "force regeneration even if files verify")
 	shards := flag.Int("shards", 0, "also partition the prepared dataset into this many node-range shard datasets (0: skip)")
 	flag.Parse()
@@ -35,16 +51,14 @@ func main() {
 		log.Fatalf("-shards %d: need 0 (skip) or ≥ 2", *shards)
 	}
 
-	p, err := exp.Prepare(*root, "ogbn-papers", *divisor, *regen)
+	dir, man, err := prepare(*root, *regen)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("dataset %s: %d nodes, %d edges, %d bytes\n",
-		p.Dir, p.Manifest.NumNodes, p.Manifest.NumEdges, p.Manifest.BinBytes)
+	fmt.Printf("dataset %s: %d nodes, %d edges, %d bytes\n", dir, man.NumNodes, man.NumEdges, man.BinBytes)
 
 	if *shards >= 2 {
-		dst := filepath.Join(p.Dir+"-shards", fmt.Sprint(*shards))
-		dirs, err := gen.Partition(p.Dir, dst, *shards)
+		dirs, err := gen.Partition(dir, filepath.Join(dir+"-shards", fmt.Sprint(*shards)), *shards)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,4 +73,48 @@ func main() {
 			sds.Close()
 		}
 	}
+}
+
+// prepare returns the benchmark dataset's directory under root and its
+// manifest, reusing the files there when they verify and generating
+// them otherwise, or always when regen is set. The generation seed is
+// derived from the directory name, so every checkout builds the same
+// bytes.
+func prepare(root string, regen bool) (string, graph.Manifest, error) {
+	dir := filepath.Join(root, benchDir)
+	if !regen {
+		if man, err := verify(dir); err == nil {
+			return dir, man, nil
+		}
+	}
+	h := fnv.New64a()
+	h.Write([]byte(benchDir))
+	opts := gen.Options{FeatureDim: benchFeatureDim, NumClasses: benchNumClasses}
+	if _, err := gen.GenerateWith(dir, benchName, "rmat", benchNodes, benchEdges, h.Sum64(), opts); err != nil {
+		return "", graph.Manifest{}, fmt.Errorf("generate %s: %w", dir, err)
+	}
+	man, err := verify(dir)
+	if err != nil {
+		return "", graph.Manifest{}, fmt.Errorf("freshly generated dataset fails verification: %w", err)
+	}
+	return dir, man, nil
+}
+
+// verify opens the dataset (storage.Open validates file sizes, checksums
+// and offset-index consistency) and checks it is the graph prepare
+// builds: its name, counts and feature and label shapes.
+func verify(dir string) (graph.Manifest, error) {
+	ds, err := storage.Open(dir)
+	if err != nil {
+		return graph.Manifest{}, err
+	}
+	defer ds.Close()
+	man := ds.Manifest()
+	if man.Name != benchName || man.NumNodes != benchNodes || man.NumEdges != benchEdges ||
+		man.FeatureDim != benchFeatureDim || man.NumClasses != benchNumClasses {
+		return man, fmt.Errorf("dataset %s is %q with %d nodes / %d edges, featureDim %d / numClasses %d; want %q with %d / %d, %d / %d",
+			dir, man.Name, man.NumNodes, man.NumEdges, man.FeatureDim, man.NumClasses,
+			benchName, benchNodes, benchEdges, benchFeatureDim, benchNumClasses)
+	}
+	return man, nil
 }

@@ -58,7 +58,6 @@ import (
 	"syscall"
 
 	"ringsampler/internal/core"
-	"ringsampler/internal/exp"
 	"ringsampler/internal/gen"
 	"ringsampler/internal/graph"
 	"ringsampler/internal/sample"
@@ -187,7 +186,7 @@ func run(args []string, out io.Writer) error {
 			*classes = 8
 		}
 	}
-	be, err := pickBackend(*backend)
+	be, err := uring.ParseBackend(*backend)
 	if err != nil {
 		return err
 	}
@@ -271,7 +270,7 @@ func run(args []string, out io.Writer) error {
 	}
 
 	rng := sample.NewRNG(sample.Mix(*seed, 0xe90c))
-	epochTargets := exp.UniformTargets(&rng, ds.NumNodes(), *targets)
+	epochTargets := uniformTargets(&rng, ds.NumNodes(), *targets)
 
 	ref, err := runOnce(ctx, out, ds, cfg, be, epochTargets)
 	if err != nil {
@@ -389,7 +388,7 @@ func runTrain(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.
 		return err
 	}
 	rng := sample.NewRNG(sample.Mix(cfg.Seed, 0x7ea14))
-	targets := exp.UniformTargets(&rng, ds.NumNodes(), numTargets)
+	targets := uniformTargets(&rng, ds.NumNodes(), numTargets)
 	mode := "overlapped"
 	if serialized {
 		mode = "serialized"
@@ -433,16 +432,18 @@ func mibFlag(name string, mb int64) (int64, error) {
 	return mb << 20, nil
 }
 
-func pickBackend(name string) (uring.Backend, error) {
-	switch be := uring.Backend(name); be {
-	case "auto":
-		if uring.Probe().Ring {
-			return uring.BackendIOURing, nil
-		}
-		return uring.BackendPool, nil
-	case uring.BackendIOURing, uring.BackendPool, uring.BackendSim:
-		return be, nil
-	default:
-		return "", fmt.Errorf("unknown backend %q", name)
+// uniformTargets draws n uniform target nodes from [0, numNodes)
+// through the caller's RNG stream; a non-positive n draws nothing. The
+// draw is 64-bit clean — a uint32 draw would truncate a node count of
+// 2³² or more — and below 2³² nodes Uint64n consumes and returns
+// exactly what Uint32n would, so the targets match a uint32 draw's.
+func uniformTargets(rng *sample.RNG, numNodes int64, n int) []uint32 {
+	if n <= 0 {
+		return nil
 	}
+	targets := make([]uint32, n)
+	for i := range targets {
+		targets[i] = uint32(rng.Uint64n(uint64(numNodes)))
+	}
+	return targets
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"ringsampler/internal/exp"
 	"ringsampler/internal/gen"
 	"ringsampler/internal/sample"
 	"ringsampler/internal/uring"
@@ -139,14 +138,31 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestUniformTargetsNonPositive: the shared target draw returns nothing
-// for n ≤ 0 instead of panicking in makeslice.
+// TestUniformTargetsNonPositive: the target draw returns nothing for
+// n ≤ 0 instead of panicking in makeslice.
 func TestUniformTargetsNonPositive(t *testing.T) {
 	rng := sample.NewRNG(1)
 	for _, tc := range []struct{ n, want int }{{-5, 0}, {-1, 0}, {0, 0}, {3, 3}} {
-		if got := exp.UniformTargets(&rng, 100, tc.n); len(got) != tc.want {
-			t.Fatalf("UniformTargets(n=%d) drew %d targets, want %d", tc.n, len(got), tc.want)
+		if got := uniformTargets(&rng, 100, tc.n); len(got) != tc.want {
+			t.Fatalf("uniformTargets(n=%d) drew %d targets, want %d", tc.n, len(got), tc.want)
 		}
+	}
+}
+
+// TestUniformTargetsMatchesUint32Draw: below 2³² nodes the 64-bit draw
+// returns exactly what a rng.Uint32n draw does, stream position
+// included, so it moved no digest.
+func TestUniformTargetsMatchesUint32Draw(t *testing.T) {
+	const numNodes, n = 5550, 512
+	rng, r := sample.NewRNG(1), sample.NewRNG(1)
+	got := uniformTargets(&rng, numNodes, n)
+	for i, g := range got {
+		if want := r.Uint32n(numNodes); g != want {
+			t.Fatalf("target %d = %d, Uint32n draws %d", i, g, want)
+		}
+	}
+	if len(got) != n {
+		t.Fatalf("drew %d targets, want %d", len(got), n)
 	}
 }
 

@@ -121,7 +121,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *featureDim > 0 && *data != "" {
 		return fmt.Errorf("-feature-dim only applies to the temporary graph; %s already fixes its features", *data)
 	}
-	be, err := pickBackend(*backend)
+	be, err := uring.ParseBackend(*backend)
 	if err != nil {
 		return err
 	}
@@ -316,22 +316,4 @@ func mibFlag(name string, mb int64) (int64, error) {
 		return 0, fmt.Errorf("%s %d must be between 0 and %d MiB", name, mb, int64(math.MaxInt64>>20))
 	}
 	return mb << 20, nil
-}
-
-func pickBackend(name string) (uring.Backend, error) {
-	switch strings.ToLower(name) {
-	case "auto":
-		if uring.Probe().Ring {
-			return uring.BackendIOURing, nil
-		}
-		return uring.BackendPool, nil
-	case "io_uring":
-		return uring.BackendIOURing, nil
-	case "pool":
-		return uring.BackendPool, nil
-	case "sim":
-		return uring.BackendSim, nil
-	default:
-		return "", fmt.Errorf("unknown backend %q", name)
-	}
 }

@@ -17,9 +17,11 @@ import (
 var DefaultFanouts = []int{20, 15, 10}
 
 // DefaultArenaBytes is the per-worker registered arena size when
-// Config.FixedBuffers is on and ArenaBytes is 0: big enough that every
-// layer of the default fanout/batch fits, small enough that 8 workers
-// cost tens of megabytes.
+// Config.FixedBuffers is on: big enough that every layer of the default
+// fanout/batch fits, small enough that 8 workers cost tens of
+// megabytes. Layers whose buffers outgrow the arena fall back to plain
+// reads for that layer — correctness never depends on the arena being
+// big enough.
 const DefaultArenaBytes = 8 << 20
 
 // Config controls the engine. The ablation switches (AsyncPipeline,
@@ -55,20 +57,13 @@ type Config struct {
 	// output is a pure function of (dataset, config, targets, Seed),
 	// invariant under Threads and backend.
 	Strategy string
-	// MaxIORetries bounds how many times one ring read is resubmitted
-	// after a transient result (-EINTR/-EAGAIN, or a short read's
-	// remaining byte range) before the worker surfaces a structured
-	// *IOError. 0 disables retries entirely. It governs the workers'
-	// sampling and feature reads; the cache fills at New and at
-	// re-admission run outside any worker and keep the default bound,
-	// uring.DefaultRetries.
-	MaxIORetries int
-	// FixedBuffers registers each worker's workspace arena with its ring
-	// (IORING_REGISTER_BUFFERS) and issues IORING_OP_READ_FIXED, skipping
-	// per-read page pinning on the real backend. Pool/sim emulate the
-	// validation, so conformance runs everywhere; on the real backend the
-	// knob downgrades (with one log line) when the kernel refuses
-	// registration. Byte output is identical either way.
+	// FixedBuffers registers each worker's workspace arena
+	// (DefaultArenaBytes) with its ring (IORING_REGISTER_BUFFERS) and
+	// issues IORING_OP_READ_FIXED, skipping per-read page pinning on the
+	// real backend. Pool/sim emulate the validation, so conformance runs
+	// everywhere; on the real backend the knob downgrades (with one log
+	// line) when the kernel refuses registration. Byte output is
+	// identical either way.
 	FixedBuffers bool
 	// RegisteredFiles registers the edge file with each worker's ring
 	// (IORING_REGISTER_FILES) so SQEs carry IOSQE_FIXED_FILE and skip the
@@ -86,11 +81,6 @@ type Config struct {
 	// O_DIRECT path allocates aligned scratch per in-flight request) and
 	// latency.
 	Depth int
-	// ArenaBytes sizes each worker's registered workspace arena when
-	// FixedBuffers is on (0 selects DefaultArenaBytes). Layers whose
-	// buffers outgrow the arena fall back to plain reads for that layer —
-	// correctness never depends on the arena being big enough.
-	ArenaBytes int64
 	// CacheBudgetBytes is the memory budget (bytes, accounted through
 	// memctl) for the hot-neighbor cache: the complete neighbor lists of
 	// the highest-degree nodes, pinned at sampler construction and
@@ -137,7 +127,6 @@ func DefaultConfig() Config {
 		AsyncPipeline:  true,
 		OffsetSampling: true,
 		Seed:           1,
-		MaxIORetries:   uring.DefaultRetries,
 	}
 }
 
@@ -159,17 +148,11 @@ func (c *Config) validate() error {
 	if c.RingSize <= 0 {
 		return fmt.Errorf("core: ring size %d must be positive", c.RingSize)
 	}
-	if c.MaxIORetries < 0 {
-		return fmt.Errorf("core: max I/O retries %d must be non-negative", c.MaxIORetries)
-	}
 	if !ValidStrategy(c.Strategy) {
 		return fmt.Errorf("core: unknown sampling strategy %q (known: %v)", c.Strategy, StrategyNames())
 	}
 	if c.Depth < 0 {
 		return fmt.Errorf("core: depth %d must be non-negative", c.Depth)
-	}
-	if c.ArenaBytes < 0 {
-		return fmt.Errorf("core: arena bytes %d must be non-negative", c.ArenaBytes)
 	}
 	if c.CacheBudgetBytes < 0 {
 		return fmt.Errorf("core: cache budget %d must be non-negative", c.CacheBudgetBytes)

@@ -1,0 +1,28 @@
+package core
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+)
+
+// TestConfigFieldCensus pins Config's exported fields, so a new knob is
+// a visible one-line change here, judged on its own.
+func TestConfigFieldCensus(t *testing.T) {
+	want := []string{
+		"Fanouts", "BatchSize", "Threads", "RingSize",
+		"AsyncPipeline", "OffsetSampling", "Seed", "Strategy",
+		"FixedBuffers", "RegisteredFiles", "SQPoll", "Depth",
+		"CacheBudgetBytes", "FetchFeatures", "FeatureCacheBudgetBytes", "WrapRing",
+	}
+	var got []string
+	typ := reflect.TypeFor[Config]()
+	for i := range typ.NumField() {
+		if f := typ.Field(i); f.IsExported() {
+			got = append(got, f.Name)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("core.Config fields\n got %q\nwant %q", got, want)
+	}
+}

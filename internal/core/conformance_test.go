@@ -135,12 +135,11 @@ func TestConformanceFullFetchUnderFaults(t *testing.T) {
 }
 
 // TestRetryExhaustionTransient: a ring that only ever returns -EINTR/
-// -EAGAIN must burn exactly MaxIORetries retries and surface a
+// -EAGAIN must burn exactly uring.DefaultRetries retries and surface a
 // structured *IOError wrapping the transient errno.
 func TestRetryExhaustionTransient(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
-	cfg.MaxIORetries = 3
 	cfg.WrapRing = faultWrap(uring.FaultPlan{Seed: 5, TransientRate: 1})
 	s, err := New(ds, cfg, uring.BackendSim)
 	if err != nil {
@@ -156,8 +155,8 @@ func TestRetryExhaustionTransient(t *testing.T) {
 	if !errors.As(err, &ioe) {
 		t.Fatalf("err = %v (%T), want *IOError", err, err)
 	}
-	if ioe.Attempts != cfg.MaxIORetries {
-		t.Fatalf("Attempts = %d, want %d", ioe.Attempts, cfg.MaxIORetries)
+	if ioe.Attempts != uring.DefaultRetries {
+		t.Fatalf("Attempts = %d, want %d", ioe.Attempts, uring.DefaultRetries)
 	}
 	if !transientErrno(ioe.Errno) {
 		t.Fatalf("Errno = %v, want EINTR/EAGAIN", ioe.Errno)
@@ -192,27 +191,6 @@ func TestHardErrorFailsFast(t *testing.T) {
 	}
 	if !errors.Is(err, syscall.EIO) {
 		t.Fatal("IOError does not unwrap to EIO")
-	}
-}
-
-// TestRetriesDisabled: MaxIORetries = 0 restores fail-fast semantics
-// even for transient results.
-func TestRetriesDisabled(t *testing.T) {
-	ds := testDataset(t)
-	cfg := DefaultConfig()
-	cfg.MaxIORetries = 0
-	cfg.WrapRing = faultWrap(uring.FaultPlan{Seed: 5, TransientRate: 1})
-	s, err := New(ds, cfg, uring.BackendSim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := s.NewWorker(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if _, err := w.SampleBatch(testTargets(ds, 8)); err == nil {
-		t.Fatal("transient errno succeeded with retries disabled")
 	}
 }
 
@@ -251,7 +229,6 @@ func (r truncRing) Wait(min int) ([]uring.CQE, error) {
 func TestRetryExhaustionShortRead(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
-	cfg.MaxIORetries = 3
 	cfg.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {
 		return truncRing{r}, nil
 	}
@@ -275,8 +252,8 @@ func TestRetryExhaustionShortRead(t *testing.T) {
 	if ioe.Errno != 0 {
 		t.Fatalf("IOError.Errno = %v, want 0 for short-read exhaustion", ioe.Errno)
 	}
-	if ioe.Attempts != cfg.MaxIORetries {
-		t.Fatalf("Attempts = %d, want %d", ioe.Attempts, cfg.MaxIORetries)
+	if ioe.Attempts != uring.DefaultRetries {
+		t.Fatalf("Attempts = %d, want %d", ioe.Attempts, uring.DefaultRetries)
 	}
 	if !strings.Contains(err.Error(), "retry budget exhausted by short reads") {
 		t.Fatalf("error message lost the short-read context: %q", err.Error())
@@ -359,15 +336,4 @@ func TestRingStallGuard(t *testing.T) {
 			t.Fatalf("err = %v, want ErrRingStalled", err)
 		}
 	})
-}
-
-// TestConfigRejectsNegativeRetries: validation satellite for the new
-// knob.
-func TestConfigRejectsNegativeRetries(t *testing.T) {
-	ds := testDataset(t)
-	cfg := DefaultConfig()
-	cfg.MaxIORetries = -1
-	if _, err := New(ds, cfg, uring.BackendSim); err == nil {
-		t.Fatal("negative MaxIORetries accepted")
-	}
 }

@@ -397,9 +397,4 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 	if _, err := New(ds, cfg, uring.BackendSim); err == nil {
 		t.Fatal("negative Depth accepted")
 	}
-	cfg = DefaultConfig()
-	cfg.ArenaBytes = -1
-	if _, err := New(ds, cfg, uring.BackendSim); err == nil {
-		t.Fatal("negative ArenaBytes accepted")
-	}
 }

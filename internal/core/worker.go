@@ -228,13 +228,9 @@ func (s *Sampler) NewWorker(id int) (*Worker, error) {
 		rng: sample.NewRNG(sample.Mix(s.cfg.Seed, uint64(id))),
 	}
 	if s.active.fixed {
-		arenaBytes := s.cfg.ArenaBytes
-		if arenaBytes == 0 {
-			arenaBytes = DefaultArenaBytes
-		}
 		// 4096-aligned so arena-backed slices satisfy any O_DIRECT
 		// granularity the dataset probe settled on.
-		w.arena = storage.AlignedSlice(int(arenaBytes), 4096)
+		w.arena = storage.AlignedSlice(DefaultArenaBytes, 4096)
 	}
 	edge, err := w.openFile(s.ds.File(), s.ds.DirectAlign())
 	if err != nil {
@@ -278,12 +274,11 @@ func (w *Worker) openFile(f *os.File, align int) (uring.Driver, error) {
 		ring = wrapped
 	}
 	return uring.Driver{
-		Ring:    ring,
-		Align:   align,
-		Depth:   cfg.Depth,
-		Sync:    !cfg.AsyncPipeline,
-		Retries: cfg.MaxIORetries,
-		Arena:   w.arena,
+		Ring:  ring,
+		Align: align,
+		Depth: cfg.Depth,
+		Sync:  !cfg.AsyncPipeline,
+		Arena: w.arena,
 	}, nil
 }
 

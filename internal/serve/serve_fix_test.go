@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -64,6 +66,54 @@ func TestServeNegativeTimeoutRejected(t *testing.T) {
 	if got := metricValue(t, body, "ringsampler_io_reads_total"); got != 0 {
 		t.Fatalf("rejected request reached the engine: %v reads", got)
 	}
+}
+
+// TestValidateSampleTimeout: timeout_ms is capped in milliseconds
+// before it becomes a time.Duration. Converting first wrapped huge
+// values: MaxInt64 ms became a −1 ms deadline (an instant 504) and
+// 9223372036854776 ms a 192 µs one.
+func TestValidateSampleTimeout(t *testing.T) {
+	cfg := DefaultConfig()
+	r := httptest.NewRequest(http.MethodPost, "/v1/sample", nil)
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration
+	}{
+		{0, defaultTimeout},
+		{1, time.Millisecond},
+		{maxTimeout.Milliseconds() - 1, maxTimeout - time.Millisecond},
+		{maxTimeout.Milliseconds(), maxTimeout},
+		{maxTimeout.Milliseconds() + 1, maxTimeout},
+		{9223372036854776, maxTimeout},
+		{math.MaxInt64, maxTimeout},
+	} {
+		req := sampleRequest{Targets: []uint32{1}, TimeoutMS: tc.ms}
+		_, got, err := cfg.validateSample(r, &req, 10, false)
+		if err != nil || got != tc.want {
+			t.Errorf("timeout_ms %d: deadline %v, %v; want %v", tc.ms, got, err, tc.want)
+		}
+	}
+}
+
+// TestValidateSampleLimits pins each request limit at its edge: the
+// largest accepted request and the smallest refused one.
+func TestValidateSampleLimits(t *testing.T) {
+	cfg := DefaultConfig()
+	r := httptest.NewRequest(http.MethodPost, "/v1/sample", nil)
+	check := func(name string, req sampleRequest, ok bool) {
+		t.Helper()
+		if _, _, err := cfg.validateSample(r, &req, 10, false); (err == nil) != ok {
+			t.Errorf("%s: err %v, want accepted %v", name, err, ok)
+		}
+	}
+	limit := 4 * cfg.Core.BatchSize
+	check("targets at limit", sampleRequest{Targets: make([]uint32, limit)}, true)
+	check("targets over limit", sampleRequest{Targets: make([]uint32, limit+1)}, false)
+	check("8 layers", sampleRequest{Targets: []uint32{1}, Fanouts: []int{1, 1, 1, 1, 1, 1, 1, 1}}, true)
+	check("9 layers", sampleRequest{Targets: []uint32{1}, Fanouts: []int{1, 1, 1, 1, 1, 1, 1, 1, 1}}, false)
+	check("fanout 256", sampleRequest{Targets: []uint32{1}, Fanouts: []int{256}}, true)
+	check("fanout 257", sampleRequest{Targets: []uint32{1}, Fanouts: []int{257}}, false)
+	check("fanout 0", sampleRequest{Targets: []uint32{1}, Fanouts: []int{0}}, false)
 }
 
 // TestServeForcedShutdownQueueGaugeZero forces a drain (expired

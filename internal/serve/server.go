@@ -58,78 +58,57 @@ import (
 // server buffer.
 const maxBodyBytes = 8 << 20
 
-// Config controls the serving layer. Zero values for the serving knobs
-// select the documented defaults; Core carries the engine config
+// Request limits. They bound what one request can make the pool do —
+// targets (a request is at most maxChunks Core.BatchSize chunks), fanout
+// shape (the frontier explosion guard) — and how long it may take.
+const (
+	maxChunks       = 4
+	maxFanoutLayers = 8
+	maxFanout       = 256
+	// defaultTimeout is the deadline of a request that sets no
+	// timeout_ms, and of every shard call; maxTimeout caps timeout_ms.
+	defaultTimeout = 10 * time.Second
+	maxTimeout     = 60 * time.Second
+)
+
+// Config controls the serving layer. A zero QueueDepth or Backend
+// selects its documented default; Core carries the engine config
 // (Core.Threads is the worker-pool size, Core.BatchSize the chunking
 // granularity of the determinism contract).
 type Config struct {
 	// Core is the engine configuration behind the pool.
 	Core core.Config
-	// Backend selects the ring backend; empty picks io_uring when the
-	// environment supports it, the portable pread pool otherwise.
+	// Backend names the ring backend (uring.ParseBackend); empty picks
+	// io_uring when the environment supports it, the portable pread
+	// pool otherwise.
 	Backend uring.Backend
 	// QueueDepth bounds the admission queue in jobs (chunks). A full
 	// queue fast-fails new requests with 429 instead of queuing
 	// unboundedly. Default 256.
 	QueueDepth int
-	// MaxTargetsPerRequest rejects oversized requests with 400.
-	// Default 4 × Core.BatchSize.
-	MaxTargetsPerRequest int
-	// MaxFanoutLayers / MaxFanout bound per-request fanout shapes
-	// (frontier explosion guard). Defaults 8 and 256.
-	MaxFanoutLayers int
-	MaxFanout       int
-	// DefaultTimeout is the per-request deadline when the client sends
-	// none; MaxTimeout caps client-requested deadlines. Defaults 10s
-	// and 60s.
-	DefaultTimeout time.Duration
-	MaxTimeout     time.Duration
 }
 
 // DefaultConfig returns the serving defaults over the engine defaults.
 func DefaultConfig() Config {
-	return Config{
-		Core:           core.DefaultConfig(),
-		QueueDepth:     256,
-		DefaultTimeout: 10 * time.Second,
-		MaxTimeout:     60 * time.Second,
-	}
+	return Config{Core: core.DefaultConfig(), QueueDepth: 256}
 }
 
-func (c *Config) fillDefaults() {
+// resolve fills the defaults in, resolves the backend name, and
+// validates what the engine does not.
+func (c *Config) resolve() error {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 256
 	}
-	if c.MaxTargetsPerRequest == 0 {
-		c.MaxTargetsPerRequest = 4 * c.Core.BatchSize
+	be, err := uring.ParseBackend(string(c.Backend))
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
-	if c.MaxFanoutLayers == 0 {
-		c.MaxFanoutLayers = 8
-	}
-	if c.MaxFanout == 0 {
-		c.MaxFanout = 256
-	}
-	if c.DefaultTimeout == 0 {
-		c.DefaultTimeout = 10 * time.Second
-	}
-	if c.MaxTimeout == 0 {
-		c.MaxTimeout = 60 * time.Second
-	}
-	if c.Backend == "" {
-		if uring.Probe().Ring {
-			c.Backend = uring.BackendIOURing
-		} else {
-			c.Backend = uring.BackendPool
-		}
-	}
-}
-
-func (c *Config) validate() error {
+	c.Backend = be
 	if c.QueueDepth < 1 {
 		return fmt.Errorf("serve: queue depth %d must be positive", c.QueueDepth)
 	}
-	if c.MaxTargetsPerRequest < 1 {
-		return fmt.Errorf("serve: max targets per request %d must be positive", c.MaxTargetsPerRequest)
+	if c.Core.BatchSize < 1 {
+		return fmt.Errorf("serve: batch size %d must be positive", c.Core.BatchSize)
 	}
 	return nil
 }
@@ -166,8 +145,7 @@ type Server struct {
 // budgeted), and starts the worker pool. The server is live once Serve
 // is called on a listener.
 func New(ds *storage.Dataset, cfg Config) (*Server, error) {
-	cfg.fillDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.resolve(); err != nil {
 		return nil, err
 	}
 	sampler, err := core.New(ds, cfg.Core, cfg.Backend)
@@ -197,8 +175,7 @@ func NewRouter(engines []shard.Engine, cfg Config) (*Server, error) {
 	if cfg.Core.BatchSize == 0 {
 		cfg.Core.BatchSize = core.DefaultConfig().BatchSize
 	}
-	cfg.fillDefaults()
-	if err := cfg.validate(); err != nil {
+	if err := cfg.resolve(); err != nil {
 		return nil, err
 	}
 	if !core.ValidStrategy(cfg.Core.Strategy) {
@@ -326,7 +303,7 @@ type sampleRequest struct {
 	// otherwise).
 	Features bool `json:"features,omitempty"`
 	// TimeoutMS overrides the server's default per-request deadline
-	// (capped at the server's MaxTimeout).
+	// (capped at maxTimeout).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
@@ -396,8 +373,8 @@ func (c *Config) validateSample(r *http.Request, req *sampleRequest, numNodes in
 	if len(req.Targets) == 0 {
 		return nil, 0, fmt.Errorf("request needs at least one target")
 	}
-	if len(req.Targets) > c.MaxTargetsPerRequest {
-		return nil, 0, fmt.Errorf("request has %d targets, limit %d", len(req.Targets), c.MaxTargetsPerRequest)
+	if limit := maxChunks * c.Core.BatchSize; len(req.Targets) > limit {
+		return nil, 0, fmt.Errorf("request has %d targets, limit %d", len(req.Targets), limit)
 	}
 	if err := checkTargets(req.Targets, numNodes); err != nil {
 		return nil, 0, err
@@ -416,12 +393,12 @@ func (c *Config) validateSample(r *http.Request, req *sampleRequest, numNodes in
 	if len(fanouts) == 0 {
 		fanouts = c.Core.Fanouts
 	}
-	if len(fanouts) > c.MaxFanoutLayers {
-		return nil, 0, fmt.Errorf("%d fanout layers, limit %d", len(fanouts), c.MaxFanoutLayers)
+	if len(fanouts) > maxFanoutLayers {
+		return nil, 0, fmt.Errorf("%d fanout layers, limit %d", len(fanouts), maxFanoutLayers)
 	}
 	for i, f := range fanouts {
-		if f < 1 || f > c.MaxFanout {
-			return nil, 0, fmt.Errorf("fanout[%d] = %d out of range [1,%d]", i, f, c.MaxFanout)
+		if f < 1 || f > maxFanout {
+			return nil, 0, fmt.Errorf("fanout[%d] = %d out of range [1,%d]", i, f, maxFanout)
 		}
 	}
 	if !core.ValidStrategy(req.Strategy) {
@@ -432,12 +409,11 @@ func (c *Config) validateSample(r *http.Request, req *sampleRequest, numNodes in
 		// default — rejecting beats silently substituting one.
 		return nil, 0, fmt.Errorf("timeout_ms %d must be non-negative", req.TimeoutMS)
 	}
-	timeout := c.DefaultTimeout
+	timeout := defaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > c.MaxTimeout {
-			timeout = c.MaxTimeout
-		}
+		// Capped in milliseconds: converting first would overflow
+		// time.Duration and wrap a huge timeout_ms to a tiny deadline.
+		timeout = time.Duration(min(req.TimeoutMS, maxTimeout.Milliseconds())) * time.Millisecond
 	}
 	return fanouts, timeout, nil
 }
@@ -659,8 +635,8 @@ func (s *Server) handleShardLayer(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err.Error())
 		return
 	}
-	if req.Layer < 0 || req.Fanout < 1 || req.Fanout > s.cfg.MaxFanout {
-		s.badRequest(w, fmt.Sprintf("layer %d / fanout %d out of range (fanout limit %d)", req.Layer, req.Fanout, s.cfg.MaxFanout))
+	if req.Layer < 0 || req.Fanout < 1 || req.Fanout > maxFanout {
+		s.badRequest(w, fmt.Sprintf("layer %d / fanout %d out of range (fanout limit %d)", req.Layer, req.Fanout, maxFanout))
 		return
 	}
 	if len(req.Frontier) == 0 {
@@ -681,7 +657,7 @@ func (s *Server) handleShardLayer(w http.ResponseWriter, r *http.Request) {
 	params := core.LayerParams{Layer: req.Layer, Fanout: req.Fanout, Strategy: req.Strategy, RNGState: state}
 	var layer *core.Layer
 	var next uint64
-	if s.await(w, r, s.cfg.DefaultTimeout, 1, "shard layer", func(ctx context.Context, rq *request) bool {
+	if s.await(w, r, defaultTimeout, 1, "shard layer", func(ctx context.Context, rq *request) bool {
 		return s.enqueue(ctx, rq, func(w *core.Worker) (err error) {
 			layer, next, err = w.SampleLayer(req.Frontier, params)
 			return err
@@ -723,7 +699,7 @@ func (s *Server) handleShardFeatures(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.shardCalls.Add(1)
 	var feats []byte
-	if s.await(w, r, s.cfg.DefaultTimeout, 1, "shard features", func(ctx context.Context, rq *request) bool {
+	if s.await(w, r, defaultTimeout, 1, "shard features", func(ctx context.Context, rq *request) bool {
 		return s.enqueue(ctx, rq, func(w *core.Worker) (err error) {
 			feats, err = w.FetchFeatures(req.Nodes)
 			return err

@@ -95,7 +95,7 @@ func cutParts(reads []uring.Read, parts int) []int {
 }
 
 // readPart reads one part of a batch through a ring and driver of its
-// own, with the default retry bound.
+// own.
 func readPart(f *os.File, align int, dst []byte, reads []uring.Read, base int64) (int64, error) {
 	backend := uring.BackendPool
 	if uring.Probe().Ring {
@@ -114,7 +114,7 @@ func readPart(f *os.File, align int, dst []byte, reads []uring.Read, base int64)
 	for i, rd := range reads {
 		local[i] = uring.Read{Off: rd.Off - base, Pos: rd.Pos, Len: rd.Len}
 	}
-	d := uring.Driver{Ring: ring, Align: align, Retries: uring.DefaultRetries}
+	d := uring.Driver{Ring: ring, Align: align}
 	err = d.Run(dst, local)
 	return d.Stats.Bytes + d.Stats.SlackBytes, err
 }

@@ -31,10 +31,9 @@ func Append(reads []Read, off, pos, n, maxLen int64) []Read {
 	return append(reads, Read{Off: off, Pos: pos, Len: n})
 }
 
-// DefaultRetries is the engine's one default bound on how often a read
-// is resubmitted — short-read remainders and -EINTR/-EAGAIN together —
-// before it fails: the default of core's Config.MaxIORetries, and the
-// bound of the cache fills, which run outside any worker.
+// DefaultRetries is the engine's one bound on how often a read is
+// resubmitted — short-read remainders and -EINTR/-EAGAIN together —
+// before it fails, for the workers' reads and the cache fills alike.
 const DefaultRetries = 8
 
 // ErrRingStalled marks a ring that violated the never-refuse-while-idle
@@ -126,9 +125,9 @@ const directScratch = 4 << 20
 // stages what the ring takes and publishes it with one Submit, and while
 // more reads wait it reaps half the window per Wait), resubmits the
 // remainder of a short read and the whole of an -EINTR/-EAGAIN, both
-// within Retries, and fails on anything else — after draining what is
-// still in flight, so the ring is idle again when the caller sees the
-// error. Every reader of the engine goes through one: the workers' edge
+// within DefaultRetries, and fails on anything else — after draining
+// what is still in flight, so the ring is idle again when the caller
+// sees the error. Every reader of the engine goes through one: the workers' edge
 // and feature stages and the cache fills.
 //
 // On an O_DIRECT file (Align > 0) each read becomes the aligned window
@@ -138,7 +137,7 @@ const directScratch = 4 << 20
 // requested range is covered.
 //
 // A Driver is not safe for concurrent use; the zero value plus Ring is a
-// buffered, asynchronous driver that never retries.
+// buffered, asynchronous driver.
 type Driver struct {
 	Ring Ring
 	// Align is the file's O_DIRECT granularity, a power of two; 0 reads
@@ -149,9 +148,6 @@ type Driver struct {
 	// Sync is the synchronous ablation (paper Fig 3b): every read in
 	// flight completes before more are staged.
 	Sync bool
-	// Retries bounds the resubmissions of one read; 0 fails the first
-	// transient or short completion.
-	Retries int
 	// Arena is the buffer registered with Ring at index 0, or nil. A Run
 	// whose destination lies inside it reads through PrepReadFixed; on an
 	// O_DIRECT file it is cut into scratch chunks instead, and the
@@ -268,7 +264,7 @@ func (d *Driver) run(dst []byte, reads []Read) error {
 					return &IOError{Offset: rq.off, Bytes: rq.remain, Attempts: int(rq.attempts), Errno: errno}
 				}
 				d.Stats.TransientErrs++
-				if int(rq.attempts) >= d.Retries {
+				if int(rq.attempts) >= DefaultRetries {
 					return &IOError{Offset: rq.off, Bytes: rq.remain, Attempts: int(rq.attempts), Errno: errno}
 				}
 				rq.attempts++
@@ -298,7 +294,7 @@ func (d *Driver) run(dst []byte, reads []Read) error {
 				rq.off += got
 				rq.pos += got
 				rq.remain -= got
-				if int(rq.attempts) >= d.Retries {
+				if int(rq.attempts) >= DefaultRetries {
 					return &IOError{Offset: rq.off, Bytes: rq.remain, Attempts: int(rq.attempts), ShortRead: true}
 				}
 				rq.attempts++
@@ -388,7 +384,7 @@ func (d *Driver) window(id int32, rq *req, got int64, dst []byte) (bool, error) 
 		return true, nil
 	}
 	d.Stats.ShortReads++
-	if int(rq.attempts) >= d.Retries {
+	if int(rq.attempts) >= DefaultRetries {
 		return false, &IOError{Offset: covered, Bytes: sl.off + sl.n - covered, Attempts: int(rq.attempts), ShortRead: true}
 	}
 	rq.attempts++

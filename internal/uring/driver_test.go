@@ -16,11 +16,6 @@ import (
 // synchronous ablation, fixed-buffer selection and the O_DIRECT scratch
 // bound.
 
-// testRetries is the retry bound of the conformance runs: at the nasty
-// plan's rates (0.4 of attempts transient or short) the default bound
-// can exhaust legitimately, so it is raised as fault harnesses do.
-const testRetries = 64
-
 // planReads lays the conformance plan out back to back in one
 // destination and returns the reads and the destination's size.
 func planReads(fileEntries int) ([]Read, int64) {
@@ -82,7 +77,7 @@ func TestRunConformance(t *testing.T) {
 
 			reads, n := planReads(n)
 			dst := make([]byte, n)
-			d := Driver{Ring: r, Retries: testRetries}
+			d := Driver{Ring: r}
 			if err := d.Run(dst, reads); err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +99,7 @@ func TestRunConformance(t *testing.T) {
 				t.Fatal("no window straddles the end of the file")
 			}
 			dst = make([]byte, pos)
-			wd := Driver{Ring: r, Align: align, Retries: testRetries}
+			wd := Driver{Ring: r, Align: align}
 			if err := wd.Run(dst, windows); err != nil {
 				t.Fatal(err)
 			}
@@ -123,35 +118,31 @@ func TestRunConformance(t *testing.T) {
 }
 
 // TestRunRetryBound: a read that only ever completes -EINTR/-EAGAIN is
-// attempted exactly Retries+1 times, then fails with an *IOError naming
-// the errno and the retries spent, with nothing in flight; 0 fails at
-// once.
+// attempted exactly DefaultRetries+1 times, then fails with an *IOError
+// naming the errno and the retries spent, with nothing in flight.
 func TestRunRetryBound(t *testing.T) {
-	f := testFile(t, 64)
-	for _, retries := range []int{0, 3} {
-		inner, err := New(BackendSim, f, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := NewFault(inner, FaultPlan{Seed: 5, TransientRate: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := Driver{Ring: r, Retries: retries}
-		err = d.Run(make([]byte, 16), []Read{{Off: 8, Len: 16}})
-		var ioe *IOError
-		if !errors.As(err, &ioe) || ioe.Attempts != retries || ioe.Offset != 8 || ioe.Bytes != 16 {
-			t.Fatalf("retries %d: error %v, want an *IOError after %d retries at offset 8", retries, err, retries)
-		}
-		if !errors.Is(err, syscall.EINTR) && !errors.Is(err, syscall.EAGAIN) {
-			t.Fatalf("retries %d: error %v, want a transient errno", retries, err)
-		}
-		if st, _ := Faults(r); st.Transient != int64(retries+1) || d.Stats.TransientErrs != int64(retries+1) {
-			t.Fatalf("retries %d: %d transient completions (%d counted), want %d", retries, st.Transient, d.Stats.TransientErrs, retries+1)
-		}
-		assertIdle(t, r)
-		r.Close()
+	inner, err := New(BackendSim, testFile(t, 64), 4)
+	if err != nil {
+		t.Fatal(err)
 	}
+	r, err := NewFault(inner, FaultPlan{Seed: 5, TransientRate: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	d := Driver{Ring: r}
+	err = d.Run(make([]byte, 16), []Read{{Off: 8, Len: 16}})
+	var ioe *IOError
+	if !errors.As(err, &ioe) || ioe.Attempts != DefaultRetries || ioe.Offset != 8 || ioe.Bytes != 16 {
+		t.Fatalf("error %v, want an *IOError after %d retries at offset 8", err, DefaultRetries)
+	}
+	if !errors.Is(err, syscall.EINTR) && !errors.Is(err, syscall.EAGAIN) {
+		t.Fatalf("error %v, want a transient errno", err)
+	}
+	if st, _ := Faults(r); st.Transient != DefaultRetries+1 || d.Stats.TransientErrs != DefaultRetries+1 {
+		t.Fatalf("%d transient completions (%d counted), want %d", st.Transient, d.Stats.TransientErrs, DefaultRetries+1)
+	}
+	assertIdle(t, r)
 }
 
 // TestRunEOFIsShortRead: a read at or past the end of the file completes
@@ -165,14 +156,14 @@ func TestRunEOFIsShortRead(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := Driver{Ring: r, Align: align, Retries: 3}
+		d := Driver{Ring: r, Align: align}
 		err = d.Run(make([]byte, 8), []Read{{Off: 512, Len: 8}})
 		var ioe *IOError
-		if !errors.As(err, &ioe) || !ioe.ShortRead || ioe.Errno != 0 || ioe.Attempts != 3 || ioe.Offset != 512 {
-			t.Fatalf("align %d: error %v, want a short-read *IOError at offset 512 after 3 retries", align, err)
+		if !errors.As(err, &ioe) || !ioe.ShortRead || ioe.Errno != 0 || ioe.Attempts != DefaultRetries || ioe.Offset != 512 {
+			t.Fatalf("align %d: error %v, want a short-read *IOError at offset 512 after %d retries", align, err, DefaultRetries)
 		}
-		if !errors.Is(err, io.ErrUnexpectedEOF) || d.Stats.ShortReads != 4 || d.Stats.Retries != 3 {
-			t.Fatalf("align %d: error %v with stats %+v, want io.ErrUnexpectedEOF after 4 short reads", align, err, d.Stats)
+		if !errors.Is(err, io.ErrUnexpectedEOF) || d.Stats.ShortReads != DefaultRetries+1 || d.Stats.Retries != DefaultRetries {
+			t.Fatalf("align %d: error %v with stats %+v, want io.ErrUnexpectedEOF after %d short reads", align, err, d.Stats, DefaultRetries+1)
 		}
 		r.Close()
 	}
@@ -200,7 +191,7 @@ func TestRunHardError(t *testing.T) {
 			}
 			defer r.Close()
 			reads, size := planReads(n)
-			d := Driver{Ring: r, Retries: testRetries}
+			d := Driver{Ring: r}
 			err = d.Run(make([]byte, size), reads)
 			var ioe *IOError
 			if !errors.As(err, &ioe) || !errors.Is(err, syscall.EIO) {
@@ -232,7 +223,7 @@ func TestRunStallGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := Driver{Ring: refusingRing{inner}, Retries: testRetries}
+	d := Driver{Ring: refusingRing{inner}}
 	if err := d.Run(make([]byte, 4), []Read{{Len: 4}}); !errors.Is(err, ErrRingStalled) || !d.Broken() {
 		t.Fatalf("error %v (broken %v), want ErrRingStalled from a broken driver", err, d.Broken())
 	}

@@ -38,6 +38,22 @@ const (
 	BackendSim     Backend = "sim"
 )
 
+// ParseBackend resolves a backend name, ignoring case: "io_uring",
+// "pool", "sim", or "auto" (the empty name too), which picks io_uring
+// when Probe finds a usable ring and the pread pool otherwise.
+func ParseBackend(name string) (Backend, error) {
+	switch be := Backend(strings.ToLower(name)); be {
+	case "", "auto":
+		if Probe().Ring {
+			return BackendIOURing, nil
+		}
+		return BackendPool, nil
+	case BackendIOURing, BackendPool, BackendSim:
+		return be, nil
+	}
+	return "", fmt.Errorf("unknown backend %q (want auto, io_uring, pool or sim)", name)
+}
+
 // CQE is one completion: the user-assigned request ID and the raw
 // result (bytes read, or a negated errno on failure — io_uring's
 // convention, kept across all backends).

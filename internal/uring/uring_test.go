@@ -56,6 +56,38 @@ func TestUnknownBackendRejected(t *testing.T) {
 	}
 }
 
+// TestParseBackend: every accepted spelling resolves to its backend in
+// any case, "auto" and the empty name follow Probe, and anything else
+// is refused.
+func TestParseBackend(t *testing.T) {
+	auto := BackendPool
+	if Probe().Ring {
+		auto = BackendIOURing
+	}
+	for _, tc := range []struct {
+		name string
+		want Backend
+	}{
+		{"io_uring", BackendIOURing},
+		{"IO_URING", BackendIOURing},
+		{"pool", BackendPool},
+		{"POOL", BackendPool},
+		{"Sim", BackendSim},
+		{"auto", auto},
+		{"AUTO", auto},
+		{"", auto},
+	} {
+		if got, err := ParseBackend(tc.name); err != nil || got != tc.want {
+			t.Errorf("ParseBackend(%q) = %q, %v; want %q", tc.name, got, err, tc.want)
+		}
+	}
+	for _, name := range []string{"nope", "iouring", "io-uring", " pool", "pool "} {
+		if got, err := ParseBackend(name); err == nil {
+			t.Errorf("ParseBackend(%q) = %q, want an error", name, got)
+		}
+	}
+}
+
 // TestBackendsReadCorrectly drives every available backend through the
 // same batched read workload and checks contents and result codes.
 func TestBackendsReadCorrectly(t *testing.T) {

@@ -5,9 +5,8 @@
 # benchmark harness (go run -C cmd/bench .), never from here.
 #
 # QUICK=1 passes -short to go test, which skips the slow tests
-# (TestFaultSweepFull's rate sweep, TestKnobMatrixFillsRing on a
-# generated 100k-node graph, the harness's smoke run); the default runs
-# everything under -race.
+# (TestKnobMatrixFillsRing on a generated 100k-node graph, the
+# harness's smoke run); the default runs everything under -race.
 set -eu
 cd "$(dirname "$0")/.."
 short=
