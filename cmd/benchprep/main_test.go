@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ringsampler/internal/core"
+	"ringsampler/internal/gen"
 	"ringsampler/internal/sample"
 	"ringsampler/internal/storage"
 	"ringsampler/internal/uring"
@@ -95,5 +96,25 @@ func TestPrepareRegenMatchesCheckedIn(t *testing.T) {
 		if !bytes.Equal(a, b) {
 			t.Fatalf("regenerated %s differs from the checked-in file", f.Name())
 		}
+	}
+}
+
+// TestPrepareRegeneratesForeignDataset: a dataset under the benchmark
+// directory name that is some other graph fails verify, so prepare
+// rebuilds it in place into the benchmark graph.
+func TestPrepareRegeneratesForeignDataset(t *testing.T) {
+	root := t.TempDir()
+	if _, err := gen.Generate(filepath.Join(root, benchDir), "tiny", "rmat", 2_000, 30_000, 11); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := verify(filepath.Join(root, benchDir)); err == nil {
+		t.Fatal("verify accepted a foreign graph")
+	}
+	dir, man, err := prepare(root, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dir != filepath.Join(root, benchDir) || man.Name != benchName || man.NumNodes != benchNodes || man.NumEdges != benchEdges {
+		t.Fatalf("prepare left %s as %q with %d nodes / %d edges", dir, man.Name, man.NumNodes, man.NumEdges)
 	}
 }

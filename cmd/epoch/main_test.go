@@ -138,6 +138,21 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunBackendNameAnyCase: -backend takes a name in any case, as
+// cmd/serve does, and the dataset line names the backend that ran.
+func TestRunBackendNameAnyCase(t *testing.T) {
+	dir := testGraphDir(t)
+	for name, want := range map[string]uring.Backend{"POOL": uring.BackendPool, "Sim": uring.BackendSim} {
+		var sb strings.Builder
+		if err := run([]string{"-data", dir, "-backend", name, "-targets", "64", "-batch", "32"}, &sb); err != nil {
+			t.Fatalf("-backend %s: %v", name, err)
+		}
+		if line := fmt.Sprintf("; backend %s\n", want); !strings.Contains(sb.String(), line) {
+			t.Fatalf("-backend %s: output lacks %q:\n%s", name, line, sb.String())
+		}
+	}
+}
+
 // TestUniformTargetsNonPositive: the target draw returns nothing for
 // n ≤ 0 instead of panicking in makeslice.
 func TestUniformTargetsNonPositive(t *testing.T) {

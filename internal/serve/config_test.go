@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+
+	"ringsampler/internal/uring"
 )
 
 // TestConfigFieldCensus pins Config's exported fields, so a new knob is
@@ -19,5 +21,36 @@ func TestConfigFieldCensus(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("serve.Config fields\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestConfigResolve: a zero QueueDepth and an empty Backend take their
+// defaults, a backend name is parsed case-insensitively, and a bad
+// name, queue depth or batch size is refused.
+func TestConfigResolve(t *testing.T) {
+	c := Config{Core: DefaultConfig().Core}
+	if err := c.resolve(); err != nil {
+		t.Fatal(err)
+	}
+	auto, _ := uring.ParseBackend("auto")
+	if c.QueueDepth != DefaultConfig().QueueDepth || c.Backend != auto {
+		t.Fatalf("zero config resolved to queue depth %d, backend %q; want %d, %q",
+			c.QueueDepth, c.Backend, DefaultConfig().QueueDepth, auto)
+	}
+	c = DefaultConfig()
+	c.Backend = "POOL"
+	if err := c.resolve(); err != nil || c.Backend != uring.BackendPool {
+		t.Fatalf("backend POOL resolved to %q, err %v", c.Backend, err)
+	}
+	for name, mut := range map[string]func(*Config){
+		"bad backend": func(c *Config) { c.Backend = "spdk" },
+		"queue depth": func(c *Config) { c.QueueDepth = -1 },
+		"batch size":  func(c *Config) { c.Core.BatchSize = 0 },
+	} {
+		c := DefaultConfig()
+		mut(&c)
+		if err := c.resolve(); err == nil {
+			t.Errorf("%s: accepted %+v", name, c)
+		}
 	}
 }
