@@ -17,11 +17,10 @@
 // memory budget. -probe with -data additionally reports the dataset's
 // feature presence, dim and stride.
 //
-// The io_uring fast-path knobs are plumbed through as flags:
-// -uring-fixed (registered buffers + READ_FIXED), -uring-regfiles
-// (IOSQE_FIXED_FILE), -uring-sqpoll (kernel-thread submission),
-// -odirect (page-cache bypass with probed alignment) and -depth
-// (in-flight cap). -probe prints the per-feature capability set.
+// The two I/O fast-path knobs are plumbed through as flags:
+// -uring-fixed (registered buffers + READ_FIXED) and -odirect
+// (page-cache bypass with probed alignment). -probe prints the
+// io_uring capability set.
 //
 // -train trains a minimal GraphSAGE node classifier end to end through
 // the double-buffered sample→fetch→train pipeline (workers sample and
@@ -41,7 +40,7 @@
 //	go run ./cmd/epoch -train -train-epochs 3 -feature-cache-mb 1   # prints the feature cache's learning curve
 //	go run ./cmd/epoch -targets 8192 -invariance   # generates a temporary R-MAT graph
 //	go run ./cmd/epoch -probe
-//	go run ./cmd/epoch -targets 4096 -uring-fixed -uring-sqpoll -odirect
+//	go run ./cmd/epoch -targets 4096 -uring-fixed -odirect
 package main
 
 import (
@@ -94,10 +93,7 @@ func run(args []string, out io.Writer) error {
 		cacheMB     = fs.Int64("cache-mb", 0, "hot-neighbor cache budget in MiB (0: cache off)")
 		probe       = fs.Bool("probe", false, "print the probed io_uring capability set and exit")
 		uringFixed  = fs.Bool("uring-fixed", false, "register worker arenas and read via IORING_OP_READ_FIXED (emulated on pool/sim)")
-		uringReg    = fs.Bool("uring-regfiles", false, "register the edge file and submit with IOSQE_FIXED_FILE (real backend only)")
-		uringSQP    = fs.Bool("uring-sqpoll", false, "create SQPOLL rings: kernel-thread submission, zero steady-state submit syscalls (real backend only)")
 		odirect     = fs.Bool("odirect", false, "open the edge file O_DIRECT (falls back to buffered with a logged reason when unsupported)")
-		depth       = fs.Int("depth", 0, "cap in-flight reads per worker (0: bounded only by the ring)")
 		featureDim  = fs.Int("feature-dim", 0, "per-node f32 feature dimension for the temporary graph (with empty -data; 0: no features)")
 		features    = fs.Bool("features", false, "fetch feature vectors for every sampled node after each batch's draw")
 		featMB      = fs.Int64("feature-cache-mb", 0, "hot-node feature cache budget in MiB (0: cache off)")
@@ -118,8 +114,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "io_uring capabilities: %s\n", caps)
 		fmt.Fprintf(out, "  ring:             %v\n", caps.Ring)
 		fmt.Fprintf(out, "  fixed buffers:    %v\n", caps.ReadFixed)
-		fmt.Fprintf(out, "  registered files: %v\n", caps.RegisteredFiles)
-		fmt.Fprintf(out, "  sqpoll:           %v\n", caps.SQPoll)
 		// With -data the probe also reports what the dataset carries.
 		if *data != "" {
 			man, err := graph.LoadManifest(filepath.Join(*data, storage.ManifestFile))
@@ -224,9 +218,6 @@ func run(args []string, out io.Writer) error {
 	cfg.Strategy = *strategy
 	cfg.CacheBudgetBytes = cacheBytes
 	cfg.FixedBuffers = *uringFixed
-	cfg.RegisteredFiles = *uringReg
-	cfg.SQPoll = *uringSQP
-	cfg.Depth = *depth
 	cfg.FetchFeatures = *features
 	cfg.FeatureCacheBudgetBytes = featCacheBytes
 	if *threads > 0 {

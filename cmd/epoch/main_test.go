@@ -189,9 +189,14 @@ func TestRunProbe(t *testing.T) {
 		t.Fatalf("run -probe: %v", err)
 	}
 	out := sb.String()
-	for _, want := range []string{"io_uring capabilities:", "fixed buffers:", "registered files:", "sqpoll:"} {
+	for _, want := range []string{"io_uring capabilities:", "ring:", "fixed buffers:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("probe output missing %q:\n%s", want, out)
+		}
+	}
+	for _, gone := range []string{"registered files:", "sqpoll:"} {
+		if strings.Contains(out, gone) {
+			t.Fatalf("probe output still reports the retired %q:\n%s", gone, out)
 		}
 	}
 	if !strings.Contains(out, "io_uring capabilities: "+uring.Probe().String()) {
@@ -205,8 +210,7 @@ func TestRunKnobFlags(t *testing.T) {
 	dir := testGraphDir(t)
 	err := run([]string{
 		"-data", dir, "-backend", "pool", "-targets", "256", "-batch", "64",
-		"-threads", "2", "-uring-fixed", "-uring-regfiles", "-uring-sqpoll",
-		"-odirect", "-depth", "8",
+		"-threads", "2", "-uring-fixed", "-odirect",
 	}, io.Discard)
 	if err != nil {
 		t.Fatalf("run with knob flags: %v", err)

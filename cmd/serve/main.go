@@ -93,10 +93,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		shards       = fs.Int("shards", 0, "partition the dataset into this many node-range shards and serve through the scatter/gather router (0: single-node)")
 		routerURLs   = fs.String("router", "", "comma-separated shard server base URLs to front as a router (no local dataset)")
 		uringFixed   = fs.Bool("uring-fixed", false, "register worker arenas and read via IORING_OP_READ_FIXED (emulated on pool/sim)")
-		uringReg     = fs.Bool("uring-regfiles", false, "register the edge file and submit with IOSQE_FIXED_FILE (real backend only)")
-		uringSQP     = fs.Bool("uring-sqpoll", false, "create SQPOLL rings: kernel-thread submission (real backend only)")
 		odirect      = fs.Bool("odirect", false, "open the edge file O_DIRECT (falls back to buffered with a logged reason when unsupported)")
-		depth        = fs.Int("depth", 0, "cap in-flight reads per worker (0: bounded only by the ring)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -188,9 +185,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	cfg.Core.CacheBudgetBytes = cacheBytes
 	cfg.Core.FeatureCacheBudgetBytes = featCacheBytes
 	cfg.Core.FixedBuffers = *uringFixed
-	cfg.Core.RegisteredFiles = *uringReg
-	cfg.Core.SQPoll = *uringSQP
-	cfg.Core.Depth = *depth
 	if *threads > 0 {
 		cfg.Core.Threads = *threads
 	}

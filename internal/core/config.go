@@ -65,22 +65,6 @@ type Config struct {
 	// line) when the kernel refuses registration. Byte output is
 	// identical either way.
 	FixedBuffers bool
-	// RegisteredFiles registers the edge file with each worker's ring
-	// (IORING_REGISTER_FILES) so SQEs carry IOSQE_FIXED_FILE and skip the
-	// per-SQE fd lookup. Real backend only; accepted and ignored by
-	// pool/sim, downgraded with a log line when the kernel refuses.
-	RegisteredFiles bool
-	// SQPoll creates each worker's ring with IORING_SETUP_SQPOLL: a
-	// kernel thread consumes the SQ and steady-state submission costs
-	// zero syscalls. Real backend only; accepted and ignored by pool/sim,
-	// downgraded with a log line when the kernel refuses.
-	SQPoll bool
-	// Depth caps each worker's in-flight read requests. 0 (default)
-	// bounds staging only by the ring's own SQ/CQ capacity — the deepest
-	// pipeline. A positive value trades pipeline depth for memory (the
-	// O_DIRECT path allocates aligned scratch per in-flight request) and
-	// latency.
-	Depth int
 	// CacheBudgetBytes is the memory budget (bytes, accounted through
 	// memctl) for the hot-neighbor cache: the complete neighbor lists of
 	// the highest-degree nodes, pinned at sampler construction and
@@ -150,9 +134,6 @@ func (c *Config) validate() error {
 	}
 	if !ValidStrategy(c.Strategy) {
 		return fmt.Errorf("core: unknown sampling strategy %q (known: %v)", c.Strategy, StrategyNames())
-	}
-	if c.Depth < 0 {
-		return fmt.Errorf("core: depth %d must be non-negative", c.Depth)
 	}
 	if c.CacheBudgetBytes < 0 {
 		return fmt.Errorf("core: cache budget %d must be non-negative", c.CacheBudgetBytes)

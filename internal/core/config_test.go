@@ -12,8 +12,8 @@ func TestConfigFieldCensus(t *testing.T) {
 	want := []string{
 		"Fanouts", "BatchSize", "Threads", "RingSize",
 		"AsyncPipeline", "OffsetSampling", "Seed", "Strategy",
-		"FixedBuffers", "RegisteredFiles", "SQPoll", "Depth",
-		"CacheBudgetBytes", "FetchFeatures", "FeatureCacheBudgetBytes", "WrapRing",
+		"FixedBuffers", "CacheBudgetBytes", "FetchFeatures",
+		"FeatureCacheBudgetBytes", "WrapRing",
 	}
 	var got []string
 	typ := reflect.TypeFor[Config]()

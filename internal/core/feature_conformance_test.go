@@ -137,13 +137,15 @@ func TestFeatureMatrixConformance(t *testing.T) {
 		{"clean", nil},
 		{"faulty", faultWrap(mild)},
 	}
+	// The second knob set is the shallowest pipeline: a 2-entry ring
+	// keeps at most two reads in flight.
 	knobs := []struct {
 		name  string
 		fixed bool
-		depth int
+		ring  int
 	}{
-		{"plain", false, 0},
-		{"fixed-depth2", true, 2},
+		{"plain", false, base.RingSize},
+		{"fixed-ring2", true, 2},
 	}
 
 	for _, be := range backends {
@@ -157,7 +159,7 @@ func TestFeatureMatrixConformance(t *testing.T) {
 							cfg.Threads = threads
 							cfg.FeatureCacheBudgetBytes = budget
 							cfg.FixedBuffers = kn.fixed
-							cfg.Depth = kn.depth
+							cfg.RingSize = kn.ring
 							cfg.WrapRing = wr.wrap
 							got := epochFeaturePayload(t, dir, cfg, be, targets)
 							assertFeatPayloadsEqual(t, ref, got, name)

@@ -100,10 +100,8 @@ type IOStats struct {
 	// Active* record which fast-path knobs actually ran for this worker —
 	// after capability downgrades — so benchmark output is honest about
 	// what was measured. OR-merged by Add.
-	ActiveFixed    bool
-	ActiveRegFiles bool
-	ActiveSQPoll   bool
-	ActiveODirect  bool
+	ActiveFixed   bool
+	ActiveODirect bool
 }
 
 // Add accumulates o's counters into s. The epoch runner uses it to
@@ -132,8 +130,6 @@ func (s *IOStats) Add(o IOStats) {
 	s.UserCPUNanos += o.UserCPUNanos
 	s.SysCPUNanos += o.SysCPUNanos
 	s.ActiveFixed = s.ActiveFixed || o.ActiveFixed
-	s.ActiveRegFiles = s.ActiveRegFiles || o.ActiveRegFiles
-	s.ActiveSQPoll = s.ActiveSQPoll || o.ActiveSQPoll
 	s.ActiveODirect = s.ActiveODirect || o.ActiveODirect
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -12,13 +13,12 @@ import (
 	"ringsampler/internal/uring"
 )
 
-// Knob-combination conformance: every fast-path knob — fixed buffers,
-// registered files, SQPOLL, O_DIRECT, bounded depth — is a pure
-// performance lever. The sampled byte stream must be identical to the
-// plain path for EVERY combination, on every backend that runs here.
-// Combinations whose kernel feature isn't granted still run: resolveKnobs
-// downgrades them (pool/sim ignore real-only knobs by design), and the
-// IOStats Active* flags must report exactly what actually ran.
+// Knob-combination conformance: both fast-path knobs — fixed buffers
+// and O_DIRECT — are pure performance levers. The sampled byte stream
+// must be identical to the plain path for EVERY combination, on every
+// backend that runs here. Combinations whose kernel feature isn't
+// granted still run: resolveKnobs and the dataset probe downgrade them,
+// and the IOStats Active* flags must report exactly what actually ran.
 
 // testDatasetDir generates the standard conformance dataset and returns
 // its directory, so tests can reopen it with different OpenOptions.
@@ -63,18 +63,12 @@ func TestKnobMatrixConformance(t *testing.T) {
 
 	for _, be := range backends {
 		for _, direct := range []bool{false, true} {
-			for mask := 0; mask < 8; mask++ {
-				fixed := mask&1 != 0
-				regFiles := mask&2 != 0
-				sqpoll := mask&4 != 0
-				name := fmt.Sprintf("%s/odirect=%v/fixed=%v/regfiles=%v/sqpoll=%v",
-					be, direct, fixed, regFiles, sqpoll)
+			for _, fixed := range []bool{false, true} {
+				name := fmt.Sprintf("%s/odirect=%v/fixed=%v", be, direct, fixed)
 				t.Run(name, func(t *testing.T) {
 					ds := openDS(t, dir, direct)
 					cfg := base
 					cfg.FixedBuffers = fixed
-					cfg.RegisteredFiles = regFiles
-					cfg.SQPoll = sqpoll
 					s, err := New(ds, cfg, be)
 					if err != nil {
 						t.Fatal(err)
@@ -94,18 +88,14 @@ func TestKnobMatrixConformance(t *testing.T) {
 					// requested knobs intersected with backend + kernel
 					// grants — never more, never less.
 					st := w.IOStats()
-					wantFixed, wantReg, wantSQ := fixed, false, false
+					wantFixed := fixed
 					if be == uring.BackendIOURing {
 						wantFixed = fixed && caps.ReadFixed
-						wantReg = regFiles && caps.RegisteredFiles
-						wantSQ = sqpoll && caps.SQPoll
 					}
 					wantDirect := ds.DirectAlign() > 0
-					if st.ActiveFixed != wantFixed || st.ActiveRegFiles != wantReg ||
-						st.ActiveSQPoll != wantSQ || st.ActiveODirect != wantDirect {
-						t.Fatalf("active knobs (fixed=%v reg=%v sqpoll=%v odirect=%v), want (%v %v %v %v)",
-							st.ActiveFixed, st.ActiveRegFiles, st.ActiveSQPoll, st.ActiveODirect,
-							wantFixed, wantReg, wantSQ, wantDirect)
+					if st.ActiveFixed != wantFixed || st.ActiveODirect != wantDirect {
+						t.Fatalf("active knobs (fixed=%v odirect=%v), want (%v %v)",
+							st.ActiveFixed, st.ActiveODirect, wantFixed, wantDirect)
 					}
 					if st.ActiveFixed && st.FixedReads == 0 {
 						t.Fatal("fixed buffers active but zero reads went through them")
@@ -134,16 +124,10 @@ func TestKnobMatrixConformance(t *testing.T) {
 // TestKnobMatrixFillsRing repeats the knob matrix on the real ring with
 // batches large enough that every layer needs dozens of submit groups.
 // The 2 000-node matrix above never stages more than one SQ's worth per
-// layer; that is how the SQPOLL false stall (the SQ thread posts CQEs
-// before it publishes sq.head, so a full-looking SQ can be idle) passed
-// 48 combinations and failed on the first 1M-node graph. The stall is a
-// race with the SQ thread, so each combination runs eight batches, about
-// 500 full groups: with the harvested-means-consumed bound taken out of
-// the ring's prep, every buffered unbounded SQPOLL combination stalls.
+// layer, so it cannot show a ring that refuses a full-SQ group it
+// should take (DESIGN.md §14's SQPOLL stall passed it that way). Each
+// combination runs eight batches, about 500 full groups.
 func TestKnobMatrixFillsRing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("generates a 100k-node graph; skipped in -short mode")
-	}
 	caps := uring.Probe()
 	if !caps.Ring {
 		t.Skip("io_uring unavailable; the pool and sim backends have no SQ to fill")
@@ -171,13 +155,12 @@ func TestKnobMatrixFillsRing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for mask := 0; mask < 32; mask++ {
-		fixed, regFiles, sqpoll := mask&1 != 0, mask&2 != 0, mask&4 != 0
-		direct, bounded := mask&8 != 0, mask&16 != 0
-		if fixed && !caps.ReadFixed || regFiles && !caps.RegisteredFiles || sqpoll && !caps.SQPoll {
+	for mask := 0; mask < 4; mask++ {
+		fixed, direct := mask&1 != 0, mask&2 != 0
+		if fixed && !caps.ReadFixed {
 			continue
 		}
-		name := fmt.Sprintf("odirect=%v/fixed=%v/regfiles=%v/sqpoll=%v/bounded=%v", direct, fixed, regFiles, sqpoll, bounded)
+		name := fmt.Sprintf("odirect=%v/fixed=%v", direct, fixed)
 		t.Run(name, func(t *testing.T) {
 			ds := openDS(t, dir, direct)
 			if direct && ds.DirectAlign() == 0 {
@@ -185,11 +168,6 @@ func TestKnobMatrixFillsRing(t *testing.T) {
 			}
 			cfg := base
 			cfg.FixedBuffers = fixed
-			cfg.RegisteredFiles = regFiles
-			cfg.SQPoll = sqpoll
-			if bounded {
-				cfg.Depth = 64
-			}
 			s, err := New(ds, cfg, uring.BackendIOURing)
 			if err != nil {
 				t.Fatal(err)
@@ -202,50 +180,18 @@ func TestKnobMatrixFillsRing(t *testing.T) {
 				t.Fatalf("per-batch digests %x differ from the plain pool run's %x", st.Digests, ref.Digests)
 			}
 			io := st.IO
-			if io.ActiveFixed != fixed || io.ActiveRegFiles != regFiles || io.ActiveSQPoll != sqpoll || io.ActiveODirect != direct {
-				t.Fatalf("active knobs (fixed=%v reg=%v sqpoll=%v odirect=%v) differ from the probed request",
-					io.ActiveFixed, io.ActiveRegFiles, io.ActiveSQPoll, io.ActiveODirect)
+			if io.ActiveFixed != fixed || io.ActiveODirect != direct {
+				t.Fatalf("active knobs (fixed=%v odirect=%v) differ from the probed request",
+					io.ActiveFixed, io.ActiveODirect)
 			}
 			// The premise: far more reads than one SQ per layer, harvested
-			// in several groups. SQPOLL submits without a syscall, so the
-			// wait side carries the proof there.
+			// in several groups.
 			perLayer := int64(batches * len(cfg.Fanouts))
 			if io.Reads <= perLayer*int64(cfg.RingSize) || (io.SubmitSyscalls <= perLayer && io.WaitSyscalls <= perLayer) {
 				t.Fatalf("%d reads in %d submit / %d wait syscalls over %d layers: the batches never filled the %d-entry ring",
 					io.Reads, io.SubmitSyscalls, io.WaitSyscalls, perLayer, cfg.RingSize)
 			}
 		})
-	}
-}
-
-// TestDepthBoundedConformance: capping in-flight depth reshapes the
-// pipeline (and the O_DIRECT scratch pool) but never the bytes. Depth 1
-// degenerates to one-read-at-a-time and must still finish and agree.
-func TestDepthBoundedConformance(t *testing.T) {
-	dir := testDatasetDir(t)
-	base := DefaultConfig()
-	base.Seed = 42
-	base.RingSize = 32
-	targets := testTargets(openDS(t, dir, false), 128)
-	ref := sampleOnce(t, openDS(t, dir, false), base, uring.BackendSim, targets)
-
-	backends := []uring.Backend{uring.BackendSim, uring.BackendPool}
-	if uring.Probe().Ring {
-		backends = append(backends, uring.BackendIOURing)
-	}
-	for _, be := range backends {
-		for _, depth := range []int{1, 3, 8} {
-			for _, direct := range []bool{false, true} {
-				name := fmt.Sprintf("%s/depth=%d/odirect=%v", be, depth, direct)
-				t.Run(name, func(t *testing.T) {
-					cfg := base
-					cfg.Depth = depth
-					cfg.FixedBuffers = true // deepest interaction: fixed chunks + depth cap
-					got := sampleOnce(t, openDS(t, dir, direct), cfg, be, targets)
-					assertBatchesEqual(t, ref, got, name)
-				})
-			}
-		}
 	}
 }
 
@@ -389,12 +335,21 @@ func TestODirectTinyFileStraddle(t *testing.T) {
 	}
 }
 
-// TestConfigRejectsNegativeKnobs: validation for the new knobs.
+// TestConfigRejectsNegativeKnobs: a negative cache budget is refused
+// by name, never read as "off".
 func TestConfigRejectsNegativeKnobs(t *testing.T) {
 	ds := testDataset(t)
-	cfg := DefaultConfig()
-	cfg.Depth = -1
-	if _, err := New(ds, cfg, uring.BackendSim); err == nil {
-		t.Fatal("negative Depth accepted")
+	for _, c := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"cache budget", func(c *Config) { c.CacheBudgetBytes = -1 }},
+		{"feature cache budget", func(c *Config) { c.FeatureCacheBudgetBytes = -1 }},
+	} {
+		cfg := DefaultConfig()
+		c.set(&cfg)
+		if _, err := New(ds, cfg, uring.BackendSim); err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Fatalf("negative %s: err = %v", c.name, err)
+		}
 	}
 }

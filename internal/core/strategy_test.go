@@ -378,3 +378,45 @@ func TestBuildAliasDistribution(t *testing.T) {
 		}
 	}
 }
+
+// countingStrategy counts the frontiers built by the strategy it wraps.
+type countingStrategy struct {
+	Strategy
+	frontiers int
+}
+
+func (c *countingStrategy) NextFrontier(l *Layer, dst []uint32, scratch *[]uint32) []uint32 {
+	c.frontiers++
+	return c.Strategy.NextFrontier(l, dst, scratch)
+}
+
+// TestFrontierBuiltBetweenLayersOnly: a batch of n layers builds n−1
+// frontiers. The last layer's sampled set feeds no further layer, and
+// the feature stage builds its own node union, so a frontier after it
+// is a sort+dedup of the largest layer for nothing.
+func TestFrontierBuiltBetweenLayersOnly(t *testing.T) {
+	ds := testDataset(t)
+	targets := testTargets(ds, 64)
+	for _, fanouts := range [][]int{{7}, {5, 3}, DefaultFanouts} {
+		s, err := New(ds, DefaultConfig(), uring.BackendSim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := &countingStrategy{Strategy: s.defStrat}
+		s.defStrat = cs
+		w, err := s.NewWorker(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := range uint64(3) {
+			before := cs.frontiers
+			if _, err := w.SampleBatchOpts(targets, BatchOpts{Fanouts: fanouts, Seed: seed}); err != nil {
+				t.Fatal(err)
+			}
+			if got := cs.frontiers - before; got != len(fanouts)-1 {
+				t.Fatalf("fanouts %v: %d frontiers built for one batch, want %d", fanouts, got, len(fanouts)-1)
+			}
+		}
+		w.Close()
+	}
+}

@@ -20,10 +20,10 @@ type Sampler struct {
 	ds      *storage.Dataset
 	cfg     Config
 	backend uring.Backend
-	// active is the effective fast-path knob set after capability
-	// downgrades — what workers actually run, as opposed to what Config
-	// requested.
-	active activeKnobs
+	// fixed is whether workers read through registered arenas after
+	// capability downgrades — what they actually run, as opposed to what
+	// Config requested.
+	fixed bool
 	// hot is the shared hot-neighbor cache (nil when disabled):
 	// immutable after New, so workers consult it with no
 	// synchronization.
@@ -46,44 +46,24 @@ type Sampler struct {
 	strats   map[string]Strategy
 }
 
-// activeKnobs is the resolved fast-path feature set. fixed means the
-// PrepReadFixed path runs (kernel-registered on the real backend,
-// emulated on pool/sim); regFiles and sqpoll are real-backend-only.
-type activeKnobs struct {
-	fixed    bool
-	regFiles bool
-	sqpoll   bool
-}
-
-// resolveKnobs intersects the requested knobs with what the backend and
-// kernel grant, logging each downgrade once (at Sampler construction)
-// so a benchmark never silently measures less than it claims.
-func resolveKnobs(cfg *Config, backend uring.Backend, ds *storage.Dataset) activeKnobs {
-	var a activeKnobs
-	if backend == uring.BackendIOURing {
-		caps := uring.Probe()
-		a.fixed = cfg.FixedBuffers && caps.ReadFixed
-		a.regFiles = cfg.RegisteredFiles && caps.RegisteredFiles
-		a.sqpoll = cfg.SQPoll && caps.SQPoll
-		if cfg.FixedBuffers && !caps.ReadFixed {
+// resolveKnobs reports whether workers read through registered arenas:
+// Config.FixedBuffers intersected with what the kernel grants on the
+// real backend (pool/sim emulate fixed-buffer validation, so that code
+// path is genuinely exercised there). It logs each downgrade once (at
+// Sampler construction) so a benchmark never silently measures less
+// than it claims.
+func resolveKnobs(cfg *Config, backend uring.Backend, ds *storage.Dataset) bool {
+	fixed := cfg.FixedBuffers
+	if fixed && backend == uring.BackendIOURing {
+		if caps := uring.Probe(); !caps.ReadFixed {
 			log.Printf("core: fixed buffers requested but unavailable (caps %s); using plain reads", caps)
+			fixed = false
 		}
-		if cfg.RegisteredFiles && !caps.RegisteredFiles {
-			log.Printf("core: registered files requested but unavailable (caps %s); using raw fds", caps)
-		}
-		if cfg.SQPoll && !caps.SQPoll {
-			log.Printf("core: SQPOLL requested but unavailable (caps %s); submitting via io_uring_enter", caps)
-		}
-	} else {
-		// Pool/sim emulate fixed-buffer validation, so that code path is
-		// genuinely exercised; registered files and SQPOLL have no
-		// portable equivalent and stay off (documented accept-and-ignore).
-		a.fixed = cfg.FixedBuffers
 	}
 	if err := ds.DirectFallback(); err != nil {
 		log.Printf("core: O_DIRECT requested but fell back to buffered reads: %v", err)
 	}
-	return a
+	return fixed
 }
 
 // New validates the configuration and binds the engine to a ring
@@ -115,7 +95,7 @@ func New(ds *storage.Dataset, cfg Config, backend uring.Backend) (*Sampler, erro
 		return nil, fmt.Errorf("core: shard dataset %s requires OffsetSampling", ds.Dir())
 	}
 	s := &Sampler{ds: ds, cfg: cfg, backend: backend}
-	s.active = resolveKnobs(&s.cfg, backend, ds)
+	s.fixed = resolveKnobs(&s.cfg, backend, ds)
 	if cfg.CacheBudgetBytes > 0 {
 		hot, err := cache.Build(ds, memctl.New(cfg.CacheBudgetBytes))
 		if err != nil {
@@ -227,7 +207,7 @@ func (s *Sampler) NewWorker(id int) (*Worker, error) {
 		id:  id,
 		rng: sample.NewRNG(sample.Mix(s.cfg.Seed, uint64(id))),
 	}
-	if s.active.fixed {
+	if s.fixed {
 		// 4096-aligned so arena-backed slices satisfy any O_DIRECT
 		// granularity the dataset probe settled on.
 		w.arena = storage.AlignedSlice(DefaultArenaBytes, 4096)
@@ -237,25 +217,18 @@ func (s *Sampler) NewWorker(id int) (*Worker, error) {
 		return nil, err
 	}
 	w.edge = edge
-	w.stats.ActiveFixed = s.active.fixed
-	w.stats.ActiveRegFiles = s.active.regFiles
-	w.stats.ActiveSQPoll = s.active.sqpoll
+	w.stats.ActiveFixed = s.fixed
 	w.stats.ActiveODirect = edge.Align > 0
 	return w, nil
 }
 
-// openFile builds one worker ring over f with the sampler's resolved
-// options (arena registration, registered file, SQPOLL), applies the
-// WrapRing hook, and returns a driver with the config's pipeline knobs
-// on it. Used for the edge file at construction and the feature file on
-// first feature fetch.
+// openFile builds one worker ring over f (registering the arena when
+// the fixed knob is active), applies the WrapRing hook, and returns a
+// driver with the config's pipeline knobs on it. Used for the edge file
+// at construction and the feature file on first feature fetch.
 func (w *Worker) openFile(f *os.File, align int) (uring.Driver, error) {
 	cfg := &w.s.cfg
-	opts := uring.Options{
-		Entries:      cfg.RingSize,
-		RegisterFile: w.s.active.regFiles,
-		SQPoll:       w.s.active.sqpoll,
-	}
+	opts := uring.Options{Entries: cfg.RingSize}
 	if w.arena != nil {
 		opts.FixedBuffers = [][]byte{w.arena}
 	}
@@ -276,7 +249,6 @@ func (w *Worker) openFile(f *os.File, align int) (uring.Driver, error) {
 	return uring.Driver{
 		Ring:  ring,
 		Align: align,
-		Depth: cfg.Depth,
 		Sync:  !cfg.AsyncPipeline,
 		Arena: w.arena,
 	}, nil
@@ -413,6 +385,9 @@ func (w *Worker) sampleBatch(targets []uint32, fanouts []int, features bool, str
 		layer := &batch.Layers[li]
 		if err := w.sampleLayer(layer, strat.LayerFanout(li, fanout), strat); err != nil {
 			return nil, err
+		}
+		if li == len(fanouts)-1 {
+			break // no next layer; the feature stage builds its own union
 		}
 		// Between-layer frontier build (paper §2.1): the strategy turns
 		// the sampled neighbors into the next layer's targets — sorted

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -245,5 +246,37 @@ func TestServeNoWorkerCleanError(t *testing.T) {
 	}
 	if got := metricValue(t, body, "ringsampler_serve_responses_ok_total"); got != 1 {
 		t.Fatalf("responses_ok_total = %v, want 1", got)
+	}
+}
+
+// TestServeOversizedBody: a well-formed object padded past maxBodyBytes
+// is a 413 that names the limit, on every endpoint that decodes a body
+// — not a 400 "unexpected EOF" from a body cut short.
+func TestServeOversizedBody(t *testing.T) {
+	ds := testDataset(t)
+	cfg := DefaultConfig()
+	cfg.Backend = uring.BackendSim
+	cfg.Core.Threads = 1
+	_, base := startServer(t, ds, cfg)
+	client := &http.Client{Timeout: 30 * time.Second}
+
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for path, obj := range map[string]string{
+		"/v1/sample":         `{"targets":[1,2,3],"fanouts":[5],"seed":1`,
+		"/v1/shard/layer":    `{"layer":0,"fanout":4,"strategy":"uniform","frontier":[1]`,
+		"/v1/shard/features": `{"nodes":[1]`,
+	} {
+		resp, err := client.Post(base+path, "application/json", strings.NewReader(obj+pad+"}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er errorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil ||
+			!strings.Contains(er.Error, strconv.Itoa(maxBodyBytes)) {
+			t.Fatalf("%s: status %d, error %q (%v); want 413 naming the %d-byte limit",
+				path, resp.StatusCode, er.Error, derr, maxBodyBytes)
+		}
 	}
 }

@@ -466,10 +466,17 @@ func (s *Server) leave() {
 	s.handlers.Done()
 }
 
-// decode reads the JSON request body into v, answering 400 when it is
-// malformed.
+// decode reads the JSON request body into v, answering 413 when it
+// runs past maxBodyBytes and 400 when it is malformed.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(v); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		s.met.badRequests.Add(1)
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
+			Error: fmt.Sprintf("request body exceeds the %d-byte limit", tooBig.Limit)})
+		return false
+	}
+	if err != nil {
 		s.badRequest(w, "malformed JSON: "+err.Error())
 		return false
 	}

@@ -144,6 +144,9 @@ func (r *Router) SampleChunk(ctx context.Context, targets []uint32, fanouts []in
 			return nil, err
 		}
 		batch.Layers[li] = *layer
+		if li == len(fanouts)-1 {
+			break // no next layer; the feature stage builds its own union
+		}
 		state = nextState
 		frontier, err = core.NextFrontierFor(strategy, layer, frontier)
 		if err != nil {

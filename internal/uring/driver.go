@@ -121,13 +121,13 @@ const directChunk = 16 << 10
 const directScratch = 4 << 20
 
 // Driver pushes batches of reads through one ring under the discipline
-// of DESIGN.md §4: it keeps the ring as full as Depth allows (every pass
-// stages what the ring takes and publishes it with one Submit, and while
-// more reads wait it reaps half the window per Wait), resubmits the
-// remainder of a short read and the whole of an -EINTR/-EAGAIN, both
-// within DefaultRetries, and fails on anything else — after draining
-// what is still in flight, so the ring is idle again when the caller
-// sees the error. Every reader of the engine goes through one: the workers' edge
+// of DESIGN.md §4: it keeps the ring full (every pass stages what the
+// ring takes and publishes it with one Submit, and while more reads
+// wait it reaps half the window per Wait), resubmits the remainder of a
+// short read and the whole of an -EINTR/-EAGAIN, both within
+// DefaultRetries, and fails on anything else — after draining what is
+// still in flight, so the ring is idle again when the caller sees the
+// error. Every reader of the engine goes through one: the workers' edge
 // and feature stages and the cache fills.
 //
 // On an O_DIRECT file (Align > 0) each read becomes the aligned window
@@ -143,8 +143,6 @@ type Driver struct {
 	// Align is the file's O_DIRECT granularity, a power of two; 0 reads
 	// a buffered file straight into the destination.
 	Align int
-	// Depth caps the reads in flight; 0 leaves the bound to the ring.
-	Depth int
 	// Sync is the synchronous ablation (paper Fig 3b): every read in
 	// flight completes before more are staged.
 	Sync bool
@@ -222,11 +220,11 @@ func (d *Driver) run(dst []byte, reads []Read) error {
 	for done < len(reads) {
 		staged := 0
 		// Resubmissions first: the reads they finish are the oldest.
-		for len(d.retryQ) > 0 && d.room(staged) && d.prep(int(d.retryQ[0]), dst, fixed) {
+		for len(d.retryQ) > 0 && d.prep(int(d.retryQ[0]), dst, fixed) {
 			d.retryQ = d.retryQ[1:]
 			staged++
 		}
-		for len(d.retryQ) == 0 && next < len(reads) && d.room(staged) && d.stage(next, &reads[next], dst, fixed) {
+		for len(d.retryQ) == 0 && next < len(reads) && d.stage(next, &reads[next], dst, fixed) {
 			next++
 			staged++
 		}
@@ -311,11 +309,6 @@ func (d *Driver) run(dst []byte, reads []Read) error {
 		}
 	}
 	return nil
-}
-
-// room reports whether one more read may be staged under Depth.
-func (d *Driver) room(staged int) bool {
-	return d.Depth <= 0 || d.inflight+staged < d.Depth
 }
 
 // stage starts read i. On an O_DIRECT file it first leases a slot for

@@ -12,9 +12,9 @@ import (
 // The Driver is the one read loop of the engine; these tests run it over
 // every backend, the fault-injecting ones included (short reads,
 // -EINTR/-EAGAIN, delayed and reordered completions, SQ-full refusals),
-// and pin the pipeline knobs at the layer that owns them: Depth, the
-// synchronous ablation, fixed-buffer selection and the O_DIRECT scratch
-// bound.
+// and pin the pipeline knobs at the layer that owns them: the ring's
+// capacity, the synchronous ablation, fixed-buffer selection and the
+// O_DIRECT scratch bound.
 
 // planReads lays the conformance plan out back to back in one
 // destination and returns the reads and the destination's size.
@@ -315,22 +315,26 @@ func pipelineBackends(t *testing.T, f *os.File, entries int, arena []byte) map[s
 	return rings
 }
 
-// TestRunDepth: reads in flight never exceed Depth, on a ring deep
-// enough to take more, and Depth 1 still completes.
-func TestRunDepth(t *testing.T) {
+// TestRunRingCapacity: the ring's size is the one bound on reads in
+// flight. The driver fills at least one SQ's worth and never more than
+// the completion queue holds (2 × Entries, io_uring's default, which
+// pool and sim match); a 1-entry ring still completes, one read at a
+// time.
+func TestRunRingCapacity(t *testing.T) {
 	f := testFile(t, 512)
 	raw, _ := os.ReadFile(f.Name())
-	for _, depth := range []int{1, 3, 8, 0} {
-		for name, r := range pipelineBackends(t, f, 32, nil) {
+	for _, entries := range []int{1, 32} {
+		for name, r := range pipelineBackends(t, f, entries, nil) {
 			reads, n := planReads(512)
 			dst := make([]byte, n)
-			d := Driver{Ring: r, Depth: depth}
+			d := Driver{Ring: r}
 			if err := d.Run(dst, reads); err != nil {
 				t.Fatal(err)
 			}
 			assertLanded(t, raw, dst, reads)
-			if depth > 0 && r.most > depth || depth == 0 && r.most <= 8 {
-				t.Fatalf("%s depth %d: %d reads in flight at once", name, depth, r.most)
+			if r.most < entries || r.most > 2*entries {
+				t.Fatalf("%s with %d entries: %d reads in flight at most, want %d to %d",
+					name, entries, r.most, entries, 2*entries)
 			}
 		}
 	}

@@ -20,9 +20,7 @@ const poolWorkers = 16
 // retained only to validate PrepReadFixed references (index in range,
 // destination inside the arena); a valid fixed read then proceeds
 // exactly like a plain read, and an invalid one completes with
-// -EINVAL/-EFAULT after Submit, matching the kernel. RegisterFile and
-// SQPoll are accepted and ignored — the pool holds the *os.File
-// directly and has no submission syscall to elide.
+// -EINVAL/-EFAULT after Submit, matching the kernel.
 type poolRing struct {
 	f       *os.File
 	entries int

@@ -17,11 +17,8 @@ import (
 // io_uring_register syscalls and mmap'd SQ/CQ rings, written directly
 // against the kernel ABI (no cgo, no liburing). Two read opcodes are
 // wired up — IORING_OP_READ for the plain path and IORING_OP_READ_FIXED
-// for reads into registered arenas — plus the three setup-time fast-path
-// knobs the paper's hot loop wants: IORING_REGISTER_BUFFERS (skip
-// per-read page pinning), IORING_REGISTER_FILES + IOSQE_FIXED_FILE
-// (skip per-SQE fd lookup), and IORING_SETUP_SQPOLL (kernel-side SQ
-// consumption; steady-state submission is a shared-memory store).
+// for reads into arenas registered with IORING_REGISTER_BUFFERS (which
+// skips per-read page pinning).
 
 const (
 	sysIOURingSetup    = 425
@@ -32,28 +29,15 @@ const (
 	offCQRing = 0x8000000
 	offSQEs   = 0x10000000
 
-	setupSQPoll = 1 << 1 // IORING_SETUP_SQPOLL
-
-	sqNeedWakeup = 1 << 0 // IORING_SQ_NEED_WAKEUP, in the SQ ring flags word
-
 	enterGetEvents = 1 << 0 // IORING_ENTER_GETEVENTS
-	enterSQWakeup  = 1 << 1 // IORING_ENTER_SQ_WAKEUP
 
 	registerBuffers = 0 // IORING_REGISTER_BUFFERS
-	registerFiles   = 2 // IORING_REGISTER_FILES
 
 	opReadFixed = 4  // IORING_OP_READ_FIXED, kernel 5.1+
 	opRead      = 22 // IORING_OP_READ, kernel 5.6+
 
-	iosqeFixedFile = 1 << 0 // IOSQE_FIXED_FILE
-
 	sqeSize = 64
 	cqeSize = 16
-
-	// defaultSQPollIdleMS is the SQPOLL thread spin-down timeout when
-	// Options leaves it zero: long enough to span a batch's submit
-	// cadence, short enough not to burn a core across idle epochs.
-	defaultSQPollIdleMS = 100
 )
 
 // Kernel ABI structs. Sizes are load-bearing: io_uring_setup writes
@@ -95,7 +79,7 @@ var (
 type iouRing struct {
 	fd int
 	// fileFD is the read target's descriptor, resolved once at
-	// construction: every plain SQE carries it.
+	// construction: every SQE carries it.
 	fileFD int32
 
 	sqRing []byte
@@ -104,7 +88,6 @@ type iouRing struct {
 
 	sqHead    *uint32
 	sqTail    *uint32
-	sqFlags   *uint32
 	sqMask    uint32
 	sqEntries uint32
 	sqArray   []uint32
@@ -118,9 +101,6 @@ type iouRing struct {
 	localTail uint32 // SQEs written but not yet published
 	staged    uint32
 	inflight  uint32
-
-	sqpoll    bool
-	fixedFile bool // file registered at fixed-file index 0
 
 	// fixed pins the registered arenas for the ring's lifetime: the
 	// kernel holds their pages pinned, so the GC must not reclaim them.
@@ -167,22 +147,14 @@ func register(fd int, opcode uint32, arg unsafe.Pointer, nrArgs uint32) error {
 }
 
 // newRawRing sets up a kernel ring per Options, maps the three rings,
-// and performs the requested registrations. f may be nil only when
-// RegisterFile is false (the capability probe).
+// and registers the fixed buffers. f is nil for the capability probe.
 func newRawRing(f *os.File, o Options) (*iouRing, error) {
 	var p uringParams
-	if o.SQPoll {
-		p.flags |= setupSQPoll
-		p.sqThreadIdle = o.SQPollIdleMS
-		if p.sqThreadIdle == 0 {
-			p.sqThreadIdle = defaultSQPollIdleMS
-		}
-	}
 	fd, err := setupRing(uint32(o.Entries), &p)
 	if err != nil {
 		return nil, err
 	}
-	r := &iouRing{fd: fd, fileFD: -1, sqpoll: o.SQPoll, pinLimit: pinCompactAt}
+	r := &iouRing{fd: fd, fileFD: -1, pinLimit: pinCompactAt}
 	if f != nil {
 		r.fileFD = int32(f.Fd())
 	}
@@ -212,7 +184,6 @@ func newRawRing(f *os.File, o Options) (*iouRing, error) {
 	sq := unsafe.Pointer(&r.sqRing[0])
 	r.sqHead = (*uint32)(unsafe.Add(sq, p.sqOff.head))
 	r.sqTail = (*uint32)(unsafe.Add(sq, p.sqOff.tail))
-	r.sqFlags = (*uint32)(unsafe.Add(sq, p.sqOff.flags))
 	r.sqMask = *(*uint32)(unsafe.Add(sq, p.sqOff.ringMask))
 	r.sqEntries = p.sqEntries
 	r.sqArray = unsafe.Slice((*uint32)(unsafe.Add(sq, p.sqOff.array)), p.sqEntries)
@@ -241,19 +212,12 @@ func newRawRing(f *os.File, o Options) (*iouRing, error) {
 		r.fixed = o.FixedBuffers
 		runtime.KeepAlive(iovs)
 	}
-	if o.RegisterFile {
-		fds := [1]int32{r.fileFD}
-		if err := register(fd, registerFiles, unsafe.Pointer(&fds[0]), 1); err != nil {
-			return fail(fmt.Errorf("uring: IORING_REGISTER_FILES: %w", err))
-		}
-		r.fixedFile = true
-	}
 	return r, nil
 }
 
-// newIOURing opens a real ring over f. Every requested knob must be
+// newIOURing opens a real ring over f. Requested fixed buffers must be
 // granted: construction fails (rather than silently downgrading) when
-// the kernel refuses one — callers gate on Probe() so a fallback is an
+// the kernel refuses them — callers gate on Probe() so a fallback is an
 // explicit, logged decision at the Config layer.
 func newIOURing(f *os.File, o Options) (Ring, error) {
 	caps := Probe()
@@ -263,12 +227,6 @@ func newIOURing(f *os.File, o Options) (Ring, error) {
 	if len(o.FixedBuffers) > 0 && !caps.ReadFixed {
 		return nil, fmt.Errorf("uring: fixed buffers requested but IORING_REGISTER_BUFFERS unavailable (caps %s)", caps)
 	}
-	if o.RegisterFile && !caps.RegisteredFiles {
-		return nil, fmt.Errorf("uring: registered files requested but IORING_REGISTER_FILES unavailable (caps %s)", caps)
-	}
-	if o.SQPoll && !caps.SQPoll {
-		return nil, fmt.Errorf("uring: SQPOLL requested but IORING_SETUP_SQPOLL unavailable (caps %s)", caps)
-	}
 	r, err := newRawRing(f, o)
 	if err != nil {
 		return nil, err
@@ -276,10 +234,9 @@ func newIOURing(f *os.File, o Options) (Ring, error) {
 	return r, nil
 }
 
-// probe verifies the real path feature by feature: base setup + all
-// three mmaps, buffer registration, file registration (against a pipe
-// fd, so no filesystem contact), and an SQPOLL ring. Each failure just
-// clears that capability — callers downgrade, never error.
+// probe verifies the real path: base setup + all three mmaps, then
+// buffer registration. A failure just clears that capability — callers
+// downgrade, never error.
 func probe() Caps {
 	var c Caps
 	r, err := newRawRing(nil, Options{Entries: 8})
@@ -296,22 +253,7 @@ func probe() Caps {
 		c.ReadFixed = true
 	}
 	runtime.KeepAlive(arena)
-
-	var pipeFDs [2]int
-	if syscall.Pipe(pipeFDs[:]) == nil {
-		fds := [1]int32{int32(pipeFDs[0])}
-		if register(r.fd, registerFiles, unsafe.Pointer(&fds[0]), 1) == nil {
-			c.RegisteredFiles = true
-		}
-		syscall.Close(pipeFDs[0])
-		syscall.Close(pipeFDs[1])
-	}
 	r.Close()
-
-	if rs, err := newRawRing(nil, Options{Entries: 8, SQPoll: true, SQPollIdleMS: 1}); err == nil {
-		c.SQPoll = true
-		rs.Close()
-	}
 	return c
 }
 
@@ -320,27 +262,17 @@ func (r *iouRing) prep(id uint64, off int64, buf []byte, opcode uint8, bufIndex 
 	if r.staged >= r.sqEntries || r.inflight+r.staged >= r.cqEntries {
 		return false
 	}
-	// SQ slots still owned by the kernel: at most what the published head
-	// shows, and at most the requests not yet harvested — an SQE whose CQE
-	// was harvested has been consumed. The second bound matters under
-	// SQPOLL, where the SQ thread posts inline completions BEFORE it
-	// publishes sq.head: user space can harvest a whole group while the
-	// head still shows a full SQ, and trusting the head alone would refuse
-	// an idle ring.
-	if r.localTail-atomic.LoadUint32(r.sqHead) >= r.sqEntries && r.staged+r.inflight >= r.sqEntries {
+	// SQ slots the kernel has not consumed yet, as its published head
+	// shows: io_uring_enter consumes what it accepts before returning.
+	if r.localTail-atomic.LoadUint32(r.sqHead) >= r.sqEntries {
 		return false
 	}
 	idx := r.localTail & r.sqMask
 	sqe := unsafe.Pointer(&r.sqes[idx*sqeSize])
 	// Zero the slot, then fill the read fields.
 	*(*[sqeSize]byte)(sqe) = [sqeSize]byte{}
-	*(*uint8)(sqe) = opcode // opcode
-	if r.fixedFile {
-		*(*uint8)(unsafe.Add(sqe, 1)) = iosqeFixedFile // flags
-		*(*int32)(unsafe.Add(sqe, 4)) = 0              // fixed-file index
-	} else {
-		*(*int32)(unsafe.Add(sqe, 4)) = r.fileFD // fd
-	}
+	*(*uint8)(sqe) = opcode                                                    // opcode
+	*(*int32)(unsafe.Add(sqe, 4)) = r.fileFD                                   // fd
 	*(*uint64)(unsafe.Add(sqe, 8)) = uint64(off)                               // off
 	*(*uint64)(unsafe.Add(sqe, 16)) = uint64(uintptr(unsafe.Pointer(&buf[0]))) // addr
 	*(*uint32)(unsafe.Add(sqe, 24)) = uint32(len(buf))                         // len
@@ -403,20 +335,6 @@ func (r *iouRing) PrepReadFixed(id uint64, off int64, buf []byte, bufIndex int) 
 
 func (r *iouRing) Submit() (int, error) {
 	atomic.StoreUint32(r.sqTail, r.localTail)
-	if r.sqpoll {
-		// The SQPOLL kernel thread consumes the ring; publishing the new
-		// tail is the submission. Only an idled-out thread needs an enter.
-		n := int(r.staged)
-		r.inflight += r.staged
-		r.staged = 0
-		if atomic.LoadUint32(r.sqFlags)&sqNeedWakeup != 0 {
-			r.sys.Submits++
-			if _, err := enter(r.fd, 0, 0, enterSQWakeup); err != nil {
-				return n, err
-			}
-		}
-		return n, nil
-	}
 	total := 0
 	for r.staged > 0 {
 		r.sys.Submits++

@@ -3,81 +3,10 @@
 package uring
 
 import (
-	"encoding/binary"
 	"runtime"
 	"sync/atomic"
 	"testing"
 )
-
-// TestSQPollFullGroupsNeverStall: an SQPOLL ring driven the way the
-// engine drives it — stage until the ring refuses, publish, reap half
-// the window, repeat — must never refuse a PrepRead while idle. The SQ
-// thread completes page-cache-hot reads inline and posts their CQEs
-// before it publishes sq.head, so user space can harvest every CQE of a
-// full-ring group while the published head still shows a full SQ; a
-// prep that trusts the head alone then refuses with nothing staged and
-// nothing in flight (the engine's ErrRingStalled). Without the
-// harvested-means-consumed bound in prep this fails within a few
-// hundred groups.
-func TestSQPollFullGroupsNeverStall(t *testing.T) {
-	if !Probe().SQPoll {
-		t.Skip("SQPOLL not grantable in this environment")
-	}
-	const (
-		entries = 512
-		groups  = 6000
-		total   = groups * entries
-		fileN   = 1 << 16
-	)
-	f := testFile(t, fileN)
-	r, err := NewWith(BackendIOURing, f, Options{Entries: entries, SQPoll: true, SQPollIdleMS: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	// Request i reads file entry (i*7)%fileN into slot i%slots; a slot is
-	// only reused long after its previous read was harvested.
-	const slots = 4 * entries
-	buf := make([]byte, slots*4)
-	next, inflight, completed := 0, 0, 0
-	for completed < total {
-		staged := 0
-		for next < total {
-			entry := (next * 7) % fileN
-			slot := next % slots
-			if !r.PrepRead(uint64(next), int64(entry)*4, buf[slot*4:slot*4+4]) {
-				break
-			}
-			next++
-			staged++
-		}
-		if staged > 0 {
-			if _, err := r.Submit(); err != nil {
-				t.Fatal(err)
-			}
-			inflight += staged
-		}
-		min := 1
-		if next < total && inflight > 1 {
-			min = inflight / 2
-		}
-		cqes, err := r.Wait(min)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inflight -= len(cqes)
-		for _, c := range cqes {
-			slot := int(c.ID) % slots
-			if got, want := binary.LittleEndian.Uint32(buf[slot*4:]), uint32((int(c.ID)*7)%fileN); c.Res != 4 || got != want {
-				t.Fatalf("read %d: CQE %+v, value %d, want Res 4 value %d", c.ID, c, got, want)
-			}
-		}
-		completed += len(cqes)
-		if staged == 0 && inflight == 0 && len(cqes) == 0 {
-			t.Fatalf("ring refused to stage while idle after %d of %d reads (group %d)", completed, total, completed/entries)
-		}
-	}
-}
 
 // TestRingKeepsDestinationsAlive: between Submit and the Wait that
 // harvests its completion, a read's destination must stay GC-reachable

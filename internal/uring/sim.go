@@ -8,8 +8,7 @@ import "os"
 // removes all scheduling nondeterminism — the backend of choice for
 // bit-reproducibility tests. Fixed buffers are emulated like the pool
 // backend (validate index and bounds, then read normally; invalid
-// references complete with -EINVAL/-EFAULT at Submit); RegisterFile
-// and SQPoll are accepted and ignored.
+// references complete with -EINVAL/-EFAULT at Submit).
 type simRing struct {
 	f       *os.File
 	entries int

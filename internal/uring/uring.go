@@ -4,9 +4,8 @@
 //   - BackendIOURing: a from-scratch Linux io_uring binding (raw
 //     io_uring_setup/io_uring_enter/io_uring_register syscalls + mmap'd
 //     SQ/CQ rings, no cgo, no liburing). The paper's real I/O path,
-//     with optional fast-path knobs: registered fixed buffers
-//     (IORING_OP_READ_FIXED), registered files (IOSQE_FIXED_FILE), and
-//     SQPOLL submission.
+//     with one optional fast-path knob: registered fixed buffers
+//     (IORING_OP_READ_FIXED).
 //   - BackendPool: a portable pread worker pool with the same batched
 //     SQ/CQ semantics. Always available; this is what keeps the engine
 //     running on non-Linux platforms and inside seccomp sandboxes.
@@ -127,9 +126,9 @@ type Ring interface {
 }
 
 // Syscalls counts a ring's kernel crossings: Submits is submission-side
-// syscalls (io_uring_enter with work to publish — or SQPOLL wakeups,
-// which drop to zero in steady state; one pread(2) per request for the
-// pool and sim backends, their true submission cost), Waits is blocking
+// syscalls (io_uring_enter with work to publish; one pread(2) per
+// request for the pool and sim backends, their true submission cost),
+// Waits is blocking
 // completion-side syscalls (io_uring_enter GETEVENTS; zero for pool/sim,
 // which complete in user space). The benchmark harness divides these by
 // batch count to report syscalls-per-batch honestly per knob combo.
@@ -155,17 +154,10 @@ type Caps struct {
 	// ReadFixed: IORING_REGISTER_BUFFERS succeeds, so
 	// IORING_OP_READ_FIXED into registered arenas is usable.
 	ReadFixed bool
-	// RegisteredFiles: IORING_REGISTER_FILES succeeds, so SQEs can carry
-	// IOSQE_FIXED_FILE and skip the per-SQE fd lookup.
-	RegisteredFiles bool
-	// SQPoll: IORING_SETUP_SQPOLL rings can be created (kernel 5.11+
-	// unprivileged, or CAP_SYS_NICE), so steady-state submission costs
-	// zero syscalls.
-	SQPoll bool
 }
 
-// String renders the capability set compactly, e.g.
-// "ring+read_fixed+reg_files+sqpoll" or "unavailable".
+// String renders the capability set compactly: "ring+read_fixed",
+// "ring" or "unavailable".
 func (c Caps) String() string {
 	if !c.Ring {
 		return "unavailable"
@@ -173,12 +165,6 @@ func (c Caps) String() string {
 	parts := []string{"ring"}
 	if c.ReadFixed {
 		parts = append(parts, "read_fixed")
-	}
-	if c.RegisteredFiles {
-		parts = append(parts, "reg_files")
-	}
-	if c.SQPoll {
-		parts = append(parts, "sqpoll")
 	}
 	return strings.Join(parts, "+")
 }
@@ -195,20 +181,6 @@ type Options struct {
 	// first); pool and sim emulate — they validate indexes and bounds
 	// and otherwise read normally.
 	FixedBuffers [][]byte
-	// RegisterFile registers the ring's file at setup
-	// (IORING_REGISTER_FILES) and makes every SQE use the fixed-file
-	// index instead of the raw fd. Accepted and ignored by pool/sim,
-	// which hold the *os.File directly.
-	RegisterFile bool
-	// SQPoll requests IORING_SETUP_SQPOLL: a kernel thread consumes the
-	// SQ, so steady-state Submit is a shared-memory store with no
-	// syscall (a wakeup enter only after the thread idles out).
-	// Accepted and ignored by pool/sim.
-	SQPoll bool
-	// SQPollIdleMS is the SQPOLL kernel thread's spin-down timeout in
-	// milliseconds (0 selects 100). Longer keeps submission free across
-	// bursts at the cost of a busy kernel thread.
-	SQPollIdleMS uint32
 }
 
 // DefaultEntries is the paper's default ring size.
@@ -222,11 +194,10 @@ func New(be Backend, f *os.File, entries int) (Ring, error) {
 }
 
 // NewWith opens a ring over f with explicit Options. The real backend
-// enables exactly what the options ask for and fails when the kernel
-// refuses a requested feature — callers gate requests on Probe() and
-// fall back themselves, so a downgrade is always a visible decision,
-// never a silent one. Pool and sim emulate fixed buffers and accept-
-// and-ignore the remaining knobs (documented per field).
+// registers exactly the fixed buffers asked for and fails when the
+// kernel refuses them — callers gate requests on Probe() and fall back
+// themselves, so a downgrade is always a visible decision, never a
+// silent one. Pool and sim emulate fixed buffers.
 func NewWith(be Backend, f *os.File, o Options) (Ring, error) {
 	if o.Entries <= 0 {
 		o.Entries = DefaultEntries
@@ -250,8 +221,8 @@ var (
 
 // Probe reports the real io_uring backend's per-feature capability set
 // in this environment: whether the base binding works (syscalls exist,
-// the sandbox permits them, the ring mmaps succeed) and which fast-path
-// knobs (fixed buffers, registered files, SQPOLL) the kernel grants.
+// the sandbox permits them, the ring mmaps succeed) and whether the
+// kernel grants fixed buffers.
 // It never panics and caches its result — sandboxes and older kernels
 // simply report fewer capabilities, and the engine downgrades to the
 // plain path (or BackendPool when even Caps.Ring is false).

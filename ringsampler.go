@@ -93,8 +93,8 @@ func OpenWith(dir string, opts OpenOptions) (*Dataset, error) {
 	return storage.OpenWith(dir, opts)
 }
 
-// Probe reports the per-feature io_uring capability set of this
-// environment (base ring, fixed buffers, registered files, SQPOLL).
+// Probe reports the io_uring capability set of this environment: the
+// base ring, and fixed buffers on top of it.
 func Probe() uring.Caps { return uring.Probe() }
 
 // NewSampler binds the engine to ds using the best ring backend

@@ -4,9 +4,9 @@
 # pushing. It writes nothing into the tree. Numbers come from the
 # benchmark harness (go run -C cmd/bench .), never from here.
 #
-# QUICK=1 passes -short to go test, which skips the slow tests
-# (TestKnobMatrixFillsRing on a generated 100k-node graph, the
-# harness's smoke run); the default runs everything under -race.
+# QUICK=1 passes -short to go test, which skips the harness's smoke
+# run; TestKnobMatrixFillsRing (full-SQ groups on a generated 100k-node
+# graph, ~5 s) runs either way. The default runs everything under -race.
 set -eu
 cd "$(dirname "$0")/.."
 short=
