@@ -138,6 +138,25 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRefusesRetiredFlags: the ring knobs that were retired for
+// losing or tying on both epoch shapes are refused by name, before any
+// work starts, so a script that still passes one learns it is gone
+// instead of measuring a configuration that no longer exists.
+func TestRunRefusesRetiredFlags(t *testing.T) {
+	for _, args := range [][]string{{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-depth", "64"}} {
+		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
+			var sb strings.Builder
+			err := run(args, &sb)
+			if err == nil || !strings.Contains(err.Error(), args[0]) {
+				t.Fatalf("%v: err = %v, want a refusal naming %s", args, err, args[0])
+			}
+			if sb.Len() != 0 {
+				t.Fatalf("%v: work started before the flag was refused:\n%s", args, sb.String())
+			}
+		})
+	}
+}
+
 // TestRunBackendNameAnyCase: -backend takes a name in any case, as
 // cmd/serve does, and the dataset line names the backend that ran.
 func TestRunBackendNameAnyCase(t *testing.T) {

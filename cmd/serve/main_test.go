@@ -55,6 +55,23 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
+// TestRunRefusesRetiredFlags: the retired ring knobs are refused by
+// name before any graph is generated or port opened.
+func TestRunRefusesRetiredFlags(t *testing.T) {
+	for _, args := range [][]string{{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-depth", "64"}} {
+		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
+			var sb strings.Builder
+			err := run(context.Background(), args, &sb)
+			if err == nil || !strings.Contains(err.Error(), args[0]) {
+				t.Fatalf("%v: err = %v, want a refusal naming %s", args, err, args[0])
+			}
+			if sb.Len() != 0 {
+				t.Fatalf("%v: work started before the flag was refused:\n%s", args, sb.String())
+			}
+		})
+	}
+}
+
 // runOutput collects run's output and announces the base URL once the
 // "serving on" line is printed.
 type runOutput struct {

@@ -137,7 +137,7 @@ func TestFeatureMatrixConformance(t *testing.T) {
 		{"clean", nil},
 		{"faulty", faultWrap(mild)},
 	}
-	// The second knob set is the shallowest pipeline: a 2-entry ring
+	// The second knob set is the shallowest pipeline: a 2-deep ring
 	// keeps at most two reads in flight.
 	knobs := []struct {
 		name  string
@@ -145,7 +145,7 @@ func TestFeatureMatrixConformance(t *testing.T) {
 		ring  int
 	}{
 		{"plain", false, base.RingSize},
-		{"fixed-ring2", true, 2},
+		{"fixed-depth2", true, 2},
 	}
 
 	for _, be := range backends {

@@ -14,9 +14,10 @@ import (
 )
 
 // Knob-combination conformance: both fast-path knobs — fixed buffers
-// and O_DIRECT — are pure performance levers. The sampled byte stream
-// must be identical to the plain path for EVERY combination, on every
-// backend that runs here. Combinations whose kernel feature isn't
+// and O_DIRECT — and both ablation switches — the async pipeline and
+// offset sampling — are pure performance levers. The sampled byte
+// stream must be identical to the plain path for EVERY combination, on
+// every backend that runs here. Combinations whose kernel feature isn't
 // granted still run: resolveKnobs and the dataset probe downgrade them,
 // and the IOStats Active* flags must report exactly what actually ran.
 
@@ -63,12 +64,18 @@ func TestKnobMatrixConformance(t *testing.T) {
 
 	for _, be := range backends {
 		for _, direct := range []bool{false, true} {
-			for _, fixed := range []bool{false, true} {
-				name := fmt.Sprintf("%s/odirect=%v/fixed=%v", be, direct, fixed)
+			for mask := 0; mask < 8; mask++ {
+				fixed := mask&1 != 0
+				async := mask&2 == 0
+				offset := mask&4 == 0
+				name := fmt.Sprintf("%s/odirect=%v/fixed=%v/async=%v/offset=%v",
+					be, direct, fixed, async, offset)
 				t.Run(name, func(t *testing.T) {
 					ds := openDS(t, dir, direct)
 					cfg := base
 					cfg.FixedBuffers = fixed
+					cfg.AsyncPipeline = async
+					cfg.OffsetSampling = offset
 					s, err := New(ds, cfg, be)
 					if err != nil {
 						t.Fatal(err)
@@ -195,10 +202,45 @@ func TestKnobMatrixFillsRing(t *testing.T) {
 	}
 }
 
+// TestDepthBoundedConformance: the ring's depth is the one bound on
+// reads in flight. A shallow ring reshapes the pipeline (and the
+// O_DIRECT scratch pool) but never the bytes; depth 1 degenerates to
+// one read at a time and must still finish and agree. Depth 3 is not a
+// power of two, so the real backend rounds it up and the emulations
+// take it as given.
+func TestDepthBoundedConformance(t *testing.T) {
+	dir := testDatasetDir(t)
+	base := DefaultConfig()
+	base.Seed = 42
+	base.RingSize = 32
+	targets := testTargets(openDS(t, dir, false), 128)
+	ref := sampleOnce(t, openDS(t, dir, false), base, uring.BackendSim, targets)
+
+	backends := []uring.Backend{uring.BackendSim, uring.BackendPool}
+	if uring.Probe().Ring {
+		backends = append(backends, uring.BackendIOURing)
+	}
+	for _, be := range backends {
+		for _, depth := range []int{1, 3, 8} {
+			for _, direct := range []bool{false, true} {
+				name := fmt.Sprintf("%s/depth=%d/odirect=%v", be, depth, direct)
+				t.Run(name, func(t *testing.T) {
+					cfg := base
+					cfg.RingSize = depth
+					cfg.FixedBuffers = true // deepest interaction: fixed chunks + shallow ring
+					got := sampleOnce(t, openDS(t, dir, direct), cfg, be, targets)
+					assertBatchesEqual(t, ref, got, name)
+				})
+			}
+		}
+	}
+}
+
 // TestKnobsWithFaultsConformance: fault injection composed with the
 // fixed-buffer path (but never with O_DIRECT — truncating an aligned
 // read's length would make it unaligned, which a real O_DIRECT fd
-// rejects) must still retry to the exact reference bytes.
+// rejects) must still retry to the exact reference bytes, through the
+// async pipeline and the synchronous ablation alike.
 func TestKnobsWithFaultsConformance(t *testing.T) {
 	dir := testDatasetDir(t)
 	base := DefaultConfig()
@@ -214,29 +256,34 @@ func TestKnobsWithFaultsConformance(t *testing.T) {
 	}
 	for _, be := range backends {
 		t.Run(string(be), func(t *testing.T) {
-			cfg := base
-			cfg.FixedBuffers = true
-			cfg.WrapRing = faultWrap(plan)
-			s, err := New(openDS(t, dir, false), cfg, be)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := s.NewWorker(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w.Close()
-			got, err := w.SampleBatch(targets)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBatchesEqual(t, ref, got, string(be))
-			fs, _ := uring.Faults(w.edge.Ring)
-			if fs.Total() == 0 {
-				t.Fatal("fault-wrapped run injected nothing")
-			}
-			if st := w.IOStats(); st.FixedReads == 0 {
-				t.Fatal("fixed path inactive under faults")
+			for _, async := range []bool{true, false} {
+				t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
+					cfg := base
+					cfg.FixedBuffers = true
+					cfg.AsyncPipeline = async
+					cfg.WrapRing = faultWrap(plan)
+					s, err := New(openDS(t, dir, false), cfg, be)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w, err := s.NewWorker(0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer w.Close()
+					got, err := w.SampleBatch(targets)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertBatchesEqual(t, ref, got, t.Name())
+					fs, _ := uring.Faults(w.edge.Ring)
+					if fs.Total() == 0 {
+						t.Fatal("fault-wrapped run injected nothing")
+					}
+					if st := w.IOStats(); st.FixedReads == 0 {
+						t.Fatal("fixed path inactive under faults")
+					}
+				})
 			}
 		})
 	}
@@ -346,10 +393,12 @@ func TestConfigRejectsNegativeKnobs(t *testing.T) {
 		{"cache budget", func(c *Config) { c.CacheBudgetBytes = -1 }},
 		{"feature cache budget", func(c *Config) { c.FeatureCacheBudgetBytes = -1 }},
 	} {
-		cfg := DefaultConfig()
-		c.set(&cfg)
-		if _, err := New(ds, cfg, uring.BackendSim); err == nil || !strings.Contains(err.Error(), c.name) {
-			t.Fatalf("negative %s: err = %v", c.name, err)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			c.set(&cfg)
+			if _, err := New(ds, cfg, uring.BackendSim); err == nil || !strings.Contains(err.Error(), c.name) {
+				t.Fatalf("negative %s: err = %v", c.name, err)
+			}
+		})
 	}
 }

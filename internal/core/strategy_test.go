@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -398,25 +399,27 @@ func TestFrontierBuiltBetweenLayersOnly(t *testing.T) {
 	ds := testDataset(t)
 	targets := testTargets(ds, 64)
 	for _, fanouts := range [][]int{{7}, {5, 3}, DefaultFanouts} {
-		s, err := New(ds, DefaultConfig(), uring.BackendSim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs := &countingStrategy{Strategy: s.defStrat}
-		s.defStrat = cs
-		w, err := s.NewWorker(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for seed := range uint64(3) {
-			before := cs.frontiers
-			if _, err := w.SampleBatchOpts(targets, BatchOpts{Fanouts: fanouts, Seed: seed}); err != nil {
+		t.Run(fmt.Sprintf("layers=%d", len(fanouts)), func(t *testing.T) {
+			s, err := New(ds, DefaultConfig(), uring.BackendSim)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if got := cs.frontiers - before; got != len(fanouts)-1 {
-				t.Fatalf("fanouts %v: %d frontiers built for one batch, want %d", fanouts, got, len(fanouts)-1)
+			cs := &countingStrategy{Strategy: s.defStrat}
+			s.defStrat = cs
+			w, err := s.NewWorker(0)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		w.Close()
+			defer w.Close()
+			for seed := range uint64(3) {
+				before := cs.frontiers
+				if _, err := w.SampleBatchOpts(targets, BatchOpts{Fanouts: fanouts, Seed: seed}); err != nil {
+					t.Fatal(err)
+				}
+				if got := cs.frontiers - before; got != len(fanouts)-1 {
+					t.Fatalf("fanouts %v: %d frontiers built for one batch, want %d", fanouts, got, len(fanouts)-1)
+				}
+			}
+		})
 	}
 }

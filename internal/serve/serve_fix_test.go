@@ -266,17 +266,19 @@ func TestServeOversizedBody(t *testing.T) {
 		"/v1/shard/layer":    `{"layer":0,"fanout":4,"strategy":"uniform","frontier":[1]`,
 		"/v1/shard/features": `{"nodes":[1]`,
 	} {
-		resp, err := client.Post(base+path, "application/json", strings.NewReader(obj+pad+"}"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var er errorResponse
-		derr := json.NewDecoder(resp.Body).Decode(&er)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil ||
-			!strings.Contains(er.Error, strconv.Itoa(maxBodyBytes)) {
-			t.Fatalf("%s: status %d, error %q (%v); want 413 naming the %d-byte limit",
-				path, resp.StatusCode, er.Error, derr, maxBodyBytes)
-		}
+		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) {
+			resp, err := client.Post(base+path, "application/json", strings.NewReader(obj+pad+"}"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var er errorResponse
+			derr := json.NewDecoder(resp.Body).Decode(&er)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil ||
+				!strings.Contains(er.Error, strconv.Itoa(maxBodyBytes)) {
+				t.Fatalf("%s: status %d, error %q (%v); want 413 naming the %d-byte limit",
+					path, resp.StatusCode, er.Error, derr, maxBodyBytes)
+			}
+		})
 	}
 }

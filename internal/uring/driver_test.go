@@ -3,6 +3,7 @@ package uring
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"syscall"
@@ -324,19 +325,23 @@ func TestRunRingCapacity(t *testing.T) {
 	f := testFile(t, 512)
 	raw, _ := os.ReadFile(f.Name())
 	for _, entries := range []int{1, 32} {
-		for name, r := range pipelineBackends(t, f, entries, nil) {
-			reads, n := planReads(512)
-			dst := make([]byte, n)
-			d := Driver{Ring: r}
-			if err := d.Run(dst, reads); err != nil {
-				t.Fatal(err)
+		t.Run(fmt.Sprintf("entries=%d", entries), func(t *testing.T) {
+			for name, r := range pipelineBackends(t, f, entries, nil) {
+				t.Run(name, func(t *testing.T) {
+					reads, n := planReads(512)
+					dst := make([]byte, n)
+					d := Driver{Ring: r}
+					if err := d.Run(dst, reads); err != nil {
+						t.Fatal(err)
+					}
+					assertLanded(t, raw, dst, reads)
+					if r.most < entries || r.most > 2*entries {
+						t.Fatalf("%d reads in flight at most, want %d to %d",
+							r.most, entries, 2*entries)
+					}
+				})
 			}
-			assertLanded(t, raw, dst, reads)
-			if r.most < entries || r.most > 2*entries {
-				t.Fatalf("%s with %d entries: %d reads in flight at most, want %d to %d",
-					name, entries, r.most, entries, 2*entries)
-			}
-		}
+		})
 	}
 }
 

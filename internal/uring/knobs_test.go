@@ -3,6 +3,7 @@ package uring
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"slices"
 	"syscall"
@@ -21,15 +22,17 @@ func TestFieldCensus(t *testing.T) {
 		{reflect.TypeFor[Caps](), []string{"Ring", "ReadFixed"}},
 		{reflect.TypeFor[Driver](), []string{"Ring", "Align", "Sync", "Arena", "Stats"}},
 	} {
-		var got []string
-		for i := range c.typ.NumField() {
-			if f := c.typ.Field(i); f.IsExported() {
-				got = append(got, f.Name)
+		t.Run(c.typ.Name(), func(t *testing.T) {
+			var got []string
+			for i := range c.typ.NumField() {
+				if f := c.typ.Field(i); f.IsExported() {
+					got = append(got, f.Name)
+				}
 			}
-		}
-		if !slices.Equal(got, c.want) {
-			t.Errorf("uring.%s fields\n got %q\nwant %q", c.typ.Name(), got, c.want)
-		}
+			if !slices.Equal(got, c.want) {
+				t.Errorf("uring.%s fields\n got %q\nwant %q", c.typ.Name(), got, c.want)
+			}
+		})
 	}
 }
 
@@ -44,9 +47,11 @@ func TestCapsString(t *testing.T) {
 		{Caps{ReadFixed: true}, "unavailable"},
 	}
 	for _, c := range cases {
-		if got := c.caps.String(); got != c.want {
-			t.Fatalf("Caps%+v.String() = %q, want %q", c.caps, got, c.want)
-		}
+		t.Run(fmt.Sprintf("ring=%v/read_fixed=%v", c.caps.Ring, c.caps.ReadFixed), func(t *testing.T) {
+			if got := c.caps.String(); got != c.want {
+				t.Fatalf("Caps%+v.String() = %q, want %q", c.caps, got, c.want)
+			}
+		})
 	}
 }
 
