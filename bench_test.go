@@ -68,9 +68,9 @@ func BenchmarkRealEpochThreads(b *testing.B) {
 	}
 }
 
-// BenchmarkRealSampleBatch measures the real engine end to end (real
+// BenchmarkRealSampleBatchOpts measures the real engine end to end (real
 // files, real rings) on each available backend.
-func BenchmarkRealSampleBatch(b *testing.B) {
+func BenchmarkRealSampleBatchOpts(b *testing.B) {
 	dir := filepath.Join(b.TempDir(), "real")
 	if err := GenerateDataset(dir, "rmat", 20_000, 300_000, 3); err != nil {
 		b.Fatal(err)
@@ -106,7 +106,7 @@ func BenchmarkRealSampleBatch(b *testing.B) {
 			b.ResetTimer()
 			var sampled int64
 			for i := 0; i < b.N; i++ {
-				bs, err := w.SampleBatch(targets)
+				bs, err := w.SampleBatchOpts(targets, BatchOpts{Seed: cfg.Seed})
 				if err != nil {
 					b.Fatal(err)
 				}

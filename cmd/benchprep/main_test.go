@@ -62,7 +62,7 @@ func TestPrepareReusesCheckedInDataset(t *testing.T) {
 	for i := range targets {
 		targets[i] = r.Uint32n(uint32(ds.NumNodes()))
 	}
-	b, err := w.SampleBatch(targets)
+	b, err := w.SampleBatchOpts(targets, core.BatchOpts{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

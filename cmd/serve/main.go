@@ -81,7 +81,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		data         = fs.String("data", "", "dataset directory (empty: generate a temporary R-MAT graph)")
 		nodes        = fs.Int64("nodes", 50_000, "node count for the temporary graph (with empty -data)")
 		edges        = fs.Int64("edges", 800_000, "edge count for the temporary graph (with empty -data)")
-		threads      = fs.Int("threads", 0, "worker-pool size (0: config default)")
+		threads      = fs.Int("threads", 0, "worker-pool size, per shard with -shards (0: config default)")
 		batch        = fs.Int("batch", 0, "engine mini-batch size / chunking granularity (0: config default)")
 		cacheMB      = fs.Int64("cache-mb", 0, "hot-neighbor cache budget in MiB (0: cache off)")
 		featMB       = fs.Int64("feature-cache-mb", 0, "hot-node feature cache budget in MiB (0: cache off)")

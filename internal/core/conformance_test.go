@@ -94,7 +94,7 @@ func TestCrossBackendConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			got, err := w.SampleBatch(targets)
+			got, err := w.SampleBatchOpts(targets, BatchOpts{Seed: cc.Seed})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestRetryExhaustionTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	_, err = w.SampleBatch(testTargets(ds, 8))
+	_, err = w.SampleBatchOpts(testTargets(ds, 8), BatchOpts{Seed: cfg.Seed})
 	var ioe *IOError
 	if !errors.As(err, &ioe) {
 		t.Fatalf("err = %v (%T), want *IOError", err, err)
@@ -181,7 +181,7 @@ func TestHardErrorFailsFast(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	_, err = w.SampleBatch(testTargets(ds, 8))
+	_, err = w.SampleBatchOpts(testTargets(ds, 8), BatchOpts{Seed: cfg.Seed})
 	var ioe *IOError
 	if !errors.As(err, &ioe) {
 		t.Fatalf("err = %v (%T), want *IOError", err, err)
@@ -241,7 +241,7 @@ func TestRetryExhaustionShortRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	_, err = w.SampleBatch(testTargets(ds, 8))
+	_, err = w.SampleBatchOpts(testTargets(ds, 8), BatchOpts{Seed: cfg.Seed})
 	var ioe *IOError
 	if !errors.As(err, &ioe) {
 		t.Fatalf("err = %v (%T), want *IOError", err, err)
@@ -308,7 +308,7 @@ func TestRingStallGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w.Close()
-		_, err = w.SampleBatch(testTargets(ds, 8))
+		_, err = w.SampleBatchOpts(testTargets(ds, 8), BatchOpts{Seed: cfg.Seed})
 		if !errors.Is(err, ErrRingStalled) {
 			t.Fatalf("err = %v, want ErrRingStalled", err)
 		}
@@ -331,7 +331,7 @@ func TestRingStallGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w.Close()
-		_, err = w.SampleBatch(testTargets(ds, 8))
+		_, err = w.SampleBatchOpts(testTargets(ds, 8), BatchOpts{Seed: cfg.Seed})
 		if !errors.Is(err, ErrRingStalled) {
 			t.Fatalf("err = %v, want ErrRingStalled", err)
 		}

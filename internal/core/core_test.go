@@ -45,7 +45,7 @@ func sampleOnce(t *testing.T, ds *storage.Dataset, cfg Config, backend uring.Bac
 		t.Fatal(err)
 	}
 	defer w.Close()
-	b, err := w.SampleBatch(targets)
+	b, err := w.SampleBatchOpts(targets, BatchOpts{Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +104,13 @@ func TestWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestDistinctWorkersDiverge: different worker IDs sample independent
-// streams.
-func TestDistinctWorkersDiverge(t *testing.T) {
+// TestWorkerIDOnlyNamesWorker: what a worker samples is a function of
+// the batch seed alone — workers 0 and 1 draw bit-identically from one
+// seed, which is what lets a pool replace a worker under a fresh id —
+// while distinct seeds draw independent samples.
+func TestWorkerIDOnlyNamesWorker(t *testing.T) {
 	ds := testDataset(t)
-	cfg := DefaultConfig()
-	cfg.Seed = 7
-	s, err := New(ds, cfg, uring.BackendPool)
+	s, err := New(ds, DefaultConfig(), uring.BackendPool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,36 +125,24 @@ func TestDistinctWorkersDiverge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w1.Close()
-	b0, err := w0.SampleBatch(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, err := w1.SampleBatch(targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	same := true
-	for li := range b0.Layers {
-		la, lb := b0.Layers[li], b1.Layers[li]
-		if len(la.Neighbors) != len(lb.Neighbors) {
-			same = false
-			break
+	sampleWith := func(w *Worker, seed uint64) *Batch {
+		b, err := w.SampleBatchOpts(targets, BatchOpts{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range la.Neighbors {
-			if la.Neighbors[i] != lb.Neighbors[i] {
-				same = false
-				break
-			}
-		}
+		return b
 	}
-	if same {
-		t.Fatal("worker 0 and worker 1 drew identical samples")
+	a := sampleWith(w0, 7)
+	assertBatchesEqual(t, a, sampleWith(w1, 7), "workers 0 and 1, seed 7")
+	if a.Digest() == sampleWith(w1, 8).Digest() {
+		t.Fatal("seeds 7 and 8 drew identical samples")
 	}
 }
 
 // The paper's §3 ablations run on the real engine over the checked-in
 // benchmark graph: 512 uniform targets (seed 1) in four batches of 128
-// through one worker, on every available backend.
+// through one worker, batch i seeded sample.Mix(1, i) as the epoch
+// runner seeds it, on every available backend.
 const (
 	ablationData    = "../../benchdata/bench/ogbn-papers-div20000"
 	ablationTargets = 512
@@ -192,7 +180,7 @@ func runAblation(t *testing.T, ds *storage.Dataset, cfg Config, backend uring.Ba
 	}
 	var batches []*Batch
 	for at := 0; at < len(targets); at += ablationBatch {
-		b, err := w.SampleBatch(targets[at : at+ablationBatch])
+		b, err := w.SampleBatchOpts(targets[at:at+ablationBatch], BatchOpts{Seed: sample.Mix(cfg.Seed, uint64(at/ablationBatch))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +215,7 @@ func assertRunsEqual(t *testing.T, a, b []*Batch, label string) {
 // offset reads move ≥ 10× fewer edge-file bytes. The byte counts are
 // exact: they move only if the draw or the read planner changes.
 func TestOffsetFullFetchSameSamples(t *testing.T) {
-	const wantOffsetBytes, wantFullBytes = 133_956, 1_886_008
+	const wantOffsetBytes, wantFullBytes = 134_068, 1_890_144
 	ds := openAblationData(t)
 	for _, be := range ablationBackends() {
 		t.Run(string(be), func(t *testing.T) {

@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"ringsampler/internal/sample"
@@ -134,7 +132,7 @@ type EpochStats struct {
 	// every thread count — the runner's determinism guarantee.
 	Digests []uint64
 	// IO is the merged ring-level I/O accounting; PerWorker is the
-	// per-worker breakdown (indexed by worker id).
+	// per-worker breakdown, indexed by pool slot.
 	IO        IOStats
 	PerWorker []IOStats
 	// Latency is the per-batch sampling latency histogram.
@@ -162,9 +160,8 @@ type epochResult struct {
 
 // RunEpoch samples every target through the real engine: the target
 // stream is sharded into Config.BatchSize mini-batches and fanned out
-// to Config.Threads workers, each pinned to its OS thread for the
-// worker's lifetime (io_uring's mmap'd SQ/CQ rings and the Go
-// scheduler interact badly when a ring migrates threads mid-submit).
+// to the Config.Threads slots of a Pool that lives as long as the epoch:
+// one OS-thread-pinned worker per slot.
 //
 // Output is thread-count-invariant: each batch's RNG is reseeded from
 // sample.Mix(Config.Seed, batchIndex) rather than from the worker id,
@@ -220,22 +217,17 @@ func (s *Sampler) RunEpochSeeded(ctx context.Context, seed uint64, targets []uin
 		return nil, fmt.Errorf("core: epoch needs at least one target")
 	}
 	numBatches := (len(targets) + cfg.BatchSize - 1) / cfg.BatchSize
-	workers := cfg.Threads
-	if numBatches < workers {
-		workers = numBatches
-	}
+	workers := min(cfg.Threads, numBatches)
 
 	var (
-		idxCh = make(chan int)
+		jobs  = make(chan Job)
 		resCh = make(chan epochResult, workers)
 		stop  = make(chan struct{})
 		// fedCh reports how many batches the feeder actually dispatched;
 		// buffered so the feeder never blocks when nobody asks (the
 		// uncanceled path).
 		fedCh = make(chan int, 1)
-		wg    sync.WaitGroup
 	)
-	perWorker := make([]IOStats, workers)
 	start := time.Now()
 	stats := &EpochStats{
 		Batches: numBatches,
@@ -256,70 +248,48 @@ func (s *Sampler) RunEpochSeeded(ctx context.Context, seed uint64, targets []uin
 		stats.IO.AlignSlackBytes = re.Moved - re.Bytes
 		stats.ReadmitSeconds = time.Since(t0).Seconds()
 	}
-	go func() {
-		defer close(idxCh)
-		for bi := 0; bi < numBatches; bi++ {
-			// Pre-check so a cancellation always stops dispatch here, even
-			// when a worker is simultaneously ready to receive (select
-			// picks ready cases at random).
-			if ctx.Err() != nil {
-				fedCh <- bi
-				return
-			}
-			select {
-			case idxCh <- bi:
-			case <-stop:
-				fedCh <- bi
-				return
-			case <-ctx.Done():
-				fedCh <- bi
-				return
-			}
-		}
-		fedCh <- numBatches
-	}()
-	for wid := 0; wid < workers; wid++ {
-		wg.Add(1)
-		go func(wid int) {
-			defer wg.Done()
-			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
-			clock := StartThreadClock()
-			w, err := s.NewWorker(wid)
-			if err != nil {
-				select {
-				case resCh <- epochResult{index: -1, err: fmt.Errorf("core: epoch worker %d: %w", wid, err)}:
-				case <-stop:
-				}
-				return
-			}
-			defer func() {
-				perWorker[wid] = clock.Stamp(w.IOStats())
-				w.Close()
-			}()
-			for bi := range idxCh {
-				lo := bi * cfg.BatchSize
-				hi := lo + cfg.BatchSize
-				if hi > len(targets) {
-					hi = len(targets)
-				}
+	// batchJob samples batch bi on whichever slot takes it and hands the
+	// result to the collector.
+	batchJob := func(bi int) Job {
+		r := epochResult{index: bi}
+		lo := bi * cfg.BatchSize
+		hi := min(lo+cfg.BatchSize, len(targets))
+		return Job{
+			Run: func(w *Worker) (err error) {
 				t0 := time.Now()
-				b, err := w.SampleBatchOpts(targets[lo:hi], BatchOpts{Seed: sample.Mix(seed, uint64(bi))})
-				r := epochResult{index: bi, batch: b, lat: time.Since(t0), err: err}
+				r.batch, err = w.SampleBatchOpts(targets[lo:hi], BatchOpts{Seed: sample.Mix(seed, uint64(bi))})
+				r.lat = time.Since(t0)
+				return err
+			},
+			Done: func(err error) {
 				if err != nil {
-					r.err = fmt.Errorf("core: epoch batch %d (worker %d): %w", bi, wid, err)
+					r.err = fmt.Errorf("core: epoch batch %d: %w", bi, err)
 				}
 				select {
 				case resCh <- r:
 				case <-stop:
-					return
 				}
-				if err != nil {
-					return
-				}
-			}
-		}(wid)
+			},
+		}
 	}
+	pool := s.NewPool(workers, jobs)
+	go func() {
+		defer close(jobs)
+		// The loop condition checks ctx so a cancellation always stops
+		// dispatch, even when a slot is ready to receive at the same time
+		// (select picks ready cases at random).
+		bi := 0
+		for ; bi < numBatches && ctx.Err() == nil; bi++ {
+			select {
+			case jobs <- batchJob(bi):
+				continue
+			case <-stop:
+			case <-ctx.Done():
+			}
+			break
+		}
+		fedCh <- bi
+	}()
 
 	// In-order delivery: completions arrive in any order; pending parks
 	// the early ones until every predecessor has been handed out.
@@ -373,7 +343,7 @@ collect:
 		}
 	}
 	close(stop)
-	wg.Wait()
+	pool.Close()
 	if learning {
 		if firstErr != nil || canceled {
 			s.featHot.Discard()
@@ -385,10 +355,10 @@ collect:
 		return nil, firstErr
 	}
 	stats.Seconds = time.Since(start).Seconds()
-	for _, st := range perWorker {
+	stats.PerWorker = pool.SlotStats()
+	for _, st := range stats.PerWorker {
 		stats.IO.Add(st)
 	}
-	stats.PerWorker = perWorker
 	if stats.Seconds > 0 {
 		stats.EntriesPerSec = float64(stats.Sampled) / stats.Seconds
 		stats.BytesPerSec = float64(stats.IO.DeviceBytes()) / stats.Seconds

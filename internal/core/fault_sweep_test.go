@@ -73,7 +73,7 @@ func sweepRun(t *testing.T, ds *storage.Dataset, backend uring.Backend, targets,
 	}
 	p := sweepPoint{rate: rate}
 	for at := 0; at < len(all); at += batchSize {
-		b, err := w.SampleBatch(all[at:min(at+batchSize, len(all))])
+		b, err := w.SampleBatchOpts(all[at:min(at+batchSize, len(all))], BatchOpts{Seed: sample.Mix(seed, uint64(at/batchSize))})
 		if err != nil {
 			t.Fatalf("rate %v: %v", rate, err)
 		}

@@ -15,7 +15,7 @@ var ErrRingStalled = uring.ErrRingStalled
 // completions it owed) while the worker was quarantining in-flight
 // requests, so a reused worker could harvest stale completions whose
 // IDs index into a newer batch's request table. Such a worker refuses
-// SampleBatch; callers create a fresh worker instead. Match with
+// every call; callers create a fresh worker instead. Match with
 // errors.Is.
 var ErrWorkerBroken = errors.New("worker ring may hold stale completions from a failed batch; create a new worker")
 
@@ -90,9 +90,10 @@ type IOStats struct {
 	WaitSyscalls   int64
 	// UserCPUNanos / SysCPUNanos are the CPU time the worker's pinned OS
 	// thread spent in user space and in the kernel between the worker's
-	// start and this snapshot (stamped by a ThreadClock the worker's
-	// owner runs: the epoch runner and the serve pool; zero for
-	// workers run on unpinned goroutines, and on non-Linux). Divided by
+	// start and this snapshot (stamped by the ThreadClock of the Pool
+	// slot that runs the worker — epoch runner, serve and in-process
+	// shards alike; zero for workers run on unpinned goroutines, and on
+	// non-Linux). Divided by
 	// Reads+FeatReads they are the per-read cost split — what the engine
 	// adds on top of the kernel's read path.
 	UserCPUNanos int64

@@ -85,7 +85,7 @@ func TestKnobMatrixConformance(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer w.Close()
-					got, err := w.SampleBatch(targets)
+					got, err := w.SampleBatchOpts(targets, BatchOpts{Seed: cfg.Seed})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -271,7 +271,7 @@ func TestKnobsWithFaultsConformance(t *testing.T) {
 						t.Fatal(err)
 					}
 					defer w.Close()
-					got, err := w.SampleBatch(targets)
+					got, err := w.SampleBatchOpts(targets, BatchOpts{Seed: cfg.Seed})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -309,7 +309,7 @@ func TestBadBufIndexSurfacesIOError(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			_, err = w.SampleBatch(testTargets(openDS(t, dir, false), 8))
+			_, err = w.SampleBatchOpts(testTargets(openDS(t, dir, false), 8), BatchOpts{Seed: cfg.Seed})
 			var ioe *IOError
 			if !errors.As(err, &ioe) {
 				t.Fatalf("err = %v (%T), want *IOError", err, err)
@@ -366,7 +366,7 @@ func TestODirectTinyFileStraddle(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer w.Close()
-			got, err := w.SampleBatch(targets)
+			got, err := w.SampleBatchOpts(targets, BatchOpts{Seed: cfg.Seed})
 			if err != nil {
 				t.Fatal(err)
 			}

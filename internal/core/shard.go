@@ -81,7 +81,7 @@ func ChunkSeedState(seed uint64) uint64 {
 
 // NextFrontierFor builds the next layer's frontier from a sampled layer
 // for the named strategy, reusing dst's storage. It mirrors the
-// between-layer step of sampleBatch; every strategy's frontier rule is
+// between-layer step of SampleBatchOpts; every strategy's frontier rule is
 // a pure function of the layer (sort+dedup or verbatim), so the router
 // can run it without shard state.
 func NextFrontierFor(name string, l *Layer, dst []uint32) ([]uint32, error) {

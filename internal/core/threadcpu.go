@@ -4,8 +4,8 @@ package core
 // worker's behalf: started when the worker is, it stamps the thread's
 // user and system time since then onto the worker's stats. Readings
 // from two threads mean nothing together, so only a goroutine holding
-// runtime.LockOSThread from Start to Stamp may use one — the epoch
-// runner's and the serve pool's workers do.
+// runtime.LockOSThread from Start to Stamp may use one — a Pool slot
+// does.
 type ThreadClock struct{ user0, sys0 int64 }
 
 // StartThreadClock reads the calling thread's CPU time as the baseline.

@@ -158,8 +158,8 @@ func (s *Sampler) FeatureCacheAdaptive() bool { return s.featHot.Adaptive() }
 type Worker struct {
 	s     *Sampler
 	id    int
-	rng   sample.RNG
-	stats IOStats // cache counters and active knobs; the drivers count the reads
+	rng   sample.RNG // reseeded or restored by every entry point that draws
+	stats IOStats    // cache counters and active knobs; the drivers count the reads
 
 	// edge reads the edge file; feat the feature file (feat.Ring stays
 	// nil until ensureFeat).
@@ -167,8 +167,8 @@ type Worker struct {
 	feat uring.Driver
 
 	// broken marks a worker one of whose rings may still hold
-	// completions that could not be drained. SampleBatch refuses such a
-	// worker.
+	// completions that could not be drained. Every entry point refuses
+	// such a worker.
 	broken bool
 
 	arena []byte // registered fixed-buffer arena (nil when fixed is off)
@@ -199,14 +199,11 @@ type cachedPick struct {
 var zeroEntry = make([]byte, storage.EntryBytes)
 
 // NewWorker creates worker `id` with its own edge ring (and, when the
-// fixed knob is active, its own registered arena). Distinct ids sample
-// independent streams; equal (Seed, id) pairs sample bit-identically.
+// fixed knob is active, its own registered arena). The id names the
+// worker in errors and to Config.WrapRing; what a worker samples never
+// depends on it.
 func (s *Sampler) NewWorker(id int) (*Worker, error) {
-	w := &Worker{
-		s:   s,
-		id:  id,
-		rng: sample.NewRNG(sample.Mix(s.cfg.Seed, uint64(id))),
-	}
+	w := &Worker{s: s, id: id}
 	if s.fixed {
 		// 4096-aligned so arena-backed slices satisfy any O_DIRECT
 		// granularity the dataset probe settled on.
@@ -310,9 +307,9 @@ func (w *Worker) IOStats() IOStats {
 }
 
 // Broken reports whether one of the worker's rings could not be proven
-// empty after a failed batch (see ErrWorkerBroken). Pools that lease
-// workers across requests use it to retire a worker eagerly instead of
-// discovering the refusal on the next SampleBatch.
+// empty after a failed batch (see ErrWorkerBroken). The Pool uses it to
+// retire a worker eagerly instead of discovering the refusal on the
+// next job.
 func (w *Worker) Broken() bool { return w.broken }
 
 // BatchOpts parameterizes one SampleBatchOpts call. The zero value
@@ -339,9 +336,12 @@ type BatchOpts struct {
 // (dataset, config, targets, options) — independent of which worker runs
 // the batch, of how many workers exist, and of what the worker ran
 // before — which is how the epoch runner stays thread-count invariant and
-// one leased serving worker answers requests with heterogeneous fanouts
-// back to back. SampleBatch instead continues the worker's rolling
-// per-(Seed, id) stream.
+// one pooled serving worker answers requests with heterogeneous fanouts
+// back to back.
+//
+// All sampling decisions are made before any I/O is issued; what
+// crosses the storage boundary depends on the config's OffsetSampling
+// switch.
 func (w *Worker) SampleBatchOpts(targets []uint32, o BatchOpts) (*Batch, error) {
 	fanouts := o.Fanouts
 	if len(fanouts) == 0 {
@@ -356,19 +356,6 @@ func (w *Worker) SampleBatchOpts(targets []uint32, o BatchOpts) (*Batch, error) 
 	if err != nil {
 		return nil, err
 	}
-	w.rng.Reseed(o.Seed)
-	return w.sampleBatch(targets, fanouts, o.Features || w.s.cfg.FetchFeatures, strat)
-}
-
-// SampleBatch samples the configured fanout layers for one mini-batch
-// of target nodes and returns the per-layer results. All sampling
-// decisions are made before any I/O is issued; what crosses the
-// storage boundary depends on the config's OffsetSampling switch.
-func (w *Worker) SampleBatch(targets []uint32) (*Batch, error) {
-	return w.sampleBatch(targets, w.s.cfg.Fanouts, w.s.cfg.FetchFeatures, w.s.defStrat)
-}
-
-func (w *Worker) sampleBatch(targets []uint32, fanouts []int, features bool, strat Strategy) (*Batch, error) {
 	if w.broken {
 		return nil, fmt.Errorf("core: worker %d: %w", w.id, ErrWorkerBroken)
 	}
@@ -379,6 +366,7 @@ func (w *Worker) sampleBatch(targets []uint32, fanouts []int, features bool, str
 		return nil, fmt.Errorf("core: dataset %s is shard %d/%d; whole-batch sampling needs the router (see SampleLayer)",
 			w.s.ds.Dir(), w.s.ds.ShardIndex(), w.s.ds.NumShards())
 	}
+	w.rng.Reseed(o.Seed)
 	batch := &Batch{Layers: make([]Layer, len(fanouts))}
 	w.frontier = append(w.frontier[:0], targets...)
 	for li, fanout := range fanouts {
@@ -396,7 +384,7 @@ func (w *Worker) sampleBatch(targets []uint32, fanouts []int, features bool, str
 		// workspace as the destination is safe.
 		w.frontier = strat.NextFrontier(layer, w.frontier, &w.sortTmp)
 	}
-	if features {
+	if o.Features || w.s.cfg.FetchFeatures {
 		if err := w.fetchBatchFeatures(batch); err != nil {
 			return nil, err
 		}
@@ -515,7 +503,7 @@ func (w *Worker) fetchBatchFeatures(b *Batch) error {
 // FetchFeatures reads the feature vectors of the given nodes through
 // the worker's feature ring and returns them back to back in input
 // order (duplicates allowed, one stride-sized record per input entry).
-// Like SampleBatch it refuses a broken worker.
+// Like SampleBatchOpts it refuses a broken worker.
 func (w *Worker) FetchFeatures(nodes []uint32) ([]byte, error) {
 	if w.broken {
 		return nil, fmt.Errorf("core: worker %d: %w", w.id, ErrWorkerBroken)

@@ -15,7 +15,7 @@ import (
 // were routed into the NEW batch's request table — silent buffer and
 // accounting corruption (or an index panic when an old ID exceeded the
 // new table). The read driver now drains in-flight requests before
-// surfacing the error, and SampleBatch refuses a worker whose ring
+// surfacing the error, and SampleBatchOpts refuses a worker whose ring
 // could not be proven empty.
 
 // dribbleRing wraps a ring, delivers completions at most `per` per
@@ -249,15 +249,15 @@ func TestWorkerBrokenRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if _, err := w.SampleBatch(testTargets(ds, 64)); err == nil {
+	if _, err := w.SampleBatchOpts(testTargets(ds, 64), BatchOpts{Seed: cfg.Seed}); err == nil {
 		t.Fatal("poisoned batch succeeded")
 	}
-	_, err = w.SampleBatch(testTargets(ds, 16))
+	_, err = w.SampleBatchOpts(testTargets(ds, 16), BatchOpts{Seed: cfg.Seed})
 	if !errors.Is(err, ErrWorkerBroken) {
 		t.Fatalf("reuse of undrainable worker: err = %v, want ErrWorkerBroken", err)
 	}
 	// Refusal is sticky.
-	if _, err := w.SampleBatch(testTargets(ds, 8)); !errors.Is(err, ErrWorkerBroken) {
+	if _, err := w.SampleBatchOpts(testTargets(ds, 8), BatchOpts{Seed: cfg.Seed}); !errors.Is(err, ErrWorkerBroken) {
 		t.Fatal("broken worker accepted a batch on the second try")
 	}
 }

@@ -75,10 +75,9 @@ type metrics struct {
 	sampleErrors     atomic.Int64 // 500: engine-level sampling failures
 	shardCalls       atomic.Int64 // shard-protocol calls served (/v1/shard/*)
 
-	// Pipeline gauges and counters.
-	queueDepth     atomic.Int64 // jobs admitted but not yet picked up
-	inflight       atomic.Int64 // requests currently being handled
-	workersRetired atomic.Int64 // broken workers retired and replaced
+	// Pipeline gauges.
+	queueDepth atomic.Int64 // jobs admitted but not yet picked up
+	inflight   atomic.Int64 // requests currently being handled
 
 	// Per-stage latency histograms.
 	queueWait  *hist // ns: enqueue → worker pickup
@@ -121,7 +120,7 @@ func writeHist(w io.Writer, name, help string, h *hist, scale float64) {
 // write renders the full metrics surface: serving-layer counters and
 // histograms plus the pool's merged ring-level IOStats (live workers
 // and retired ones — retirement never drops counters).
-func (m *metrics) write(w io.Writer, ioStats core.IOStats, workers, queueCap int) {
+func (m *metrics) write(w io.Writer, ioStats core.IOStats, workers int, retired int64, queueCap int) {
 	writeMetric(w, "ringsampler_serve_requests_total", "counter", "Requests admitted past validation.", m.requests.Load())
 	writeMetric(w, "ringsampler_serve_feature_requests_total", "counter", "Admitted requests that asked for feature payloads.", m.featureRequests.Load())
 	writeMetric(w, "ringsampler_serve_responses_ok_total", "counter", "Requests answered 200.", m.responsesOK.Load())
@@ -137,7 +136,7 @@ func (m *metrics) write(w io.Writer, ioStats core.IOStats, workers, queueCap int
 	writeMetric(w, "ringsampler_serve_queue_capacity", "gauge", "Bounded admission queue capacity (jobs).", int64(queueCap))
 	writeMetric(w, "ringsampler_serve_inflight_requests", "gauge", "Requests currently being handled.", m.inflight.Load())
 	writeMetric(w, "ringsampler_serve_workers", "gauge", "Size of the pinned worker pool.", int64(workers))
-	writeMetric(w, "ringsampler_serve_workers_retired_total", "counter", "Broken workers retired and replaced.", m.workersRetired.Load())
+	writeMetric(w, "ringsampler_serve_workers_retired_total", "counter", "Broken workers retired and replaced.", retired)
 
 	writeHist(w, "ringsampler_serve_queue_wait_seconds", "Time from admission to worker pickup.", m.queueWait, 1e-9)
 	writeHist(w, "ringsampler_serve_sample_seconds", "Per-job engine sampling time.", m.sampleLat, 1e-9)

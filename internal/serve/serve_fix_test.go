@@ -195,7 +195,7 @@ func TestServeForcedShutdownQueueGaugeZero(t *testing.T) {
 	t.Logf("%d/8 requests saw a response during the forced drain", responded.Load())
 }
 
-// TestServeNoWorkerCleanError covers the errNoWorker path: when worker
+// TestServeNoWorkerCleanError covers the core.ErrNoWorker path: when worker
 // creation fails (here: the ring wrap refuses), a request must fail
 // with a clean 500 naming the condition — never hang — the slot must
 // stay alive, and once creation works again the SAME server must serve

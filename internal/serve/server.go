@@ -2,7 +2,10 @@
 // engine: a long-running HTTP server whose handlers cut requests into
 // the mini-batch chunks the per-thread ring workers are built for
 // (paper Fig 3a) and admit them, through a bounded queue, straight to
-// a fixed pool of pinned workers.
+// a core.Pool of pinned workers. The pool owns the workers — pinning,
+// CPU accounting, retirement of broken ones; this package owns what
+// sits in front of it: admission, 429 fast-fail, deadlines, the fan-in
+// of a request's jobs, and the metrics.
 //
 // The shape follows what DiskGNN and Jiang et al. argue for disk-based
 // GNN serving: a single admission layer in front of a fixed worker
@@ -122,8 +125,8 @@ type Server struct {
 
 	// Pooled mode: admitted jobs wait in queue for the pool's slots.
 	ds    *storage.Dataset
-	queue chan *job
-	pool  *pool
+	queue chan core.Job
+	pool  *core.Pool
 	// Router mode: admitted chunks fan out to the shard engines.
 	rt *shard.Router
 
@@ -152,8 +155,8 @@ func New(ds *storage.Dataset, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, met: newMetrics(), ds: ds, queue: make(chan *job, cfg.QueueDepth)}
-	s.pool = newPool(sampler, s.met, cfg.Core.Threads, s.queue)
+	s := &Server{cfg: cfg, met: newMetrics(), ds: ds, queue: make(chan core.Job, cfg.QueueDepth)}
+	s.pool = sampler.NewPool(cfg.Core.Threads, s.queue)
 	s.initHTTP()
 	return s, nil
 }
@@ -254,7 +257,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.handlers.Wait()
 		if s.pool != nil {
 			close(s.queue)
-			s.pool.wait()
+			s.pool.Close()
 		} else if cerr := s.rt.Close(); err == nil {
 			err = cerr
 		}
@@ -274,12 +277,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	workers := 0
+	workers, retired := 0, int64(0)
 	if s.pool != nil {
-		workers = s.cfg.Core.Threads
+		workers, retired = s.cfg.Core.Threads, s.pool.Retired()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.write(w, s.IOStats(), workers, cap(s.queue))
+	s.met.write(w, s.IOStats(), workers, retired, cap(s.queue))
 }
 
 // sampleRequest is the POST /v1/sample body.
@@ -502,7 +505,7 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, timeout time.Dura
 	rq := newRequest(n, jobCancel)
 	if !admit(jobCtx, rq) {
 		// Admission control: the bounded queue is full — fast-fail rather
-		// than queue unboundedly. The deferred cancels make the pool skip
+		// than queue unboundedly. The deferred cancels make the slots skip
 		// the jobs already admitted.
 		s.met.rejectedFull.Add(1)
 		writeJSON(w, http.StatusTooManyRequests, errorResponse{Error: "sampling queue full, retry later"})
@@ -527,11 +530,39 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, timeout time.Dura
 	return rq
 }
 
-// enqueue admits one job that runs fn on a pool worker and reports to
-// rq; false when the bounded queue is full.
+// enqueue admits one job — a sample chunk or a shard call — that runs
+// fn on a pool worker and reports to rq once the pool has published its
+// counters; false when the bounded queue is full.
 func (s *Server) enqueue(ctx context.Context, rq *request, fn func(*core.Worker) error) bool {
+	enq := time.Now()
+	picked := false // set and read on the slot's goroutine
+	job := core.Job{
+		Run: func(w *core.Worker) error {
+			picked = true
+			s.met.queueDepth.Add(-1)
+			if err := ctx.Err(); err != nil {
+				// The request already died (deadline, client gone, forced
+				// drain, or a failed sibling job) — don't burn device time
+				// on it.
+				s.met.canceledJobs.Add(1)
+				return err
+			}
+			s.met.queueWait.Observe(time.Since(enq).Nanoseconds())
+			t0 := time.Now()
+			err := fn(w)
+			s.met.sampleLat.Observe(time.Since(t0).Nanoseconds())
+			return err
+		},
+		Done: func(err error) {
+			if !picked {
+				// The slot had no worker to run it on (core.ErrNoWorker).
+				s.met.queueDepth.Add(-1)
+			}
+			rq.jobDone(err)
+		},
+	}
 	select {
-	case s.queue <- &job{ctx: ctx, enq: time.Now(), run: fn, req: rq}:
+	case s.queue <- job:
 		s.met.queueDepth.Add(1)
 		return true
 	default:

@@ -11,133 +11,99 @@ import (
 )
 
 // Local is the in-process Engine: today's storage + cache + ring-worker
-// bundle over one (possibly shard) dataset, behind the shard seam. It
-// leases workers from a lazily grown free list, retiring one a failed
-// call left broken — the serve pool's retirement discipline, with one
-// worker per concurrent router call instead of a fixed pinned set.
+// bundle over one (possibly shard) dataset, behind the shard seam. Its
+// calls run on a core.Pool of Config.Threads pinned workers — the same
+// lifecycle, retirement and CPU accounting as the epoch runner and the
+// serving pool — so however many router calls arrive at once, the
+// engine holds at most Config.Threads workers (and rings) at a time. A
+// call waits for a free worker or for its context to end.
 type Local struct {
-	s    *core.Sampler
 	info Info
+	jobs chan core.Job
+	pool *core.Pool
 
-	mu      sync.Mutex
-	idle    []*core.Worker
-	nextID  int
-	retired core.IOStats
-	closed  bool
+	// Close sets closed under mu, then waits for calls, which count in
+	// under mu only while it is unset, before it closes jobs — so no
+	// call sends on a closed channel.
+	mu     sync.Mutex
+	closed bool
+	calls  sync.WaitGroup
 }
 
 // NewLocal opens a Local engine over ds with its own sampler (caches
-// built per the config, restricted to owned nodes on a shard dataset).
-// ds stays caller-owned and must outlive the engine.
+// built per the config, restricted to owned nodes on a shard dataset)
+// and starts its Config.Threads workers. ds stays caller-owned and must
+// outlive the engine.
 func NewLocal(ds *storage.Dataset, cfg core.Config, backend uring.Backend) (*Local, error) {
 	s, err := core.New(ds, cfg, backend)
 	if err != nil {
 		return nil, err
 	}
-	return &Local{s: s, info: InfoOf(ds)}, nil
+	jobs := make(chan core.Job)
+	return &Local{info: InfoOf(ds), jobs: jobs, pool: s.NewPool(cfg.Threads, jobs)}, nil
 }
 
 // Info implements Engine.
 func (l *Local) Info() Info { return l.info }
 
-// acquire leases an idle worker or creates one.
-func (l *Local) acquire() (*core.Worker, error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil, fmt.Errorf("shard: engine %d/%d closed", l.info.Index, l.info.Total)
-	}
-	if n := len(l.idle); n > 0 {
-		w := l.idle[n-1]
-		l.idle = l.idle[:n-1]
-		l.mu.Unlock()
-		return w, nil
-	}
-	id := l.nextID
-	l.nextID++
-	l.mu.Unlock()
-	return l.s.NewWorker(id)
-}
-
-// release returns a worker to the free list, or retires it (folding its
-// counters into the engine's) when a failed call left its rings
-// unprovably empty.
-func (l *Local) release(w *core.Worker) {
-	if w == nil {
-		return
+// do runs fn on one of the engine's workers once one is free, unless
+// ctx ends first or the engine is closed.
+func (l *Local) do(ctx context.Context, fn func(w *core.Worker) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	l.mu.Lock()
-	if w.Broken() || l.closed {
-		l.retired.Add(w.IOStats())
-		l.mu.Unlock()
-		w.Close()
-		return
+	closed := l.closed
+	if !closed {
+		l.calls.Add(1)
 	}
-	l.idle = append(l.idle, w)
 	l.mu.Unlock()
+	if closed {
+		return fmt.Errorf("shard: engine %d/%d closed", l.info.Index, l.info.Total)
+	}
+	defer l.calls.Done()
+	done := make(chan error, 1)
+	select {
+	case l.jobs <- core.Job{Run: fn, Done: func(err error) { done <- err }}:
+		return <-done
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // SampleLayer implements Engine via core.Worker.SampleLayer.
-func (l *Local) SampleLayer(ctx context.Context, frontier []uint32, p core.LayerParams) (*core.Layer, uint64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	w, err := l.acquire()
-	if err != nil {
-		return nil, 0, err
-	}
-	layer, state, err := w.SampleLayer(frontier, p)
-	l.release(w)
+func (l *Local) SampleLayer(ctx context.Context, frontier []uint32, p core.LayerParams) (layer *core.Layer, state uint64, err error) {
+	err = l.do(ctx, func(w *core.Worker) (err error) {
+		layer, state, err = w.SampleLayer(frontier, p)
+		return err
+	})
 	return layer, state, err
 }
 
 // Features implements Engine via core.Worker.FetchFeatures.
-func (l *Local) Features(ctx context.Context, nodes []uint32) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	w, err := l.acquire()
-	if err != nil {
-		return nil, err
-	}
-	out, err := w.FetchFeatures(nodes)
-	l.release(w)
+func (l *Local) Features(ctx context.Context, nodes []uint32) (out []byte, err error) {
+	err = l.do(ctx, func(w *core.Worker) (err error) {
+		out, err = w.FetchFeatures(nodes)
+		return err
+	})
 	return out, err
 }
 
-// Stats implements Engine: retired plus idle workers' counters. Workers
-// leased at the instant of the call are excluded until released, so a
-// quiescent engine reports exact totals.
-func (l *Local) Stats() core.IOStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	st := l.retired
-	for _, w := range l.idle {
-		st.Add(w.IOStats())
-	}
-	return st
-}
+// Stats implements Engine: every worker's counters as of its last call,
+// retired workers included, with the pinned threads' CPU time.
+func (l *Local) Stats() core.IOStats { return l.pool.Stats() }
 
-// Close retires every idle worker. Leased workers are retired as they
-// are released.
+// Close stops taking calls, waits for the ones in progress, and
+// retires the workers.
 func (l *Local) Close() error {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
+	first := !l.closed
 	l.closed = true
-	idle := l.idle
-	l.idle = nil
-	for _, w := range idle {
-		l.retired.Add(w.IOStats())
-	}
 	l.mu.Unlock()
-	var err error
-	for _, w := range idle {
-		if cerr := w.Close(); err == nil {
-			err = cerr
-		}
+	if first {
+		l.calls.Wait()
+		close(l.jobs)
 	}
-	return err
+	l.pool.Close()
+	return nil
 }

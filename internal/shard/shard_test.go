@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
 
 	"ringsampler/internal/core"
@@ -36,8 +38,9 @@ func testConfig() core.Config {
 }
 
 // openLocals partitions dir into n shards and returns Local engines
-// over them (and the shard datasets, closed via t.Cleanup).
-func openLocals(t *testing.T, dir string, n int, cfg core.Config) []Engine {
+// over them (and the shard datasets, closed via t.Cleanup). wrap, when
+// set, is every shard's Config.WrapRing, told which shard it serves.
+func openLocals(t *testing.T, dir string, n int, cfg core.Config, wrap func(shard int, r uring.Ring, workerID int) (uring.Ring, error)) []Engine {
 	t.Helper()
 	dirs, err := gen.Partition(dir, filepath.Join(t.TempDir(), "parts"), n)
 	if err != nil {
@@ -53,6 +56,9 @@ func openLocals(t *testing.T, dir string, n int, cfg core.Config) []Engine {
 		scfg := cfg
 		if !sds.HasFeatures() {
 			scfg.FeatureCacheBudgetBytes = 0
+		}
+		if wrap != nil {
+			scfg.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) { return wrap(i, r, workerID) }
 		}
 		eng, err := NewLocal(sds, scfg, uring.BackendPool)
 		if err != nil {
@@ -97,7 +103,7 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 	const seed = 12345
 
 	for _, shards := range []int{1, 2, 4} {
-		engines := openLocals(t, dir, shards, cfg)
+		engines := openLocals(t, dir, shards, cfg, nil)
 		rt, err := NewRouter(engines)
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
@@ -152,32 +158,14 @@ func TestRouterShardFaultStillIdentical(t *testing.T) {
 	}
 	defer w.Close()
 
-	dirs, err := gen.Partition(dir, filepath.Join(t.TempDir(), "parts"), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	engines := make([]Engine, 2)
-	for i, sdir := range dirs {
-		sds, err := storage.Open(sdir)
-		if err != nil {
-			t.Fatal(err)
+	engines := openLocals(t, dir, 2, cfg, func(shard int, r uring.Ring, _ int) (uring.Ring, error) {
+		if shard == 0 {
+			return r, nil
 		}
-		t.Cleanup(func() { sds.Close() })
-		scfg := cfg
-		if i == 1 {
-			scfg.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {
-				return uring.NewFault(r, uring.FaultPlan{
-					Seed: 5, ShortReadRate: 0.2, TransientRate: 0.1, DelayRate: 0.2, MaxDelay: 4,
-				})
-			}
-		}
-		eng, err := NewLocal(sds, scfg, uring.BackendPool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { eng.Close() })
-		engines[i] = eng
-	}
+		return uring.NewFault(r, uring.FaultPlan{
+			Seed: 5, ShortReadRate: 0.2, TransientRate: 0.1, DelayRate: 0.2, MaxDelay: 4,
+		})
+	})
 	rt, err := NewRouter(engines)
 	if err != nil {
 		t.Fatal(err)
@@ -245,5 +233,84 @@ func TestNewRouterRejectsBadPartitions(t *testing.T) {
 
 	if _, err := NewRouter(nil); err == nil {
 		t.Fatal("router accepted zero engines")
+	}
+}
+
+// TestLocalIsBounded: 64 concurrent router calls over two in-process
+// shards at Threads = 2 must not grow a worker per call — each shard
+// builds at most Threads edge rings plus one per retired worker, and
+// every call still succeeds.
+func TestLocalIsBounded(t *testing.T) {
+	dir := buildGraph(t, 0)
+	cfg := testConfig()
+	cfg.Threads = 2
+	var mu sync.Mutex
+	rings := make(map[int]int)
+	engines := openLocals(t, dir, 2, cfg, func(shard int, r uring.Ring, _ int) (uring.Ring, error) {
+		mu.Lock()
+		rings[shard]++
+		mu.Unlock()
+		return r, nil
+	})
+	rt, err := NewRouter(engines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, 64)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := sample.NewRNG(uint64(i) + 1)
+			targets := make([]uint32, 64)
+			for j := range targets {
+				targets[j] = rng.Uint32n(uint32(rt.NumNodes()))
+			}
+			_, errs[i] = rt.SampleChunk(context.Background(), targets, cfg.Fanouts, uint64(i), core.StrategyUniform, false)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	for i, e := range engines {
+		limit := int64(cfg.Threads) + e.(*Local).pool.Retired()
+		if got := int64(rings[i]); got > limit {
+			t.Fatalf("shard %d built %d edge rings under 64 concurrent calls, want at most %d", i, got, limit)
+		}
+	}
+}
+
+// TestLocalStatsCountCPU: in-process shard workers run pinned, so the
+// router's merged stats carry their threads' CPU time.
+func TestLocalStatsCountCPU(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("per-thread CPU time is read on Linux only")
+	}
+	dir := buildGraph(t, 4)
+	cfg := testConfig()
+	rt, err := NewRouter(openLocals(t, dir, 2, cfg, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := sample.NewRNG(5)
+	for call := range 4 {
+		targets := make([]uint32, cfg.BatchSize)
+		for j := range targets {
+			targets[j] = rng.Uint32n(uint32(rt.NumNodes()))
+		}
+		if _, err := rt.SampleChunk(context.Background(), targets, cfg.Fanouts, uint64(call), core.StrategyUniform, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := rt.Stats()
+	if st.Reads == 0 {
+		t.Fatal("router calls recorded no reads")
+	}
+	if st.UserCPUNanos+st.SysCPUNanos == 0 {
+		t.Fatalf("shard-mode stats report no worker CPU time: %+v", st)
 	}
 }

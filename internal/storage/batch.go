@@ -97,10 +97,7 @@ func cutParts(reads []uring.Read, parts int) []int {
 // readPart reads one part of a batch through a ring and driver of its
 // own.
 func readPart(f *os.File, align int, dst []byte, reads []uring.Read, base int64) (int64, error) {
-	backend := uring.BackendPool
-	if uring.Probe().Ring {
-		backend = uring.BackendIOURing
-	}
+	backend, _ := uring.ParseBackend("") // the automatic choice never fails
 	// The ring stays on one thread from setup to teardown, as every
 	// worker's does.
 	runtime.LockOSThread()

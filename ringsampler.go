@@ -16,7 +16,7 @@
 // workers and is thread-count-invariant: the sampled stream is a pure
 // function of (dataset, config, seed, targets). For single-batch or
 // custom scheduling, drive a Worker directly via s.NewWorker +
-// w.SampleBatch.
+// w.SampleBatchOpts, which samples one batch from an explicit seed.
 package ringsampler
 
 import (
@@ -101,10 +101,7 @@ func Probe() uring.Caps { return uring.Probe() }
 // available: real io_uring when the kernel and sandbox allow it, the
 // portable pread pool otherwise.
 func NewSampler(ds *Dataset, cfg Config) (*Sampler, error) {
-	be := uring.BackendPool
-	if uring.Probe().Ring {
-		be = uring.BackendIOURing
-	}
+	be, _ := uring.ParseBackend("") // the automatic choice never fails
 	return core.New(ds, cfg, be)
 }
 

@@ -30,7 +30,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	batch, err := w.SampleBatch([]uint32{1, 2, 3, 4, 5, 6, 7, 8})
+	batch, err := w.SampleBatchOpts([]uint32{1, 2, 3, 4, 5, 6, 7, 8}, BatchOpts{Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,11 @@ go test -race -run 'TestFeatureCacheThreadInvariance|TestFeatureCacheBypassAcros
 # Serving shutdown order (DESIGN.md §8): no handler may still send on the
 # admission queue when Shutdown closes it, and the queue_depth and
 # inflight gauges must land back at zero after a graceful or forced
-# drain — sample requests and shard calls alike. Repeated, because a
-# wrong order loses a race only sometimes.
+# drain — sample requests and shard calls alike; the worker pool under
+# them retires a broken worker and keeps its counters. Repeated, because
+# a wrong order loses a race only sometimes.
 go test -race -count=5 -run 'TestServeForcedShutdownQueueGaugeZero|TestServeGracefulDrain|TestShardCallsUseThePool' ./internal/serve
+go test -race -count=5 -run 'TestPoolRetiresBrokenWorker' ./internal/core
 
 go test -race $short ./...
 
@@ -72,6 +74,14 @@ fi
 # and tests wrap rings.
 if git grep -n '\.PrepRead' -- '*.go' ':!internal/uring' ':!cmd/bench' ':!*_test.go'; then
     echo "check: a second read loop is growing back (matches above); use uring.Driver" >&2
+    exit 1
+fi
+
+# One worker lifecycle (DESIGN.md §6, §8, §12): core.Pool pins the
+# thread, starts the CPU clock, creates and retires every pooled worker;
+# fail if serve or shard grows a copy of it back.
+if git grep -nE 'NewWorker\(|LockOSThread|StartThreadClock' -- internal/serve internal/shard ':!*_test.go'; then
+    echo "check: a second worker lifecycle is growing back (matches above); use core.Pool" >&2
     exit 1
 fi
 
