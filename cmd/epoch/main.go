@@ -318,9 +318,8 @@ func runOnce(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.C
 	if cfg.FetchFeatures {
 		fmt.Fprintf(out, "  features  %d ring reads, %d B from the device\n", st.IO.FeatReads, st.IO.FeatBytesRead)
 		if cfg.FeatureCacheBudgetBytes > 0 {
-			fn, fb := s.FeatureCacheInfo()
-			fmt.Fprintf(out, "  featcache pinned %d nodes / %d B under a %d B budget; %d hits / %d misses, %d B served\n",
-				fn, fb, cfg.FeatureCacheBudgetBytes, st.IO.FeatCacheHits, st.IO.FeatCacheMisses, st.IO.FeatCacheBytes)
+			fmt.Fprintf(out, "  %s; %d hits / %d misses, %d B served\n",
+				featcachePinned(s, cfg), st.IO.FeatCacheHits, st.IO.FeatCacheMisses, st.IO.FeatCacheBytes)
 		}
 	}
 	fmt.Fprintf(out, "  io        %+v\n", st.IO)
@@ -345,6 +344,16 @@ func runOnce(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.C
 	}
 	fmt.Fprintf(out, "  digest    %#016x\n", digest)
 	return st, nil
+}
+
+// featcachePinned describes the feature cache: what it pinned, and the
+// memory gauge — what it holds by component and what its budget was
+// charged, which are the same bytes.
+func featcachePinned(s *core.Sampler, cfg core.Config) string {
+	nodes, _ := s.FeatureCacheInfo()
+	rows, index, learn, charged := s.FeatureCacheHeld()
+	return fmt.Sprintf("featcache pinned %d nodes under a %d B budget, holding rows %d B + index %d B + learner %d B = charged %d B",
+		nodes, cfg.FeatureCacheBudgetBytes, rows, index, learn, charged)
 }
 
 // trainOpts bundles the -train-* model/optimizer flags.
@@ -387,12 +396,11 @@ func runTrain(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.
 	fmt.Fprintf(out, "training %d-layer GraphSAGE (hidden %d, lr %g) on %d targets, %s pipeline\n",
 		o.layers, o.hidden, o.lr, len(targets), mode)
 	if cfg.FeatureCacheBudgetBytes > 0 {
-		fn, fb := s.FeatureCacheInfo()
 		policy := "static degree-first"
 		if s.FeatureCacheAdaptive() {
 			policy = "re-admitted by measured access counts at epoch boundaries"
 		}
-		fmt.Fprintf(out, "featcache pinned %d nodes / %d B under a %d B budget, %s\n", fn, fb, cfg.FeatureCacheBudgetBytes, policy)
+		fmt.Fprintf(out, "%s, %s\n", featcachePinned(s, cfg), policy)
 	}
 	tr := &train.Trainer{Model: m, Labels: labels}
 	stats, err := tr.Run(ctx, s, targets, o.epochs, serialized)

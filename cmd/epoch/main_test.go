@@ -293,8 +293,9 @@ func TestRunTrain(t *testing.T) {
 func TestRunTrainPrintsLearningCurve(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{
-		// 1 MiB pins 9362 of the temporary graph's 12000 16-dim vectors.
-		"-backend", "pool", "-nodes", "12000", "-edges", "150000", "-targets", "1024", "-batch", "128",
+		// 1 MiB pins 12078 of the temporary graph's 16000 16-dim vectors:
+		// (1 MiB − 34000 B of counters and bitmap) / (64 + 20) B per row.
+		"-backend", "pool", "-nodes", "16000", "-edges", "200000", "-targets", "1024", "-batch", "128",
 		"-threads", "2", "-train", "-train-epochs", "3", "-train-hidden", "8", "-feature-cache-mb", "1",
 	}, &sb); err != nil {
 		t.Fatalf("run -train: %v\n%s", err, sb.String())
@@ -302,6 +303,9 @@ func TestRunTrainPrintsLearningCurve(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "re-admitted by measured access counts at epoch boundaries") {
 		t.Fatalf("feature cache policy line missing:\n%s", out)
+	}
+	if nodes, _, learner := featcacheGauge(t, out); nodes != 12078 || learner == 0 {
+		t.Fatalf("feature cache pinned %d nodes with a %d B learner, want 12078 nodes and a learner:\n%s", nodes, learner, out)
 	}
 	var hits []float64
 	var admitted []int
@@ -325,6 +329,54 @@ func TestRunTrainPrintsLearningCurve(t *testing.T) {
 	}
 	if admitted[0] != 0 || admitted[1] == 0 || hits[1] <= hits[0] {
 		t.Fatalf("admitted %v, hit ratios %v: no learning curve:\n%s", admitted, hits, out)
+	}
+}
+
+// featcacheGauge parses the featcache pinned line of out and checks its
+// memory gauge: the bytes held by component sum to the bytes the budget
+// was charged, which fit in the budget. It returns the pinned nodes, the
+// row bytes and the learner's bytes.
+func featcacheGauge(t *testing.T, out string) (nodes int, rows, learner int64) {
+	t.Helper()
+	at := strings.Index(out, "featcache pinned ")
+	if at < 0 {
+		t.Fatalf("no featcache pinned line:\n%s", out)
+	}
+	var budget, index, charged int64
+	if _, err := fmt.Sscanf(out[at:], "featcache pinned %d nodes under a %d B budget, holding rows %d B + index %d B + learner %d B = charged %d B",
+		&nodes, &budget, &rows, &index, &learner, &charged); err != nil {
+		t.Fatalf("featcache line: %v\n%s", err, out)
+	}
+	if rows+index+learner != charged || charged > budget || rows == 0 {
+		t.Fatalf("feature cache holds %d + %d + %d B, charged %d B of %d:\n%s", rows, index, learner, charged, budget, out)
+	}
+	return nodes, rows, learner
+}
+
+// TestFeatcacheGaugeSumsToCharge: the plain epoch's featcache line
+// reports what the cache holds by component, and the parts sum to what
+// its budget was charged — for a cache that learns and one that pins
+// every row (12000 × (64 + 16) B fit in 1 MiB) and so does not.
+func TestFeatcacheGaugeSumsToCharge(t *testing.T) {
+	for _, c := range []struct {
+		nodes  string
+		pinned int
+		learns bool
+	}{
+		{"16000", 12078, true},
+		{"12000", 12000, false},
+	} {
+		var sb strings.Builder
+		if err := run([]string{
+			"-backend", "pool", "-nodes", c.nodes, "-edges", "150000", "-feature-dim", "16", "-targets", "512",
+			"-threads", "2", "-features", "-feature-cache-mb", "1",
+		}, &sb); err != nil {
+			t.Fatalf("run: %v\n%s", err, sb.String())
+		}
+		nodes, rows, learner := featcacheGauge(t, sb.String())
+		if nodes != c.pinned || (learner > 0) != c.learns || rows != int64(nodes)*64 {
+			t.Fatalf("%s nodes: pinned %d rows of %d B with a %d B learner; want %d rows, learning %v", c.nodes, nodes, rows, learner, c.pinned, c.learns)
+		}
 	}
 }
 

@@ -4,8 +4,8 @@
 // skewed (R-MAT-like) graphs a small number of nodes appear in a large
 // fraction of sampled frontiers, so keeping their rows in memory slashes
 // device traffic the way DiskGNN and GIDS report — while the engine's
-// memory story stays honest, because every cached byte, the index and
-// the access counters are charged against an explicit memctl budget.
+// memory story stays honest, because a cache charges its memctl budget
+// exactly what it holds: the rows, the index and the access counters.
 //
 // Both caches are strictly I/O bypasses: they store the same bytes the
 // files hold, so a consumer that draws first and only then consults the
@@ -15,10 +15,9 @@
 // One order decides what is pinned: (measured heat desc, degree desc,
 // node id asc). Heat is an access count the owner feeds in (Count, then
 // Fold when the epoch it was taken over completed); with nothing
-// measured the order is degree-first, which is what Build and
-// BuildFeatures pin. A cache whose budget affords the counters (see
-// learner) re-ranks itself on Readmit and swaps only the rows that
-// changed; one that cannot stays static for its lifetime.
+// measured the order is degree-first, which Build and BuildFeatures pin.
+// A learning feature cache re-ranks itself on Readmit and swaps only the
+// rows that changed; every other cache is static for its lifetime.
 package cache
 
 import (
@@ -41,9 +40,8 @@ type Graph interface {
 }
 
 // FeatureSource is the subset of a dataset the feature-cache builder
-// reads: the offset index (degree is the cold-start heat proxy), the
-// feature record stride, and a batch read of the feature file.
-// storage.Dataset satisfies it.
+// reads: the offset index (degree is the cold-start heat proxy), the record
+// stride, and a batch read of the feature file; storage.Dataset satisfies it.
 type FeatureSource interface {
 	Offsets() []int64
 	FeatureStride() int64
@@ -51,10 +49,9 @@ type FeatureSource interface {
 }
 
 // Owner is optionally implemented by graphs that hold only a node
-// range's bytes (shard datasets). The builder restricts candidates to
-// the owned range [lo, hi) — only those bytes are readable locally, and
-// the caches are pure I/O bypasses, so membership never affects sampled
-// output.
+// range's bytes (shard datasets). The builder restricts candidates to the
+// owned range [lo, hi), the only bytes readable locally; the caches are
+// pure I/O bypasses, so membership never affects sampled output.
 type Owner interface {
 	ShardRange() (lo, hi int64)
 }
@@ -64,13 +61,26 @@ type Owner interface {
 // depend on it.
 const EntryBytes = 4
 
-// nodeOverheadBytes is the per-row bookkeeping charge. Everything a
-// cache holds besides the row bytes fits in rows × nodeOverheadBytes, so
-// the cache cannot hide node-proportional memory from memctl: the index
-// table is 16 B/row, a variable-row cache adds 8 B/row of offsets, and
-// the learner's counters are attached only where they fit beside the
-// index (see build).
-const nodeOverheadBytes = 48
+// overhead is what a cache over numNodes nodes holds besides its row
+// bytes: perRow per pinned row and fixed once. Every cache holds two
+// 8-byte index slots per row; variable rows add an 8-byte offset per row
+// and a closing one; a learning cache (fixed rows only) adds a 4-byte
+// slot-map entry per row and the learner's counters and bitmap.
+func overhead(numNodes int64, variable, learn bool) (perRow, fixed int64) {
+	if variable {
+		return 24, 8
+	}
+	if learn {
+		return 20, learnerBytes(numNodes)
+	}
+	return 16, 0
+}
+
+// FeatureBudget is what BuildFeatures charges for rows rows, learn or not.
+func FeatureBudget(numNodes, stride, rows int64, learn bool) int64 {
+	perRow, fixed := overhead(numNodes, false, learn)
+	return fixed + rows*(stride+perRow)
+}
 
 // source describes the file of per-node rows one cache is built over.
 type source struct {
@@ -78,8 +88,7 @@ type source struct {
 	// offsets[v+1]-offsets[v]. Read in place, never copied — a degree
 	// snapshot would be node-proportional memory nobody is charged for.
 	offsets []int64
-	// lo, hi bound the owned node range; with minDeg they define the
-	// candidates.
+	// lo, hi bound the owned node range; with minDeg they define the candidates.
 	lo, hi int64
 	// minDeg is the smallest degree a candidate has: 1 for neighbor
 	// lists (an isolated node has no row), 0 for feature vectors (every
@@ -123,14 +132,11 @@ type Hot struct {
 	data   []byte
 	stride int64   // fixed row bytes; 0: rows are located by off
 	off    []int64 // variable rows: row of slot s is data[off[s]:off[s+1]]
-	nodes  int
-	bytes  int64 // cached row bytes (excluding overhead)
 	learn  *learner
 }
 
 // Build pins the complete neighbor lists of the highest-degree nodes
-// (ties broken by ascending node id), charging listBytes +
-// nodeOverheadBytes per node against budget. Selection stops at the
+// (ties broken by ascending node id) under budget. Selection stops at the
 // first candidate that does not fit: the selected set is a prefix of one
 // fixed order, so a larger budget always caches a superset of a smaller
 // one — which is what makes device traffic provably monotone in the
@@ -139,12 +145,11 @@ func Build(g Graph, budget *memctl.Budget) (*Hot, error) {
 	return build(newSource(g, source{minDeg: 1, readBatch: g.ReadBatch, what: "list"}), budget, false)
 }
 
-// BuildFeatures pins feature vectors under budget, stride +
-// nodeOverheadBytes per node, in the same prefix-of-one-order fashion as
-// Build: degree-first at construction, because nothing has been measured
-// yet and hubs dominate frontiers on skewed graphs. When the overhead
-// charge also covers per-node access counters the cache is adaptive (see
-// Count, Fold, Readmit); the pinned row count never changes either way.
+// BuildFeatures pins feature vectors under budget, in the same
+// prefix-of-one-order fashion as Build: degree-first at construction,
+// because nothing has been measured yet and hubs dominate frontiers on
+// skewed graphs. The cache is adaptive (see Count, Fold, Readmit) when
+// build gives it a learner; the pinned row count never changes either way.
 func BuildFeatures(g FeatureSource, budget *memctl.Budget) (*Hot, error) {
 	stride := g.FeatureStride()
 	if stride <= 0 {
@@ -164,7 +169,9 @@ func newSource(g interface{ Offsets() []int64 }, src source) *source {
 }
 
 // build selects the cold-start prefix of src's candidates under budget,
-// charges it, and fills the rows in file order.
+// charges it exactly what the cache holds (see overhead), and fills the
+// rows in file order. A feature cache learns when its budget is at least
+// LearnBudget and too small to pin every row without a learner.
 func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 	if budget == nil {
 		return nil, fmt.Errorf("cache: nil budget")
@@ -175,13 +182,14 @@ func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 	if src.lo < 0 || src.hi > src.numNodes() || src.lo > src.hi {
 		return nil, fmt.Errorf("cache: owned range [%d,%d) outside the %d nodes", src.lo, src.hi, src.numNodes())
 	}
-	rank := newRanking(src)
-	allowance := budget.Remaining()
+	allowance, n := budget.Remaining(), src.numNodes()
 	if allowance < 0 {
 		allowance = math.MaxInt64
 	}
-	cut := rank.selectTop(allowance)
-	picked := rank.admitted(cut)
+	learn = learn && allowance >= LearnBudget(n) && allowance < FeatureBudget(n, src.stride, src.hi-src.lo, false)
+	perRow, fixed := overhead(n, src.stride == 0, learn)
+	rank := newRanking(src, perRow)
+	picked := rank.admitted(rank.selectTop(max(allowance-fixed, 0)))
 	h := &Hot{stride: src.stride}
 	if len(picked) == 0 {
 		return h, nil
@@ -193,10 +201,9 @@ func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 		}
 		dataBytes += src.rowBytes(src.degree(int64(v)))
 	}
-	if err := budget.Charge(dataBytes + int64(len(picked))*nodeOverheadBytes); err != nil {
+	if err := budget.Charge(dataBytes + int64(len(picked))*perRow + fixed); err != nil {
 		return nil, err
 	}
-	h.nodes, h.bytes = len(picked), dataBytes
 	h.data = make([]byte, dataBytes)
 	h.index = newTable(len(picked))
 	if src.stride == 0 {
@@ -216,12 +223,9 @@ func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 	if _, err := fill.run(); err != nil {
 		return nil, err
 	}
-	// Learning needs something to choose between — a cut that left a
-	// candidate out — and room for its counters beside the index inside
-	// the overhead already charged.
-	rows := int64(len(picked))
-	if learn && !cut.all && h.index.bytes()+learnerBytes(src.numNodes(), rows) <= rows*nodeOverheadBytes {
-		h.learn = newLearner(rank, picked)
+	if learn {
+		rank.heat = make([]uint16, n)
+		h.learn = &learner{rank: rank, slotNode: picked, want: make([]uint64, (n+63)/64)}
 	}
 	return h, nil
 }
@@ -247,8 +251,7 @@ func (f *filler) add(fileOff, dataOff, n int64) {
 }
 
 // run issues the planned reads and returns the bytes the source moved
-// from the file to serve them: f.bytes, plus alignment slack when the
-// source is O_DIRECT.
+// from the file: f.bytes, plus alignment slack when it is O_DIRECT.
 func (f *filler) run() (int64, error) {
 	moved, err := f.src.readBatch(f.data, f.reads)
 	if err != nil {
@@ -262,7 +265,7 @@ func (f *filler) run() (int64, error) {
 // cached. The returned slice aliases the cache; callers must not modify
 // it, and on an adaptive cache must hold the read lock while they use it.
 func (h *Hot) Lookup(v uint32) []byte {
-	if h == nil || h.nodes == 0 {
+	if h == nil || len(h.index) == 0 {
 		return nil
 	}
 	slot := h.index.find(v)
@@ -277,8 +280,7 @@ func (h *Hot) Lookup(v uint32) []byte {
 }
 
 // RLock takes the read lock an adaptive cache's readers hold across a
-// batch of Lookups. A no-op on a nil or static cache, which never
-// changes.
+// batch of Lookups; a no-op on a nil or static cache, which never changes.
 func (h *Hot) RLock() {
 	if h.Adaptive() {
 		h.mu.RLock()
@@ -297,13 +299,24 @@ func (h *Hot) Nodes() int {
 	if h == nil {
 		return 0
 	}
-	return h.nodes
+	return len(h.index) / 2
 }
 
 // Bytes returns the cached row bytes (excluding per-node overhead).
 func (h *Hot) Bytes() int64 {
+	rows, _, _ := h.Held()
+	return rows
+}
+
+// Held measures what h's slices hold, in bytes: the rows, the index
+// (with the offsets of variable rows), and the learner's slot map,
+// counters and bitmap. Build charged its budget exactly their sum.
+func (h *Hot) Held() (rows, index, learn int64) {
 	if h == nil {
-		return 0
+		return 0, 0, 0
 	}
-	return h.bytes
+	if l := h.learn; l != nil {
+		learn = int64(len(l.slotNode))*4 + int64(len(l.rank.heat))*2 + int64(len(l.want))*8
+	}
+	return int64(len(h.data)), int64(len(h.index)+len(h.off)) * 8, learn
 }

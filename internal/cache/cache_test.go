@@ -53,7 +53,8 @@ func TestBuildDegreeFirstPrefix(t *testing.T) {
 	// Budget fits node 3 (80B + overhead) and node 1 (40B + overhead)
 	// but not node 0 (16B + overhead): prefix rule stops there even
 	// though node 4 would also not fit.
-	budget := memctl.New(20*EntryBytes + 10*EntryBytes + 2*nodeOverheadBytes + 8)
+	perRow, fixed := overhead(5, true, false)
+	budget := memctl.New(20*EntryBytes + 10*EntryBytes + 2*perRow + fixed + 8)
 	h, err := Build(g, budget)
 	if err != nil {
 		t.Fatal(err)
@@ -141,10 +142,14 @@ func TestNilCacheMisses(t *testing.T) {
 }
 
 // TestBuildChargesOverhead: the budget is charged for per-node
-// bookkeeping, not just list bytes.
+// bookkeeping, not just list bytes: 24 B per list and 8 B once.
 func TestBuildChargesOverhead(t *testing.T) {
 	g := buildFake([]int64{2, 2})
-	budget := memctl.New(2*2*EntryBytes + 2*nodeOverheadBytes)
+	perRow, fixed := overhead(2, true, false)
+	if perRow != 24 || fixed != 8 {
+		t.Fatalf("a neighbor cache holds %d B per list and %d B once, want 24 and 8", perRow, fixed)
+	}
+	budget := memctl.New(2*2*EntryBytes + 2*perRow + fixed)
 	h, err := Build(g, budget)
 	if err != nil {
 		t.Fatal(err)
@@ -152,11 +157,11 @@ func TestBuildChargesOverhead(t *testing.T) {
 	if h.Nodes() != 2 {
 		t.Fatalf("Nodes = %d, want 2", h.Nodes())
 	}
-	if budget.Used() != 2*2*EntryBytes+2*nodeOverheadBytes {
+	if budget.Used() != 2*2*EntryBytes+2*perRow+fixed {
 		t.Fatalf("budget used %d, want full charge", budget.Used())
 	}
 	// One byte less and only one node fits.
-	h, err = Build(g, memctl.New(2*2*EntryBytes+2*nodeOverheadBytes-1))
+	h, err = Build(g, memctl.New(2*2*EntryBytes+2*perRow+fixed-1))
 	if err != nil {
 		t.Fatal(err)
 	}

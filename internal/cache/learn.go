@@ -3,18 +3,19 @@ package cache
 import "math/bits"
 
 // learner is what makes a cache adaptive: per-node access counters and
-// the bookkeeping Readmit needs to swap rows in place. It exists only
-// when its bytes, together with the index, fit inside the
-// nodeOverheadBytes already charged per pinned row.
+// the bookkeeping Readmit needs to swap rows in place. A feature cache
+// has one when the counters and the re-admission bitmap take at most an
+// eighth of its budget (LearnBudget) and it does not pin every row.
 //
 // Counting is two-phase so that only whole epochs are ever learned from:
-// Count adds to the low half of a node's counter word, Fold moves the
-// low halves into the high halves (the heat the ranking reads), Discard
-// drops them. Both halves saturate at 65535; sums of saturating
-// increments do not depend on their order, so heat is a pure function of
-// which batches were counted, never of which thread produced them or
-// when. A node that saturates is by construction among the hottest, so
-// saturation can only blur the order among nodes that are all admitted.
+// Count adds to the low pendingBits of a node's 16-bit counter word,
+// Fold moves them into the folded count above (the heat the ranking
+// reads), Discard drops them. The pending count saturates at pendingMax;
+// sums of saturating increments do not depend on their order, so heat is
+// a pure function of which batches were counted, never of which thread
+// produced them or when. A fold that would carry any folded count past
+// foldedMax first halves every folded count, so a long run keeps its
+// order instead of collapsing into ties at the top.
 //
 // Count, Fold, Discard and Readmit are for one owner at a time (the
 // epoch runner holds a token around them); Lookup under RLock may run
@@ -24,40 +25,30 @@ type learner struct {
 	// slotNode is the node each row slot holds; freeSlot only while
 	// Readmit is re-assigning the slot, or after a failed fill.
 	slotNode []uint32
-	// want is Readmit's scratch bitmap over node ids, all zero between
-	// calls.
+	// want is Readmit's scratch bitmap over node ids, zero between calls.
 	want []uint64
 	// dirty records that a Fold changed heat since the last Readmit.
 	dirty bool
 }
 
 const (
-	freeSlot = ^uint32(0) // never a node id: node counts stop below 2^32-1
-	heatMax  = 1<<16 - 1
+	freeSlot    = ^uint32(0) // never a node id: node counts stop below 2^32-1
+	pendingBits = 4
+	pendingMax  = 1<<pendingBits - 1
+	foldedMax   = 1<<(16-pendingBits) - 1
 )
 
-// newLearner attaches counters, all zero, to the cold-start ranking of a
-// cache that pinned picked into slots in that order.
-func newLearner(rank ranking, picked []uint32) *learner {
-	n := rank.src.numNodes()
-	rank.heat = make([]uint32, n)
-	return &learner{
-		rank:     rank,
-		slotNode: picked,
-		want:     make([]uint64, (n+63)/64),
-	}
-}
+// learnerBytes is what a learner holds whatever its row count: a 2-byte
+// counter per node and the bitmap.
+func learnerBytes(numNodes int64) int64 { return numNodes*2 + (numNodes+63)/64*8 }
 
-// learnerBytes is what a learner over numNodes nodes holds for a cache of
-// rows rows: the counters, the slot map and the bitmap.
-func learnerBytes(numNodes, rows int64) int64 { return numNodes*4 + rows*4 + (numNodes+63)/64*8 }
-
-func (l *learner) bytes() int64 { return learnerBytes(l.rank.src.numNodes(), int64(len(l.slotNode))) }
+// LearnBudget is the least budget under which a feature cache over
+// numNodes nodes learns: eight times its counters and bitmap.
+func LearnBudget(numNodes int64) int64 { return 8 * learnerBytes(numNodes) }
 
 // Adaptive reports whether the cache carries access counters and
-// re-ranks itself on Readmit. False for a nil cache, the neighbor cache,
-// a cache that pins every candidate, and a feature cache whose budget is
-// too small for the counters' share of the charged overhead.
+// re-ranks itself on Readmit: a feature cache under at least LearnBudget
+// that cannot pin every row without them.
 func (h *Hot) Adaptive() bool { return h != nil && h.learn != nil }
 
 // Count records one access to each of nodes (ids below the node count)
@@ -68,7 +59,7 @@ func (h *Hot) Count(nodes []uint32) {
 	}
 	heat := h.learn.rank.heat
 	for _, v := range nodes {
-		if heat[v]&heatMax != heatMax {
+		if heat[v]&pendingMax != pendingMax {
 			heat[v]++
 		}
 	}
@@ -81,15 +72,21 @@ func (h *Hot) Fold() {
 	if !h.Adaptive() {
 		return
 	}
-	l := h.learn
-	for v, w := range l.rank.heat {
-		if pending := w & heatMax; pending != 0 {
-			folded := min(w>>16+pending, heatMax)
-			l.rank.heat[v] = folded << 16
-			l.rank.maxHeat = max(l.rank.maxHeat, folded)
-			l.dirty = true
+	l, heat, halve := h.learn, h.learn.rank.heat, uint16(0)
+	for v := 0; l.rank.maxHeat > foldedMax-pendingMax && v < len(heat); v++ {
+		if heat[v]>>pendingBits+heat[v]&pendingMax > foldedMax {
+			halve = 1
+			break
 		}
 	}
+	var top, seen uint16
+	for v, w := range heat {
+		folded := w>>pendingBits>>halve + w&pendingMax
+		heat[v] = folded << pendingBits
+		top, seen = max(top, folded), seen|w
+	}
+	// A fold that halves has pending counts, so it too marks heat changed.
+	l.rank.maxHeat, l.dirty = top, l.dirty || seen&pendingMax != 0
 }
 
 // Discard drops the counts taken since the last Fold or Discard: the
@@ -101,7 +98,7 @@ func (h *Hot) Discard() {
 	}
 	heat := h.learn.rank.heat
 	for v := range heat {
-		heat[v] &^= heatMax
+		heat[v] &^= pendingMax
 	}
 }
 
@@ -130,7 +127,7 @@ func (h *Hot) Readmit() (Readmission, error) {
 	}
 	l := h.learn
 	src := l.rank.src
-	for _, v := range l.rank.admitted(l.rank.selectTop(int64(h.nodes) * l.rank.cost(0))) {
+	for _, v := range l.rank.admitted(l.rank.selectTop(int64(len(l.slotNode)) * l.rank.cost(0))) {
 		l.want[v>>6] |= 1 << (v & 63)
 	}
 

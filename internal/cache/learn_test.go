@@ -191,26 +191,29 @@ func TestSelectCutsMatchSort(t *testing.T) {
 			counts[v] = 2
 		}
 	}
+	listRow, _ := overhead(n, true, false)
+	featRow, _ := overhead(n, false, true)
 	for _, c := range []struct {
 		name   string
 		src    *source
 		minDeg int64
+		perRow int64
 		cost   func(deg int64) int64
 	}{
-		{"lists", newSource(buildFake(degrees), source{minDeg: 1}), 1, func(d int64) int64 { return d*EntryBytes + nodeOverheadBytes }},
-		{"rows", newSource(newFakeFeatures(degrees, stride), source{stride: stride}), 0, func(int64) int64 { return stride + nodeOverheadBytes }},
+		{"lists", newSource(buildFake(degrees), source{minDeg: 1}), 1, listRow, func(d int64) int64 { return d*EntryBytes + listRow }},
+		{"rows", newSource(newFakeFeatures(degrees, stride), source{stride: stride}), 0, featRow, func(int64) int64 { return stride + featRow }},
 	} {
 		for _, heat := range [][]uint32{nil, counts} {
 			order := referenceOrder(degrees, heat, c.minDeg)
 			for _, procs := range coreCounts {
 				runtime.GOMAXPROCS(procs)
 				for _, allowance := range cutBudgets(order, n, degrees, c.cost) {
-					r := newRanking(c.src)
+					r := newRanking(c.src, c.perRow)
 					if heat != nil {
-						r.heat = make([]uint32, n)
+						r.heat = make([]uint16, n)
 						for v, h := range heat {
-							r.heat[v] = h << 16
-							r.maxHeat = max(r.maxHeat, h)
+							r.heat[v] = uint16(h) << pendingBits
+							r.maxHeat = max(r.maxHeat, uint16(h))
 						}
 					}
 					got := r.admitted(r.selectTop(allowance))
@@ -231,6 +234,17 @@ func pinnedSet(h *Hot, n int) []uint32 {
 		}
 	}
 	return out
+}
+
+// featureCharge is what a feature cache over n nodes of stride bytes is
+// charged per row and once under limit (0: unlimited), by the rule
+// BuildFeatures states: it learns when limit is at least LearnBudget and
+// below what pins every row without a learner.
+func featureCharge(n int, stride, limit int64) (perRow, fixed int64, learn bool) {
+	staticRow, _ := overhead(int64(n), false, false)
+	learn = limit >= LearnBudget(int64(n)) && limit < int64(n)*(stride+staticRow)
+	perRow, fixed = overhead(int64(n), false, learn)
+	return perRow, fixed, learn
 }
 
 // TestColdStartMatchesSort is the property the O(n) selection rests on:
@@ -259,25 +273,29 @@ func coldStartMatchesSort(t *testing.T) {
 		if trial%10 == 1 {
 			tiesAtBoundaries(degrees, 7)
 		}
-		lists := func(deg int64) int64 { return deg*EntryBytes + nodeOverheadBytes }
-		var total int64
+		// A list costs its bytes and 24 B; the cache holds 8 B once.
+		listRow, listFixed := overhead(int64(n), true, false)
+		lists := func(deg int64) int64 { return deg*EntryBytes + listRow }
+		total := listFixed
 		for _, d := range degrees {
 			if d > 0 {
 				total += lists(d)
 			}
 		}
-		limits := []int64{1, nodeOverheadBytes + EntryBytes, 1 + rng.Int63n(total+1), total - 1, total, 0}
+		limits := []int64{1, listFixed + listRow + EntryBytes, 1 + rng.Int63n(total+1), total - 1, total, 0}
 		// Every kind of cut, on a few trials: each build copies the rows.
 		cuts := trial%10 < 3
 		if cuts {
-			limits = append(limits, cutBudgets(referenceOrder(degrees, nil, 1), n, degrees, lists)...)
+			for _, allowance := range cutBudgets(referenceOrder(degrees, nil, 1), n, degrees, lists) {
+				limits = append(limits, allowance+listFixed)
+			}
 		}
 		g := buildFake(degrees)
 		for _, limit := range limits {
 			if limit < 0 {
 				continue
 			}
-			allowance := limit
+			allowance := limit - listFixed
 			if limit == 0 {
 				allowance = 1 << 60
 			}
@@ -294,6 +312,9 @@ func coldStartMatchesSort(t *testing.T) {
 			for _, v := range want {
 				charged += lists(degrees[v])
 			}
+			if len(want) > 0 {
+				charged += listFixed
+			}
 			if budget.Used() != charged {
 				t.Fatalf("trial %d, list budget %d: charged %d, the prefix costs %d", trial, limit, budget.Used(), charged)
 			}
@@ -305,13 +326,15 @@ func coldStartMatchesSort(t *testing.T) {
 		}
 
 		const stride = 24
-		rows := func(int64) int64 { return stride + nodeOverheadBytes }
+		staticRow, _ := overhead(int64(n), false, false)
+		rows := func(int64) int64 { return stride + staticRow }
 		limits = []int64{1, rows(0), rows(0)*int64(1+rng.Intn(n)) + int64(rng.Intn(40)), rows(0) * int64(n), 0}
 		if cuts {
 			limits = append(limits, cutBudgets(referenceOrder(degrees, nil, 0), n, degrees, rows)...)
 		}
 		for _, limit := range limits {
-			allowance := limit
+			perRow, fixed, learn := featureCharge(n, stride, limit)
+			allowance := limit - fixed
 			if limit == 0 {
 				allowance = 1 << 60
 			}
@@ -320,7 +343,10 @@ func coldStartMatchesSort(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := referencePrefix(degrees, nil, 0, rows, allowance)
+			if h.Adaptive() != learn {
+				t.Fatalf("trial %d, %d nodes, feature budget %d: adaptive %v, want %v", trial, n, limit, h.Adaptive(), learn)
+			}
+			want := referencePrefix(degrees, nil, 0, func(int64) int64 { return stride + perRow }, allowance)
 			if got := pinnedSet(h, n); !slices.Equal(got, want) {
 				t.Fatalf("trial %d, %d nodes, feature budget %d: pinned %v, sort picks %v", trial, n, limit, got, want)
 			}
@@ -343,7 +369,7 @@ func TestBuildMergesAdjacentRows(t *testing.T) {
 	}
 	degrees[50] = 9
 	f := newFakeFeatures(degrees, 16)
-	h, err := BuildFeatures(f, memctl.New(21*(16+nodeOverheadBytes)))
+	h, err := BuildFeatures(f, memctl.New(FeatureBudget(64, 16, 21, false)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +383,7 @@ func TestBuildMergesAdjacentRows(t *testing.T) {
 func adaptiveFake(t *testing.T, degrees []int64, stride int64, rows int) (*Hot, *fakeFeatures) {
 	t.Helper()
 	f := newFakeFeatures(degrees, stride)
-	h, err := BuildFeatures(f, memctl.New(int64(rows)*(stride+nodeOverheadBytes)))
+	h, err := BuildFeatures(f, memctl.New(FeatureBudget(int64(len(degrees)), stride, int64(rows), true)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,6 +391,12 @@ func adaptiveFake(t *testing.T, degrees []int64, stride int64, rows int) (*Hot, 
 		t.Fatalf("pinned %d rows (adaptive %v), want %d adaptive rows", h.Nodes(), h.Adaptive(), rows)
 	}
 	return h, f
+}
+
+// learnCost is what a learning cache over n nodes charges per row.
+func learnCost(n int, stride int64) func(int64) int64 {
+	perRow, _ := overhead(int64(n), false, true)
+	return func(int64) int64 { return stride + perRow }
 }
 
 // assertRows checks every lookup against the file: a hit must return
@@ -384,11 +416,11 @@ func assertRows(t *testing.T, h *Hot, f *fakeFeatures, when string) {
 // and the fill accounted row for row.
 func TestReadmitMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	const n, stride, rows = 600, 24, 200
+	const n, stride, rows = 600, 64, 200
 	degrees := tiedDegrees(rng, n)
 	h, f := adaptiveFake(t, degrees, stride, rows)
 	heat := make([]uint32, n)
-	cost := func(int64) int64 { return stride + nodeOverheadBytes }
+	cost := learnCost(n, stride)
 	for round := 0; round < 8; round++ {
 		// A few batches over a drifting hot set, counts tied heavily.
 		for b := 0; b < 5; b++ {
@@ -437,9 +469,10 @@ func TestReadmitMatchesSort(t *testing.T) {
 }
 
 // TestSelectDeepKeys drives the select through keys of three degree
-// digits and two heat digits — every combination of "the cut is in the
-// bucket the scan looked ahead into" and "it is not" — against the sort,
-// at every core count.
+// digits and up to two heat digits — every combination of "the cut is in
+// the bucket the scan looked ahead into" and "it is not" — against the
+// sort, at every core count. Sixty folds a round take the largest folded
+// count past one 11-bit digit in the third round.
 func TestSelectDeepKeys(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range coreCounts {
@@ -450,30 +483,40 @@ func TestSelectDeepKeys(t *testing.T) {
 
 func selectDeepKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	const n, stride = 400, 16
+	const n, stride, folds = 400, 64, 60
 	values := []int64{0, 1, 1, 3, 2047, 2048, 5000, 4_200_000, 4_200_001, 9_000_000}
 	degrees := make([]int64, n)
 	for i := range degrees {
 		degrees[i] = values[rng.Intn(len(values))]
 	}
-	cost := func(int64) int64 { return stride + nodeOverheadBytes }
+	cost := learnCost(n, stride)
 	heat := make([]uint32, n)
-	for rows := 120; rows < n; rows += 37 {
+	add := make([]int, n)
+	// Up to 342 of 400 rows: more would pin every row without counters.
+	for rows := 120; rows < 350; rows += 37 {
 		h, f := adaptiveFake(t, degrees, stride, rows)
 		clear(heat)
 		if want := referencePrefix(degrees, nil, 0, cost, int64(rows)*cost(0)); !slices.Equal(pinnedSet(h, n), want) {
 			t.Fatalf("%d rows: cold start differs from the sort", rows)
 		}
 		for round := 0; round < 3; round++ {
-			// Counts from a few values, some beyond one 11-bit digit.
-			for v := range heat {
-				add := []int{0, 0, 1, 2, 2, 2100, 4100}[rng.Intn(7)]
-				for c := 0; c < add; c++ {
-					h.Count([]uint32{uint32(v)})
-				}
-				heat[v] += uint32(add)
+			// Per-epoch counts from a few values, pendingMax among them.
+			for v := range add {
+				add[v] = []int{0, 0, 1, 2, 2, 14, pendingMax}[rng.Intn(7)]
+				heat[v] += uint32(folds * add[v])
 			}
-			h.Fold()
+			for range folds {
+				for c := range pendingMax {
+					var batch []uint32
+					for v, a := range add {
+						if a > c {
+							batch = append(batch, uint32(v))
+						}
+					}
+					h.Count(batch)
+				}
+				h.Fold()
+			}
 			if _, err := h.Readmit(); err != nil {
 				t.Fatal(err)
 			}
@@ -491,10 +534,10 @@ func selectDeepKeys(t *testing.T) {
 // with the same reads.
 func TestReadmitSameAtEveryCoreCount(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	const n, stride, rows = 700, 16, 260
+	const n, stride, rows = 700, 64, 260
 	degrees := tiedDegrees(rand.New(rand.NewSource(37)), n)
 	tiesAtBoundaries(degrees, 7)
-	cost := func(int64) int64 { return stride + nodeOverheadBytes }
+	cost := learnCost(n, stride)
 	var sequential [][]uint32
 	var fills []Readmission
 	for _, procs := range coreCounts {
@@ -536,7 +579,7 @@ func TestReadmitSameAtEveryCoreCount(t *testing.T) {
 // budget pins a superset of a smaller one, as at cold start.
 func TestReadmitBudgetSuperset(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	const n, stride = 500, 16
+	const n, stride = 500, 64
 	degrees := tiedDegrees(rng, n)
 	var batches [][]uint32
 	for b := 0; b < 6; b++ {
@@ -577,7 +620,7 @@ func TestReadmitBudgetSuperset(t *testing.T) {
 func TestDiscardFoldsNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 300
-	h, _ := adaptiveFake(t, tiedDegrees(rng, n), 16, 100)
+	h, _ := adaptiveFake(t, tiedDegrees(rng, n), 64, 100)
 	before := pinnedSet(h, n)
 	cold := make([]uint32, 0, n)
 	for v := 0; v < n; v++ {
@@ -602,77 +645,220 @@ func TestDiscardFoldsNothing(t *testing.T) {
 	}
 }
 
-// TestCountersSaturate: both halves of a counter stop at 65535 instead
-// of wrapping into each other.
+// TestCountersSaturate: an epoch's pending count stops at pendingMax
+// instead of carrying into the folded count, and a fold that would carry
+// a folded count past foldedMax first halves every folded count.
 func TestCountersSaturate(t *testing.T) {
-	h, _ := adaptiveFake(t, make([]int64, 300), 16, 100)
-	one := []uint32{299}
-	for i := 0; i < heatMax+10; i++ {
+	h, _ := adaptiveFake(t, make([]int64, 300), 64, 100)
+	heat := h.learn.rank.heat
+	one, other := []uint32{299}, []uint32{298}
+	for i := 0; i < pendingMax+10; i++ {
 		h.Count(one)
 	}
-	h.Fold()
-	if got := h.learn.rank.heat[299]; got != heatMax<<16 {
-		t.Fatalf("counter word %#x after %d counts, want %#x", got, heatMax+10, uint32(heatMax)<<16)
+	if heat[299] != pendingMax {
+		t.Fatalf("counter word %#x after %d counts, want %#x", heat[299], pendingMax+10, pendingMax)
 	}
+	h.Fold()
+	if heat[299] != pendingMax<<pendingBits {
+		t.Fatalf("counter word %#x after the fold, want %#x", heat[299], pendingMax<<pendingBits)
+	}
+	// 272 more saturated epochs take node 299 to 273 × 15 = foldedMax;
+	// node 298 is counted once in each of them.
+	for e := 1; e < foldedMax/pendingMax; e++ {
+		for i := 0; i < pendingMax; i++ {
+			h.Count(one)
+		}
+		h.Count(other)
+		h.Fold()
+	}
+	if heat[299] != foldedMax<<pendingBits || heat[298] != 272<<pendingBits || h.learn.rank.maxHeat != foldedMax {
+		t.Fatalf("counter words %#x, %#x (max %d) at the top, want %#x, %#x", heat[299], heat[298], h.learn.rank.maxHeat, foldedMax<<pendingBits, 272<<pendingBits)
+	}
+	// One more count would carry node 299 past foldedMax: 4095/2 + 1 and
+	// 272/2.
 	h.Count(one)
 	h.Fold()
-	if got := h.learn.rank.heat[299]; got != heatMax<<16 || h.learn.rank.maxHeat != heatMax {
-		t.Fatalf("saturated counter moved to %#x (max %d)", got, h.learn.rank.maxHeat)
+	if heat[299] != 2048<<pendingBits || heat[298] != 136<<pendingBits || h.learn.rank.maxHeat != 2048 {
+		t.Fatalf("counter words %#x, %#x (max %d) after the halving fold, want %#x, %#x", heat[299], heat[298], h.learn.rank.maxHeat, 2048<<pendingBits, 136<<pendingBits)
 	}
-	if _, err := h.Readmit(); err != nil || h.Lookup(299) == nil {
-		t.Fatalf("the hottest node is not pinned (err %v)", err)
+	if _, err := h.Readmit(); err != nil || h.Lookup(299) == nil || h.Lookup(298) == nil {
+		t.Fatalf("the hottest nodes are not pinned (err %v)", err)
 	}
 }
 
-// TestStaticWhenCountersDoNotFit: the counters must fit inside the
-// overhead already charged. Below that the cache is the static
-// degree-first cache and the learning calls are no-ops; a cache that
-// pins everything has nothing to learn either.
-func TestStaticWhenCountersDoNotFit(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const n, stride = 2000, 16
-	degrees := tiedDegrees(rng, n)
-	cost := func(int64) int64 { return stride + nodeOverheadBytes }
-	// index 16 B/row + slot map 4 B/row + counters 4 B/node + bitmap.
-	need := func(rows int) int64 { return int64(rows)*20 + int64(n)*4 + int64((n+63)/64)*8 }
-	threshold := 0
-	for rows := 1; rows < n; rows++ {
-		if need(rows) <= int64(rows)*nodeOverheadBytes {
-			threshold = rows
-			break
+// TestCountersKeepOrderOverLongRuns: 5,000 folds of one access pattern —
+// hubs counted in every epoch, a warm set in every third — pin after
+// every fold from the tenth on, the last one included, exactly what they
+// pinned after the tenth. Without the halving rule the hubs' folded
+// counts, then the warm set's, would stop at foldedMax and tie, and the
+// degree order, which prefers the warm set, would take over (or, counts
+// wrapping, the hubs would drop below the warm set).
+func TestCountersKeepOrderOverLongRuns(t *testing.T) {
+	const n, stride, rows = 300, 64, 100
+	degrees := make([]int64, n)
+	var hubs, warm []uint32
+	for v := range degrees {
+		switch {
+		case v < 150: // cold, and first by degree
+			degrees[v] = 10
+		case v < 210:
+			degrees[v] = 1
+			hubs = append(hubs, uint32(v))
+		case v < 290:
+			degrees[v] = 5
+			warm = append(warm, uint32(v))
 		}
 	}
-	for _, rows := range []int{1, threshold - 1, threshold, n - 1, n} {
-		f := newFakeFeatures(degrees, stride)
-		budget := memctl.New(int64(rows) * cost(0))
-		h, err := BuildFeatures(f, budget)
+	h, _ := adaptiveFake(t, degrees, stride, rows)
+	var tenth []uint32
+	for e := 1; e <= 5000; e++ {
+		for range pendingMax + 5 {
+			h.Count(hubs)
+			if e%3 == 1 {
+				h.Count(warm)
+			}
+		}
+		h.Fold()
+		if e < 10 {
+			continue
+		}
+		if _, err := h.Readmit(); err != nil {
+			t.Fatal(err)
+		}
+		if e == 10 {
+			tenth = pinnedSet(h, n)
+			// Every hub, then the warm nodes by ascending id.
+			if want := slices.Concat(hubs, warm[:rows-len(hubs)]); !slices.Equal(tenth, want) {
+				t.Fatalf("after 10 folds pinned %v, want %v", tenth, want)
+			}
+		} else if got := pinnedSet(h, n); !slices.Equal(got, tenth) {
+			t.Fatalf("after %d folds pinned %v, after 10 %v", e, got, tenth)
+		}
+	}
+	if m := h.learn.rank.maxHeat; m == 0 || m > foldedMax {
+		t.Fatalf("largest folded count %d", m)
+	}
+}
+
+// TestChargeEqualsHeld: every cache charges its budget exactly the bytes
+// its slices hold — rows, index slots, row offsets, slot map, counters
+// and bitmap — for the neighbor cache, a static feature cache and an
+// adaptive one at several budgets, before and after re-admissions. The
+// selection still stops at the first row that does not fit, and Held
+// reports the same bytes by component.
+func TestChargeEqualsHeld(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	const n, stride = 1000, 32
+	degrees := tiedDegrees(rng, n)
+	held := func(h *Hot) int64 {
+		b := int64(len(h.data)) + int64(len(h.index))*8 + int64(len(h.off))*8
+		if l := h.learn; l != nil {
+			b += int64(len(l.rank.heat))*2 + int64(len(l.slotNode))*4 + int64(len(l.want))*8
+		}
+		return b
+	}
+	check := func(what string, limit int64, h *Hot, budget *memctl.Budget, want []uint32) {
+		t.Helper()
+		rows, index, learn := h.Held()
+		if budget.Used() != held(h) || rows+index+learn != held(h) {
+			t.Fatalf("%s, budget %d: charged %d B, slices hold %d B, Held reports %d+%d+%d", what, limit, budget.Used(), held(h), rows, index, learn)
+		}
+		if got := pinnedSet(h, n); !slices.Equal(got, want) {
+			t.Fatalf("%s, budget %d: pinned %d rows, the prefix is %d", what, limit, len(got), len(want))
+		}
+	}
+	listRow, listFixed := overhead(n, true, false)
+	lists := func(d int64) int64 { return d*EntryBytes + listRow }
+	g := buildFake(degrees)
+	for _, limit := range []int64{listFixed + lists(1) - 1, listFixed + lists(1), 5000, 60_000, 1 << 40} {
+		budget := memctl.New(limit)
+		h, err := Build(g, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantAdaptive := rows >= threshold && rows < n
-		if h.Nodes() != rows || h.Adaptive() != wantAdaptive {
-			t.Fatalf("%d rows: pinned %d, adaptive %v, want adaptive %v", rows, h.Nodes(), h.Adaptive(), wantAdaptive)
+		check("neighbor cache", limit, h, budget, referencePrefix(degrees, nil, 1, lists, limit-listFixed))
+	}
+	learnAt, all := LearnBudget(n), FeatureBudget(n, stride, n, false)
+	for _, limit := range []int64{stride + 15, stride + 16, 9_999, learnAt - 1, learnAt, 30_001, all - 1, all, 1 << 40} {
+		perRow, fixed, learn := featureCharge(n, stride, limit)
+		budget := memctl.New(limit)
+		h, err := BuildFeatures(newFakeFeatures(degrees, stride), budget)
+		if err != nil {
+			t.Fatal(err)
 		}
-		held := h.index.bytes()
-		if h.learn != nil {
-			held += h.learn.bytes()
+		if h.Adaptive() != learn {
+			t.Fatalf("feature budget %d: adaptive %v, want %v", limit, h.Adaptive(), learn)
 		}
-		if held > int64(rows)*nodeOverheadBytes || budget.Used() != int64(rows)*cost(0) {
-			t.Fatalf("%d rows: bookkeeping holds %d B, charged overhead %d B (budget used %d)", rows, held, rows*nodeOverheadBytes, budget.Used())
-		}
-		if wantAdaptive {
+		want := referencePrefix(degrees, nil, 0, func(int64) int64 { return stride + perRow }, limit-fixed)
+		check("feature cache", limit, h, budget, want)
+		if !learn {
 			continue
 		}
-		want := pinnedSet(h, n)
-		if !slices.Equal(want, referencePrefix(degrees, nil, 0, cost, int64(rows)*cost(0))) {
-			t.Fatalf("%d rows: static cache is not the degree-first prefix", rows)
+		for round := 0; round < 3; round++ {
+			var batch []uint32
+			for v := 0; v < n; v++ {
+				if rng.Intn(3) == 0 {
+					batch = append(batch, uint32(v))
+				}
+			}
+			h.Count(batch)
+			h.Fold()
+			if _, err := h.Readmit(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		h.Count([]uint32{1, 2, 3})
-		h.Fold()
-		h.Discard()
-		if re, err := h.Readmit(); err != nil || re != (Readmission{}) || !slices.Equal(pinnedSet(h, n), want) {
-			t.Fatalf("%d rows: a static cache re-admitted (%+v, %v)", rows, re, err)
+		if rows, index, learnBytes := h.Held(); budget.Used() != held(h) || rows+index+learnBytes != held(h) || h.Nodes() != len(want) {
+			t.Fatalf("feature budget %d: after re-admissions %d rows hold %d B, charged %d B", limit, h.Nodes(), held(h), budget.Used())
 		}
+	}
+}
+
+// TestLearnThreshold: a feature cache learns from LearnBudget — eight
+// times its counters and bitmap — up to the budget that pins every row
+// without them. Within each mode the row count grows with the budget;
+// the one step is at the threshold, where the learner and 4 B per row
+// come out of the rows. On 2,000 nodes of 16 B: counters 4,000 B and a
+// 32-word bitmap 256 B make LearnBudget 34,048 B; one byte below it the
+// static cache pins 34,047 / 32 = 1,063 rows, at it the adaptive cache
+// (34,048 − 4,256) / 36 = 827.
+func TestLearnThreshold(t *testing.T) {
+	const n, stride = 2000, 16
+	f := newFakeFeatures(tiedDegrees(rand.New(rand.NewSource(47)), n), stride)
+	const learnAt, learner = 34_048, 4_256
+	if got := LearnBudget(n); got != learnAt {
+		t.Fatalf("LearnBudget(%d) = %d, want %d", n, got, learnAt)
+	}
+	pinned := func(limit int64) (int, bool) {
+		h, err := BuildFeatures(f, memctl.New(limit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Nodes(), h.Adaptive()
+	}
+	if rows, adaptive := pinned(learnAt - 1); rows != 1063 || adaptive {
+		t.Fatalf("one byte below the threshold: %d rows, adaptive %v; want 1063 static rows", rows, adaptive)
+	}
+	if rows, adaptive := pinned(learnAt); rows != 827 || !adaptive {
+		t.Fatalf("at the threshold: %d rows, adaptive %v; want 827 adaptive rows", rows, adaptive)
+	}
+	prev := 0
+	for limit := int64(1); limit < n*(stride+16)+500; limit += 731 {
+		wantAdaptive := limit >= learnAt && limit < n*(stride+16)
+		want := int(min(limit/(stride+16), n))
+		if wantAdaptive {
+			want = int((limit - learner) / (stride + 20))
+		}
+		rows, adaptive := pinned(limit)
+		if rows != want || adaptive != wantAdaptive {
+			t.Fatalf("budget %d: %d rows, adaptive %v; want %d, adaptive %v", limit, rows, adaptive, want, wantAdaptive)
+		}
+		if limit >= learnAt && limit-731 < learnAt {
+			prev = 0 // the step: the adaptive side starts over
+		}
+		if rows < prev {
+			t.Fatalf("budget %d pins %d rows, a smaller one of the same mode %d", limit, rows, prev)
+		}
+		prev = rows
 	}
 }
 
@@ -681,9 +867,9 @@ func TestStaticWhenCountersDoNotFit(t *testing.T) {
 // the next re-admission brings the whole set back.
 func TestReadmitFillFailure(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	const n, rows = 400, 150
+	const n, stride, rows = 400, 64, 150
 	degrees := tiedDegrees(rng, n)
-	h, f := adaptiveFake(t, degrees, 16, rows)
+	h, f := adaptiveFake(t, degrees, stride, rows)
 	var cold []uint32
 	for v := 0; v < n; v += 2 {
 		cold = append(cold, uint32(v))
@@ -705,7 +891,8 @@ func TestReadmitFillFailure(t *testing.T) {
 	for _, v := range cold {
 		heat[v] = 1
 	}
-	want := referencePrefix(degrees, heat, 0, func(int64) int64 { return 16 + nodeOverheadBytes }, rows*(16+nodeOverheadBytes))
+	cost := learnCost(n, stride)
+	want := referencePrefix(degrees, heat, 0, cost, rows*cost(0))
 	if !slices.Equal(pinnedSet(h, n), want) {
 		t.Fatal("recovered cache is not the reference top set")
 	}
@@ -718,7 +905,7 @@ func TestBuildFillFailure(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	f := newFakeFeatures(tiedDegrees(rng, 300), 16)
 	f.failAt = 2
-	if h, err := BuildFeatures(f, memctl.New(100*(16+nodeOverheadBytes))); !errors.Is(err, errFakeRead) || h != nil {
+	if h, err := BuildFeatures(f, memctl.New(FeatureBudget(300, 16, 100, false))); !errors.Is(err, errFakeRead) || h != nil {
 		t.Fatalf("BuildFeatures over a failing read returned %v, %v", h, err)
 	}
 }
@@ -730,7 +917,7 @@ func TestBuildFillFailure(t *testing.T) {
 func TestLookupDuringReadmit(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n, rows = 512, 160
-	h, f := adaptiveFake(t, tiedDegrees(rng, n), 16, rows)
+	h, f := adaptiveFake(t, tiedDegrees(rng, n), 64, rows)
 	want := make([][]byte, n)
 	for v := range want {
 		want[v] = f.row(uint32(v))

@@ -20,22 +20,24 @@ type ranking struct {
 	// up to whole radix digits, so that every digit of a key is either all
 	// heat or all degree.
 	degField uint
-	// heat holds, per node, the folded access count in the high 16 bits
-	// and the count of the epoch in progress in the low 16 (see learner).
-	// Only a learning cache has it. While nothing has been folded
-	// (maxHeat 0) the key is the degree alone, and no pass reads heat.
-	heat    []uint32
-	maxHeat uint32 // largest folded count: bounds the key width
+	// perRow is what the cache holds per pinned row besides the row.
+	perRow int64
+	// heat holds, per node, the folded access count above the low
+	// pendingBits, which count the epoch in progress (see learner). Only
+	// a learning cache has it. While nothing has been folded (maxHeat 0)
+	// the key is the degree alone, and no pass reads heat.
+	heat    []uint16
+	maxHeat uint16 // largest folded count: bounds the key width
 }
 
-func newRanking(src *source) ranking {
+func newRanking(src *source, perRow int64) ranking {
 	edges := src.offsets[src.hi] - src.offsets[src.lo]
 	digits := (uint(bits.Len64(uint64(edges))) + digitBits - 1) / digitBits
-	return ranking{src: src, degField: digits * digitBits}
+	return ranking{src: src, degField: digits * digitBits, perRow: perRow}
 }
 
 // cost is what a row of a node of the given degree is charged.
-func (r *ranking) cost(deg int64) int64 { return r.src.rowBytes(deg) + nodeOverheadBytes }
+func (r *ranking) cost(deg int64) int64 { return r.src.rowBytes(deg) + r.perRow }
 
 // spans cuts a node range into contiguous parts: part i is
 // [spans[i], spans[i+1]).
@@ -70,7 +72,6 @@ func (sp spans) each(fn func(i int, lo, hi int64)) {
 // cutoff describes a prefix of the ranking: every candidate whose key is
 // above key, plus the first ties (by ascending id) at key.
 type cutoff struct {
-	all bool // every candidate
 	key uint64
 	// parts are the node ranges the select scanned; ties[i] is how many
 	// candidates at key part i admits. The ties go to the lowest ids, so
@@ -80,32 +81,28 @@ type cutoff struct {
 }
 
 // digitBits is the radix of selectTop: each pass resolves this many key
-// bits through a 16 KiB histogram (and usually the digit below through a
-// second one, see selectTop).
+// bits through a 16 KiB histogram (usually the digit below through another).
 const digitBits = 11
 
 // tally is one part's histograms in a select pass: the row cost per value
-// of the digit being resolved, and per value of the digit below for the
-// keys whose current digit is 0.
+// of the digit resolved, and of the digit below for keys whose digit is 0.
 type tally struct {
 	hist, next [1 << digitBits]int64
 }
 
 // selectTop finds the longest prefix of the ranking whose rows fit in
-// allowance bytes, stopping at the first candidate that does not fit —
-// exactly the prefix a full sort followed by a charging loop would pick,
-// in O(nodes) time and constant space per core. It is a
+// allowance bytes — exactly what a full sort followed by a charging loop
+// would pick, in O(nodes) time and constant space per core. It is a
 // most-significant-digit radix select on the key: each pass histograms
 // the row cost per digit value among the candidates that match the
 // digits already fixed, walks the buckets from the hottest down while
-// they fit whole, and descends into the first that does not. A row's cost
-// is a function of its key, so the last bucket — one key value — is cut
-// by division. Every pass runs on all parts at once, each into its own
-// tally; the walk reads their sum.
+// they fit whole, and descends into the first that does not; the last
+// bucket, one key and so one row cost, is cut by division. Every pass
+// runs on all parts at once, each into its own tally; the walk sums them.
 func (r *ranking) selectTop(allowance int64) cutoff {
 	c := cutoff{parts: r.src.split()}
 	tallies := make([]tally, len(c.parts)-1)
-	keyBits := r.degField + uint(bits.Len32(r.maxHeat))
+	keyBits := r.degField + uint(bits.Len16(r.maxHeat))
 	var shift uint
 	if keyBits > 0 {
 		shift = (keyBits - 1) / digitBits * digitBits
@@ -141,9 +138,9 @@ func (r *ranking) selectTop(allowance int64) cutoff {
 			remaining -= hist[b]
 		}
 		if b < 0 {
-			// Only the first pass can get here: a bucket descended into did
-			// not fit whole, so its sub-buckets cannot all fit either.
-			c.all = true
+			// Everything fits, every candidate is at or above key 0. (A
+			// bucket descended into did not fit, so only pass one gets here.)
+			c.ties = slices.Repeat([]int64{math.MaxInt64}, len(tallies))
 			return c
 		}
 		prefix |= uint64(b) << shift
@@ -218,10 +215,10 @@ func (r *ranking) pass(t *tally, lo, hi int64, shift uint, prefix uint64, look, 
 		wantHeat >>= heatShift
 	}
 	for i, w := range r.heat[lo:hi] {
-		if uint64(w>>16)>>heatShift != wantHeat {
+		if uint64(w>>pendingBits)>>heatShift != wantHeat {
 			continue
 		}
-		k := uint64(w>>16) << (r.degField & 63)
+		k := uint64(w>>pendingBits) << (r.degField & 63)
 		var deg int64
 		if needDeg {
 			deg = offsets[i+1] - offsets[i]
@@ -243,12 +240,7 @@ func (r *ranking) pass(t *tally, lo, hi int64, shift uint, prefix uint64, look, 
 func (r *ranking) admitted(c cutoff) []uint32 {
 	lists := make([][]uint32, len(c.parts)-1)
 	c.parts.each(func(i int, lo, hi int64) {
-		// Every candidate is at or above key 0, and with all none is cut.
-		ties := int64(math.MaxInt64)
-		if !c.all {
-			ties = c.ties[i]
-		}
-		lists[i] = r.admit(c.key, lo, hi, ties)
+		lists[i] = r.admit(c.key, lo, hi, c.ties[i])
 	})
 	return slices.Concat(lists...)
 }
@@ -258,7 +250,7 @@ func (r *ranking) admitted(c cutoff) []uint32 {
 func (r *ranking) admit(key uint64, lo, hi, ties int64) []uint32 {
 	cutHeat, cutDeg := key>>r.degField, int64(key&(1<<r.degField-1))
 	offsets, minDeg := r.src.offsets[lo:hi+1], r.src.minDeg
-	var heat []uint32
+	var heat []uint16
 	if r.maxHeat > 0 { // else the key is the degree
 		heat = r.heat[lo:hi]
 	}
@@ -268,7 +260,7 @@ func (r *ranking) admit(key uint64, lo, hi, ties int64) []uint32 {
 		// the degree decides, and at the cut's key the id does.
 		var h uint64
 		if heat != nil {
-			if h = uint64(heat[i] >> 16); h < cutHeat {
+			if h = uint64(heat[i] >> pendingBits); h < cutHeat {
 				continue
 			}
 		}

@@ -11,8 +11,6 @@ type table []uint64
 
 func newTable(rows int) table { return make(table, 2*rows) }
 
-func (t table) bytes() int64 { return int64(len(t)) * 8 }
-
 // home is v's first probe position: a Fibonacci hash spreads the dense,
 // sequential node ids, and the high bits of hash × len pick the position.
 func (t table) home(v uint32) int {

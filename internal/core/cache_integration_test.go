@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"ringsampler/internal/cache"
 	"ringsampler/internal/sample"
 	"ringsampler/internal/uring"
 )
@@ -215,15 +216,15 @@ func TestCacheMonotoneDeviceBytes(t *testing.T) {
 func TestFeatureCacheMonotoneDeviceBytes(t *testing.T) {
 	ds := openDS(t, testFeatureDatasetDir(t), false)
 	targets := testTargets(ds, 256)
-	row := ds.FeatureStride() + 48 // what memctl is charged per pinned row
+	n, stride := ds.NumNodes(), ds.FeatureStride()
 	budgets := []struct {
 		bytes int64
 		rows  int // pinned rows the budget must buy
 	}{
 		{0, 0},
-		{row, 1},
-		{ds.NumNodes() / 4 * row, int(ds.NumNodes() / 4)},
-		{1 << 30, int(ds.NumNodes())},
+		{cache.FeatureBudget(n, stride, 1, false), 1},
+		{cache.FeatureBudget(n, stride, n/4, false), int(n / 4)}, // below cache.LearnBudget
+		{1 << 30, int(n)},
 	}
 	var ref *EpochStats
 	prevDevice := int64(-1)

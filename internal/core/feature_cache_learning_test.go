@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"ringsampler/internal/cache"
 	"ringsampler/internal/sample"
 	"ringsampler/internal/storage"
 	"ringsampler/internal/uring"
@@ -22,9 +23,11 @@ import (
 // a cache too small for its counters is the static degree-first cache.
 
 // learnRows is a feature-cache size, in rows, that affords the counters
-// on testFeatureDatasetDir's 2000-node graph (the overhead of ≥ 295 rows
-// covers them) while leaving most nodes outside.
-const learnRows = 500
+// on testFeatureDatasetDir's 2000-node graph of 24-byte rows while
+// leaving most nodes outside: counters and bitmap hold 4,256 B, so a
+// budget learns from cache.LearnBudget = 34,048 B, which at 44 B per
+// learning row is (34,048 − 4,256) / 44 ≥ 678 rows.
+const learnRows = 700
 
 func learnConfig(ds *storage.Dataset, threads int) Config {
 	cfg := DefaultConfig()
@@ -33,7 +36,7 @@ func learnConfig(ds *storage.Dataset, threads int) Config {
 	cfg.Threads = threads
 	cfg.Fanouts = []int{5, 5}
 	cfg.FetchFeatures = true
-	cfg.FeatureCacheBudgetBytes = learnRows * (ds.FeatureStride() + 48)
+	cfg.FeatureCacheBudgetBytes = cache.FeatureBudget(ds.NumNodes(), ds.FeatureStride(), learnRows, true)
 	return cfg
 }
 
@@ -292,8 +295,9 @@ func TestFeatureCacheReadmitConcurrentWithSamplers(t *testing.T) {
 	}
 }
 
-// TestFeatureCacheStaticAtSmallBudget: on the checked-in dataset a
-// 400-row budget cannot pay for per-node counters (818 rows could), so
+// TestFeatureCacheStaticAtSmallBudget: on the checked-in dataset (5,550
+// nodes of 64 B) a 400-row budget, 32,000 B, is below cache.LearnBudget
+// (8 × 11,796 B of counters and bitmap = 94,368 B), so
 // the cache is the static degree-first cache: the reference prefix is
 // pinned, nothing is ever re-admitted, and every epoch of one seed reads
 // exactly the bytes recorded on the commit before the cache could learn.
@@ -309,7 +313,7 @@ func TestFeatureCacheStaticAtSmallBudget(t *testing.T) {
 	cfg.BatchSize = 128
 	cfg.Threads = 2
 	cfg.FetchFeatures = true
-	cfg.FeatureCacheBudgetBytes = rows * (ds.FeatureStride() + 48)
+	cfg.FeatureCacheBudgetBytes = cache.FeatureBudget(ds.NumNodes(), ds.FeatureStride(), rows, false)
 	s, err := New(ds, cfg, uring.BackendPool)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"syscall"
 	"testing"
 
+	"ringsampler/internal/cache"
 	"ringsampler/internal/gen"
 	"ringsampler/internal/uring"
 )
@@ -326,7 +327,7 @@ func TestFeatureCacheAdversarialOrder(t *testing.T) {
 	// Budget for exactly one cached node: the top-degree hub.
 	cfg := DefaultConfig()
 	cfg.Seed = 1
-	cfg.FeatureCacheBudgetBytes = stride + 48
+	cfg.FeatureCacheBudgetBytes = cache.FeatureBudget(ds.NumNodes(), stride, 1, false)
 
 	for _, be := range []uring.Backend{uring.BackendSim, uring.BackendPool} {
 		t.Run(string(be), func(t *testing.T) {

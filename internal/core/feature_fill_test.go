@@ -41,10 +41,43 @@ func assertPinnedRowsMatchFile(t *testing.T, s *Sampler, feats []byte, when stri
 	}
 }
 
+// pinnedSet is the set of rows s's feature cache pins now.
+func pinnedSet(s *Sampler) map[uint32]bool {
+	in := map[uint32]bool{}
+	for _, v := range pinnedFeatureRows(s) {
+		in[v] = true
+	}
+	return in
+}
+
+// admittedRuns returns how many rows came into s's feature cache since it
+// pinned before, and the file ranges [lo, hi) of the merged runs a fill of
+// them reads: in ascending id, a run grows while the next row is adjacent
+// both in the file and in the cache, up to 1 MiB.
+func admittedRuns(s *Sampler, before map[uint32]bool) (admitted int64, runs [][2]int64) {
+	stride := s.ds.FeatureStride()
+	var prev unsafe.Pointer
+	for _, v := range pinnedFeatureRows(s) {
+		if before[v] {
+			continue
+		}
+		admitted++
+		at := unsafe.Pointer(unsafe.SliceData(s.featHot.Lookup(v)))
+		off := int64(v) * stride
+		if last := len(runs) - 1; last >= 0 && off == runs[last][1] && at == unsafe.Add(prev, stride) && off+stride-runs[last][0] <= 1<<20 {
+			runs[last][1] += stride
+		} else {
+			runs = append(runs, [2]int64{off, off + stride})
+		}
+		prev = at
+	}
+	return admitted, runs
+}
+
 // TestFeatureCacheFillCounts: on a buffered dataset the re-admission fill
-// of each epoch issues exactly the merged runs the one-read-at-a-time
-// fill issued — the reads and bytes recorded on that implementation —
-// charges no slack, and leaves every pinned row equal to the file.
+// of each epoch issues exactly the merged runs of the rows that came in —
+// one read each, their bytes and nothing more — charges no slack, and
+// leaves every pinned row equal to the file.
 func TestFeatureCacheFillCounts(t *testing.T) {
 	dir := testFeatureDatasetDir(t)
 	feats, err := os.ReadFile(filepath.Join(dir, storage.FeaturesFile))
@@ -55,26 +88,29 @@ func TestFeatureCacheFillCounts(t *testing.T) {
 	targets := trainSplit(ds, 200, 640)
 	s := newLearningSampler(t, ds, learnConfig(ds, 2), uring.BackendPool)
 	assertPinnedRowsMatchFile(t, s, feats, "build")
-	want := [][3]int64{{0, 0, 0}, {recordedFill1Admitted, recordedFill1Reads, recordedFill1Bytes}, {recordedFill2Admitted, recordedFill2Reads, recordedFill2Bytes}}
-	for e, w := range want {
+	var merged bool
+	for e := 0; e < 3; e++ {
+		before := pinnedSet(s)
 		st, err := s.RunEpochSeeded(context.Background(), epochSeed(e), targets, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		admitted, runs := admittedRuns(s, before)
 		reads, fillBytes, slack := fillShare(st)
-		if got := [3]int64{st.IO.FeatCacheAdmitted, reads, fillBytes}; got != w || slack != 0 {
-			t.Fatalf("epoch %d fill: admitted/reads/bytes %v, slack %d; recorded %v, no slack", e, got, slack, w)
+		if st.IO.FeatCacheAdmitted != admitted || reads != int64(len(runs)) || fillBytes != admitted*ds.FeatureStride() || slack != 0 {
+			t.Fatalf("epoch %d fill: admitted %d rows in %d reads of %d B, slack %d; %d rows came in, in %d runs of %d B",
+				e, st.IO.FeatCacheAdmitted, reads, fillBytes, slack, admitted, len(runs), admitted*ds.FeatureStride())
 		}
+		if (e == 0) != (admitted == 0) {
+			t.Fatalf("epoch %d admitted %d rows; want none before the first fold, some after", e, admitted)
+		}
+		merged = merged || int64(len(runs)) < admitted
 		assertPinnedRowsMatchFile(t, s, feats, "after re-admission")
 	}
+	if !merged {
+		t.Fatal("no fill merged two rows into one read: the test exercises no merging")
+	}
 }
-
-// Recorded with TestFeatureCacheFillCounts' configuration on the fill
-// that issued one pread per merged run.
-const (
-	recordedFill1Admitted, recordedFill1Reads, recordedFill1Bytes = 213, 189, 5112
-	recordedFill2Admitted, recordedFill2Reads, recordedFill2Bytes = 34, 34, 816
-)
 
 // TestFeatureCacheDirectFillChargesSlack: on an O_DIRECT feature file the
 // re-admission fill reads each merged run's aligned window, and the
@@ -97,41 +133,19 @@ func TestFeatureCacheDirectFillChargesSlack(t *testing.T) {
 	s := newLearningSampler(t, ds, learnConfig(ds, 2), uring.BackendPool)
 	assertPinnedRowsMatchFile(t, s, feats, "build")
 	for e := 0; e < 3; e++ {
-		before := map[uint32]bool{}
-		for _, v := range pinnedFeatureRows(s) {
-			before[v] = true
-		}
+		before := pinnedSet(s)
 		st, err := s.RunEpochSeeded(context.Background(), epochSeed(e), targets, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertPinnedRowsMatchFile(t, s, feats, "after re-admission")
-		// Rows that came in, ascending, merge into one run while they are
-		// adjacent in the file and in the cache.
-		var want, admitted int64
-		var runLo, runHi int64 = -1, -1
-		var prev unsafe.Pointer
-		closeRun := func() {
-			if runLo >= 0 {
-				want += min(storage.AlignUp(runHi, align), size) - storage.AlignDown(runLo, align) - (runHi - runLo)
-			}
+		// Each merged run of the rows that came in is read as its aligned
+		// window.
+		admitted, runs := admittedRuns(s, before)
+		var want int64
+		for _, r := range runs {
+			want += min(storage.AlignUp(r[1], align), size) - storage.AlignDown(r[0], align) - (r[1] - r[0])
 		}
-		for _, v := range pinnedFeatureRows(s) {
-			if before[v] {
-				continue
-			}
-			admitted++
-			at := unsafe.Pointer(unsafe.SliceData(s.featHot.Lookup(v)))
-			off := int64(v) * stride
-			if off == runHi && at == unsafe.Add(prev, stride) && runHi+stride-runLo <= 1<<20 {
-				runHi += stride
-			} else {
-				closeRun()
-				runLo, runHi = off, off+stride
-			}
-			prev = at
-		}
-		closeRun()
 		if admitted != st.IO.FeatCacheAdmitted {
 			t.Fatalf("epoch %d: %d rows came in, the epoch reports %d", e, admitted, st.IO.FeatCacheAdmitted)
 		}

@@ -28,11 +28,13 @@ type Sampler struct {
 	// immutable after New, so workers consult it with no
 	// synchronization.
 	hot *cache.Hot
-	// featHot is the shared hot-node feature cache (nil when disabled).
-	// When its budget affords access counters it is adaptive: the epoch
-	// runner re-admits rows at epoch boundaries, so workers hold its read
-	// lock across each feature stage's lookups and copies.
-	featHot *cache.Hot
+	// featHot is the shared hot-node feature cache (nil when disabled),
+	// and featBudget what it was charged against. When its budget affords
+	// access counters it is adaptive: the epoch runner re-admits rows at
+	// epoch boundaries, so workers hold its read lock across each feature
+	// stage's lookups and copies.
+	featHot    *cache.Hot
+	featBudget *memctl.Budget
 	// learnMu is the token of the one epoch that measures feature heat:
 	// RunEpochSeeded re-admits, counts and folds only while it holds it,
 	// so epochs run concurrently on one sampler stay race-free (the
@@ -73,8 +75,8 @@ func resolveKnobs(cfg *Config, backend uring.Backend, ds *storage.Dataset) bool 
 // corresponding hot cache is populated here, degree-first, charged
 // against a memctl budget of that size. The feature cache then follows
 // the measured access pattern from the second epoch on (see
-// RunEpochSeeded) — unless its budget is too small to carry the
-// counters, which is logged once here and leaves it degree-first.
+// RunEpochSeeded) — unless its budget is below cache.LearnBudget, which
+// is logged once here and leaves it degree-first.
 func New(ds *storage.Dataset, cfg Config, backend uring.Backend) (*Sampler, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -104,14 +106,15 @@ func New(ds *storage.Dataset, cfg Config, backend uring.Backend) (*Sampler, erro
 		s.hot = hot
 	}
 	if cfg.FeatureCacheBudgetBytes > 0 {
-		fh, err := cache.BuildFeatures(ds, memctl.New(cfg.FeatureCacheBudgetBytes))
+		s.featBudget = memctl.New(cfg.FeatureCacheBudgetBytes)
+		fh, err := cache.BuildFeatures(ds, s.featBudget)
 		if err != nil {
 			return nil, fmt.Errorf("core: build hot-node feature cache: %w", err)
 		}
 		s.featHot = fh
 		if lo, hi := ds.ShardRange(); !fh.Adaptive() && int64(fh.Nodes()) < hi-lo {
-			log.Printf("core: feature cache budget %d B pins %d rows, too few to pay for per-node access counters; admission stays degree-first",
-				cfg.FeatureCacheBudgetBytes, fh.Nodes())
+			log.Printf("core: feature cache budget %d B pins %d rows and stays degree-first: it learns from %d B, eight times its access counters and bitmap",
+				cfg.FeatureCacheBudgetBytes, fh.Nodes(), cache.LearnBudget(ds.NumNodes()))
 		}
 	}
 	// Resolve the default strategy eagerly so a misnamed Config.Strategy
@@ -139,9 +142,20 @@ func (s *Sampler) FeatureCacheInfo() (nodes int, bytes int64) {
 	return s.featHot.Nodes(), s.featHot.Bytes()
 }
 
+// FeatureCacheHeld returns what the feature cache holds, by component
+// (cache.Hot.Held), and what its budget was charged: zeros when it is off.
+func (s *Sampler) FeatureCacheHeld() (rows, index, learn, charged int64) {
+	rows, index, learn = s.featHot.Held()
+	if s.featBudget != nil {
+		charged = s.featBudget.Used()
+	}
+	return rows, index, learn, charged
+}
+
 // FeatureCacheAdaptive reports whether the feature cache re-admits rows
-// by measured access counts at epoch boundaries. False when the cache is
-// off, pins every node, or its budget is too small for the counters.
+// by measured access counts at epoch boundaries: it does when its counters
+// and bitmap take at most an eighth of its budget (cache.LearnBudget) and
+// the budget cannot pin every row without them.
 func (s *Sampler) FeatureCacheAdaptive() bool { return s.featHot.Adaptive() }
 
 // Worker is one sampling thread (paper Fig 3a): private rings, a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"ringsampler/internal/cache"
 	"ringsampler/internal/core"
 	"ringsampler/internal/gen"
 	"ringsampler/internal/sample"
@@ -191,7 +192,9 @@ func TestTrainEpochStatsCarryIO(t *testing.T) {
 	targets := testTargets(ds, 320)
 	run := func(cacheRows int64, serialized bool) []*train.EpochStats {
 		cfg := trainCfg(2)
-		cfg.FeatureCacheBudgetBytes = cacheRows * (ds.FeatureStride() + 48)
+		if cacheRows > 0 {
+			cfg.FeatureCacheBudgetBytes = cache.FeatureBudget(ds.NumNodes(), ds.FeatureStride(), cacheRows, true)
+		}
 		s, err := core.New(ds, cfg, uring.BackendPool)
 		if err != nil {
 			t.Fatal(err)
@@ -217,7 +220,7 @@ func TestTrainEpochStatsCarryIO(t *testing.T) {
 		return float64(st.IO.FeatCacheHits) / float64(st.IO.FeatCacheHits+st.IO.FeatCacheMisses)
 	}
 	for _, serialized := range []bool{false, true} {
-		cached := run(500, serialized)
+		cached := run(600, serialized)
 		for e, st := range cached {
 			if st.WeightsDigest != plain[e].WeightsDigest || st.Loss != plain[e].Loss {
 				t.Fatalf("serialized=%v epoch %d: the feature cache changed the weights or the loss", serialized, e)

@@ -43,12 +43,14 @@ go test -C cmd/bench $short ./...
 # single node; loss curve and weights bit-identical across thread counts
 # and pipeline modes (DESIGN.md §13); the adaptive feature cache's
 # pinned set and bytes thread-invariant, payloads identical across
-# re-admissions, re-admission race-free (DESIGN.md §10).
+# re-admissions, re-admission race-free, its charge equal to the bytes it
+# holds, its counters' order kept over long runs (DESIGN.md §10).
 go test -race -run 'TestEpochThreadInvariance|TestStrategyThreadInvariance' ./internal/core
 go test -race -run 'TestRouterMatchesSingleNode|TestRouterShardFaultStillIdentical' ./internal/shard
 go test -race -run 'TestShardConformance' ./internal/serve
 go test -race -run 'TestTrainThreadInvariance|TestTrainOverlappedMatchesSerialized' ./internal/train
 go test -race -run 'TestFeatureCacheThreadInvariance|TestFeatureCacheBypassAcrossReadmissions|TestFeatureCacheReadmitConcurrentWithSamplers' ./internal/core
+go test -race -run 'TestChargeEqualsHeld|TestCountersKeepOrderOverLongRuns' ./internal/cache
 
 # Serving shutdown order (DESIGN.md §8): no handler may still send on the
 # admission queue when Shutdown closes it, and the queue_depth and
