@@ -293,9 +293,9 @@ func TestRunTrain(t *testing.T) {
 func TestRunTrainPrintsLearningCurve(t *testing.T) {
 	var sb strings.Builder
 	if err := run([]string{
-		// 1 MiB pins 12078 of the temporary graph's 16000 16-dim vectors:
-		// (1 MiB − 34000 B of counters and bitmap) / (64 + 20) B per row.
-		"-backend", "pool", "-nodes", "16000", "-edges", "200000", "-targets", "1024", "-batch", "128",
+		// 1 MiB pins 15537 of the temporary graph's 24000 16-dim vectors:
+		// (1 MiB − 54188 B of counters, bitmaps and rank directory) / 64 B.
+		"-backend", "pool", "-nodes", "24000", "-edges", "300000", "-targets", "1024", "-batch", "128",
 		"-threads", "2", "-train", "-train-epochs", "3", "-train-hidden", "8", "-feature-cache-mb", "1",
 	}, &sb); err != nil {
 		t.Fatalf("run -train: %v\n%s", err, sb.String())
@@ -304,8 +304,8 @@ func TestRunTrainPrintsLearningCurve(t *testing.T) {
 	if !strings.Contains(out, "re-admitted by measured access counts at epoch boundaries") {
 		t.Fatalf("feature cache policy line missing:\n%s", out)
 	}
-	if nodes, _, learner := featcacheGauge(t, out); nodes != 12078 || learner == 0 {
-		t.Fatalf("feature cache pinned %d nodes with a %d B learner, want 12078 nodes and a learner:\n%s", nodes, learner, out)
+	if nodes, _, learner := featcacheGauge(t, out); nodes != 15537 || learner == 0 {
+		t.Fatalf("feature cache pinned %d nodes with a %d B learner, want 15537 nodes and a learner:\n%s", nodes, learner, out)
 	}
 	var hits []float64
 	var admitted []int
@@ -334,7 +334,8 @@ func TestRunTrainPrintsLearningCurve(t *testing.T) {
 
 // featcacheGauge parses the featcache pinned line of out and checks its
 // memory gauge: the bytes held by component sum to the bytes the budget
-// was charged, which fit in the budget. It returns the pinned nodes, the
+// was charged, which fit in the budget, and a cache with a learner finds
+// its rows by rank, one without by hash. It returns the pinned nodes, the
 // row bytes and the learner's bytes.
 func featcacheGauge(t *testing.T, out string) (nodes int, rows, learner int64) {
 	t.Helper()
@@ -343,12 +344,16 @@ func featcacheGauge(t *testing.T, out string) (nodes int, rows, learner int64) {
 		t.Fatalf("no featcache pinned line:\n%s", out)
 	}
 	var budget, index, charged int64
-	if _, err := fmt.Sscanf(out[at:], "featcache pinned %d nodes under a %d B budget, holding rows %d B + index %d B + learner %d B = charged %d B",
-		&nodes, &budget, &rows, &index, &learner, &charged); err != nil {
+	var kind string
+	if _, err := fmt.Sscanf(out[at:], "featcache pinned %d nodes under a %d B budget, holding rows %d B + %s index %d B + learner %d B = charged %d B",
+		&nodes, &budget, &rows, &kind, &index, &learner, &charged); err != nil {
 		t.Fatalf("featcache line: %v\n%s", err, out)
 	}
 	if rows+index+learner != charged || charged > budget || rows == 0 {
 		t.Fatalf("feature cache holds %d + %d + %d B, charged %d B of %d:\n%s", rows, index, learner, charged, budget, out)
+	}
+	if want := map[bool]string{false: "hash", true: "rank"}[learner > 0]; kind != want {
+		t.Fatalf("feature cache with a %d B learner names a %s index, want %s:\n%s", learner, kind, want, out)
 	}
 	return nodes, rows, learner
 }
@@ -363,7 +368,7 @@ func TestFeatcacheGaugeSumsToCharge(t *testing.T) {
 		pinned int
 		learns bool
 	}{
-		{"16000", 12078, true},
+		{"24000", 15537, true},
 		{"12000", 12000, false},
 	} {
 		var sb strings.Builder

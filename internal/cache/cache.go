@@ -62,16 +62,16 @@ type Owner interface {
 const EntryBytes = 4
 
 // overhead is what a cache over numNodes nodes holds besides its row
-// bytes: perRow per pinned row and fixed once. Every cache holds two
-// 8-byte index slots per row; variable rows add an 8-byte offset per row
-// and a closing one; a learning cache (fixed rows only) adds a 4-byte
-// slot-map entry per row and the learner's counters and bitmap.
+// bytes: perRow per pinned row and fixed once. A static cache's hash
+// index holds two 8-byte slots per row, and variable rows add an 8-byte
+// offset per row and a closing one; a learning cache (fixed rows only)
+// holds nothing per row, only its rank index and learner (learnerBytes).
 func overhead(numNodes int64, variable, learn bool) (perRow, fixed int64) {
 	if variable {
 		return 24, 8
 	}
 	if learn {
-		return 20, learnerBytes(numNodes)
+		return 0, learnerBytes(numNodes)
 	}
 	return 16, 0
 }
@@ -119,8 +119,9 @@ func (s *source) rowOff(v int64) int64 {
 	return s.offsets[v] * EntryBytes
 }
 
-// Hot is a fixed-capacity store of per-node rows behind an
-// open-addressed index. A nil *Hot is a valid always-miss cache.
+// Hot is a fixed-capacity store of per-node rows behind an index: an
+// open-addressed hash table on a static cache, a rank index over node
+// ids on a learning one. A nil *Hot is a valid always-miss cache.
 //
 // A static cache (Adaptive() == false) never changes after Build and
 // needs no synchronization. An adaptive one is mutated in place by
@@ -128,7 +129,7 @@ func (s *source) rowOff(v int64) int64 {
 // use of the slices Lookup returned, with RLock/RUnlock.
 type Hot struct {
 	mu     sync.RWMutex
-	index  table
+	index  table // static caches only; a learning one finds rows by rank
 	data   []byte
 	stride int64   // fixed row bytes; 0: rows are located by off
 	off    []int64 // variable rows: row of slot s is data[off[s]:off[s+1]]
@@ -171,7 +172,7 @@ func newSource(g interface{ Offsets() []int64 }, src source) *source {
 // build selects the cold-start prefix of src's candidates under budget,
 // charges it exactly what the cache holds (see overhead), and fills the
 // rows in file order. A feature cache learns when its budget is at least
-// LearnBudget and too small to pin every row without a learner.
+// LearnBudget and too small for a static cache to pin every row.
 func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 	if budget == nil {
 		return nil, fmt.Errorf("cache: nil budget")
@@ -205,28 +206,35 @@ func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 		return nil, err
 	}
 	h.data = make([]byte, dataBytes)
-	h.index = newTable(len(picked))
 	if src.stride == 0 {
 		h.off = append(h.off, dataBytes)
 	}
 	// Ascending id is file order for both layouts, and slots are handed
-	// out in the same order, so neighbouring rows merge into one read;
-	// the reads go out together.
+	// out in the same order (a rank index's slots are exactly that), so
+	// neighbouring rows merge into one read; the reads go out together.
 	fill := filler{src: src, data: h.data}
 	var at int64
-	for slot, v := range picked {
+	for _, v := range picked {
 		n := src.rowBytes(src.degree(int64(v)))
 		fill.add(src.rowOff(int64(v)), at, n)
-		h.index.insert(v, slot)
 		at += n
 	}
 	if _, err := fill.run(); err != nil {
 		return nil, err
 	}
-	if learn {
-		rank.heat = make([]uint16, n)
-		h.learn = &learner{rank: rank, slotNode: picked, want: make([]uint64, (n+63)/64)}
+	if !learn {
+		h.index = newTable(len(picked))
+		for slot, v := range picked {
+			h.index.insert(v, slot)
+		}
+		return h, nil
 	}
+	rank.heat = make([]uint16, n)
+	h.learn = &learner{rank: rank, pinned: newRanked(n), want: make([]uint64, (n+63)/64)}
+	for _, v := range picked {
+		h.learn.pinned.bits[v>>6] |= 1 << (v & 63)
+	}
+	h.learn.pinned.rebuild()
 	return h, nil
 }
 
@@ -265,10 +273,15 @@ func (f *filler) run() (int64, error) {
 // cached. The returned slice aliases the cache; callers must not modify
 // it, and on an adaptive cache must hold the read lock while they use it.
 func (h *Hot) Lookup(v uint32) []byte {
-	if h == nil || len(h.index) == 0 {
+	if h == nil {
 		return nil
 	}
-	slot := h.index.find(v)
+	slot := -1
+	if h.learn != nil {
+		slot = h.learn.pinned.find(v)
+	} else if len(h.index) > 0 {
+		slot = h.index.find(v)
+	}
 	if slot < 0 {
 		return nil
 	}
@@ -296,8 +309,11 @@ func (h *Hot) RUnlock() {
 
 // Nodes returns how many nodes are cached.
 func (h *Hot) Nodes() int {
-	if h == nil {
+	switch {
+	case h == nil:
 		return 0
+	case h.learn != nil:
+		return h.learn.pinned.total
 	}
 	return len(h.index) / 2
 }
@@ -308,15 +324,18 @@ func (h *Hot) Bytes() int64 {
 	return rows
 }
 
-// Held measures what h's slices hold, in bytes: the rows, the index
-// (with the offsets of variable rows), and the learner's slot map,
-// counters and bitmap. Build charged its budget exactly their sum.
+// Held measures what h's slices hold, in bytes: the rows, the index (the
+// hash table with the offsets of variable rows, or the pinned bitmap and
+// rank directory), and the learner's counters and re-admission bitmap.
+// Build charged its budget exactly their sum.
 func (h *Hot) Held() (rows, index, learn int64) {
 	if h == nil {
 		return 0, 0, 0
 	}
+	index = int64(len(h.index)+len(h.off)) * 8
 	if l := h.learn; l != nil {
-		learn = int64(len(l.slotNode))*4 + int64(len(l.rank.heat))*2 + int64(len(l.want))*8
+		index += int64(len(l.pinned.bits))*8 + int64(len(l.pinned.dir))*4
+		learn = int64(len(l.rank.heat))*2 + int64(len(l.want))*8
 	}
-	return int64(len(h.data)), int64(len(h.index)+len(h.off)) * 8, learn
+	return int64(len(h.data)), index, learn
 }

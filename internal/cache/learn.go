@@ -2,10 +2,10 @@ package cache
 
 import "math/bits"
 
-// learner is what makes a cache adaptive: per-node access counters and
-// the bookkeeping Readmit needs to swap rows in place. A feature cache
-// has one when the counters and the re-admission bitmap take at most an
-// eighth of its budget (LearnBudget) and it does not pin every row.
+// learner is what makes a cache adaptive: per-node access counters, the
+// rank index its rows are found by, and the bitmap Readmit re-ranks
+// into. A feature cache has one when these take at most an eighth of its
+// budget (LearnBudget) and a static cache could not pin every row.
 //
 // Counting is two-phase so that only whole epochs are ever learned from:
 // Count adds to the low pendingBits of a node's 16-bit counter word,
@@ -22,9 +22,8 @@ import "math/bits"
 // concurrently with all of them.
 type learner struct {
 	rank ranking
-	// slotNode is the node each row slot holds; freeSlot only while
-	// Readmit is re-assigning the slot, or after a failed fill.
-	slotNode []uint32
+	// pinned indexes the rows: row slot s holds the pinned node of rank s.
+	pinned ranked
 	// want is Readmit's scratch bitmap over node ids, zero between calls.
 	want []uint64
 	// dirty records that a Fold changed heat since the last Readmit.
@@ -32,23 +31,26 @@ type learner struct {
 }
 
 const (
-	freeSlot    = ^uint32(0) // never a node id: node counts stop below 2^32-1
 	pendingBits = 4
 	pendingMax  = 1<<pendingBits - 1
 	foldedMax   = 1<<(16-pendingBits) - 1
 )
 
 // learnerBytes is what a learner holds whatever its row count: a 2-byte
-// counter per node and the bitmap.
-func learnerBytes(numNodes int64) int64 { return numNodes*2 + (numNodes+63)/64*8 }
+// counter per node, the re-admission and pinned bitmaps, and the rank
+// directory, a uint32 per blockWords words of bitmap.
+func learnerBytes(numNodes int64) int64 {
+	words := (numNodes + 63) / 64
+	return numNodes*2 + 2*words*8 + (words+blockWords-1)/blockWords*4
+}
 
 // LearnBudget is the least budget under which a feature cache over
-// numNodes nodes learns: eight times its counters and bitmap.
+// numNodes nodes learns: eight times its learner (learnerBytes).
 func LearnBudget(numNodes int64) int64 { return 8 * learnerBytes(numNodes) }
 
 // Adaptive reports whether the cache carries access counters and
 // re-ranks itself on Readmit: a feature cache under at least LearnBudget
-// that cannot pin every row without them.
+// that is too small for a static cache to pin every row.
 func (h *Hot) Adaptive() bool { return h != nil && h.learn != nil }
 
 // Count records one access to each of nodes (ids below the node count)
@@ -114,9 +116,10 @@ type Readmission struct {
 
 // Readmit re-ranks the candidates by the folded heat and makes the
 // pinned set the top of that order again: rows that dropped out are
-// evicted, their slots are refilled from the file with the rows that
-// came in, and nothing else is touched. The row count never changes. It
-// does nothing unless a Fold changed heat since the last call.
+// evicted, the rows that stay move in place to their new ranks, and the
+// rows that came in are filled from the file at theirs. The row count
+// never changes. It does nothing unless a Fold changed heat since the
+// last call.
 //
 // If a fill read fails the cache is emptied — every lookup misses, which
 // is always correct — and the next Readmit admits the full set afresh.
@@ -125,52 +128,58 @@ func (h *Hot) Readmit() (Readmission, error) {
 	if !h.Adaptive() || !h.learn.dirty {
 		return res, nil
 	}
-	l := h.learn
+	l, stride := h.learn, h.stride
 	src := l.rank.src
-	for _, v := range l.rank.admitted(l.rank.selectTop(int64(len(l.slotNode)) * l.rank.cost(0))) {
+	// The rows' bytes are their whole cost: a learning cache holds nothing per row.
+	for _, v := range l.rank.admitted(l.rank.selectTop(int64(len(h.data)))) {
 		l.want[v>>6] |= 1 << (v & 63)
 	}
 
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	// A wanted row that is already held stays where it is; what is left
-	// in want afterwards is exactly the rows to bring in.
-	for slot, v := range l.slotNode {
-		if v == freeSlot {
-			continue
-		}
-		if w, bit := &l.want[v>>6], uint64(1)<<(v&63); *w&bit != 0 {
-			*w &^= bit
-			continue
-		}
-		h.index.remove(v)
-		l.slotNode[slot] = freeSlot
-		res.Evicted++
-	}
-	// The cache is full before and after, so there is a free slot for
-	// every node still wanted. Ascending ids meet ascending slots, and
-	// neighbouring pairs merge into one read; the reads go out together.
+	// A kept row moves from its old rank (held: pinned nodes before it) to
+	// its new one (at: wanted nodes before it). Ranks rise with ids in
+	// both sets, so a row moving left only overwrites rows already moved
+	// when the moves go by ascending id, and a row moving right when they
+	// go by descending id. The ascending pass also plans the fill of the
+	// rows that came in at their new ranks: adjacent ids merge into one read.
+	move := func(from, to int) { copy(h.data[int64(to)*stride:int64(to+1)*stride], h.data[int64(from)*stride:]) }
 	fill := filler{src: src, data: h.data}
-	slot := 0
+	held, at := 0, 0
 	for wi, w := range l.want {
+		p := l.pinned.bits[wi]
 		for ; w != 0; w &= w - 1 {
-			v := uint32(wi<<6 + bits.TrailingZeros64(w))
-			for l.slotNode[slot] != freeSlot {
-				slot++
+			if bit := w & -w; p&bit == 0 {
+				v := int64(wi<<6 + bits.TrailingZeros64(w))
+				fill.add(src.rowOff(v), int64(at)*stride, stride)
+				res.Admitted++
+			} else if from := held + bits.OnesCount64(p&(bit-1)); from > at {
+				move(from, at)
 			}
-			l.slotNode[slot] = v
-			h.index.insert(v, slot)
-			fill.add(src.rowOff(int64(v)), int64(slot)*h.stride, h.stride)
-			res.Admitted++
+			at++
 		}
-		l.want[wi] = 0
+		held += bits.OnesCount64(p)
 	}
+	res.Evicted = int64(held-at) + res.Admitted // held, less those kept
+	for wi := len(l.want) - 1; wi >= 0; wi-- {
+		p := l.pinned.bits[wi]
+		held -= bits.OnesCount64(p)
+		for w := l.want[wi]; w != 0; {
+			bit := uint64(1) << (63 - bits.LeadingZeros64(w))
+			w &^= bit
+			at--
+			if from := held + bits.OnesCount64(p&(bit-1)); p&bit != 0 && from < at {
+				move(from, at)
+			}
+		}
+	}
+	copy(l.pinned.bits, l.want)
+	clear(l.want)
+	l.pinned.rebuild()
 	moved, err := fill.run()
 	if err != nil {
-		clear(h.index)
-		for slot := range l.slotNode {
-			l.slotNode[slot] = freeSlot
-		}
+		clear(l.pinned.bits)
+		l.pinned.rebuild()
 		return Readmission{}, err
 	}
 	res.Reads, res.Bytes, res.Moved = int64(len(fill.reads)), fill.bytes, moved

@@ -492,8 +492,8 @@ func selectDeepKeys(t *testing.T) {
 	cost := learnCost(n, stride)
 	heat := make([]uint32, n)
 	add := make([]int, n)
-	// Up to 342 of 400 rows: more would pin every row without counters.
-	for rows := 120; rows < 350; rows += 37 {
+	// Up to 379 of 400 rows.
+	for rows := 120; rows < n; rows += 37 {
 		h, f := adaptiveFake(t, degrees, stride, rows)
 		clear(heat)
 		if want := referencePrefix(degrees, nil, 0, cost, int64(rows)*cost(0)); !slices.Equal(pinnedSet(h, n), want) {
@@ -741,8 +741,8 @@ func TestCountersKeepOrderOverLongRuns(t *testing.T) {
 }
 
 // TestChargeEqualsHeld: every cache charges its budget exactly the bytes
-// its slices hold — rows, index slots, row offsets, slot map, counters
-// and bitmap — for the neighbor cache, a static feature cache and an
+// its slices hold — rows, index slots, row offsets, counters, bitmaps and
+// rank directory — for the neighbor cache, a static feature cache and an
 // adaptive one at several budgets, before and after re-admissions. The
 // selection still stops at the first row that does not fit, and Held
 // reports the same bytes by component.
@@ -753,7 +753,7 @@ func TestChargeEqualsHeld(t *testing.T) {
 	held := func(h *Hot) int64 {
 		b := int64(len(h.data)) + int64(len(h.index))*8 + int64(len(h.off))*8
 		if l := h.learn; l != nil {
-			b += int64(len(l.rank.heat))*2 + int64(len(l.slotNode))*4 + int64(len(l.want))*8
+			b += int64(len(l.rank.heat))*2 + int64(len(l.want))*8 + int64(len(l.pinned.bits))*8 + int64(len(l.pinned.dir))*4
 		}
 		return b
 	}
@@ -814,17 +814,18 @@ func TestChargeEqualsHeld(t *testing.T) {
 }
 
 // TestLearnThreshold: a feature cache learns from LearnBudget — eight
-// times its counters and bitmap — up to the budget that pins every row
-// without them. Within each mode the row count grows with the budget;
-// the one step is at the threshold, where the learner and 4 B per row
-// come out of the rows. On 2,000 nodes of 16 B: counters 4,000 B and a
-// 32-word bitmap 256 B make LearnBudget 34,048 B; one byte below it the
-// static cache pins 34,047 / 32 = 1,063 rows, at it the adaptive cache
-// (34,048 − 4,256) / 36 = 827.
+// times its counters, bitmaps and rank directory — up to the budget under
+// which a static cache pins every row. A learning cache holds nothing per
+// row, so at rows this narrow (under 112 B) the row count steps up at the
+// threshold and grows with the budget across the whole range. On 2,000
+// nodes of 16 B: counters 4,000 B, two 32-word bitmaps 512 B and a
+// 4-entry directory 16 B make LearnBudget 36,224 B; one byte below it the
+// static cache pins 36,223 / 32 = 1,131 rows, at it the adaptive cache
+// (36,224 − 4,528) / 16 = 1,981.
 func TestLearnThreshold(t *testing.T) {
 	const n, stride = 2000, 16
 	f := newFakeFeatures(tiedDegrees(rand.New(rand.NewSource(47)), n), stride)
-	const learnAt, learner = 34_048, 4_256
+	const learnAt, learner = 36_224, 4_528
 	if got := LearnBudget(n); got != learnAt {
 		t.Fatalf("LearnBudget(%d) = %d, want %d", n, got, learnAt)
 	}
@@ -835,28 +836,25 @@ func TestLearnThreshold(t *testing.T) {
 		}
 		return h.Nodes(), h.Adaptive()
 	}
-	if rows, adaptive := pinned(learnAt - 1); rows != 1063 || adaptive {
-		t.Fatalf("one byte below the threshold: %d rows, adaptive %v; want 1063 static rows", rows, adaptive)
+	if rows, adaptive := pinned(learnAt - 1); rows != 1131 || adaptive {
+		t.Fatalf("one byte below the threshold: %d rows, adaptive %v; want 1131 static rows", rows, adaptive)
 	}
-	if rows, adaptive := pinned(learnAt); rows != 827 || !adaptive {
-		t.Fatalf("at the threshold: %d rows, adaptive %v; want 827 adaptive rows", rows, adaptive)
+	if rows, adaptive := pinned(learnAt); rows != 1981 || !adaptive {
+		t.Fatalf("at the threshold: %d rows, adaptive %v; want 1981 adaptive rows", rows, adaptive)
 	}
 	prev := 0
 	for limit := int64(1); limit < n*(stride+16)+500; limit += 731 {
 		wantAdaptive := limit >= learnAt && limit < n*(stride+16)
 		want := int(min(limit/(stride+16), n))
 		if wantAdaptive {
-			want = int((limit - learner) / (stride + 20))
+			want = int(min((limit-learner)/stride, n))
 		}
 		rows, adaptive := pinned(limit)
 		if rows != want || adaptive != wantAdaptive {
 			t.Fatalf("budget %d: %d rows, adaptive %v; want %d, adaptive %v", limit, rows, adaptive, want, wantAdaptive)
 		}
-		if limit >= learnAt && limit-731 < learnAt {
-			prev = 0 // the step: the adaptive side starts over
-		}
 		if rows < prev {
-			t.Fatalf("budget %d pins %d rows, a smaller one of the same mode %d", limit, rows, prev)
+			t.Fatalf("budget %d pins %d rows, a smaller one %d", limit, rows, prev)
 		}
 		prev = rows
 	}
@@ -880,12 +878,12 @@ func TestReadmitFillFailure(t *testing.T) {
 	if _, err := h.Readmit(); !errors.Is(err, errFakeRead) {
 		t.Fatalf("Readmit error %v, want the read failure", err)
 	}
-	if got := pinnedSet(h, n); len(got) != 0 {
-		t.Fatalf("%d rows still answer after a failed fill", len(got))
+	if got := pinnedSet(h, n); len(got) != 0 || h.Nodes() != 0 {
+		t.Fatalf("%d rows still answer after a failed fill, %d reported pinned", len(got), h.Nodes())
 	}
 	re, err := h.Readmit()
-	if err != nil || re.Admitted != rows || re.Evicted != 0 {
-		t.Fatalf("recovery re-admission did %+v, %v", re, err)
+	if err != nil || re.Admitted != rows || re.Evicted != 0 || h.Nodes() != rows {
+		t.Fatalf("recovery re-admission did %+v, %v, and left %d rows pinned", re, err, h.Nodes())
 	}
 	heat := make([]uint32, n)
 	for _, v := range cold {
@@ -962,61 +960,155 @@ func TestLookupDuringReadmit(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTableAgainstMap drives the open-addressed index through random
-// inserts and removes (node 0 and wrap-around clusters included) and
-// checks it against a map after every step.
+// TestTableAgainstMap fills the open-addressed index with random keys
+// (node 0 and wrap-around clusters included) and checks it against a map
+// after every insert, present and absent keys alike.
 func TestTableAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, rows := range []int{1, 2, 7, 64} {
-		tab := newTable(rows)
-		model := map[uint32]int{}
-		free := make([]int, rows)
-		for i := range free {
-			free[i] = i
-		}
-		keys := func() uint32 { return uint32(rng.Intn(4 * rows)) }
-		for step := 0; step < 4000; step++ {
-			v := keys()
-			if slot, ok := model[v]; ok && rng.Intn(2) == 0 {
-				tab.remove(v)
-				delete(model, v)
-				free = append(free, slot)
-			} else if !ok && len(free) > 0 {
-				slot := free[len(free)-1]
-				free = free[:len(free)-1]
-				tab.insert(v, slot)
-				model[v] = slot
-			} else {
-				tab.remove(keys() + uint32(8*rows)) // absent: no-op
-			}
-			for probe := uint32(0); probe < uint32(4*rows); probe++ {
-				want, ok := model[probe]
-				if !ok {
-					want = -1
-				}
-				if got := tab.find(probe); got != want {
-					t.Fatalf("rows %d step %d: find(%d) = %d, want %d", rows, step, probe, got, want)
+		for trial := 0; trial < 40; trial++ {
+			tab := newTable(rows)
+			model := map[uint32]int{}
+			for slot, v := range rng.Perm(4 * rows)[:rows] {
+				tab.insert(uint32(v), slot)
+				model[uint32(v)] = slot
+				for probe := uint32(0); probe < uint32(4*rows); probe++ {
+					want, ok := model[probe]
+					if !ok {
+						want = -1
+					}
+					if got := tab.find(probe); got != want {
+						t.Fatalf("rows %d trial %d: find(%d) = %d, want %d", rows, trial, probe, got, want)
+					}
 				}
 			}
 		}
 	}
 }
 
-// BenchmarkReadmit times one epoch-boundary re-admission on a
-// million-node index: the ranking passes plus the swap of the few rows a
-// steady access pattern still moves.
-func BenchmarkReadmit(b *testing.B) {
+// TestRankedAgainstSorted: after every rebuild the rank index finds each
+// pinned node at its position in the sorted pinned list and every other
+// id, beyond the node count too, nowhere — at node counts around word
+// and block boundaries, for random, empty, full and last-node-only sets.
+func TestRankedAgainstSorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, n := range []int{1, 63, 64, 65, 511, 512, 513, 4097} {
+		r := newRanked(int64(n))
+		for _, pinned := range []func(v int) bool{
+			func(int) bool { return rng.Intn(3) == 0 },
+			func(int) bool { return false },
+			func(int) bool { return true },
+			func(v int) bool { return v == n-1 },
+			func(int) bool { return rng.Intn(2) == 0 },
+		} {
+			clear(r.bits)
+			var sorted []uint32
+			for v := 0; v < n; v++ {
+				if pinned(v) {
+					r.bits[v>>6] |= 1 << (v & 63)
+					sorted = append(sorted, uint32(v))
+				}
+			}
+			r.rebuild()
+			if r.total != len(sorted) {
+				t.Fatalf("%d nodes: total %d, %d pinned", n, r.total, len(sorted))
+			}
+			for v := uint32(0); v < uint32(n); v++ {
+				want, ok := slices.BinarySearch(sorted, v)
+				if !ok {
+					want = -1
+				}
+				if got := r.find(v); got != want {
+					t.Fatalf("%d nodes, %d pinned: find(%d) = %d, want %d", n, len(sorted), v, got, want)
+				}
+			}
+			for _, v := range []uint32{uint32(n), uint32(len(r.bits) * 64), ^uint32(0)} {
+				if got := r.find(v); got != -1 {
+					t.Fatalf("%d nodes: find(%d) = %d beyond the node count", n, v, got)
+				}
+			}
+		}
+	}
+}
+
+// TestReadmitMovesInPlace: one re-admission evicts a run in the middle
+// of the pinned ids and admits a run below them and one above, so the
+// kept rows below the evicted run move right and those above it move
+// left in the same call. Every row must still be its node's own, and
+// each admitted run must be one read.
+func TestReadmitMovesInPlace(t *testing.T) {
+	const n, stride, rows = 400, 64, 120
+	degrees := make([]int64, n)
+	for v := 100; v < 220; v++ {
+		degrees[v] = 10 // the cold start pins exactly these
+	}
+	h, f := adaptiveFake(t, degrees, stride, rows)
+	heat := make([]uint32, n)
+	var batch []uint32
+	for v := range n {
+		if 10 <= v && v < 30 || 100 <= v && v < 150 || 180 <= v && v < 220 || 300 <= v && v < 310 {
+			batch = append(batch, uint32(v))
+			heat[v] = 1
+		}
+	}
+	h.Count(batch)
+	h.Fold()
+	f.reads = 0
+	re, err := h.Readmit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := learnCost(n, stride)
+	if want := referencePrefix(degrees, heat, 0, cost, rows*cost(0)); !slices.Equal(pinnedSet(h, n), want) {
+		t.Fatal("pinned set differs from the reference sort's top")
+	}
+	assertRows(t, h, f, "after moving rows both ways")
+	if re.Admitted != 30 || re.Evicted != 30 || re.Reads != 2 || re.Reads != int64(f.reads) {
+		t.Fatalf("re-admission did %+v with %d reads seen; want 30 rows in, 30 out, in 2 reads", re, f.reads)
+	}
+}
+
+// millionNodeCache builds an adaptive cache of 128 B rows under 32 MB
+// over a million nodes of exponentially distributed degree.
+func millionNodeCache(b *testing.B, rng *rand.Rand) *Hot {
 	const n = 1_000_000
-	rng := rand.New(rand.NewSource(1))
 	degrees := make([]int64, n)
 	for i := range degrees {
 		degrees[i] = int64(rng.ExpFloat64() * 20)
 	}
-	f := newFakeFeatures(degrees, 128)
-	h, err := BuildFeatures(f, memctl.New(32_000_000))
+	h, err := BuildFeatures(newFakeFeatures(degrees, 128), memctl.New(32_000_000))
 	if err != nil || !h.Adaptive() {
 		b.Fatalf("adaptive %v, err %v", h.Adaptive(), err)
 	}
+	return h
+}
+
+// BenchmarkLookup times one Lookup of a uniformly random node on a
+// million-node adaptive cache, hits and misses as they come.
+func BenchmarkLookup(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	h := millionNodeCache(b, rng)
+	probes := make([]uint32, 1<<16)
+	for i := range probes {
+		probes[i] = uint32(rng.Intn(1_000_000))
+	}
+	hits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if h.Lookup(probes[i&(len(probes)-1)]) != nil {
+			hits++
+		}
+	}
+	b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+}
+
+// BenchmarkReadmit times one epoch-boundary re-admission on a
+// million-node index: the ranking passes plus the moves and fills of the
+// rows a steady access pattern still changes.
+func BenchmarkReadmit(b *testing.B) {
+	const n = 1_000_000
+	rng := rand.New(rand.NewSource(1))
+	h := millionNodeCache(b, rng)
 	train := make([]uint32, 100_000)
 	for i := range train {
 		train[i] = uint32(rng.Intn(n))

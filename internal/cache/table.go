@@ -1,6 +1,8 @@
 package cache
 
-// table is the cache's index: an open-addressed, linearly probed hash
+import "math/bits"
+
+// table is a static cache's index: an open-addressed, linearly probed hash
 // table from node id to row slot, kept at most half full. One entry is
 // uint64(node+1)<<32 | slot, so zero means empty, no empty entry matches
 // any node, and a probe that hits reads key and slot from the same word.
@@ -23,8 +25,6 @@ func (t table) next(i int) int {
 	}
 	return i
 }
-
-func entryNode(e uint64) uint32 { return uint32(e>>32) - 1 }
 
 // find returns v's slot, or -1. The table must not be empty (len 0).
 //
@@ -77,32 +77,44 @@ func (t table) insert(v uint32, slot int) {
 	t[i] = (uint64(v)+1)<<32 | uint64(slot)
 }
 
-// remove deletes v (a no-op when absent) by backward shift: every entry
-// of the probe run after the hole that may legally sit in it moves up,
-// so lookups never need tombstones and the table never degrades.
-func (t table) remove(v uint32) {
-	i := t.home(v)
-	for ; ; i = t.next(i) {
-		if t[i] == 0 {
-			return
-		}
-		if entryNode(t[i]) == v {
-			break
-		}
+// ranked is a learning cache's index: one bit per node, set when the node
+// is pinned, and a rank directory. A pinned node's slot is its rank among
+// the pinned nodes, so rows sit in ascending node order and the index
+// holds nothing per row. dir[b] counts the pinned nodes before block b of
+// blockWords words, so a lookup reads one block (a cache line) of bits.
+type ranked struct {
+	bits  []uint64
+	dir   []uint32
+	total int // pinned nodes
+}
+
+const blockWords = 8
+
+func newRanked(numNodes int64) ranked {
+	words := (numNodes + 63) / 64
+	return ranked{bits: make([]uint64, words), dir: make([]uint32, (words+blockWords-1)/blockWords)}
+}
+
+// find returns v's slot, or -1.
+func (r *ranked) find(v uint32) int {
+	w, bit := int(v>>6), uint64(1)<<(v&63)
+	if w >= len(r.bits) || r.bits[w]&bit == 0 {
+		return -1
 	}
-	for j := t.next(i); t[j] != 0; j = t.next(j) {
-		// The entry at j can fill the hole at i unless its home lies
-		// cyclically in (i, j] — then the hole is before its probe start.
-		k := t.home(entryNode(t[j]))
-		if i <= j {
-			if i < k && k <= j {
-				continue
-			}
-		} else if i < k || k <= j {
-			continue
-		}
-		t[i] = t[j]
-		i = j
+	slot := int(r.dir[w/blockWords]) + bits.OnesCount64(r.bits[w]&(bit-1))
+	for _, x := range r.bits[w&^(blockWords-1) : w] {
+		slot += bits.OnesCount64(x)
 	}
-	t[i] = 0
+	return slot
+}
+
+// rebuild recomputes the directory after the bits changed.
+func (r *ranked) rebuild() {
+	r.total = 0
+	for w, x := range r.bits {
+		if w%blockWords == 0 {
+			r.dir[w/blockWords] = uint32(r.total)
+		}
+		r.total += bits.OnesCount64(x)
+	}
 }

@@ -87,8 +87,8 @@ type Config struct {
 	// so their fetches never touch the ring: the highest-degree nodes at
 	// construction, and from then on the nodes completed epochs fetched
 	// most often, re-admitted at epoch boundaries (RunEpochSeeded) when
-	// the budget is at least cache.LearnBudget and cannot pin every row
-	// without the counters. 0 disables it.
+	// the budget is at least cache.LearnBudget and a static cache could
+	// not pin every row under it. 0 disables it.
 	// Requires a dataset with a feature file. Feature payloads are
 	// identical at any budget — only device traffic changes.
 	FeatureCacheBudgetBytes int64

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ringsampler/internal/cache"
+	"ringsampler/internal/gen"
 	"ringsampler/internal/sample"
 	"ringsampler/internal/storage"
 	"ringsampler/internal/uring"
@@ -22,12 +23,25 @@ import (
 // on the sampler's history of completed epochs and on nothing else, and
 // a cache too small for its counters is the static degree-first cache.
 
-// learnRows is a feature-cache size, in rows, that affords the counters
-// on testFeatureDatasetDir's 2000-node graph of 24-byte rows while
-// leaving most nodes outside: counters and bitmap hold 4,256 B, so a
-// budget learns from cache.LearnBudget = 34,048 B, which at 44 B per
-// learning row is (34,048 − 4,256) / 44 ≥ 678 rows.
+// learnRows is a feature-cache size, in rows, that affords the learner
+// on learnDatasetDir's 2000-node graph of 128-byte rows while leaving
+// most nodes outside: counters, bitmaps and rank directory hold 4,528 B,
+// so a budget learns from cache.LearnBudget = 36,224 B, which at 128 B
+// per learning row is (36,224 − 4,528) / 128 ≥ 248 rows.
 const learnRows = 700
+
+// learnDatasetDir generates testFeatureDatasetDir's graph with 128-byte
+// feature rows, rmat-1m's width. At the conformance dataset's 24-byte
+// rows the least budget that learns pins 1,321 rows: every node with a
+// neighbor, which leaves no training target outside the cache.
+func learnDatasetDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	if _, err := gen.GenerateWith(dir, "tiny", "rmat", 2_000, 30_000, 11, gen.Options{FeatureDim: 32}); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
 
 func learnConfig(ds *storage.Dataset, threads int) Config {
 	cfg := DefaultConfig()
@@ -86,7 +100,7 @@ func newLearningSampler(t *testing.T, ds *storage.Dataset, cfg Config, be uring.
 // the same three epochs at 1 and at 4 threads end with the same pinned
 // set and read the same feature bytes in every epoch.
 func TestFeatureCacheThreadInvariance(t *testing.T) {
-	ds := openDS(t, testFeatureDatasetDir(t), false)
+	ds := openDS(t, learnDatasetDir(t), false)
 	targets := trainSplit(ds, 200, 640)
 	type epochCounts struct{ bytes, reads, hits, admitted, evicted int64 }
 	run := func(threads int) ([]epochCounts, []uint32) {
@@ -121,7 +135,7 @@ func TestFeatureCacheThreadInvariance(t *testing.T) {
 // Features and digest are byte-identical to a cache-off sampler's. A
 // stale or misplaced row after an eviction fails here.
 func TestFeatureCacheBypassAcrossReadmissions(t *testing.T) {
-	ds := openDS(t, testFeatureDatasetDir(t), false)
+	ds := openDS(t, learnDatasetDir(t), false)
 	targets := trainSplit(ds, 200, 640)
 	capture := func(s *Sampler, e int) ([]featBatch, *EpochStats) {
 		var out []featBatch
@@ -167,7 +181,7 @@ func TestFeatureCacheBypassAcrossReadmissions(t *testing.T) {
 // ends up pinning exactly what a sampler that only ran the two complete
 // epochs does.
 func TestFeatureCacheFoldsOnlyCompletedEpochs(t *testing.T) {
-	ds := openDS(t, testFeatureDatasetDir(t), false)
+	ds := openDS(t, learnDatasetDir(t), false)
 	targets := trainSplit(ds, 200, 640)
 	cfg := learnConfig(ds, 2)
 	type counts struct{ bytes, hits, admitted int64 }
@@ -225,7 +239,7 @@ func TestFeatureCacheFoldsOnlyCompletedEpochs(t *testing.T) {
 // the same sampler. Under -race this covers the read/write locking; every
 // concurrent batch must still carry exactly the reference payload.
 func TestFeatureCacheReadmitConcurrentWithSamplers(t *testing.T) {
-	ds := openDS(t, testFeatureDatasetDir(t), false)
+	ds := openDS(t, learnDatasetDir(t), false)
 	cfg := learnConfig(ds, 2)
 	targets := trainSplit(ds, 200, 640)
 	probe := targets[:96]
@@ -297,7 +311,7 @@ func TestFeatureCacheReadmitConcurrentWithSamplers(t *testing.T) {
 
 // TestFeatureCacheStaticAtSmallBudget: on the checked-in dataset (5,550
 // nodes of 64 B) a 400-row budget, 32,000 B, is below cache.LearnBudget
-// (8 × 11,796 B of counters and bitmap = 94,368 B), so
+// (8 × 12,536 B of counters, bitmaps and rank directory = 100,288 B), so
 // the cache is the static degree-first cache: the reference prefix is
 // pinned, nothing is ever re-admitted, and every epoch of one seed reads
 // exactly the bytes recorded on the commit before the cache could learn.
@@ -364,7 +378,7 @@ const (
 // fill included — moves strictly fewer feature bytes than the first, and
 // the fill is part of the count.
 func TestFeatureCacheLearnsTrainSplit(t *testing.T) {
-	ds := openDS(t, testFeatureDatasetDir(t), false)
+	ds := openDS(t, learnDatasetDir(t), false)
 	targets := trainSplit(ds, 200, 1280)
 	s := newLearningSampler(t, ds, learnConfig(ds, 2), uring.BackendPool)
 	first, err := s.RunEpochSeeded(context.Background(), epochSeed(0), targets, nil)

@@ -79,7 +79,7 @@ func admittedRuns(s *Sampler, before map[uint32]bool) (admitted int64, runs [][2
 // one read each, their bytes and nothing more — charges no slack, and
 // leaves every pinned row equal to the file.
 func TestFeatureCacheFillCounts(t *testing.T) {
-	dir := testFeatureDatasetDir(t)
+	dir := learnDatasetDir(t)
 	feats, err := os.ReadFile(filepath.Join(dir, storage.FeaturesFile))
 	if err != nil {
 		t.Fatal(err)
@@ -118,7 +118,7 @@ func TestFeatureCacheFillCounts(t *testing.T) {
 // same accounting every sampling read gets. The windows are worked out
 // here from the rows that came in and the slots they landed in.
 func TestFeatureCacheDirectFillChargesSlack(t *testing.T) {
-	dir := testFeatureDatasetDir(t)
+	dir := learnDatasetDir(t)
 	feats, err := os.ReadFile(filepath.Join(dir, storage.FeaturesFile))
 	if err != nil {
 		t.Fatal(err)

@@ -113,7 +113,7 @@ func New(ds *storage.Dataset, cfg Config, backend uring.Backend) (*Sampler, erro
 		}
 		s.featHot = fh
 		if lo, hi := ds.ShardRange(); !fh.Adaptive() && int64(fh.Nodes()) < hi-lo {
-			log.Printf("core: feature cache budget %d B pins %d rows and stays degree-first: it learns from %d B, eight times its access counters and bitmap",
+			log.Printf("core: feature cache budget %d B pins %d rows and stays degree-first: it learns from %d B, eight times its access counters, bitmaps and rank directory",
 				cfg.FeatureCacheBudgetBytes, fh.Nodes(), cache.LearnBudget(ds.NumNodes()))
 		}
 	}
@@ -153,9 +153,10 @@ func (s *Sampler) FeatureCacheHeld() (rows, index, learn, charged int64) {
 }
 
 // FeatureCacheAdaptive reports whether the feature cache re-admits rows
-// by measured access counts at epoch boundaries: it does when its counters
-// and bitmap take at most an eighth of its budget (cache.LearnBudget) and
-// the budget cannot pin every row without them.
+// by measured access counts at epoch boundaries: it does when its
+// counters, bitmaps and rank directory take at most an eighth of its
+// budget (cache.LearnBudget) and a static cache could not pin every row
+// under that budget.
 func (s *Sampler) FeatureCacheAdaptive() bool { return s.featHot.Adaptive() }
 
 // Worker is one sampling thread (paper Fig 3a): private rings, a

@@ -220,7 +220,9 @@ func TestTrainEpochStatsCarryIO(t *testing.T) {
 		return float64(st.IO.FeatCacheHits) / float64(st.IO.FeatCacheHits+st.IO.FeatCacheMisses)
 	}
 	for _, serialized := range []bool{false, true} {
-		cached := run(600, serialized)
+		// 1,000 rows of 32 B learn: the budget, 4,528 B of learner and
+		// 32,000 B of rows, is at least cache.LearnBudget = 36,224 B.
+		cached := run(1000, serialized)
 		for e, st := range cached {
 			if st.WeightsDigest != plain[e].WeightsDigest || st.Loss != plain[e].Loss {
 				t.Fatalf("serialized=%v epoch %d: the feature cache changed the weights or the loss", serialized, e)

@@ -44,13 +44,14 @@ go test -C cmd/bench $short ./...
 # and pipeline modes (DESIGN.md §13); the adaptive feature cache's
 # pinned set and bytes thread-invariant, payloads identical across
 # re-admissions, re-admission race-free, its charge equal to the bytes it
-# holds, its counters' order kept over long runs (DESIGN.md §10).
+# holds, its counters' order kept over long runs, its rank index equal
+# to a sorted list and its rows moved in place both ways (DESIGN.md §10).
 go test -race -run 'TestEpochThreadInvariance|TestStrategyThreadInvariance' ./internal/core
 go test -race -run 'TestRouterMatchesSingleNode|TestRouterShardFaultStillIdentical' ./internal/shard
 go test -race -run 'TestShardConformance' ./internal/serve
 go test -race -run 'TestTrainThreadInvariance|TestTrainOverlappedMatchesSerialized' ./internal/train
 go test -race -run 'TestFeatureCacheThreadInvariance|TestFeatureCacheBypassAcrossReadmissions|TestFeatureCacheReadmitConcurrentWithSamplers' ./internal/core
-go test -race -run 'TestChargeEqualsHeld|TestCountersKeepOrderOverLongRuns' ./internal/cache
+go test -race -run 'TestChargeEqualsHeld|TestCountersKeepOrderOverLongRuns|TestRankedAgainstSorted|TestReadmitMovesInPlace' ./internal/cache
 
 # Serving shutdown order (DESIGN.md §8): no handler may still send on the
 # admission queue when Shutdown closes it, and the queue_depth and
