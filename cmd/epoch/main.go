@@ -17,9 +17,8 @@
 // memory budget. -probe with -data additionally reports the dataset's
 // feature presence, dim and stride.
 //
-// The two I/O fast-path knobs are plumbed through as flags:
-// -uring-fixed (registered buffers + READ_FIXED) and -odirect
-// (page-cache bypass with probed alignment). -probe prints the
+// -odirect bypasses the page cache with the probed alignment; every
+// read is one plain IORING_OP_READ either way. -probe prints the
 // io_uring capability set.
 //
 // -train trains a minimal GraphSAGE node classifier end to end through
@@ -29,6 +28,10 @@
 // §13). The dataset needs features and labels (temporary graphs default
 // to 16-dim features / 8 classes under -train; tune with -feature-dim
 // and -classes).
+//
+// -cpuprofile FILE and -trace FILE wrap the epoch (or -train) run in a
+// runtime/pprof CPU profile and a runtime/trace execution trace, for
+// go tool pprof and go tool trace.
 //
 // Measured numbers come from the benchmark harness, not from here:
 // go run -C cmd/bench . (see cmd/bench/README.md).
@@ -40,7 +43,7 @@
 //	go run ./cmd/epoch -train -train-epochs 3 -feature-cache-mb 1   # prints the feature cache's learning curve
 //	go run ./cmd/epoch -targets 8192 -invariance   # generates a temporary R-MAT graph
 //	go run ./cmd/epoch -probe
-//	go run ./cmd/epoch -targets 4096 -uring-fixed -odirect
+//	go run ./cmd/epoch -targets 4096 -odirect -cpuprofile cpu.prof -trace epoch.trace
 package main
 
 import (
@@ -54,6 +57,8 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime/pprof"
+	"runtime/trace"
 	"syscall"
 
 	"ringsampler/internal/core"
@@ -78,7 +83,7 @@ func main() {
 	}
 }
 
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("epoch", flag.ContinueOnError)
 	var (
 		data        = fs.String("data", "", "dataset directory (empty: generate a temporary R-MAT graph)")
@@ -92,7 +97,6 @@ func run(args []string, out io.Writer) error {
 		invariance  = fs.Bool("invariance", false, "rerun at 1 and 2 threads and diff per-batch digests")
 		cacheMB     = fs.Int64("cache-mb", 0, "hot-neighbor cache budget in MiB (0: cache off)")
 		probe       = fs.Bool("probe", false, "print the probed io_uring capability set and exit")
-		uringFixed  = fs.Bool("uring-fixed", false, "register worker arenas and read via IORING_OP_READ_FIXED (emulated on pool/sim)")
 		odirect     = fs.Bool("odirect", false, "open the edge file O_DIRECT (falls back to buffered with a logged reason when unsupported)")
 		featureDim  = fs.Int("feature-dim", 0, "per-node f32 feature dimension for the temporary graph (with empty -data; 0: no features)")
 		features    = fs.Bool("features", false, "fetch feature vectors for every sampled node after each batch's draw")
@@ -105,6 +109,8 @@ func run(args []string, out io.Writer) error {
 		trainLR     = fs.Float64("train-lr", 0.1, "SGD learning rate (with -train)")
 		trainSerial = fs.Bool("train-serial", false, "serialize the pipeline: sample each batch to completion before training on it (with -train)")
 		strategy    = fs.String("strategy", "", "sampling strategy: uniform, weighted, walk (empty: uniform)")
+		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the epoch (or -train) run to this file")
+		traceOut    = fs.String("trace", "", "write an execution trace of the epoch (or -train) run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -113,7 +119,6 @@ func run(args []string, out io.Writer) error {
 		caps := uring.Probe()
 		fmt.Fprintf(out, "io_uring capabilities: %s\n", caps)
 		fmt.Fprintf(out, "  ring:             %v\n", caps.Ring)
-		fmt.Fprintf(out, "  fixed buffers:    %v\n", caps.ReadFixed)
 		// With -data the probe also reports what the dataset carries.
 		if *data != "" {
 			man, err := graph.LoadManifest(filepath.Join(*data, storage.ManifestFile))
@@ -217,7 +222,6 @@ func run(args []string, out io.Writer) error {
 	cfg.Seed = *seed
 	cfg.Strategy = *strategy
 	cfg.CacheBudgetBytes = cacheBytes
-	cfg.FixedBuffers = *uringFixed
 	cfg.FetchFeatures = *features
 	cfg.FeatureCacheBudgetBytes = featCacheBytes
 	if *threads > 0 {
@@ -235,6 +239,27 @@ func run(args []string, out io.Writer) error {
 	}
 	if *odirect && ds.DirectAlign() > 0 {
 		fmt.Fprintf(out, "O_DIRECT active: %d-byte alignment\n", ds.DirectAlign())
+	}
+
+	// Profiles cover the run from here on, and are flushed and closed
+	// when it returns.
+	for _, p := range []struct {
+		path  string
+		start func(io.Writer) error
+		end   func()
+	}{{*cpuProfile, pprof.StartCPUProfile, pprof.StopCPUProfile}, {*traceOut, trace.Start, trace.Stop}} {
+		if p.path == "" {
+			continue
+		}
+		stop, perr := startProfile(p.path, p.start, p.end)
+		if perr != nil {
+			return perr
+		}
+		defer func() {
+			if serr := stop(); err == nil {
+				err = serr
+			}
+		}()
 	}
 
 	if *trainMode {
@@ -426,6 +451,20 @@ func runTrain(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.
 		fmt.Fprintln(out)
 	}
 	return err
+}
+
+// startProfile creates path and starts a profile into it; the returned
+// stop ends the profile and closes the file.
+func startProfile(path string, start func(io.Writer) error, end func()) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := start(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error { end(); return f.Close() }, nil
 }
 
 // mibFlag converts a MiB flag value to bytes, refusing a negative value

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -34,13 +35,6 @@ type flipRing struct {
 
 func (r *flipRing) PrepRead(id uint64, off int64, buf []byte) bool {
 	if !r.inner.PrepRead(id, off, buf) {
-		return false
-	}
-	r.bufs[id] = buf
-	return true
-}
-func (r *flipRing) PrepReadFixed(id uint64, off int64, buf []byte, bufIndex int) bool {
-	if !r.inner.PrepReadFixed(id, off, buf, bufIndex) {
 		return false
 	}
 	r.bufs[id] = buf
@@ -138,12 +132,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunRefusesRetiredFlags: the ring knobs that were retired for
-// losing or tying on both epoch shapes are refused by name, before any
+// TestRunRefusesRetiredFlags: the retired ring knobs (each lost, tied,
+// or owed its gain to something the default now does) are refused by name, before any
 // work starts, so a script that still passes one learns it is gone
 // instead of measuring a configuration that no longer exists.
 func TestRunRefusesRetiredFlags(t *testing.T) {
-	for _, args := range [][]string{{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-depth", "64"}} {
+	for _, args := range [][]string{{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-uring-fixed"}, {"-depth", "64"}} {
 		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
 			var sb strings.Builder
 			err := run(args, &sb)
@@ -208,12 +202,12 @@ func TestRunProbe(t *testing.T) {
 		t.Fatalf("run -probe: %v", err)
 	}
 	out := sb.String()
-	for _, want := range []string{"io_uring capabilities:", "ring:", "fixed buffers:"} {
+	for _, want := range []string{"io_uring capabilities:", "ring:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("probe output missing %q:\n%s", want, out)
 		}
 	}
-	for _, gone := range []string{"registered files:", "sqpoll:"} {
+	for _, gone := range []string{"registered files:", "sqpoll:", "fixed buffers:"} {
 		if strings.Contains(out, gone) {
 			t.Fatalf("probe output still reports the retired %q:\n%s", gone, out)
 		}
@@ -229,10 +223,35 @@ func TestRunKnobFlags(t *testing.T) {
 	dir := testGraphDir(t)
 	err := run([]string{
 		"-data", dir, "-backend", "pool", "-targets", "256", "-batch", "64",
-		"-threads", "2", "-uring-fixed", "-odirect",
+		"-threads", "2", "-odirect",
 	}, io.Discard)
 	if err != nil {
 		t.Fatalf("run with knob flags: %v", err)
+	}
+}
+
+// TestRunProfiles: -cpuprofile and -trace wrap the run in a CPU profile
+// (gzip-compressed protobuf) and an execution trace ("go 1.xx trace"
+// header), both written and closed by the time run returns.
+func TestRunProfiles(t *testing.T) {
+	dir := testGraphDir(t)
+	tmp := t.TempDir()
+	cpu, tr := filepath.Join(tmp, "cpu.prof"), filepath.Join(tmp, "epoch.trace")
+	if err := run([]string{
+		"-data", dir, "-backend", "pool", "-targets", "256", "-batch", "64",
+		"-threads", "2", "-cpuprofile", cpu, "-trace", tr,
+	}, io.Discard); err != nil {
+		t.Fatalf("run with profiles: %v", err)
+	}
+	for _, f := range []struct{ path, magic string }{{cpu, "\x1f\x8b"}, {tr, "go 1."}} {
+		b, err := os.ReadFile(f.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(b), f.magic) {
+			t.Fatalf("%s: %d bytes starting %q, want a non-empty file starting %q",
+				filepath.Base(f.path), len(b), b[:min(len(b), 8)], f.magic)
+		}
 	}
 }
 

@@ -92,7 +92,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max graceful-drain wait on SIGINT/SIGTERM")
 		shards       = fs.Int("shards", 0, "partition the dataset into this many node-range shards and serve through the scatter/gather router (0: single-node)")
 		routerURLs   = fs.String("router", "", "comma-separated shard server base URLs to front as a router (no local dataset)")
-		uringFixed   = fs.Bool("uring-fixed", false, "register worker arenas and read via IORING_OP_READ_FIXED (emulated on pool/sim)")
 		odirect      = fs.Bool("odirect", false, "open the edge file O_DIRECT (falls back to buffered with a logged reason when unsupported)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -184,7 +183,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	cfg.Backend = be
 	cfg.Core.CacheBudgetBytes = cacheBytes
 	cfg.Core.FeatureCacheBudgetBytes = featCacheBytes
-	cfg.Core.FixedBuffers = *uringFixed
 	if *threads > 0 {
 		cfg.Core.Threads = *threads
 	}

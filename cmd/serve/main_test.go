@@ -58,7 +58,7 @@ func TestRunBadFlags(t *testing.T) {
 // TestRunRefusesRetiredFlags: the retired ring knobs are refused by
 // name before any graph is generated or port opened.
 func TestRunRefusesRetiredFlags(t *testing.T) {
-	for _, args := range [][]string{{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-depth", "64"}} {
+	for _, args := range [][]string{{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-uring-fixed"}, {"-depth", "64"}} {
 		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
 			var sb strings.Builder
 			err := run(context.Background(), args, &sb)

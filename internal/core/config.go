@@ -16,12 +16,10 @@ import (
 // DefaultFanouts is the paper's 3-layer GraphSAGE fanout {20,15,10}.
 var DefaultFanouts = []int{20, 15, 10}
 
-// DefaultArenaBytes is the per-worker registered arena size when
-// Config.FixedBuffers is on: big enough that every layer of the default
-// fanout/batch fits, small enough that 8 workers cost tens of
-// megabytes. Layers whose buffers outgrow the arena fall back to plain
-// reads for that layer — correctness never depends on the arena being
-// big enough.
+// DefaultArenaBytes is the O_DIRECT scratch arena a worker allocates
+// the first time it opens an O_DIRECT file: 512 window chunks of 16 KiB,
+// one per read of a full default ring. Windows beyond it, or bigger than
+// a chunk, take heap slots — correctness never depends on the arena.
 const DefaultArenaBytes = 8 << 20
 
 // Config controls the engine. The ablation switches (AsyncPipeline,
@@ -57,14 +55,6 @@ type Config struct {
 	// output is a pure function of (dataset, config, targets, Seed),
 	// invariant under Threads and backend.
 	Strategy string
-	// FixedBuffers registers each worker's workspace arena
-	// (DefaultArenaBytes) with its ring (IORING_REGISTER_BUFFERS) and
-	// issues IORING_OP_READ_FIXED, skipping per-read page pinning on the
-	// real backend. Pool/sim emulate the validation, so conformance runs
-	// everywhere; on the real backend the knob downgrades (with one log
-	// line) when the kernel refuses registration. Byte output is
-	// identical either way.
-	FixedBuffers bool
 	// CacheBudgetBytes is the memory budget (bytes, accounted through
 	// memctl) for the hot-neighbor cache: the complete neighbor lists of
 	// the highest-degree nodes, pinned at sampler construction and

@@ -12,7 +12,7 @@ func TestConfigFieldCensus(t *testing.T) {
 	want := []string{
 		"Fanouts", "BatchSize", "Threads", "RingSize",
 		"AsyncPipeline", "OffsetSampling", "Seed", "Strategy",
-		"FixedBuffers", "CacheBudgetBytes", "FetchFeatures",
+		"CacheBudgetBytes", "FetchFeatures",
 		"FeatureCacheBudgetBytes", "WrapRing",
 	}
 	var got []string

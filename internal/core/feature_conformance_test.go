@@ -141,12 +141,11 @@ func TestFeatureMatrixConformance(t *testing.T) {
 	// The second knob set is the shallowest pipeline: a 2-deep ring
 	// keeps at most two reads in flight.
 	knobs := []struct {
-		name  string
-		fixed bool
-		ring  int
+		name string
+		ring int
 	}{
-		{"plain", false, base.RingSize},
-		{"fixed-depth2", true, 2},
+		{"plain", base.RingSize},
+		{"depth2", 2},
 	}
 
 	for _, be := range backends {
@@ -159,7 +158,6 @@ func TestFeatureMatrixConformance(t *testing.T) {
 							cfg := base
 							cfg.Threads = threads
 							cfg.FeatureCacheBudgetBytes = budget
-							cfg.FixedBuffers = kn.fixed
 							cfg.RingSize = kn.ring
 							cfg.WrapRing = wr.wrap
 							got := epochFeaturePayload(t, dir, cfg, be, targets)

@@ -57,7 +57,7 @@ type IOStats struct {
 	// bytes they delivered. The edge-file counters above never include
 	// feature traffic, so the two workloads stay separately attributable;
 	// the retry-machinery counters (Retries, ShortReads, TransientErrs,
-	// FixedReads, AlignSlackBytes) are shared across both files.
+	// AlignSlackBytes) are shared across both files.
 	FeatReads     int64
 	FeatBytesRead int64
 	// FeatCacheHits / FeatCacheMisses / FeatCacheBytes mirror the
@@ -75,8 +75,9 @@ type IOStats struct {
 	// these appear in EpochStats.IO, never in PerWorker.
 	FeatCacheAdmitted int64
 	FeatCacheEvicted  int64
-	// FixedReads is how many requests completed through a registered
-	// fixed buffer (IORING_OP_READ_FIXED, or its pool/sim emulation).
+	// FixedReads is always 0: the engine has one read opcode and no
+	// registered buffers. It stays because the benchmark harness reports
+	// it.
 	FixedReads int64
 	// AlignSlackBytes is the device bytes the O_DIRECT path read beyond
 	// the requested entry ranges: alignment rounding plus re-read overlap
@@ -98,10 +99,9 @@ type IOStats struct {
 	// adds on top of the kernel's read path.
 	UserCPUNanos int64
 	SysCPUNanos  int64
-	// Active* record which fast-path knobs actually ran for this worker —
-	// after capability downgrades — so benchmark output is honest about
+	// ActiveODirect records that O_DIRECT actually ran for this worker —
+	// after the dataset's probe — so benchmark output is honest about
 	// what was measured. OR-merged by Add.
-	ActiveFixed   bool
 	ActiveODirect bool
 }
 
@@ -124,13 +124,11 @@ func (s *IOStats) Add(o IOStats) {
 	s.FeatCacheBytes += o.FeatCacheBytes
 	s.FeatCacheAdmitted += o.FeatCacheAdmitted
 	s.FeatCacheEvicted += o.FeatCacheEvicted
-	s.FixedReads += o.FixedReads
 	s.AlignSlackBytes += o.AlignSlackBytes
 	s.SubmitSyscalls += o.SubmitSyscalls
 	s.WaitSyscalls += o.WaitSyscalls
 	s.UserCPUNanos += o.UserCPUNanos
 	s.SysCPUNanos += o.SysCPUNanos
-	s.ActiveFixed = s.ActiveFixed || o.ActiveFixed
 	s.ActiveODirect = s.ActiveODirect || o.ActiveODirect
 }
 

@@ -1,25 +1,24 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
-	"syscall"
 	"testing"
+	"unsafe"
 
 	"ringsampler/internal/gen"
 	"ringsampler/internal/storage"
 	"ringsampler/internal/uring"
 )
 
-// Knob-combination conformance: both fast-path knobs — fixed buffers
-// and O_DIRECT — and both ablation switches — the async pipeline and
-// offset sampling — are pure performance levers. The sampled byte
-// stream must be identical to the plain path for EVERY combination, on
-// every backend that runs here. Combinations whose kernel feature isn't
-// granted still run: resolveKnobs and the dataset probe downgrade them,
-// and the IOStats Active* flags must report exactly what actually ran.
+// Knob-combination conformance: the fast-path knob — O_DIRECT — and
+// both ablation switches — the async pipeline and offset sampling — are
+// pure performance levers. The sampled byte stream must be identical to
+// the plain path for EVERY combination, on every backend that runs
+// here. An O_DIRECT open the filesystem refuses still runs: the dataset
+// probe downgrades it, and IOStats.ActiveODirect must report exactly
+// what actually ran.
 
 // testDatasetDir generates the standard conformance dataset and returns
 // its directory, so tests can reopen it with different OpenOptions.
@@ -55,8 +54,7 @@ func TestKnobMatrixConformance(t *testing.T) {
 	}
 
 	backends := []uring.Backend{uring.BackendSim, uring.BackendPool}
-	caps := uring.Probe()
-	if caps.Ring {
+	if uring.Probe().Ring {
 		backends = append(backends, uring.BackendIOURing)
 	} else {
 		t.Log("io_uring unavailable; real backend skipped")
@@ -64,16 +62,14 @@ func TestKnobMatrixConformance(t *testing.T) {
 
 	for _, be := range backends {
 		for _, direct := range []bool{false, true} {
-			for mask := 0; mask < 8; mask++ {
-				fixed := mask&1 != 0
-				async := mask&2 == 0
-				offset := mask&4 == 0
-				name := fmt.Sprintf("%s/odirect=%v/fixed=%v/async=%v/offset=%v",
-					be, direct, fixed, async, offset)
+			for mask := 0; mask < 4; mask++ {
+				async := mask&1 == 0
+				offset := mask&2 == 0
+				name := fmt.Sprintf("%s/odirect=%v/async=%v/offset=%v",
+					be, direct, async, offset)
 				t.Run(name, func(t *testing.T) {
 					ds := openDS(t, dir, direct)
 					cfg := base
-					cfg.FixedBuffers = fixed
 					cfg.AsyncPipeline = async
 					cfg.OffsetSampling = offset
 					s, err := New(ds, cfg, be)
@@ -91,24 +87,14 @@ func TestKnobMatrixConformance(t *testing.T) {
 					}
 					assertBatchesEqual(t, ref, got, name)
 
-					// The Active* flags must report what actually ran:
-					// requested knobs intersected with backend + kernel
-					// grants — never more, never less.
+					// ActiveODirect must report what actually ran: the
+					// request intersected with what the filesystem grants.
 					st := w.IOStats()
-					wantFixed := fixed
-					if be == uring.BackendIOURing {
-						wantFixed = fixed && caps.ReadFixed
+					if wantDirect := ds.DirectAlign() > 0; st.ActiveODirect != wantDirect {
+						t.Fatalf("active O_DIRECT %v, want %v", st.ActiveODirect, wantDirect)
 					}
-					wantDirect := ds.DirectAlign() > 0
-					if st.ActiveFixed != wantFixed || st.ActiveODirect != wantDirect {
-						t.Fatalf("active knobs (fixed=%v odirect=%v), want (%v %v)",
-							st.ActiveFixed, st.ActiveODirect, wantFixed, wantDirect)
-					}
-					if st.ActiveFixed && st.FixedReads == 0 {
-						t.Fatal("fixed buffers active but zero reads went through them")
-					}
-					if !st.ActiveFixed && st.FixedReads != 0 {
-						t.Fatalf("fixed buffers inactive but FixedReads = %d", st.FixedReads)
+					if st.FixedReads != 0 {
+						t.Fatalf("FixedReads = %d with no registered buffers", st.FixedReads)
 					}
 					if st.ActiveODirect && st.AlignSlackBytes == 0 {
 						t.Fatal("O_DIRECT active but zero alignment slack — aligned windows not exercised")
@@ -128,15 +114,14 @@ func TestKnobMatrixConformance(t *testing.T) {
 	}
 }
 
-// TestKnobMatrixFillsRing repeats the knob matrix on the real ring with
+// TestKnobMatrixFillsRing repeats the O_DIRECT axis on the real ring with
 // batches large enough that every layer needs dozens of submit groups.
 // The 2 000-node matrix above never stages more than one SQ's worth per
 // layer, so it cannot show a ring that refuses a full-SQ group it
 // should take (DESIGN.md §14's SQPOLL stall passed it that way). Each
 // combination runs eight batches, about 500 full groups.
 func TestKnobMatrixFillsRing(t *testing.T) {
-	caps := uring.Probe()
-	if !caps.Ring {
+	if !uring.Probe().Ring {
 		t.Skip("io_uring unavailable; the pool and sim backends have no SQ to fill")
 	}
 	dir := t.TempDir()
@@ -162,19 +147,14 @@ func TestKnobMatrixFillsRing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for mask := 0; mask < 4; mask++ {
-		fixed, direct := mask&1 != 0, mask&2 != 0
-		if fixed && !caps.ReadFixed {
-			continue
-		}
-		name := fmt.Sprintf("odirect=%v/fixed=%v", direct, fixed)
+	for _, direct := range []bool{false, true} {
+		name := fmt.Sprintf("odirect=%v", direct)
 		t.Run(name, func(t *testing.T) {
 			ds := openDS(t, dir, direct)
 			if direct && ds.DirectAlign() == 0 {
 				t.Skipf("O_DIRECT fell back to buffered: %v", ds.DirectFallback())
 			}
 			cfg := base
-			cfg.FixedBuffers = fixed
 			s, err := New(ds, cfg, uring.BackendIOURing)
 			if err != nil {
 				t.Fatal(err)
@@ -187,9 +167,8 @@ func TestKnobMatrixFillsRing(t *testing.T) {
 				t.Fatalf("per-batch digests %x differ from the plain pool run's %x", st.Digests, ref.Digests)
 			}
 			io := st.IO
-			if io.ActiveFixed != fixed || io.ActiveODirect != direct {
-				t.Fatalf("active knobs (fixed=%v odirect=%v) differ from the probed request",
-					io.ActiveFixed, io.ActiveODirect)
+			if io.ActiveODirect != direct {
+				t.Fatalf("active O_DIRECT %v differs from the probed request", io.ActiveODirect)
 			}
 			// The premise: far more reads than one SQ per layer, harvested
 			// in several groups.
@@ -226,8 +205,7 @@ func TestDepthBoundedConformance(t *testing.T) {
 				name := fmt.Sprintf("%s/depth=%d/odirect=%v", be, depth, direct)
 				t.Run(name, func(t *testing.T) {
 					cfg := base
-					cfg.RingSize = depth
-					cfg.FixedBuffers = true // deepest interaction: fixed chunks + shallow ring
+					cfg.RingSize = depth // with O_DIRECT: arena chunks + a shallow ring
 					got := sampleOnce(t, openDS(t, dir, direct), cfg, be, targets)
 					assertBatchesEqual(t, ref, got, name)
 				})
@@ -237,7 +215,7 @@ func TestDepthBoundedConformance(t *testing.T) {
 }
 
 // TestKnobsWithFaultsConformance: fault injection composed with the
-// fixed-buffer path (but never with O_DIRECT — truncating an aligned
+// pipeline switch (but never with O_DIRECT — truncating an aligned
 // read's length would make it unaligned, which a real O_DIRECT fd
 // rejects) must still retry to the exact reference bytes, through the
 // async pipeline and the synchronous ablation alike.
@@ -259,7 +237,6 @@ func TestKnobsWithFaultsConformance(t *testing.T) {
 			for _, async := range []bool{true, false} {
 				t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
 					cfg := base
-					cfg.FixedBuffers = true
 					cfg.AsyncPipeline = async
 					cfg.WrapRing = faultWrap(plan)
 					s, err := New(openDS(t, dir, false), cfg, be)
@@ -280,49 +257,10 @@ func TestKnobsWithFaultsConformance(t *testing.T) {
 					if fs.Total() == 0 {
 						t.Fatal("fault-wrapped run injected nothing")
 					}
-					if st := w.IOStats(); st.FixedReads == 0 {
-						t.Fatal("fixed path inactive under faults")
+					if st := w.IOStats(); st.Retries == 0 {
+						t.Fatal("faults injected but no read was retried")
 					}
 				})
-			}
-		})
-	}
-}
-
-// TestBadBufIndexSurfacesIOError: a fault plan that corrupts every fixed
-// read's buffer index makes the backend answer -EINVAL; the worker must
-// surface that as a structured *IOError (EINVAL is not transient), not
-// hang, panic, or silently fall back to plain reads.
-func TestBadBufIndexSurfacesIOError(t *testing.T) {
-	dir := testDatasetDir(t)
-	for _, be := range []uring.Backend{uring.BackendSim, uring.BackendPool} {
-		t.Run(string(be), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.FixedBuffers = true
-			cfg.WrapRing = faultWrap(uring.FaultPlan{Seed: 7, BadBufIndexRate: 1})
-			s, err := New(openDS(t, dir, false), cfg, be)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := s.NewWorker(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w.Close()
-			_, err = w.SampleBatchOpts(testTargets(openDS(t, dir, false), 8), BatchOpts{Seed: cfg.Seed})
-			var ioe *IOError
-			if !errors.As(err, &ioe) {
-				t.Fatalf("err = %v (%T), want *IOError", err, err)
-			}
-			if ioe.Errno != syscall.EINVAL {
-				t.Fatalf("Errno = %v, want EINVAL", ioe.Errno)
-			}
-			if !errors.Is(err, syscall.EINVAL) {
-				t.Fatal("IOError does not unwrap to EINVAL")
-			}
-			fs, _ := uring.Faults(w.edge.Ring)
-			if fs.BadBufIndex == 0 {
-				t.Fatal("no buffer-index corruptions recorded")
 			}
 		})
 	}
@@ -377,6 +315,95 @@ func TestODirectTinyFileStraddle(t *testing.T) {
 			}
 			if st.Reads > 0 && st.AlignSlackBytes == 0 {
 				t.Fatal("every window straddles EOF yet zero slack recorded")
+			}
+		})
+	}
+}
+
+// prepRecorder records the memory of every read staged through it.
+type prepRecorder struct {
+	uring.Ring
+	bufs [][]byte
+}
+
+func (r *prepRecorder) PrepRead(id uint64, off int64, buf []byte) bool {
+	if !r.Ring.PrepRead(id, off, buf) {
+		return false
+	}
+	r.bufs = append(r.bufs, buf)
+	return true
+}
+
+// within reports whether buf lies inside arena's memory.
+func within(arena, buf []byte) bool {
+	a, b := uintptr(unsafe.Pointer(unsafe.SliceData(arena))), uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	return len(arena) > 0 && b >= a && b+uintptr(len(buf)) <= a+uintptr(len(arena))
+}
+
+// TestDirectWindowsShareOneArena: a worker over an O_DIRECT dataset with
+// features reads every window that fits a 16 KiB chunk through one
+// arena of DefaultArenaBytes, shared by its edge and feature drivers —
+// no knob asks for it — and the batch is the buffered one.
+func TestDirectWindowsShareOneArena(t *testing.T) {
+	const chunk = 16 << 10
+	dir := testFeatureDatasetDir(t)
+	cfg := DefaultConfig()
+	cfg.Seed = 42
+	cfg.RingSize = 32 // at most 64 windows in flight: every one gets a chunk
+	cfg.FetchFeatures = true
+	targets := testTargets(openDS(t, dir, false), 128)
+	ref := sampleOnce(t, openDS(t, dir, false), cfg, uring.BackendSim, targets)
+
+	direct := openDS(t, dir, true)
+	if direct.DirectAlign() == 0 || direct.FeatureAlign() == 0 {
+		t.Skipf("O_DIRECT unavailable: %v", direct.DirectFallback())
+	}
+	backends := []uring.Backend{uring.BackendSim, uring.BackendPool}
+	if uring.Probe().Ring {
+		backends = append(backends, uring.BackendIOURing)
+	}
+	for _, be := range backends {
+		t.Run(string(be), func(t *testing.T) {
+			var rings []*prepRecorder // the edge ring, then the feature ring
+			c := cfg
+			c.WrapRing = func(r uring.Ring, _ int) (uring.Ring, error) {
+				rec := &prepRecorder{Ring: r}
+				rings = append(rings, rec)
+				return rec, nil
+			}
+			s, err := New(direct, c, be)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := s.NewWorker(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			got, err := w.SampleBatchOpts(targets, BatchOpts{Seed: c.Seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBatchesEqual(t, ref, got, string(be))
+			if !slices.Equal(got.Features, ref.Features) {
+				t.Fatal("O_DIRECT feature payload differs from the buffered one")
+			}
+			if len(w.arena) != DefaultArenaBytes || len(rings) != 2 {
+				t.Fatalf("%d-byte arena over %d rings, want %d bytes over the edge and feature rings",
+					len(w.arena), len(rings), DefaultArenaBytes)
+			}
+			for i, name := range []string{"edge", "feature"} {
+				inArena := 0
+				for _, buf := range rings[i].bufs {
+					if within(w.arena, buf) {
+						inArena++
+					} else if len(buf) <= chunk {
+						t.Fatalf("%s ring: a %d-byte window outside the arena", name, len(buf))
+					}
+				}
+				if inArena == 0 {
+					t.Fatalf("%s ring: none of %d windows in the arena", name, len(rings[i].bufs))
+				}
 			}
 		})
 	}

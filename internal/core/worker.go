@@ -20,10 +20,6 @@ type Sampler struct {
 	ds      *storage.Dataset
 	cfg     Config
 	backend uring.Backend
-	// fixed is whether workers read through registered arenas after
-	// capability downgrades — what they actually run, as opposed to what
-	// Config requested.
-	fixed bool
 	// hot is the shared hot-neighbor cache (nil when disabled):
 	// immutable after New, so workers consult it with no
 	// synchronization.
@@ -46,26 +42,6 @@ type Sampler struct {
 	defStrat Strategy
 	stratMu  sync.Mutex
 	strats   map[string]Strategy
-}
-
-// resolveKnobs reports whether workers read through registered arenas:
-// Config.FixedBuffers intersected with what the kernel grants on the
-// real backend (pool/sim emulate fixed-buffer validation, so that code
-// path is genuinely exercised there). It logs each downgrade once (at
-// Sampler construction) so a benchmark never silently measures less
-// than it claims.
-func resolveKnobs(cfg *Config, backend uring.Backend, ds *storage.Dataset) bool {
-	fixed := cfg.FixedBuffers
-	if fixed && backend == uring.BackendIOURing {
-		if caps := uring.Probe(); !caps.ReadFixed {
-			log.Printf("core: fixed buffers requested but unavailable (caps %s); using plain reads", caps)
-			fixed = false
-		}
-	}
-	if err := ds.DirectFallback(); err != nil {
-		log.Printf("core: O_DIRECT requested but fell back to buffered reads: %v", err)
-	}
-	return fixed
 }
 
 // New validates the configuration and binds the engine to a ring
@@ -96,8 +72,12 @@ func New(ds *storage.Dataset, cfg Config, backend uring.Backend) (*Sampler, erro
 		// a single-node-only mode.
 		return nil, fmt.Errorf("core: shard dataset %s requires OffsetSampling", ds.Dir())
 	}
+	if err := ds.DirectFallback(); err != nil {
+		// Logged once here, so a benchmark never silently measures less
+		// than it claims.
+		log.Printf("core: O_DIRECT requested but fell back to buffered reads: %v", err)
+	}
 	s := &Sampler{ds: ds, cfg: cfg, backend: backend}
-	s.fixed = resolveKnobs(&s.cfg, backend, ds)
 	if cfg.CacheBudgetBytes > 0 {
 		hot, err := cache.Build(ds, memctl.New(cfg.CacheBudgetBytes))
 		if err != nil {
@@ -168,8 +148,8 @@ func (s *Sampler) FeatureCacheAdaptive() bool { return s.featHot.Adaptive() }
 // uring.Driver of its own: the edge file (always) and the feature file
 // (lazily, on the first feature fetch). The stages never overlap in
 // time — the feature stage runs only after every sampling layer's reads
-// have completed — so the two share the worker's arena, stage buffer,
-// and read plan.
+// have completed — so the two share the worker's O_DIRECT arena, stage
+// buffer, and read plan.
 type Worker struct {
 	s     *Sampler
 	id    int
@@ -186,15 +166,17 @@ type Worker struct {
 	// such a worker.
 	broken bool
 
-	arena []byte // registered fixed-buffer arena (nil when fixed is off)
+	// arena is the O_DIRECT scratch both drivers cut their windows
+	// from: DefaultArenaBytes, allocated when the worker opens its first
+	// O_DIRECT file (nil until then).
+	arena []byte
 
 	// Workspaces, reused across batches (paper §3.1).
 	reads       []uring.Read // the stage's read plan
 	frontier    []uint32     // target workspace (strategies rebuild it between layers)
 	featNodes   []uint32     // feature stage: batch node-union accumulation
 	sortTmp     []uint32     // radix scratch of the frontier and node-union sort+dedup
-	buf         []byte       // current stage buffer (arena prefix or heapBuf)
-	heapBuf     []byte       // heap backing for stages that skip the arena
+	buf         []byte       // stage buffer, reused across stages
 	idxs        []int        // fanout-index scratch
 	picks       []int64      // full fetch: stage-buffer position of every pick
 	cachedPicks []cachedPick // cache-served byte ranges awaiting copy
@@ -213,38 +195,28 @@ type cachedPick struct {
 // the span with the owning shard's bytes).
 var zeroEntry = make([]byte, storage.EntryBytes)
 
-// NewWorker creates worker `id` with its own edge ring (and, when the
-// fixed knob is active, its own registered arena). The id names the
-// worker in errors and to Config.WrapRing; what a worker samples never
-// depends on it.
+// NewWorker creates worker `id` with its own edge ring. The id names
+// the worker in errors and to Config.WrapRing; what a worker samples
+// never depends on it.
 func (s *Sampler) NewWorker(id int) (*Worker, error) {
 	w := &Worker{s: s, id: id}
-	if s.fixed {
-		// 4096-aligned so arena-backed slices satisfy any O_DIRECT
-		// granularity the dataset probe settled on.
-		w.arena = storage.AlignedSlice(DefaultArenaBytes, 4096)
-	}
 	edge, err := w.openFile(s.ds.File(), s.ds.DirectAlign())
 	if err != nil {
 		return nil, err
 	}
 	w.edge = edge
-	w.stats.ActiveFixed = s.fixed
 	w.stats.ActiveODirect = edge.Align > 0
 	return w, nil
 }
 
-// openFile builds one worker ring over f (registering the arena when
-// the fixed knob is active), applies the WrapRing hook, and returns a
-// driver with the config's pipeline knobs on it. Used for the edge file
-// at construction and the feature file on first feature fetch.
+// openFile builds one worker ring over f, applies the WrapRing hook, and
+// returns a driver with the config's pipeline knobs on it — and, on an
+// O_DIRECT file, the worker's arena, allocated here the first time. Used
+// for the edge file at construction and the feature file on first
+// feature fetch.
 func (w *Worker) openFile(f *os.File, align int) (uring.Driver, error) {
 	cfg := &w.s.cfg
-	opts := uring.Options{Entries: cfg.RingSize}
-	if w.arena != nil {
-		opts.FixedBuffers = [][]byte{w.arena}
-	}
-	ring, err := uring.NewWith(w.s.backend, f, opts)
+	ring, err := uring.New(w.s.backend, f, cfg.RingSize)
 	if err != nil {
 		return uring.Driver{}, err
 	}
@@ -258,12 +230,16 @@ func (w *Worker) openFile(f *os.File, align int) (uring.Driver, error) {
 		}
 		ring = wrapped
 	}
-	return uring.Driver{
-		Ring:  ring,
-		Align: align,
-		Sync:  !cfg.AsyncPipeline,
-		Arena: w.arena,
-	}, nil
+	d := uring.Driver{Ring: ring, Align: align, Sync: !cfg.AsyncPipeline}
+	if align > 0 {
+		if w.arena == nil {
+			// 4096-aligned, so every chunk suits any granularity the
+			// dataset's O_DIRECT probe settles on.
+			w.arena = storage.AlignedSlice(DefaultArenaBytes, 4096)
+		}
+		d.Arena = w.arena
+	}
+	return d, nil
 }
 
 // ensureFeat lazily opens the worker's feature ring. Lazy so workers on
@@ -309,7 +285,6 @@ func (w *Worker) IOStats() IOStats {
 	st.ShortReads = e.ShortReads + f.ShortReads
 	st.TransientErrs = e.TransientErrs + f.TransientErrs
 	st.StaleDrained = e.StaleDrained + f.StaleDrained
-	st.FixedReads = e.FixedReads + f.FixedReads
 	st.AlignSlackBytes = e.SlackBytes + f.SlackBytes
 	for _, ring := range []uring.Ring{w.edge.Ring, w.feat.Ring} {
 		if sr, ok := ring.(uring.SyscallReporter); ok {
@@ -482,7 +457,7 @@ func (w *Worker) sampleLayer(layer *Layer, fanout int, strat Strategy) error {
 		}
 	}
 	layer.Starts[len(w.frontier)] = total
-	w.sizeBuf(pos, w.edge.Align)
+	w.sizeBuf(pos)
 	if err := w.run(&w.edge); err != nil {
 		return err
 	}
@@ -584,7 +559,7 @@ func (w *Worker) planFeatures(nodes []uint32) (int64, error) {
 		}
 		pos += stride
 	}
-	w.sizeBuf(pos, w.feat.Align)
+	w.sizeBuf(pos)
 	return pos, nil
 }
 
@@ -599,19 +574,11 @@ func (w *Worker) run(d *uring.Driver) error {
 	return err
 }
 
-// sizeBuf points w.buf at a stage buffer of n bytes — the registered
-// arena when the fixed knob is on, the buffer fits, and the file is
-// buffered (an O_DIRECT driver reads through scratch windows cut from
-// the arena instead), otherwise a heap workspace — and lands every
+// sizeBuf sizes the stage buffer to n bytes and lands every
 // cache-served range in it. Cached ranges and planned reads are
 // disjoint, so the copies may precede the reads.
-func (w *Worker) sizeBuf(n int64, align int) {
-	if w.arena != nil && align == 0 && n <= int64(len(w.arena)) {
-		w.buf = w.arena[:n]
-	} else {
-		w.heapBuf = grow(w.heapBuf, n)
-		w.buf = w.heapBuf
-	}
+func (w *Worker) sizeBuf(n int64) {
+	w.buf = grow(w.buf, n)
 	for _, cp := range w.cachedPicks {
 		copy(w.buf[cp.bufPos:], cp.src)
 	}

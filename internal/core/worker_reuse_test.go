@@ -39,9 +39,6 @@ var errRingDead = errors.New("dribbleRing: ring died")
 func (r *dribbleRing) PrepRead(id uint64, off int64, buf []byte) bool {
 	return r.inner.PrepRead(id, off, buf)
 }
-func (r *dribbleRing) PrepReadFixed(id uint64, off int64, buf []byte, bufIndex int) bool {
-	return r.inner.PrepReadFixed(id, off, buf, bufIndex)
-}
 func (r *dribbleRing) Submit() (int, error) { return r.inner.Submit() }
 func (r *dribbleRing) Entries() int         { return r.inner.Entries() }
 func (r *dribbleRing) Close() error         { return r.inner.Close() }

@@ -24,7 +24,7 @@ import (
 	"ringsampler/internal/uring"
 )
 
-func testDataset(t *testing.T) *storage.Dataset {
+func testDataset(t testing.TB) *storage.Dataset {
 	t.Helper()
 	dir := t.TempDir()
 	if _, err := gen.Generate(dir, "tiny", "rmat", 2_000, 30_000, 11); err != nil {
@@ -42,7 +42,7 @@ func testDataset(t *testing.T) *storage.Dataset {
 // for the feature-serving paths.
 const testFeatureDim = 6
 
-func testFeatureDataset(t *testing.T) *storage.Dataset {
+func testFeatureDataset(t testing.TB) *storage.Dataset {
 	t.Helper()
 	dir := t.TempDir()
 	if _, err := gen.GenerateWith(dir, "tiny", "rmat", 2_000, 30_000, 11,

@@ -103,16 +103,14 @@ type Stats struct {
 	// Retries counts resubmissions, ShortReads the completions short of
 	// their range, TransientErrs the -EINTR/-EAGAIN completions.
 	Retries, ShortReads, TransientErrs int64
-	// FixedReads counts reads completed through the registered arena.
-	FixedReads int64
 	// StaleDrained counts the completions a failed Run harvested and
 	// discarded before returning.
 	StaleDrained int64
 }
 
 // directChunk is the size of the O_DIRECT scratch chunks cut from the
-// registered arena: a 4096-aligned window around any offset-sampled run
-// fits with room to spare; bigger windows take heap slots.
+// arena: a 4096-aligned window around any offset-sampled run fits with
+// room to spare; bigger windows take heap slots.
 const directChunk = 16 << 10
 
 // directScratch bounds the heap scratch an O_DIRECT Driver holds: a
@@ -131,10 +129,11 @@ const directScratch = 4 << 20
 // and feature stages and the cache fills.
 //
 // On an O_DIRECT file (Align > 0) each read becomes the aligned window
-// around it, read into a scratch slot and copied out; a short window
-// resumes from its progress rounded down to Align, re-reading the
-// partial block, and a window past the end of the file is done once the
-// requested range is covered.
+// around it, read into a scratch slot — a directChunk cut from Arena
+// when one is free and the window fits, a heap slot otherwise — and
+// copied out; a short window resumes from its progress rounded down to
+// Align, re-reading the partial block, and a window past the end of the
+// file is done once the requested range is covered.
 //
 // A Driver is not safe for concurrent use; the zero value plus Ring is a
 // buffered, asynchronous driver.
@@ -146,10 +145,10 @@ type Driver struct {
 	// Sync is the synchronous ablation (paper Fig 3b): every read in
 	// flight completes before more are staged.
 	Sync bool
-	// Arena is the buffer registered with Ring at index 0, or nil. A Run
-	// whose destination lies inside it reads through PrepReadFixed; on an
-	// O_DIRECT file it is cut into scratch chunks instead, and the
-	// destination must lie outside it.
+	// Arena is O_DIRECT scratch memory, aligned to Align, that the
+	// driver cuts into directChunk-sized window slots on its first Run;
+	// nil gives every window a heap slot. Drivers whose Runs never
+	// overlap may share one. A buffered driver ignores it.
 	Arena []byte
 
 	// Stats accumulates over every Run.
@@ -166,7 +165,7 @@ type Driver struct {
 	chunks    int
 	heapBytes int64
 	leased    int
-	freeFixed []int32
+	freeChunk []int32
 	freeHeap  []int32
 }
 
@@ -215,16 +214,15 @@ func (d *Driver) run(dst []byte, reads []Read) error {
 	d.reqs = d.reqs[:len(reads)]
 	d.retryQ = d.retryQ[:0]
 	d.resetSlots()
-	fixed := d.Align == 0 && sliceWithin(d.Arena, dst)
 	next, done := 0, 0
 	for done < len(reads) {
 		staged := 0
 		// Resubmissions first: the reads they finish are the oldest.
-		for len(d.retryQ) > 0 && d.prep(int(d.retryQ[0]), dst, fixed) {
+		for len(d.retryQ) > 0 && d.prep(int(d.retryQ[0]), dst) {
 			d.retryQ = d.retryQ[1:]
 			staged++
 		}
-		for len(d.retryQ) == 0 && next < len(reads) && d.stage(next, &reads[next], dst, fixed) {
+		for len(d.retryQ) == 0 && next < len(reads) && d.stage(next, &reads[next], dst) {
 			next++
 			staged++
 		}
@@ -281,9 +279,6 @@ func (d *Driver) run(dst []byte, reads []Read) error {
 			case got == rq.remain:
 				d.Stats.Reads++
 				d.Stats.Bytes += got
-				if fixed {
-					d.Stats.FixedReads++
-				}
 				done++
 			default:
 				// Short read: the prefix is valid — resubmit only the tail.
@@ -314,11 +309,11 @@ func (d *Driver) run(dst []byte, reads []Read) error {
 // stage starts read i. On an O_DIRECT file it first leases a slot for
 // the window around the read, and gives it back when either the scratch
 // bound or the ring refuses.
-func (d *Driver) stage(i int, rd *Read, dst []byte, fixed bool) bool {
+func (d *Driver) stage(i int, rd *Read, dst []byte) bool {
 	rq := &d.reqs[i]
 	if d.Align == 0 {
 		*rq = req{off: rd.Off, pos: rd.Pos, remain: rd.Len, slot: -1}
-		return d.prep(i, dst, fixed)
+		return d.prep(i, dst)
 	}
 	mask := int64(d.Align) - 1
 	start, end := rd.Off&^mask, (rd.Off+rd.Len+mask)&^mask
@@ -329,7 +324,7 @@ func (d *Driver) stage(i int, rd *Read, dst []byte, fixed bool) bool {
 	sl := &d.slots[s]
 	sl.start, sl.end, sl.off, sl.n, sl.done = start, end, rd.Off, rd.Len, 0
 	*rq = req{off: start, pos: rd.Pos, remain: end - start, slot: s}
-	if !d.prep(i, dst, fixed) {
+	if !d.prep(i, dst) {
 		d.release(s)
 		return false
 	}
@@ -337,22 +332,15 @@ func (d *Driver) stage(i int, rd *Read, dst []byte, fixed bool) bool {
 }
 
 // prep stages read i's outstanding range: into the destination when
-// buffered, into the held slot's window on an O_DIRECT file, through
-// PrepReadFixed exactly when that memory is the registered arena.
-func (d *Driver) prep(i int, dst []byte, fixed bool) bool {
+// buffered, into the held slot's window on an O_DIRECT file.
+func (d *Driver) prep(i int, dst []byte) bool {
 	rq := &d.reqs[i]
-	var buf []byte
 	if rq.slot >= 0 {
 		sl := &d.slots[rq.slot]
 		at := rq.off - sl.start
-		buf, fixed = sl.buf[at:at+rq.remain], int(rq.slot) < d.chunks
-	} else {
-		buf = dst[rq.pos : rq.pos+rq.remain]
+		return d.Ring.PrepRead(uint64(i), rq.off, sl.buf[at:at+rq.remain])
 	}
-	if fixed {
-		return d.Ring.PrepReadFixed(uint64(i), rq.off, buf, 0)
-	}
-	return d.Ring.PrepRead(uint64(i), rq.off, buf)
+	return d.Ring.PrepRead(uint64(i), rq.off, dst[rq.pos:rq.pos+rq.remain])
 }
 
 // window takes a non-negative completion of O_DIRECT read id. The read
@@ -369,9 +357,6 @@ func (d *Driver) window(id int32, rq *req, got int64, dst []byte) (bool, error) 
 		d.Stats.Reads++
 		d.Stats.Bytes += sl.n
 		d.Stats.SlackBytes += sl.done - sl.n
-		if int(rq.slot) < d.chunks {
-			d.Stats.FixedReads++
-		}
 		d.release(rq.slot)
 		rq.slot = -1
 		return true, nil
@@ -405,7 +390,9 @@ func (d *Driver) drain() {
 
 // resetSlots frees every scratch slot at the start of a Run — any still
 // leased belonged to a failed Run whose reads were drained — cutting the
-// arena into chunks the first time.
+// arena into chunks the first time. Chunks are handed out lowest first,
+// so a ring that pins its destinations (see iouRing.pin) covers a run of
+// them with the first one's pin.
 func (d *Driver) resetSlots() {
 	if d.Align == 0 {
 		return
@@ -419,13 +406,12 @@ func (d *Driver) resetSlots() {
 		}
 		d.slots = append(d.slots, heap...)
 	}
-	d.freeFixed, d.freeHeap, d.leased = d.freeFixed[:0], d.freeHeap[:0], 0
-	for i := range d.slots {
-		if i < d.chunks {
-			d.freeFixed = append(d.freeFixed, int32(i))
-		} else {
-			d.freeHeap = append(d.freeHeap, int32(i))
-		}
+	d.freeChunk, d.freeHeap, d.leased = d.freeChunk[:0], d.freeHeap[:0], 0
+	for i := d.chunks - 1; i >= 0; i-- {
+		d.freeChunk = append(d.freeChunk, int32(i))
+	}
+	for i := d.chunks; i < len(d.slots); i++ {
+		d.freeHeap = append(d.freeHeap, int32(i))
 	}
 }
 
@@ -437,9 +423,9 @@ func (d *Driver) resetSlots() {
 // first if it would break the bound, so the bound is directScratch or the
 // largest single window.
 func (d *Driver) lease(n int64) int32 {
-	if k := len(d.freeFixed); k > 0 && n <= directChunk {
-		s := d.freeFixed[k-1]
-		d.freeFixed = d.freeFixed[:k-1]
+	if k := len(d.freeChunk); k > 0 && n <= directChunk {
+		s := d.freeChunk[k-1]
+		d.freeChunk = d.freeChunk[:k-1]
 		d.leased++
 		return s
 	}
@@ -472,7 +458,7 @@ func (d *Driver) lease(n int64) int32 {
 // release returns a leased slot to its free list.
 func (d *Driver) release(s int32) {
 	if int(s) < d.chunks {
-		d.freeFixed = append(d.freeFixed, s)
+		d.freeChunk = append(d.freeChunk, s)
 	} else {
 		d.freeHeap = append(d.freeHeap, s)
 	}

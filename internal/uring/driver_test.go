@@ -235,47 +235,36 @@ type refusingRing struct{ Ring }
 func (refusingRing) PrepRead(uint64, int64, []byte) bool { return false }
 
 // countingRing watches a driver from below: the reads in flight at every
-// prep, and whether each prep was fixed and its memory in the arena.
+// prep, and where each prep's memory lies — in arena, in dst, or
+// elsewhere (a heap slot).
 type countingRing struct {
 	Ring
-	arena                  []byte
+	arena, dst             []byte
 	staged, inflight, most int
 	stagedWhileInflight    bool
 	partialWait            bool // a Wait asked for fewer than were in flight
-	fixed, plain, misfiled int
+	inArena, inDst, heap   int
 	prepped                func()
-}
-
-func (r *countingRing) count(fixed bool, buf []byte) {
-	r.staged++
-	r.most = max(r.most, r.staged+r.inflight)
-	r.stagedWhileInflight = r.stagedWhileInflight || r.inflight > 0
-	if fixed {
-		r.fixed++
-	} else {
-		r.plain++
-	}
-	if fixed != sliceWithin(r.arena, buf) {
-		r.misfiled++
-	}
-	if r.prepped != nil {
-		r.prepped()
-	}
 }
 
 func (r *countingRing) PrepRead(id uint64, off int64, buf []byte) bool {
 	if !r.Ring.PrepRead(id, off, buf) {
 		return false
 	}
-	r.count(false, buf)
-	return true
-}
-
-func (r *countingRing) PrepReadFixed(id uint64, off int64, buf []byte, bufIndex int) bool {
-	if !r.Ring.PrepReadFixed(id, off, buf, bufIndex) {
-		return false
+	r.staged++
+	r.most = max(r.most, r.staged+r.inflight)
+	r.stagedWhileInflight = r.stagedWhileInflight || r.inflight > 0
+	switch {
+	case sliceWithin(r.arena, buf):
+		r.inArena++
+	case sliceWithin(r.dst, buf):
+		r.inDst++
+	default:
+		r.heap++
 	}
-	r.count(true, buf)
+	if r.prepped != nil {
+		r.prepped()
+	}
 	return true
 }
 
@@ -293,25 +282,21 @@ func (r *countingRing) Wait(min int) ([]CQE, error) {
 	return cqes, err
 }
 
-// pipelineBackends are the plain backends, each opened with arena
-// registered as fixed buffer 0.
-func pipelineBackends(t *testing.T, f *os.File, entries int, arena []byte) map[string]*countingRing {
+// pipelineBackends are the backends that run here, each behind a
+// countingRing.
+func pipelineBackends(t *testing.T, f *os.File, entries int) map[string]*countingRing {
 	backends := []Backend{BackendSim, BackendPool}
 	if Probe().Ring {
 		backends = append(backends, BackendIOURing)
 	}
 	rings := map[string]*countingRing{}
 	for _, be := range backends {
-		opts := Options{Entries: entries}
-		if arena != nil {
-			opts.FixedBuffers = [][]byte{arena}
-		}
-		r, err := NewWith(be, f, opts)
+		r, err := New(be, f, entries)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { r.Close() })
-		rings[string(be)] = &countingRing{Ring: r, arena: arena}
+		rings[string(be)] = &countingRing{Ring: r}
 	}
 	return rings
 }
@@ -326,7 +311,7 @@ func TestRunRingCapacity(t *testing.T) {
 	raw, _ := os.ReadFile(f.Name())
 	for _, entries := range []int{1, 32} {
 		t.Run(fmt.Sprintf("entries=%d", entries), func(t *testing.T) {
-			for name, r := range pipelineBackends(t, f, entries, nil) {
+			for name, r := range pipelineBackends(t, f, entries) {
 				t.Run(name, func(t *testing.T) {
 					reads, n := planReads(512)
 					dst := make([]byte, n)
@@ -352,7 +337,7 @@ func TestRunSync(t *testing.T) {
 	f := testFile(t, 512)
 	raw, _ := os.ReadFile(f.Name())
 	for _, sync := range []bool{true, false} {
-		for name, r := range pipelineBackends(t, f, 8, nil) {
+		for name, r := range pipelineBackends(t, f, 8) {
 			reads, n := planReads(512)
 			dst := make([]byte, n)
 			d := Driver{Ring: r, Sync: sync}
@@ -368,37 +353,35 @@ func TestRunSync(t *testing.T) {
 	}
 }
 
-// TestRunFixedIffArena: a read goes through PrepReadFixed exactly when
-// the memory it lands in lies inside the registered arena — a
-// destination carved from the arena, or an O_DIRECT window in an arena
-// chunk — and through PrepRead otherwise: a heap destination, or a
-// window too big for a chunk.
-func TestRunFixedIffArena(t *testing.T) {
+// TestRunDirectWindowsInArena: an O_DIRECT window that fits a chunk is
+// read into the arena, a bigger one into a heap slot, and a buffered
+// read straight into its destination, whatever the arena.
+func TestRunDirectWindowsInArena(t *testing.T) {
 	f := testFile(t, 16<<10) // 64 KiB
 	raw, _ := os.ReadFile(f.Name())
 	arena := AlignedSlice(64<<10, 4096)
 	small, n := planReads(512)
 	big := []Read{{Off: 100, Len: 3 * directChunk}, {Off: 7, Pos: 3 * directChunk, Len: 40}}
 	for _, c := range []struct {
-		name         string
-		align        int
-		dst          []byte
-		reads        []Read
-		fixed, plain int
+		name                 string
+		align                int
+		dst                  []byte
+		reads                []Read
+		inArena, inDst, heap int
 	}{
-		{"arena-destination", 0, arena[:n], small, len(small), 0},
-		{"heap-destination", 0, make([]byte, n), small, 0, len(small)},
-		{"direct-windows", 512, make([]byte, 3*directChunk+40), big, 1, 1},
+		{"buffered", 0, make([]byte, n), small, 0, len(small), 0},
+		{"direct-windows", 512, make([]byte, 3*directChunk+40), big, 1, 0, 1},
 	} {
-		for name, r := range pipelineBackends(t, f, 16, arena) {
+		for name, r := range pipelineBackends(t, f, 16) {
+			r.arena, r.dst = arena, c.dst
 			d := Driver{Ring: r, Align: c.align, Arena: arena}
 			if err := d.Run(c.dst, c.reads); err != nil {
 				t.Fatalf("%s %s: %v", c.name, name, err)
 			}
 			assertLanded(t, raw, c.dst, c.reads)
-			if r.misfiled != 0 || r.fixed != c.fixed || r.plain != c.plain || d.Stats.FixedReads != int64(c.fixed) {
-				t.Fatalf("%s %s: %d fixed and %d plain preps (%d against the arena, %d fixed reads), want %d and %d",
-					c.name, name, r.fixed, r.plain, r.misfiled, d.Stats.FixedReads, c.fixed, c.plain)
+			if r.inArena != c.inArena || r.inDst != c.inDst || r.heap != c.heap {
+				t.Fatalf("%s %s: %d preps into the arena, %d into the destination, %d into heap slots; want %d, %d, %d",
+					c.name, name, r.inArena, r.inDst, r.heap, c.inArena, c.inDst, c.heap)
 			}
 		}
 	}
@@ -419,7 +402,7 @@ func TestRunDirectScratchBound(t *testing.T) {
 		pos += rd.Len
 	}
 	dst := make([]byte, pos)
-	for name, r := range pipelineBackends(t, f, 64, nil) {
+	for name, r := range pipelineBackends(t, f, 64) {
 		d := Driver{Ring: r, Align: 512}
 		var most int64
 		r.prepped = func() {

@@ -38,18 +38,7 @@ type FaultPlan struct {
 	// MaxDelay is the maximum number of Wait calls a delayed completion
 	// is held (default 3 when zero).
 	MaxDelay int
-	// BadBufIndexRate corrupts a PrepReadFixed buffer index to an
-	// unregistered one before forwarding, so the request completes with
-	// the backend's structured -EINVAL instead of reading. Exercises the
-	// consumer's hard-error path for fixed-buffer reads; has no effect
-	// on plain PrepRead traffic.
-	BadBufIndexRate float64
 }
-
-// badBufIndex is the corrupted index BadBufIndexRate injects — far
-// above any registered arena count, and within uint16 range so the
-// real backend's SQE encoding carries it through to the kernel intact.
-const badBufIndex = 0xbad
 
 func (p *FaultPlan) validate() error {
 	for _, r := range []struct {
@@ -61,7 +50,6 @@ func (p *FaultPlan) validate() error {
 		{"HardErrRate", p.HardErrRate},
 		{"RejectRate", p.RejectRate},
 		{"DelayRate", p.DelayRate},
-		{"BadBufIndexRate", p.BadBufIndexRate},
 	} {
 		if r.v < 0 || r.v > 1 {
 			return fmt.Errorf("uring: fault plan %s = %v outside [0,1]", r.name, r.v)
@@ -79,17 +67,16 @@ func (p *FaultPlan) validate() error {
 
 // FaultStats counts the faults a FaultRing actually injected.
 type FaultStats struct {
-	Rejected    int64 // PrepRead calls refused
-	ShortReads  int64 // reads truncated
-	Transient   int64 // -EINTR/-EAGAIN completions synthesized
-	Hard        int64 // -EIO completions synthesized
-	Delayed     int64 // completions held back at least one Wait
-	BadBufIndex int64 // fixed-read buffer indexes corrupted
+	Rejected   int64 // PrepRead calls refused
+	ShortReads int64 // reads truncated
+	Transient  int64 // -EINTR/-EAGAIN completions synthesized
+	Hard       int64 // -EIO completions synthesized
+	Delayed    int64 // completions held back at least one Wait
 }
 
 // Total returns the total number of injected fault events.
 func (s FaultStats) Total() int64 {
-	return s.Rejected + s.ShortReads + s.Transient + s.Hard + s.Delayed + s.BadBufIndex
+	return s.Rejected + s.ShortReads + s.Transient + s.Hard + s.Delayed
 }
 
 // maxConsecReject bounds back-to-back injected PrepRead rejections so
@@ -148,35 +135,6 @@ func Faults(r Ring) (FaultStats, bool) {
 }
 
 func (r *faultRing) PrepRead(id uint64, off int64, buf []byte) bool {
-	return r.prepFault(id, buf, func(b []byte) bool {
-		return r.inner.PrepRead(id, off, b)
-	})
-}
-
-func (r *faultRing) PrepReadFixed(id uint64, off int64, buf []byte, bufIndex int) bool {
-	// Buffer-index corruption: forward with an unregistered index so the
-	// inner backend (real or emulated) produces its structured -EINVAL.
-	if r.plan.BadBufIndexRate > 0 && r.rng.Float64() < r.plan.BadBufIndexRate {
-		staged := r.innerStaged + len(r.synthStaged)
-		if staged >= r.inner.Entries() || r.inflight+staged >= 2*r.inner.Entries() {
-			return false
-		}
-		if !r.inner.PrepReadFixed(id, off, buf, badBufIndex) {
-			return false
-		}
-		r.innerStaged++
-		r.stats.BadBufIndex++
-		r.consecReject = 0
-		return true
-	}
-	return r.prepFault(id, buf, func(b []byte) bool {
-		return r.inner.PrepReadFixed(id, off, b, bufIndex)
-	})
-}
-
-// prepFault is the shared injection front-end for both prep flavors;
-// fwd stages the (possibly truncated) destination into the inner ring.
-func (r *faultRing) prepFault(id uint64, buf []byte, fwd func([]byte) bool) bool {
 	// Capacity: synthesized completions bypass the inner ring, so the
 	// wrapper enforces the SQ/CQ bounds itself.
 	staged := r.innerStaged + len(r.synthStaged)
@@ -207,13 +165,13 @@ func (r *faultRing) prepFault(id uint64, buf []byte, fwd func([]byte) bool) bool
 		// reads real bytes into it, so the completion is a genuine short
 		// read (possibly splitting an entry mid-way).
 		cut := 1 + r.rng.Intn(len(buf)-1)
-		if !fwd(buf[:cut]) {
+		if !r.inner.PrepRead(id, off, buf[:cut]) {
 			return false
 		}
 		r.innerStaged++
 		r.stats.ShortReads++
 	default:
-		if !fwd(buf) {
+		if !r.inner.PrepRead(id, off, buf) {
 			return false
 		}
 		r.innerStaged++

@@ -15,20 +15,12 @@ const poolWorkers = 16
 // pread(2) (via ReadAt). Channel capacities cover the maximum
 // in-flight count, so workers never block on the completion side and
 // Submit never blocks on the work side.
-//
-// Fixed buffers are emulated: arenas from Options.FixedBuffers are
-// retained only to validate PrepReadFixed references (index in range,
-// destination inside the arena); a valid fixed read then proceeds
-// exactly like a plain read, and an invalid one completes with
-// -EINVAL/-EFAULT after Submit, matching the kernel.
 type poolRing struct {
 	f       *os.File
 	entries int
 	cqCap   int
-	arenas  [][]byte
 
 	staged   []poolReq
-	synth    []CQE // invalid fixed-read completions awaiting Submit
 	work     chan poolReq
 	results  chan CQE
 	inflight int
@@ -51,7 +43,6 @@ func newPool(f *os.File, o Options) *poolRing {
 		f:       f,
 		entries: o.Entries,
 		cqCap:   2 * o.Entries, // matches io_uring's default CQ = 2x SQ
-		arenas:  o.FixedBuffers,
 	}
 	r.work = make(chan poolReq, r.cqCap)
 	r.results = make(chan CQE, r.cqCap)
@@ -76,37 +67,20 @@ func (r *poolRing) worker() {
 }
 
 func (r *poolRing) PrepRead(id uint64, off int64, buf []byte) bool {
-	if len(r.staged)+len(r.synth) >= r.entries ||
-		r.inflight+len(r.staged)+len(r.synth) >= r.cqCap {
+	if len(r.staged) >= r.entries || r.inflight+len(r.staged) >= r.cqCap {
 		return false
 	}
 	r.staged = append(r.staged, poolReq{id: id, off: off, buf: buf})
 	return true
 }
 
-func (r *poolRing) PrepReadFixed(id uint64, off int64, buf []byte, bufIndex int) bool {
-	if res := fixedCheck(r.arenas, buf, bufIndex); res != 0 {
-		if len(r.staged)+len(r.synth) >= r.entries ||
-			r.inflight+len(r.staged)+len(r.synth) >= r.cqCap {
-			return false
-		}
-		r.synth = append(r.synth, CQE{ID: id, Res: res})
-		return true
-	}
-	return r.PrepRead(id, off, buf)
-}
-
 func (r *poolRing) Submit() (int, error) {
-	n := len(r.staged) + len(r.synth)
+	n := len(r.staged)
 	for _, rq := range r.staged {
 		r.work <- rq
 	}
-	for _, c := range r.synth {
-		r.results <- c
-	}
 	r.inflight += n
 	r.staged = r.staged[:0]
-	r.synth = r.synth[:0]
 	return n, nil
 }
 

@@ -6,24 +6,19 @@ import (
 	"cmp"
 	"fmt"
 	"os"
-	"runtime"
 	"slices"
 	"sync/atomic"
 	"syscall"
 	"unsafe"
 )
 
-// Raw io_uring binding: io_uring_setup / io_uring_enter /
-// io_uring_register syscalls and mmap'd SQ/CQ rings, written directly
-// against the kernel ABI (no cgo, no liburing). Two read opcodes are
-// wired up — IORING_OP_READ for the plain path and IORING_OP_READ_FIXED
-// for reads into arenas registered with IORING_REGISTER_BUFFERS (which
-// skips per-read page pinning).
+// Raw io_uring binding: io_uring_setup / io_uring_enter syscalls and
+// mmap'd SQ/CQ rings, written directly against the kernel ABI (no cgo,
+// no liburing). One read opcode is wired up: IORING_OP_READ.
 
 const (
-	sysIOURingSetup    = 425
-	sysIOURingEnter    = 426
-	sysIOURingRegister = 427
+	sysIOURingSetup = 425
+	sysIOURingEnter = 426
 
 	offSQRing = 0x0
 	offCQRing = 0x8000000
@@ -31,10 +26,7 @@ const (
 
 	enterGetEvents = 1 << 0 // IORING_ENTER_GETEVENTS
 
-	registerBuffers = 0 // IORING_REGISTER_BUFFERS
-
-	opReadFixed = 4  // IORING_OP_READ_FIXED, kernel 5.1+
-	opRead      = 22 // IORING_OP_READ, kernel 5.6+
+	opRead = 22 // IORING_OP_READ, kernel 5.6+
 
 	sqeSize = 64
 	cqeSize = 16
@@ -102,9 +94,6 @@ type iouRing struct {
 	staged    uint32
 	inflight  uint32
 
-	// fixed pins the registered arenas for the ring's lifetime: the
-	// kernel holds their pages pinned, so the GC must not reclaim them.
-	fixed [][]byte
 	// pins keeps the destination memory of in-flight reads GC-reachable
 	// while only the kernel holds its address (see pin). Append-only
 	// between idle moments; cleared when the ring goes idle.
@@ -137,17 +126,8 @@ func enter(fd int, toSubmit, minComplete, flags uint32) (int, error) {
 	}
 }
 
-func register(fd int, opcode uint32, arg unsafe.Pointer, nrArgs uint32) error {
-	_, _, errno := syscall.Syscall6(sysIOURingRegister, uintptr(fd),
-		uintptr(opcode), uintptr(arg), uintptr(nrArgs), 0, 0)
-	if errno != 0 {
-		return errno
-	}
-	return nil
-}
-
-// newRawRing sets up a kernel ring per Options, maps the three rings,
-// and registers the fixed buffers. f is nil for the capability probe.
+// newRawRing sets up a kernel ring per Options and maps the three
+// rings. f is nil for the capability probe.
 func newRawRing(f *os.File, o Options) (*iouRing, error) {
 	var p uringParams
 	fd, err := setupRing(uint32(o.Entries), &p)
@@ -196,36 +176,15 @@ func newRawRing(f *os.File, o Options) (*iouRing, error) {
 	r.cqesBase = unsafe.Add(cq, p.cqOff.cqes)
 
 	r.localTail = atomic.LoadUint32(r.sqTail)
-
-	if len(o.FixedBuffers) > 0 {
-		iovs := make([]syscall.Iovec, len(o.FixedBuffers))
-		for i, b := range o.FixedBuffers {
-			if len(b) == 0 {
-				return fail(fmt.Errorf("uring: fixed buffer %d is empty", i))
-			}
-			iovs[i].Base = &b[0]
-			iovs[i].SetLen(len(b))
-		}
-		if err := register(fd, registerBuffers, unsafe.Pointer(&iovs[0]), uint32(len(iovs))); err != nil {
-			return fail(fmt.Errorf("uring: IORING_REGISTER_BUFFERS: %w", err))
-		}
-		r.fixed = o.FixedBuffers
-		runtime.KeepAlive(iovs)
-	}
 	return r, nil
 }
 
-// newIOURing opens a real ring over f. Requested fixed buffers must be
-// granted: construction fails (rather than silently downgrading) when
-// the kernel refuses them — callers gate on Probe() so a fallback is an
-// explicit, logged decision at the Config layer.
+// newIOURing opens a real ring over f. It fails (rather than silently
+// downgrading) when Probe found no usable ring — callers gate on
+// Probe() so a fallback is an explicit decision at the Config layer.
 func newIOURing(f *os.File, o Options) (Ring, error) {
-	caps := Probe()
-	if !caps.Ring {
+	if !Probe().Ring {
 		return nil, fmt.Errorf("uring: io_uring unavailable in this environment (use %s)", BackendPool)
-	}
-	if len(o.FixedBuffers) > 0 && !caps.ReadFixed {
-		return nil, fmt.Errorf("uring: fixed buffers requested but IORING_REGISTER_BUFFERS unavailable (caps %s)", caps)
 	}
 	r, err := newRawRing(f, o)
 	if err != nil {
@@ -234,31 +193,18 @@ func newIOURing(f *os.File, o Options) (Ring, error) {
 	return r, nil
 }
 
-// probe verifies the real path: base setup + all three mmaps, then
-// buffer registration. A failure just clears that capability — callers
-// downgrade, never error.
+// probe verifies the real path: base setup and all three mmaps. A
+// failure reports no ring — callers downgrade, never error.
 func probe() Caps {
-	var c Caps
 	r, err := newRawRing(nil, Options{Entries: 8})
 	if err != nil {
-		return c
+		return Caps{}
 	}
-	c.Ring = true
-
-	arena := make([]byte, 4096)
-	var iov syscall.Iovec
-	iov.Base = &arena[0]
-	iov.SetLen(len(arena))
-	if register(r.fd, registerBuffers, unsafe.Pointer(&iov), 1) == nil {
-		c.ReadFixed = true
-	}
-	runtime.KeepAlive(arena)
 	r.Close()
-	return c
+	return Caps{Ring: true}
 }
 
-// prep stages one SQE. bufIndex is only meaningful for opReadFixed.
-func (r *iouRing) prep(id uint64, off int64, buf []byte, opcode uint8, bufIndex uint16) bool {
+func (r *iouRing) PrepRead(id uint64, off int64, buf []byte) bool {
 	if r.staged >= r.sqEntries || r.inflight+r.staged >= r.cqEntries {
 		return false
 	}
@@ -271,13 +217,12 @@ func (r *iouRing) prep(id uint64, off int64, buf []byte, opcode uint8, bufIndex 
 	sqe := unsafe.Pointer(&r.sqes[idx*sqeSize])
 	// Zero the slot, then fill the read fields.
 	*(*[sqeSize]byte)(sqe) = [sqeSize]byte{}
-	*(*uint8)(sqe) = opcode                                                    // opcode
+	*(*uint8)(sqe) = opRead                                                    // opcode
 	*(*int32)(unsafe.Add(sqe, 4)) = r.fileFD                                   // fd
 	*(*uint64)(unsafe.Add(sqe, 8)) = uint64(off)                               // off
 	*(*uint64)(unsafe.Add(sqe, 16)) = uint64(uintptr(unsafe.Pointer(&buf[0]))) // addr
 	*(*uint32)(unsafe.Add(sqe, 24)) = uint32(len(buf))                         // len
 	*(*uint64)(unsafe.Add(sqe, 32)) = id                                       // user_data
-	*(*uint16)(unsafe.Add(sqe, 40)) = bufIndex                                 // buf_index
 	r.sqArray[idx] = idx
 	r.localTail++
 	r.staged++
@@ -295,16 +240,10 @@ const pinCompactAt = 1024
 // map entry per request the ring records a destination only when it
 // does not lie inside the last one recorded (extended to its capacity,
 // so later reads further into the same buffer are covered), and forgets
-// them all when nothing is staged or in flight. Registered arenas are
-// pinned for the ring's lifetime by r.fixed and never recorded.
+// them all when nothing is staged or in flight.
 func (r *iouRing) pin(buf []byte) {
 	if n := len(r.pins); n > 0 && sliceWithin(r.pins[n-1], buf) {
 		return
-	}
-	for _, arena := range r.fixed {
-		if sliceWithin(arena, buf) {
-			return
-		}
 	}
 	if len(r.pins) >= r.pinLimit {
 		// Destinations alternating between allocations (recycled O_DIRECT
@@ -321,16 +260,6 @@ func (r *iouRing) pin(buf []byte) {
 		}
 	}
 	r.pins = append(r.pins, buf[:cap(buf)])
-}
-
-func (r *iouRing) PrepRead(id uint64, off int64, buf []byte) bool {
-	return r.prep(id, off, buf, opRead, 0)
-}
-
-func (r *iouRing) PrepReadFixed(id uint64, off int64, buf []byte, bufIndex int) bool {
-	// Out-of-range indexes are still staged: the kernel completes them
-	// with a negative CQE (-EINVAL/-EFAULT) per the ring contract.
-	return r.prep(id, off, buf, opReadFixed, uint16(bufIndex))
 }
 
 func (r *iouRing) Submit() (int, error) {
@@ -417,7 +346,6 @@ func (r *iouRing) Close() error {
 		syscall.Close(r.fd)
 		r.fd = -1
 	}
-	r.fixed = nil
 	r.pins = nil
 	return nil
 }

@@ -3,9 +3,8 @@
 //
 //   - BackendIOURing: a from-scratch Linux io_uring binding (raw
 //     io_uring_setup/io_uring_enter/io_uring_register syscalls + mmap'd
-//     SQ/CQ rings, no cgo, no liburing). The paper's real I/O path,
-//     with one optional fast-path knob: registered fixed buffers
-//     (IORING_OP_READ_FIXED).
+//     SQ/CQ rings, no cgo, no liburing). The paper's real I/O path:
+//     one read opcode, IORING_OP_READ.
 //   - BackendPool: a portable pread worker pool with the same batched
 //     SQ/CQ semantics. Always available; this is what keeps the engine
 //     running on non-Linux platforms and inside seccomp sandboxes.
@@ -92,26 +91,12 @@ type CQE struct {
 //     completely idle (nothing staged or in flight).
 //   - Wait(min) with min larger than the in-flight count is clamped;
 //     Wait(0) is a non-blocking poll.
-//   - Fixed-buffer reads: PrepReadFixed stages a read whose destination
-//     must lie inside the registered buffer named by bufIndex (see
-//     Options.FixedBuffers). A request referencing an unregistered
-//     index, or a destination outside that buffer's bounds, is still
-//     accepted and completes with -EINVAL / -EFAULT — io_uring's own
-//     convention — never a panic or a silent success. Backends without
-//     kernel-side fixed buffers (pool, sim) emulate: they validate the
-//     index and bounds, then read exactly like PrepRead.
 type Ring interface {
 	// PrepRead stages a read of len(buf) bytes at byte offset off into
 	// the submission queue. It returns false when the SQ is full or too
 	// many requests are in flight — the caller should Submit and/or
 	// Wait, then retry.
 	PrepRead(id uint64, off int64, buf []byte) bool
-	// PrepReadFixed stages a read like PrepRead, but through the
-	// registered fixed buffer bufIndex: buf must be a sub-slice of the
-	// arena passed at that index in Options.FixedBuffers. Invalid
-	// references complete with -EINVAL (unregistered index) or -EFAULT
-	// (out of the arena's bounds).
-	PrepReadFixed(id uint64, off int64, buf []byte, bufIndex int) bool
 	// Submit publishes all staged requests and returns how many were
 	// accepted.
 	Submit() (int, error)
@@ -143,44 +128,27 @@ type SyscallReporter interface {
 	Syscalls() Syscalls
 }
 
-// Caps is the per-feature capability set of the real io_uring backend
-// in this environment, as probed at first use. Ring false means the
-// base binding doesn't work at all (non-Linux, old kernel, seccomp) and
-// every other field is false too.
+// Caps is the capability set of the real io_uring backend in this
+// environment, as probed at first use.
 type Caps struct {
 	// Ring: io_uring_setup, the three ring mmaps, and io_uring_enter all
-	// work. The gate for BackendIOURing.
+	// work. The gate for BackendIOURing; false on non-Linux, old kernels
+	// and seccomp sandboxes.
 	Ring bool
-	// ReadFixed: IORING_REGISTER_BUFFERS succeeds, so
-	// IORING_OP_READ_FIXED into registered arenas is usable.
-	ReadFixed bool
 }
 
-// String renders the capability set compactly: "ring+read_fixed",
-// "ring" or "unavailable".
+// String renders the capability set: "ring" or "unavailable".
 func (c Caps) String() string {
 	if !c.Ring {
 		return "unavailable"
 	}
-	parts := []string{"ring"}
-	if c.ReadFixed {
-		parts = append(parts, "read_fixed")
-	}
-	return strings.Join(parts, "+")
+	return "ring"
 }
 
-// Options configures ring construction beyond the SQ depth. The zero
-// value is the plain path every backend has always provided.
+// Options configures ring construction.
 type Options struct {
 	// Entries is the SQ capacity (<= 0 selects DefaultEntries).
 	Entries int
-	// FixedBuffers are workspace arenas to register at setup
-	// (IORING_REGISTER_BUFFERS). PrepReadFixed destinations must lie
-	// inside the arena named by their index. The real backend fails
-	// construction when registration is refused (probe Caps.ReadFixed
-	// first); pool and sim emulate — they validate indexes and bounds
-	// and otherwise read normally.
-	FixedBuffers [][]byte
 }
 
 // DefaultEntries is the paper's default ring size.
@@ -194,10 +162,9 @@ func New(be Backend, f *os.File, entries int) (Ring, error) {
 }
 
 // NewWith opens a ring over f with explicit Options. The real backend
-// registers exactly the fixed buffers asked for and fails when the
-// kernel refuses them — callers gate requests on Probe() and fall back
-// themselves, so a downgrade is always a visible decision, never a
-// silent one. Pool and sim emulate fixed buffers.
+// fails when Probe finds no usable ring — callers gate on Probe() and
+// fall back themselves, so a downgrade is always a visible decision,
+// never a silent one.
 func NewWith(be Backend, f *os.File, o Options) (Ring, error) {
 	if o.Entries <= 0 {
 		o.Entries = DefaultEntries
@@ -219,13 +186,11 @@ var (
 	probeCaps Caps
 )
 
-// Probe reports the real io_uring backend's per-feature capability set
-// in this environment: whether the base binding works (syscalls exist,
-// the sandbox permits them, the ring mmaps succeed) and whether the
-// kernel grants fixed buffers.
-// It never panics and caches its result — sandboxes and older kernels
-// simply report fewer capabilities, and the engine downgrades to the
-// plain path (or BackendPool when even Caps.Ring is false).
+// Probe reports the real io_uring backend's capability set in this
+// environment: whether the base binding works (syscalls exist, the
+// sandbox permits them, the ring mmaps succeed). It never panics and
+// caches its result — where Caps.Ring is false the engine runs on
+// BackendPool.
 func Probe() Caps {
 	probeOnce.Do(func() {
 		defer func() {
@@ -239,8 +204,7 @@ func Probe() Caps {
 }
 
 // sliceWithin reports whether inner is a non-empty sub-slice of outer's
-// backing bytes — the bounds check pool/sim use to emulate the kernel's
-// fixed-buffer validation.
+// backing bytes.
 func sliceWithin(outer, inner []byte) bool {
 	if len(outer) == 0 || len(inner) == 0 {
 		return false

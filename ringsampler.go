@@ -93,8 +93,8 @@ func OpenWith(dir string, opts OpenOptions) (*Dataset, error) {
 	return storage.OpenWith(dir, opts)
 }
 
-// Probe reports the io_uring capability set of this environment: the
-// base ring, and fixed buffers on top of it.
+// Probe reports the io_uring capability set of this environment:
+// whether the base ring works.
 func Probe() uring.Caps { return uring.Probe() }
 
 // NewSampler binds the engine to ds using the best ring backend

@@ -64,6 +64,11 @@ go test -race -count=5 -run 'TestPoolRetiresBrokenWorker' ./internal/core
 
 go test -race $short ./...
 
+# Fuzz smoke of the serving trust boundary (DESIGN.md §8): arbitrary
+# /v1/sample bodies and ?features= values through decode and validation
+# never panic, are refused 400/413, or are accepted within every limit.
+go test -fuzz='^FuzzSampleRequest$' -fuzztime=30s ./internal/serve
+
 # cmd/bench superseded the per-command sweep modes and their checked-in
 # JSON summaries; fail if either grows back outside it.
 dash=- under=_
@@ -77,6 +82,13 @@ fi
 # and tests wrap rings.
 if git grep -n '\.PrepRead' -- '*.go' ':!internal/uring' ':!cmd/bench' ':!*_test.go'; then
     echo "check: a second read loop is growing back (matches above); use uring.Driver" >&2
+    exit 1
+fi
+
+# One read opcode (DESIGN.md §9): every read is a plain IORING_OP_READ;
+# fail if registered buffers or READ_FIXED grow back.
+if git grep -nE 'READ_FIXED|PrepReadFixed|REGISTER_BUFFERS|FixedBuffers' -- '*.go'; then
+    echo "check: registered buffers are growing back (matches above); reads are plain PrepRead" >&2
     exit 1
 fi
 
