@@ -6,22 +6,19 @@
 // are; generation is deterministic, so -regen on a clean checkout
 // reproduces the committed files byte for byte.
 //
-// With -shards N the dataset is additionally partitioned by node range
-// into N shard datasets under <dataset>-shards/N/ — the on-disk layout
-// the sharded serving mode (cmd/serve -router, DESIGN.md §12) deploys
-// one shard server per directory over.
-//
 // Usage:
 //
 //	go run ./cmd/benchprep [-root benchdata/bench] [-regen]
-//	go run ./cmd/benchprep -shards 4
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log"
+	"os"
 	"path/filepath"
 
 	"ringsampler/internal/gen"
@@ -43,36 +40,27 @@ const (
 )
 
 func main() {
-	root := flag.String("root", "benchdata/bench", "dataset root directory")
-	regen := flag.Bool("regen", false, "force regeneration even if files verify")
-	shards := flag.Int("shards", 0, "also partition the prepared dataset into this many node-range shard datasets (0: skip)")
-	flag.Parse()
-	if *shards < 0 || *shards == 1 {
-		log.Fatalf("-shards %d: need 0 (skip) or ≥ 2", *shards)
-	}
-
-	dir, man, err := prepare(*root, *regen)
-	if err != nil {
+	log.SetFlags(0)
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
-	fmt.Printf("dataset %s: %d nodes, %d edges, %d bytes\n", dir, man.NumNodes, man.NumEdges, man.BinBytes)
+}
 
-	if *shards >= 2 {
-		dirs, err := gen.Partition(dir, filepath.Join(dir+"-shards", fmt.Sprint(*shards)), *shards)
-		if err != nil {
-			log.Fatal(err)
-		}
-		for i, sdir := range dirs {
-			sds, err := storage.Open(sdir)
-			if err != nil {
-				log.Fatal(err)
-			}
-			lo, hi := sds.ShardRange()
-			fmt.Printf("shard %d/%d %s: nodes [%d,%d), %d edge entries\n",
-				i, len(dirs), sdir, lo, hi, sds.Manifest().BinBytes/storage.EntryBytes)
-			sds.Close()
-		}
+// run verifies or rebuilds the dataset the flags in args name and
+// prints its counts to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("benchprep", flag.ContinueOnError)
+	root := fs.String("root", "benchdata/bench", "dataset root directory")
+	regen := fs.Bool("regen", false, "force regeneration even if files verify")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
+	dir, man, err := prepare(*root, *regen)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "dataset %s: %d nodes, %d edges, %d bytes\n", dir, man.NumNodes, man.NumEdges, man.BinBytes)
+	return nil
 }
 
 // prepare returns the benchmark dataset's directory under root and its

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ringsampler/internal/core"
@@ -116,5 +117,19 @@ func TestPrepareRegeneratesForeignDataset(t *testing.T) {
 	}
 	if dir != filepath.Join(root, benchDir) || man.Name != benchName || man.NumNodes != benchNodes || man.NumEdges != benchEdges {
 		t.Fatalf("prepare left %s as %q with %d nodes / %d edges", dir, man.Name, man.NumNodes, man.NumEdges)
+	}
+}
+
+// TestRunRefusesRetiredFlags: -shards is refused by name before any
+// dataset is verified or generated, so a script that still passes it
+// learns the partition step is gone.
+func TestRunRefusesRetiredFlags(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{"-root", t.TempDir(), "-shards", "2"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "-shards") {
+		t.Fatalf("-shards 2: err = %v, want a refusal naming -shards", err)
+	}
+	if sb.Len() != 0 {
+		t.Fatalf("-shards 2: work started before the flag was refused:\n%s", sb.String())
 	}
 }

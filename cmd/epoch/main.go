@@ -154,8 +154,8 @@ func run(args []string, out io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	if *threads < 0 {
-		return fmt.Errorf("-threads %d must be non-negative (0: config default)", *threads)
+	if *threads < 0 || *threads > core.MaxThreads {
+		return fmt.Errorf("-threads %d must be between 0 (config default) and %d", *threads, core.MaxThreads)
 	}
 	if *batch < 0 {
 		return fmt.Errorf("-batch %d must be non-negative (0: config default)", *batch)

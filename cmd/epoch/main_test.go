@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"ringsampler/internal/core"
 	"ringsampler/internal/gen"
 	"ringsampler/internal/sample"
 	"ringsampler/internal/uring"
@@ -112,6 +113,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-targets", "0"}, "-targets 0"},
 		{[]string{"-train", "-targets", "-5"}, "-targets -5"},
 		{[]string{"-threads", "-3"}, "-threads -3"},
+		{[]string{"-threads", fmt.Sprint(core.MaxThreads + 1)}, fmt.Sprintf("-threads %d", core.MaxThreads+1)},
 		{[]string{"-batch", "-1"}, "-batch -1"},
 	} {
 		var sb strings.Builder

@@ -23,13 +23,6 @@
 // second signal (or -drain-timeout expiring) force-cancels what is
 // left.
 //
-// Sharded serving (DESIGN.md §12): -shards N partitions the dataset by
-// node range into N shards, runs every shard in-process, and serves
-// the same /v1/sample API through the scatter/gather router — responses
-// are byte-identical to a single-node run. -router url1,url2 instead
-// fronts already-running shard servers (each a plain `serve -data
-// <shard-dir>` whose dataset is one shard) over HTTP.
-//
 // Serving throughput and latency are measured by the benchmark harness
 // (go run -C cmd/bench . -workload serve_closed; see cmd/bench/README.md).
 //
@@ -37,8 +30,6 @@
 //
 //	go run ./cmd/serve -data benchdata/bench/ogbn-papers-div20000 -addr :8080 -threads 8
 //	go run ./cmd/serve -addr 127.0.0.1:8080        # temporary R-MAT graph
-//	go run ./cmd/serve -shards 4                   # partitioned, router-fronted
-//	go run ./cmd/serve -router http://s0:8080,http://s1:8080
 package main
 
 import (
@@ -54,13 +45,12 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
+	"ringsampler/internal/core"
 	"ringsampler/internal/gen"
 	"ringsampler/internal/serve"
-	"ringsampler/internal/shard"
 	"ringsampler/internal/storage"
 	"ringsampler/internal/uring"
 )
@@ -81,7 +71,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		data         = fs.String("data", "", "dataset directory (empty: generate a temporary R-MAT graph)")
 		nodes        = fs.Int64("nodes", 50_000, "node count for the temporary graph (with empty -data)")
 		edges        = fs.Int64("edges", 800_000, "edge count for the temporary graph (with empty -data)")
-		threads      = fs.Int("threads", 0, "worker-pool size, per shard with -shards (0: config default)")
+		threads      = fs.Int("threads", 0, "worker-pool size (0: config default)")
 		batch        = fs.Int("batch", 0, "engine mini-batch size / chunking granularity (0: config default)")
 		cacheMB      = fs.Int64("cache-mb", 0, "hot-neighbor cache budget in MiB (0: cache off)")
 		featMB       = fs.Int64("feature-cache-mb", 0, "hot-node feature cache budget in MiB (0: cache off)")
@@ -90,8 +80,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		seed         = fs.Uint64("seed", 1, "seed for the temporary graph")
 		backend      = fs.String("backend", "auto", "ring backend: auto, io_uring, pool, sim")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max graceful-drain wait on SIGINT/SIGTERM")
-		shards       = fs.Int("shards", 0, "partition the dataset into this many node-range shards and serve through the scatter/gather router (0: single-node)")
-		routerURLs   = fs.String("router", "", "comma-separated shard server base URLs to front as a router (no local dataset)")
 		odirect      = fs.Bool("odirect", false, "open the edge file O_DIRECT (falls back to buffered with a logged reason when unsupported)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -105,11 +93,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *threads < 0 {
-		return fmt.Errorf("-threads %d must be non-negative (0: config default)", *threads)
+	if *threads < 0 || *threads > core.MaxThreads {
+		return fmt.Errorf("-threads %d must be between 0 (config default) and %d", *threads, core.MaxThreads)
 	}
 	if *batch < 0 {
 		return fmt.Errorf("-batch %d must be non-negative (0: config default)", *batch)
+	}
+	if *queue < 0 || *queue > serve.MaxQueueDepth {
+		return fmt.Errorf("-queue %d must be between 0 (default) and %d", *queue, serve.MaxQueueDepth)
 	}
 	if *featureDim < 0 {
 		return fmt.Errorf("-feature-dim %d must be non-negative", *featureDim)
@@ -120,40 +111,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	be, err := uring.ParseBackend(*backend)
 	if err != nil {
 		return err
-	}
-	if *routerURLs != "" && (*shards != 0 || *data != "") {
-		return fmt.Errorf("-router fronts remote shard servers and combines with neither -shards nor -data")
-	}
-	if *shards < 0 || *shards == 1 {
-		return fmt.Errorf("-shards %d: need 0 (single-node) or ≥ 2", *shards)
-	}
-
-	if *routerURLs != "" {
-		// Pure router mode: resolve each shard's identity over HTTP and
-		// serve the scatter/gather front end — no local graph bytes.
-		cfg := serve.DefaultConfig()
-		cfg.Backend = be
-		if *threads > 0 {
-			cfg.Core.Threads = *threads
-		}
-		if *batch > 0 {
-			cfg.Core.BatchSize = *batch
-		}
-		var engines []shard.Engine
-		for _, u := range strings.Split(*routerURLs, ",") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				continue
-			}
-			eng, err := shard.NewRemote(ctx, u, nil)
-			if err != nil {
-				return err
-			}
-			engines = append(engines, eng)
-			info := eng.Info()
-			fmt.Fprintf(out, "shard %d/%d at %s: nodes [%d,%d)\n", info.Index, info.Total, u, info.Lo, info.Hi)
-		}
-		return route(ctx, out, engines, cfg, *addr, *drainTimeout)
 	}
 
 	dir := *data
@@ -193,43 +150,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cfg.QueueDepth = *queue
 	}
 
-	if *shards >= 2 {
-		// Sharded-local mode: partition by node range, run every shard
-		// in-process, serve through the router. Responses stay
-		// byte-identical to the single-node server over the same files.
-		tmp, err := os.MkdirTemp("", "ringsampler-shards-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		fmt.Fprintf(out, "partitioning %s into %d shards (backend %s) ...\n", dir, *shards, cfg.Backend)
-		dirs, err := gen.Partition(dir, tmp, *shards)
-		if err != nil {
-			return err
-		}
-		ds.Close() // the shards carry their own handles
-		engines := make([]shard.Engine, len(dirs))
-		for i, sdir := range dirs {
-			sds, err := storage.OpenWith(sdir, storage.OpenOptions{Direct: *odirect})
-			if err != nil {
-				return err
-			}
-			defer sds.Close()
-			scfg := cfg.Core
-			if !sds.HasFeatures() {
-				scfg.FeatureCacheBudgetBytes = 0
-			}
-			eng, err := shard.NewLocal(sds, scfg, cfg.Backend)
-			if err != nil {
-				return err
-			}
-			engines[i] = eng
-			lo, hi := sds.ShardRange()
-			fmt.Fprintf(out, "shard %d/%d: nodes [%d,%d)\n", i, len(dirs), lo, hi)
-		}
-		return route(ctx, out, engines, cfg, *addr, *drainTimeout)
-	}
-
 	srv, err := serve.New(ds, cfg)
 	if err != nil {
 		return err
@@ -246,29 +166,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if ds.HasLabels() {
 		fmt.Fprintf(out, "labels: %d classes per node (training datasets carry the full label file)\n", ds.NumClasses())
 	}
-	if ds.IsSharded() {
-		lo, hi := ds.ShardRange()
-		fmt.Fprintf(out, "dataset is shard %d/%d (nodes [%d,%d)): serving /v1/shard/* for a router\n",
-			ds.ShardIndex(), ds.NumShards(), lo, hi)
-	}
 	fmt.Fprintf(out, "serving on http://%s (%d workers, queue %d)\n", ln.Addr(), eff.Core.Threads, eff.QueueDepth)
 	return serveLoop(ctx, out, srv, ln, *drainTimeout)
-}
-
-// route serves the engines through the scatter/gather router front end.
-func route(ctx context.Context, out io.Writer, engines []shard.Engine, cfg serve.Config, addr string, drainTimeout time.Duration) error {
-	srv, err := serve.NewRouter(engines, cfg)
-	if err != nil {
-		return err
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	rt := srv.Router()
-	fmt.Fprintf(out, "routing %d shards: %d nodes, %d edges\n", rt.Shards(), rt.NumNodes(), rt.NumEdges())
-	fmt.Fprintf(out, "serving on http://%s\n", ln.Addr())
-	return serveLoop(ctx, out, srv, ln, drainTimeout)
 }
 
 // serveLoop serves until SIGINT/SIGTERM (or ctx is canceled), then

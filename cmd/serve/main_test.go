@@ -17,13 +17,15 @@ import (
 	"ringsampler/internal/core"
 	"ringsampler/internal/gen"
 	"ringsampler/internal/sample"
+	"ringsampler/internal/serve"
 	"ringsampler/internal/storage"
 	"ringsampler/internal/uring"
 )
 
 // TestRunBadFlags: flag-level errors fail fast with one line naming the
 // flag — before any graph is generated, and never with a byte count
-// that wrapped negative.
+// that wrapped negative. A thread count or queue bound past its cap is
+// refused before a pool or queue could be sized by it.
 func TestRunBadFlags(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -35,7 +37,10 @@ func TestRunBadFlags(t *testing.T) {
 		{[]string{"-feature-cache-mb", "-1"}, "-feature-cache-mb -1"},
 		{[]string{"-feature-cache-mb", "9000000000000"}, "-feature-cache-mb 9000000000000"},
 		{[]string{"-threads", "-3"}, "-threads -3"},
+		{[]string{"-threads", fmt.Sprint(core.MaxThreads + 1)}, fmt.Sprintf("-threads %d", core.MaxThreads+1)},
 		{[]string{"-batch", "-1"}, "-batch -1"},
+		{[]string{"-queue", "-1"}, "-queue -1"},
+		{[]string{"-queue", fmt.Sprint(serve.MaxQueueDepth + 1)}, fmt.Sprintf("-queue %d", serve.MaxQueueDepth+1)},
 	} {
 		var sb strings.Builder
 		err := run(context.Background(), tc.args, &sb)
@@ -55,10 +60,13 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunRefusesRetiredFlags: the retired ring knobs are refused by
-// name before any graph is generated or port opened.
+// TestRunRefusesRetiredFlags: the retired ring knobs and sharded modes
+// are refused by name before any graph is generated or port opened.
 func TestRunRefusesRetiredFlags(t *testing.T) {
-	for _, args := range [][]string{{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-uring-fixed"}, {"-depth", "64"}} {
+	for _, args := range [][]string{
+		{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-uring-fixed"}, {"-depth", "64"},
+		{"-shards", "2"}, {"-router", "http://x"},
+	} {
 		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
 			var sb strings.Builder
 			err := run(context.Background(), args, &sb)
@@ -98,11 +106,10 @@ func (o *runOutput) String() string {
 	return o.buf.String()
 }
 
-// TestRunServesAndDrains drives the command past flag parsing in its two
-// dataset-backed modes: it serves a temporary graph on a loopback port,
-// answers /healthz, answers one /v1/sample whose digest equals a direct
-// core run over the same files (single-node and through the in-process
-// 2-shard router alike), and drains cleanly when its context ends.
+// TestRunServesAndDrains drives the command past flag parsing: it
+// serves a temporary graph on a loopback port, answers /healthz,
+// answers one /v1/sample whose digest equals a direct core run over the
+// same files, and drains cleanly when its context ends.
 func TestRunServesAndDrains(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "g")
 	if _, err := gen.GenerateWith(dir, "cli-test", "rmat", 2000, 30000, 11,
@@ -151,82 +158,73 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 	want := fmt.Sprintf("%016x", folded)
 
-	for _, tc := range []struct {
-		name    string
-		extra   []string
-		wantLog []string
-	}{
-		{"single-node", nil, []string{"features: 8-dim f32", "labels: 4 classes", "2 workers"}},
-		{"shards=2", []string{"-shards", "2"}, []string{"shard 1/2: nodes [", "routing 2 shards: 2000 nodes, 30000 edges"}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			out := &runOutput{base: make(chan string, 1)}
-			done := make(chan error, 1)
-			go func() {
-				done <- run(ctx, append([]string{
-					"-data", dir, "-addr", "127.0.0.1:0", "-backend", "pool",
-					"-threads", "2", "-batch", fmt.Sprint(batch),
-				}, tc.extra...), out)
-			}()
-			var base string
-			select {
-			case base = <-out.base:
-			case err := <-done:
-				t.Fatalf("run returned before serving: %v\n%s", err, out)
-			case <-time.After(30 * time.Second):
-				t.Fatalf("no listen address after 30s:\n%s", out)
+	t.Run("single-node", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		out := &runOutput{base: make(chan string, 1)}
+		done := make(chan error, 1)
+		go func() {
+			done <- run(ctx, []string{
+				"-data", dir, "-addr", "127.0.0.1:0", "-backend", "pool",
+				"-threads", "2", "-batch", fmt.Sprint(batch),
+			}, out)
+		}()
+		var base string
+		select {
+		case base = <-out.base:
+		case err := <-done:
+			t.Fatalf("run returned before serving: %v\n%s", err, out)
+		case <-time.After(30 * time.Second):
+			t.Fatalf("no listen address after 30s:\n%s", out)
+		}
+		for _, line := range []string{"features: 8-dim f32", "labels: 4 classes", "2 workers"} {
+			if !strings.Contains(out.String(), line) {
+				t.Fatalf("startup log missing %q:\n%s", line, out)
 			}
-			for _, line := range tc.wantLog {
-				if !strings.Contains(out.String(), line) {
-					t.Fatalf("startup log missing %q:\n%s", line, out)
-				}
-			}
+		}
 
-			client := &http.Client{Timeout: 30 * time.Second}
-			resp, err := client.Get(base + "/healthz")
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("/healthz: status %d", resp.StatusCode)
-			}
-			resp, err = client.Post(base+"/v1/sample", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got struct {
-				Digest  string            `json:"digest"`
-				Batches []json.RawMessage `json:"batches"`
-				Error   string            `json:"error"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&got)
-			resp.Body.Close()
-			if err != nil || resp.StatusCode != http.StatusOK {
-				t.Fatalf("/v1/sample: status %d, decode error %v, server error %q", resp.StatusCode, err, got.Error)
-			}
-			if len(got.Batches) != 2 || got.Digest != want {
-				t.Fatalf("/v1/sample: %d batches, digest %s; the direct core run has 2 batches, digest %s",
-					len(got.Batches), got.Digest, want)
-			}
+		client := &http.Client{Timeout: 30 * time.Second}
+		resp, err := client.Get(base + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/healthz: status %d", resp.StatusCode)
+		}
+		resp, err = client.Post(base+"/v1/sample", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Digest  string            `json:"digest"`
+			Batches []json.RawMessage `json:"batches"`
+			Error   string            `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("/v1/sample: status %d, decode error %v, server error %q", resp.StatusCode, err, got.Error)
+		}
+		if len(got.Batches) != 2 || got.Digest != want {
+			t.Fatalf("/v1/sample: %d batches, digest %s; the direct core run has 2 batches, digest %s",
+				len(got.Batches), got.Digest, want)
+		}
 
-			cancel()
-			select {
-			case err := <-done:
-				if err != nil {
-					t.Fatalf("drain: %v\n%s", err, out)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatalf("run did not drain within 30s of cancellation:\n%s", out)
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("drain: %v\n%s", err, out)
 			}
-			if !strings.Contains(out.String(), "drained; final io") {
-				t.Fatalf("drain did not flush the final counters:\n%s", out)
-			}
-			if _, err := client.Get(base + "/healthz"); err == nil {
-				t.Fatal("listener still accepting after the drain")
-			}
-		})
-	}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("run did not drain within 30s of cancellation:\n%s", out)
+		}
+		if !strings.Contains(out.String(), "drained; final io") {
+			t.Fatalf("drain did not flush the final counters:\n%s", out)
+		}
+		if _, err := client.Get(base + "/healthz"); err == nil {
+			t.Fatal("listener still accepting after the drain")
+		}
+	})
 }

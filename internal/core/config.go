@@ -22,6 +22,12 @@ var DefaultFanouts = []int{20, 15, 10}
 // a chunk, take heap slots — correctness never depends on the arena.
 const DefaultArenaBytes = 8 << 20
 
+// MaxThreads bounds Config.Threads. Every worker is a pinned OS thread
+// with its own ring, so an unbounded count would let one flag exhaust
+// the process's thread limit (Go's default is 10,000) and crash it
+// instead of being refused.
+const MaxThreads = 1024
+
 // Config controls the engine. The ablation switches (AsyncPipeline,
 // OffsetSampling) exist so the paper's design choices can be measured
 // against their alternatives; production use leaves both true.
@@ -117,8 +123,8 @@ func (c *Config) validate() error {
 	if c.BatchSize <= 0 {
 		return fmt.Errorf("core: batch size %d must be positive", c.BatchSize)
 	}
-	if c.Threads <= 0 {
-		return fmt.Errorf("core: thread count %d must be positive", c.Threads)
+	if c.Threads <= 0 || c.Threads > MaxThreads {
+		return fmt.Errorf("core: thread count %d must be in [1,%d]", c.Threads, MaxThreads)
 	}
 	if c.RingSize <= 0 {
 		return fmt.Errorf("core: ring size %d must be positive", c.RingSize)

@@ -26,3 +26,18 @@ func TestConfigFieldCensus(t *testing.T) {
 		t.Fatalf("core.Config fields\n got %q\nwant %q", got, want)
 	}
 }
+
+// TestConfigBoundsThreads: MaxThreads is accepted and one more is
+// refused, by validation alone — no pool, thread or ring is started.
+func TestConfigBoundsThreads(t *testing.T) {
+	for _, tc := range []struct {
+		threads int
+		ok      bool
+	}{{MaxThreads, true}, {MaxThreads + 1, false}, {0, false}} {
+		cfg := DefaultConfig()
+		cfg.Threads = tc.threads
+		if err := cfg.validate(); (err == nil) != tc.ok {
+			t.Errorf("Threads %d: err = %v, want ok %v", tc.threads, err, tc.ok)
+		}
+	}
+}

@@ -25,8 +25,10 @@ func TestConfigFieldCensus(t *testing.T) {
 }
 
 // TestConfigResolve: a zero QueueDepth and an empty Backend take their
-// defaults, a backend name is parsed case-insensitively, and a bad
-// name, queue depth or batch size is refused.
+// defaults, a backend name is parsed case-insensitively, a queue depth
+// at MaxQueueDepth is accepted, and a bad name, a queue depth outside
+// [1,MaxQueueDepth] or a bad batch size is refused — by validation
+// alone, before any channel is made.
 func TestConfigResolve(t *testing.T) {
 	c := Config{Core: DefaultConfig().Core}
 	if err := c.resolve(); err != nil {
@@ -38,6 +40,11 @@ func TestConfigResolve(t *testing.T) {
 			c.QueueDepth, c.Backend, DefaultConfig().QueueDepth, auto)
 	}
 	c = DefaultConfig()
+	c.QueueDepth = MaxQueueDepth
+	if err := c.resolve(); err != nil {
+		t.Fatalf("queue depth at the cap: %v", err)
+	}
+	c = DefaultConfig()
 	c.Backend = "POOL"
 	if err := c.resolve(); err != nil || c.Backend != uring.BackendPool {
 		t.Fatalf("backend POOL resolved to %q, err %v", c.Backend, err)
@@ -45,6 +52,7 @@ func TestConfigResolve(t *testing.T) {
 	for name, mut := range map[string]func(*Config){
 		"bad backend": func(c *Config) { c.Backend = "spdk" },
 		"queue depth": func(c *Config) { c.QueueDepth = -1 },
+		"queue cap":   func(c *Config) { c.QueueDepth = MaxQueueDepth + 1 },
 		"batch size":  func(c *Config) { c.Core.BatchSize = 0 },
 	} {
 		c := DefaultConfig()

@@ -73,7 +73,6 @@ type metrics struct {
 	deadlineExceeded atomic.Int64 // 504: per-request deadline fired
 	canceledJobs     atomic.Int64 // jobs skipped because their request died
 	sampleErrors     atomic.Int64 // 500: engine-level sampling failures
-	shardCalls       atomic.Int64 // shard-protocol calls served (/v1/shard/*)
 
 	// Pipeline gauges.
 	queueDepth atomic.Int64 // jobs admitted but not yet picked up
@@ -130,7 +129,6 @@ func (m *metrics) write(w io.Writer, ioStats core.IOStats, workers int, retired 
 	writeMetric(w, "ringsampler_serve_deadline_exceeded_total", "counter", "Requests that hit their deadline (504).", m.deadlineExceeded.Load())
 	writeMetric(w, "ringsampler_serve_canceled_jobs_total", "counter", "Jobs skipped because their request was already dead.", m.canceledJobs.Load())
 	writeMetric(w, "ringsampler_serve_errors_total", "counter", "Requests failed 500 by an engine error.", m.sampleErrors.Load())
-	writeMetric(w, "ringsampler_serve_shard_calls_total", "counter", "Shard-protocol calls served (/v1/shard/layer and /v1/shard/features).", m.shardCalls.Load())
 
 	writeMetric(w, "ringsampler_serve_queue_depth", "gauge", "Jobs admitted but not yet picked up by a worker.", m.queueDepth.Load())
 	writeMetric(w, "ringsampler_serve_queue_capacity", "gauge", "Bounded admission queue capacity (jobs).", int64(queueCap))

@@ -249,9 +249,10 @@ func TestServeNoWorkerCleanError(t *testing.T) {
 	}
 }
 
-// TestServeOversizedBody: a well-formed object padded past maxBodyBytes
-// is a 413 that names the limit, on every endpoint that decodes a body
-// — not a 400 "unexpected EOF" from a body cut short.
+// TestServeOversizedBody: a well-formed /v1/sample object padded past
+// maxBodyBytes is a 413 that names the limit — not a 400 "unexpected
+// EOF" from a body cut short. /v1/sample is the only endpoint that
+// decodes a body: the retired shard protocol's routes answer 404.
 func TestServeOversizedBody(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
@@ -261,24 +262,30 @@ func TestServeOversizedBody(t *testing.T) {
 	client := &http.Client{Timeout: 30 * time.Second}
 
 	pad := strings.Repeat(" ", maxBodyBytes)
-	for path, obj := range map[string]string{
-		"/v1/sample":         `{"targets":[1,2,3],"fanouts":[5],"seed":1`,
-		"/v1/shard/layer":    `{"layer":0,"fanout":4,"strategy":"uniform","frontier":[1]`,
-		"/v1/shard/features": `{"nodes":[1]`,
-	} {
-		t.Run(strings.TrimPrefix(path, "/v1/"), func(t *testing.T) {
-			resp, err := client.Post(base+path, "application/json", strings.NewReader(obj+pad+"}"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var er errorResponse
-			derr := json.NewDecoder(resp.Body).Decode(&er)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil ||
-				!strings.Contains(er.Error, strconv.Itoa(maxBodyBytes)) {
-				t.Fatalf("%s: status %d, error %q (%v); want 413 naming the %d-byte limit",
-					path, resp.StatusCode, er.Error, derr, maxBodyBytes)
-			}
-		})
-	}
+	t.Run("sample", func(t *testing.T) {
+		obj := `{"targets":[1,2,3],"fanouts":[5],"seed":1`
+		resp, err := client.Post(base+"/v1/sample", "application/json", strings.NewReader(obj+pad+"}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var er errorResponse
+		derr := json.NewDecoder(resp.Body).Decode(&er)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || derr != nil ||
+			!strings.Contains(er.Error, strconv.Itoa(maxBodyBytes)) {
+			t.Fatalf("status %d, error %q (%v); want 413 naming the %d-byte limit",
+				resp.StatusCode, er.Error, derr, maxBodyBytes)
+		}
+	})
+	t.Run("shard route gone", func(t *testing.T) {
+		resp, err := client.Post(base+"/v1/shard/layer", "application/json",
+			strings.NewReader(`{"layer":0,"fanout":4,"strategy":"uniform","frontier":[1]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST /v1/shard/layer: status %d, want 404", resp.StatusCode)
+		}
+	})
 }

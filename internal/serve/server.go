@@ -18,11 +18,9 @@
 //	GET  /metrics    — Prometheus text: queue depth, per-stage latency,
 //	                   ring IOStats, rejection counts
 //
-// A server over one dataset also answers the shard protocol
-// (/v1/shard/info, /v1/shard/layer, /v1/shard/features), its calls
-// riding the same queue and pool. NewRouter builds the same Server
-// over a partition's shard engines instead: admitted chunks fan out
-// through a shard.Router rather than the pool (DESIGN.md §12).
+// NewRouter builds the same Server over in-process shard engines
+// instead: admitted chunks fan out through a shard.Router rather than
+// the pool (DESIGN.md §12). A server never opens on a shard dataset.
 //
 // The optional "strategy" field selects the draw strategy per request
 // (DESIGN.md §11: "uniform", "weighted", "walk"; empty means the
@@ -69,10 +67,14 @@ const (
 	maxFanoutLayers = 8
 	maxFanout       = 256
 	// defaultTimeout is the deadline of a request that sets no
-	// timeout_ms, and of every shard call; maxTimeout caps timeout_ms.
+	// timeout_ms; maxTimeout caps timeout_ms.
 	defaultTimeout = 10 * time.Second
 	maxTimeout     = 60 * time.Second
 )
+
+// MaxQueueDepth bounds Config.QueueDepth, which sizes the admission
+// queue's channel when the server starts.
+const MaxQueueDepth = 1 << 16
 
 // Config controls the serving layer. A zero QueueDepth or Backend
 // selects its documented default; Core carries the engine config
@@ -107,8 +109,8 @@ func (c *Config) resolve() error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	c.Backend = be
-	if c.QueueDepth < 1 {
-		return fmt.Errorf("serve: queue depth %d must be positive", c.QueueDepth)
+	if c.QueueDepth < 1 || c.QueueDepth > MaxQueueDepth {
+		return fmt.Errorf("serve: queue depth %d must be in [1,%d]", c.QueueDepth, MaxQueueDepth)
 	}
 	if c.Core.BatchSize < 1 {
 		return fmt.Errorf("serve: batch size %d must be positive", c.Core.BatchSize)
@@ -146,8 +148,14 @@ type Server struct {
 
 // New validates the config, builds the sampler (hot cache included when
 // budgeted), and starts the worker pool. The server is live once Serve
-// is called on a listener.
+// is called on a listener. A shard dataset is refused: it holds only
+// its own nodes' edges, so whole-graph sampling on it would silently
+// miss the rest.
 func New(ds *storage.Dataset, cfg Config) (*Server, error) {
+	if ds.IsSharded() {
+		return nil, fmt.Errorf("serve: dataset is shard %d/%d of a partition; serve the unpartitioned dataset",
+			ds.ShardIndex(), ds.NumShards())
+	}
 	if err := cfg.resolve(); err != nil {
 		return nil, err
 	}
@@ -163,11 +171,10 @@ func New(ds *storage.Dataset, cfg Config) (*Server, error) {
 
 // NewRouter validates that the engines tile the graph (shard.NewRouter
 // does the partition checks) and returns the scatter/gather front end
-// of a sharded deployment: the same /v1/sample API, answered by fanning
-// each chunk's layers out to the shard engines. It holds no graph bytes
-// and no RNG, so any number of router replicas can front the same
-// shards; responses are byte-identical — digest included — to a
-// single-node Server over the unpartitioned dataset (DESIGN.md §12).
+// of a partition: the same /v1/sample API, answered by fanning each
+// chunk's layers out to the shard engines. Responses are
+// byte-identical — digest included — to a single-node Server over the
+// unpartitioned dataset (DESIGN.md §12).
 // Queue depth and pool size do not apply (their metrics read zero).
 // The engines are owned by the server from here on: Shutdown closes
 // them.
@@ -193,33 +200,21 @@ func NewRouter(engines []shard.Engine, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// initHTTP wires the HTTP front end both modes share; the shard protocol
-// is mounted only over a dataset.
+// initHTTP wires the HTTP front end both modes share.
 func (s *Server) initHTTP() {
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sample", s.handleSample)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	if s.rt == nil {
-		mux.HandleFunc("GET /v1/shard/info", s.handleShardInfo)
-		mux.HandleFunc("POST /v1/shard/layer", s.handleShardLayer)
-		mux.HandleFunc("POST /v1/shard/features", s.handleShardFeatures)
-	}
 	s.http = &http.Server{Handler: mux}
 }
 
 // Config returns the server's effective (default-filled) config.
 func (s *Server) Config() Config { return s.cfg }
 
-// Router exposes the scatter/gather router of a NewRouter server (nil
-// for a pooled one).
-func (s *Server) Router() *shard.Router { return s.rt }
-
 // IOStats returns the merged ring-level I/O counters: the pool's
-// workers, retired ones included, or the sum over the router's engines
-// (zeros from remote engines — their counters live in their own
-// servers' /metrics).
+// workers, retired ones included, or the sum over the router's engines.
 func (s *Server) IOStats() core.IOStats {
 	if s.rt != nil {
 		return s.rt.Stats()
@@ -486,13 +481,13 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// await runs one call of n jobs: it bounds the call by timeout and by
+// await runs one request of n jobs: it bounds the call by timeout and by
 // a forced drain, lets admit start the jobs under a context the first
 // failing job cancels, and waits for them all. It answers every
 // failure itself — 429 when admit finds the queue full, 504/503 for a
 // dead context, 500 naming what failed — and returns the finished
 // request only on success.
-func (s *Server) await(w http.ResponseWriter, r *http.Request, timeout time.Duration, n int, what string, admit func(ctx context.Context, rq *request) bool) *request {
+func (s *Server) await(w http.ResponseWriter, r *http.Request, timeout time.Duration, n int, admit func(ctx context.Context, rq *request) bool) *request {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	defer context.AfterFunc(s.baseCtx, cancel)()
@@ -524,15 +519,15 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, timeout time.Dura
 			return nil
 		}
 		s.met.sampleErrors.Add(1)
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: what + " failed: " + err.Error()})
+		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "sampling failed: " + err.Error()})
 		return nil
 	}
 	return rq
 }
 
-// enqueue admits one job — a sample chunk or a shard call — that runs
-// fn on a pool worker and reports to rq once the pool has published its
-// counters; false when the bounded queue is full.
+// enqueue admits one sample chunk as a job that runs fn on a pool
+// worker and reports to rq once the pool has published its counters;
+// false when the bounded queue is full.
 func (s *Server) enqueue(ctx context.Context, rq *request, fn func(*core.Worker) error) bool {
 	enq := time.Now()
 	picked := false // set and read on the slot's goroutine
@@ -577,14 +572,9 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	}
 	var numNodes int64
 	var hasFeatures bool
-	switch {
-	case s.rt != nil:
+	if s.rt != nil {
 		numNodes, hasFeatures = s.rt.NumNodes(), s.rt.HasFeatures()
-	case s.ds.IsSharded():
-		s.badRequest(w, fmt.Sprintf("dataset is shard %d/%d: whole-graph sampling needs a router over the full partition (this server answers /v1/shard/*)",
-			s.ds.ShardIndex(), s.ds.NumShards()))
-		return
-	default:
+	} else {
 		numNodes, hasFeatures = s.ds.NumNodes(), s.ds.HasFeatures()
 	}
 	var req sampleRequest
@@ -615,7 +605,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	// worker identity, pool size and sharding.
 	chunkSize := s.cfg.Core.BatchSize
 	numChunks := (len(req.Targets) + chunkSize - 1) / chunkSize
-	rq := s.await(w, r, timeout, numChunks, "sampling", func(ctx context.Context, rq *request) bool {
+	rq := s.await(w, r, timeout, numChunks, func(ctx context.Context, rq *request) bool {
 		for ci := 0; ci < numChunks; ci++ {
 			targets := req.Targets[ci*chunkSize : min((ci+1)*chunkSize, len(req.Targets))]
 			seed := sample.Mix(req.Seed, uint64(ci))
@@ -648,104 +638,6 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	s.met.responsesOK.Add(1)
 	s.met.requestLat.Observe(time.Since(t0).Nanoseconds())
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// Shard protocol handlers: this server as one engine of a partition.
-// Layer and feature calls are jobs on the same queue and pinned pool
-// as sample chunks — same admission control, deadline and drain — and
-// share the sampler's caches.
-
-func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, shard.InfoOf(s.ds))
-}
-
-func (s *Server) handleShardLayer(w http.ResponseWriter, r *http.Request) {
-	defer s.leave()
-	if !s.enter(w) {
-		return
-	}
-	var req shard.LayerRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	state, err := shard.ParseState(req.RNGState)
-	if err != nil {
-		s.badRequest(w, err.Error())
-		return
-	}
-	if req.Layer < 0 || req.Fanout < 1 || req.Fanout > maxFanout {
-		s.badRequest(w, fmt.Sprintf("layer %d / fanout %d out of range (fanout limit %d)", req.Layer, req.Fanout, maxFanout))
-		return
-	}
-	if len(req.Frontier) == 0 {
-		s.badRequest(w, "layer request needs a non-empty frontier")
-		return
-	}
-	if req.Strategy == "" || !core.ValidStrategy(req.Strategy) {
-		// The router must pin an explicit strategy: resolving "" against
-		// this shard's local default could disagree with its peers.
-		s.badRequest(w, fmt.Sprintf("shard layer requests need an explicit strategy (known: %v), got %q", core.StrategyNames(), req.Strategy))
-		return
-	}
-	if err := checkTargets(req.Frontier, s.ds.NumNodes()); err != nil {
-		s.badRequest(w, err.Error())
-		return
-	}
-	s.met.shardCalls.Add(1)
-	params := core.LayerParams{Layer: req.Layer, Fanout: req.Fanout, Strategy: req.Strategy, RNGState: state}
-	var layer *core.Layer
-	var next uint64
-	if s.await(w, r, defaultTimeout, 1, "shard layer", func(ctx context.Context, rq *request) bool {
-		return s.enqueue(ctx, rq, func(w *core.Worker) (err error) {
-			layer, next, err = w.SampleLayer(req.Frontier, params)
-			return err
-		})
-	}) == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, shard.LayerResponse{
-		Targets:   layer.Targets,
-		Starts:    layer.Starts,
-		Neighbors: layer.Neighbors,
-		RNGState:  shard.EncodeState(next),
-	})
-}
-
-func (s *Server) handleShardFeatures(w http.ResponseWriter, r *http.Request) {
-	defer s.leave()
-	if !s.enter(w) {
-		return
-	}
-	var req shard.FeaturesRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if !s.ds.HasFeatures() {
-		s.badRequest(w, "shard has no feature file")
-		return
-	}
-	if len(req.Nodes) == 0 {
-		s.badRequest(w, "features request needs at least one node")
-		return
-	}
-	lo, hi := s.ds.ShardRange()
-	for i, v := range req.Nodes {
-		if int64(v) < lo || int64(v) >= hi {
-			s.badRequest(w, fmt.Sprintf("nodes[%d] = %d outside this shard's range [%d,%d)", i, v, lo, hi))
-			return
-		}
-	}
-	s.met.shardCalls.Add(1)
-	var feats []byte
-	if s.await(w, r, defaultTimeout, 1, "shard features", func(ctx context.Context, rq *request) bool {
-		return s.enqueue(ctx, rq, func(w *core.Worker) (err error) {
-			feats, err = w.FetchFeatures(req.Nodes)
-			return err
-		})
-	}) == nil {
-		return
-	}
-	writeJSON(w, http.StatusOK, shard.FeaturesResponse{Features: feats})
 }
 
 // failCanceled maps a dead request context to its status: 504 for a

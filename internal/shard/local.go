@@ -40,7 +40,7 @@ func NewLocal(ds *storage.Dataset, cfg core.Config, backend uring.Backend) (*Loc
 		return nil, err
 	}
 	jobs := make(chan core.Job)
-	return &Local{info: InfoOf(ds), jobs: jobs, pool: s.NewPool(cfg.Threads, jobs)}, nil
+	return &Local{info: infoOf(ds), jobs: jobs, pool: s.NewPool(cfg.Threads, jobs)}, nil
 }
 
 // Info implements Engine.

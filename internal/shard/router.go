@@ -11,8 +11,7 @@ import (
 )
 
 // Router is the stateless scatter/gather front of a partition: it holds
-// no graph bytes and no RNG — only the shard map — so any number of
-// router replicas can front the same shards. Per chunk it seeds the
+// no graph bytes and no RNG, only the shard map. Per chunk it seeds the
 // draw stream exactly like a single node (Mix(seed, chunk) is applied
 // by the caller, as in serve), scatters each layer's full frontier to
 // the shards owning at least one frontier node, cross-checks the
@@ -24,7 +23,6 @@ type Router struct {
 	// his[i] = infos[i].Hi, for binary-searching a node's owner.
 	his        []int64
 	numNodes   int64
-	numEdges   int64
 	featureDim int
 }
 
@@ -42,13 +40,14 @@ func NewRouter(engines []Engine) (*Router, error) {
 		return r.engines[i].Info().Lo < r.engines[j].Info().Lo
 	})
 	first := r.engines[0].Info()
-	r.numNodes, r.numEdges, r.featureDim = first.NumNodes, first.NumEdges, first.FeatureDim
+	numEdges := first.NumEdges
+	r.numNodes, r.featureDim = first.NumNodes, first.FeatureDim
 	next := int64(0)
 	for i, e := range r.engines {
 		info := e.Info()
-		if info.NumNodes != r.numNodes || info.NumEdges != r.numEdges {
+		if info.NumNodes != r.numNodes || info.NumEdges != numEdges {
 			return nil, fmt.Errorf("shard: engine %d global counts %d/%d disagree with %d/%d — shards of different graphs?",
-				i, info.NumNodes, info.NumEdges, r.numNodes, r.numEdges)
+				i, info.NumNodes, info.NumEdges, r.numNodes, numEdges)
 		}
 		if info.FeatureDim != r.featureDim {
 			return nil, fmt.Errorf("shard: engine %d feature dim %d disagrees with %d", i, info.FeatureDim, r.featureDim)
@@ -73,19 +72,13 @@ func NewRouter(engines []Engine) (*Router, error) {
 // NumNodes returns the global node count.
 func (r *Router) NumNodes() int64 { return r.numNodes }
 
-// NumEdges returns the global edge count.
-func (r *Router) NumEdges() int64 { return r.numEdges }
-
-// FeatureDim returns the per-node feature width (0: no features).
-func (r *Router) FeatureDim() int { return r.featureDim }
-
 // HasFeatures reports whether the partition serves features.
 func (r *Router) HasFeatures() bool { return r.featureDim > 0 }
 
 // Shards returns the number of engines.
 func (r *Router) Shards() int { return len(r.engines) }
 
-// Stats sums the engines' I/O counters (zeros from Remote engines).
+// Stats sums the engines' I/O counters.
 func (r *Router) Stats() core.IOStats {
 	var st core.IOStats
 	for _, e := range r.engines {
@@ -171,8 +164,7 @@ func (r *Router) SampleChunk(ctx context.Context, targets []uint32, fanouts []in
 
 // callEngine runs fn once, retrying a single time on a non-context
 // error: a faulty shard ring that broke a worker (the engine retires it
-// and leases a fresh one), or a transient transport blip to a remote
-// shard, heals without failing the request.
+// and leases a fresh one) heals without failing the request.
 func callEngine(ctx context.Context, fn func() error) error {
 	err := fn()
 	if err == nil || ctx.Err() != nil {

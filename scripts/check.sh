@@ -38,9 +38,9 @@ go test -C cmd/bench $short ./...
 
 # Determinism gates, also part of the full suite below — run first so a
 # break fails loudly and early. Per-batch digests identical across
-# thread counts (uniform and every strategy); router responses over 2
-# and 4 shards, injected shard faults included, digest-identical to a
-# single node; loss curve and weights bit-identical across thread counts
+# thread counts (uniform and every strategy); in-process router
+# responses over 2 and 4 shards, injected shard faults included,
+# digest-identical to a single node; loss curve and weights bit-identical across thread counts
 # and pipeline modes (DESIGN.md §13); the adaptive feature cache's
 # pinned set and bytes thread-invariant, payloads identical across
 # re-admissions, re-admission race-free, its charge equal to the bytes it
@@ -56,10 +56,10 @@ go test -race -run 'TestChargeEqualsHeld|TestCountersKeepOrderOverLongRuns|TestR
 # Serving shutdown order (DESIGN.md §8): no handler may still send on the
 # admission queue when Shutdown closes it, and the queue_depth and
 # inflight gauges must land back at zero after a graceful or forced
-# drain — sample requests and shard calls alike; the worker pool under
-# them retires a broken worker and keeps its counters. Repeated, because
-# a wrong order loses a race only sometimes.
-go test -race -count=5 -run 'TestServeForcedShutdownQueueGaugeZero|TestServeGracefulDrain|TestShardCallsUseThePool' ./internal/serve
+# drain; the worker pool under them retires a broken worker and keeps
+# its counters. Repeated, because a wrong order loses a race only
+# sometimes.
+go test -race -count=5 -run 'TestServeForcedShutdownQueueGaugeZero|TestServeGracefulDrain' ./internal/serve
 go test -race -count=5 -run 'TestPoolRetiresBrokenWorker' ./internal/core
 
 go test -race $short ./...
@@ -92,6 +92,13 @@ if git grep -nE 'READ_FIXED|PrepReadFixed|REGISTER_BUFFERS|FixedBuffers' -- '*.g
     exit 1
 fi
 
+# Sharding is in-process only (DESIGN.md §12): fail if the shard HTTP
+# protocol grows back. Tests may name its routes to check they 404.
+if git grep -nE '/v1/shard|NewRemote|LayerRequest|FeaturesRequest|EncodeState|ParseState' -- '*.go' ':!*_test.go'; then
+    echo "check: the shard HTTP protocol is growing back (matches above); shards are in-process only" >&2
+    exit 1
+fi
+
 # One worker lifecycle (DESIGN.md §6, §8, §12): core.Pool pins the
 # thread, starts the CPU clock, creates and retires every pooled worker;
 # fail if serve or shard grows a copy of it back.
@@ -100,8 +107,8 @@ if git grep -nE 'NewWorker\(|LockOSThread|StartThreadClock' -- internal/serve in
     exit 1
 fi
 
-# One serving front end (DESIGN.md §8, §12): pooled and router mode are
-# the same serve.Server; fail if a second HTTP front end grows back.
+# One serving front end (DESIGN.md §8, §12): pooled and in-process
+# router mode are the same serve.Server; fail if a second HTTP front end grows back.
 muxes=$(git grep -c 'http.NewServeMux' -- 'internal/serve/*.go' ':!*_test.go' | awk -F: '{n += $2} END {print n + 0}')
 if [ "$muxes" -ne 1 ]; then
     echo "check: internal/serve builds $muxes HTTP muxes, want exactly one front end" >&2
