@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -131,5 +132,22 @@ func TestRunRefusesRetiredFlags(t *testing.T) {
 	}
 	if sb.Len() != 0 {
 		t.Fatalf("-shards 2: work started before the flag was refused:\n%s", sb.String())
+	}
+}
+
+// TestHelpExitsZero: -h prints the usage and the command exits 0, as a
+// help request succeeds; it is not an error ending in "flag: help
+// requested". The test runs main in a child process of the test binary.
+func TestHelpExitsZero(t *testing.T) {
+	if os.Getenv("RINGSAMPLER_TEST_MAIN") == "1" {
+		os.Args = []string{"benchprep", "-h"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHelpExitsZero$")
+	cmd.Env = append(os.Environ(), "RINGSAMPLER_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "Usage of benchprep:") || strings.Contains(string(out), "help requested") {
+		t.Fatalf("benchprep -h: %v\n%s", err, out)
 	}
 }

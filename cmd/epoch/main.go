@@ -78,7 +78,7 @@ var testWrapRing func(threads int) func(uring.Ring, int) (uring.Ring, error)
 
 func main() {
 	log.SetFlags(0)
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
 }
@@ -373,18 +373,14 @@ func runOnce(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.C
 
 // featcachePinned describes the feature cache: what it pinned, and the
 // memory gauge — what it holds by component and what its budget was
-// charged, which are the same bytes. The index is a static cache's hash
-// table, or a learning cache's rank index (its pinned bitmap and rank
-// directory); the learner is the access counters and re-admission bitmap.
+// charged, which are the same bytes. The index is the pinned bitmap and
+// rank directory; the learner is the access counters and re-admission
+// bitmap, 0 B on a cache that does not learn.
 func featcachePinned(s *core.Sampler, cfg core.Config) string {
 	nodes, _ := s.FeatureCacheInfo()
 	rows, index, learn, charged := s.FeatureCacheHeld()
-	kind := "hash"
-	if s.FeatureCacheAdaptive() {
-		kind = "rank"
-	}
-	return fmt.Sprintf("featcache pinned %d nodes under a %d B budget, holding rows %d B + %s index %d B + learner %d B = charged %d B",
-		nodes, cfg.FeatureCacheBudgetBytes, rows, kind, index, learn, charged)
+	return fmt.Sprintf("featcache pinned %d nodes under a %d B budget, holding rows %d B + index %d B + learner %d B = charged %d B",
+		nodes, cfg.FeatureCacheBudgetBytes, rows, index, learn, charged)
 }
 
 // trainOpts bundles the -train-* model/optimizer flags.

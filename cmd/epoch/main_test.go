@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -325,7 +326,7 @@ func TestRunTrainPrintsLearningCurve(t *testing.T) {
 	if !strings.Contains(out, "re-admitted by measured access counts at epoch boundaries") {
 		t.Fatalf("feature cache policy line missing:\n%s", out)
 	}
-	if nodes, _, learner := featcacheGauge(t, out); nodes != 15537 || learner == 0 {
+	if nodes, _, _, learner := featcacheGauge(t, out); nodes != 15537 || learner == 0 {
 		t.Fatalf("feature cache pinned %d nodes with a %d B learner, want 15537 nodes and a learner:\n%s", nodes, learner, out)
 	}
 	var hits []float64
@@ -355,42 +356,40 @@ func TestRunTrainPrintsLearningCurve(t *testing.T) {
 
 // featcacheGauge parses the featcache pinned line of out and checks its
 // memory gauge: the bytes held by component sum to the bytes the budget
-// was charged, which fit in the budget, and a cache with a learner finds
-// its rows by rank, one without by hash. It returns the pinned nodes, the
-// row bytes and the learner's bytes.
-func featcacheGauge(t *testing.T, out string) (nodes int, rows, learner int64) {
+// was charged, which fit in the budget. It returns the pinned nodes, the
+// row bytes, the index's bytes and the learner's bytes.
+func featcacheGauge(t *testing.T, out string) (nodes int, rows, index, learner int64) {
 	t.Helper()
 	at := strings.Index(out, "featcache pinned ")
 	if at < 0 {
 		t.Fatalf("no featcache pinned line:\n%s", out)
 	}
-	var budget, index, charged int64
-	var kind string
-	if _, err := fmt.Sscanf(out[at:], "featcache pinned %d nodes under a %d B budget, holding rows %d B + %s index %d B + learner %d B = charged %d B",
-		&nodes, &budget, &rows, &kind, &index, &learner, &charged); err != nil {
+	var budget, charged int64
+	if _, err := fmt.Sscanf(out[at:], "featcache pinned %d nodes under a %d B budget, holding rows %d B + index %d B + learner %d B = charged %d B",
+		&nodes, &budget, &rows, &index, &learner, &charged); err != nil {
 		t.Fatalf("featcache line: %v\n%s", err, out)
 	}
 	if rows+index+learner != charged || charged > budget || rows == 0 {
 		t.Fatalf("feature cache holds %d + %d + %d B, charged %d B of %d:\n%s", rows, index, learner, charged, budget, out)
 	}
-	if want := map[bool]string{false: "hash", true: "rank"}[learner > 0]; kind != want {
-		t.Fatalf("feature cache with a %d B learner names a %s index, want %s:\n%s", learner, kind, want, out)
-	}
-	return nodes, rows, learner
+	return nodes, rows, index, learner
 }
 
 // TestFeatcacheGaugeSumsToCharge: the plain epoch's featcache line
 // reports what the cache holds by component, and the parts sum to what
 // its budget was charged — for a cache that learns and one that pins
-// every row (12000 × (64 + 16) B fit in 1 MiB) and so does not.
+// every row (12000 × 64 B fit in 1 MiB) and so does not. Both find their
+// rows by rank: the index is the pinned bitmap, 8 B per 64 nodes, and a
+// 4 B directory entry per 512; only the learning one holds counters
+// (2 B per node) and a re-admission bitmap.
 func TestFeatcacheGaugeSumsToCharge(t *testing.T) {
 	for _, c := range []struct {
-		nodes  string
-		pinned int
-		learns bool
+		nodes          string
+		pinned         int
+		index, learner int64
 	}{
-		{"24000", 15537, true},
-		{"12000", 12000, false},
+		{"24000", 15537, 3000 + 47*4, 48000 + 3000},
+		{"12000", 12000, 1504 + 24*4, 0},
 	} {
 		var sb strings.Builder
 		if err := run([]string{
@@ -399,9 +398,9 @@ func TestFeatcacheGaugeSumsToCharge(t *testing.T) {
 		}, &sb); err != nil {
 			t.Fatalf("run: %v\n%s", err, sb.String())
 		}
-		nodes, rows, learner := featcacheGauge(t, sb.String())
-		if nodes != c.pinned || (learner > 0) != c.learns || rows != int64(nodes)*64 {
-			t.Fatalf("%s nodes: pinned %d rows of %d B with a %d B learner; want %d rows, learning %v", c.nodes, nodes, rows, learner, c.pinned, c.learns)
+		nodes, rows, index, learner := featcacheGauge(t, sb.String())
+		if nodes != c.pinned || rows != int64(nodes)*64 || index != c.index || learner != c.learner {
+			t.Fatalf("%s nodes: pinned %d rows of %d B with a %d B index and a %d B learner; want %d rows, %d B and %d B", c.nodes, nodes, rows, index, learner, c.pinned, c.index, c.learner)
 		}
 	}
 }
@@ -469,5 +468,22 @@ func TestRunProbeLabels(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "labels:           none") {
 		t.Fatalf("probe output missing labels-none report:\n%s", sb.String())
+	}
+}
+
+// TestHelpExitsZero: -h prints the usage and the command exits 0, as a
+// help request succeeds; it is not an error ending in "flag: help
+// requested". The test runs main in a child process of the test binary.
+func TestHelpExitsZero(t *testing.T) {
+	if os.Getenv("RINGSAMPLER_TEST_MAIN") == "1" {
+		os.Args = []string{"epoch", "-h"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHelpExitsZero$")
+	cmd.Env = append(os.Environ(), "RINGSAMPLER_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "Usage of epoch:") || strings.Contains(string(out), "help requested") {
+		t.Fatalf("epoch -h: %v\n%s", err, out)
 	}
 }

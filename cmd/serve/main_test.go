@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -227,4 +229,21 @@ func TestRunServesAndDrains(t *testing.T) {
 			t.Fatal("listener still accepting after the drain")
 		}
 	})
+}
+
+// TestHelpExitsZero: -h prints the usage and the command exits 0, as a
+// help request succeeds; it is not an error ending in "flag: help
+// requested". The test runs main in a child process of the test binary.
+func TestHelpExitsZero(t *testing.T) {
+	if os.Getenv("RINGSAMPLER_TEST_MAIN") == "1" {
+		os.Args = []string{"serve", "-h"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestHelpExitsZero$")
+	cmd.Env = append(os.Environ(), "RINGSAMPLER_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "Usage of serve:") || strings.Contains(string(out), "help requested") {
+		t.Fatalf("serve -h: %v\n%s", err, out)
+	}
 }

@@ -23,6 +23,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"ringsampler/internal/memctl"
@@ -62,18 +63,19 @@ type Owner interface {
 const EntryBytes = 4
 
 // overhead is what a cache over numNodes nodes holds besides its row
-// bytes: perRow per pinned row and fixed once. A static cache's hash
-// index holds two 8-byte slots per row, and variable rows add an 8-byte
-// offset per row and a closing one; a learning cache (fixed rows only)
-// holds nothing per row, only its rank index and learner (learnerBytes).
+// bytes: perRow per pinned row and fixed once. Every cache finds its rows
+// by rank (rankBytes); variable rows add an 8-byte offset per row and a
+// closing one, and a learning cache (fixed rows only) its learner
+// (learnerBytes).
 func overhead(numNodes int64, variable, learn bool) (perRow, fixed int64) {
+	fixed = rankBytes(numNodes)
 	if variable {
-		return 24, 8
+		perRow, fixed = 8, fixed+8
 	}
 	if learn {
-		return 0, learnerBytes(numNodes)
+		fixed += learnerBytes(numNodes)
 	}
-	return 16, 0
+	return perRow, fixed
 }
 
 // FeatureBudget is what BuildFeatures charges for rows rows, learn or not.
@@ -119,21 +121,70 @@ func (s *source) rowOff(v int64) int64 {
 	return s.offsets[v] * EntryBytes
 }
 
-// Hot is a fixed-capacity store of per-node rows behind an index: an
-// open-addressed hash table on a static cache, a rank index over node
-// ids on a learning one. A nil *Hot is a valid always-miss cache.
+// Hot is a fixed-capacity store of per-node rows behind a rank index over
+// node ids (see ranked). A nil *Hot is a valid always-miss cache.
 //
 // A static cache (Adaptive() == false) never changes after Build and
 // needs no synchronization. An adaptive one is mutated in place by
 // Readmit under the write lock: readers bracket their Lookups, and every
 // use of the slices Lookup returned, with RLock/RUnlock.
 type Hot struct {
-	mu     sync.RWMutex
-	index  table // static caches only; a learning one finds rows by rank
+	mu sync.RWMutex
+	// pinned indexes the rows: row slot s holds the pinned node of rank s.
+	pinned ranked
 	data   []byte
 	stride int64   // fixed row bytes; 0: rows are located by off
 	off    []int64 // variable rows: row of slot s is data[off[s]:off[s+1]]
 	learn  *learner
+}
+
+// ranked is a cache's index: one bit per node, set when the node is
+// pinned, and a rank directory. A pinned node's slot is its rank among
+// the pinned nodes, so rows sit in ascending node order and the index
+// holds nothing per row. dir[b] counts the pinned nodes before block b of
+// blockWords words, so a lookup reads one block (a cache line) of bits.
+type ranked struct {
+	bits  []uint64
+	dir   []uint32
+	total int // pinned nodes
+}
+
+const blockWords = 8
+
+func newRanked(numNodes int64) ranked {
+	words := (numNodes + 63) / 64
+	return ranked{bits: make([]uint64, words), dir: make([]uint32, (words+blockWords-1)/blockWords)}
+}
+
+// rankBytes is what a rank index over numNodes nodes holds whatever its
+// row count: the bitmap and a uint32 per blockWords words of it.
+func rankBytes(numNodes int64) int64 {
+	words := (numNodes + 63) / 64
+	return words*8 + (words+blockWords-1)/blockWords*4
+}
+
+// find returns v's slot, or -1.
+func (r *ranked) find(v uint32) int {
+	w, bit := int(v>>6), uint64(1)<<(v&63)
+	if w >= len(r.bits) || r.bits[w]&bit == 0 {
+		return -1
+	}
+	slot := int(r.dir[w/blockWords]) + bits.OnesCount64(r.bits[w]&(bit-1))
+	for _, x := range r.bits[w&^(blockWords-1) : w] {
+		slot += bits.OnesCount64(x)
+	}
+	return slot
+}
+
+// rebuild recomputes the directory after the bits changed.
+func (r *ranked) rebuild() {
+	r.total = 0
+	for w, x := range r.bits {
+		if w%blockWords == 0 {
+			r.dir[w/blockWords] = uint32(r.total)
+		}
+		r.total += bits.OnesCount64(x)
+	}
 }
 
 // Build pins the complete neighbor lists of the highest-degree nodes
@@ -209,9 +260,9 @@ func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 	if src.stride == 0 {
 		h.off = append(h.off, dataBytes)
 	}
-	// Ascending id is file order for both layouts, and slots are handed
-	// out in the same order (a rank index's slots are exactly that), so
-	// neighbouring rows merge into one read; the reads go out together.
+	// Ascending id is file order for both layouts, and so is rank order,
+	// the order of the slots, so neighbouring rows merge into one read;
+	// the reads go out together.
 	fill := filler{src: src, data: h.data}
 	var at int64
 	for _, v := range picked {
@@ -222,19 +273,15 @@ func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 	if _, err := fill.run(); err != nil {
 		return nil, err
 	}
-	if !learn {
-		h.index = newTable(len(picked))
-		for slot, v := range picked {
-			h.index.insert(v, slot)
-		}
-		return h, nil
-	}
-	rank.heat = make([]uint16, n)
-	h.learn = &learner{rank: rank, pinned: newRanked(n), want: make([]uint64, (n+63)/64)}
+	h.pinned = newRanked(n)
 	for _, v := range picked {
-		h.learn.pinned.bits[v>>6] |= 1 << (v & 63)
+		h.pinned.bits[v>>6] |= 1 << (v & 63)
 	}
-	h.learn.pinned.rebuild()
+	h.pinned.rebuild()
+	if learn {
+		rank.heat = make([]uint16, n)
+		h.learn = &learner{rank: rank, want: make([]uint64, (n+63)/64)}
+	}
 	return h, nil
 }
 
@@ -276,12 +323,7 @@ func (h *Hot) Lookup(v uint32) []byte {
 	if h == nil {
 		return nil
 	}
-	slot := -1
-	if h.learn != nil {
-		slot = h.learn.pinned.find(v)
-	} else if len(h.index) > 0 {
-		slot = h.index.find(v)
-	}
+	slot := h.pinned.find(v)
 	if slot < 0 {
 		return nil
 	}
@@ -309,13 +351,10 @@ func (h *Hot) RUnlock() {
 
 // Nodes returns how many nodes are cached.
 func (h *Hot) Nodes() int {
-	switch {
-	case h == nil:
+	if h == nil {
 		return 0
-	case h.learn != nil:
-		return h.learn.pinned.total
 	}
-	return len(h.index) / 2
+	return h.pinned.total
 }
 
 // Bytes returns the cached row bytes (excluding per-node overhead).
@@ -325,16 +364,15 @@ func (h *Hot) Bytes() int64 {
 }
 
 // Held measures what h's slices hold, in bytes: the rows, the index (the
-// hash table with the offsets of variable rows, or the pinned bitmap and
-// rank directory), and the learner's counters and re-admission bitmap.
-// Build charged its budget exactly their sum.
+// pinned bitmap and rank directory, with the offsets of variable rows),
+// and the learner's counters and re-admission bitmap. Build charged its
+// budget exactly their sum.
 func (h *Hot) Held() (rows, index, learn int64) {
 	if h == nil {
 		return 0, 0, 0
 	}
-	index = int64(len(h.index)+len(h.off)) * 8
+	index = int64(len(h.off)+len(h.pinned.bits))*8 + int64(len(h.pinned.dir))*4
 	if l := h.learn; l != nil {
-		index += int64(len(l.pinned.bits))*8 + int64(len(l.pinned.dir))*4
 		learn = int64(len(l.rank.heat))*2 + int64(len(l.want))*8
 	}
 	return int64(len(h.data)), index, learn

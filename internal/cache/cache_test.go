@@ -142,12 +142,14 @@ func TestNilCacheMisses(t *testing.T) {
 }
 
 // TestBuildChargesOverhead: the budget is charged for per-node
-// bookkeeping, not just list bytes: 24 B per list and 8 B once.
+// bookkeeping, not just list bytes: an 8 B offset per list, and once the
+// closing offset and the rank index — over 2 nodes one bitmap word and
+// one directory entry, 8 + 8 + 4 B.
 func TestBuildChargesOverhead(t *testing.T) {
 	g := buildFake([]int64{2, 2})
 	perRow, fixed := overhead(2, true, false)
-	if perRow != 24 || fixed != 8 {
-		t.Fatalf("a neighbor cache holds %d B per list and %d B once, want 24 and 8", perRow, fixed)
+	if perRow != 8 || fixed != 20 {
+		t.Fatalf("a neighbor cache holds %d B per list and %d B once, want 8 and 20", perRow, fixed)
 	}
 	budget := memctl.New(2*2*EntryBytes + 2*perRow + fixed)
 	h, err := Build(g, budget)

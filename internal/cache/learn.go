@@ -2,10 +2,10 @@ package cache
 
 import "math/bits"
 
-// learner is what makes a cache adaptive: per-node access counters, the
-// rank index its rows are found by, and the bitmap Readmit re-ranks
-// into. A feature cache has one when these take at most an eighth of its
-// budget (LearnBudget) and a static cache could not pin every row.
+// learner is what makes a cache adaptive: per-node access counters and
+// the bitmap Readmit re-ranks into. A feature cache has one when these
+// and its rank index take at most an eighth of its budget (LearnBudget)
+// and a static cache could not pin every row.
 //
 // Counting is two-phase so that only whole epochs are ever learned from:
 // Count adds to the low pendingBits of a node's 16-bit counter word,
@@ -22,8 +22,6 @@ import "math/bits"
 // concurrently with all of them.
 type learner struct {
 	rank ranking
-	// pinned indexes the rows: row slot s holds the pinned node of rank s.
-	pinned ranked
 	// want is Readmit's scratch bitmap over node ids, zero between calls.
 	want []uint64
 	// dirty records that a Fold changed heat since the last Readmit.
@@ -37,16 +35,14 @@ const (
 )
 
 // learnerBytes is what a learner holds whatever its row count: a 2-byte
-// counter per node, the re-admission and pinned bitmaps, and the rank
-// directory, a uint32 per blockWords words of bitmap.
+// counter per node and the re-admission bitmap.
 func learnerBytes(numNodes int64) int64 {
-	words := (numNodes + 63) / 64
-	return numNodes*2 + 2*words*8 + (words+blockWords-1)/blockWords*4
+	return numNodes*2 + (numNodes+63)/64*8
 }
 
 // LearnBudget is the least budget under which a feature cache over
-// numNodes nodes learns: eight times its learner (learnerBytes).
-func LearnBudget(numNodes int64) int64 { return 8 * learnerBytes(numNodes) }
+// numNodes nodes learns: eight times its learner and rank index.
+func LearnBudget(numNodes int64) int64 { return 8 * (learnerBytes(numNodes) + rankBytes(numNodes)) }
 
 // Adaptive reports whether the cache carries access counters and
 // re-ranks itself on Readmit: a feature cache under at least LearnBudget
@@ -147,7 +143,7 @@ func (h *Hot) Readmit() (Readmission, error) {
 	fill := filler{src: src, data: h.data}
 	held, at := 0, 0
 	for wi, w := range l.want {
-		p := l.pinned.bits[wi]
+		p := h.pinned.bits[wi]
 		for ; w != 0; w &= w - 1 {
 			if bit := w & -w; p&bit == 0 {
 				v := int64(wi<<6 + bits.TrailingZeros64(w))
@@ -162,7 +158,7 @@ func (h *Hot) Readmit() (Readmission, error) {
 	}
 	res.Evicted = int64(held-at) + res.Admitted // held, less those kept
 	for wi := len(l.want) - 1; wi >= 0; wi-- {
-		p := l.pinned.bits[wi]
+		p := h.pinned.bits[wi]
 		held -= bits.OnesCount64(p)
 		for w := l.want[wi]; w != 0; {
 			bit := uint64(1) << (63 - bits.LeadingZeros64(w))
@@ -173,13 +169,13 @@ func (h *Hot) Readmit() (Readmission, error) {
 			}
 		}
 	}
-	copy(l.pinned.bits, l.want)
+	copy(h.pinned.bits, l.want)
 	clear(l.want)
-	l.pinned.rebuild()
+	h.pinned.rebuild()
 	moved, err := fill.run()
 	if err != nil {
-		clear(l.pinned.bits)
-		l.pinned.rebuild()
+		clear(h.pinned.bits)
+		h.pinned.rebuild()
 		return Readmission{}, err
 	}
 	res.Reads, res.Bytes, res.Moved = int64(len(fill.reads)), fill.bytes, moved

@@ -241,8 +241,7 @@ func pinnedSet(h *Hot, n int) []uint32 {
 // BuildFeatures states: it learns when limit is at least LearnBudget and
 // below what pins every row without a learner.
 func featureCharge(n int, stride, limit int64) (perRow, fixed int64, learn bool) {
-	staticRow, _ := overhead(int64(n), false, false)
-	learn = limit >= LearnBudget(int64(n)) && limit < int64(n)*(stride+staticRow)
+	learn = limit >= LearnBudget(int64(n)) && limit < FeatureBudget(int64(n), stride, int64(n), false)
 	perRow, fixed = overhead(int64(n), false, learn)
 	return perRow, fixed, learn
 }
@@ -273,7 +272,8 @@ func coldStartMatchesSort(t *testing.T) {
 		if trial%10 == 1 {
 			tiesAtBoundaries(degrees, 7)
 		}
-		// A list costs its bytes and 24 B; the cache holds 8 B once.
+		// A list costs its bytes and an 8 B offset; the cache holds the
+		// closing offset and the rank index once.
 		listRow, listFixed := overhead(int64(n), true, false)
 		lists := func(deg int64) int64 { return deg*EntryBytes + listRow }
 		total := listFixed
@@ -326,11 +326,13 @@ func coldStartMatchesSort(t *testing.T) {
 		}
 
 		const stride = 24
-		staticRow, _ := overhead(int64(n), false, false)
-		rows := func(int64) int64 { return stride + staticRow }
-		limits = []int64{1, rows(0), rows(0)*int64(1+rng.Intn(n)) + int64(rng.Intn(40)), rows(0) * int64(n), 0}
+		_, staticFixed := overhead(int64(n), false, false)
+		rows := func(int64) int64 { return stride }
+		limits = []int64{1, staticFixed - 1, staticFixed + stride, staticFixed + stride*int64(1+rng.Intn(n)) + int64(rng.Intn(40)), staticFixed + stride*int64(n), 0}
 		if cuts {
-			limits = append(limits, cutBudgets(referenceOrder(degrees, nil, 0), n, degrees, rows)...)
+			for _, allowance := range cutBudgets(referenceOrder(degrees, nil, 0), n, degrees, rows) {
+				limits = append(limits, allowance+staticFixed)
+			}
 		}
 		for _, limit := range limits {
 			perRow, fixed, learn := featureCharge(n, stride, limit)
@@ -741,19 +743,20 @@ func TestCountersKeepOrderOverLongRuns(t *testing.T) {
 }
 
 // TestChargeEqualsHeld: every cache charges its budget exactly the bytes
-// its slices hold — rows, index slots, row offsets, counters, bitmaps and
-// rank directory — for the neighbor cache, a static feature cache and an
-// adaptive one at several budgets, before and after re-admissions. The
-// selection still stops at the first row that does not fit, and Held
-// reports the same bytes by component.
+// its slices hold — rows, row offsets, pinned bitmap, rank directory,
+// counters and re-admission bitmap — for the neighbor cache, a static
+// feature cache and an adaptive one at several budgets, before and after
+// re-admissions. The selection still stops at the first row that does not
+// fit, and Held reports the same bytes by component. A budget below the
+// rank index's fixed cost pins nothing and charges nothing.
 func TestChargeEqualsHeld(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const n, stride = 1000, 32
 	degrees := tiedDegrees(rng, n)
 	held := func(h *Hot) int64 {
-		b := int64(len(h.data)) + int64(len(h.index))*8 + int64(len(h.off))*8
+		b := int64(len(h.data)) + int64(len(h.off))*8 + int64(len(h.pinned.bits))*8 + int64(len(h.pinned.dir))*4
 		if l := h.learn; l != nil {
-			b += int64(len(l.rank.heat))*2 + int64(len(l.want))*8 + int64(len(l.pinned.bits))*8 + int64(len(l.pinned.dir))*4
+			b += int64(len(l.rank.heat))*2 + int64(len(l.want))*8
 		}
 		return b
 	}
@@ -766,11 +769,14 @@ func TestChargeEqualsHeld(t *testing.T) {
 		if got := pinnedSet(h, n); !slices.Equal(got, want) {
 			t.Fatalf("%s, budget %d: pinned %d rows, the prefix is %d", what, limit, len(got), len(want))
 		}
+		if len(want) == 0 && (budget.Used() != 0 || h.Nodes() != 0) {
+			t.Fatalf("%s, budget %d: an empty cache charged %d B for %d rows", what, limit, budget.Used(), h.Nodes())
+		}
 	}
 	listRow, listFixed := overhead(n, true, false)
 	lists := func(d int64) int64 { return d*EntryBytes + listRow }
 	g := buildFake(degrees)
-	for _, limit := range []int64{listFixed + lists(1) - 1, listFixed + lists(1), 5000, 60_000, 1 << 40} {
+	for _, limit := range []int64{rankBytes(n) - 1, listFixed + lists(1) - 1, listFixed + lists(1), 5000, 60_000, 1 << 40} {
 		budget := memctl.New(limit)
 		h, err := Build(g, budget)
 		if err != nil {
@@ -779,7 +785,8 @@ func TestChargeEqualsHeld(t *testing.T) {
 		check("neighbor cache", limit, h, budget, referencePrefix(degrees, nil, 1, lists, limit-listFixed))
 	}
 	learnAt, all := LearnBudget(n), FeatureBudget(n, stride, n, false)
-	for _, limit := range []int64{stride + 15, stride + 16, 9_999, learnAt - 1, learnAt, 30_001, all - 1, all, 1 << 40} {
+	_, staticFixed := overhead(n, false, false)
+	for _, limit := range []int64{staticFixed - 1, staticFixed + stride - 1, staticFixed + stride, 9_999, learnAt - 1, learnAt, 30_001, all - 1, all, 1 << 40} {
 		perRow, fixed, learn := featureCharge(n, stride, limit)
 		budget := memctl.New(limit)
 		h, err := BuildFeatures(newFakeFeatures(degrees, stride), budget)
@@ -814,18 +821,20 @@ func TestChargeEqualsHeld(t *testing.T) {
 }
 
 // TestLearnThreshold: a feature cache learns from LearnBudget — eight
-// times its counters, bitmaps and rank directory — up to the budget under
-// which a static cache pins every row. A learning cache holds nothing per
-// row, so at rows this narrow (under 112 B) the row count steps up at the
-// threshold and grows with the budget across the whole range. On 2,000
-// nodes of 16 B: counters 4,000 B, two 32-word bitmaps 512 B and a
-// 4-entry directory 16 B make LearnBudget 36,224 B; one byte below it the
-// static cache pins 36,223 / 32 = 1,131 rows, at it the adaptive cache
-// (36,224 − 4,528) / 16 = 1,981.
+// times its counters, re-admission bitmap and rank index — up to the
+// budget under which a static cache pins every row. Every cache holds the
+// rank index, so at the threshold only the learner comes out of the rows:
+// the row count steps down there by the learner's bytes over the stride,
+// and grows with the budget on either side. On 2,000 nodes of 32 B:
+// counters 4,000 B and a 32-word bitmap 256 B make the learner 4,256 B,
+// the other bitmap 256 B and a 4-entry directory 16 B the rank index
+// 272 B, and LearnBudget 8 × 4,528 = 36,224 B; one byte below it the
+// static cache pins (36,223 − 272) / 32 = 1,123 rows, at it the adaptive
+// cache (36,224 − 4,528) / 32 = 990.
 func TestLearnThreshold(t *testing.T) {
-	const n, stride = 2000, 16
+	const n, stride = 2000, 32
 	f := newFakeFeatures(tiedDegrees(rand.New(rand.NewSource(47)), n), stride)
-	const learnAt, learner = 36_224, 4_528
+	const learnAt, rankIndex, learner = 36_224, 272, 4_256
 	if got := LearnBudget(n); got != learnAt {
 		t.Fatalf("LearnBudget(%d) = %d, want %d", n, got, learnAt)
 	}
@@ -836,27 +845,33 @@ func TestLearnThreshold(t *testing.T) {
 		}
 		return h.Nodes(), h.Adaptive()
 	}
-	if rows, adaptive := pinned(learnAt - 1); rows != 1131 || adaptive {
-		t.Fatalf("one byte below the threshold: %d rows, adaptive %v; want 1131 static rows", rows, adaptive)
+	if rows, adaptive := pinned(learnAt - 1); rows != 1123 || adaptive {
+		t.Fatalf("one byte below the threshold: %d rows, adaptive %v; want 1123 static rows", rows, adaptive)
 	}
-	if rows, adaptive := pinned(learnAt); rows != 1981 || !adaptive {
-		t.Fatalf("at the threshold: %d rows, adaptive %v; want 1981 adaptive rows", rows, adaptive)
+	if rows, adaptive := pinned(learnAt); rows != 990 || !adaptive {
+		t.Fatalf("at the threshold: %d rows, adaptive %v; want 990 adaptive rows", rows, adaptive)
 	}
 	prev := 0
-	for limit := int64(1); limit < n*(stride+16)+500; limit += 731 {
-		wantAdaptive := limit >= learnAt && limit < n*(stride+16)
-		want := int(min(limit/(stride+16), n))
+	for limit := int64(1); limit < rankIndex+n*stride+500; limit += 731 {
+		wantAdaptive := limit >= learnAt && limit < rankIndex+n*stride
+		want := int(min(max(limit-rankIndex, 0)/stride, n))
 		if wantAdaptive {
-			want = int(min((limit-learner)/stride, n))
+			want = int(min((limit-rankIndex-learner)/stride, n))
 		}
 		rows, adaptive := pinned(limit)
 		if rows != want || adaptive != wantAdaptive {
 			t.Fatalf("budget %d: %d rows, adaptive %v; want %d, adaptive %v", limit, rows, adaptive, want, wantAdaptive)
 		}
-		if rows < prev {
+		if crossed := limit >= learnAt && limit-731 < learnAt; rows < prev && !crossed {
 			t.Fatalf("budget %d pins %d rows, a smaller one %d", limit, rows, prev)
 		}
 		prev = rows
+	}
+	// Rows narrower than LearnBudget per node (18.1 B here) never learn: a
+	// static cache pins all of them below it, at 16 B under 272 + 32,000 B.
+	narrow := newFakeFeatures(tiedDegrees(rand.New(rand.NewSource(47)), n), 16)
+	if h, err := BuildFeatures(narrow, memctl.New(learnAt)); err != nil || h.Nodes() != n || h.Adaptive() {
+		t.Fatalf("16 B rows under LearnBudget: %d rows, adaptive %v, err %v; want all %d static", h.Nodes(), h.Adaptive(), err, n)
 	}
 }
 
@@ -960,39 +975,17 @@ func TestLookupDuringReadmit(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTableAgainstMap fills the open-addressed index with random keys
-// (node 0 and wrap-around clusters included) and checks it against a map
-// after every insert, present and absent keys alike.
-func TestTableAgainstMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	for _, rows := range []int{1, 2, 7, 64} {
-		for trial := 0; trial < 40; trial++ {
-			tab := newTable(rows)
-			model := map[uint32]int{}
-			for slot, v := range rng.Perm(4 * rows)[:rows] {
-				tab.insert(uint32(v), slot)
-				model[uint32(v)] = slot
-				for probe := uint32(0); probe < uint32(4*rows); probe++ {
-					want, ok := model[probe]
-					if !ok {
-						want = -1
-					}
-					if got := tab.find(probe); got != want {
-						t.Fatalf("rows %d trial %d: find(%d) = %d, want %d", rows, trial, probe, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestRankedAgainstSorted: after every rebuild the rank index finds each
 // pinned node at its position in the sorted pinned list and every other
 // id, beyond the node count too, nowhere — at node counts around word
 // and block boundaries, for random, empty, full and last-node-only sets.
+// The static caches, the neighbor cache and a feature cache below
+// LearnBudget, index their rows the same way: built at those node counts,
+// each finds the sort's prefix at its ranks, with the file's bytes there.
 func TestRankedAgainstSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
-	for _, n := range []int{1, 63, 64, 65, 511, 512, 513, 4097} {
+	nodeCounts := []int{1, 63, 64, 65, 511, 512, 513, 4097}
+	for _, n := range nodeCounts {
 		r := newRanked(int64(n))
 		for _, pinned := range []func(v int) bool{
 			func(int) bool { return rng.Intn(3) == 0 },
@@ -1027,6 +1020,63 @@ func TestRankedAgainstSorted(t *testing.T) {
 					t.Fatalf("%d nodes: find(%d) = %d beyond the node count", n, v, got)
 				}
 			}
+		}
+	}
+
+	check := func(what string, n int, limit int64, h *Hot, want []uint32, row func(v uint32) []byte) {
+		t.Helper()
+		if h.Adaptive() || h.Nodes() != len(want) {
+			t.Fatalf("%s, %d nodes, budget %d: %d rows, adaptive %v; want %d static rows", what, n, limit, h.Nodes(), h.Adaptive(), len(want))
+		}
+		for v := uint32(0); v < uint32(n); v++ {
+			slot, ok := slices.BinarySearch(want, v)
+			if !ok {
+				slot = -1
+			}
+			if got := h.pinned.find(v); got != slot {
+				t.Fatalf("%s, %d nodes, budget %d: find(%d) = %d, want %d", what, n, limit, v, got, slot)
+			}
+			if got := h.Lookup(v); (got == nil) != !ok || ok && !bytes.Equal(got, row(v)) {
+				t.Fatalf("%s, %d nodes, budget %d: node %d's row is not the file's", what, n, limit, v)
+			}
+		}
+		for _, v := range []uint32{uint32(n), ^uint32(0)} {
+			if h.Lookup(v) != nil {
+				t.Fatalf("%s, %d nodes: node %d beyond the node count hits", what, n, v)
+			}
+		}
+	}
+	const stride = 24
+	for _, n := range nodeCounts {
+		degrees := tiedDegrees(rng, n)
+		g := buildFake(degrees)
+		listRow, listFixed := overhead(int64(n), true, false)
+		lists := func(d int64) int64 { return d*EntryBytes + listRow }
+		all := listFixed
+		for _, d := range degrees {
+			if d > 0 {
+				all += lists(d)
+			}
+		}
+		for _, limit := range []int64{rankBytes(int64(n)) - 1, listFixed + (all-listFixed)/3, all} {
+			h, err := Build(g, memctl.New(limit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("neighbor cache", n, limit, h, referencePrefix(degrees, nil, 1, lists, limit-listFixed), func(v uint32) []byte {
+				st, en := g.Range(v)
+				return g.edges[st*EntryBytes : en*EntryBytes]
+			})
+		}
+		f := newFakeFeatures(degrees, stride)
+		_, featFixed := overhead(int64(n), false, false)
+		// A third of the rows stays below LearnBudget; all of them are static.
+		for _, limit := range []int64{rankBytes(int64(n)) - 1, featFixed + int64(n)*stride/3, featFixed + int64(n)*stride} {
+			h, err := BuildFeatures(f, memctl.New(limit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("feature cache", n, limit, h, referencePrefix(degrees, nil, 0, func(int64) int64 { return stride }, limit-featFixed), f.row)
 		}
 	}
 }
@@ -1083,15 +1133,71 @@ func millionNodeCache(b *testing.B, rng *rand.Rand) *Hot {
 	return h
 }
 
-// BenchmarkLookup times one Lookup of a uniformly random node on a
-// million-node adaptive cache, hits and misses as they come.
-func BenchmarkLookup(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	h := millionNodeCache(b, rng)
-	probes := make([]uint32, 1<<16)
-	for i := range probes {
-		probes[i] = uint32(rng.Intn(1_000_000))
+// indexOnly is a neighbor index without an edge file: its reads fill
+// nothing, which is all a lookup benchmark needs of the rows.
+type indexOnly []int64
+
+func (g indexOnly) Offsets() []int64 { return g }
+func (g indexOnly) ReadBatch(_ []byte, reads []uring.Read) (moved int64, _ error) {
+	for _, rd := range reads {
+		moved += rd.Len
 	}
+	return moved, nil
+}
+
+// hubCache builds a static neighbor cache that pins exactly 150 hub lists
+// of 32,768 entries on a million-node index whose other nodes have
+// exponentially distributed degree: the shape of a serving cache.
+func hubCache(b *testing.B, rng *rand.Rand) (*Hot, []int64) {
+	const n, hubs, hubDegree = 1_000_000, 150, 1 << 15
+	degrees := make([]int64, n)
+	for i := range degrees {
+		degrees[i] = int64(rng.ExpFloat64() * 20)
+	}
+	for _, v := range rng.Perm(n)[:hubs] {
+		degrees[v] = hubDegree
+	}
+	offsets := make([]int64, n+1)
+	for v, d := range degrees {
+		offsets[v+1] = offsets[v] + d
+	}
+	perRow, fixed := overhead(n, true, false)
+	h, err := Build(indexOnly(offsets), memctl.New(fixed+hubs*(hubDegree*EntryBytes+perRow)))
+	if err != nil || h.Nodes() != hubs {
+		b.Fatalf("pinned %d lists, err %v", h.Nodes(), err)
+	}
+	return h, offsets
+}
+
+// BenchmarkLookup times one Lookup on a million-node index, hits and
+// misses as they come: on an adaptive cache of 128 B rows under 32 MB, of
+// a uniformly random node; on a static cache of 150 hub lists, of the
+// source of a uniformly random edge, so that a node turns up as often as
+// its degree, as in a sampled frontier.
+func BenchmarkLookup(b *testing.B) {
+	b.Run("learning", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		h := millionNodeCache(b, rng)
+		probes := make([]uint32, 1<<16)
+		for i := range probes {
+			probes[i] = uint32(rng.Intn(1_000_000))
+		}
+		lookups(b, h, probes)
+	})
+	b.Run("static-hubs", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		h, offsets := hubCache(b, rng)
+		probes := make([]uint32, 1<<16)
+		for i := range probes {
+			e := rng.Int63n(offsets[len(offsets)-1])
+			probes[i] = uint32(sort.Search(len(offsets)-1, func(v int) bool { return offsets[v+1] > e }))
+		}
+		lookups(b, h, probes)
+	})
+}
+
+// lookups times b.N Lookups cycling through probes (a power of two long).
+func lookups(b *testing.B, h *Hot, probes []uint32) {
 	hits := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

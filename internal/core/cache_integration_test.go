@@ -367,3 +367,40 @@ func TestCacheInfo(t *testing.T) {
 		t.Fatalf("cache accounted %d bytes over the %d budget", b, cfg.CacheBudgetBytes)
 	}
 }
+
+// TestCachesBelowTheirIndexPinNothing: a cache budget below the rank
+// index's fixed cost (here its bitmap alone, 8 B per 64 nodes) builds an
+// empty neighbor cache and an empty feature cache: New succeeds, neither
+// cache pins a row or charges a byte, and the epoch reads what a
+// cache-off epoch reads, with the same digests.
+func TestCachesBelowTheirIndexPinNothing(t *testing.T) {
+	ds := openDS(t, testFeatureDatasetDir(t), false)
+	targets := testTargets(ds, 256)
+	run := func(budget int64) *EpochStats {
+		cfg := DefaultConfig()
+		cfg.Seed = 33
+		cfg.BatchSize = 64
+		cfg.Threads = 2
+		cfg.FetchFeatures = true
+		cfg.CacheBudgetBytes, cfg.FeatureCacheBudgetBytes = budget, budget
+		s, err := New(ds, cfg, uring.BackendPool)
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if nodes, bytes := s.CacheInfo(); nodes != 0 || bytes != 0 {
+			t.Fatalf("budget %d: neighbor cache pinned %d lists of %d B", budget, nodes, bytes)
+		}
+		if rows, index, learn, charged := s.FeatureCacheHeld(); rows+index+learn+charged != 0 || s.FeatureCacheAdaptive() {
+			t.Fatalf("budget %d: feature cache holds %d+%d+%d B, charged %d B", budget, rows, index, learn, charged)
+		}
+		st, err := s.RunEpoch(targets, nil)
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		return st
+	}
+	off, tiny := run(0), run((ds.NumNodes()+63)/64*8)
+	if !slices.Equal(off.Digests, tiny.Digests) || off.IO.DeviceBytes() != tiny.IO.DeviceBytes() {
+		t.Fatalf("empty caches changed the epoch: %d device bytes, cache-off %d", tiny.IO.DeviceBytes(), off.IO.DeviceBytes())
+	}
+}

@@ -44,8 +44,9 @@ go test -C cmd/bench $short ./...
 # and pipeline modes (DESIGN.md §13); the adaptive feature cache's
 # pinned set and bytes thread-invariant, payloads identical across
 # re-admissions, re-admission race-free, its charge equal to the bytes it
-# holds, its counters' order kept over long runs, its rank index equal
-# to a sorted list and its rows moved in place both ways (DESIGN.md §10).
+# holds, its counters' order kept over long runs, its rows moved in place
+# both ways, and every cache's rank index, static caches' included, equal
+# to a sorted list (DESIGN.md §10).
 go test -race -run 'TestEpochThreadInvariance|TestStrategyThreadInvariance' ./internal/core
 go test -race -run 'TestRouterMatchesSingleNode|TestRouterShardFaultStillIdentical' ./internal/shard
 go test -race -run 'TestShardConformance' ./internal/serve
@@ -67,7 +68,9 @@ go test -race $short ./...
 # Fuzz smoke of the serving trust boundary (DESIGN.md §8): arbitrary
 # /v1/sample bodies and ?features= values through decode and validation
 # never panic, are refused 400/413, or are accepted within every limit.
-go test -fuzz='^FuzzSampleRequest$' -fuzztime=30s ./internal/serve
+# Minimizing a new input is bounded to 1 s: at the default 60 s the
+# smoke can stop executing inputs for half of its 30 s.
+go test -fuzz='^FuzzSampleRequest$' -fuzztime=30s -fuzzminimizetime=1s ./internal/serve
 
 # cmd/bench superseded the per-command sweep modes and their checked-in
 # JSON summaries; fail if either grows back outside it.
