@@ -1,8 +1,8 @@
 // Command epoch drives the real-engine parallel epoch runner: it
 // shards a uniform target workload into mini-batches, fans them out to
 // -threads OS-thread-pinned workers, and prints the aggregated
-// EpochStats — throughput, merged and per-worker I/O counters, and the
-// batch-latency histogram — plus the folded sample digest.
+// EpochStats — throughput, merged and per-worker I/O counters, and
+// exact batch-latency quantiles — plus the folded sample digest.
 //
 // With -invariance it reruns the identical workload at 1 and 2 threads
 // and diffs the per-batch digest streams against the -threads run,
@@ -59,7 +59,9 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"syscall"
+	"time"
 
 	"ringsampler/internal/core"
 	"ringsampler/internal/gen"
@@ -324,7 +326,7 @@ func runOnce(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.C
 	if err != nil {
 		return nil, err
 	}
-	st, err := s.RunEpochCtx(ctx, targets, nil)
+	st, err := s.RunEpochSeeded(ctx, cfg.Seed, targets, nil)
 	if err != nil && (st == nil || !errors.Is(err, context.Canceled)) {
 		return nil, err
 	}
@@ -358,9 +360,10 @@ func runOnce(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.C
 	for wid, ws := range st.PerWorker {
 		fmt.Fprintf(out, "  worker %2d %+v\n", wid, ws)
 	}
-	fmt.Fprintf(out, "  latency   p50 ≤ %v  p90 ≤ %v  p99 ≤ %v\n",
-		st.Latency.Quantile(0.50), st.Latency.Quantile(0.90), st.Latency.Quantile(0.99))
-	fmt.Fprintf(out, "  buckets   %v\n", st.Latency.String())
+	// Exact nearest-rank quantiles over the batches that completed.
+	lats := slices.DeleteFunc(slices.Clone(st.Latencies), func(d time.Duration) bool { return d == 0 })
+	fmt.Fprintf(out, "  latency   p50 %v  p90 %v  p99 %v  max %v\n",
+		core.Quantile(lats, 0.50), core.Quantile(lats, 0.90), core.Quantile(lats, 0.99), core.Quantile(lats, 1))
 	if interrupted {
 		// Partial epochs have holes in the digest stream — flush the
 		// drained counters above but don't print a misleading digest.

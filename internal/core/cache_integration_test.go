@@ -242,7 +242,7 @@ func TestFeatureCacheMonotoneDeviceBytes(t *testing.T) {
 		if n, _ := s.FeatureCacheInfo(); n != b.rows {
 			t.Fatalf("budget %d pinned %d rows, want %d", b.bytes, n, b.rows)
 		}
-		st, err := s.RunEpoch(targets, nil)
+		st, err := runEpoch(s, targets, nil)
 		if err != nil {
 			t.Fatalf("budget %d: %v", b.bytes, err)
 		}
@@ -286,7 +286,7 @@ func TestEpochCacheThreadInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := s.RunEpoch(targets, nil)
+			st, err := runEpoch(s, targets, nil)
 			if err != nil {
 				t.Fatalf("Threads=%d budget=%d: %v", th, budget, err)
 			}
@@ -318,7 +318,7 @@ func TestCacheUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := s.RunEpoch(targets, nil)
+	ref, err := runEpoch(s, targets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestCacheUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := sf.RunEpoch(targets, nil)
+	st, err := runEpoch(sf, targets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestCachesBelowTheirIndexPinNothing(t *testing.T) {
 		if rows, index, learn, charged := s.FeatureCacheHeld(); rows+index+learn+charged != 0 || s.FeatureCacheAdaptive() {
 			t.Fatalf("budget %d: feature cache holds %d+%d+%d B, charged %d B", budget, rows, index, learn, charged)
 		}
-		st, err := s.RunEpoch(targets, nil)
+		st, err := runEpoch(s, targets, nil)
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}

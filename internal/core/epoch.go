@@ -4,111 +4,27 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
-	"strings"
+	"slices"
 	"time"
 
 	"ringsampler/internal/sample"
 )
 
-// latencyBuckets is the fixed bucket count of LatencyHist: bucket i
-// counts batches whose latency fell in [2^i, 2^(i+1)) microseconds.
-// Bucket 0 also absorbs sub-microsecond batches and the last bucket
-// everything slower than ~2^23 µs (≈8.4 s) — far beyond any sane
-// mini-batch.
-const latencyBuckets = 24
-
-// LatencyHist is a fixed-bucket log2 histogram of per-batch sampling
-// latencies. Fixed buckets keep the epoch runner allocation-free on the
-// hot path and make histograms from different runs directly addable.
-type LatencyHist struct {
-	Counts [latencyBuckets]int64
-}
-
-// Observe records one batch latency.
-func (h *LatencyHist) Observe(d time.Duration) {
-	us := d.Microseconds()
-	b := 0
-	if us > 0 {
-		b = bits.Len64(uint64(us)) - 1
-	}
-	if b >= latencyBuckets {
-		b = latencyBuckets - 1
-	}
-	h.Counts[b]++
-}
-
-// Total returns the number of observations.
-func (h *LatencyHist) Total() int64 {
-	var n int64
-	for _, c := range h.Counts {
-		n += c
-	}
-	return n
-}
-
-// Quantile returns an upper bound for the q-quantile latency (the upper
-// edge of the bucket the quantile falls in). The rank is the ceiling of
-// q·total — the standard nearest-rank definition — so the median of 3
-// observations is the 2nd, not the 1st. q outside (0,1] is clamped; an
-// empty histogram returns 0.
-func (h *LatencyHist) Quantile(q float64) time.Duration {
-	total := h.Total()
-	if total == 0 {
+// Quantile returns the nearest-rank q-quantile of ds: its ⌈q·n⌉-th
+// smallest value, so the median of three is the second and the median
+// of two the lower. q is clamped to (0,1]; an empty ds returns 0.
+func Quantile(ds []time.Duration, q float64) time.Duration {
+	if len(ds) == 0 {
 		return 0
 	}
-	if q <= 0 {
-		q = 1 / float64(total)
-	}
-	if q > 1 {
-		q = 1
-	}
-	need := int64(math.Ceil(q * float64(total)))
-	if need < 1 {
-		need = 1
-	}
-	if need > total {
-		need = total
-	}
-	var seen int64
-	for i, c := range h.Counts {
-		seen += c
-		if seen >= need {
-			return time.Duration(int64(1)<<(i+1)) * time.Microsecond
-		}
-	}
-	return time.Duration(int64(1)<<latencyBuckets) * time.Microsecond
+	sorted := slices.Sorted(slices.Values(ds))
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
-// String renders the non-empty buckets compactly, e.g.
-// "[0,2µs):2 [64µs,128µs):12". Bucket 0 is labeled [0,2µs) because it
-// absorbs sub-microsecond batches alongside the nominal [1µs,2µs)
-// range.
-func (h *LatencyHist) String() string {
-	var b strings.Builder
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		if b.Len() > 0 {
-			b.WriteByte(' ')
-		}
-		lo := (time.Duration(int64(1)<<i) * time.Microsecond).String()
-		if i == 0 {
-			lo = "0"
-		}
-		hi := time.Duration(int64(1)<<(i+1)) * time.Microsecond
-		fmt.Fprintf(&b, "[%s,%v):%d", lo, hi, c)
-	}
-	if b.Len() == 0 {
-		return "(empty)"
-	}
-	return b.String()
-}
-
-// EpochStats aggregates one RunEpoch: merged ring-level I/O counters,
-// the per-worker breakdown they were merged from, per-batch sample
-// digests (in batch order), a batch-latency histogram, and wall-clock
+// EpochStats aggregates one RunEpochSeeded: merged ring-level I/O
+// counters, the per-worker breakdown they were merged from, per-batch
+// sample digests and latencies (in batch order), and wall-clock
 // throughput. IO equals the sum of PerWorker plus what the epoch-start
 // feature-cache re-admission did (FeatCacheAdmitted/Evicted and the
 // FeatReads/FeatBytesRead of its fill), which no worker performed.
@@ -120,10 +36,9 @@ type EpochStats struct {
 	// Workers is how many workers actually ran: Config.Threads, capped
 	// by the batch count.
 	Workers int
-	// Completed is how many batches actually finished sampling. It
-	// equals Batches except when the epoch was canceled mid-run, in
-	// which case only the first Completed dispatched batches have
-	// digests and latency observations.
+	// Completed is how many batches finished sampling. It is below
+	// Batches only in a canceled epoch; the batches that did not
+	// complete have a zero digest and latency.
 	Completed int
 	// Sampled is the total sampled neighbor entries across all batches.
 	Sampled int64
@@ -131,12 +46,14 @@ type EpochStats struct {
 	// fixed (dataset, Config, seed, targets) this slice is identical at
 	// every thread count — the runner's determinism guarantee.
 	Digests []uint64
+	// Latencies holds each batch's sampling latency in batch order: the
+	// exact per-batch distribution (Quantile), zero for a batch that did
+	// not complete.
+	Latencies []time.Duration
 	// IO is the merged ring-level I/O accounting; PerWorker is the
 	// per-worker breakdown, indexed by pool slot.
 	IO        IOStats
 	PerWorker []IOStats
-	// Latency is the per-batch sampling latency histogram.
-	Latency LatencyHist
 	// Seconds is the wall-clock epoch duration; EntriesPerSec and
 	// BytesPerSec are the headline sampled-entry and device-byte
 	// (IO.DeviceBytes) throughputs derived from it.
@@ -149,8 +66,8 @@ type EpochStats struct {
 	ReadmitSeconds float64
 }
 
-// epochResult carries one finished mini-batch from a worker to the
-// collector.
+// epochResult is one batch's report to the collector: what it sampled,
+// why it failed, or — both nil — that it never ran.
 type epochResult struct {
 	index int
 	batch *Batch
@@ -158,59 +75,48 @@ type epochResult struct {
 	err   error
 }
 
-// RunEpoch samples every target through the real engine: the target
-// stream is sharded into Config.BatchSize mini-batches and fanned out
-// to the Config.Threads slots of a Pool that lives as long as the epoch:
-// one OS-thread-pinned worker per slot.
+// RunEpochSeeded samples every target through the real engine: the
+// target stream is sharded into Config.BatchSize mini-batches and fanned
+// out to the Config.Threads slots of a Pool that lives as long as the
+// epoch, one OS-thread-pinned worker per slot.
 //
-// Output is thread-count-invariant: each batch's RNG is reseeded from
-// sample.Mix(Config.Seed, batchIndex) rather than from the worker id,
-// so Threads=1 and Threads=16 produce byte-identical Batch streams for
-// the same seed — regardless of which worker ran which batch or in
-// what order completions landed. Workers still contend for the device,
-// so throughput (not output) is what scales with Threads.
+// Output is thread-count-invariant: batch bi draws from
+// sample.Mix(seed, bi), never from the worker id, so Threads=1 and
+// Threads=16 produce byte-identical Batch streams — regardless of which
+// worker ran which batch or in what order completions landed. Workers
+// still contend for the device, so throughput (not output) is what
+// scales with Threads. Multi-epoch consumers (the trainer) pass a fresh
+// seed per epoch so each epoch resamples different neighborhoods; the
+// root package's RunEpoch passes Config.Seed.
 //
 // onBatch, when non-nil, is called once per batch with its index —
-// strictly in batch order (0, 1, 2, ...), on the calling goroutine,
-// with out-of-order completions buffered until their turn. A handler
-// error aborts the epoch. Passing nil skips delivery; per-batch
-// digests are recorded in EpochStats either way.
-func (s *Sampler) RunEpoch(targets []uint32, onBatch func(index int, b *Batch) error) (*EpochStats, error) {
-	return s.RunEpochCtx(context.Background(), targets, onBatch)
-}
-
-// RunEpochCtx is RunEpoch with graceful cancellation: when ctx is
-// canceled mid-epoch no further batches are dispatched, every batch
-// already in flight finishes (workers never die mid-batch), and the
-// partial stats accumulated so far are returned ALONGSIDE the context's
-// error — callers that want the drained numbers (cmd/epoch flushing on
-// SIGINT) read the stats, callers that only check err lose nothing.
-// EpochStats.Completed records how many batches actually ran.
-func (s *Sampler) RunEpochCtx(ctx context.Context, targets []uint32, onBatch func(index int, b *Batch) error) (*EpochStats, error) {
-	return s.RunEpochSeeded(ctx, s.cfg.Seed, targets, onBatch)
-}
-
-// RunEpochSeeded is RunEpochCtx with an explicit epoch seed overriding
-// Config.Seed: batch bi draws from sample.Mix(seed, bi). Multi-epoch
-// consumers (the trainer) pass a fresh per-epoch seed so each epoch
-// resamples different neighborhoods while keeping the determinism
-// contract — the batch stream is still a pure function of (dataset,
-// config, targets, seed), independent of Threads.
+// strictly in batch order, on the calling goroutine, with out-of-order
+// completions parked until their turn. A handler error or a failed
+// batch aborts the epoch and returns that error. When ctx ends, batches
+// not yet started never run and batches in flight finish (workers never
+// die mid-batch); if any batch did not complete, the partial stats are
+// returned alongside ctx's error. An epoch whose every batch completed
+// returns nil, whenever ctx ended.
+//
+// Every batch reports exactly once: a slot with what it sampled or why
+// it failed, or — when the epoch ended before the batch started — the
+// feeder or the slot with nothing. The collector receives exactly
+// Batches results and needs no other signal to finish.
 //
 // An epoch that fetches features is also what an adaptive feature cache
 // learns from. On the collecting goroutine every batch's FeatNodes are
-// counted; the counts are folded into the cache's heat only when the
-// epoch completes — an error or a cancellation discards them, because
-// which batches ran then depends on timing — and the next such epoch
-// starts by re-admitting: the cache re-ranks by (heat, degree, id),
-// swaps the rows that changed, and the bytes that fill read are charged
-// to that epoch's IO (FeatReads/FeatBytesRead, and on an O_DIRECT feature
-// file the windows' slack to AlignSlackBytes, as for sampling reads). Counts are sums, so they do not depend on the
-// order batches arrive in: an epoch's device bytes are a pure function
-// of (dataset, config, targets, seed) and the sampler's history of
-// completed epochs — never of Threads or timing. The first epoch of a
-// sampler has no history and reads exactly what a static degree-first
-// cache reads.
+// counted; the counts are folded into the cache's heat only when every
+// batch completed — otherwise they are discarded, because which batches
+// ran then depends on timing — and the next such epoch starts by
+// re-admitting: the cache re-ranks by (heat, degree, id), swaps the rows
+// that changed, and the bytes that fill read are charged to that
+// epoch's IO (FeatReads/FeatBytesRead, and on an O_DIRECT feature file
+// the windows' slack to AlignSlackBytes, as for sampling reads). Counts
+// are sums, so they do not depend on the order batches arrive in: an
+// epoch's device bytes are a pure function of (dataset, config,
+// targets, seed) and the sampler's history of completed epochs — never
+// of Threads or timing. The first epoch of a sampler has no history and
+// reads exactly what a static degree-first cache reads.
 func (s *Sampler) RunEpochSeeded(ctx context.Context, seed uint64, targets []uint32, onBatch func(index int, b *Batch) error) (*EpochStats, error) {
 	cfg := &s.cfg
 	if len(targets) == 0 {
@@ -218,22 +124,13 @@ func (s *Sampler) RunEpochSeeded(ctx context.Context, seed uint64, targets []uin
 	}
 	numBatches := (len(targets) + cfg.BatchSize - 1) / cfg.BatchSize
 	workers := min(cfg.Threads, numBatches)
-
-	var (
-		jobs  = make(chan Job)
-		resCh = make(chan epochResult, workers)
-		stop  = make(chan struct{})
-		// fedCh reports how many batches the feeder actually dispatched;
-		// buffered so the feeder never blocks when nobody asks (the
-		// uncanceled path).
-		fedCh = make(chan int, 1)
-	)
 	start := time.Now()
 	stats := &EpochStats{
-		Batches: numBatches,
-		Targets: len(targets),
-		Workers: workers,
-		Digests: make([]uint64, numBatches),
+		Batches:   numBatches,
+		Targets:   len(targets),
+		Workers:   workers,
+		Digests:   make([]uint64, numBatches),
+		Latencies: make([]time.Duration, numBatches),
 	}
 	learning := cfg.FetchFeatures && s.featHot.Adaptive() && s.learnMu.TryLock()
 	if learning {
@@ -248,14 +145,23 @@ func (s *Sampler) RunEpochSeeded(ctx context.Context, seed uint64, targets []uin
 		stats.IO.AlignSlackBytes = re.Moved - re.Bytes
 		stats.ReadmitSeconds = time.Since(t0).Seconds()
 	}
-	// batchJob samples batch bi on whichever slot takes it and hands the
-	// result to the collector.
+
+	// The epoch's own context ends with ctx, a failed batch or a failing
+	// handler; a batch that has not started by then only reports.
+	ectx, abort := context.WithCancel(ctx)
+	defer abort()
+	jobs := make(chan Job)
+	// One result per slot parks while the collector runs the handler.
+	resCh := make(chan epochResult, workers)
 	batchJob := func(bi int) Job {
 		r := epochResult{index: bi}
 		lo := bi * cfg.BatchSize
 		hi := min(lo+cfg.BatchSize, len(targets))
 		return Job{
 			Run: func(w *Worker) (err error) {
+				if ectx.Err() != nil {
+					return nil
+				}
 				t0 := time.Now()
 				r.batch, err = w.SampleBatchOpts(targets[lo:hi], BatchOpts{Seed: sample.Mix(seed, uint64(bi))})
 				r.lat = time.Since(t0)
@@ -265,60 +171,38 @@ func (s *Sampler) RunEpochSeeded(ctx context.Context, seed uint64, targets []uin
 				if err != nil {
 					r.err = fmt.Errorf("core: epoch batch %d: %w", bi, err)
 				}
-				select {
-				case resCh <- r:
-				case <-stop:
-				}
+				resCh <- r
 			},
 		}
 	}
 	pool := s.NewPool(workers, jobs)
 	go func() {
 		defer close(jobs)
-		// The loop condition checks ctx so a cancellation always stops
-		// dispatch, even when a slot is ready to receive at the same time
-		// (select picks ready cases at random).
-		bi := 0
-		for ; bi < numBatches && ctx.Err() == nil; bi++ {
+		for bi := range numBatches {
 			select {
 			case jobs <- batchJob(bi):
-				continue
-			case <-stop:
-			case <-ctx.Done():
+			case <-ectx.Done():
+				resCh <- epochResult{index: bi}
 			}
-			break
 		}
-		fedCh <- bi
 	}()
 
-	// In-order delivery: completions arrive in any order; pending parks
-	// the early ones until every predecessor has been handed out.
-	pending := make(map[int]*Batch)
-	nextDeliver := 0
+	// In-order delivery: pending parks each batch until every
+	// predecessor has been handed out.
+	pending := make([]*Batch, numBatches)
+	next := 0
 	var firstErr error
-	expected := numBatches
-	ctxDone := ctx.Done()
-	canceled := false
-collect:
-	for got := 0; got < expected; {
-		var r epochResult
-		select {
-		case r = <-resCh:
-		case <-ctxDone:
-			// Graceful drain: stop waiting for batches that were never
-			// dispatched. The feeder reports how many actually went out
-			// and the loop shrinks to collecting exactly those.
-			canceled = true
-			ctxDone = nil
-			expected = <-fedCh
+	for range numBatches {
+		r := <-resCh
+		if firstErr != nil || r.batch == nil && r.err == nil {
 			continue
 		}
-		got++
 		if r.err != nil {
 			firstErr = r.err
-			break
+			abort()
+			continue
 		}
-		stats.Latency.Observe(r.lat)
+		stats.Latencies[r.index] = r.lat
 		stats.Sampled += r.batch.TotalSampled()
 		stats.Digests[r.index] = r.batch.Digest()
 		stats.Completed++
@@ -329,26 +213,23 @@ collect:
 			continue
 		}
 		pending[r.index] = r.batch
-		for {
-			b, ok := pending[nextDeliver]
-			if !ok {
+		for ; next < numBatches && pending[next] != nil; next++ {
+			b := pending[next]
+			pending[next] = nil
+			if err := onBatch(next, b); err != nil {
+				firstErr = fmt.Errorf("core: epoch batch %d handler: %w", next, err)
+				abort()
 				break
 			}
-			delete(pending, nextDeliver)
-			if err := onBatch(nextDeliver, b); err != nil {
-				firstErr = fmt.Errorf("core: epoch batch %d handler: %w", nextDeliver, err)
-				break collect
-			}
-			nextDeliver++
 		}
 	}
-	close(stop)
 	pool.Close()
+	complete := firstErr == nil && stats.Completed == numBatches
 	if learning {
-		if firstErr != nil || canceled {
-			s.featHot.Discard()
-		} else {
+		if complete {
 			s.featHot.Fold()
+		} else {
+			s.featHot.Discard()
 		}
 	}
 	if firstErr != nil {
@@ -363,7 +244,7 @@ collect:
 		stats.EntriesPerSec = float64(stats.Sampled) / stats.Seconds
 		stats.BytesPerSec = float64(stats.IO.DeviceBytes()) / stats.Seconds
 	}
-	if canceled {
+	if !complete {
 		return stats, context.Cause(ctx)
 	}
 	return stats, nil

@@ -31,7 +31,7 @@ func TestEpochThreadInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := s.RunEpoch(targets, nil)
+		st, err := runEpoch(s, targets, nil)
 		if err != nil {
 			t.Fatalf("Threads=%d: %v", th, err)
 		}
@@ -55,8 +55,8 @@ func TestEpochThreadInvariance(t *testing.T) {
 		if sum != st.IO {
 			t.Fatalf("Threads=%d: merged IO %+v != per-worker sum %+v", th, st.IO, sum)
 		}
-		if st.Latency.Total() != int64(st.Batches) {
-			t.Fatalf("Threads=%d: latency histogram has %d observations, want %d", th, st.Latency.Total(), st.Batches)
+		if len(st.Latencies) != st.Batches || slices.Contains(st.Latencies, 0) {
+			t.Fatalf("Threads=%d: latencies %v, want %d nonzero", th, st.Latencies, st.Batches)
 		}
 		if ref == nil {
 			ref = st
@@ -80,7 +80,7 @@ func TestEpochThreadInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := s.RunEpoch(targets, nil)
+		st, err := runEpoch(s, targets, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestEpochMatchesSeededBatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := s.RunEpoch(targets, nil)
+	st, err := runEpoch(s, targets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestEpochInOrderDelivery(t *testing.T) {
 	}
 	var indices []int
 	var digests []uint64
-	st, err := s.RunEpoch(targets, func(i int, b *Batch) error {
+	st, err := runEpoch(s, targets, func(i int, b *Batch) error {
 		indices = append(indices, i)
 		digests = append(digests, b.Digest())
 		return nil
@@ -179,7 +179,7 @@ func TestEpochUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := s.RunEpoch(targets, nil)
+	ref, err := runEpoch(s, targets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestEpochUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := sf.RunEpoch(targets, nil)
+	st, err := runEpoch(sf, targets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestEpochHandlerError(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := fmt.Errorf("boom")
-	_, err = s.RunEpoch(testTargets(ds, 100), func(i int, b *Batch) error {
+	_, err = runEpoch(s, testTargets(ds, 100), func(i int, b *Batch) error {
 		if i == 2 {
 			return boom
 		}
@@ -232,7 +232,7 @@ func TestEpochEmptyTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RunEpoch(nil, nil); err == nil {
+	if _, err := runEpoch(s, nil, nil); err == nil {
 		t.Fatal("empty epoch accepted")
 	}
 }
@@ -246,85 +246,52 @@ func contains(s, sub string) bool {
 	return false
 }
 
-func TestLatencyHist(t *testing.T) {
-	var h LatencyHist
-	h.Observe(500 * time.Nanosecond) // bucket 0
-	h.Observe(1 * time.Microsecond)  // bucket 0
-	h.Observe(3 * time.Microsecond)  // bucket 1
-	h.Observe(100 * time.Microsecond)
-	h.Observe(10 * time.Second) // clamped into the last bucket
-	if h.Total() != 5 {
-		t.Fatalf("Total = %d, want 5", h.Total())
-	}
-	if h.Counts[0] != 2 || h.Counts[1] != 1 || h.Counts[latencyBuckets-1] != 1 {
-		t.Fatalf("unexpected bucket layout: %v", h.Counts)
-	}
-	if q := h.Quantile(0.5); q > 8*time.Microsecond {
-		t.Fatalf("p50 = %v, want ≤ 8µs", q)
-	}
-	prev := time.Duration(0)
-	for _, q := range []float64{0.1, 0.5, 0.9, 0.99, 1} {
-		v := h.Quantile(q)
-		if v < prev {
-			t.Fatalf("quantiles not monotone at q=%v: %v < %v", q, v, prev)
+// runEpoch runs one epoch at the sampler's Config.Seed, as the root
+// package's RunEpoch does.
+func runEpoch(s *Sampler, targets []uint32, onBatch func(int, *Batch) error) (*EpochStats, error) {
+	return s.RunEpochSeeded(context.Background(), s.cfg.Seed, targets, onBatch)
+}
+
+// TestQuantileNearestRank pins the nearest-rank definition: the
+// quantile is the ⌈q·n⌉-th smallest of the durations given, in any
+// order, so the median of 3 values is the 2nd and the median of 2 the
+// lower one (a truncating rank returns the 1st, a median below two
+// thirds of the samples). q is clamped to (0,1]; an empty slice has no
+// quantile.
+func TestQuantileNearestRank(t *testing.T) {
+	five := []time.Duration{100 * time.Microsecond, 500 * time.Nanosecond, 10 * time.Second, 3 * time.Microsecond, time.Microsecond}
+	three := []time.Duration{900 * time.Microsecond, time.Microsecond, 40 * time.Microsecond}
+	two := []time.Duration{900 * time.Microsecond, time.Microsecond}
+	for _, c := range []struct {
+		ds   []time.Duration
+		q    float64
+		want time.Duration
+	}{
+		{three, 0.5, 40 * time.Microsecond},
+		{three, 1, 900 * time.Microsecond},
+		{three, 1.0 / 3.0, time.Microsecond},
+		{two, 0.5, time.Microsecond},
+		{five, -1, 500 * time.Nanosecond},
+		{five, 0, 500 * time.Nanosecond},
+		{five, 0.2, 500 * time.Nanosecond},
+		{five, 0.9, 10 * time.Second},
+		{five, 2, 10 * time.Second},
+		{nil, 0.99, 0},
+	} {
+		if got := Quantile(c.ds, c.q); got != c.want {
+			t.Fatalf("Quantile(%v, %v) = %v, want %v", c.ds, c.q, got, c.want)
 		}
-		prev = v
 	}
-	if h.String() == "(empty)" {
-		t.Fatal("non-empty histogram rendered as empty")
-	}
-	var empty LatencyHist
-	if empty.Quantile(0.99) != 0 || empty.String() != "(empty)" {
-		t.Fatal("empty histogram misrendered")
-	}
-}
-
-// TestLatencyHistMedianOfThree pins the nearest-rank fix: the rank is
-// ceil(q·total), so the median of 3 observations is the 2nd. The old
-// truncating rank returned the 1st — a median below two thirds of the
-// samples.
-func TestLatencyHistMedianOfThree(t *testing.T) {
-	var h LatencyHist
-	h.Observe(1 * time.Microsecond)   // bucket 0, upper edge 2µs
-	h.Observe(40 * time.Microsecond)  // bucket 5, upper edge 64µs
-	h.Observe(900 * time.Microsecond) // bucket 9, upper edge 1024µs
-	if got := h.Quantile(0.5); got != 64*time.Microsecond {
-		t.Fatalf("median of 3 = %v, want 64µs (2nd observation)", got)
-	}
-	if got := h.Quantile(1); got != 1024*time.Microsecond {
-		t.Fatalf("max of 3 = %v, want 1.024ms (3rd observation)", got)
-	}
-	if got := h.Quantile(1.0 / 3.0); got != 2*time.Microsecond {
-		t.Fatalf("p33 of 3 = %v, want 2µs (1st observation)", got)
-	}
-	// Median of an even count is the lower of the middle pair
-	// (nearest-rank), never rank 0.
-	var h2 LatencyHist
-	h2.Observe(1 * time.Microsecond)
-	h2.Observe(900 * time.Microsecond)
-	if got := h2.Quantile(0.5); got != 2*time.Microsecond {
-		t.Fatalf("median of 2 = %v, want 2µs", got)
-	}
-}
-
-// TestLatencyHistBucketZeroLabel: bucket 0 absorbs sub-microsecond
-// observations, so its label must read [0,2µs), not [1µs,2µs).
-func TestLatencyHistBucketZeroLabel(t *testing.T) {
-	var h LatencyHist
-	h.Observe(300 * time.Nanosecond)
-	if got, want := h.String(), "[0,2µs):1"; got != want {
-		t.Fatalf("String() = %q, want %q", got, want)
-	}
-	h.Observe(3 * time.Microsecond)
-	if got, want := h.String(), "[0,2µs):1 [2µs,4µs):1"; got != want {
-		t.Fatalf("String() = %q, want %q", got, want)
+	if five[0] != 100*time.Microsecond {
+		t.Fatal("Quantile reordered its input")
 	}
 }
 
 // TestEpochCancellation: canceling the context mid-epoch stops the
-// feeder promptly — RunEpochCtx returns context.Canceled with partial
-// stats whose Completed counts only the batches that actually ran, and
-// every batch that did run landed in order with its recorded digest.
+// feeder promptly — RunEpochSeeded returns context.Canceled with partial
+// stats whose Completed counts only the batches that actually ran, each
+// with a latency and the rest without, and every batch that did run
+// landed in order with its recorded digest.
 func TestEpochCancellation(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
@@ -338,7 +305,7 @@ func TestEpochCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	delivered := 0
-	st, err := s.RunEpochCtx(ctx, targets, func(i int, b *Batch) error {
+	st, err := s.RunEpochSeeded(ctx, cfg.Seed, targets, func(i int, b *Batch) error {
 		if i != delivered {
 			t.Fatalf("delivery out of order: position %d got batch %d", delivered, i)
 		}
@@ -356,6 +323,18 @@ func TestEpochCancellation(t *testing.T) {
 	}
 	if st.Completed < 1 || st.Completed >= st.Batches {
 		t.Fatalf("Completed = %d, want in [1, %d)", st.Completed, st.Batches)
+	}
+	ran := 0
+	for bi, lat := range st.Latencies {
+		if (lat != 0) != (st.Digests[bi] != 0) || bi < delivered && lat == 0 {
+			t.Fatalf("batch %d (of %d delivered): latency %v, digest %#x", bi, delivered, lat, st.Digests[bi])
+		}
+		if lat != 0 {
+			ran++
+		}
+	}
+	if ran != st.Completed {
+		t.Fatalf("%d batches have a latency, Completed = %d", ran, st.Completed)
 	}
 	// The batches that DID complete must be the deterministic ones: the
 	// recorded digest of every completed in-order batch matches a
@@ -378,6 +357,57 @@ func TestEpochCancellation(t *testing.T) {
 	}
 }
 
+// TestEpochCancelNearEnd: a cancel inside batch 23's handler, in a
+// 25-batch epoch on two workers, comes after every batch has started, so
+// the epoch completed: it returns nil with Completed == Batches, and an
+// adaptive feature cache folds its counts — the next epoch reads what it
+// reads after an epoch nobody canceled. Repeated, because a collector
+// that lets a pending cancellation race the last results loses only
+// sometimes.
+func TestEpochCancelNearEnd(t *testing.T) {
+	ds := openDS(t, learnDatasetDir(t), false)
+	cfg := learnConfig(ds, 2)
+	cfg.BatchSize = 16
+	targets := trainSplit(ds, 200, 25*cfg.BatchSize)
+	ref := newLearningSampler(t, ds, cfg, uring.BackendPool)
+	if _, err := ref.RunEpochSeeded(context.Background(), epochSeed(0), targets, nil); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.RunEpochSeeded(context.Background(), epochSeed(1), targets, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.IO.FeatCacheAdmitted == 0 {
+		t.Fatal("the reference's second epoch admitted no rows: folding would show nothing")
+	}
+	for rep := range 50 {
+		s := newLearningSampler(t, ds, cfg, uring.BackendPool)
+		ctx, cancel := context.WithCancel(context.Background())
+		st, err := s.RunEpochSeeded(ctx, epochSeed(0), targets, func(i int, _ *Batch) error {
+			if i == 23 {
+				cancel()
+			}
+			return nil
+		})
+		cancel()
+		if err != nil {
+			t.Fatalf("rep %d: %v after %d of %d batches", rep, err, st.Completed, st.Batches)
+		}
+		if st.Batches != 25 || st.Completed != st.Batches {
+			t.Fatalf("rep %d: %d of %d batches completed, want 25", rep, st.Completed, st.Batches)
+		}
+		got, err := s.RunEpochSeeded(context.Background(), epochSeed(1), targets, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.IO.FeatBytesRead != want.IO.FeatBytesRead || got.IO.FeatCacheHits != want.IO.FeatCacheHits || got.IO.FeatCacheAdmitted != want.IO.FeatCacheAdmitted {
+			t.Fatalf("rep %d: next epoch read %d B, hit %d, admitted %d; after an uncanceled epoch %d B, %d, %d", rep,
+				got.IO.FeatBytesRead, got.IO.FeatCacheHits, got.IO.FeatCacheAdmitted,
+				want.IO.FeatBytesRead, want.IO.FeatCacheHits, want.IO.FeatCacheAdmitted)
+		}
+	}
+}
+
 // TestEpochCtxPreCanceled: an already-dead context runs nothing.
 func TestEpochCtxPreCanceled(t *testing.T) {
 	ds := testDataset(t)
@@ -390,7 +420,7 @@ func TestEpochCtxPreCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st, err := s.RunEpochCtx(ctx, testTargets(ds, 100), func(i int, b *Batch) error {
+	st, err := s.RunEpochSeeded(ctx, cfg.Seed, testTargets(ds, 100), func(i int, b *Batch) error {
 		t.Fatal("handler ran under a pre-canceled context")
 		return nil
 	})

@@ -201,9 +201,10 @@ func TestFeatureCacheFoldsOnlyCompletedEpochs(t *testing.T) {
 	s := newLearningSampler(t, ds, cfg, uring.BackendPool)
 	// The canceled epoch runs on one worker. With two, one can stall on
 	// batch 0 while the other finishes every later batch, so all of them
-	// are dispatched before the handler's cancel and the epoch completes.
-	// With one, idxCh is unbuffered and resCh holds a single result: at
-	// most batches 0–2 of 10 have been dispatched when cancel runs.
+	// complete before the handler's cancel and the epoch is not canceled.
+	// With one, the job channel is unbuffered and the result channel holds
+	// a single result: at most batches 0–2 of 10 have started when cancel
+	// runs.
 	s.cfg.Threads = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	if st, err := s.RunEpochSeeded(ctx, epochSeed(0), targets, func(i int, _ *Batch) error {
@@ -436,7 +437,7 @@ func TestEpochBytesPerSecCountsDevice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := s.RunEpoch(testTargets(ds, 256), nil)
+		st, err := runEpoch(s, testTargets(ds, 256), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +457,7 @@ func TestEpochBytesPerSecCountsDevice(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := s.RunEpoch(testTargets(ds, 256), nil)
+		st, err := runEpoch(s, testTargets(ds, 256), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

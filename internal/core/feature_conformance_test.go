@@ -50,7 +50,7 @@ func epochFeaturePayload(t *testing.T, dir string, cfg Config, be uring.Backend,
 		t.Fatal(err)
 	}
 	var out []featBatch
-	_, err = s.RunEpoch(targets, func(i int, b *Batch) error {
+	_, err = runEpoch(s, targets, func(i int, b *Batch) error {
 		out = append(out, featBatch{
 			digest: b.Digest(),
 			nodes:  append([]uint32(nil), b.FeatNodes...),

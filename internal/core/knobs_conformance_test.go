@@ -142,7 +142,7 @@ func TestKnobMatrixFillsRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := s.RunEpoch(targets, nil)
+	ref, err := runEpoch(s, targets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestKnobMatrixFillsRing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err := s.RunEpoch(targets, nil)
+			st, err := runEpoch(s, targets, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

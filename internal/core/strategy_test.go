@@ -82,7 +82,7 @@ func TestStrategyThreadInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, err := s.RunEpoch(targets, nil)
+				st, err := runEpoch(s, targets, nil)
 				if err != nil {
 					t.Fatalf("Threads=%d: %v", th, err)
 				}

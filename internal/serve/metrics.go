@@ -49,8 +49,8 @@ func (h *hist) Count() int64 {
 	return n
 }
 
-// durBounds covers [1µs, ~8.4s] in power-of-two steps — the same
-// log2-µs shape as core.LatencyHist, expressed in nanoseconds.
+// durBounds covers [1µs, ~8.4s] in power-of-two steps, expressed in
+// nanoseconds.
 func durBounds() []int64 {
 	out := make([]int64, 24)
 	for i := range out {
@@ -156,6 +156,9 @@ func (m *metrics) write(w io.Writer, ioStats core.IOStats, workers int, retired 
 	writeMetric(w, "ringsampler_io_feat_cache_bytes_total", "counter", "Feature bytes served from the cache.", ioStats.FeatCacheBytes)
 	writeMetric(w, "ringsampler_io_feat_cache_admitted_total", "counter", "Feature-cache rows admitted by epoch-boundary re-admissions.", ioStats.FeatCacheAdmitted)
 	writeMetric(w, "ringsampler_io_feat_cache_evicted_total", "counter", "Feature-cache rows evicted by epoch-boundary re-admissions.", ioStats.FeatCacheEvicted)
+	writeMetric(w, "ringsampler_io_align_slack_bytes_total", "counter", "Device bytes O_DIRECT reads moved beyond the requested ranges.", ioStats.AlignSlackBytes)
+	writeMetric(w, "ringsampler_io_submit_syscalls_total", "counter", "Submission-side kernel crossings of the worker rings.", ioStats.SubmitSyscalls)
+	writeMetric(w, "ringsampler_io_wait_syscalls_total", "counter", "Blocking completion-side kernel crossings of the worker rings.", ioStats.WaitSyscalls)
 	writeMetric(w, "ringsampler_io_worker_user_cpu_nanoseconds_total", "counter", "User-space CPU time of the pinned worker threads.", ioStats.UserCPUNanos)
 	writeMetric(w, "ringsampler_io_worker_sys_cpu_nanoseconds_total", "counter", "Kernel CPU time of the pinned worker threads.", ioStats.SysCPUNanos)
 }

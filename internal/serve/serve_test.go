@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -997,6 +998,34 @@ func TestServePoisonedChunkCancelsSiblings(t *testing.T) {
 	}
 	if got := metricValue(t, body, "ringsampler_serve_responses_ok_total"); got != 0 {
 		t.Fatalf("responses_ok_total = %v, want 0", got)
+	}
+}
+
+// TestMetricsExportEveryIOCounter: every int64 counter of core.IOStats
+// has a ringsampler_io_* line carrying its value. FixedReads is exempt:
+// it is always 0 and kept only for the benchmark harness.
+func TestMetricsExportEveryIOCounter(t *testing.T) {
+	var st core.IOStats
+	v := reflect.ValueOf(&st).Elem()
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Int64 {
+			f.SetInt(int64(1_000_003 * (i + 1)))
+		}
+	}
+	var buf bytes.Buffer
+	newMetrics().write(&buf, st, 1, 0, 1)
+	exported := map[int64]bool{}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		name, val, ok := strings.Cut(line, " ")
+		if n, err := strconv.ParseInt(val, 10, 64); ok && err == nil && strings.HasPrefix(name, "ringsampler_io_") {
+			exported[n] = true
+		}
+	}
+	for i := range v.NumField() {
+		f := v.Type().Field(i)
+		if f.Type.Kind() == reflect.Int64 && f.Name != "FixedReads" && !exported[v.Field(i).Int()] {
+			t.Errorf("IOStats.%s has no ringsampler_io_* metric", f.Name)
+		}
 	}
 }
 

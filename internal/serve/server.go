@@ -31,7 +31,7 @@
 // strategy) is byte-identical to a direct single-threaded core run —
 // the request is sharded into Core.BatchSize chunks and chunk i is
 // sampled with RNG seed sample.Mix(seed, i), exactly how
-// core.RunEpoch seeds its mini-batches — regardless of which pooled
+// core.RunEpochSeeded seeds its mini-batches — regardless of which pooled
 // worker (or which shards) ran them.
 package serve
 
@@ -600,7 +600,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Shard into the engine's mini-batch granularity. Chunk i samples
-	// under sample.Mix(seed, i) — the same derivation core.RunEpoch
+	// under sample.Mix(seed, i) — the same derivation core.RunEpochSeeded
 	// uses per batch — which is what makes the response independent of
 	// worker identity, pool size and sharding.
 	chunkSize := s.cfg.Core.BatchSize

@@ -3,7 +3,6 @@ package train
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"ringsampler/internal/core"
@@ -62,11 +61,11 @@ type EpochStats struct {
 
 	// IO is what sampling and fetching this epoch's batches moved: the
 	// epoch runner's merged counters (feature-cache re-admission
-	// included) in the overlapped mode, the single worker's in the
-	// serialized one. ReadmitSeconds is the runner's share of Seconds
-	// spent re-ranking and refilling the feature cache before the first
-	// batch (always zero serialized: only the epoch runner teaches the
-	// cache).
+	// included) in the overlapped mode, the one-slot pool's in the
+	// serialized one — worker thread CPU included in both.
+	// ReadmitSeconds is the runner's share of Seconds spent re-ranking
+	// and refilling the feature cache before the first batch (always
+	// zero serialized: only the epoch runner teaches the cache).
 	IO             core.IOStats `json:"io"`
 	ReadmitSeconds float64      `json:"readmitSeconds"`
 }
@@ -134,13 +133,13 @@ func (t *Trainer) EpochOverlapped(ctx context.Context, s *core.Sampler, targets 
 	return st, nil
 }
 
-// EpochSerialized trains one epoch with no overlap: a single worker
-// samples+fetches each batch to completion, then the trainer computes
-// on it, then the next batch starts — the reference the benchmark's
-// overlapped mode is measured against. Batch bi is seeded exactly as
-// the epoch runner seeds it (Mix(EpochSeed, bi)), so the batch stream —
-// and therefore the weight trajectory — is bit-identical to
-// EpochOverlapped at any thread count.
+// EpochSerialized trains one epoch with no overlap: a one-slot
+// core.Pool samples+fetches each batch to completion, then the trainer
+// computes on it, then the next batch starts — the reference the
+// benchmark's overlapped mode is measured against. Batch bi is seeded
+// exactly as the epoch runner seeds it (Mix(EpochSeed, bi)), so the
+// batch stream — and therefore the weight trajectory — is bit-identical
+// to EpochOverlapped at any thread count.
 func (t *Trainer) EpochSerialized(ctx context.Context, s *core.Sampler, targets []uint32, epoch int) (*EpochStats, error) {
 	cfg := s.Config()
 	if !cfg.FetchFeatures {
@@ -149,30 +148,34 @@ func (t *Trainer) EpochSerialized(ctx context.Context, s *core.Sampler, targets 
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("train: epoch needs at least one target")
 	}
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	w, err := s.NewWorker(0)
-	if err != nil {
-		return nil, err
-	}
-	defer w.Close()
+	jobs := make(chan core.Job)
+	pool := s.NewPool(1, jobs)
+	defer func() {
+		close(jobs)
+		pool.Close()
+	}()
+	done := make(chan error, 1)
 	epochSeed := EpochSeed(cfg.Seed, epoch)
 	numBatches := (len(targets) + cfg.BatchSize - 1) / cfg.BatchSize
 	st := &EpochStats{Epoch: epoch, Targets: len(targets)}
 	var sumLoss float64
 	var correct int
 	start := time.Now()
-	for bi := 0; bi < numBatches; bi++ {
+	for bi := range numBatches {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		lo := bi * cfg.BatchSize
-		hi := lo + cfg.BatchSize
-		if hi > len(targets) {
-			hi = len(targets)
+		hi := min(lo+cfg.BatchSize, len(targets))
+		var b *core.Batch
+		jobs <- core.Job{
+			Run: func(w *core.Worker) (err error) {
+				b, err = w.SampleBatchOpts(targets[lo:hi], core.BatchOpts{Seed: sample.Mix(epochSeed, uint64(bi))})
+				return err
+			},
+			Done: func(err error) { done <- err },
 		}
-		b, err := w.SampleBatchOpts(targets[lo:hi], core.BatchOpts{Seed: sample.Mix(epochSeed, uint64(bi))})
-		if err != nil {
+		if err := <-done; err != nil {
 			return nil, fmt.Errorf("train: serialized batch %d: %w", bi, err)
 		}
 		st.Sampled += b.TotalSampled()
@@ -186,7 +189,7 @@ func (t *Trainer) EpochSerialized(ctx context.Context, s *core.Sampler, targets 
 		sumLoss += loss
 		correct += corr
 	}
-	st.IO = w.IOStats()
+	st.IO = pool.Stats()
 	t.finish(st, sumLoss, correct, start)
 	return st, nil
 }

@@ -2,6 +2,7 @@ package train_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"ringsampler/internal/cache"
@@ -183,7 +184,8 @@ func TestTrainRequiresFeatures(t *testing.T) {
 
 // TestTrainEpochStatsCarryIO: the trainer's report carries the sampler's
 // I/O counters of the same epoch — the runner's merged counters when
-// overlapped, the single worker's when serialized — and, through them,
+// overlapped, the one-slot pool's when serialized, worker CPU included —
+// and, through them,
 // the feature cache's learning curve: in either mode the same weights
 // and losses as without a cache, and overlapped a hit ratio that rises
 // once an epoch has been learned from.
@@ -213,6 +215,11 @@ func TestTrainEpochStatsCarryIO(t *testing.T) {
 		for e, st := range run(0, serialized) {
 			if st.IO.Reads == 0 || st.IO.FeatReads == 0 || st.IO.DeviceBytes() != plain[e].IO.DeviceBytes() {
 				t.Fatalf("serialized=%v epoch %d: IO %+v, want the overlapped run's %d device bytes", serialized, e, st.IO, plain[e].IO.DeviceBytes())
+			}
+			// Both modes run on pinned pool slots, whose thread clocks
+			// stamp the worker's CPU time (Linux only).
+			if runtime.GOOS == "linux" && st.IO.UserCPUNanos+st.IO.SysCPUNanos <= 0 {
+				t.Fatalf("serialized=%v epoch %d: IO carries no worker CPU time", serialized, e)
 			}
 		}
 	}

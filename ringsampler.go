@@ -113,14 +113,14 @@ func NewSampler(ds *Dataset, cfg Config) (*Sampler, error) {
 // stream at every thread count. onBatch (optional, may be nil) is
 // invoked strictly in batch order on the calling goroutine.
 func RunEpoch(s *Sampler, targets []uint32, onBatch func(index int, b *Batch) error) (*EpochStats, error) {
-	return s.RunEpoch(targets, onBatch)
+	return RunEpochCtx(context.Background(), s, targets, onBatch)
 }
 
 // RunEpochCtx is RunEpoch with graceful cancellation: when ctx is
-// canceled mid-epoch no further batches are dispatched, in-flight
-// batches finish, and the partial stats drained so far are returned
-// alongside the context's error (EpochStats.Completed says how many
-// batches actually ran).
+// canceled mid-epoch no further batches start, in-flight batches
+// finish, and if any batch did not complete the partial stats are
+// returned alongside the context's error (EpochStats.Completed says how
+// many batches ran).
 func RunEpochCtx(ctx context.Context, s *Sampler, targets []uint32, onBatch func(index int, b *Batch) error) (*EpochStats, error) {
-	return s.RunEpochCtx(ctx, targets, onBatch)
+	return s.RunEpochSeeded(ctx, s.Config().Seed, targets, onBatch)
 }

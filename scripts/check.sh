@@ -63,6 +63,12 @@ go test -race -run 'TestChargeEqualsHeld|TestCountersKeepOrderOverLongRuns|TestR
 go test -race -count=5 -run 'TestServeForcedShutdownQueueGaugeZero|TestServeGracefulDrain' ./internal/serve
 go test -race -count=5 -run 'TestPoolRetiresBrokenWorker' ./internal/core
 
+# Epoch runner hand-off (DESIGN.md §6): every batch reports exactly once,
+# so an epoch canceled after its last batch started completes, returns
+# nil and folds its feature-cache counts. Repeated, because a collector
+# that races cancellation against the last results loses only sometimes.
+go test -race -count=5 -run 'TestEpochCancellation|TestEpochCtxPreCanceled|TestEpochHandlerError|TestEpochCancelNearEnd' ./internal/core
+
 go test -race $short ./...
 
 # Fuzz smoke of the serving trust boundary (DESIGN.md §8): arbitrary
@@ -102,10 +108,10 @@ if git grep -nE '/v1/shard|NewRemote|LayerRequest|FeaturesRequest|EncodeState|Pa
     exit 1
 fi
 
-# One worker lifecycle (DESIGN.md §6, §8, §12): core.Pool pins the
+# One worker lifecycle (DESIGN.md §6, §8, §12, §13): core.Pool pins the
 # thread, starts the CPU clock, creates and retires every pooled worker;
-# fail if serve or shard grows a copy of it back.
-if git grep -nE 'NewWorker\(|LockOSThread|StartThreadClock' -- internal/serve internal/shard ':!*_test.go'; then
+# fail if serve, shard or train grows a copy of it back.
+if git grep -nE 'NewWorker\(|LockOSThread|StartThreadClock' -- internal/serve internal/shard internal/train ':!*_test.go'; then
     echo "check: a second worker lifecycle is growing back (matches above); use core.Pool" >&2
     exit 1
 fi
