@@ -12,15 +12,14 @@ import (
 // Integration tests for the hot-neighbor cache (Config.CacheBudgetBytes):
 // the cache may only change where bytes come from, never which bytes are
 // sampled. Digests must be identical at every budget, on every backend,
-// in both sampling modes, at every thread count — and device traffic
+// at every thread count — and device traffic
 // must shrink monotonically as the budget grows (the prefix-rule
 // guarantee).
 
 var cacheBudgets = []int64{0, 16 << 10, 64 << 10, 1 << 30}
 
-// TestCacheDigestInvariance: one batch, every backend × sampling mode ×
-// budget, all byte-identical to the cache-off run of the same
-// (backend, mode).
+// TestCacheDigestInvariance: one batch, every backend × budget, all
+// byte-identical to the cache-off run on the same backend.
 func TestCacheDigestInvariance(t *testing.T) {
 	ds := testDataset(t)
 	backends := []uring.Backend{uring.BackendPool, uring.BackendSim}
@@ -31,39 +30,36 @@ func TestCacheDigestInvariance(t *testing.T) {
 	}
 	targets := testTargets(ds, 128)
 	for _, be := range backends {
-		for _, offset := range []bool{true, false} {
-			var ref *Batch
-			for _, budget := range cacheBudgets {
-				cfg := DefaultConfig()
-				cfg.Seed = 21
-				cfg.OffsetSampling = offset
-				cfg.CacheBudgetBytes = budget
-				s, err := New(ds, cfg, be)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w, err := s.NewWorker(0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := w.SampleBatchOpts(targets, BatchOpts{Seed: sample.Mix(cfg.Seed, 0)})
-				if err != nil {
-					t.Fatalf("backend=%v offset=%v budget=%d: %v", be, offset, budget, err)
-				}
-				st := w.IOStats()
-				w.Close()
-				if budget > 0 && st.CacheHits == 0 {
-					t.Fatalf("backend=%v offset=%v budget=%d: no cache hits — budget too small to prove anything", be, offset, budget)
-				}
-				if budget == 0 && (st.CacheHits != 0 || st.CacheMisses != 0 || st.CacheBytes != 0) {
-					t.Fatalf("cache-off run reported cache traffic: %+v", st)
-				}
-				if ref == nil {
-					ref = b
-					continue
-				}
-				assertBatchesEqual(t, ref, b, "cache-off/cache-on")
+		var ref *Batch
+		for _, budget := range cacheBudgets {
+			cfg := DefaultConfig()
+			cfg.Seed = 21
+			cfg.CacheBudgetBytes = budget
+			s, err := New(ds, cfg, be)
+			if err != nil {
+				t.Fatal(err)
 			}
+			w, err := s.NewWorker(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := w.SampleBatchOpts(targets, BatchOpts{Seed: sample.Mix(cfg.Seed, 0)})
+			if err != nil {
+				t.Fatalf("backend=%v budget=%d: %v", be, budget, err)
+			}
+			st := w.IOStats()
+			w.Close()
+			if budget > 0 && st.CacheHits == 0 {
+				t.Fatalf("backend=%v budget=%d: no cache hits — budget too small to prove anything", be, budget)
+			}
+			if budget == 0 && (st.CacheHits != 0 || st.CacheMisses != 0 || st.CacheBytes != 0) {
+				t.Fatalf("cache-off run reported cache traffic: %+v", st)
+			}
+			if ref == nil {
+				ref = b
+				continue
+			}
+			assertBatchesEqual(t, ref, b, "cache-off/cache-on")
 		}
 	}
 }
@@ -165,44 +161,41 @@ func TestCacheAdversarialTargetOrder(t *testing.T) {
 func TestCacheMonotoneDeviceBytes(t *testing.T) {
 	ds := testDataset(t)
 	targets := testTargets(ds, 256)
-	for _, offset := range []bool{true, false} {
-		prevDevice := int64(-1)
-		prevCached := int64(-1)
-		prevHits := int64(-1)
-		for _, budget := range cacheBudgets {
-			cfg := DefaultConfig()
-			cfg.Seed = 33
-			cfg.OffsetSampling = offset
-			cfg.CacheBudgetBytes = budget
-			s, err := New(ds, cfg, uring.BackendSim)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := s.NewWorker(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := w.SampleBatchOpts(targets, BatchOpts{Seed: sample.Mix(cfg.Seed, 0)}); err != nil {
-				t.Fatal(err)
-			}
-			st := w.IOStats()
-			w.Close()
-			if prevDevice >= 0 {
-				if st.BytesRead > prevDevice {
-					t.Fatalf("offset=%v budget=%d: device bytes grew %d -> %d", offset, budget, prevDevice, st.BytesRead)
-				}
-				if st.CacheBytes < prevCached || st.CacheHits < prevHits {
-					t.Fatalf("offset=%v budget=%d: cache bytes %d -> %d or hits %d -> %d shrank",
-						offset, budget, prevCached, st.CacheBytes, prevHits, st.CacheHits)
-				}
-			}
-			prevDevice, prevCached, prevHits = st.BytesRead, st.CacheBytes, st.CacheHits
+	prevDevice := int64(-1)
+	prevCached := int64(-1)
+	prevHits := int64(-1)
+	for _, budget := range cacheBudgets {
+		cfg := DefaultConfig()
+		cfg.Seed = 33
+		cfg.CacheBudgetBytes = budget
+		s, err := New(ds, cfg, uring.BackendSim)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The unlimited budget caches the whole edge file: zero device
-		// traffic is the fixed point the sweep must reach.
-		if prevDevice != 0 {
-			t.Fatalf("offset=%v: full-cache run still read %d device bytes", offset, prevDevice)
+		w, err := s.NewWorker(0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if _, err := w.SampleBatchOpts(targets, BatchOpts{Seed: sample.Mix(cfg.Seed, 0)}); err != nil {
+			t.Fatal(err)
+		}
+		st := w.IOStats()
+		w.Close()
+		if prevDevice >= 0 {
+			if st.BytesRead > prevDevice {
+				t.Fatalf("budget=%d: device bytes grew %d -> %d", budget, prevDevice, st.BytesRead)
+			}
+			if st.CacheBytes < prevCached || st.CacheHits < prevHits {
+				t.Fatalf("budget=%d: cache bytes %d -> %d or hits %d -> %d shrank",
+					budget, prevCached, st.CacheBytes, prevHits, st.CacheHits)
+			}
+		}
+		prevDevice, prevCached, prevHits = st.BytesRead, st.CacheBytes, st.CacheHits
+	}
+	// The unlimited budget caches the whole edge file: zero device
+	// traffic is the fixed point the sweep must reach.
+	if prevDevice != 0 {
+		t.Fatalf("full-cache run still read %d device bytes", prevDevice)
 	}
 }
 

@@ -28,9 +28,9 @@ const DefaultArenaBytes = 8 << 20
 // instead of being refused.
 const MaxThreads = 1024
 
-// Config controls the engine. The ablation switches (AsyncPipeline,
-// OffsetSampling) exist so the paper's design choices can be measured
-// against their alternatives; production use leaves both true.
+// Config controls the engine. There is one sampling path, offset-based
+// reads (Fig 2), and one pipeline, the asynchronous I/O group pipeline
+// (Fig 3b); neither is a knob.
 type Config struct {
 	// Fanouts is the per-layer sample count, outermost layer first.
 	Fanouts []int
@@ -45,12 +45,6 @@ type Config struct {
 	// RingSize is the SQ depth of each worker's ring; one I/O group is
 	// at most one ring full (paper default 512).
 	RingSize int
-	// AsyncPipeline overlaps preparing group k+1 with draining group
-	// k's completions (Fig 3b). False degrades to submit-then-wait.
-	AsyncPipeline bool
-	// OffsetSampling fetches only the sampled entries via offset-based
-	// reads (Fig 2). False degrades to fetching full neighbor lists.
-	OffsetSampling bool
 	// Seed drives all sampling randomness. Identical seeds yield
 	// bit-identical sample sets.
 	Seed uint64
@@ -101,13 +95,11 @@ type Config struct {
 // DefaultConfig returns the paper's defaults.
 func DefaultConfig() Config {
 	return Config{
-		Fanouts:        append([]int(nil), DefaultFanouts...),
-		BatchSize:      1024,
-		Threads:        8,
-		RingSize:       512,
-		AsyncPipeline:  true,
-		OffsetSampling: true,
-		Seed:           1,
+		Fanouts:   append([]int(nil), DefaultFanouts...),
+		BatchSize: 1024,
+		Threads:   8,
+		RingSize:  512,
+		Seed:      1,
 	}
 }
 

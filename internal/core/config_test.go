@@ -11,8 +11,7 @@ import (
 func TestConfigFieldCensus(t *testing.T) {
 	want := []string{
 		"Fanouts", "BatchSize", "Threads", "RingSize",
-		"AsyncPipeline", "OffsetSampling", "Seed", "Strategy",
-		"CacheBudgetBytes", "FetchFeatures",
+		"Seed", "Strategy", "CacheBudgetBytes", "FetchFeatures",
 		"FeatureCacheBudgetBytes", "WrapRing",
 	}
 	var got []string

@@ -117,23 +117,6 @@ func TestCrossBackendConformance(t *testing.T) {
 	}
 }
 
-// TestConformanceFullFetchUnderFaults: the full-neighborhood ablation
-// path shares the read driver, so it must survive the same fault plan and agree
-// with the fault-free offset path.
-func TestConformanceFullFetchUnderFaults(t *testing.T) {
-	ds := testDataset(t)
-	cfg := DefaultConfig()
-	cfg.Seed = 42
-	cfg.RingSize = 32
-	targets := testTargets(ds, 64)
-	ref := sampleOnce(t, ds, cfg, uring.BackendSim, targets)
-	full := cfg
-	full.OffsetSampling = false
-	full.WrapRing = faultWrap(uring.FaultPlan{Seed: 9, ShortReadRate: 0.1, TransientRate: 0.05, RejectRate: 0.1, DelayRate: 0.2})
-	got := sampleOnce(t, ds, full, uring.BackendPool, targets)
-	assertBatchesEqual(t, ref, got, "offset/full-fetch-under-faults")
-}
-
 // TestRetryExhaustionTransient: a ring that only ever returns -EINTR/
 // -EAGAIN must burn exactly uring.DefaultRetries retries and surface a
 // structured *IOError wrapping the transient errno.

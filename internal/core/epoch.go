@@ -122,7 +122,8 @@ func (s *Sampler) RunEpochSeeded(ctx context.Context, seed uint64, targets []uin
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("core: epoch needs at least one target")
 	}
-	numBatches := (len(targets) + cfg.BatchSize - 1) / cfg.BatchSize
+	// Not (len+size-1)/size, which wraps for a BatchSize near MaxInt.
+	numBatches := (len(targets)-1)/cfg.BatchSize + 1
 	workers := min(cfg.Threads, numBatches)
 	start := time.Now()
 	stats := &EpochStats{

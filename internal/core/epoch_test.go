@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -234,6 +235,33 @@ func TestEpochEmptyTargets(t *testing.T) {
 	}
 	if _, err := runEpoch(s, nil, nil); err == nil {
 		t.Fatal("empty epoch accepted")
+	}
+}
+
+// TestEpochMaxBatchSize: a BatchSize of MaxInt makes one batch of every
+// target, the batch a BatchSize of len(targets) makes. The batch count
+// was (len+size-1)/size, which wrapped to 0 batches there.
+func TestEpochMaxBatchSize(t *testing.T) {
+	ds := testDataset(t)
+	targets := testTargets(ds, 100)
+	run := func(size int) *EpochStats {
+		cfg := DefaultConfig()
+		cfg.BatchSize = size
+		cfg.Threads = 1
+		s, err := New(ds, cfg, uring.BackendPool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := runEpoch(s, targets, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	got, want := run(math.MaxInt), run(len(targets))
+	if got.Batches != 1 || got.Targets != len(targets) || !slices.Equal(got.Digests, want.Digests) {
+		t.Fatalf("BatchSize MaxInt: %d batches of %d targets, digests %#x; want 1 batch, digests %#x",
+			got.Batches, got.Targets, got.Digests, want.Digests)
 	}
 }
 

@@ -46,9 +46,8 @@ type IOStats struct {
 	StaleDrained int64
 	// CacheHits / CacheMisses count per-node lookups in the
 	// hot-neighbor cache (one per non-isolated frontier node per layer;
-	// always zero when the cache is disabled). CacheBytes is the bytes
-	// served from the cache instead of the device — sampled-entry bytes
-	// on the offset path, full list bytes on the full-fetch path.
+	// always zero when the cache is disabled). CacheBytes is the
+	// sampled-entry bytes served from the cache instead of the device.
 	CacheHits   int64
 	CacheMisses int64
 	CacheBytes  int64

@@ -12,11 +12,9 @@ import (
 	"ringsampler/internal/uring"
 )
 
-// Knob-combination conformance: the fast-path knob — O_DIRECT — and
-// both ablation switches — the async pipeline and offset sampling — are
-// pure performance levers. The sampled byte stream must be identical to
-// the plain path for EVERY combination, on every backend that runs
-// here. An O_DIRECT open the filesystem refuses still runs: the dataset
+// Knob conformance: the fast-path knob, O_DIRECT, is a pure
+// performance lever. The sampled byte stream must be identical to the
+// plain path with it on and off, on every backend that runs here. An O_DIRECT open the filesystem refuses still runs: the dataset
 // probe downgrades it, and IOStats.ActiveODirect must report exactly
 // what actually ran.
 
@@ -62,54 +60,46 @@ func TestKnobMatrixConformance(t *testing.T) {
 
 	for _, be := range backends {
 		for _, direct := range []bool{false, true} {
-			for mask := 0; mask < 4; mask++ {
-				async := mask&1 == 0
-				offset := mask&2 == 0
-				name := fmt.Sprintf("%s/odirect=%v/async=%v/offset=%v",
-					be, direct, async, offset)
-				t.Run(name, func(t *testing.T) {
-					ds := openDS(t, dir, direct)
-					cfg := base
-					cfg.AsyncPipeline = async
-					cfg.OffsetSampling = offset
-					s, err := New(ds, cfg, be)
-					if err != nil {
-						t.Fatal(err)
-					}
-					w, err := s.NewWorker(0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer w.Close()
-					got, err := w.SampleBatchOpts(targets, BatchOpts{Seed: cfg.Seed})
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertBatchesEqual(t, ref, got, name)
+			name := fmt.Sprintf("%s/odirect=%v", be, direct)
+			t.Run(name, func(t *testing.T) {
+				ds := openDS(t, dir, direct)
+				s, err := New(ds, base, be)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := s.NewWorker(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer w.Close()
+				got, err := w.SampleBatchOpts(targets, BatchOpts{Seed: base.Seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertBatchesEqual(t, ref, got, name)
 
-					// ActiveODirect must report what actually ran: the
-					// request intersected with what the filesystem grants.
-					st := w.IOStats()
-					if wantDirect := ds.DirectAlign() > 0; st.ActiveODirect != wantDirect {
-						t.Fatalf("active O_DIRECT %v, want %v", st.ActiveODirect, wantDirect)
-					}
-					if st.FixedReads != 0 {
-						t.Fatalf("FixedReads = %d with no registered buffers", st.FixedReads)
-					}
-					if st.ActiveODirect && st.AlignSlackBytes == 0 {
-						t.Fatal("O_DIRECT active but zero alignment slack — aligned windows not exercised")
-					}
-					if !st.ActiveODirect && st.AlignSlackBytes != 0 {
-						t.Fatalf("buffered run reports AlignSlackBytes = %d", st.AlignSlackBytes)
-					}
-					if st.SubmitSyscalls+st.WaitSyscalls == 0 {
-						t.Fatal("worker recorded zero ring syscalls")
-					}
-					if direct && ds.DirectAlign() == 0 {
-						t.Logf("O_DIRECT fell back to buffered: %v", ds.DirectFallback())
-					}
-				})
-			}
+				// ActiveODirect must report what actually ran: the
+				// request intersected with what the filesystem grants.
+				st := w.IOStats()
+				if wantDirect := ds.DirectAlign() > 0; st.ActiveODirect != wantDirect {
+					t.Fatalf("active O_DIRECT %v, want %v", st.ActiveODirect, wantDirect)
+				}
+				if st.FixedReads != 0 {
+					t.Fatalf("FixedReads = %d with no registered buffers", st.FixedReads)
+				}
+				if st.ActiveODirect && st.AlignSlackBytes == 0 {
+					t.Fatal("O_DIRECT active but zero alignment slack — aligned windows not exercised")
+				}
+				if !st.ActiveODirect && st.AlignSlackBytes != 0 {
+					t.Fatalf("buffered run reports AlignSlackBytes = %d", st.AlignSlackBytes)
+				}
+				if st.SubmitSyscalls+st.WaitSyscalls == 0 {
+					t.Fatal("worker recorded zero ring syscalls")
+				}
+				if direct && ds.DirectAlign() == 0 {
+					t.Logf("O_DIRECT fell back to buffered: %v", ds.DirectFallback())
+				}
+			})
 		}
 	}
 }
@@ -214,11 +204,10 @@ func TestDepthBoundedConformance(t *testing.T) {
 	}
 }
 
-// TestKnobsWithFaultsConformance: fault injection composed with the
-// pipeline switch (but never with O_DIRECT — truncating an aligned
-// read's length would make it unaligned, which a real O_DIRECT fd
-// rejects) must still retry to the exact reference bytes, through the
-// async pipeline and the synchronous ablation alike.
+// TestKnobsWithFaultsConformance: fault injection on the plain path
+// (never with O_DIRECT — truncating an aligned read's length would make
+// it unaligned, which a real O_DIRECT fd rejects) must still retry to
+// the exact reference bytes through the asynchronous pipeline.
 func TestKnobsWithFaultsConformance(t *testing.T) {
 	dir := testDatasetDir(t)
 	base := DefaultConfig()
@@ -233,35 +222,35 @@ func TestKnobsWithFaultsConformance(t *testing.T) {
 		backends = append(backends, uring.BackendIOURing)
 	}
 	for _, be := range backends {
+		// The engine's one pipeline is the asynchronous one; the
+		// subtest keeps the name it had when a submit-then-wait
+		// pipeline ran beside it.
 		t.Run(string(be), func(t *testing.T) {
-			for _, async := range []bool{true, false} {
-				t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
-					cfg := base
-					cfg.AsyncPipeline = async
-					cfg.WrapRing = faultWrap(plan)
-					s, err := New(openDS(t, dir, false), cfg, be)
-					if err != nil {
-						t.Fatal(err)
-					}
-					w, err := s.NewWorker(0)
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer w.Close()
-					got, err := w.SampleBatchOpts(targets, BatchOpts{Seed: cfg.Seed})
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertBatchesEqual(t, ref, got, t.Name())
-					fs, _ := uring.Faults(w.edge.Ring)
-					if fs.Total() == 0 {
-						t.Fatal("fault-wrapped run injected nothing")
-					}
-					if st := w.IOStats(); st.Retries == 0 {
-						t.Fatal("faults injected but no read was retried")
-					}
-				})
-			}
+			t.Run("async=true", func(t *testing.T) {
+				cfg := base
+				cfg.WrapRing = faultWrap(plan)
+				s, err := New(openDS(t, dir, false), cfg, be)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := s.NewWorker(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer w.Close()
+				got, err := w.SampleBatchOpts(targets, BatchOpts{Seed: cfg.Seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertBatchesEqual(t, ref, got, t.Name())
+				fs, _ := uring.Faults(w.edge.Ring)
+				if fs.Total() == 0 {
+					t.Fatal("fault-wrapped run injected nothing")
+				}
+				if st := w.IOStats(); st.Retries == 0 {
+					t.Fatal("faults injected but no read was retried")
+				}
+			})
 		})
 	}
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
 	"testing"
 
+	"ringsampler/internal/gen"
+	"ringsampler/internal/storage"
 	"ringsampler/internal/uring"
 )
 
@@ -101,5 +104,49 @@ func TestPoolRetiresBrokenWorker(t *testing.T) {
 	}
 	if !slices.Equal(ids, []int{0, 1}) {
 		t.Fatalf("rings built for worker ids %v, want [0 1]: one per worker, the replacement under a fresh id", ids)
+	}
+}
+
+// BenchmarkPoolHandoff times the pool's hand-off alone: empty jobs fed
+// through 1- and 2-slot pools the way the epoch runner feeds batches
+// (one feeder on an unbuffered channel, each Done parking its result in
+// a channel with a slot per pool slot), so ns/job is what waking a
+// pinned slot and collecting its result costs a batch.
+func BenchmarkPoolHandoff(b *testing.B) {
+	dir := b.TempDir()
+	if _, err := gen.Generate(dir, "handoff", "rmat", 2_000, 30_000, 11); err != nil {
+		b.Fatal(err)
+	}
+	ds, err := storage.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ds.Close()
+	s, err := New(ds, DefaultConfig(), uring.BackendSim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, slots := range []int{1, 2} {
+		b.Run(fmt.Sprintf("slots=%d", slots), func(b *testing.B) {
+			jobs := make(chan Job)
+			done := make(chan error, slots)
+			p := s.NewPool(slots, jobs)
+			job := Job{Run: func(*Worker) error { return nil }, Done: func(err error) { done <- err }}
+			b.ResetTimer()
+			go func() {
+				for range b.N {
+					jobs <- job
+				}
+				close(jobs)
+			}()
+			for range b.N {
+				if err := <-done; err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/job")
+			p.Close()
+		})
 	}
 }

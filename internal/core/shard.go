@@ -53,9 +53,6 @@ func (w *Worker) SampleLayer(frontier []uint32, p LayerParams) (*Layer, uint64, 
 	if p.Fanout <= 0 {
 		return nil, 0, fmt.Errorf("core: layer fanout %d must be positive", p.Fanout)
 	}
-	if !w.s.cfg.OffsetSampling {
-		return nil, 0, fmt.Errorf("core: SampleLayer requires OffsetSampling")
-	}
 	strat, err := w.s.strategyFor(p.Strategy)
 	if err != nil {
 		return nil, 0, err

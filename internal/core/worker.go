@@ -66,12 +66,6 @@ func New(ds *storage.Dataset, cfg Config, backend uring.Backend) (*Sampler, erro
 	if cfg.FeatureCacheBudgetBytes > 0 && !ds.HasFeatures() {
 		return nil, fmt.Errorf("core: feature cache budget set but dataset %s has no feature file", ds.Dir())
 	}
-	if ds.IsSharded() && !cfg.OffsetSampling {
-		// Full-fetch reads every frontier node's complete list; a shard
-		// only stores its owned nodes' lists, so the ablation baseline is
-		// a single-node-only mode.
-		return nil, fmt.Errorf("core: shard dataset %s requires OffsetSampling", ds.Dir())
-	}
 	if err := ds.DirectFallback(); err != nil {
 		// Logged once here, so a benchmark never silently measures less
 		// than it claims.
@@ -178,7 +172,6 @@ type Worker struct {
 	sortTmp     []uint32     // radix scratch of the frontier and node-union sort+dedup
 	buf         []byte       // stage buffer, reused across stages
 	idxs        []int        // fanout-index scratch
-	picks       []int64      // full fetch: stage-buffer position of every pick
 	cachedPicks []cachedPick // cache-served byte ranges awaiting copy
 }
 
@@ -210,10 +203,9 @@ func (s *Sampler) NewWorker(id int) (*Worker, error) {
 }
 
 // openFile builds one worker ring over f, applies the WrapRing hook, and
-// returns a driver with the config's pipeline knobs on it — and, on an
-// O_DIRECT file, the worker's arena, allocated here the first time. Used
-// for the edge file at construction and the feature file on first
-// feature fetch.
+// returns a driver over it — with, on an O_DIRECT file, the worker's
+// arena, allocated here the first time. Used for the edge file at
+// construction and the feature file on first feature fetch.
 func (w *Worker) openFile(f *os.File, align int) (uring.Driver, error) {
 	cfg := &w.s.cfg
 	ring, err := uring.New(w.s.backend, f, cfg.RingSize)
@@ -230,7 +222,7 @@ func (w *Worker) openFile(f *os.File, align int) (uring.Driver, error) {
 		}
 		ring = wrapped
 	}
-	d := uring.Driver{Ring: ring, Align: align, Sync: !cfg.AsyncPipeline}
+	d := uring.Driver{Ring: ring, Align: align}
 	if align > 0 {
 		if w.arena == nil {
 			// 4096-aligned, so every chunk suits any granularity the
@@ -329,9 +321,8 @@ type BatchOpts struct {
 // one pooled serving worker answers requests with heterogeneous fanouts
 // back to back.
 //
-// All sampling decisions are made before any I/O is issued; what
-// crosses the storage boundary depends on the config's OffsetSampling
-// switch.
+// All sampling decisions are made before any I/O is issued, and only
+// the sampled entries cross the storage boundary.
 func (w *Worker) SampleBatchOpts(targets []uint32, o BatchOpts) (*Batch, error) {
 	fanouts := o.Fanouts
 	if len(fanouts) == 0 {
@@ -382,23 +373,20 @@ func (w *Worker) SampleBatchOpts(targets []uint32, o BatchOpts) (*Batch, error) 
 	return batch, nil
 }
 
-// sampleLayer samples one layer from w.frontier: plan, Run, scatter.
+// sampleLayer samples one layer from w.frontier: plan, Run, decode.
 // Every node's fanout indices are drawn first, the same way whatever the
-// mode or the cache, so RNG consumption (and therefore the sampled set)
-// never depends on either. The mode only decides what the plan reads:
-// offset sampling (the paper's path, Fig 2) reads exactly the picked
-// entries, merging picks adjacent in the file and the stage buffer; full
-// fetch (the ablation baseline of prior out-of-core systems, §2.2.1)
-// reads each node's whole list, one read per list, and selects the picks
-// from it in memory at scatter. Cached nodes are copied from the
-// hot-neighbor cache instead of read, and on a shard the spans of
-// non-owned nodes are zero-filled (see shard.go).
+// cache holds, so RNG consumption (and therefore the sampled set) never
+// depends on it. The plan reads exactly the picked entries (offset-based
+// reads, paper Fig 2), merging picks adjacent in the file and the stage
+// buffer. Cached nodes' picks are copied from the hot-neighbor cache
+// instead of read, and on a shard the spans of non-owned nodes are
+// zero-filled (see shard.go).
 func (w *Worker) sampleLayer(layer *Layer, fanout int, strat Strategy) error {
 	ds, hot := w.s.ds, w.s.hot
-	full, sharded, base := !w.s.cfg.OffsetSampling, ds.IsSharded(), ds.EntryBase()
+	sharded, base := ds.IsSharded(), ds.EntryBase()
 	layer.Targets = append([]uint32(nil), w.frontier...)
 	layer.Starts = make([]int64, len(w.frontier)+1)
-	w.reads, w.picks, w.cachedPicks = w.reads[:0], w.picks[:0], w.cachedPicks[:0]
+	w.reads, w.cachedPicks = w.reads[:0], w.cachedPicks[:0]
 	var total, pos int64 // picks so far; stage-buffer bytes planned
 	for i, v := range w.frontier {
 		layer.Starts[i] = total
@@ -410,11 +398,6 @@ func (w *Worker) sampleLayer(layer *Layer, fanout int, strat Strategy) error {
 		k := min(fanout, deg)
 		w.idxs = strat.Draw(&w.rng, v, deg, k, w.idxs[:0])
 		total += int64(k)
-		if full {
-			for _, idx := range w.idxs {
-				w.picks = append(w.picks, pos+int64(idx)*storage.EntryBytes)
-			}
-		}
 		if sharded && !ds.Owns(v) {
 			// The draws above consumed the exact stream (degrees come from
 			// the global offset index); the bytes live on another shard.
@@ -424,15 +407,8 @@ func (w *Worker) sampleLayer(layer *Layer, fanout int, strat Strategy) error {
 			}
 			continue
 		}
-		listBytes := int64(deg) * storage.EntryBytes
 		if nb := hot.Lookup(v); nb != nil {
 			w.stats.CacheHits++
-			if full {
-				w.cachedPicks = append(w.cachedPicks, cachedPick{bufPos: pos, src: nb})
-				w.stats.CacheBytes += listBytes
-				pos += listBytes
-				continue
-			}
 			for _, idx := range w.idxs {
 				w.cachedPicks = append(w.cachedPicks, cachedPick{bufPos: pos, src: nb[idx*storage.EntryBytes : (idx+1)*storage.EntryBytes]})
 				pos += storage.EntryBytes
@@ -446,11 +422,6 @@ func (w *Worker) sampleLayer(layer *Layer, fanout int, strat Strategy) error {
 		// Reads are planned in the local file: on a shard it starts at
 		// entry `base` (zero when unsharded).
 		off := (st - base) * storage.EntryBytes
-		if full {
-			w.reads = append(w.reads, uring.Read{Off: off, Pos: pos, Len: listBytes})
-			pos += listBytes
-			continue
-		}
 		for _, idx := range w.idxs {
 			w.reads = uring.Append(w.reads, off+int64(idx)*storage.EntryBytes, pos, storage.EntryBytes, math.MaxInt64)
 			pos += storage.EntryBytes
@@ -461,16 +432,9 @@ func (w *Worker) sampleLayer(layer *Layer, fanout int, strat Strategy) error {
 	if err := w.run(&w.edge); err != nil {
 		return err
 	}
-	if !full {
-		// Picks were planned in frontier order at sequential positions, so
-		// the buffer is exactly the concatenated sampled neighbors.
-		layer.Neighbors = decodeU32(w.buf)
-		return nil
-	}
-	layer.Neighbors = make([]uint32, len(w.picks))
-	for j, p := range w.picks {
-		layer.Neighbors[j] = leU32(w.buf[p:])
-	}
+	// Picks were planned in frontier order at sequential positions, so
+	// the buffer is exactly the concatenated sampled neighbors.
+	layer.Neighbors = decodeU32(w.buf)
 	return nil
 }
 

@@ -117,6 +117,20 @@ func TestValidateSampleLimits(t *testing.T) {
 	check("fanout 0", sampleRequest{Targets: []uint32{1}, Fanouts: []int{0}}, false)
 }
 
+// TestValidateSampleMaxBatchSize: at a Core.BatchSize of MaxInt a
+// request is one chunk, well inside the limit. The limit was
+// maxChunks × BatchSize, which wrapped negative and refused every
+// request.
+func TestValidateSampleMaxBatchSize(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Core.BatchSize = math.MaxInt
+	r := httptest.NewRequest(http.MethodPost, "/v1/sample", nil)
+	req := sampleRequest{Targets: []uint32{1, 2, 3, 4, 5}}
+	if _, _, err := cfg.validateSample(r, &req, 10, false); err != nil {
+		t.Fatalf("5 targets at BatchSize MaxInt refused: %v", err)
+	}
+}
+
 // TestServeForcedShutdownQueueGaugeZero forces a drain (expired
 // deadline) while a slow 1-worker server is saturated with multi-chunk
 // requests and asserts the queue_depth gauge lands back at exactly

@@ -371,8 +371,10 @@ func (c *Config) validateSample(r *http.Request, req *sampleRequest, numNodes in
 	if len(req.Targets) == 0 {
 		return nil, 0, fmt.Errorf("request needs at least one target")
 	}
-	if limit := maxChunks * c.Core.BatchSize; len(req.Targets) > limit {
-		return nil, 0, fmt.Errorf("request has %d targets, limit %d", len(req.Targets), limit)
+	// Counted in chunks: maxChunks × BatchSize wraps for a BatchSize
+	// near MaxInt.
+	if (len(req.Targets)-1)/c.Core.BatchSize >= maxChunks {
+		return nil, 0, fmt.Errorf("request has %d targets, limit %d chunks of %d", len(req.Targets), maxChunks, c.Core.BatchSize)
 	}
 	if err := checkTargets(req.Targets, numNodes); err != nil {
 		return nil, 0, err
@@ -604,7 +606,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	// uses per batch — which is what makes the response independent of
 	// worker identity, pool size and sharding.
 	chunkSize := s.cfg.Core.BatchSize
-	numChunks := (len(req.Targets) + chunkSize - 1) / chunkSize
+	numChunks := (len(req.Targets)-1)/chunkSize + 1 // validateSample refused an empty request
 	rq := s.await(w, r, timeout, numChunks, func(ctx context.Context, rq *request) bool {
 		for ci := 0; ci < numChunks; ci++ {
 			targets := req.Targets[ci*chunkSize : min((ci+1)*chunkSize, len(req.Targets))]

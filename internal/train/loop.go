@@ -156,7 +156,7 @@ func (t *Trainer) EpochSerialized(ctx context.Context, s *core.Sampler, targets 
 	}()
 	done := make(chan error, 1)
 	epochSeed := EpochSeed(cfg.Seed, epoch)
-	numBatches := (len(targets) + cfg.BatchSize - 1) / cfg.BatchSize
+	numBatches := (len(targets)-1)/cfg.BatchSize + 1 // (len+size-1)/size wraps for a size near MaxInt
 	st := &EpochStats{Epoch: epoch, Targets: len(targets)}
 	var sumLoss float64
 	var correct int

@@ -2,6 +2,7 @@ package train_test
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"testing"
 
@@ -179,6 +180,32 @@ func TestTrainRequiresFeatures(t *testing.T) {
 	}
 	if _, err := tr.EpochSerialized(context.Background(), s, targets, 0); err == nil {
 		t.Fatal("serialized epoch accepted a sampler without FetchFeatures")
+	}
+}
+
+// TestSerializedMaxBatchSize: a BatchSize of MaxInt trains one batch of
+// every target, as a BatchSize of len(targets) does. The batch count was
+// (len+size-1)/size, which wrapped to 0 batches there.
+func TestSerializedMaxBatchSize(t *testing.T) {
+	ds := testLabeledDataset(t)
+	targets := testTargets(ds, 100)
+	run := func(size int) *train.EpochStats {
+		cfg := trainCfg(1)
+		cfg.BatchSize = size
+		s, err := core.New(ds, cfg, uring.BackendPool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := newTrainer(t, ds).EpochSerialized(context.Background(), s, targets, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	got, want := run(math.MaxInt), run(len(targets))
+	if got.Batches != 1 || got.Sampled != want.Sampled || got.WeightsDigest != want.WeightsDigest {
+		t.Fatalf("BatchSize MaxInt: %d batches, %d sampled, weights %s; want 1, %d, %s",
+			got.Batches, got.Sampled, got.WeightsDigest, want.Sampled, want.WeightsDigest)
 	}
 }
 

@@ -142,9 +142,6 @@ type Driver struct {
 	// Align is the file's O_DIRECT granularity, a power of two; 0 reads
 	// a buffered file straight into the destination.
 	Align int
-	// Sync is the synchronous ablation (paper Fig 3b): every read in
-	// flight completes before more are staged.
-	Sync bool
 	// Arena is O_DIRECT scratch memory, aligned to Align, that the
 	// driver cuts into directChunk-sized window slots on its first Run;
 	// nil gives every window a heap slot. Drivers whose Runs never
@@ -235,9 +232,7 @@ func (d *Driver) run(dst []byte, reads []Read) error {
 			d.inflight += staged
 		}
 		min := 1
-		if d.Sync {
-			min = d.inflight
-		} else if (len(d.retryQ) > 0 || next < len(reads)) && d.inflight > 1 {
+		if (len(d.retryQ) > 0 || next < len(reads)) && d.inflight > 1 {
 			// Saturated: more work wants in. Reap half the window in one
 			// blocking call so the refill batches are deep too.
 			min = d.inflight / 2

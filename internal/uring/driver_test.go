@@ -14,7 +14,7 @@ import (
 // every backend, the fault-injecting ones included (short reads,
 // -EINTR/-EAGAIN, delayed and reordered completions, SQ-full refusals),
 // and pin the pipeline knobs at the layer that owns them: the ring's
-// capacity, the synchronous ablation, fixed-buffer selection and the
+// capacity, the partial wait of the asynchronous pipeline and the
 // O_DIRECT scratch bound.
 
 // planReads lays the conformance plan out back to back in one
@@ -241,7 +241,6 @@ type countingRing struct {
 	Ring
 	arena, dst             []byte
 	staged, inflight, most int
-	stagedWhileInflight    bool
 	partialWait            bool // a Wait asked for fewer than were in flight
 	inArena, inDst, heap   int
 	prepped                func()
@@ -253,7 +252,6 @@ func (r *countingRing) PrepRead(id uint64, off int64, buf []byte) bool {
 	}
 	r.staged++
 	r.most = max(r.most, r.staged+r.inflight)
-	r.stagedWhileInflight = r.stagedWhileInflight || r.inflight > 0
 	switch {
 	case sliceWithin(r.arena, buf):
 		r.inArena++
@@ -330,25 +328,23 @@ func TestRunRingCapacity(t *testing.T) {
 	}
 }
 
-// TestRunSync: the synchronous ablation stages nothing while any read is
-// in flight and waits for all of them; the asynchronous pipeline, once
-// the plan outgrows the ring, waits for only part of the window.
-func TestRunSync(t *testing.T) {
+// TestRunWaitsForPartOfWindow: once the plan outgrows the ring, the
+// driver waits for only part of the window in flight, so it can stage
+// the next group while the rest of this one completes (the asynchronous
+// pipeline, paper Fig 3b).
+func TestRunWaitsForPartOfWindow(t *testing.T) {
 	f := testFile(t, 512)
 	raw, _ := os.ReadFile(f.Name())
-	for _, sync := range []bool{true, false} {
-		for name, r := range pipelineBackends(t, f, 8) {
-			reads, n := planReads(512)
-			dst := make([]byte, n)
-			d := Driver{Ring: r, Sync: sync}
-			if err := d.Run(dst, reads); err != nil {
-				t.Fatal(err)
-			}
-			assertLanded(t, raw, dst, reads)
-			if sync && (r.stagedWhileInflight || r.partialWait) || !sync && !r.partialWait {
-				t.Fatalf("%s sync=%v: staged while reads were in flight %v, waited for part of them %v",
-					name, sync, r.stagedWhileInflight, r.partialWait)
-			}
+	for name, r := range pipelineBackends(t, f, 8) {
+		reads, n := planReads(512)
+		dst := make([]byte, n)
+		d := Driver{Ring: r}
+		if err := d.Run(dst, reads); err != nil {
+			t.Fatal(err)
+		}
+		assertLanded(t, raw, dst, reads)
+		if !r.partialWait {
+			t.Fatalf("%s: every Wait asked for all the reads in flight", name)
 		}
 	}
 }

@@ -17,7 +17,7 @@ func TestFieldCensus(t *testing.T) {
 	}{
 		{reflect.TypeFor[Options](), []string{"Entries"}},
 		{reflect.TypeFor[Caps](), []string{"Ring"}},
-		{reflect.TypeFor[Driver](), []string{"Ring", "Align", "Sync", "Arena", "Stats"}},
+		{reflect.TypeFor[Driver](), []string{"Ring", "Align", "Arena", "Stats"}},
 	} {
 		t.Run(c.typ.Name(), func(t *testing.T) {
 			var got []string

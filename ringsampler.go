@@ -47,8 +47,9 @@ type (
 )
 
 // DefaultConfig returns the paper's default configuration: fanouts
-// {20,15,10}, ring size 512, offset sampling and the asynchronous
-// pipeline enabled.
+// {20,15,10}, batch size 1024, 8 threads and ring size 512. Offset
+// sampling and the asynchronous pipeline are the engine's only path,
+// not options.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // GenerateDataset builds a synthetic dataset in dir: kind "rmat"

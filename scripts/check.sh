@@ -101,6 +101,13 @@ if git grep -nE 'READ_FIXED|PrepReadFixed|REGISTER_BUFFERS|FixedBuffers' -- '*.g
     exit 1
 fi
 
+# One sampling path (DESIGN.md §3): offset reads through the asynchronous
+# pipeline; fail if the full-fetch or submit-then-wait switch grows back.
+if git grep -nE '\b(AsyncPipeline|OffsetSampling)\b' -- '*.go'; then
+    echo "check: a second sampling path is growing back (matches above); the engine has one" >&2
+    exit 1
+fi
+
 # Sharding is in-process only (DESIGN.md §12): fail if the shard HTTP
 # protocol grows back. Tests may name its routes to check they 404.
 if git grep -nE '/v1/shard|NewRemote|LayerRequest|FeaturesRequest|EncodeState|ParseState' -- '*.go' ':!*_test.go'; then
