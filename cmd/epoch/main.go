@@ -110,7 +110,6 @@ func run(args []string, out io.Writer) (err error) {
 		trainLayers = fs.Int("train-layers", 2, "GraphSAGE depth; must not exceed the sampling fanout depth (with -train)")
 		trainLR     = fs.Float64("train-lr", 0.1, "SGD learning rate (with -train)")
 		trainSerial = fs.Bool("train-serial", false, "serialize the pipeline: sample each batch to completion before training on it (with -train)")
-		strategy    = fs.String("strategy", "", "sampling strategy: uniform, weighted, walk (empty: uniform)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the epoch (or -train) run to this file")
 		traceOut    = fs.String("trace", "", "write an execution trace of the epoch (or -train) run to this file")
 	)
@@ -222,7 +221,6 @@ func run(args []string, out io.Writer) (err error) {
 
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
-	cfg.Strategy = *strategy
 	cfg.CacheBudgetBytes = cacheBytes
 	cfg.FetchFeatures = *features
 	cfg.FeatureCacheBudgetBytes = featCacheBytes

@@ -136,11 +136,13 @@ func TestRunRejectsBadFlags(t *testing.T) {
 }
 
 // TestRunRefusesRetiredFlags: the retired ring knobs (each lost, tied,
-// or owed its gain to something the default now does) are refused by name, before any
-// work starts, so a script that still passes one learns it is gone
-// instead of measuring a configuration that no longer exists.
+// or owed its gain to something the default now does) and -strategy
+// (uniform is the one strategy; naming it is refused too) are refused
+// by name, before any work starts, so a script that still passes one
+// learns it is gone instead of measuring a configuration that no
+// longer exists.
 func TestRunRefusesRetiredFlags(t *testing.T) {
-	for _, args := range [][]string{{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-uring-fixed"}, {"-depth", "64"}} {
+	for _, args := range [][]string{{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-uring-fixed"}, {"-depth", "64"}, {"-strategy", "uniform"}} {
 		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
 			var sb strings.Builder
 			err := run(args, &sb)

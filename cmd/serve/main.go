@@ -4,13 +4,13 @@
 // fixed pool of pinned workers, with a Prometheus metrics surface (see
 // DESIGN.md §8).
 //
-//	POST /v1/sample  — {"targets":[...],"fanouts":[...],"seed":N,"features":bool,"strategy":"..."}
+//	POST /v1/sample  — {"targets":[...],"fanouts":[...],"seed":N,"features":bool}
 //	GET  /healthz    — liveness (503 while draining)
 //	GET  /metrics    — Prometheus text format
 //
-// "strategy" picks the draw strategy per request — "uniform"
-// (default), "weighted", or "walk" (DESIGN.md §11); unknown names are
-// rejected 400 before any work is queued.
+// Samples are drawn uniformly, the one strategy (DESIGN.md §11); a body
+// whose "strategy" names anything but "uniform" is refused 400 before
+// any work is queued.
 //
 // With ?features=true (or "features":true in the body) each returned
 // batch carries the sampled nodes' raw little-endian f32 vectors,

@@ -26,9 +26,9 @@ func runDocLint(t *testing.T, docs ...string) (string, bool) {
 	return stderr.String(), err == nil
 }
 
-// TestDocLint: README.md and DESIGN.md cite only paths, commands and
-// tests that exist, and the lint that keeps them so catches each kind
-// of dead reference when one is planted.
+// TestDocLint: README.md and DESIGN.md cite only paths, commands, flags
+// and tests that exist, and the lint that keeps them so catches each
+// kind of dead reference when one is planted.
 func TestDocLint(t *testing.T) {
 	t.Run("tree", func(t *testing.T) {
 		if out, ok := runDocLint(t); !ok {
@@ -44,7 +44,9 @@ func TestDocLint(t *testing.T) {
 	}
 	t.Run("live", func(t *testing.T) {
 		doc := plant(t, "See `core/worker.go:1`, `cmd/<name>/main.go`, "+
-			"`scripts/check.sh`, `go run ./cmd/epoch` and TestEndToEnd.\n")
+			"`scripts/check.sh`, `go run ./cmd/epoch -probe`, "+
+			"`go run -C cmd/bench . -workload train_feat -windows 3` and TestEndToEnd.\n"+
+			"```\ngo run ./cmd/benchprep [-regen]\ngo run ./cmd/serve -data d \\\n  -addr :8080 # -not-a-flag\n```\n")
 		if out, ok := runDocLint(t, doc); !ok {
 			t.Fatalf("doclint rejects live references:\n%s", out)
 		}
@@ -53,6 +55,8 @@ func TestDocLint(t *testing.T) {
 		{"dead_path", "See `internal/nosuchpkg/x.go`.\n", "internal/nosuchpkg/x.go"},
 		{"dead_go_run", "Run `go run ./cmd/nosuchcmd`.\n", "cmd/nosuchcmd"},
 		{"dead_test", "Held by TestNoSuchContract.\n", "TestNoSuchContract"},
+		// A flag the command no longer defines, on a continuation line.
+		{"dead_flag", "```\ngo run ./cmd/epoch -data d \\\n  -threads 8 -strategy weighted\n```\n", "-strategy"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, ok := runDocLint(t, plant(t, tc.body))

@@ -48,13 +48,6 @@ type Config struct {
 	// Seed drives all sampling randomness. Identical seeds yield
 	// bit-identical sample sets.
 	Seed uint64
-	// Strategy names the draw strategy (StrategyUniform/Weighted/Walk);
-	// empty selects uniform — the paper's Floyd fanout draws, byte-
-	// identical to the engine before strategies existed. Every strategy
-	// rides the same ring pipeline and keeps the determinism contract:
-	// output is a pure function of (dataset, config, targets, Seed),
-	// invariant under Threads and backend.
-	Strategy string
 	// CacheBudgetBytes is the memory budget (bytes, accounted through
 	// memctl) for the hot-neighbor cache: the complete neighbor lists of
 	// the highest-degree nodes, pinned at sampler construction and
@@ -120,9 +113,6 @@ func (c *Config) validate() error {
 	}
 	if c.RingSize <= 0 {
 		return fmt.Errorf("core: ring size %d must be positive", c.RingSize)
-	}
-	if !ValidStrategy(c.Strategy) {
-		return fmt.Errorf("core: unknown sampling strategy %q (known: %v)", c.Strategy, StrategyNames())
 	}
 	if c.CacheBudgetBytes < 0 {
 		return fmt.Errorf("core: cache budget %d must be non-negative", c.CacheBudgetBytes)

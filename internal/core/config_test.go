@@ -11,7 +11,7 @@ import (
 func TestConfigFieldCensus(t *testing.T) {
 	want := []string{
 		"Fanouts", "BatchSize", "Threads", "RingSize",
-		"Seed", "Strategy", "CacheBudgetBytes", "FetchFeatures",
+		"Seed", "CacheBudgetBytes", "FetchFeatures",
 		"FeatureCacheBudgetBytes", "WrapRing",
 	}
 	var got []string

@@ -2,6 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"ringsampler/internal/gen"
@@ -304,5 +307,70 @@ func TestPipelineOverlapsGroups(t *testing.T) {
 				t.Fatalf("%d Waits, none left reads in flight while the full ring had more queued", len(rec.waits))
 			}
 		})
+	}
+}
+
+// TestFrontierBuiltBetweenLayersOnly: a batch of n layers builds n−1
+// frontiers. The last layer's sampled set feeds no further layer, and
+// the feature stage builds its own node union, so a frontier after it
+// is a sort+dedup of the largest layer for nothing.
+func TestFrontierBuiltBetweenLayersOnly(t *testing.T) {
+	ds := testDataset(t)
+	targets := testTargets(ds, 64)
+	frontiers := 0
+	build := nextFrontier
+	nextFrontier = func(l *Layer, dst []uint32, scratch *[]uint32) []uint32 {
+		frontiers++
+		return build(l, dst, scratch)
+	}
+	t.Cleanup(func() { nextFrontier = build })
+	for _, fanouts := range [][]int{{7}, {5, 3}, DefaultFanouts} {
+		t.Run(fmt.Sprintf("layers=%d", len(fanouts)), func(t *testing.T) {
+			s, err := New(ds, DefaultConfig(), uring.BackendSim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := s.NewWorker(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			for seed := range uint64(3) {
+				before := frontiers
+				if _, err := w.SampleBatchOpts(targets, BatchOpts{Fanouts: fanouts, Seed: seed}); err != nil {
+					t.Fatal(err)
+				}
+				if got := frontiers - before; got != len(fanouts)-1 {
+					t.Fatalf("fanouts %v: %d frontiers built for one batch, want %d", fanouts, got, len(fanouts)-1)
+				}
+			}
+		})
+	}
+}
+
+// TestNextFrontierForAcceptsUniformOnly: the router's frontier step
+// builds exactly the worker's frontier — every layer's sampled
+// neighbors sorted and deduplicated, so the next layer's picks arrive
+// in file order — under "" or "uniform", and refuses any other strategy
+// name by name.
+func TestNextFrontierForAcceptsUniformOnly(t *testing.T) {
+	ds := testDataset(t)
+	b := sampleOnce(t, ds, DefaultConfig(), uring.BackendSim, testTargets(ds, 64))
+	for li := range len(b.Layers) - 1 {
+		want := b.Layers[li+1].Targets
+		if !slices.Equal(want, sample.SortDedup(slices.Clone(b.Layers[li].Neighbors))) {
+			t.Fatalf("layer %d targets are not layer %d's neighbors sorted and deduplicated", li+1, li)
+		}
+		for _, name := range []string{"", StrategyUniform} {
+			got, err := NextFrontierFor(name, &b.Layers[li], nil)
+			if err != nil || !slices.Equal(got, want) {
+				t.Fatalf("NextFrontierFor(%q) after layer %d: err %v, frontier differs from the worker's", name, li, err)
+			}
+		}
+	}
+	for _, name := range []string{"weighted", "walk", "Uniform"} {
+		if _, err := NextFrontierFor(name, &b.Layers[0], nil); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+			t.Fatalf("NextFrontierFor(%q): err = %v, want a refusal naming it", name, err)
+		}
 	}
 }

@@ -93,6 +93,40 @@ func TestEpochThreadInvariance(t *testing.T) {
 	}
 }
 
+// TestStrategyThreadInvariance: the uniform strategy's per-batch digest
+// stream is bit-identical at Threads = 1, 2 and 4, under a seed and
+// thread set TestEpochThreadInvariance does not use. check.sh and CI
+// run both before everything else.
+func TestStrategyThreadInvariance(t *testing.T) {
+	ds := testDataset(t)
+	targets := testTargets(ds, 300)
+	t.Run(StrategyUniform, func(t *testing.T) {
+		var ref []uint64
+		for _, th := range []int{1, 2, 4} {
+			cfg := DefaultConfig()
+			cfg.Seed = 13
+			cfg.BatchSize = 32
+			cfg.Threads = th
+			s, err := New(ds, cfg, uring.BackendPool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := runEpoch(s, targets, nil)
+			if err != nil {
+				t.Fatalf("Threads=%d: %v", th, err)
+			}
+			if st.Sampled == 0 {
+				t.Fatalf("Threads=%d: epoch sampled nothing", th)
+			}
+			if ref == nil {
+				ref = st.Digests
+			} else if !slices.Equal(ref, st.Digests) {
+				t.Fatalf("Threads=%d: digests diverge from Threads=1", th)
+			}
+		}
+	})
+}
+
 // TestEpochMatchesSeededBatches pins the reseeding contract: the epoch
 // runner's batch bi equals a lone worker sampling the same shard after
 // Reseed(Mix(Seed, bi)) — worker identity plays no role.

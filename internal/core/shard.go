@@ -25,14 +25,11 @@ import (
 
 // LayerParams parameterizes one SampleLayer call.
 type LayerParams struct {
-	// Layer is the zero-based layer index (strategies may vary their
-	// fanout by depth, e.g. walk's LayerFanout ≡ 1).
+	// Layer is the zero-based layer index. The draw does not depend on
+	// it; the router names the layer with it in its errors.
 	Layer int
 	// Fanout is the request's per-layer sample count. Must be positive.
 	Fanout int
-	// Strategy names the draw strategy; empty falls through to the
-	// engine default.
-	Strategy string
 	// RNGState is the raw generator state to resume from: for layer 0,
 	// sample.NewRNG(Mix(seed, chunk)).State(); for deeper layers, the
 	// state the previous layer's shards reported back.
@@ -53,15 +50,10 @@ func (w *Worker) SampleLayer(frontier []uint32, p LayerParams) (*Layer, uint64, 
 	if p.Fanout <= 0 {
 		return nil, 0, fmt.Errorf("core: layer fanout %d must be positive", p.Fanout)
 	}
-	strat, err := w.s.strategyFor(p.Strategy)
-	if err != nil {
-		return nil, 0, err
-	}
 	w.rng.Restore(p.RNGState)
-	fan := strat.LayerFanout(p.Layer, p.Fanout)
 	w.frontier = append(w.frontier[:0], frontier...)
 	layer := new(Layer)
-	if err := w.sampleLayer(layer, fan, strat); err != nil {
+	if err := w.sampleLayer(layer, p.Fanout); err != nil {
 		return nil, 0, err
 	}
 	return layer, w.rng.State(), nil
@@ -76,23 +68,42 @@ func ChunkSeedState(seed uint64) uint64 {
 	return r.State()
 }
 
-// NextFrontierFor builds the next layer's frontier from a sampled layer
-// for the named strategy, reusing dst's storage. It mirrors the
-// between-layer step of SampleBatchOpts; every strategy's frontier rule is
-// a pure function of the layer (sort+dedup or verbatim), so the router
-// can run it without shard state.
-func NextFrontierFor(name string, l *Layer, dst []uint32) ([]uint32, error) {
-	var scratch []uint32
-	switch name {
-	case "", StrategyUniform:
-		return uniformStrategy{}.NextFrontier(l, dst, &scratch), nil
-	case StrategyWeighted:
-		return weightedStrategy{}.NextFrontier(l, dst, &scratch), nil
-	case StrategyWalk:
-		return walkStrategy{}.NextFrontier(l, dst, &scratch), nil
-	default:
-		return nil, fmt.Errorf("core: unknown strategy %q", name)
+// StrategyUniform names the one sampling strategy: Floyd's draw and a
+// sort+dedup frontier.
+const StrategyUniform = "uniform"
+
+// CheckStrategy refuses, by name, every strategy name but "" and
+// StrategyUniform. NextFrontierFor, shard.Router.SampleChunk and the
+// serve request body take a strategy name from callers that may still
+// ask for another one; each refuses it here rather than sample
+// uniformly in its place.
+func CheckStrategy(name string) error {
+	if name != "" && name != StrategyUniform {
+		return fmt.Errorf("unknown strategy %q (the one strategy is %q)", name, StrategyUniform)
 	}
+	return nil
+}
+
+// NextFrontierFor builds the next layer's frontier from a sampled layer,
+// reusing dst's storage: the between-layer step of SampleBatchOpts, a
+// pure function of the layer, so the router can run it without shard
+// state. name must pass CheckStrategy.
+func NextFrontierFor(name string, l *Layer, dst []uint32) ([]uint32, error) {
+	if err := CheckStrategy(name); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	var scratch []uint32
+	return nextFrontier(l, dst, &scratch), nil
+}
+
+// nextFrontier builds the next layer's targets into dst[:0] (paper
+// §2.1): l's sampled neighbors, sorted and deduplicated, so from layer
+// 1 on the picks arrive in file order and no node is sampled twice.
+// scratch is the sort's reusable workspace. A variable so a test can
+// count the builds.
+var nextFrontier = func(l *Layer, dst []uint32, scratch *[]uint32) []uint32 {
+	dst = append(dst[:0], l.Neighbors...)
+	return sample.SortDedupScratch(dst, scratch)
 }
 
 // FeatNodeUnion returns the batch's feature node set — layer-0 targets

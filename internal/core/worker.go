@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"log"
 	"math"
 	"os"
+	"sort"
 	"sync"
 
 	"ringsampler/internal/cache"
@@ -36,12 +38,6 @@ type Sampler struct {
 	// so epochs run concurrently on one sampler stay race-free (the
 	// extra ones read the cache without teaching it).
 	learnMu sync.Mutex
-	// defStrat is the pre-resolved Config.Strategy (uniform when
-	// unset), consulted lock-free on every batch. Per-batch overrides
-	// resolve through the lazily built strats registry.
-	defStrat Strategy
-	stratMu  sync.Mutex
-	strats   map[string]Strategy
 }
 
 // New validates the configuration and binds the engine to a ring
@@ -91,13 +87,6 @@ func New(ds *storage.Dataset, cfg Config, backend uring.Backend) (*Sampler, erro
 				cfg.FeatureCacheBudgetBytes, fh.Nodes(), cache.LearnBudget(ds.NumNodes()))
 		}
 	}
-	// Resolve the default strategy eagerly so a misnamed Config.Strategy
-	// (or a failing weighted alias build) surfaces here, not mid-epoch.
-	def, err := s.buildStrategy(cfg.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	s.defStrat = def
 	return s, nil
 }
 
@@ -167,7 +156,7 @@ type Worker struct {
 
 	// Workspaces, reused across batches (paper §3.1).
 	reads       []uring.Read // the stage's read plan
-	frontier    []uint32     // target workspace (strategies rebuild it between layers)
+	frontier    []uint32     // target workspace, rebuilt between layers
 	featNodes   []uint32     // feature stage: batch node-union accumulation
 	sortTmp     []uint32     // radix scratch of the frontier and node-union sort+dedup
 	buf         []byte       // stage buffer, reused across stages
@@ -295,7 +284,7 @@ func (w *Worker) IOStats() IOStats {
 func (w *Worker) Broken() bool { return w.broken }
 
 // BatchOpts parameterizes one SampleBatchOpts call. The zero value
-// samples with the engine config's fanouts and strategy from seed 0.
+// samples with the engine config's fanouts from seed 0.
 type BatchOpts struct {
 	// Fanouts overrides the engine config's per-layer sample counts;
 	// empty means Config.Fanouts.
@@ -306,11 +295,6 @@ type BatchOpts struct {
 	// Config.FetchFeatures is off — the serving layer's per-request
 	// switch.
 	Features bool
-	// Strategy names the draw strategy for this batch, overriding
-	// Config.Strategy; empty falls through to the engine default. The
-	// serving layer validates names before queueing (ValidStrategy), so
-	// an unknown name here is a programming error surfaced per batch.
-	Strategy string
 }
 
 // SampleBatchOpts reseeds the worker's RNG to NewRNG(o.Seed) and samples
@@ -333,10 +317,6 @@ func (w *Worker) SampleBatchOpts(targets []uint32, o BatchOpts) (*Batch, error) 
 			return nil, fmt.Errorf("core: fanout[%d] = %d must be positive", i, f)
 		}
 	}
-	strat, err := w.s.strategyFor(o.Strategy)
-	if err != nil {
-		return nil, err
-	}
 	if w.broken {
 		return nil, fmt.Errorf("core: worker %d: %w", w.id, ErrWorkerBroken)
 	}
@@ -352,18 +332,15 @@ func (w *Worker) SampleBatchOpts(targets []uint32, o BatchOpts) (*Batch, error) 
 	w.frontier = append(w.frontier[:0], targets...)
 	for li, fanout := range fanouts {
 		layer := &batch.Layers[li]
-		if err := w.sampleLayer(layer, strat.LayerFanout(li, fanout), strat); err != nil {
+		if err := w.sampleLayer(layer, fanout); err != nil {
 			return nil, err
 		}
 		if li == len(fanouts)-1 {
 			break // no next layer; the feature stage builds its own union
 		}
-		// Between-layer frontier build (paper §2.1): the strategy turns
-		// the sampled neighbors into the next layer's targets — sorted
-		// and dedup'd for neighbor sampling, kept verbatim for walks.
 		// layer.Targets holds its own copy, so reusing the frontier
 		// workspace as the destination is safe.
-		w.frontier = strat.NextFrontier(layer, w.frontier, &w.sortTmp)
+		w.frontier = nextFrontier(layer, w.frontier, &w.sortTmp)
 	}
 	if o.Features || w.s.cfg.FetchFeatures {
 		if err := w.fetchBatchFeatures(batch); err != nil {
@@ -374,14 +351,15 @@ func (w *Worker) SampleBatchOpts(targets []uint32, o BatchOpts) (*Batch, error) 
 }
 
 // sampleLayer samples one layer from w.frontier: plan, Run, decode.
-// Every node's fanout indices are drawn first, the same way whatever the
-// cache holds, so RNG consumption (and therefore the sampled set) never
-// depends on it. The plan reads exactly the picked entries (offset-based
-// reads, paper Fig 2), merging picks adjacent in the file and the stage
-// buffer. Cached nodes' picks are copied from the hot-neighbor cache
+// Every node's fanout indices are drawn first — Floyd's k of deg without
+// replacement, sorted so the picks arrive in file order (paper §2.1) —
+// the same way whatever the cache holds, so RNG consumption (and
+// therefore the sampled set) never depends on it. The plan reads
+// exactly the picked entries (offset-based reads, paper Fig 2), merging
+// picks adjacent in the file and the stage buffer. Cached nodes' picks are copied from the hot-neighbor cache
 // instead of read, and on a shard the spans of non-owned nodes are
 // zero-filled (see shard.go).
-func (w *Worker) sampleLayer(layer *Layer, fanout int, strat Strategy) error {
+func (w *Worker) sampleLayer(layer *Layer, fanout int) error {
 	ds, hot := w.s.ds, w.s.hot
 	sharded, base := ds.IsSharded(), ds.EntryBase()
 	layer.Targets = append([]uint32(nil), w.frontier...)
@@ -396,7 +374,8 @@ func (w *Worker) sampleLayer(layer *Layer, fanout int, strat Strategy) error {
 			continue
 		}
 		k := min(fanout, deg)
-		w.idxs = strat.Draw(&w.rng, v, deg, k, w.idxs[:0])
+		w.idxs = sample.Floyd(&w.rng, deg, k, w.idxs[:0])
+		sort.Ints(w.idxs)
 		total += int64(k)
 		if sharded && !ds.Owns(v) {
 			// The draws above consumed the exact stream (degrees come from
@@ -558,11 +537,7 @@ func grow(buf []byte, n int64) []byte {
 func decodeU32(b []byte) []uint32 {
 	out := make([]uint32, len(b)/storage.EntryBytes)
 	for i := range out {
-		out[i] = leU32(b[i*storage.EntryBytes:])
+		out[i] = binary.LittleEndian.Uint32(b[i*storage.EntryBytes:])
 	}
 	return out
-}
-
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

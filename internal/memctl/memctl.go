@@ -1,7 +1,7 @@
 // Package memctl is the repo's cgroup substitute: an explicit memory
-// budget the engine's in-memory structures (neighbor and feature
-// caches, alias tables) are charged against. Exceeding the budget
-// yields ErrOOM, so a structure that does not fit is refused up front.
+// budget the engine's in-memory structures (the neighbor and feature
+// caches) are charged against. Exceeding the budget yields ErrOOM, so
+// a structure that does not fit is refused up front.
 package memctl
 
 import (

@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"math"
 	"slices"
 	"testing"
 )
@@ -188,5 +189,55 @@ func TestUint64nMatchesUint32n(t *testing.T) {
 	}
 	if !sawHigh {
 		t.Fatal("Uint64n(2^40) never exceeded 2^32 in 1000 draws — high bits lost")
+	}
+}
+
+// chiSquareCritical returns the p = 0.001 upper critical value of the
+// chi-square distribution with dof degrees of freedom, by the
+// Wilson–Hilferty cube approximation (within 3 % of the exact value at
+// dof = 1, where it errs high, and closer above).
+func chiSquareCritical(dof int) float64 {
+	const z = 3.090232306167813 // standard normal quantile at 0.999
+	v := float64(dof)
+	c := 1 - 2/(9*v) + z*math.Sqrt(2/(9*v))
+	return v * c * c * c
+}
+
+// TestFloydUniformChiSquare: Floyd's draw is what the engine claims, a
+// uniform k-subset of [0, n). Under a fixed seed, each shape draws at
+// least 10⁶ indices, and every index's inclusion count must pass a
+// chi-square test at p = 0.001. Inclusion counts of a uniform k-subset
+// have variance T·p(1−p) each and sum to T·k, so the statistic
+// Σ (Oᵢ − T·k/n)² / (T·k(n−k)/(n(n−1))) is chi-square with n − 1
+// degrees of freedom; at k = 1 it is Pearson's on the counts, at
+// k = n − 1 Pearson's on the exclusions. The shapes cover a single
+// pick, all but one, the paper's fanout over a 1,000-entry list, and
+// a fanout past floydScanThreshold, where duplicates are found by set.
+func TestFloydUniformChiSquare(t *testing.T) {
+	rng := NewRNG(0xc41)
+	for _, sh := range []struct{ n, k int }{
+		{2, 1}, {10, 1}, {10, 9}, {37, 5}, {1000, 20}, {200, 2 * floydScanThreshold},
+	} {
+		trials := (1_000_000 + sh.k - 1) / sh.k
+		counts := make([]int, sh.n)
+		out := make([]int, 0, sh.k)
+		for range trials {
+			out = Floyd(&rng, sh.n, sh.k, out[:0])
+			for _, v := range out {
+				counts[v]++
+			}
+		}
+		n, k, T := float64(sh.n), float64(sh.k), float64(trials)
+		mean := T * k / n
+		variance := T * k * (n - k) / (n * (n - 1))
+		var stat float64
+		for _, c := range counts {
+			d := float64(c) - mean
+			stat += d * d / variance
+		}
+		if crit := chiSquareCritical(sh.n - 1); stat > crit {
+			t.Errorf("n=%d k=%d over %d draws: chi-square %.1f > %.1f (p = 0.001, %d dof)",
+				sh.n, sh.k, trials, stat, crit, sh.n-1)
+		}
 	}
 }

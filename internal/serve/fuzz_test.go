@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"slices"
 	"testing"
 	"time"
 
@@ -106,8 +105,8 @@ func FuzzSampleRequest(f *testing.F) {
 				t.Fatalf("accepted fanout[%d] = %d outside [1,%d]", i, fo, maxFanout)
 			}
 		}
-		if req.Strategy != "" && !slices.Contains(core.StrategyNames(), req.Strategy) {
-			t.Fatalf("accepted unknown strategy %q", req.Strategy)
+		if core.CheckStrategy(req.Strategy) != nil {
+			t.Fatalf("accepted strategy %q", req.Strategy)
 		}
 		if timeout <= 0 || timeout > maxTimeout {
 			t.Fatalf("accepted timeout %v outside (0, %v]", timeout, maxTimeout)

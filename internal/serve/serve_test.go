@@ -136,7 +136,6 @@ func referenceBatches(t *testing.T, ds *storage.Dataset, coreCfg core.Config, ba
 			Fanouts:  fanouts,
 			Seed:     sample.Mix(req.Seed, uint64(ci)),
 			Features: req.Features,
-			Strategy: req.Strategy,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -894,11 +893,11 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
-// TestServeStrategy: the request body's "strategy" field selects the
-// draw strategy per request — responses must be byte-identical to a
-// direct core run under the same strategy, strategies must coexist in
-// one server (they share the queue and the workers), and unknown
-// names are 400s that never reach the rings.
+// TestServeStrategy: there is one strategy, so the body's "strategy"
+// field may be empty or "uniform" — both byte-identical to a direct
+// core run — and any other name, a retired one included, is a 400 that
+// names it and never reaches the rings, not uniform samples answering a
+// request for something else.
 func TestServeStrategy(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
@@ -914,8 +913,7 @@ func TestServeStrategy(t *testing.T) {
 		targets[j] = rng.Uint32n(uint32(ds.NumNodes()))
 	}
 
-	digests := make(map[string]string)
-	for _, strat := range []string{"", core.StrategyUniform, core.StrategyWalk, core.StrategyWeighted} {
+	for _, strat := range []string{"", core.StrategyUniform} {
 		req := sampleRequest{Targets: targets, Fanouts: []int{6, 4}, Seed: 31, Strategy: strat}
 		st, data := postSample(t, client, base, req)
 		if st != http.StatusOK {
@@ -923,42 +921,31 @@ func TestServeStrategy(t *testing.T) {
 		}
 		want := referenceBatches(t, ds, cfg.Core, cfg.Backend, req, cfg.Core.BatchSize)
 		assertResponseMatches(t, fmt.Sprintf("strategy %q", strat), data, want)
-		var resp sampleResponse
-		if err := json.Unmarshal(data, &resp); err != nil {
-			t.Fatal(err)
-		}
-		digests[strat] = resp.Digest
-	}
-	// "" and "uniform" are the same strategy; the others draw
-	// differently from the same seed.
-	if digests[""] != digests[core.StrategyUniform] {
-		t.Fatal("empty strategy does not default to uniform")
-	}
-	if digests[core.StrategyWalk] == digests[core.StrategyUniform] ||
-		digests[core.StrategyWeighted] == digests[core.StrategyUniform] {
-		t.Fatal("non-uniform strategy produced the uniform digest — the field was ignored")
 	}
 
 	readsBefore := metricValue(t, scrapeMetrics(t, client, base), "ringsampler_io_reads_total")
-	st, data := postSample(t, client, base, sampleRequest{
-		Targets: []uint32{1, 2, 3}, Fanouts: []int{5}, Seed: 1, Strategy: "bogus",
-	})
-	if st != http.StatusBadRequest {
-		t.Fatalf("unknown strategy: status %d, want 400: %s", st, data)
-	}
-	var er errorResponse
-	if err := json.Unmarshal(data, &er); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(er.Error, "bogus") || !strings.Contains(er.Error, core.StrategyWalk) {
-		t.Fatalf("strategy error %q names neither the bad name nor the known ones", er.Error)
+	refused := []string{"walk", "weighted", "bogus"}
+	for _, strat := range refused {
+		st, data := postSample(t, client, base, sampleRequest{
+			Targets: []uint32{1, 2, 3}, Fanouts: []int{5}, Seed: 1, Strategy: strat,
+		})
+		if st != http.StatusBadRequest {
+			t.Fatalf("strategy %q: status %d, want 400: %s", strat, st, data)
+		}
+		var er errorResponse
+		if err := json.Unmarshal(data, &er); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(er.Error, fmt.Sprintf("%q", strat)) || !strings.Contains(er.Error, core.StrategyUniform) {
+			t.Fatalf("strategy error %q names neither %q nor the one strategy", er.Error, strat)
+		}
 	}
 	body := scrapeMetrics(t, client, base)
-	if got := metricValue(t, body, "ringsampler_serve_bad_requests_total"); got != 1 {
-		t.Fatalf("bad_requests_total = %v, want 1", got)
+	if got := metricValue(t, body, "ringsampler_serve_bad_requests_total"); got != float64(len(refused)) {
+		t.Fatalf("bad_requests_total = %v, want %d", got, len(refused))
 	}
 	if got := metricValue(t, body, "ringsampler_io_reads_total"); got != readsBefore {
-		t.Fatalf("rejected strategy request reached the engine: reads %v -> %v", readsBefore, got)
+		t.Fatalf("refused strategy requests reached the engine: reads %v -> %v", readsBefore, got)
 	}
 }
 

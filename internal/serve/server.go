@@ -13,7 +13,7 @@
 // samplers destroy disk throughput, and a bounded queue that fast-fails
 // beats one that queues unboundedly.
 //
-//	POST /v1/sample  — {"targets":[...],"fanouts":[...],"seed":N,"strategy":"..."} → layered samples
+//	POST /v1/sample  — {"targets":[...],"fanouts":[...],"seed":N} → layered samples
 //	GET  /healthz    — liveness (503 while draining)
 //	GET  /metrics    — Prometheus text: queue depth, per-stage latency,
 //	                   ring IOStats, rejection counts
@@ -22,13 +22,13 @@
 // instead: admitted chunks fan out through a shard.Router rather than
 // the pool (DESIGN.md §12). A server never opens on a shard dataset.
 //
-// The optional "strategy" field selects the draw strategy per request
-// (DESIGN.md §11: "uniform", "weighted", "walk"; empty means the
-// server default). Unknown names are rejected 400 at admission,
-// before any work is queued.
+// There is one sampling strategy (DESIGN.md §11). The optional
+// "strategy" field may only name it ("uniform", or empty); any other
+// name is refused 400 at admission, before any work is queued, rather
+// than answered with uniform samples.
 //
-// Determinism contract: the response to (targets, fanouts, seed,
-// strategy) is byte-identical to a direct single-threaded core run —
+// Determinism contract: the response to (targets, fanouts, seed) is
+// byte-identical to a direct single-threaded core run —
 // the request is sharded into Core.BatchSize chunks and chunk i is
 // sampled with RNG seed sample.Mix(seed, i), exactly how
 // core.RunEpochSeeded seeds its mini-batches — regardless of which pooled
@@ -188,9 +188,6 @@ func NewRouter(engines []shard.Engine, cfg Config) (*Server, error) {
 	if err := cfg.resolve(); err != nil {
 		return nil, err
 	}
-	if !core.ValidStrategy(cfg.Core.Strategy) {
-		return nil, fmt.Errorf("serve: unknown default strategy %q", cfg.Core.Strategy)
-	}
 	rt, err := shard.NewRouter(engines)
 	if err != nil {
 		return nil, err
@@ -290,9 +287,9 @@ type sampleRequest struct {
 	// Seed drives the request's sampling randomness; equal requests
 	// with equal seeds get byte-identical responses.
 	Seed uint64 `json:"seed"`
-	// Strategy names the draw strategy for this request ("uniform",
-	// "weighted", "walk"); empty uses the server's configured default.
-	// Unknown names are rejected with 400 before any work is queued.
+	// Strategy may only name the one strategy ("uniform", or empty).
+	// It stays in the body so that a request naming any other strategy
+	// is refused 400 instead of silently sampled uniformly.
 	Strategy string `json:"strategy,omitempty"`
 	// Features runs the feature stage per batch: each response batch
 	// carries the deduplicated node union and its raw f32 feature
@@ -401,8 +398,8 @@ func (c *Config) validateSample(r *http.Request, req *sampleRequest, numNodes in
 			return nil, 0, fmt.Errorf("fanout[%d] = %d out of range [1,%d]", i, f, maxFanout)
 		}
 	}
-	if !core.ValidStrategy(req.Strategy) {
-		return nil, 0, fmt.Errorf("unknown strategy %q (known: %v)", req.Strategy, core.StrategyNames())
+	if err := core.CheckStrategy(req.Strategy); err != nil {
+		return nil, 0, err
 	}
 	if req.TimeoutMS < 0 {
 		// A negative timeout is a client bug, not a request for the
@@ -588,13 +585,6 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, verr.Error())
 		return
 	}
-	// Resolve the default here: a router's shards must all replay under
-	// the same explicit name, and a worker resolves "" to this same one.
-	strategy := req.Strategy
-	if strategy == "" {
-		strategy = s.cfg.Core.Strategy
-	}
-
 	t0 := time.Now()
 	s.met.requests.Add(1)
 	if req.Features {
@@ -618,12 +608,12 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 				go func() {
 					defer s.handlers.Done()
 					var err error
-					rq.batches[ci], err = s.rt.SampleChunk(ctx, targets, fanouts, seed, strategy, req.Features)
+					rq.batches[ci], err = s.rt.SampleChunk(ctx, targets, fanouts, seed, "", req.Features)
 					rq.jobDone(err)
 				}()
 				continue
 			}
-			opts := core.BatchOpts{Fanouts: fanouts, Seed: seed, Features: req.Features, Strategy: strategy}
+			opts := core.BatchOpts{Fanouts: fanouts, Seed: seed, Features: req.Features}
 			if !s.enqueue(ctx, rq, func(w *core.Worker) (err error) {
 				rq.batches[ci], err = w.SampleBatchOpts(targets, opts)
 				return err

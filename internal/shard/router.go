@@ -106,20 +106,14 @@ func (r *Router) owner(v uint32) int {
 // SampleChunk samples one chunk — the router-side equivalent of a
 // worker's SampleBatchOpts with per-chunk seed already mixed in by the
 // caller. The returned batch is byte-identical (Digest-equal) to the
-// single-node batch for the same (targets, fanouts, seed, strategy,
-// features).
+// single-node batch for the same (targets, fanouts, seed, features).
+// strategy must pass core.CheckStrategy.
 func (r *Router) SampleChunk(ctx context.Context, targets []uint32, fanouts []int, seed uint64, strategy string, features bool) (*core.Batch, error) {
 	if len(fanouts) == 0 {
 		return nil, fmt.Errorf("shard: sample chunk needs at least one fanout layer")
 	}
-	if strategy == "" {
-		// Pin the default here rather than trusting each shard's engine
-		// default: the shards and the frontier rule must agree on one
-		// name.
-		strategy = core.StrategyUniform
-	}
-	if !core.ValidStrategy(strategy) {
-		return nil, fmt.Errorf("shard: unknown strategy %q", strategy)
+	if err := core.CheckStrategy(strategy); err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 	for _, v := range targets {
 		if int64(v) >= r.numNodes {
@@ -131,7 +125,7 @@ func (r *Router) SampleChunk(ctx context.Context, targets []uint32, fanouts []in
 	frontier := append([]uint32(nil), targets...)
 	for li, fanout := range fanouts {
 		layer, nextState, err := r.sampleLayer(ctx, frontier, core.LayerParams{
-			Layer: li, Fanout: fanout, Strategy: strategy, RNGState: state,
+			Layer: li, Fanout: fanout, RNGState: state,
 		})
 		if err != nil {
 			return nil, err
@@ -141,7 +135,7 @@ func (r *Router) SampleChunk(ctx context.Context, targets []uint32, fanouts []in
 			break // no next layer; the feature stage builds its own union
 		}
 		state = nextState
-		frontier, err = core.NextFrontierFor(strategy, layer, frontier)
+		frontier, err = core.NextFrontierFor("", layer, frontier)
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,7 @@
 // in a layer replays the whole frontier's draws (consuming the
 // identical stream) and reads bytes only for the nodes it owns; the
 // router overlays each node's span from its owning shard, rebuilds the
-// next frontier with the strategy's pure frontier rule, and threads
+// next frontier with the pure sort+dedup frontier rule, and threads
 // the RNG state into the next layer. Per-chunk seeding (Mix(seed,
 // chunk)) is untouched, so the reassembled response digest equals the
 // single-node digest bit for bit.

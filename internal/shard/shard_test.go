@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -71,7 +72,7 @@ func openLocals(t *testing.T, dir string, n int, cfg core.Config, wrap func(shar
 }
 
 // TestRouterMatchesSingleNode is the package-level determinism proof:
-// for every strategy × features × shard count, the router-assembled
+// for every features × shard count, the router-assembled
 // chunks are Digest-identical (and structurally identical) to a single
 // worker's batches over the unsharded dataset.
 func TestRouterMatchesSingleNode(t *testing.T) {
@@ -108,27 +109,34 @@ func TestRouterMatchesSingleNode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
-		for _, strategy := range []string{core.StrategyUniform, core.StrategyWeighted, core.StrategyWalk} {
-			for _, features := range []bool{false, true} {
-				name := fmt.Sprintf("%dshards/%s/feat=%v", shards, strategy, features)
-				for ci := 0; ci*cfg.BatchSize < len(targets); ci++ {
-					lo := ci * cfg.BatchSize
-					hi := min(lo+cfg.BatchSize, len(targets))
-					chunkSeed := sample.Mix(seed, uint64(ci))
-					want, err := w.SampleBatchOpts(targets[lo:hi], core.BatchOpts{
-						Fanouts: cfg.Fanouts, Seed: chunkSeed, Features: features, Strategy: strategy,
-					})
-					if err != nil {
-						t.Fatalf("%s chunk %d reference: %v", name, ci, err)
-					}
+		for _, features := range []bool{false, true} {
+			name := fmt.Sprintf("%dshards/feat=%v", shards, features)
+			for ci := 0; ci*cfg.BatchSize < len(targets); ci++ {
+				lo := ci * cfg.BatchSize
+				hi := min(lo+cfg.BatchSize, len(targets))
+				chunkSeed := sample.Mix(seed, uint64(ci))
+				want, err := w.SampleBatchOpts(targets[lo:hi], core.BatchOpts{
+					Fanouts: cfg.Fanouts, Seed: chunkSeed, Features: features,
+				})
+				if err != nil {
+					t.Fatalf("%s chunk %d reference: %v", name, ci, err)
+				}
+				// "" and "uniform" name the same, one strategy.
+				for _, strategy := range []string{"", core.StrategyUniform} {
 					got, err := rt.SampleChunk(context.Background(), targets[lo:hi], cfg.Fanouts, chunkSeed, strategy, features)
 					if err != nil {
-						t.Fatalf("%s chunk %d router: %v", name, ci, err)
+						t.Fatalf("%s chunk %d router (strategy %q): %v", name, ci, strategy, err)
 					}
 					if g, w := got.Digest(), want.Digest(); g != w {
-						t.Fatalf("%s chunk %d digest %016x != single-node %016x", name, ci, g, w)
+						t.Fatalf("%s chunk %d (strategy %q) digest %016x != single-node %016x", name, ci, strategy, g, w)
 					}
 				}
+			}
+		}
+		for _, strategy := range []string{"weighted", "walk"} {
+			if _, err := rt.SampleChunk(context.Background(), targets[:8], cfg.Fanouts, seed, strategy, false); err == nil ||
+				!strings.Contains(err.Error(), strategy) {
+				t.Fatalf("%d shards: strategy %q: err = %v, want a refusal naming it", shards, strategy, err)
 			}
 		}
 	}
@@ -176,20 +184,16 @@ func TestRouterShardFaultStillIdentical(t *testing.T) {
 	for i := range targets {
 		targets[i] = rng.Uint32n(uint32(full.NumNodes()))
 	}
-	for _, strategy := range []string{core.StrategyUniform, core.StrategyWeighted, core.StrategyWalk} {
-		want, err := w.SampleBatchOpts(targets, core.BatchOpts{
-			Fanouts: cfg.Fanouts, Seed: 777, Features: true, Strategy: strategy,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rt.SampleChunk(context.Background(), targets, cfg.Fanouts, 777, strategy, true)
-		if err != nil {
-			t.Fatalf("%s: %v", strategy, err)
-		}
-		if g, wd := got.Digest(), want.Digest(); g != wd {
-			t.Fatalf("%s: faulty-shard digest %016x != clean single-node %016x", strategy, g, wd)
-		}
+	want, err := w.SampleBatchOpts(targets, core.BatchOpts{Fanouts: cfg.Fanouts, Seed: 777, Features: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := rt.SampleChunk(context.Background(), targets, cfg.Fanouts, 777, "", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, wd := got.Digest(), want.Digest(); g != wd {
+		t.Fatalf("faulty-shard digest %016x != clean single-node %016x", g, wd)
 	}
 }
 

@@ -3,6 +3,7 @@ package train
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"ringsampler/internal/sample"
@@ -71,33 +72,30 @@ func TestDecodeF32ViewAndCopyAgree(t *testing.T) {
 	}
 }
 
-// TestDuplicateFrontierFirstOccurrenceWins: with a node repeated in the
-// lower frontier (the walk strategy's frontiers carry duplicates), the
-// upper level aggregates the FIRST occurrence's hidden state.
-func TestDuplicateFrontierFirstOccurrenceWins(t *testing.T) {
+// TestDuplicateFrontierRefused: every frontier from layer 1 on is
+// sorted and deduplicated by the sampler, so a node repeated in the
+// lower frontier is a malformed batch — the step refuses it, naming the
+// node, instead of picking one of its rows — and the node index is
+// still left all zero for the next batch.
+func TestDuplicateFrontierRefused(t *testing.T) {
 	cfg := Config{FeatureDim: 5, Hidden: 4, Classes: 3, Layers: 2, LR: 0.1, Seed: 3}
 	m, err := NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := testBatch(cfg.FeatureDim)
-	// Node 2 again at the end of the level-1 frontier, with different
-	// neighbors than its first occurrence (index 1).
+	// Node 2 again at the end of the level-1 frontier.
 	l1 := &b.Layers[1]
 	l1.Targets = append(l1.Targets, 2)
 	l1.Neighbors = append(l1.Neighbors, 0, 1, 4)
 	l1.Starts = append(l1.Starts, int64(len(l1.Neighbors)))
-	if _, _, _, err := m.forward(b, testLabels(6, cfg.Classes), true); err != nil {
-		t.Fatal(err)
-	}
-	for j, u := range b.Layers[0].Neighbors {
-		if u == 2 && m.st.nbr[0][j] != 1 {
-			t.Fatalf("neighbor 2 resolved to frontier index %d, want its first occurrence 1", m.st.nbr[0][j])
-		}
+	_, _, _, err = m.forward(b, testLabels(6, cfg.Classes), true)
+	if err == nil || !strings.Contains(err.Error(), "node 2 repeated") {
+		t.Fatalf("err = %v, want a refusal naming the repeated node 2", err)
 	}
 	for _, v := range m.index {
 		if v != 0 {
-			t.Fatal("node index not left all-zero after a step")
+			t.Fatal("node index not left all-zero after a refused step")
 		}
 	}
 }

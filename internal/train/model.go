@@ -220,8 +220,8 @@ type batchState struct {
 	// feats (its position in Batch.FeatNodes). nbr[l][j] is where
 	// b.Layers[l].Neighbors[j]'s aggregator input lives: its row in feats
 	// at the deepest level, its index in b.Layers[l+1].Targets (the row
-	// of hid[l+1]) above it. Where a node id repeats, the first
-	// occurrence wins — the walk strategy's frontiers carry duplicates.
+	// of hid[l+1]) above it. Every frontier from layer 1 on and
+	// FeatNodes are sorted and deduplicated, so each id has one row.
 	self, nbr [][]int32
 	// dlogits is dLoss/dlogits per level-0 target, already scaled by
 	// 1/batch so accumulated gradients are means. Unused on Eval.
@@ -229,17 +229,20 @@ type batchState struct {
 	logits  []float32
 }
 
-// fillIndex records each node's position+1 in index (0 means absent),
-// first occurrence winning. A node id outside the index — outside the
-// graph the label array describes — is rejected.
+// fillIndex records each node's position+1 in index (0 means absent).
+// A node id outside the index — outside the graph the label array
+// describes — is rejected, and so is a repeated one: the sampler
+// deduplicates every set indexed here, so a repeat means a malformed
+// batch, not a node with two rows to choose from.
 func fillIndex(index []int32, nodes []uint32) error {
 	for i, v := range nodes {
 		if int64(v) >= int64(len(index)) {
 			return fmt.Errorf("train: node %d outside label array (%d nodes)", v, len(index))
 		}
-		if index[v] == 0 {
-			index[v] = int32(i + 1)
+		if index[v] != 0 {
+			return fmt.Errorf("train: node %d repeated at positions %d and %d of a deduplicated node set", v, index[v]-1, i)
 		}
+		index[v] = int32(i + 1)
 	}
 	return nil
 }

@@ -38,7 +38,7 @@ go test -C cmd/bench $short ./...
 
 # Determinism gates, also part of the full suite below — run first so a
 # break fails loudly and early. Per-batch digests identical across
-# thread counts (uniform and every strategy); in-process router
+# thread counts (two seeds and thread sets); in-process router
 # responses over 2 and 4 shards, injected shard faults included,
 # digest-identical to a single node; loss curve and weights bit-identical across thread counts
 # and pipeline modes (DESIGN.md §13); the adaptive feature cache's

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Fails when README.md or DESIGN.md cites something the tree does not
 # have: a repo path quoted in backticks (internal/…, cmd/…, scripts/…,
-# *.go, *.md), a `go run ./cmd/<x>` or `go run -C <dir>` target, or a
-# Test…/Benchmark…/Fuzz… name with no `func <Name>(` in any .go file.
+# *.go, *.md), a `go run ./cmd/<x>` or `go run -C <dir>` target, a
+# -flag on such a command that the target's main.go does not define, or
+# a Test…/Benchmark…/Fuzz… name with no `func <Name>(` in any .go file.
 # scripts/check.sh and CI both run it; arguments, given as absolute
 # paths or relative to the repo root, replace the two default docs.
 set -eu
@@ -71,6 +72,52 @@ for hit in $(grep -EHo 'go run (-C [^ `]+|[^ `]+)' "$@"); do
     p=$(literal "$target")
     [ -z "$p" ] || [ -d "$p" ] || miss "$file: \`go run\` target $target does not exist"
 done
+
+# Flags: on every `go run ./cmd/<x>` or `go run -C <dir> .` command —
+# its line joined with the lines a trailing \ continues onto, cut at a
+# backtick, `#`, `|`, `;`, `&` or `>` — each -flag after the target
+# must be defined in the target's main.go (fs.String("flag", …) and
+# the like).
+flags=$(awk '
+{
+    line = held $0
+    held = ""
+    if (line ~ /\\$/) {
+        held = substr(line, 1, length(line) - 1) " "
+        next
+    }
+    while ((i = index(line, "go run ")) > 0) {
+        line = substr(line, i + 7)
+        cmd = line
+        sub(/[`#|;&>].*/, "", cmd)
+        n = split(cmd, tok, " ")
+        dir = ""
+        first = 1
+        if (tok[1] == "-C") {
+            dir = tok[2]
+            first = 3
+            if (tok[3] != ".") continue
+        } else if (tok[1] ~ /^\.\/cmd\//) {
+            dir = substr(tok[1], 3)
+        }
+        if (dir == "" || dir ~ /[<*]/) continue
+        for (j = first + 1; j <= n; j++) {
+            f = tok[j]
+            gsub(/^\[|\]$/, "", f)
+            if (f !~ /^--?[A-Za-z]/) continue
+            sub(/^--?/, "", f)
+            sub(/=.*/, "", f)
+            print FILENAME "\t" dir "\t" f
+        }
+    }
+}' "$@" | sort -u)
+while IFS='	' read -r file dir flag; do
+    [ -n "$flag" ] || continue
+    grep -Eq "[(,] *\"$flag\"," "$dir/main.go" 2>/dev/null ||
+        miss "$file: \`go run\` of $dir passes -$flag, which $dir/main.go does not define"
+done <<EOF
+$flags
+EOF
 
 for hit in $(grep -EHo '(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' "$@" | sort -u); do
     name=${hit#*:}
