@@ -1,8 +1,9 @@
 // Command epoch drives the real-engine parallel epoch runner: it
 // shards a uniform target workload into mini-batches, fans them out to
-// -threads OS-thread-pinned workers, and prints the aggregated
-// EpochStats — throughput, merged and per-worker I/O counters, and
-// exact batch-latency quantiles — plus the folded sample digest.
+// -threads workers, each locked to an OS thread per batch, and prints
+// the aggregated EpochStats — throughput, merged and per-worker I/O
+// counters, and exact batch-latency quantiles — plus the folded sample
+// digest.
 //
 // With -invariance it reruns the identical workload at 1 and 2 threads
 // and diffs the per-batch digest streams against the -threads run,

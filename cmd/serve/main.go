@@ -1,8 +1,8 @@
 // Command serve runs the online sampling service: an HTTP front end
 // that cuts sampling requests into the mini-batch chunks the ring
 // workers are built for and admits them through a bounded queue to a
-// fixed pool of pinned workers, with a Prometheus metrics surface (see
-// DESIGN.md §8).
+// fixed pool of workers, each locked to an OS thread per job, with a
+// Prometheus metrics surface (see DESIGN.md §8).
 //
 //	POST /v1/sample  — {"targets":[...],"fanouts":[...],"seed":N,"features":bool}
 //	GET  /healthz    — liveness (503 while draining)

@@ -22,10 +22,10 @@ var DefaultFanouts = []int{20, 15, 10}
 // a chunk, take heap slots — correctness never depends on the arena.
 const DefaultArenaBytes = 8 << 20
 
-// MaxThreads bounds Config.Threads. Every worker is a pinned OS thread
-// with its own ring, so an unbounded count would let one flag exhaust
-// the process's thread limit (Go's default is 10,000) and crash it
-// instead of being refused.
+// MaxThreads bounds Config.Threads. Every worker owns a ring and holds
+// a locked OS thread while it runs a job, so an unbounded count would
+// let one flag exhaust the process's thread limit (Go's default is
+// 10,000) and crash it instead of being refused.
 const MaxThreads = 1024
 
 // Config controls the engine. There is one sampling path, offset-based
@@ -38,9 +38,10 @@ type Config struct {
 	BatchSize int
 	// Threads is the worker count for epoch runs (mini-batch-per-
 	// thread, Fig 3a): RunEpoch fans mini-batches out to this many
-	// OS-thread-pinned workers. Output never depends on it — per-batch RNG
-	// reseeding makes the sampled stream identical at every thread
-	// count — only throughput does.
+	// workers, each locked to an OS thread for the length of a batch.
+	// Output never depends on it — per-batch RNG reseeding makes the
+	// sampled stream identical at every thread count — only throughput
+	// does.
 	Threads int
 	// RingSize is the SQ depth of each worker's ring; one I/O group is
 	// at most one ring full (paper default 512).

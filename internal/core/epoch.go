@@ -78,7 +78,7 @@ type epochResult struct {
 // RunEpochSeeded samples every target through the real engine: the
 // target stream is sharded into Config.BatchSize mini-batches and fanned
 // out to the Config.Threads slots of a Pool that lives as long as the
-// epoch, one OS-thread-pinned worker per slot.
+// epoch, one worker per slot, locked to an OS thread per batch.
 //
 // Output is thread-count-invariant: batch bi draws from
 // sample.Mix(seed, bi), never from the worker id, so Threads=1 and

@@ -88,12 +88,12 @@ type IOStats struct {
 	// count for the paper's syscalls-per-batch metric.
 	SubmitSyscalls int64
 	WaitSyscalls   int64
-	// UserCPUNanos / SysCPUNanos are the CPU time the worker's pinned OS
-	// thread spent in user space and in the kernel between the worker's
-	// start and this snapshot (stamped by the ThreadClock of the Pool
-	// slot that runs the worker — epoch runner, serve and in-process
-	// shards alike; zero for workers run on unpinned goroutines, and on
-	// non-Linux). Divided by
+	// UserCPUNanos / SysCPUNanos are the CPU time the worker's jobs
+	// spent in user space and in the kernel: the sum, over the jobs a
+	// Pool slot ran on the worker (epoch runner, serve and in-process
+	// shards alike), of the locked OS thread's CPU from the job's start
+	// to its end. Time a slot spends waiting for a job is nobody's; zero
+	// for workers run outside a Pool, and on non-Linux. Divided by
 	// Reads+FeatReads they are the per-read cost split — what the engine
 	// adds on top of the kernel's read path.
 	UserCPUNanos int64

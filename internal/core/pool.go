@@ -23,19 +23,23 @@ type Job struct {
 }
 
 // Pool is the engine's fixed set of sampler threads (paper Fig 3a):
-// each slot is a goroutine locked to its OS thread for life (io_uring's
-// mmap'd SQ/CQ rings and the Go scheduler interact badly when a ring
-// migrates threads mid-submit) that owns one Worker. Slots run jobs
-// from a channel the caller owns — admission stays the caller's policy
-// — until the caller closes it and it drains.
+// each slot is a goroutine that owns one Worker and locks itself to an
+// OS thread for the length of each job, so a ring never changes thread
+// mid-submit (io_uring's mmap'd SQ/CQ rings and the Go scheduler
+// interact badly when it does). A job leaves its rings drained or its
+// worker Broken, so between jobs the slot is an ordinary goroutine and
+// a hand-off is a channel operation, not the wake of a locked thread.
+// Slots run jobs from a channel the caller owns — admission stays the
+// caller's policy — until the caller closes it and it drains.
 //
 // The pool is the one place the worker lifecycle lives. Slot i starts
 // worker i and retries lazily on its next job when creation fails. A
 // worker a failed job left Broken (ErrWorkerBroken) is retired, and the
 // slot starts a fresh one under a pool-unique id on its next job; ids
 // only name workers, since every entry point reseeds or restores the
-// RNG. The slot's thread CPU is stamped onto its worker's stats after
-// every job; retired workers' stats are merged, never dropped.
+// RNG. A worker's CPU counters are the sum of the thread CPU its jobs
+// took, stamped onto its stats after every job; retired workers' stats
+// are merged, never dropped.
 type Pool struct {
 	wg     sync.WaitGroup
 	nextID atomic.Int64 // next replacement worker id
@@ -46,8 +50,8 @@ type Pool struct {
 	broken  int64     // workers retired because a failed job left them Broken
 }
 
-// NewPool starts slots pinned workers taking jobs from jobs. Close it
-// after closing jobs.
+// NewPool starts slots workers taking jobs from jobs. Close it after
+// closing jobs.
 func (s *Sampler) NewPool(slots int, jobs <-chan Job) *Pool {
 	p := &Pool{live: make([]IOStats, slots), retired: make([]IOStats, slots)}
 	p.nextID.Store(int64(slots))
@@ -58,27 +62,33 @@ func (s *Sampler) NewPool(slots int, jobs <-chan Job) *Pool {
 	return p
 }
 
-// run is one slot: pin the thread, start its worker, and serve jobs
-// until the channel closes and drains.
+// run is one slot: start its worker and serve jobs until the channel
+// closes and drains.
 func (p *Pool) run(s *Sampler, slot int, jobs <-chan Job) {
 	defer p.wg.Done()
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	// The clock restarts with each worker, so a worker's CPU counters
-	// cover only the jobs it ran.
-	clock := StartThreadClock()
 	w, werr := s.NewWorker(slot)
+	var user, sys int64 // w's CPU: the sum of its jobs' thread CPU
+	stats := func() IOStats {
+		st := w.IOStats()
+		st.UserCPUNanos, st.SysCPUNanos = user, sys
+		return st
+	}
 	for j := range jobs {
 		if w == nil {
-			clock = StartThreadClock()
 			w, werr = s.NewWorker(int(p.nextID.Add(1) - 1))
+			user, sys = 0, 0
 		}
 		if w == nil {
 			j.Done(fmt.Errorf("%w: %v", ErrNoWorker, werr))
 			continue
 		}
+		runtime.LockOSThread()
+		user0, sys0 := threadCPU()
 		err := j.Run(w)
-		st := clock.Stamp(w.IOStats())
+		user1, sys1 := threadCPU()
+		runtime.UnlockOSThread()
+		user, sys = user+user1-user0, sys+sys1-sys0
+		st := stats()
 		if err != nil && w.Broken() {
 			p.retire(slot, w, st, true)
 			w = nil
@@ -90,7 +100,7 @@ func (p *Pool) run(s *Sampler, slot int, jobs <-chan Job) {
 		j.Done(err)
 	}
 	if w != nil {
-		p.retire(slot, w, clock.Stamp(w.IOStats()), false)
+		p.retire(slot, w, stats(), false)
 	}
 }
 

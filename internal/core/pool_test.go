@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"ringsampler/internal/gen"
 	"ringsampler/internal/storage"
@@ -15,9 +16,11 @@ import (
 // TestPoolRetiresBrokenWorker runs a one-slot pool whose first worker's
 // ring fails mid-batch and then dies during the quarantine drain. The
 // failed job must leave that worker Broken and retired, with its
-// counters kept in Stats; the next job must run on a replacement under
-// a fresh id and sample exactly what a clean worker samples; and the
-// closed pool's totals must equal the sum of its slots.
+// counters — on Linux its job's CPU too, short as the job is — kept in
+// Stats; the next job must run on a replacement under a fresh id and
+// sample exactly what a clean worker samples; and the closed pool's
+// totals must equal the sum of its slots and still hold the retired
+// worker's.
 func TestPoolRetiresBrokenWorker(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
@@ -63,6 +66,9 @@ func TestPoolRetiresBrokenWorker(t *testing.T) {
 	if broken.Reads == 0 {
 		t.Fatal("the retired worker's reads are missing from Stats")
 	}
+	if runtime.GOOS == "linux" && broken.UserCPUNanos+broken.SysCPUNanos == 0 {
+		t.Fatal("the retired worker's CPU is missing from Stats")
+	}
 
 	got, err := submit()
 	if err != nil {
@@ -99,11 +105,76 @@ func TestPoolRetiresBrokenWorker(t *testing.T) {
 	if total.Reads != broken.Reads+ref.IOStats().Reads {
 		t.Fatalf("closing lost counters: Reads %d", total.Reads)
 	}
-	if runtime.GOOS == "linux" && total.UserCPUNanos+total.SysCPUNanos == 0 {
-		t.Fatal("pinned slot recorded no CPU time")
+	if total.UserCPUNanos < broken.UserCPUNanos || total.SysCPUNanos < broken.SysCPUNanos {
+		t.Fatalf("closing lost the retired worker's CPU: user %d < %d or sys %d < %d ns",
+			total.UserCPUNanos, broken.UserCPUNanos, total.SysCPUNanos, broken.SysCPUNanos)
 	}
 	if !slices.Equal(ids, []int{0, 1}) {
 		t.Fatalf("rings built for worker ids %v, want [0 1]: one per worker, the replacement under a fresh id", ids)
+	}
+}
+
+// TestPoolJobStaysOnOneThread: a slot locks its OS thread for the
+// length of each job, so a job that yields and sleeps mid-run — as a
+// ring wait does — resumes on the thread it started on.
+func TestPoolJobStaysOnOneThread(t *testing.T) {
+	if _, ok := gettid(); !ok {
+		t.Skip("thread ids come from gettid(2), which only Linux has")
+	}
+	s, err := New(testDataset(t), DefaultConfig(), uring.BackendSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 500
+	jobs := make(chan Job)
+	errs := make(chan error, n)
+	p := s.NewPool(2, jobs)
+	for range n {
+		jobs <- Job{
+			Run: func(*Worker) error {
+				before, _ := gettid()
+				runtime.Gosched()
+				time.Sleep(20 * time.Microsecond)
+				if after, _ := gettid(); after != before {
+					return fmt.Errorf("job started on thread %d and ended on %d", before, after)
+				}
+				return nil
+			},
+			Done: func(err error) { errs <- err },
+		}
+	}
+	close(jobs)
+	p.Close()
+	for range n {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPoolChargesCPUPerJob: a worker's CPU counters sum its jobs'
+// thread CPU only, so slots whose jobs channel closes before any job
+// report none — not their workers' construction, not their idle wait.
+// Construction sleeps once, so a clock that covered it would show its
+// CPU (Linux brings a thread's CPU time up to date when it blocks).
+func TestPoolChargesCPUPerJob(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.WrapRing = func(r uring.Ring, _ int) (uring.Ring, error) {
+		time.Sleep(time.Millisecond)
+		return r, nil
+	}
+	s, err := New(testDataset(t), cfg, uring.BackendSim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make(chan Job)
+	p := s.NewPool(2, jobs)
+	close(jobs)
+	p.Close()
+	for i, st := range p.SlotStats() {
+		if cpu := st.UserCPUNanos + st.SysCPUNanos; cpu != 0 {
+			t.Fatalf("slot %d ran no job yet was charged %d ns of CPU", i, cpu)
+		}
 	}
 }
 
@@ -111,7 +182,8 @@ func TestPoolRetiresBrokenWorker(t *testing.T) {
 // through 1- and 2-slot pools the way the epoch runner feeds batches
 // (one feeder on an unbuffered channel, each Done parking its result in
 // a channel with a slot per pool slot), so ns/job is what waking a
-// pinned slot and collecting its result costs a batch.
+// slot, locking its thread for the job and collecting its result costs
+// a batch.
 func BenchmarkPoolHandoff(b *testing.B) {
 	dir := b.TempDir()
 	if _, err := gen.Generate(dir, "handoff", "rmat", 2_000, 30_000, 11); err != nil {

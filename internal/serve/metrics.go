@@ -133,7 +133,7 @@ func (m *metrics) write(w io.Writer, ioStats core.IOStats, workers int, retired 
 	writeMetric(w, "ringsampler_serve_queue_depth", "gauge", "Jobs admitted but not yet picked up by a worker.", m.queueDepth.Load())
 	writeMetric(w, "ringsampler_serve_queue_capacity", "gauge", "Bounded admission queue capacity (jobs).", int64(queueCap))
 	writeMetric(w, "ringsampler_serve_inflight_requests", "gauge", "Requests currently being handled.", m.inflight.Load())
-	writeMetric(w, "ringsampler_serve_workers", "gauge", "Size of the pinned worker pool.", int64(workers))
+	writeMetric(w, "ringsampler_serve_workers", "gauge", "Size of the worker pool.", int64(workers))
 	writeMetric(w, "ringsampler_serve_workers_retired_total", "counter", "Broken workers retired and replaced.", retired)
 
 	writeHist(w, "ringsampler_serve_queue_wait_seconds", "Time from admission to worker pickup.", m.queueWait, 1e-9)
@@ -159,6 +159,6 @@ func (m *metrics) write(w io.Writer, ioStats core.IOStats, workers int, retired 
 	writeMetric(w, "ringsampler_io_align_slack_bytes_total", "counter", "Device bytes O_DIRECT reads moved beyond the requested ranges.", ioStats.AlignSlackBytes)
 	writeMetric(w, "ringsampler_io_submit_syscalls_total", "counter", "Submission-side kernel crossings of the worker rings.", ioStats.SubmitSyscalls)
 	writeMetric(w, "ringsampler_io_wait_syscalls_total", "counter", "Blocking completion-side kernel crossings of the worker rings.", ioStats.WaitSyscalls)
-	writeMetric(w, "ringsampler_io_worker_user_cpu_nanoseconds_total", "counter", "User-space CPU time of the pinned worker threads.", ioStats.UserCPUNanos)
-	writeMetric(w, "ringsampler_io_worker_sys_cpu_nanoseconds_total", "counter", "Kernel CPU time of the pinned worker threads.", ioStats.SysCPUNanos)
+	writeMetric(w, "ringsampler_io_worker_user_cpu_nanoseconds_total", "counter", "User-space CPU time of the worker threads while they ran jobs.", ioStats.UserCPUNanos)
+	writeMetric(w, "ringsampler_io_worker_sys_cpu_nanoseconds_total", "counter", "Kernel CPU time of the worker threads while they ran jobs.", ioStats.SysCPUNanos)
 }

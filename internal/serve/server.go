@@ -2,10 +2,11 @@
 // engine: a long-running HTTP server whose handlers cut requests into
 // the mini-batch chunks the per-thread ring workers are built for
 // (paper Fig 3a) and admit them, through a bounded queue, straight to
-// a core.Pool of pinned workers. The pool owns the workers — pinning,
-// CPU accounting, retirement of broken ones; this package owns what
-// sits in front of it: admission, 429 fast-fail, deadlines, the fan-in
-// of a request's jobs, and the metrics.
+// a core.Pool of workers, each locked to an OS thread per job. The pool
+// owns the workers — thread locking, CPU accounting, retirement of
+// broken ones; this package owns what sits in front of it: admission,
+// 429 fast-fail, deadlines, the fan-in of a request's jobs, and the
+// metrics.
 //
 // The shape follows what DiskGNN and Jiang et al. argue for disk-based
 // GNN serving: a single admission layer in front of a fixed worker
@@ -555,11 +556,14 @@ func (s *Server) enqueue(ctx context.Context, rq *request, fn func(*core.Worker)
 			rq.jobDone(err)
 		},
 	}
+	// Count the job before a slot can take it: a slot that ran its
+	// Add(-1) first would let a scrape read a negative depth.
+	s.met.queueDepth.Add(1)
 	select {
 	case s.queue <- job:
-		s.met.queueDepth.Add(1)
 		return true
 	default:
+		s.met.queueDepth.Add(-1)
 		return false
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // Local is the in-process Engine: today's storage + cache + ring-worker
 // bundle over one (possibly shard) dataset, behind the shard seam. Its
-// calls run on a core.Pool of Config.Threads pinned workers — the same
+// calls run on a core.Pool of Config.Threads workers — the same
 // lifecycle, retirement and CPU accounting as the epoch runner and the
 // serving pool — so however many router calls arrive at once, the
 // engine holds at most Config.Threads workers (and rings) at a time. A
@@ -90,7 +90,7 @@ func (l *Local) Features(ctx context.Context, nodes []uint32) (out []byte, err e
 }
 
 // Stats implements Engine: every worker's counters as of its last call,
-// retired workers included, with the pinned threads' CPU time.
+// retired workers included, with the CPU time of the jobs they ran.
 func (l *Local) Stats() core.IOStats { return l.pool.Stats() }
 
 // Close stops taking calls, waits for the ones in progress, and

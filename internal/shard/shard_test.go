@@ -288,8 +288,8 @@ func TestLocalIsBounded(t *testing.T) {
 	}
 }
 
-// TestLocalStatsCountCPU: in-process shard workers run pinned, so the
-// router's merged stats carry their threads' CPU time.
+// TestLocalStatsCountCPU: in-process shard workers run on core.Pool
+// slots, so the router's merged stats carry their jobs' CPU time.
 func TestLocalStatsCountCPU(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("per-thread CPU time is read on Linux only")

@@ -98,8 +98,8 @@ func cutParts(reads []uring.Read, parts int) []int {
 // own.
 func readPart(f *os.File, align int, dst []byte, reads []uring.Read, base int64) (int64, error) {
 	backend, _ := uring.ParseBackend("") // the automatic choice never fails
-	// The ring stays on one thread from setup to teardown, as every
-	// worker's does.
+	// The ring stays on one thread from setup to teardown, as a pooled
+	// worker's does for the length of each job.
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 	ring, err := uring.New(backend, f, uring.DefaultEntries)

@@ -243,8 +243,8 @@ func TestTrainEpochStatsCarryIO(t *testing.T) {
 			if st.IO.Reads == 0 || st.IO.FeatReads == 0 || st.IO.DeviceBytes() != plain[e].IO.DeviceBytes() {
 				t.Fatalf("serialized=%v epoch %d: IO %+v, want the overlapped run's %d device bytes", serialized, e, st.IO, plain[e].IO.DeviceBytes())
 			}
-			// Both modes run on pinned pool slots, whose thread clocks
-			// stamp the worker's CPU time (Linux only).
+			// Both modes run on pool slots, which charge each job's
+			// thread CPU to its worker (Linux only).
 			if runtime.GOOS == "linux" && st.IO.UserCPUNanos+st.IO.SysCPUNanos <= 0 {
 				t.Fatalf("serialized=%v epoch %d: IO carries no worker CPU time", serialized, e)
 			}

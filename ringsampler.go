@@ -12,10 +12,11 @@
 //		return train(b) // batches arrive strictly in order
 //	})
 //
-// RunEpoch fans mini-batches out across Config.Threads OS-thread-pinned
-// workers and is thread-count-invariant: the sampled stream is a pure
-// function of (dataset, config, seed, targets). For single-batch or
-// custom scheduling, drive a Worker directly via s.NewWorker +
+// RunEpoch fans mini-batches out across Config.Threads workers, each
+// locked to an OS thread for the length of a batch, and is
+// thread-count-invariant: the sampled stream is a pure function of
+// (dataset, config, seed, targets). For single-batch or custom
+// scheduling, drive a Worker directly via s.NewWorker +
 // w.SampleBatchOpts, which samples one batch from an explicit seed.
 package ringsampler
 
@@ -107,11 +108,11 @@ func NewSampler(ds *Dataset, cfg Config) (*Sampler, error) {
 }
 
 // RunEpoch samples every target through s: the stream is sharded into
-// Config.BatchSize mini-batches fanned out to Config.Threads
-// OS-thread-pinned workers. Output is thread-count-invariant — each
-// batch's RNG is reseeded from (Config.Seed, batchIndex), so the same
-// (dataset, config, seed, targets) yields a byte-identical Batch
-// stream at every thread count. onBatch (optional, may be nil) is
+// Config.BatchSize mini-batches fanned out to Config.Threads workers,
+// each locked to an OS thread per batch. Output is
+// thread-count-invariant — each batch's RNG is reseeded from
+// (Config.Seed, batchIndex), so the same (dataset, config, seed,
+// targets) yields a byte-identical Batch stream at every thread count. onBatch (optional, may be nil) is
 // invoked strictly in batch order on the calling goroutine.
 func RunEpoch(s *Sampler, targets []uint32, onBatch func(index int, b *Batch) error) (*EpochStats, error) {
 	return RunEpochCtx(context.Background(), s, targets, onBatch)

@@ -58,10 +58,10 @@ go test -race -run 'TestChargeEqualsHeld|TestCountersKeepOrderOverLongRuns|TestR
 # admission queue when Shutdown closes it, and the queue_depth and
 # inflight gauges must land back at zero after a graceful or forced
 # drain; the worker pool under them retires a broken worker and keeps
-# its counters. Repeated, because a wrong order loses a race only
-# sometimes.
+# its counters, keeps each job on one OS thread, and charges CPU per
+# job. Repeated, because a wrong order loses a race only sometimes.
 go test -race -count=5 -run 'TestServeForcedShutdownQueueGaugeZero|TestServeGracefulDrain' ./internal/serve
-go test -race -count=5 -run 'TestPoolRetiresBrokenWorker' ./internal/core
+go test -race -count=5 -run 'TestPoolRetiresBrokenWorker|TestPoolJobStaysOnOneThread|TestPoolChargesCPUPerJob' ./internal/core
 
 # Epoch runner hand-off (DESIGN.md §6): every batch reports exactly once,
 # so an epoch canceled after its last batch started completes, returns
@@ -115,11 +115,19 @@ if git grep -nE '/v1/shard|NewRemote|LayerRequest|FeaturesRequest|EncodeState|Pa
     exit 1
 fi
 
-# One worker lifecycle (DESIGN.md §6, §8, §12, §13): core.Pool pins the
-# thread, starts the CPU clock, creates and retires every pooled worker;
-# fail if serve, shard or train grows a copy of it back.
-if git grep -nE 'NewWorker\(|LockOSThread|StartThreadClock' -- internal/serve internal/shard internal/train ':!*_test.go'; then
+# One worker lifecycle (DESIGN.md §6, §8, §12, §13): core.Pool locks the
+# thread per job, charges the job's CPU, creates and retires every pooled
+# worker; fail if serve, shard or train grows a copy of it back.
+if git grep -nE 'NewWorker\(|LockOSThread' -- internal/serve internal/shard internal/train ':!*_test.go'; then
     echo "check: a second worker lifecycle is growing back (matches above); use core.Pool" >&2
+    exit 1
+fi
+
+# One CPU clock (DESIGN.md §6, §14): a worker's CPU is the sum of its
+# jobs' thread CPU, read around each job in core.Pool; fail if the
+# life-long thread clock grows back.
+if git grep -nE '\bThreadClock\b|StartThreadClock' -- '*.go'; then
+    echo "check: a life-long thread clock is growing back (matches above); core.Pool charges CPU per job" >&2
     exit 1
 fi
 
