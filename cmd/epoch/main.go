@@ -3,11 +3,9 @@
 // -threads workers, each locked to an OS thread per batch, and prints
 // the aggregated EpochStats — throughput, merged and per-worker I/O
 // counters, and exact batch-latency quantiles — plus the folded sample
-// digest.
-//
-// With -invariance it reruns the identical workload at 1 and 2 threads
-// and diffs the per-batch digest streams against the -threads run,
-// demonstrating the thread-count-invariance guarantee on real I/O.
+// digest, identical at every thread count (TestEpochThreadInvariance).
+// The ring backend is probed: io_uring where the kernel allows it, the
+// portable pread pool otherwise.
 //
 // -cache-mb pins the hottest neighbor lists in a memory-budgeted cache
 // (see DESIGN.md §7); digests are identical with the cache on or off.
@@ -24,11 +22,11 @@
 //
 // -train trains a minimal GraphSAGE node classifier end to end through
 // the double-buffered sample→fetch→train pipeline (workers sample and
-// fetch batch i+1 while the trainer computes on batch i); -train-serial
-// is the no-overlap reference, bit-identical in weights (DESIGN.md
-// §13). The dataset needs features and labels (temporary graphs default
-// to 16-dim features / 8 classes under -train; tune with -feature-dim
-// and -classes).
+// fetch batch i+1 while the trainer computes on batch i), bit-identical
+// in weights to the no-overlap reference (DESIGN.md §13). The dataset
+// needs features and labels (temporary graphs default to 16-dim
+// features / 8 classes under -train; tune with -feature-dim and
+// -classes).
 //
 // -cpuprofile FILE and -trace FILE wrap the epoch (or -train) run in a
 // runtime/pprof CPU profile and a runtime/trace execution trace, for
@@ -42,7 +40,7 @@
 //	go run ./cmd/epoch -data benchdata/bench/ogbn-papers-div20000 -threads 8 -targets 4096
 //	go run ./cmd/epoch -train -train-epochs 5        # temporary labeled graph
 //	go run ./cmd/epoch -train -train-epochs 3 -feature-cache-mb 1   # prints the feature cache's learning curve
-//	go run ./cmd/epoch -targets 8192 -invariance   # generates a temporary R-MAT graph
+//	go run ./cmd/epoch -targets 8192 -threads 2    # generates a temporary R-MAT graph
 //	go run ./cmd/epoch -probe
 //	go run ./cmd/epoch -targets 4096 -odirect -cpuprofile cpu.prof -trace epoch.trace
 package main
@@ -73,12 +71,6 @@ import (
 	"ringsampler/internal/uring"
 )
 
-// testWrapRing, when non-nil, decorates each run's rings keyed by that
-// run's thread count. It exists so the CLI tests can perturb a single
-// read in one run of an -invariance pair and assert the command fails;
-// production runs never set it.
-var testWrapRing func(threads int) func(uring.Ring, int) (uring.Ring, error)
-
 func main() {
 	log.SetFlags(0)
 	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
@@ -96,8 +88,6 @@ func run(args []string, out io.Writer) (err error) {
 		batch       = fs.Int("batch", 0, "mini-batch size (0: config default)")
 		targets     = fs.Int("targets", 4096, "epoch target-node count")
 		seed        = fs.Uint64("seed", 1, "sampling seed")
-		backend     = fs.String("backend", "auto", "ring backend: auto, io_uring, pool, sim")
-		invariance  = fs.Bool("invariance", false, "rerun at 1 and 2 threads and diff per-batch digests")
 		cacheMB     = fs.Int64("cache-mb", 0, "hot-neighbor cache budget in MiB (0: cache off)")
 		probe       = fs.Bool("probe", false, "print the probed io_uring capability set and exit")
 		odirect     = fs.Bool("odirect", false, "open the edge file O_DIRECT (falls back to buffered with a logged reason when unsupported)")
@@ -110,7 +100,6 @@ func run(args []string, out io.Writer) (err error) {
 		trainHidden = fs.Int("train-hidden", 16, "GraphSAGE hidden width (with -train)")
 		trainLayers = fs.Int("train-layers", 2, "GraphSAGE depth; must not exceed the sampling fanout depth (with -train)")
 		trainLR     = fs.Float64("train-lr", 0.1, "SGD learning rate (with -train)")
-		trainSerial = fs.Bool("train-serial", false, "serialize the pipeline: sample each batch to completion before training on it (with -train)")
 		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the epoch (or -train) run to this file")
 		traceOut    = fs.String("trace", "", "write an execution trace of the epoch (or -train) run to this file")
 	)
@@ -187,10 +176,6 @@ func run(args []string, out io.Writer) (err error) {
 			*classes = 8
 		}
 	}
-	be, err := uring.ParseBackend(*backend)
-	if err != nil {
-		return err
-	}
 
 	dir := *data
 	if dir == "" {
@@ -231,7 +216,7 @@ func run(args []string, out io.Writer) (err error) {
 	if *batch > 0 {
 		cfg.BatchSize = *batch
 	}
-	fmt.Fprintf(out, "dataset %s: %d nodes, %d edges; backend %s\n", dir, ds.NumNodes(), ds.NumEdges(), be)
+	fmt.Fprintf(out, "dataset %s: %d nodes, %d edges; backend %s\n", dir, ds.NumNodes(), ds.NumEdges(), uring.Auto())
 	if ds.HasFeatures() {
 		fmt.Fprintf(out, "features: %d-dim f32, %d B/node stride\n", ds.FeatureDim(), ds.FeatureStride())
 	}
@@ -280,54 +265,26 @@ func run(args []string, out io.Writer) (err error) {
 			return fmt.Errorf("training needs node labels: %s has no label file (regenerate with a class count)", dir)
 		}
 		cfg.FetchFeatures = true
-		return runTrain(ctx, out, ds, cfg, be, *targets, trainOpts{
+		return runTrain(ctx, out, ds, cfg, *targets, trainOpts{
 			epochs: *trainEpochs, hidden: *trainHidden, layers: *trainLayers,
 			lr: float32(*trainLR),
-		}, *trainSerial)
+		})
 	}
 
 	rng := sample.NewRNG(sample.Mix(*seed, 0xe90c))
-	epochTargets := uniformTargets(&rng, ds.NumNodes(), *targets)
+	return runEpoch(ctx, out, ds, cfg, uniformTargets(&rng, ds.NumNodes(), *targets))
+}
 
-	ref, err := runOnce(ctx, out, ds, cfg, be, epochTargets)
+// runEpoch runs one epoch over targets on a sampler of its own and
+// prints its report (partial counters and no digest when interrupted).
+func runEpoch(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.Config, targets []uint32) error {
+	s, err := core.New(ds, cfg, uring.Auto())
 	if err != nil {
 		return err
 	}
-	if *invariance {
-		for _, th := range []int{1, 2} {
-			if th == cfg.Threads {
-				continue
-			}
-			c := cfg
-			c.Threads = th
-			st, err := runOnce(ctx, out, ds, c, be, epochTargets)
-			if err != nil {
-				return err
-			}
-			for i := range ref.Digests {
-				if ref.Digests[i] != st.Digests[i] {
-					return fmt.Errorf("thread-count invariance VIOLATED: batch %d digest differs between %d and %d threads",
-						i, cfg.Threads, th)
-				}
-			}
-			fmt.Fprintf(out, "invariance: %d vs %d threads — all %d per-batch digests identical\n",
-				cfg.Threads, th, len(ref.Digests))
-		}
-	}
-	return nil
-}
-
-func runOnce(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.Config, be uring.Backend, targets []uint32) (*core.EpochStats, error) {
-	if testWrapRing != nil {
-		cfg.WrapRing = testWrapRing(cfg.Threads)
-	}
-	s, err := core.New(ds, cfg, be)
-	if err != nil {
-		return nil, err
-	}
 	st, err := s.RunEpochSeeded(ctx, cfg.Seed, targets, nil)
 	if err != nil && (st == nil || !errors.Is(err, context.Canceled)) {
-		return nil, err
+		return err
 	}
 	interrupted := err != nil
 	var digest uint64
@@ -367,10 +324,10 @@ func runOnce(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.C
 		// Partial epochs have holes in the digest stream — flush the
 		// drained counters above but don't print a misleading digest.
 		fmt.Fprintf(out, "  INTERRUPTED after %d/%d batches (partial stats above)\n", st.Completed, st.Batches)
-		return st, fmt.Errorf("epoch interrupted: %w", err)
+		return fmt.Errorf("epoch interrupted: %w", err)
 	}
 	fmt.Fprintf(out, "  digest    %#016x\n", digest)
-	return st, nil
+	return nil
 }
 
 // featcachePinned describes the feature cache: what it pinned, and the
@@ -392,16 +349,16 @@ type trainOpts struct {
 }
 
 // runTrain trains a GraphSAGE classifier for -train-epochs epochs and
-// prints the per-epoch loss/accuracy/throughput table. The overlapped
-// mode (default) trains batch i while the epoch runner's workers sample
-// and fetch batch i+1; -train-serial is the no-overlap reference — both
-// produce bit-identical weights (DESIGN.md §13).
-func runTrain(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.Config, be uring.Backend, numTargets int, o trainOpts, serialized bool) error {
+// prints the per-epoch loss/accuracy/throughput table. The pipeline
+// trains batch i while the epoch runner's workers sample and fetch
+// batch i+1, with the same weights as the no-overlap reference
+// (train.Trainer.EpochSerialized; DESIGN.md §13).
+func runTrain(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.Config, numTargets int, o trainOpts) error {
 	labels, err := ds.Labels()
 	if err != nil {
 		return err
 	}
-	s, err := core.New(ds, cfg, be)
+	s, err := core.New(ds, cfg, uring.Auto())
 	if err != nil {
 		return err
 	}
@@ -418,12 +375,8 @@ func runTrain(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.
 	}
 	rng := sample.NewRNG(sample.Mix(cfg.Seed, 0x7ea14))
 	targets := uniformTargets(&rng, ds.NumNodes(), numTargets)
-	mode := "overlapped"
-	if serialized {
-		mode = "serialized"
-	}
-	fmt.Fprintf(out, "training %d-layer GraphSAGE (hidden %d, lr %g) on %d targets, %s pipeline\n",
-		o.layers, o.hidden, o.lr, len(targets), mode)
+	fmt.Fprintf(out, "training %d-layer GraphSAGE (hidden %d, lr %g) on %d targets, overlapped pipeline\n",
+		o.layers, o.hidden, o.lr, len(targets))
 	if cfg.FeatureCacheBudgetBytes > 0 {
 		policy := "static degree-first"
 		if s.FeatureCacheAdaptive() {
@@ -432,7 +385,7 @@ func runTrain(ctx context.Context, out io.Writer, ds *storage.Dataset, cfg core.
 		fmt.Fprintf(out, "%s, %s\n", featcachePinned(s, cfg), policy)
 	}
 	tr := &train.Trainer{Model: m, Labels: labels}
-	stats, err := tr.Run(ctx, s, targets, o.epochs, serialized)
+	stats, err := tr.Run(ctx, s, targets, o.epochs)
 	for _, st := range stats {
 		fmt.Fprintf(out, "epoch %2d: loss %.4f  acc %.3f  %8.4fs (compute %.4fs, stall %.4fs, overlap %.2f)  %12.0f entries/s  weights %s\n",
 			st.Epoch, st.Loss, st.Accuracy, st.Seconds, st.ComputeSeconds, st.StallSeconds,

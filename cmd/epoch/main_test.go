@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -13,6 +14,8 @@ import (
 	"ringsampler/internal/core"
 	"ringsampler/internal/gen"
 	"ringsampler/internal/sample"
+	"ringsampler/internal/storage"
+	"ringsampler/internal/train"
 	"ringsampler/internal/uring"
 )
 
@@ -26,77 +29,6 @@ func testGraphDir(t *testing.T) string {
 	return dir
 }
 
-// flipRing corrupts exactly one successful read: the low byte of the
-// first completed buffer is XOR-ed with 1, nudging one sampled neighbor
-// id by ±1 — the smallest perturbation a digest diff must catch.
-type flipRing struct {
-	inner uring.Ring
-	bufs  map[uint64][]byte
-	done  bool
-}
-
-func (r *flipRing) PrepRead(id uint64, off int64, buf []byte) bool {
-	if !r.inner.PrepRead(id, off, buf) {
-		return false
-	}
-	r.bufs[id] = buf
-	return true
-}
-func (r *flipRing) Submit() (int, error) { return r.inner.Submit() }
-func (r *flipRing) Entries() int         { return r.inner.Entries() }
-func (r *flipRing) Close() error         { return r.inner.Close() }
-
-func (r *flipRing) Wait(min int) ([]uring.CQE, error) {
-	cqes, err := r.inner.Wait(min)
-	for _, c := range cqes {
-		if !r.done && c.Res > 0 {
-			r.bufs[c.ID][0] ^= 1
-			r.done = true
-		}
-	}
-	return cqes, err
-}
-
-// TestRunInvarianceHappyPath: the full pipeline — including the cache —
-// passes the invariance diff and exits cleanly.
-func TestRunInvarianceHappyPath(t *testing.T) {
-	dir := testGraphDir(t)
-	err := run([]string{
-		"-data", dir, "-backend", "sim", "-targets", "256", "-batch", "64",
-		"-threads", "4", "-cache-mb", "1", "-invariance",
-	}, io.Discard)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-}
-
-// TestRunInvarianceDetectsPerturbation: when one read in the -threads
-// run is perturbed (and the 1/2-thread reruns are clean), -invariance
-// must fail — the non-zero-exit contract CI relies on. main wraps the
-// returned error in log.Fatal, so a non-nil error IS a non-zero exit.
-func TestRunInvarianceDetectsPerturbation(t *testing.T) {
-	dir := testGraphDir(t)
-	testWrapRing = func(threads int) func(uring.Ring, int) (uring.Ring, error) {
-		if threads != 4 {
-			return nil // reruns at 1 and 2 threads stay clean
-		}
-		return func(r uring.Ring, workerID int) (uring.Ring, error) {
-			return &flipRing{inner: r, bufs: make(map[uint64][]byte)}, nil
-		}
-	}
-	defer func() { testWrapRing = nil }()
-	err := run([]string{
-		"-data", dir, "-backend", "sim", "-targets", "256", "-batch", "64",
-		"-threads", "4", "-invariance",
-	}, io.Discard)
-	if err == nil {
-		t.Fatal("perturbed -invariance run exited clean")
-	}
-	if !strings.Contains(err.Error(), "invariance VIOLATED") {
-		t.Fatalf("err = %v, want an invariance violation", err)
-	}
-}
-
 // TestRunRejectsBadFlags: flag-level errors surface as one-line errors
 // naming the flag (non-zero exit) before any dataset is generated or
 // opened — never a panic, never a wrapped-around byte count.
@@ -105,7 +37,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		args []string
 		want string // must appear in the error
 	}{
-		{[]string{"-backend", "nope"}, `unknown backend "nope"`},
 		{[]string{"-cache-mb", "-3"}, "-cache-mb -3"},
 		{[]string{"-cache-mb", "9000000000000"}, "-cache-mb 9000000000000"},
 		{[]string{"-feature-cache-mb", "-3"}, "-feature-cache-mb -3"},
@@ -136,13 +67,17 @@ func TestRunRejectsBadFlags(t *testing.T) {
 }
 
 // TestRunRefusesRetiredFlags: the retired ring knobs (each lost, tied,
-// or owed its gain to something the default now does) and -strategy
-// (uniform is the one strategy; naming it is refused too) are refused
-// by name, before any work starts, so a script that still passes one
-// learns it is gone instead of measuring a configuration that no
-// longer exists.
+// or owed its gain to something the default now does), -strategy
+// (uniform is the one strategy; naming it is refused too), -backend
+// (the ring backend is probed), and the -invariance and -train-serial
+// reruns (the tests hold both guarantees) are refused by name, before
+// any work starts, so a script that still passes one learns it is gone
+// instead of measuring a configuration that no longer exists.
 func TestRunRefusesRetiredFlags(t *testing.T) {
-	for _, args := range [][]string{{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-uring-fixed"}, {"-depth", "64"}, {"-strategy", "uniform"}} {
+	for _, args := range [][]string{
+		{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-uring-fixed"}, {"-depth", "64"}, {"-strategy", "uniform"},
+		{"-backend", "pool"}, {"-invariance"}, {"-train-serial"},
+	} {
 		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
 			var sb strings.Builder
 			err := run(args, &sb)
@@ -156,18 +91,15 @@ func TestRunRefusesRetiredFlags(t *testing.T) {
 	}
 }
 
-// TestRunBackendNameAnyCase: -backend takes a name in any case, as
-// cmd/serve does, and the dataset line names the backend that ran.
-func TestRunBackendNameAnyCase(t *testing.T) {
-	dir := testGraphDir(t)
-	for name, want := range map[string]uring.Backend{"POOL": uring.BackendPool, "Sim": uring.BackendSim} {
-		var sb strings.Builder
-		if err := run([]string{"-data", dir, "-backend", name, "-targets", "64", "-batch", "32"}, &sb); err != nil {
-			t.Fatalf("-backend %s: %v", name, err)
-		}
-		if line := fmt.Sprintf("; backend %s\n", want); !strings.Contains(sb.String(), line) {
-			t.Fatalf("-backend %s: output lacks %q:\n%s", name, line, sb.String())
-		}
+// TestRunNamesProbedBackend: the dataset line names the backend that
+// ran, the probed one.
+func TestRunNamesProbedBackend(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-data", testGraphDir(t), "-targets", "64", "-batch", "32"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if line := fmt.Sprintf("; backend %s\n", uring.Auto()); !strings.Contains(sb.String(), line) {
+		t.Fatalf("output lacks %q:\n%s", line, sb.String())
 	}
 }
 
@@ -222,12 +154,12 @@ func TestRunProbe(t *testing.T) {
 	}
 }
 
-// TestRunKnobFlags: the knob flags thread through to a working epoch on
-// every backend, downgrading (not failing) where a knob has no effect.
+// TestRunKnobFlags: the knob flags thread through to a working epoch,
+// downgrading (not failing) where a knob has no effect.
 func TestRunKnobFlags(t *testing.T) {
 	dir := testGraphDir(t)
 	err := run([]string{
-		"-data", dir, "-backend", "pool", "-targets", "256", "-batch", "64",
+		"-data", dir, "-targets", "256", "-batch", "64",
 		"-threads", "2", "-odirect",
 	}, io.Discard)
 	if err != nil {
@@ -243,7 +175,7 @@ func TestRunProfiles(t *testing.T) {
 	tmp := t.TempDir()
 	cpu, tr := filepath.Join(tmp, "cpu.prof"), filepath.Join(tmp, "epoch.trace")
 	if err := run([]string{
-		"-data", dir, "-backend", "pool", "-targets", "256", "-batch", "64",
+		"-data", dir, "-targets", "256", "-batch", "64",
 		"-threads", "2", "-cpuprofile", cpu, "-trace", tr,
 	}, io.Discard); err != nil {
 		t.Fatalf("run with profiles: %v", err)
@@ -272,40 +204,69 @@ func labeledGraphDir(t *testing.T) string {
 }
 
 // TestRunTrain: -train on a labeled dataset prints the per-epoch table
-// and exits cleanly in both pipeline modes; the final weight digests of
-// the two modes agree (the determinism contract at the CLI surface).
+// and exits cleanly, and its final weight digest equals the no-overlap
+// reference's, train.Trainer.EpochSerialized run here on the same
+// dataset, config and target draw (the determinism contract at the CLI
+// surface).
 func TestRunTrain(t *testing.T) {
 	dir := labeledGraphDir(t)
-	digest := func(serial bool) string {
-		var sb strings.Builder
-		args := []string{
-			"-data", dir, "-backend", "pool", "-targets", "256", "-batch", "64",
-			"-threads", "2", "-train", "-train-epochs", "2",
-			"-train-hidden", "8", "-train-lr", "0.5",
-		}
-		if serial {
-			args = append(args, "-train-serial")
-		}
-		if err := run(args, &sb); err != nil {
-			t.Fatalf("run -train (serial=%v): %v\n%s", serial, err, sb.String())
-		}
-		out := sb.String()
-		if !strings.Contains(out, "labels: 4 classes") {
-			t.Fatalf("startup log missing label line:\n%s", out)
-		}
-		// Each epoch prints its trainer line, then the sampler's io line.
-		lines := strings.Split(strings.TrimSpace(out), "\n")
-		last := lines[len(lines)-2]
-		if !strings.Contains(last, "epoch  1:") || !strings.Contains(last, "weights ") {
-			t.Fatalf("missing final epoch line:\n%s", out)
-		}
-		if io := lines[len(lines)-1]; !strings.Contains(io, "device B/target") {
-			t.Fatalf("missing the final epoch's io line:\n%s", out)
-		}
-		return last[strings.LastIndex(last, " ")+1:]
+	var sb strings.Builder
+	if err := run([]string{
+		"-data", dir, "-targets", "256", "-batch", "64",
+		"-threads", "2", "-train", "-train-epochs", "2",
+		"-train-hidden", "8", "-train-lr", "0.5",
+	}, &sb); err != nil {
+		t.Fatalf("run -train: %v\n%s", err, sb.String())
 	}
-	if over, ser := digest(false), digest(true); over != ser {
-		t.Fatalf("overlapped and serialized final weights differ: %s vs %s", over, ser)
+	out := sb.String()
+	if !strings.Contains(out, "labels: 4 classes") {
+		t.Fatalf("startup log missing label line:\n%s", out)
+	}
+	// Each epoch prints its trainer line, then the sampler's io line.
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	last := lines[len(lines)-2]
+	if !strings.Contains(last, "epoch  1:") || !strings.Contains(last, "weights ") {
+		t.Fatalf("missing final epoch line:\n%s", out)
+	}
+	if io := lines[len(lines)-1]; !strings.Contains(io, "device B/target") {
+		t.Fatalf("missing the final epoch's io line:\n%s", out)
+	}
+
+	// The reference: the CLI's config and model at its default seed 1,
+	// and runTrain's target draw, trained serialized.
+	ds, err := storage.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	labels, err := ds.Labels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Seed, cfg.Threads, cfg.BatchSize, cfg.FetchFeatures = 1, 2, 64, true
+	s, err := core.New(ds, cfg, uring.BackendPool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := train.NewModel(train.Config{
+		FeatureDim: ds.FeatureDim(), Hidden: 8, Classes: ds.NumClasses(),
+		Layers: 2, LR: 0.5, Seed: cfg.Seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := sample.NewRNG(sample.Mix(cfg.Seed, 0x7ea14))
+	targets := uniformTargets(&rng, ds.NumNodes(), 256)
+	tr := &train.Trainer{Model: m, Labels: labels}
+	var st *train.EpochStats
+	for e := range 2 {
+		if st, err = tr.EpochSerialized(context.Background(), s, targets, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := last[strings.LastIndex(last, " ")+1:]; got != st.WeightsDigest {
+		t.Fatalf("-train final weights %s, the serialized reference's %s", got, st.WeightsDigest)
 	}
 }
 
@@ -319,7 +280,7 @@ func TestRunTrainPrintsLearningCurve(t *testing.T) {
 	if err := run([]string{
 		// 1 MiB pins 15537 of the temporary graph's 24000 16-dim vectors:
 		// (1 MiB − 54188 B of counters, bitmaps and rank directory) / 64 B.
-		"-backend", "pool", "-nodes", "24000", "-edges", "300000", "-targets", "1024", "-batch", "128",
+		"-nodes", "24000", "-edges", "300000", "-targets", "1024", "-batch", "128",
 		"-threads", "2", "-train", "-train-epochs", "3", "-train-hidden", "8", "-feature-cache-mb", "1",
 	}, &sb); err != nil {
 		t.Fatalf("run -train: %v\n%s", err, sb.String())
@@ -395,7 +356,7 @@ func TestFeatcacheGaugeSumsToCharge(t *testing.T) {
 	} {
 		var sb strings.Builder
 		if err := run([]string{
-			"-backend", "pool", "-nodes", c.nodes, "-edges", "150000", "-feature-dim", "16", "-targets", "512",
+			"-nodes", c.nodes, "-edges", "150000", "-feature-dim", "16", "-targets", "512",
 			"-threads", "2", "-features", "-feature-cache-mb", "1",
 		}, &sb); err != nil {
 			t.Fatalf("run: %v\n%s", err, sb.String())
@@ -412,7 +373,7 @@ func TestFeatcacheGaugeSumsToCharge(t *testing.T) {
 func TestRunTrainTempGraph(t *testing.T) {
 	var sb strings.Builder
 	err := run([]string{
-		"-backend", "pool", "-nodes", "1500", "-edges", "20000",
+		"-nodes", "1500", "-edges", "20000",
 		"-targets", "128", "-batch", "64", "-threads", "2",
 		"-train", "-train-epochs", "1", "-train-hidden", "8",
 	}, &sb)
@@ -432,13 +393,13 @@ func TestRunTrainRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = run([]string{"-data", shards[0], "-backend", "pool", "-targets", "64", "-train"}, io.Discard)
+	err = run([]string{"-data", shards[0], "-targets", "64", "-train"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "unsharded") {
 		t.Fatalf("shard dataset accepted for training: %v", err)
 	}
 
 	plain := testGraphDir(t) // edge-only
-	err = run([]string{"-data", plain, "-backend", "pool", "-targets", "64", "-train"}, io.Discard)
+	err = run([]string{"-data", plain, "-targets", "64", "-train"}, io.Discard)
 	if err == nil || !strings.Contains(err.Error(), "needs node features") {
 		t.Fatalf("feature-less dataset accepted for training: %v", err)
 	}
@@ -449,7 +410,7 @@ func TestRunTrainRejections(t *testing.T) {
 	if err := run([]string{"-data", labeled, "-classes", "4"}, io.Discard); err == nil {
 		t.Fatal("-classes with -data accepted")
 	}
-	if err := run([]string{"-data", labeled, "-backend", "pool", "-train", "-train-epochs", "0"}, io.Discard); err == nil {
+	if err := run([]string{"-data", labeled, "-train", "-train-epochs", "0"}, io.Discard); err == nil {
 		t.Fatal("-train-epochs 0 accepted")
 	}
 }

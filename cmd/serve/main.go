@@ -76,9 +76,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		cacheMB      = fs.Int64("cache-mb", 0, "hot-neighbor cache budget in MiB (0: cache off)")
 		featMB       = fs.Int64("feature-cache-mb", 0, "hot-node feature cache budget in MiB (0: cache off)")
 		featureDim   = fs.Int("feature-dim", 0, "per-node f32 feature dimension for the temporary graph (with empty -data; 0: no features)")
-		queue        = fs.Int("queue", 0, "admission queue bound in jobs; full queue fast-fails 429 (0: default 256)")
+		queue        = fs.Int("queue", 0, fmt.Sprintf("admission queue bound in jobs; full queue fast-fails 429 (0: default %d)", serve.DefaultConfig().QueueDepth))
 		seed         = fs.Uint64("seed", 1, "seed for the temporary graph")
-		backend      = fs.String("backend", "auto", "ring backend: auto, io_uring, pool, sim")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max graceful-drain wait on SIGINT/SIGTERM")
 		odirect      = fs.Bool("odirect", false, "open the edge file O_DIRECT (falls back to buffered with a logged reason when unsupported)")
 	)
@@ -108,10 +107,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *featureDim > 0 && *data != "" {
 		return fmt.Errorf("-feature-dim only applies to the temporary graph; %s already fixes its features", *data)
 	}
-	be, err := uring.ParseBackend(*backend)
-	if err != nil {
-		return err
-	}
 
 	dir := *data
 	if dir == "" {
@@ -137,7 +132,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	defer ds.Close()
 
 	cfg := serve.DefaultConfig()
-	cfg.Backend = be
 	cfg.Core.CacheBudgetBytes = cacheBytes
 	cfg.Core.FeatureCacheBudgetBytes = featCacheBytes
 	if *threads > 0 {
@@ -159,7 +153,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	eff := srv.Config()
-	fmt.Fprintf(out, "dataset %s: %d nodes, %d edges; backend %s\n", dir, ds.NumNodes(), ds.NumEdges(), eff.Backend)
+	fmt.Fprintf(out, "dataset %s: %d nodes, %d edges; backend %s\n", dir, ds.NumNodes(), ds.NumEdges(), uring.Auto())
 	if ds.HasFeatures() {
 		fmt.Fprintf(out, "features: %d-dim f32 per node; request them with POST /v1/sample?features=true\n", ds.FeatureDim())
 	}

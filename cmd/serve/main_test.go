@@ -33,7 +33,6 @@ func TestRunBadFlags(t *testing.T) {
 		args []string
 		want string // must appear in the error
 	}{
-		{[]string{"-backend", "floppy"}, `unknown backend "floppy"`},
 		{[]string{"-cache-mb", "-1"}, "-cache-mb -1"},
 		{[]string{"-cache-mb", "9000000000000"}, "-cache-mb 9000000000000"},
 		{[]string{"-feature-cache-mb", "-1"}, "-feature-cache-mb -1"},
@@ -62,12 +61,13 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunRefusesRetiredFlags: the retired ring knobs and sharded modes
-// are refused by name before any graph is generated or port opened.
+// TestRunRefusesRetiredFlags: the retired ring knobs, sharded modes and
+// backend name (the ring backend is probed) are refused by name before
+// any graph is generated or port opened.
 func TestRunRefusesRetiredFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-uring-fixed"}, {"-depth", "64"},
-		{"-shards", "2"}, {"-router", "http://x"},
+		{"-shards", "2"}, {"-router", "http://x"}, {"-backend", "pool"},
 	} {
 		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
 			var sb strings.Builder
@@ -109,9 +109,10 @@ func (o *runOutput) String() string {
 }
 
 // TestRunServesAndDrains drives the command past flag parsing: it
-// serves a temporary graph on a loopback port, answers /healthz,
-// answers one /v1/sample whose digest equals a direct core run over the
-// same files, and drains cleanly when its context ends.
+// serves a temporary graph on a loopback port, names the probed backend
+// in its startup log, answers /healthz, answers one /v1/sample whose
+// digest equals a direct core run on the pread pool over the same
+// files, and drains cleanly when its context ends.
 func TestRunServesAndDrains(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "g")
 	if _, err := gen.GenerateWith(dir, "cli-test", "rmat", 2000, 30000, 11,
@@ -167,7 +168,7 @@ func TestRunServesAndDrains(t *testing.T) {
 		done := make(chan error, 1)
 		go func() {
 			done <- run(ctx, []string{
-				"-data", dir, "-addr", "127.0.0.1:0", "-backend", "pool",
+				"-data", dir, "-addr", "127.0.0.1:0",
 				"-threads", "2", "-batch", fmt.Sprint(batch),
 			}, out)
 		}()
@@ -179,7 +180,7 @@ func TestRunServesAndDrains(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("no listen address after 30s:\n%s", out)
 		}
-		for _, line := range []string{"features: 8-dim f32", "labels: 4 classes", "2 workers"} {
+		for _, line := range []string{"; backend " + string(uring.Auto()) + "\n", "features: 8-dim f32", "labels: 4 classes", "2 workers"} {
 			if !strings.Contains(out.String(), line) {
 				t.Fatalf("startup log missing %q:\n%s", line, out)
 			}

@@ -4,14 +4,12 @@ import (
 	"reflect"
 	"slices"
 	"testing"
-
-	"ringsampler/internal/uring"
 )
 
 // TestConfigFieldCensus pins Config's exported fields, so a new knob is
 // a visible one-line change here, judged on its own.
 func TestConfigFieldCensus(t *testing.T) {
-	want := []string{"Core", "Backend", "QueueDepth"}
+	want := []string{"Core", "QueueDepth"}
 	var got []string
 	typ := reflect.TypeFor[Config]()
 	for i := range typ.NumField() {
@@ -24,9 +22,8 @@ func TestConfigFieldCensus(t *testing.T) {
 	}
 }
 
-// TestConfigResolve: a zero QueueDepth and an empty Backend take their
-// defaults, a backend name is parsed case-insensitively, a queue depth
-// at MaxQueueDepth is accepted, and a bad name, a queue depth outside
+// TestConfigResolve: a zero QueueDepth takes its default, a queue
+// depth at MaxQueueDepth is accepted, and a queue depth outside
 // [1,MaxQueueDepth] or a bad batch size is refused — by validation
 // alone, before any channel is made.
 func TestConfigResolve(t *testing.T) {
@@ -34,23 +31,15 @@ func TestConfigResolve(t *testing.T) {
 	if err := c.resolve(); err != nil {
 		t.Fatal(err)
 	}
-	auto, _ := uring.ParseBackend("auto")
-	if c.QueueDepth != DefaultConfig().QueueDepth || c.Backend != auto {
-		t.Fatalf("zero config resolved to queue depth %d, backend %q; want %d, %q",
-			c.QueueDepth, c.Backend, DefaultConfig().QueueDepth, auto)
+	if c.QueueDepth != DefaultConfig().QueueDepth {
+		t.Fatalf("zero config resolved to queue depth %d, want %d", c.QueueDepth, DefaultConfig().QueueDepth)
 	}
 	c = DefaultConfig()
 	c.QueueDepth = MaxQueueDepth
 	if err := c.resolve(); err != nil {
 		t.Fatalf("queue depth at the cap: %v", err)
 	}
-	c = DefaultConfig()
-	c.Backend = "POOL"
-	if err := c.resolve(); err != nil || c.Backend != uring.BackendPool {
-		t.Fatalf("backend POOL resolved to %q, err %v", c.Backend, err)
-	}
 	for name, mut := range map[string]func(*Config){
-		"bad backend": func(c *Config) { c.Backend = "spdk" },
 		"queue depth": func(c *Config) { c.QueueDepth = -1 },
 		"queue cap":   func(c *Config) { c.QueueDepth = MaxQueueDepth + 1 },
 		"batch size":  func(c *Config) { c.Core.BatchSize = 0 },

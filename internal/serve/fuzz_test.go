@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"ringsampler/internal/core"
-	"ringsampler/internal/uring"
 )
 
 // FuzzSampleRequest drives the serving trust boundary — an arbitrary
@@ -45,7 +44,6 @@ func FuzzSampleRequest(f *testing.F) {
 	f.Add([]byte(`{"targets":[1]}`), "maybe", true)
 
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendSim
 	cfg.Core.Threads = 1
 	servers := map[bool]*Server{}
 	for _, features := range []bool{false, true} {

@@ -45,7 +45,6 @@ func TestCheckTargets64BitRange(t *testing.T) {
 func TestServeNegativeTimeoutRejected(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendSim
 	cfg.Core.Threads = 1
 	_, base := startServer(t, ds, cfg)
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -139,7 +138,6 @@ func TestValidateSampleMaxBatchSize(t *testing.T) {
 func TestServeForcedShutdownQueueGaugeZero(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendPool
 	cfg.Core.Threads = 1
 	cfg.Core.BatchSize = 16
 	cfg.Core.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {
@@ -219,7 +217,6 @@ func TestServeNoWorkerCleanError(t *testing.T) {
 	var refuse atomic.Bool
 	refuse.Store(true) // broken from boot: the slot's initial worker also fails
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendSim
 	cfg.Core.Threads = 1
 	cfg.Core.BatchSize = 64
 	cfg.Core.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {
@@ -251,7 +248,7 @@ func TestServeNoWorkerCleanError(t *testing.T) {
 	if st != http.StatusOK {
 		t.Fatalf("post-recovery request: status %d: %s", st, data)
 	}
-	want := referenceBatches(t, ds, cfg.Core, cfg.Backend, req, cfg.Core.BatchSize)
+	want := referenceBatches(t, ds, cfg.Core, req, cfg.Core.BatchSize)
 	assertResponseMatches(t, "post-recovery request", data, want)
 
 	body := scrapeMetrics(t, client, base)
@@ -270,7 +267,6 @@ func TestServeNoWorkerCleanError(t *testing.T) {
 func TestServeOversizedBody(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendSim
 	cfg.Core.Threads = 1
 	_, base := startServer(t, ds, cfg)
 	client := &http.Client{Timeout: 30 * time.Second}

@@ -106,13 +106,14 @@ func postSamplePath(t *testing.T, client *http.Client, base, path string, req sa
 }
 
 // referenceBatches computes what the determinism contract promises for
-// one request: a direct single-threaded core run, chunked at the
+// one request: a direct single-threaded core run on the deterministic
+// sim ring (the server runs on the probed backend), chunked at the
 // engine batch size, chunk i seeded sample.Mix(seed, i).
-func referenceBatches(t *testing.T, ds *storage.Dataset, coreCfg core.Config, backend uring.Backend, req sampleRequest, chunkSize int) []*core.Batch {
+func referenceBatches(t *testing.T, ds *storage.Dataset, coreCfg core.Config, req sampleRequest, chunkSize int) []*core.Batch {
 	t.Helper()
 	cfg := coreCfg
 	cfg.WrapRing = nil
-	s, err := core.New(ds, cfg, backend)
+	s, err := core.New(ds, cfg, uring.BackendSim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,6 @@ func metricValue(t *testing.T, body, name string) float64 {
 func TestServeE2EDeterminism(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendPool
 	cfg.Core.Threads = 4
 	cfg.Core.BatchSize = 64
 	cfg.QueueDepth = 4096
@@ -305,7 +305,7 @@ func TestServeE2EDeterminism(t *testing.T) {
 		if r.status != http.StatusOK {
 			t.Fatalf("request %d: status %d: %s", i, r.status, r.data)
 		}
-		want := referenceBatches(t, ds, cfg.Core, cfg.Backend, reqs[i], cfg.Core.BatchSize)
+		want := referenceBatches(t, ds, cfg.Core, reqs[i], cfg.Core.BatchSize)
 		assertResponseMatches(t, fmt.Sprintf("request %d", i), r.data, want)
 	}
 
@@ -339,7 +339,6 @@ func TestServeE2EDeterminism(t *testing.T) {
 func TestServeSmallRequestNotWindowed(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendPool
 	cfg.Core.Threads = 1
 	_, base := startServer(t, ds, cfg)
 	client := &http.Client{Timeout: 30 * time.Second}
@@ -377,7 +376,6 @@ func TestServeSmallRequestNotWindowed(t *testing.T) {
 func TestServeE2EFeatureDeterminism(t *testing.T) {
 	ds := testFeatureDataset(t)
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendPool
 	cfg.Core.Threads = 4
 	cfg.Core.BatchSize = 64
 	// A real cache budget: concurrent requests hit and miss the shared
@@ -442,7 +440,7 @@ func TestServeE2EFeatureDeterminism(t *testing.T) {
 		if paths[i] != "/v1/sample" {
 			ref.Features = true
 		}
-		want := referenceBatches(t, ds, cfg.Core, cfg.Backend, ref, cfg.Core.BatchSize)
+		want := referenceBatches(t, ds, cfg.Core, ref, cfg.Core.BatchSize)
 		if ref.Features {
 			for bi, b := range want {
 				if b.FeatureDim != testFeatureDim || len(b.Features) == 0 {
@@ -482,7 +480,6 @@ func TestServeE2EFeatureDeterminism(t *testing.T) {
 func TestServeFeatureValidation(t *testing.T) {
 	ds := testDataset(t) // no feature file
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendPool
 	cfg.Core.Threads = 1
 	_, base := startServer(t, ds, cfg)
 	client := &http.Client{Timeout: 30 * time.Second}
@@ -563,7 +560,6 @@ func (r *slowRing) Wait(min int) ([]uring.CQE, error) {
 func TestServeSaturationFastFail(t *testing.T) {
 	ds := testFeatureDataset(t)
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendPool
 	cfg.Core.Threads = 1
 	cfg.Core.BatchSize = 64
 	cfg.Core.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {
@@ -604,7 +600,7 @@ func TestServeSaturationFastFail(t *testing.T) {
 		switch st {
 		case http.StatusOK:
 			ok++
-			want := referenceBatches(t, ds, cfg.Core, cfg.Backend, reqs[i], cfg.Core.BatchSize)
+			want := referenceBatches(t, ds, cfg.Core, reqs[i], cfg.Core.BatchSize)
 			assertResponseMatches(t, fmt.Sprintf("request %d", i), bodies[i], want)
 		case http.StatusTooManyRequests:
 			rejected++
@@ -645,7 +641,6 @@ func TestServeSaturationFastFail(t *testing.T) {
 func TestServeDeadline(t *testing.T) {
 	ds := testFeatureDataset(t)
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendPool
 	cfg.Core.Threads = 1
 	cfg.Core.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {
 		return &slowRing{Ring: r, delay: 50 * time.Millisecond}, nil
@@ -721,7 +716,6 @@ func TestServeWorkerRetirement(t *testing.T) {
 	ds := testDataset(t)
 	var arm atomic.Bool
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendSim
 	cfg.Core.Threads = 1
 	cfg.Core.BatchSize = 64
 	cfg.Core.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {
@@ -766,7 +760,7 @@ func TestServeWorkerRetirement(t *testing.T) {
 	if st != http.StatusOK {
 		t.Fatalf("request C: status %d: %s", st, data)
 	}
-	want := referenceBatches(t, ds, cfg.Core, cfg.Backend, reqC, cfg.Core.BatchSize)
+	want := referenceBatches(t, ds, cfg.Core, reqC, cfg.Core.BatchSize)
 	assertResponseMatches(t, "request C", data, want)
 
 	body := scrapeMetrics(t, client, base)
@@ -795,7 +789,6 @@ func TestServeWorkerRetirement(t *testing.T) {
 func TestServeGracefulDrain(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendPool
 	cfg.Core.Threads = 2
 	cfg.Core.BatchSize = 64
 	cfg.Core.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {
@@ -858,7 +851,6 @@ func TestServeGracefulDrain(t *testing.T) {
 func TestServeValidation(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendSim
 	cfg.Core.Threads = 1
 	_, base := startServer(t, ds, cfg)
 	client := &http.Client{Timeout: 10 * time.Second}
@@ -901,7 +893,6 @@ func TestServeValidation(t *testing.T) {
 func TestServeStrategy(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendPool
 	cfg.Core.Threads = 2
 	cfg.Core.BatchSize = 64
 	_, base := startServer(t, ds, cfg)
@@ -919,7 +910,7 @@ func TestServeStrategy(t *testing.T) {
 		if st != http.StatusOK {
 			t.Fatalf("strategy %q: status %d: %s", strat, st, data)
 		}
-		want := referenceBatches(t, ds, cfg.Core, cfg.Backend, req, cfg.Core.BatchSize)
+		want := referenceBatches(t, ds, cfg.Core, req, cfg.Core.BatchSize)
 		assertResponseMatches(t, fmt.Sprintf("strategy %q", strat), data, want)
 	}
 
@@ -958,7 +949,6 @@ func TestServeStrategy(t *testing.T) {
 func TestServePoisonedChunkCancelsSiblings(t *testing.T) {
 	ds := testDataset(t)
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendSim
 	cfg.Core.Threads = 1
 	cfg.Core.BatchSize = 64
 	cfg.Core.WrapRing = func(r uring.Ring, workerID int) (uring.Ring, error) {

@@ -74,42 +74,35 @@ const (
 )
 
 // MaxQueueDepth bounds Config.QueueDepth, which sizes the admission
-// queue's channel when the server starts.
-const MaxQueueDepth = 1 << 16
+// queue's channel when the server starts; zero selects the default.
+const (
+	MaxQueueDepth     = 1 << 16
+	defaultQueueDepth = 256
+)
 
-// Config controls the serving layer. A zero QueueDepth or Backend
-// selects its documented default; Core carries the engine config
+// Config controls the serving layer: Core carries the engine config
 // (Core.Threads is the worker-pool size, Core.BatchSize the chunking
-// granularity of the determinism contract).
+// granularity of the determinism contract). The ring backend is probed
+// (uring.Auto), not configured.
 type Config struct {
 	// Core is the engine configuration behind the pool.
 	Core core.Config
-	// Backend names the ring backend (uring.ParseBackend); empty picks
-	// io_uring when the environment supports it, the portable pread
-	// pool otherwise.
-	Backend uring.Backend
 	// QueueDepth bounds the admission queue in jobs (chunks). A full
 	// queue fast-fails new requests with 429 instead of queuing
-	// unboundedly. Default 256.
+	// unboundedly. Zero selects defaultQueueDepth.
 	QueueDepth int
 }
 
 // DefaultConfig returns the serving defaults over the engine defaults.
 func DefaultConfig() Config {
-	return Config{Core: core.DefaultConfig(), QueueDepth: 256}
+	return Config{Core: core.DefaultConfig(), QueueDepth: defaultQueueDepth}
 }
 
-// resolve fills the defaults in, resolves the backend name, and
-// validates what the engine does not.
+// resolve fills the defaults in and validates what the engine does not.
 func (c *Config) resolve() error {
 	if c.QueueDepth == 0 {
-		c.QueueDepth = 256
+		c.QueueDepth = defaultQueueDepth
 	}
-	be, err := uring.ParseBackend(string(c.Backend))
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	c.Backend = be
 	if c.QueueDepth < 1 || c.QueueDepth > MaxQueueDepth {
 		return fmt.Errorf("serve: queue depth %d must be in [1,%d]", c.QueueDepth, MaxQueueDepth)
 	}
@@ -160,7 +153,7 @@ func New(ds *storage.Dataset, cfg Config) (*Server, error) {
 	if err := cfg.resolve(); err != nil {
 		return nil, err
 	}
-	sampler, err := core.New(ds, cfg.Core, cfg.Backend)
+	sampler, err := core.New(ds, cfg.Core, uring.Auto())
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,6 @@ func TestShardConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendPool
 	cfg.Core.Threads = 2
 	cfg.Core.BatchSize = 64
 	cfg.Core.Fanouts = []int{6, 4}
@@ -105,7 +104,7 @@ func TestShardConformance(t *testing.T) {
 		if st != http.StatusOK {
 			t.Fatalf("single-node %+v: status %d: %s", c, st, data)
 		}
-		want := referenceBatches(t, ds, cfg.Core, cfg.Backend, request(c), cfg.Core.BatchSize)
+		want := referenceBatches(t, ds, cfg.Core, request(c), cfg.Core.BatchSize)
 		assertResponseMatches(t, fmt.Sprintf("single-node %+v", c), data, want)
 		var resp sampleResponse
 		if err := json.Unmarshal(data, &resp); err != nil {
@@ -121,7 +120,7 @@ func TestShardConformance(t *testing.T) {
 			if st != http.StatusOK {
 				t.Fatalf("%s %+v: status %d: %s", label, c, st, data)
 			}
-			want := referenceBatches(t, ds, cfg.Core, cfg.Backend, request(c), cfg.Core.BatchSize)
+			want := referenceBatches(t, ds, cfg.Core, request(c), cfg.Core.BatchSize)
 			assertResponseMatches(t, fmt.Sprintf("%s %+v", label, c), data, want)
 			var resp sampleResponse
 			if err := json.Unmarshal(data, &resp); err != nil {
@@ -188,7 +187,6 @@ func TestNewRefusesShardDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Backend = uring.BackendPool
 	cfg.Core.Threads = 1
 	srv, err := New(openShard(t, dirs[1]), cfg)
 	if err == nil {

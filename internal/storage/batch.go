@@ -97,12 +97,11 @@ func cutParts(reads []uring.Read, parts int) []int {
 // readPart reads one part of a batch through a ring and driver of its
 // own.
 func readPart(f *os.File, align int, dst []byte, reads []uring.Read, base int64) (int64, error) {
-	backend, _ := uring.ParseBackend("") // the automatic choice never fails
 	// The ring stays on one thread from setup to teardown, as a pooled
 	// worker's does for the length of each job.
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
-	ring, err := uring.New(backend, f, uring.DefaultEntries)
+	ring, err := uring.New(uring.Auto(), f, uring.DefaultEntries)
 	if err != nil {
 		return 0, fmt.Errorf("batch read ring: %w", err)
 	}

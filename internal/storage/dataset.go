@@ -313,8 +313,8 @@ func (d *Dataset) DirectFallback() error { return d.directErr }
 // ReadAt reads raw edge-file bytes at the given GLOBAL byte offset
 // (entry index * EntryBytes over the whole graph). It is the access
 // path for consumers that want one range of file bytes without a ring —
-// the weighted alias build reads each hub's list through it; consumers
-// with many ranges use ReadBatch. On a shard dataset the offset is
+// the benchmark's read-latency and neighbor-slab probes; consumers with
+// many ranges use ReadBatch. On a shard dataset the offset is
 // translated into the local slice, so callers address owned nodes
 // exactly as they would on the full dataset; reads outside the owned
 // slice fail like any out-of-file read. On an O_DIRECT handle,

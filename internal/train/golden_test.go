@@ -62,7 +62,7 @@ func TestTrainGoldenCurve(t *testing.T) {
 		targets[i] = r.Uint32n(uint32(ds.NumNodes()))
 	}
 	tr := &train.Trainer{Model: m, Labels: labels}
-	stats, err := tr.Run(context.Background(), s, targets, len(goldenEpochs), false)
+	stats, err := tr.Run(context.Background(), s, targets, len(goldenEpochs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -194,23 +194,15 @@ func (t *Trainer) EpochSerialized(ctx context.Context, s *core.Sampler, targets 
 	return st, nil
 }
 
-// Run trains for epochs epochs in the selected mode, returning the
-// per-epoch stats in order; cmd/epoch -train drives it.
-func (t *Trainer) Run(ctx context.Context, s *core.Sampler, targets []uint32, epochs int, serialized bool) ([]*EpochStats, error) {
+// Run trains for epochs epochs through the overlapped pipeline,
+// returning the per-epoch stats in order; cmd/epoch -train drives it.
+func (t *Trainer) Run(ctx context.Context, s *core.Sampler, targets []uint32, epochs int) ([]*EpochStats, error) {
 	if epochs <= 0 {
 		return nil, fmt.Errorf("train: epochs %d must be positive", epochs)
 	}
 	out := make([]*EpochStats, 0, epochs)
 	for e := 0; e < epochs; e++ {
-		var (
-			st  *EpochStats
-			err error
-		)
-		if serialized {
-			st, err = t.EpochSerialized(ctx, s, targets, e)
-		} else {
-			st, err = t.EpochOverlapped(ctx, s, targets, e)
-		}
+		st, err := t.EpochOverlapped(ctx, s, targets, e)
 		if err != nil {
 			return out, err
 		}

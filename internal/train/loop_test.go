@@ -80,13 +80,32 @@ func runEpochs(t *testing.T, ds *storage.Dataset, threads, epochs int, serialize
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := newTrainer(t, ds)
-	stats, err := tr.Run(context.Background(), s, testTargets(ds, 320), epochs, serialized)
-	if err != nil {
-		t.Fatal(err)
-	}
+	stats := trainEpochs(t, newTrainer(t, ds), s, testTargets(ds, 320), epochs, serialized)
 	if len(stats) != epochs {
 		t.Fatalf("got %d epoch stats, want %d", len(stats), epochs)
+	}
+	return stats
+}
+
+// trainEpochs trains epochs epochs in one pipeline mode: Trainer.Run
+// for the overlapped one, EpochSerialized epoch by epoch for the
+// serialized reference.
+func trainEpochs(t *testing.T, tr *train.Trainer, s *core.Sampler, targets []uint32, epochs int, serialized bool) []*train.EpochStats {
+	t.Helper()
+	if !serialized {
+		stats, err := tr.Run(context.Background(), s, targets, epochs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	stats := make([]*train.EpochStats, epochs)
+	for e := range stats {
+		st, err := tr.EpochSerialized(context.Background(), s, targets, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats[e] = st
 	}
 	return stats
 }
@@ -231,11 +250,7 @@ func TestTrainEpochStatsCarryIO(t *testing.T) {
 		if cacheRows > 0 && !s.FeatureCacheAdaptive() {
 			t.Fatalf("%d rows do not make the feature cache adaptive", cacheRows)
 		}
-		stats, err := newTrainer(t, ds).Run(context.Background(), s, targets, 3, serialized)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
+		return trainEpochs(t, newTrainer(t, ds), s, targets, 3, serialized)
 	}
 	plain := run(0, false)
 	for _, serialized := range []bool{false, true} {

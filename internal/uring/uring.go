@@ -22,7 +22,6 @@ package uring
 import (
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"unsafe"
 )
@@ -36,20 +35,13 @@ const (
 	BackendSim     Backend = "sim"
 )
 
-// ParseBackend resolves a backend name, ignoring case: "io_uring",
-// "pool", "sim", or "auto" (the empty name too), which picks io_uring
-// when Probe finds a usable ring and the pread pool otherwise.
-func ParseBackend(name string) (Backend, error) {
-	switch be := Backend(strings.ToLower(name)); be {
-	case "", "auto":
-		if Probe().Ring {
-			return BackendIOURing, nil
-		}
-		return BackendPool, nil
-	case BackendIOURing, BackendPool, BackendSim:
-		return be, nil
+// Auto is the backend the engine runs on, probed, never named: io_uring
+// when Probe finds a usable ring, the portable pread pool otherwise.
+func Auto() Backend {
+	if Probe().Ring {
+		return BackendIOURing
 	}
-	return "", fmt.Errorf("unknown backend %q (want auto, io_uring, pool or sim)", name)
+	return BackendPool
 }
 
 // CQE is one completion: the user-assigned request ID and the raw
@@ -115,8 +107,8 @@ type Ring interface {
 // request for the pool and sim backends, their true submission cost),
 // Waits is blocking
 // completion-side syscalls (io_uring_enter GETEVENTS; zero for pool/sim,
-// which complete in user space). The benchmark harness divides these by
-// batch count to report syscalls-per-batch honestly per knob combo.
+// which complete in user space). The benchmark harness reports them per
+// batch and per thousand reads.
 type Syscalls struct {
 	Submits int64
 	Waits   int64

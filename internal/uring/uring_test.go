@@ -56,36 +56,22 @@ func TestUnknownBackendRejected(t *testing.T) {
 	}
 }
 
-// TestParseBackend: every accepted spelling resolves to its backend in
-// any case, "auto" and the empty name follow Probe, and anything else
-// is refused.
-func TestParseBackend(t *testing.T) {
-	auto := BackendPool
+// TestAuto: the backend is probed, never named — io_uring exactly when
+// Probe finds a usable ring, the pread pool otherwise, never the sim —
+// and a ring opens on it.
+func TestAuto(t *testing.T) {
+	want := BackendPool
 	if Probe().Ring {
-		auto = BackendIOURing
+		want = BackendIOURing
 	}
-	for _, tc := range []struct {
-		name string
-		want Backend
-	}{
-		{"io_uring", BackendIOURing},
-		{"IO_URING", BackendIOURing},
-		{"pool", BackendPool},
-		{"POOL", BackendPool},
-		{"Sim", BackendSim},
-		{"auto", auto},
-		{"AUTO", auto},
-		{"", auto},
-	} {
-		if got, err := ParseBackend(tc.name); err != nil || got != tc.want {
-			t.Errorf("ParseBackend(%q) = %q, %v; want %q", tc.name, got, err, tc.want)
-		}
+	if got := Auto(); got != want {
+		t.Fatalf("Auto() = %q with Probe() = %s, want %q", got, Probe(), want)
 	}
-	for _, name := range []string{"nope", "iouring", "io-uring", " pool", "pool "} {
-		if got, err := ParseBackend(name); err == nil {
-			t.Errorf("ParseBackend(%q) = %q, want an error", name, got)
-		}
+	r, err := New(Auto(), testFile(t, 4), 8)
+	if err != nil {
+		t.Fatalf("New(Auto()): %v", err)
 	}
+	r.Close()
 }
 
 // TestBackendsReadCorrectly drives every available backend through the

@@ -103,8 +103,7 @@ func Probe() uring.Caps { return uring.Probe() }
 // available: real io_uring when the kernel and sandbox allow it, the
 // portable pread pool otherwise.
 func NewSampler(ds *Dataset, cfg Config) (*Sampler, error) {
-	be, _ := uring.ParseBackend("") // the automatic choice never fails
-	return core.New(ds, cfg, be)
+	return core.New(ds, cfg, uring.Auto())
 }
 
 // RunEpoch samples every target through s: the stream is sharded into

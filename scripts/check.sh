@@ -21,7 +21,8 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-# README.md and DESIGN.md cite only paths, commands and tests that exist.
+# README.md, DESIGN.md and the commands' usage comments cite only paths,
+# commands, flags and tests that exist.
 sh scripts/doclint.sh
 
 go vet ./...
@@ -128,6 +129,14 @@ fi
 # life-long thread clock grows back.
 if git grep -nE '\bThreadClock\b|StartThreadClock' -- '*.go'; then
     echo "check: a life-long thread clock is growing back (matches above); core.Pool charges CPU per job" >&2
+    exit 1
+fi
+
+# The ring backend is probed, never named (DESIGN.md §1): uring.Auto
+# picks io_uring or the pread pool; fail if a backend flag, config field
+# or name parser grows back.
+if git grep -nE '\bParseBackend\b|\.String\("backend"|\bcfg\.Backend\b' -- '*.go'; then
+    echo "check: a named ring backend is growing back (matches above); use uring.Auto" >&2
     exit 1
 fi
 

@@ -1,14 +1,16 @@
 #!/bin/sh
-# Fails when README.md or DESIGN.md cites something the tree does not
-# have: a repo path quoted in backticks (internal/…, cmd/…, scripts/…,
-# *.go, *.md), a `go run ./cmd/<x>` or `go run -C <dir>` target, a
-# -flag on such a command that the target's main.go does not define, or
-# a Test…/Benchmark…/Fuzz… name with no `func <Name>(` in any .go file.
+# Fails when README.md, DESIGN.md or the doc comments of the commands
+# (cmd/epoch, cmd/serve and cmd/benchprep main.go, whose usage lines
+# are `go run` commands) cite something the tree does not have: a repo
+# path quoted in backticks (internal/…, cmd/…, scripts/…, *.go, *.md),
+# a `go run ./cmd/<x>` or `go run -C <dir>` target, a -flag on such a
+# command that the target's main.go does not define, or a
+# Test…/Benchmark…/Fuzz… name with no `func <Name>(` in any .go file.
 # scripts/check.sh and CI both run it; arguments, given as absolute
-# paths or relative to the repo root, replace the two default docs.
+# paths or relative to the repo root, replace the five default files.
 set -eu
 cd "$(dirname "$0")/.."
-[ $# -gt 0 ] || set -- README.md DESIGN.md
+[ $# -gt 0 ] || set -- README.md DESIGN.md cmd/epoch/main.go cmd/serve/main.go cmd/benchprep/main.go
 bad=0
 miss() {
     echo "doclint: $1" >&2
