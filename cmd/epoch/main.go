@@ -1,7 +1,8 @@
-// Command epoch drives the real-engine parallel epoch runner: it
-// shards a uniform target workload into mini-batches, fans them out to
-// -threads workers, each locked to an OS thread per batch, and prints
-// the aggregated EpochStats — throughput, merged and per-worker I/O
+// Command epoch drives the real-engine parallel epoch runner over a
+// dataset (-data, required in every mode but -probe): it shards a
+// uniform target workload into mini-batches, fans them out to -threads
+// workers, each locked to an OS thread per batch, and prints the
+// aggregated EpochStats — throughput, merged and per-worker I/O
 // counters, and exact batch-latency quantiles — plus the folded sample
 // digest, identical at every thread count (TestEpochThreadInvariance).
 // The ring backend is probed: io_uring where the kernel allows it, the
@@ -11,10 +12,9 @@
 // (see DESIGN.md §7); digests are identical with the cache on or off.
 //
 // -features runs the post-draw feature-fetch stage (the dataset needs a
-// feature file; generate a temporary one with -feature-dim);
-// -feature-cache-mb pins the hottest nodes' vectors under a second
-// memory budget. -probe with -data additionally reports the dataset's
-// feature presence, dim and stride.
+// feature file); -feature-cache-mb pins the hottest nodes' vectors
+// under a second memory budget. -probe with -data additionally reports
+// the dataset's feature presence, dim and stride.
 //
 // -odirect bypasses the page cache with the probed alignment; every
 // read is one plain IORING_OP_READ either way. -probe prints the
@@ -24,9 +24,8 @@
 // the double-buffered sample→fetch→train pipeline (workers sample and
 // fetch batch i+1 while the trainer computes on batch i), bit-identical
 // in weights to the no-overlap reference (DESIGN.md §13). The dataset
-// needs features and labels (temporary graphs default to 16-dim
-// features / 8 classes under -train; tune with -feature-dim and
-// -classes).
+// needs features and labels, as the checked-in
+// benchdata/bench/ogbn-papers-div20000 and cmd/bench's rmat-1m have.
 //
 // -cpuprofile FILE and -trace FILE wrap the epoch (or -train) run in a
 // runtime/pprof CPU profile and a runtime/trace execution trace, for
@@ -38,11 +37,10 @@
 // Usage:
 //
 //	go run ./cmd/epoch -data benchdata/bench/ogbn-papers-div20000 -threads 8 -targets 4096
-//	go run ./cmd/epoch -train -train-epochs 5        # temporary labeled graph
-//	go run ./cmd/epoch -train -train-epochs 3 -feature-cache-mb 1   # prints the feature cache's learning curve
-//	go run ./cmd/epoch -targets 8192 -threads 2    # generates a temporary R-MAT graph
+//	go run ./cmd/epoch -data benchdata/bench/ogbn-papers-div20000 -train -train-epochs 5
+//	go run ./cmd/epoch -data cmd/bench/out/data/rmat-1m -train -train-epochs 3 -feature-cache-mb 32   # prints the feature cache's learning curve
 //	go run ./cmd/epoch -probe
-//	go run ./cmd/epoch -targets 4096 -odirect -cpuprofile cpu.prof -trace epoch.trace
+//	go run ./cmd/epoch -data benchdata/bench/ogbn-papers-div20000 -targets 4096 -odirect -cpuprofile cpu.prof -trace epoch.trace
 package main
 
 import (
@@ -63,7 +61,6 @@ import (
 	"time"
 
 	"ringsampler/internal/core"
-	"ringsampler/internal/gen"
 	"ringsampler/internal/graph"
 	"ringsampler/internal/sample"
 	"ringsampler/internal/storage"
@@ -81,9 +78,7 @@ func main() {
 func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("epoch", flag.ContinueOnError)
 	var (
-		data        = fs.String("data", "", "dataset directory (empty: generate a temporary R-MAT graph)")
-		nodes       = fs.Int64("nodes", 50_000, "node count for the temporary graph (with empty -data)")
-		edges       = fs.Int64("edges", 800_000, "edge count for the temporary graph (with empty -data)")
+		data        = fs.String("data", "", "dataset directory (required except with -probe)")
 		threads     = fs.Int("threads", 0, "worker count (0: config default)")
 		batch       = fs.Int("batch", 0, "mini-batch size (0: config default)")
 		targets     = fs.Int("targets", 4096, "epoch target-node count")
@@ -91,10 +86,8 @@ func run(args []string, out io.Writer) (err error) {
 		cacheMB     = fs.Int64("cache-mb", 0, "hot-neighbor cache budget in MiB (0: cache off)")
 		probe       = fs.Bool("probe", false, "print the probed io_uring capability set and exit")
 		odirect     = fs.Bool("odirect", false, "open the edge file O_DIRECT (falls back to buffered with a logged reason when unsupported)")
-		featureDim  = fs.Int("feature-dim", 0, "per-node f32 feature dimension for the temporary graph (with empty -data; 0: no features)")
 		features    = fs.Bool("features", false, "fetch feature vectors for every sampled node after each batch's draw")
 		featMB      = fs.Int64("feature-cache-mb", 0, "hot-node feature cache budget in MiB (0: cache off)")
-		classes     = fs.Int("classes", 0, "per-node label class count for the temporary graph (with empty -data; 0: no labels)")
 		trainMode   = fs.Bool("train", false, "train a GraphSAGE classifier through the double-buffered sample→fetch→train pipeline")
 		trainEpochs = fs.Int("train-epochs", 3, "training epoch count (with -train)")
 		trainHidden = fs.Int("train-hidden", 16, "GraphSAGE hidden width (with -train)")
@@ -154,52 +147,10 @@ func run(args []string, out io.Writer) (err error) {
 	if *targets <= 0 {
 		return fmt.Errorf("-targets %d must be positive", *targets)
 	}
-	if *featureDim < 0 {
-		return fmt.Errorf("-feature-dim %d must be non-negative", *featureDim)
+	if *data == "" {
+		return errors.New("-data is required: name a dataset directory (cmd/benchprep and cmd/bench make them)")
 	}
-	if *featureDim > 0 && *data != "" {
-		return fmt.Errorf("-feature-dim only applies to the temporary graph; %s already fixes its features", *data)
-	}
-	if *classes < 0 {
-		return fmt.Errorf("-classes %d must be non-negative", *classes)
-	}
-	if *classes > 0 && *data != "" {
-		return fmt.Errorf("-classes only applies to the temporary graph; %s already fixes its labels", *data)
-	}
-	if *trainMode && *data == "" {
-		// Training needs features and labels; default the temporary graph
-		// to a trainable shape instead of failing on an edge-only one.
-		if *featureDim == 0 {
-			*featureDim = 16
-		}
-		if *classes == 0 {
-			*classes = 8
-		}
-	}
-
-	dir := *data
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "ringsampler-epoch-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		dir = filepath.Join(tmp, "g")
-		switch {
-		case *featureDim > 0 && *classes > 0:
-			fmt.Fprintf(out, "generating temporary R-MAT graph (%d nodes, %d edges, %d-dim features, %d classes) ...\n",
-				*nodes, *edges, *featureDim, *classes)
-		case *featureDim > 0:
-			fmt.Fprintf(out, "generating temporary R-MAT graph (%d nodes, %d edges, %d-dim features) ...\n", *nodes, *edges, *featureDim)
-		default:
-			fmt.Fprintf(out, "generating temporary R-MAT graph (%d nodes, %d edges) ...\n", *nodes, *edges)
-		}
-		if _, err := gen.GenerateWith(dir, "epoch-tmp", "rmat", *nodes, *edges, *seed,
-			gen.Options{FeatureDim: *featureDim, NumClasses: *classes}); err != nil {
-			return err
-		}
-	}
-	ds, err := storage.OpenWith(dir, storage.OpenOptions{Direct: *odirect})
+	ds, err := storage.OpenWith(*data, storage.OpenOptions{Direct: *odirect})
 	if err != nil {
 		return err
 	}
@@ -216,7 +167,7 @@ func run(args []string, out io.Writer) (err error) {
 	if *batch > 0 {
 		cfg.BatchSize = *batch
 	}
-	fmt.Fprintf(out, "dataset %s: %d nodes, %d edges; backend %s\n", dir, ds.NumNodes(), ds.NumEdges(), uring.Auto())
+	fmt.Fprintf(out, "dataset %s: %d nodes, %d edges; backend %s\n", *data, ds.NumNodes(), ds.NumEdges(), uring.Auto())
 	if ds.HasFeatures() {
 		fmt.Fprintf(out, "features: %d-dim f32, %d B/node stride\n", ds.FeatureDim(), ds.FeatureStride())
 	}
@@ -256,13 +207,13 @@ func run(args []string, out io.Writer) (err error) {
 		// the partial adjacency.
 		if ds.IsSharded() {
 			return fmt.Errorf("training needs an unsharded dataset: %s is shard %d/%d (train against the unpartitioned source instead)",
-				dir, ds.ShardIndex(), ds.NumShards())
+				*data, ds.ShardIndex(), ds.NumShards())
 		}
 		if !ds.HasFeatures() {
-			return fmt.Errorf("training needs node features: %s has no feature file (regenerate with a feature dim)", dir)
+			return fmt.Errorf("training needs node features: %s has no feature file (regenerate with a feature dim)", *data)
 		}
 		if !ds.HasLabels() {
-			return fmt.Errorf("training needs node labels: %s has no label file (regenerate with a class count)", dir)
+			return fmt.Errorf("training needs node labels: %s has no label file (regenerate with a class count)", *data)
 		}
 		cfg.FetchFeatures = true
 		return runTrain(ctx, out, ds, cfg, *targets, trainOpts{

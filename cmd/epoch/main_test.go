@@ -19,15 +19,20 @@ import (
 	"ringsampler/internal/uring"
 )
 
-// testGraphDir generates a small R-MAT graph once per test.
-func testGraphDir(t *testing.T) string {
+// rmatGraphDir generates an R-MAT graph of the given shape
+// (featureDim and classes 0: no feature or label file).
+func rmatGraphDir(t *testing.T, nodes, edges int64, seed uint64, featureDim, classes int) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "g")
-	if _, err := gen.Generate(dir, "cli-test", "rmat", 2000, 30000, 11); err != nil {
+	if _, err := gen.GenerateWith(dir, "cli-test", "rmat", nodes, edges, seed,
+		gen.Options{FeatureDim: featureDim, NumClasses: classes}); err != nil {
 		t.Fatal(err)
 	}
 	return dir
 }
+
+// testGraphDir generates a small R-MAT graph once per test.
+func testGraphDir(t *testing.T) string { return rmatGraphDir(t, 2000, 30000, 11, 0, 0) }
 
 // TestRunRejectsBadFlags: flag-level errors surface as one-line errors
 // naming the flag (non-zero exit) before any dataset is generated or
@@ -69,14 +74,17 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // TestRunRefusesRetiredFlags: the retired ring knobs (each lost, tied,
 // or owed its gain to something the default now does), -strategy
 // (uniform is the one strategy; naming it is refused too), -backend
-// (the ring backend is probed), and the -invariance and -train-serial
-// reruns (the tests hold both guarantees) are refused by name, before
+// (the ring backend is probed), the -invariance and -train-serial
+// reruns (the tests hold both guarantees), and the temporary graph's
+// shape flags (-nodes, -edges, -feature-dim, -classes: the command
+// opens a dataset, it does not make one) are refused by name, before
 // any work starts, so a script that still passes one learns it is gone
 // instead of measuring a configuration that no longer exists.
 func TestRunRefusesRetiredFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-uring-fixed"}, {"-depth", "64"}, {"-strategy", "uniform"},
 		{"-backend", "pool"}, {"-invariance"}, {"-train-serial"},
+		{"-nodes", "50000"}, {"-edges", "800000"}, {"-feature-dim", "16"}, {"-classes", "8"},
 	} {
 		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
 			var sb strings.Builder
@@ -88,6 +96,28 @@ func TestRunRefusesRetiredFlags(t *testing.T) {
 				t.Fatalf("%v: work started before the flag was refused:\n%s", args, sb.String())
 			}
 		})
+	}
+}
+
+// TestRunRequiresData: every mode but -probe needs -data, and a run
+// without it fails with one line naming -data before any output; -probe
+// without it still prints the capability set.
+func TestRunRequiresData(t *testing.T) {
+	for _, args := range [][]string{
+		nil, {"-targets", "8192", "-threads", "2"}, {"-features", "-feature-cache-mb", "1"}, {"-train"},
+	} {
+		var sb strings.Builder
+		err := run(args, &sb)
+		if err == nil || !strings.Contains(err.Error(), "-data") || strings.Contains(err.Error(), "\n") {
+			t.Fatalf("%v: err = %v, want one line naming -data", args, err)
+		}
+		if sb.Len() != 0 {
+			t.Fatalf("%v: work started without -data:\n%s", args, sb.String())
+		}
+	}
+	var sb strings.Builder
+	if err := run([]string{"-probe"}, &sb); err != nil || !strings.Contains(sb.String(), "io_uring capabilities:") {
+		t.Fatalf("-probe without -data: err = %v, output:\n%s", err, sb.String())
 	}
 }
 
@@ -193,15 +223,7 @@ func TestRunProfiles(t *testing.T) {
 }
 
 // labeledGraphDir generates a small featured+labeled R-MAT graph.
-func labeledGraphDir(t *testing.T) string {
-	t.Helper()
-	dir := filepath.Join(t.TempDir(), "g")
-	if _, err := gen.GenerateWith(dir, "cli-train", "rmat", 2000, 30000, 11,
-		gen.Options{FeatureDim: 8, NumClasses: 4}); err != nil {
-		t.Fatal(err)
-	}
-	return dir
-}
+func labeledGraphDir(t *testing.T) string { return rmatGraphDir(t, 2000, 30000, 11, 8, 4) }
 
 // TestRunTrain: -train on a labeled dataset prints the per-epoch table
 // and exits cleanly, and its final weight digest equals the no-overlap
@@ -276,11 +298,12 @@ func TestRunTrain(t *testing.T) {
 // the second on, and a hit ratio that rises once an epoch was learned
 // from.
 func TestRunTrainPrintsLearningCurve(t *testing.T) {
+	// 1 MiB pins 15537 of the graph's 24000 16-dim vectors:
+	// (1 MiB − 54188 B of counters, bitmaps and rank directory) / 64 B.
+	dir := rmatGraphDir(t, 24000, 300000, 1, 16, 8)
 	var sb strings.Builder
 	if err := run([]string{
-		// 1 MiB pins 15537 of the temporary graph's 24000 16-dim vectors:
-		// (1 MiB − 54188 B of counters, bitmaps and rank directory) / 64 B.
-		"-nodes", "24000", "-edges", "300000", "-targets", "1024", "-batch", "128",
+		"-data", dir, "-targets", "1024", "-batch", "128",
 		"-threads", "2", "-train", "-train-epochs", "3", "-train-hidden", "8", "-feature-cache-mb", "1",
 	}, &sb); err != nil {
 		t.Fatalf("run -train: %v\n%s", err, sb.String())
@@ -347,46 +370,29 @@ func featcacheGauge(t *testing.T, out string) (nodes int, rows, index, learner i
 // (2 B per node) and a re-admission bitmap.
 func TestFeatcacheGaugeSumsToCharge(t *testing.T) {
 	for _, c := range []struct {
-		nodes          string
+		nodes          int64
 		pinned         int
 		index, learner int64
 	}{
-		{"24000", 15537, 3000 + 47*4, 48000 + 3000},
-		{"12000", 12000, 1504 + 24*4, 0},
+		{24000, 15537, 3000 + 47*4, 48000 + 3000},
+		{12000, 12000, 1504 + 24*4, 0},
 	} {
 		var sb strings.Builder
 		if err := run([]string{
-			"-nodes", c.nodes, "-edges", "150000", "-feature-dim", "16", "-targets", "512",
+			"-data", rmatGraphDir(t, c.nodes, 150000, 1, 16, 0), "-targets", "512",
 			"-threads", "2", "-features", "-feature-cache-mb", "1",
 		}, &sb); err != nil {
 			t.Fatalf("run: %v\n%s", err, sb.String())
 		}
 		nodes, rows, index, learner := featcacheGauge(t, sb.String())
 		if nodes != c.pinned || rows != int64(nodes)*64 || index != c.index || learner != c.learner {
-			t.Fatalf("%s nodes: pinned %d rows of %d B with a %d B index and a %d B learner; want %d rows, %d B and %d B", c.nodes, nodes, rows, index, learner, c.pinned, c.index, c.learner)
+			t.Fatalf("%d nodes: pinned %d rows of %d B with a %d B index and a %d B learner; want %d rows, %d B and %d B", c.nodes, nodes, rows, index, learner, c.pinned, c.index, c.learner)
 		}
 	}
 }
 
-// TestRunTrainTempGraph: -train with no -data defaults the temporary
-// graph to a trainable shape (features + labels) instead of failing.
-func TestRunTrainTempGraph(t *testing.T) {
-	var sb strings.Builder
-	err := run([]string{
-		"-nodes", "1500", "-edges", "20000",
-		"-targets", "128", "-batch", "64", "-threads", "2",
-		"-train", "-train-epochs", "1", "-train-hidden", "8",
-	}, &sb)
-	if err != nil {
-		t.Fatalf("run -train on temp graph: %v\n%s", err, sb.String())
-	}
-	if !strings.Contains(sb.String(), "16-dim features, 8 classes") {
-		t.Fatalf("temp graph did not default to a trainable shape:\n%s", sb.String())
-	}
-}
-
 // TestRunTrainRejections: training on a shard, an unlabeled dataset, or
-// with bad label flags fails with a clear error instead of degrading.
+// for no epochs fails with a clear error instead of degrading.
 func TestRunTrainRejections(t *testing.T) {
 	labeled := labeledGraphDir(t)
 	shards, err := gen.Partition(labeled, filepath.Join(t.TempDir(), "shards"), 2)
@@ -404,12 +410,6 @@ func TestRunTrainRejections(t *testing.T) {
 		t.Fatalf("feature-less dataset accepted for training: %v", err)
 	}
 
-	if err := run([]string{"-classes", "-1"}, io.Discard); err == nil {
-		t.Fatal("negative -classes accepted")
-	}
-	if err := run([]string{"-data", labeled, "-classes", "4"}, io.Discard); err == nil {
-		t.Fatal("-classes with -data accepted")
-	}
 	if err := run([]string{"-data", labeled, "-train", "-train-epochs", "0"}, io.Discard); err == nil {
 		t.Fatal("-train-epochs 0 accepted")
 	}

@@ -1,8 +1,9 @@
-// Command serve runs the online sampling service: an HTTP front end
-// that cuts sampling requests into the mini-batch chunks the ring
-// workers are built for and admits them through a bounded queue to a
-// fixed pool of workers, each locked to an OS thread per job, with a
-// Prometheus metrics surface (see DESIGN.md §8).
+// Command serve runs the online sampling service over one dataset
+// (-data, required): an HTTP front end that cuts sampling requests into
+// the mini-batch chunks the ring workers are built for and admits them
+// through a bounded queue to a fixed pool of workers, each locked to an
+// OS thread per job, with a Prometheus metrics surface (see DESIGN.md
+// §8).
 //
 //	POST /v1/sample  — {"targets":[...],"fanouts":[...],"seed":N,"features":bool}
 //	GET  /healthz    — liveness (503 while draining)
@@ -15,8 +16,9 @@
 // With ?features=true (or "features":true in the body) each returned
 // batch carries the sampled nodes' raw little-endian f32 vectors,
 // fetched through the same ring pipeline as the adjacency reads. The
-// dataset must have a feature file (-feature-dim on the temporary
-// graph); -feature-cache-mb pins the hottest nodes' vectors in memory.
+// dataset must have a feature file, as the checked-in
+// benchdata/bench/ogbn-papers-div20000 does; -feature-cache-mb pins the
+// hottest nodes' vectors in memory.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight requests finish, new ones
 // are refused, and the final I/O counters are flushed to stderr. A
@@ -29,7 +31,6 @@
 // Usage:
 //
 //	go run ./cmd/serve -data benchdata/bench/ogbn-papers-div20000 -addr :8080 -threads 8
-//	go run ./cmd/serve -addr 127.0.0.1:8080        # temporary R-MAT graph
 package main
 
 import (
@@ -44,12 +45,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"ringsampler/internal/core"
-	"ringsampler/internal/gen"
 	"ringsampler/internal/serve"
 	"ringsampler/internal/storage"
 	"ringsampler/internal/uring"
@@ -68,16 +67,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	var (
 		addr         = fs.String("addr", "127.0.0.1:8080", "listen address")
-		data         = fs.String("data", "", "dataset directory (empty: generate a temporary R-MAT graph)")
-		nodes        = fs.Int64("nodes", 50_000, "node count for the temporary graph (with empty -data)")
-		edges        = fs.Int64("edges", 800_000, "edge count for the temporary graph (with empty -data)")
+		data         = fs.String("data", "", "dataset directory (required)")
 		threads      = fs.Int("threads", 0, "worker-pool size (0: config default)")
 		batch        = fs.Int("batch", 0, "engine mini-batch size / chunking granularity (0: config default)")
 		cacheMB      = fs.Int64("cache-mb", 0, "hot-neighbor cache budget in MiB (0: cache off)")
 		featMB       = fs.Int64("feature-cache-mb", 0, "hot-node feature cache budget in MiB (0: cache off)")
-		featureDim   = fs.Int("feature-dim", 0, "per-node f32 feature dimension for the temporary graph (with empty -data; 0: no features)")
 		queue        = fs.Int("queue", 0, fmt.Sprintf("admission queue bound in jobs; full queue fast-fails 429 (0: default %d)", serve.DefaultConfig().QueueDepth))
-		seed         = fs.Uint64("seed", 1, "seed for the temporary graph")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max graceful-drain wait on SIGINT/SIGTERM")
 		odirect      = fs.Bool("odirect", false, "open the edge file O_DIRECT (falls back to buffered with a logged reason when unsupported)")
 	)
@@ -101,31 +96,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *queue < 0 || *queue > serve.MaxQueueDepth {
 		return fmt.Errorf("-queue %d must be between 0 (default) and %d", *queue, serve.MaxQueueDepth)
 	}
-	if *featureDim < 0 {
-		return fmt.Errorf("-feature-dim %d must be non-negative", *featureDim)
+	if *data == "" {
+		return errors.New("-data is required: name a dataset directory (cmd/benchprep and cmd/bench make them)")
 	}
-	if *featureDim > 0 && *data != "" {
-		return fmt.Errorf("-feature-dim only applies to the temporary graph; %s already fixes its features", *data)
-	}
-
-	dir := *data
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "ringsampler-serve-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		dir = filepath.Join(tmp, "g")
-		if *featureDim > 0 {
-			fmt.Fprintf(out, "generating temporary R-MAT graph (%d nodes, %d edges, %d-dim features) ...\n", *nodes, *edges, *featureDim)
-		} else {
-			fmt.Fprintf(out, "generating temporary R-MAT graph (%d nodes, %d edges) ...\n", *nodes, *edges)
-		}
-		if _, err := gen.GenerateWith(dir, "serve-tmp", "rmat", *nodes, *edges, *seed, gen.Options{FeatureDim: *featureDim}); err != nil {
-			return err
-		}
-	}
-	ds, err := storage.OpenWith(dir, storage.OpenOptions{Direct: *odirect})
+	ds, err := storage.OpenWith(*data, storage.OpenOptions{Direct: *odirect})
 	if err != nil {
 		return err
 	}
@@ -153,7 +127,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	eff := srv.Config()
-	fmt.Fprintf(out, "dataset %s: %d nodes, %d edges; backend %s\n", dir, ds.NumNodes(), ds.NumEdges(), uring.Auto())
+	fmt.Fprintf(out, "dataset %s: %d nodes, %d edges; backend %s\n", *data, ds.NumNodes(), ds.NumEdges(), uring.Auto())
 	if ds.HasFeatures() {
 		fmt.Fprintf(out, "features: %d-dim f32 per node; request them with POST /v1/sample?features=true\n", ds.FeatureDim())
 	}

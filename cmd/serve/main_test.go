@@ -25,7 +25,7 @@ import (
 )
 
 // TestRunBadFlags: flag-level errors fail fast with one line naming the
-// flag — before any graph is generated, and never with a byte count
+// flag — before any dataset is opened, and never with a byte count
 // that wrapped negative. A thread count or queue bound past its cap is
 // refused before a pool or queue could be sized by it.
 func TestRunBadFlags(t *testing.T) {
@@ -61,13 +61,16 @@ func TestRunBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunRefusesRetiredFlags: the retired ring knobs, sharded modes and
-// backend name (the ring backend is probed) are refused by name before
-// any graph is generated or port opened.
+// TestRunRefusesRetiredFlags: the retired ring knobs, sharded modes,
+// backend name (the ring backend is probed) and the temporary graph's
+// flags (-nodes, -edges, -feature-dim and its -seed: the command opens a
+// dataset, it does not make one) are refused by name before any dataset
+// is opened or port bound.
 func TestRunRefusesRetiredFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-uring-sqpoll"}, {"-uring-regfiles"}, {"-uring-fixed"}, {"-depth", "64"},
 		{"-shards", "2"}, {"-router", "http://x"}, {"-backend", "pool"},
+		{"-nodes", "50000"}, {"-edges", "800000"}, {"-feature-dim", "16"}, {"-seed", "1"},
 	} {
 		t.Run(strings.TrimPrefix(args[0], "-"), func(t *testing.T) {
 			var sb strings.Builder
@@ -79,6 +82,21 @@ func TestRunRefusesRetiredFlags(t *testing.T) {
 				t.Fatalf("%v: work started before the flag was refused:\n%s", args, sb.String())
 			}
 		})
+	}
+}
+
+// TestRunRequiresData: a run without -data fails with one line naming
+// -data before any output or port.
+func TestRunRequiresData(t *testing.T) {
+	for _, args := range [][]string{nil, {"-addr", "127.0.0.1:0", "-threads", "2"}} {
+		var sb strings.Builder
+		err := run(context.Background(), args, &sb)
+		if err == nil || !strings.Contains(err.Error(), "-data") || strings.Contains(err.Error(), "\n") {
+			t.Fatalf("%v: err = %v, want one line naming -data", args, err)
+		}
+		if sb.Len() != 0 {
+			t.Fatalf("%v: work started without -data:\n%s", args, sb.String())
+		}
 	}
 }
 
@@ -109,7 +127,7 @@ func (o *runOutput) String() string {
 }
 
 // TestRunServesAndDrains drives the command past flag parsing: it
-// serves a temporary graph on a loopback port, names the probed backend
+// serves a generated graph on a loopback port, names the probed backend
 // in its startup log, answers /healthz, answers one /v1/sample whose
 // digest equals a direct core run on the pread pool over the same
 // files, and drains cleanly when its context ends.

@@ -45,7 +45,7 @@ func TestDocLint(t *testing.T) {
 	}
 	t.Run("live", func(t *testing.T) {
 		doc := plant(t, "PLANTED.md", "See `core/worker.go:1`, `cmd/<name>/main.go`, "+
-			"`scripts/check.sh`, `go run ./cmd/epoch -probe`, "+
+			"`scripts/check.sh`, `go run ./cmd/epoch -probe`, `go run ./cmd/serve -h`, "+
 			"`go run -C cmd/bench . -workload train_feat -windows 3` and TestEndToEnd.\n"+
 			"```\ngo run ./cmd/benchprep [-regen]\ngo run ./cmd/serve -data d \\\n  -addr :8080 # -not-a-flag\n```\n")
 		if out, ok := runDocLint(t, doc); !ok {
@@ -60,6 +60,9 @@ func TestDocLint(t *testing.T) {
 		{"dead_flag", "PLANTED.md", "```\ngo run ./cmd/epoch -data d \\\n  -threads 8 -strategy weighted\n```\n", "-strategy"},
 		// The same in a command's usage lines, a Go doc comment.
 		{"dead_flag_go_doc", "main.go", "// Usage:\n//\n//\tgo run ./cmd/epoch -targets 8192 -invariance\npackage main\n", "-invariance"},
+		// A run of a command that needs a dataset, without -data: every
+		// flag is defined, but the command refuses to start.
+		{"no_data", "PLANTED.md", "```\ngo run ./cmd/epoch -targets 8192 -threads 2\n```\n", "passes no -data"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			out, ok := runDocLint(t, plant(t, tc.file, tc.body))

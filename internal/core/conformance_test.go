@@ -117,47 +117,6 @@ func TestCrossBackendConformance(t *testing.T) {
 	}
 }
 
-// TestStrategyCrossBackendConformance: under the uniform strategy, one
-// fixed plan yields byte-identical batches through sim, pool,
-// fault-wrapped and cache-enabled variants, and real io_uring when
-// available, each sampler built and run by sampleOnce.
-func TestStrategyCrossBackendConformance(t *testing.T) {
-	ds := testDataset(t)
-	targets := testTargets(ds, 128)
-	nasty := uring.FaultPlan{Seed: 200, ShortReadRate: 0.2, TransientRate: 0.1, RejectRate: 0.15, DelayRate: 0.25, MaxDelay: 5}
-	t.Run(StrategyUniform, func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.Seed = 42
-		cfg.RingSize = 32
-		ref := sampleOnce(t, ds, cfg, uring.BackendSim, targets)
-		if ref.TotalSampled() == 0 {
-			t.Fatal("uniform plan sampled nothing")
-		}
-		type confCase struct {
-			name    string
-			backend uring.Backend
-			wrap    func(uring.Ring, int) (uring.Ring, error)
-			cache   int64
-		}
-		cases := []confCase{
-			{"pool", uring.BackendPool, nil, 0},
-			{"fault-pool-nasty", uring.BackendPool, faultWrap(nasty), 0},
-			{"cache-pool", uring.BackendPool, nil, 48 << 10},
-			{"cache-fault-sim-nasty", uring.BackendSim, faultWrap(nasty), 48 << 10},
-		}
-		if uring.Probe().Ring {
-			cases = append(cases, confCase{"io_uring", uring.BackendIOURing, nil, 0})
-		}
-		for _, c := range cases {
-			cc := cfg
-			cc.WrapRing = c.wrap
-			cc.CacheBudgetBytes = c.cache
-			got := sampleOnce(t, ds, cc, c.backend, targets)
-			assertBatchesEqual(t, ref, got, StrategyUniform+"/"+c.name)
-		}
-	})
-}
-
 // TestRetryExhaustionTransient: a ring that only ever returns -EINTR/
 // -EAGAIN must burn exactly uring.DefaultRetries retries and surface a
 // structured *IOError wrapping the transient errno.

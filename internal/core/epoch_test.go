@@ -10,22 +10,36 @@ import (
 	"time"
 
 	"ringsampler/internal/sample"
+	"ringsampler/internal/storage"
 	"ringsampler/internal/uring"
 )
 
 // TestEpochThreadInvariance is the headline guarantee of the epoch
 // runner: identical (dataset, Config, seed, targets) produce
-// byte-identical per-batch sample digests at Threads = 1, 2 and 8, and
-// EpochStats totals always equal the sum of the per-worker IOStats.
-// CI runs this under -race (scripts/check.sh, the thread-invariance
-// step), which also exercises the fan-out for data races.
+// byte-identical per-batch sample digests at every thread count — under
+// two seeds and thread sets, seed 7 at Threads = 1, 2 and 8 and seed 13
+// at 1, 2 and 4 — on the pool and on real io_uring, and EpochStats
+// totals always equal the sum of the per-worker IOStats. CI runs this
+// under -race (scripts/check.sh, the thread-invariance step), which
+// also exercises the fan-out for data races.
 func TestEpochThreadInvariance(t *testing.T) {
 	ds := testDataset(t)
 	targets := testTargets(ds, 300)
+	for _, set := range []struct {
+		seed    uint64
+		threads []int
+	}{{7, []int{1, 2, 8}}, {13, []int{1, 2, 4}}} {
+		t.Run(fmt.Sprintf("seed%d", set.seed), func(t *testing.T) {
+			epochThreadInvariance(t, ds, targets, set.seed, set.threads)
+		})
+	}
+}
+
+func epochThreadInvariance(t *testing.T, ds *storage.Dataset, targets []uint32, seed uint64, threads []int) {
 	var ref *EpochStats
-	for _, th := range []int{1, 2, 8} {
+	for _, th := range threads {
 		cfg := DefaultConfig()
-		cfg.Seed = 7
+		cfg.Seed = seed
 		cfg.BatchSize = 32
 		cfg.Threads = th
 		s, err := New(ds, cfg, uring.BackendPool)
@@ -64,7 +78,7 @@ func TestEpochThreadInvariance(t *testing.T) {
 			continue
 		}
 		if !slices.Equal(ref.Digests, st.Digests) {
-			t.Fatalf("Threads=%d: per-batch digests diverge from Threads=1", th)
+			t.Fatalf("Threads=%d: per-batch digests diverge from Threads=%d", th, threads[0])
 		}
 		if ref.Sampled != st.Sampled || ref.IO.BytesRead != st.IO.BytesRead {
 			t.Fatalf("Threads=%d: totals diverge: %d/%d sampled, %d/%d bytes",
@@ -72,59 +86,25 @@ func TestEpochThreadInvariance(t *testing.T) {
 		}
 	}
 	// The real io_uring backend must agree with the pool digests too.
-	if uring.Probe().Ring {
-		cfg := DefaultConfig()
-		cfg.Seed = 7
-		cfg.BatchSize = 32
-		cfg.Threads = 4
-		s, err := New(ds, cfg, uring.BackendIOURing)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st, err := runEpoch(s, targets, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(ref.Digests, st.Digests) {
-			t.Fatal("io_uring epoch digests diverge from pool digests")
-		}
-	} else {
+	if !uring.Probe().Ring {
 		t.Log("io_uring unavailable; real backend skipped")
+		return
 	}
-}
-
-// TestStrategyThreadInvariance: the uniform strategy's per-batch digest
-// stream is bit-identical at Threads = 1, 2 and 4, under a seed and
-// thread set TestEpochThreadInvariance does not use. check.sh and CI
-// run both before everything else.
-func TestStrategyThreadInvariance(t *testing.T) {
-	ds := testDataset(t)
-	targets := testTargets(ds, 300)
-	t.Run(StrategyUniform, func(t *testing.T) {
-		var ref []uint64
-		for _, th := range []int{1, 2, 4} {
-			cfg := DefaultConfig()
-			cfg.Seed = 13
-			cfg.BatchSize = 32
-			cfg.Threads = th
-			s, err := New(ds, cfg, uring.BackendPool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, err := runEpoch(s, targets, nil)
-			if err != nil {
-				t.Fatalf("Threads=%d: %v", th, err)
-			}
-			if st.Sampled == 0 {
-				t.Fatalf("Threads=%d: epoch sampled nothing", th)
-			}
-			if ref == nil {
-				ref = st.Digests
-			} else if !slices.Equal(ref, st.Digests) {
-				t.Fatalf("Threads=%d: digests diverge from Threads=1", th)
-			}
-		}
-	})
+	cfg := DefaultConfig()
+	cfg.Seed = seed
+	cfg.BatchSize = 32
+	cfg.Threads = 4
+	s, err := New(ds, cfg, uring.BackendIOURing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := runEpoch(s, targets, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ref.Digests, st.Digests) {
+		t.Fatal("io_uring epoch digests diverge from pool digests")
+	}
 }
 
 // TestEpochMatchesSeededBatches pins the reseeding contract: the epoch

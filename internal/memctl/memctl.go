@@ -17,7 +17,6 @@ var ErrOOM = errors.New("memctl: out of memory")
 type Budget struct {
 	limit int64
 	used  int64
-	high  int64
 }
 
 // New returns a budget with the given byte limit (0 = unlimited).
@@ -35,25 +34,11 @@ func (b *Budget) Charge(n int64) error {
 		return fmt.Errorf("%w: %d used + %d requested > %d limit", ErrOOM, b.used, n, b.limit)
 	}
 	b.used += n
-	if b.used > b.high {
-		b.high = b.used
-	}
 	return nil
-}
-
-// Release frees n bytes.
-func (b *Budget) Release(n int64) {
-	b.used -= n
-	if b.used < 0 {
-		b.used = 0
-	}
 }
 
 // Used returns the current charge.
 func (b *Budget) Used() int64 { return b.used }
-
-// HighWater returns the maximum charge ever held.
-func (b *Budget) HighWater() int64 { return b.high }
 
 // Limit returns the configured limit (0 = unlimited).
 func (b *Budget) Limit() int64 { return b.limit }
@@ -65,6 +50,3 @@ func (b *Budget) Remaining() int64 {
 	}
 	return b.limit - b.used
 }
-
-// IsOOM reports whether err is (or wraps) an out-of-memory failure.
-func IsOOM(err error) bool { return errors.Is(err, ErrOOM) }

@@ -1,8 +1,13 @@
 package memctl
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
-func TestBudgetChargeRelease(t *testing.T) {
+// TestBudgetCharge: charges accumulate up to the limit, and one past
+// it fails with an error wrapping ErrOOM.
+func TestBudgetCharge(t *testing.T) {
 	b := New(100)
 	if err := b.Charge(60); err != nil {
 		t.Fatal(err)
@@ -10,22 +15,18 @@ func TestBudgetChargeRelease(t *testing.T) {
 	if err := b.Charge(40); err != nil {
 		t.Fatal(err)
 	}
-	if b.Used() != 100 || b.HighWater() != 100 || b.Remaining() != 0 {
-		t.Fatalf("used=%d high=%d remaining=%d", b.Used(), b.HighWater(), b.Remaining())
+	if b.Used() != 100 || b.Remaining() != 0 {
+		t.Fatalf("used=%d remaining=%d", b.Used(), b.Remaining())
 	}
 	err := b.Charge(1)
 	if err == nil {
 		t.Fatal("over-budget charge accepted")
 	}
-	if !IsOOM(err) {
+	if !errors.Is(err, ErrOOM) {
 		t.Fatalf("over-budget error not an OOM: %v", err)
 	}
-	b.Release(50)
-	if b.Used() != 50 || b.HighWater() != 100 {
-		t.Fatalf("after release: used=%d high=%d", b.Used(), b.HighWater())
-	}
-	if err := b.Charge(50); err != nil {
-		t.Fatalf("charge after release: %v", err)
+	if b.Used() != 100 {
+		t.Fatalf("failed charge leaked: used = %d, want 100", b.Used())
 	}
 }
 
@@ -39,9 +40,18 @@ func TestUnlimitedBudget(t *testing.T) {
 	}
 }
 
+// TestIsOOMOnOtherErrors: only a charge past the limit is an OOM; no
+// error and a caller bug's error are not.
 func TestIsOOMOnOtherErrors(t *testing.T) {
-	if IsOOM(nil) {
-		t.Fatal("IsOOM(nil) = true")
+	if errors.Is(nil, ErrOOM) {
+		t.Fatal("nil error classified as OOM")
+	}
+	b := New(10)
+	if err := b.Charge(-1); err == nil || errors.Is(err, ErrOOM) {
+		t.Fatalf("negative charge: err = %v, want a non-OOM error", err)
+	}
+	if err := b.Charge(11); !errors.Is(err, ErrOOM) {
+		t.Fatalf("charge past the limit: err = %v, want OOM", err)
 	}
 }
 
@@ -56,11 +66,11 @@ func TestNegativeCharge(t *testing.T) {
 	if err == nil {
 		t.Fatal("negative charge accepted")
 	}
-	if IsOOM(err) {
+	if errors.Is(err, ErrOOM) {
 		t.Fatalf("negative-charge error misclassified as OOM: %v", err)
 	}
-	if b.Used() != 30 || b.HighWater() != 30 {
-		t.Fatalf("negative charge mutated state: used=%d high=%d", b.Used(), b.HighWater())
+	if b.Used() != 30 || b.Remaining() != 70 {
+		t.Fatalf("negative charge mutated state: used=%d remaining=%d", b.Used(), b.Remaining())
 	}
 }
 
@@ -74,7 +84,7 @@ func TestExactFit(t *testing.T) {
 	if b.Remaining() != 0 {
 		t.Fatalf("Remaining() = %d at exact fit, want 0", b.Remaining())
 	}
-	if err := b.Charge(1); !IsOOM(err) {
+	if err := b.Charge(1); !errors.Is(err, ErrOOM) {
 		t.Fatalf("one byte past the limit: err = %v, want OOM", err)
 	}
 	if b.Used() != 64 {
@@ -86,35 +96,8 @@ func TestExactFit(t *testing.T) {
 	}
 }
 
-// TestReleaseFloor: over-releasing clamps at zero instead of going
-// negative (which would silently widen the budget), and the high-water
-// mark is unaffected by releases.
-func TestReleaseFloor(t *testing.T) {
-	b := New(100)
-	if err := b.Charge(10); err != nil {
-		t.Fatal(err)
-	}
-	b.Release(50)
-	if b.Used() != 0 {
-		t.Fatalf("over-release: used = %d, want 0", b.Used())
-	}
-	if b.Remaining() != 100 {
-		t.Fatalf("Remaining() = %d after clamped release, want 100", b.Remaining())
-	}
-	if b.HighWater() != 10 {
-		t.Fatalf("release moved the high-water mark: %d", b.HighWater())
-	}
-	// The clamp must not have created phantom headroom.
-	if err := b.Charge(100); err != nil {
-		t.Fatalf("full-budget charge after clamp: %v", err)
-	}
-	if err := b.Charge(1); !IsOOM(err) {
-		t.Fatalf("budget widened by over-release: err = %v, want OOM", err)
-	}
-}
-
 // TestRemainingUnlimited: an unlimited budget reports -1 remaining at
-// any fill level and still tracks Used/HighWater.
+// any fill level and still tracks Used.
 func TestRemainingUnlimited(t *testing.T) {
 	b := New(0)
 	if b.Remaining() != -1 {
@@ -126,7 +109,7 @@ func TestRemainingUnlimited(t *testing.T) {
 	if b.Remaining() != -1 {
 		t.Fatalf("Remaining() = %d after charge on unlimited budget, want -1", b.Remaining())
 	}
-	if b.Used() != 1<<40 || b.HighWater() != 1<<40 {
-		t.Fatalf("unlimited budget lost accounting: used=%d high=%d", b.Used(), b.HighWater())
+	if b.Used() != 1<<40 {
+		t.Fatalf("unlimited budget lost accounting: used=%d", b.Used())
 	}
 }

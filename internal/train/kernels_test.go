@@ -89,7 +89,7 @@ func TestDuplicateFrontierRefused(t *testing.T) {
 	l1.Targets = append(l1.Targets, 2)
 	l1.Neighbors = append(l1.Neighbors, 0, 1, 4)
 	l1.Starts = append(l1.Starts, int64(len(l1.Neighbors)))
-	_, _, _, err = m.forward(b, testLabels(6, cfg.Classes), true)
+	_, _, _, err = m.forward(b, testLabels(6, cfg.Classes))
 	if err == nil || !strings.Contains(err.Error(), "node 2 repeated") {
 		t.Fatalf("err = %v, want a refusal naming the repeated node 2", err)
 	}

@@ -137,8 +137,6 @@ type Model struct {
 	cfg Config
 	params
 	grad params
-	// steps counts applied SGD updates (one per Step call).
-	steps int64
 
 	// Per-step workspaces, reused across steps: the forward state, the
 	// backward pass's hidden-state gradients, and the node-id index the
@@ -187,9 +185,6 @@ func NewModel(cfg Config) (*Model, error) {
 // Config returns the model's configuration.
 func (m *Model) Config() Config { return m.cfg }
 
-// Steps returns how many SGD updates have been applied.
-func (m *Model) Steps() int64 { return m.steps }
-
 // WeightsDigest folds every parameter's f32 bit pattern into an FNV-1a
 // sum in canonical tensor order. Bit-identical models (and only those,
 // modulo hash collisions) share a digest — this is what the
@@ -224,7 +219,7 @@ type batchState struct {
 	// FeatNodes are sorted and deduplicated, so each id has one row.
 	self, nbr [][]int32
 	// dlogits is dLoss/dlogits per level-0 target, already scaled by
-	// 1/batch so accumulated gradients are means. Unused on Eval.
+	// 1/batch so accumulated gradients are means.
 	dlogits []float32
 	logits  []float32
 }
@@ -385,7 +380,7 @@ func outerAdd(g []float32, y, x []float32) {
 // many were classified correctly. The update is strictly sequential
 // and fixed-order — see the package comment.
 func (m *Model) Step(b *core.Batch, labels []uint32) (loss float64, correct int, err error) {
-	st, loss, correct, err := m.forward(b, labels, true)
+	st, loss, correct, err := m.forward(b, labels)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -399,24 +394,13 @@ func (m *Model) Step(b *core.Batch, labels []uint32) (loss float64, correct int,
 			t[i] -= m.cfg.LR * g[i]
 		}
 	}
-	m.steps++
 	m.st.feats = nil // a view of b.Features: do not keep the batch alive
 	return loss, correct, nil
 }
 
-// Eval runs the forward pass only: mean loss and correct count with no
-// weight update.
-func (m *Model) Eval(b *core.Batch, labels []uint32) (loss float64, correct int, err error) {
-	_, loss, correct, err = m.forward(b, labels, false)
-	m.st.feats = nil
-	return loss, correct, err
-}
-
 // forward validates the batch against the model shape and runs the
-// bottom-up forward pass. With retain, the intermediate state needed by
-// backward is kept; Eval passes false and the per-level slices are
-// still built (they are the computation) but returned for reuse.
-func (m *Model) forward(b *core.Batch, labels []uint32, retain bool) (*batchState, float64, int, error) {
+// bottom-up forward pass, keeping the intermediate state backward needs.
+func (m *Model) forward(b *core.Batch, labels []uint32) (*batchState, float64, int, error) {
 	c := m.cfg
 	if b.FeatureDim != c.FeatureDim {
 		return nil, 0, 0, fmt.Errorf("train: batch feature dim %d != model %d (is Config.FetchFeatures on?)", b.FeatureDim, c.FeatureDim)
@@ -487,9 +471,7 @@ func (m *Model) forward(b *core.Batch, labels []uint32, retain bool) (*batchStat
 	var corr int
 	targets := b.Layers[0].Targets
 	logits := st.logits
-	if retain {
-		st.dlogits = zeroed(st.dlogits, len(targets)*c.Classes)
-	}
+	st.dlogits = zeroed(st.dlogits, len(targets)*c.Classes)
 	for i, v := range targets {
 		if int64(v) >= int64(len(labels)) {
 			return nil, 0, 0, fmt.Errorf("train: target %d outside label array (%d nodes)", v, len(labels))
@@ -516,16 +498,14 @@ func (m *Model) forward(b *core.Batch, labels []uint32, retain bool) (*batchStat
 		}
 		logSum := math.Log(sumExp) + maxL
 		sumLoss += logSum - float64(logits[lab])
-		if retain {
-			dl := st.dlogits[i*c.Classes : (i+1)*c.Classes]
-			invB := 1 / float64(len(targets))
-			for cix := 0; cix < c.Classes; cix++ {
-				p := math.Exp(float64(logits[cix]) - logSum)
-				if cix == int(lab) {
-					p -= 1
-				}
-				dl[cix] = float32(p * invB)
+		dl := st.dlogits[i*c.Classes : (i+1)*c.Classes]
+		invB := 1 / float64(len(targets))
+		for cix := 0; cix < c.Classes; cix++ {
+			p := math.Exp(float64(logits[cix]) - logSum)
+			if cix == int(lab) {
+				p -= 1
 			}
+			dl[cix] = float32(p * invB)
 		}
 	}
 	return st, sumLoss / float64(len(targets)), corr, nil

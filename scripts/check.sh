@@ -1,8 +1,10 @@
 #!/bin/sh
 # Repo-wide checks: formatting, the docs lint, vet, build, tests (with
-# the race detector). CI runs the same steps; run this locally before
-# pushing. It writes nothing into the tree. Numbers come from the
-# benchmark harness (go run -C cmd/bench .), never from here.
+# the race detector), fuzz smokes, one iteration of every
+# micro-benchmark and the grep guards. This is the one list: CI runs
+# exactly this script, so run it locally before pushing. It writes
+# nothing into the tree. Numbers come from the benchmark harness
+# (go run -C cmd/bench .), never from here.
 #
 # QUICK=1 passes -short to go test, which skips the harness's smoke
 # run; TestKnobMatrixFillsRing (full-SQ groups on a generated 100k-node
@@ -39,7 +41,7 @@ go test -C cmd/bench $short ./...
 
 # Determinism gates, also part of the full suite below — run first so a
 # break fails loudly and early. Per-batch digests identical across
-# thread counts (two seeds and thread sets); in-process router
+# thread counts (two seeds and thread sets, and io_uring); in-process router
 # responses over 2 and 4 shards, injected shard faults included,
 # digest-identical to a single node; loss curve and weights bit-identical across thread counts
 # and pipeline modes (DESIGN.md §13); the adaptive feature cache's
@@ -48,7 +50,7 @@ go test -C cmd/bench $short ./...
 # holds, its counters' order kept over long runs, its rows moved in place
 # both ways, and every cache's rank index, static caches' included, equal
 # to a sorted list (DESIGN.md §10).
-go test -race -run 'TestEpochThreadInvariance|TestStrategyThreadInvariance' ./internal/core
+go test -race -run 'TestEpochThreadInvariance' ./internal/core
 go test -race -run 'TestRouterMatchesSingleNode|TestRouterShardFaultStillIdentical' ./internal/shard
 go test -race -run 'TestShardConformance' ./internal/serve
 go test -race -run 'TestTrainThreadInvariance|TestTrainOverlappedMatchesSerialized' ./internal/train
@@ -72,12 +74,23 @@ go test -race -count=5 -run 'TestEpochCancellation|TestEpochCtxPreCanceled|TestE
 
 go test -race $short ./...
 
-# Fuzz smoke of the serving trust boundary (DESIGN.md §8): arbitrary
-# /v1/sample bodies and ?features= values through decode and validation
-# never panic, are refused 400/413, or are accepted within every limit.
-# Minimizing a new input is bounded to 1 s: at the default 60 s the
-# smoke can stop executing inputs for half of its 30 s.
+# Fuzz smokes of the trust boundaries: storage open-time validation of
+# the dataset, feature and label files (DESIGN.md §10, §13) — a corrupt
+# file is refused with an error, never a panic — and serving (DESIGN.md
+# §8): arbitrary /v1/sample bodies and ?features= values through decode
+# and validation never panic, are refused 400/413, or are accepted
+# within every limit. Minimizing a new input is bounded to 1 s: at the
+# default 60 s a smoke can stop executing inputs for half of its 30 s.
+for fuzz in FuzzOpen FuzzOpenFeatures FuzzOpenLabels; do
+    go test -fuzz="^$fuzz\$" -fuzztime=30s -fuzzminimizetime=1s ./internal/storage
+done
 go test -fuzz='^FuzzSampleRequest$' -fuzztime=30s -fuzzminimizetime=1s ./internal/serve
+
+# Micro-benchmarks, one iteration each, so none rots: BenchmarkOpen runs
+# the concurrent open-time validator, BenchmarkNewFeatureCache and
+# BenchmarkNewNeighborCache the cold start's select and split ring
+# fill, BenchmarkBatchDigest the collector's per-batch digest.
+go test -run '^$' -bench . -benchtime 1x ./...
 
 # cmd/bench superseded the per-command sweep modes and their checked-in
 # JSON summaries; fail if either grows back outside it.

@@ -4,9 +4,11 @@
 # are `go run` commands) cite something the tree does not have: a repo
 # path quoted in backticks (internal/…, cmd/…, scripts/…, *.go, *.md),
 # a `go run ./cmd/<x>` or `go run -C <dir>` target, a -flag on such a
-# command that the target's main.go does not define, or a
-# Test…/Benchmark…/Fuzz… name with no `func <Name>(` in any .go file.
-# scripts/check.sh and CI both run it; arguments, given as absolute
+# command that the target's main.go does not define, a `go run` of
+# cmd/epoch or cmd/serve without -data (only -probe and -h run without
+# a dataset), or a Test…/Benchmark…/Fuzz… name with no `func <Name>(`
+# in any .go file.
+# scripts/check.sh (which CI runs) runs it; arguments, given as absolute
 # paths or relative to the repo root, replace the five default files.
 set -eu
 cd "$(dirname "$0")/.."
@@ -79,7 +81,9 @@ done
 # its line joined with the lines a trailing \ continues onto, cut at a
 # backtick, `#`, `|`, `;`, `&` or `>` — each -flag after the target
 # must be defined in the target's main.go (fs.String("flag", …) and
-# the like).
+# the like), and a run of cmd/epoch or cmd/serve must pass -data,
+# -probe or -h (awk prints the pseudo-flag "<no -data>:LINE" for one
+# that passes none).
 flags=$(awk '
 {
     line = held $0
@@ -103,18 +107,28 @@ flags=$(awk '
             dir = substr(tok[1], 3)
         }
         if (dir == "" || dir ~ /[<*]/) continue
+        data = dir != "cmd/epoch" && dir != "cmd/serve"
         for (j = first + 1; j <= n; j++) {
             f = tok[j]
             gsub(/^\[|\]$/, "", f)
             if (f !~ /^--?[A-Za-z]/) continue
             sub(/^--?/, "", f)
             sub(/=.*/, "", f)
+            if (f ~ /^(data|probe|h|help)$/) data = 1
+            if (f ~ /^(h|help)$/) continue # the flag package defines both
             print FILENAME "\t" dir "\t" f
         }
+        if (!data) print FILENAME "\t" dir "\t<no -data>:" FNR
     }
 }' "$@" | sort -u)
 while IFS='	' read -r file dir flag; do
     [ -n "$flag" ] || continue
+    case $flag in
+    "<no -data>:"*)
+        miss "$file:${flag#*:}: \`go run\` of $dir passes no -data (only -probe and -h run without a dataset)"
+        continue
+        ;;
+    esac
     grep -Eq "[(,] *\"$flag\"," "$dir/main.go" 2>/dev/null ||
         miss "$file: \`go run\` of $dir passes -$flag, which $dir/main.go does not define"
 done <<EOF
