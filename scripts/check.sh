@@ -50,7 +50,7 @@ go test -C cmd/bench $short ./...
 # holds, its counters' order kept over long runs, its rows moved in place
 # both ways, and every cache's rank index, static caches' included, equal
 # to a sorted list (DESIGN.md §10).
-go test -race -run 'TestEpochThreadInvariance' ./internal/core
+go test -race -run 'TestEpochThreadInvariance|TestStrategyThreadInvariance' ./internal/core
 go test -race -run 'TestRouterMatchesSingleNode|TestRouterShardFaultStillIdentical' ./internal/shard
 go test -race -run 'TestShardConformance' ./internal/serve
 go test -race -run 'TestTrainThreadInvariance|TestTrainOverlappedMatchesSerialized' ./internal/train
