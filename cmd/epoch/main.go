@@ -8,8 +8,9 @@
 // The ring backend is probed: io_uring where the kernel allows it, the
 // portable pread pool otherwise.
 //
-// -cache-mb pins the hottest neighbor lists in a memory-budgeted cache
-// (see DESIGN.md §7); digests are identical with the cache on or off.
+// -cache-mb pins neighbor lists, shortest first, in a memory-budgeted
+// cache (see DESIGN.md §7); digests are identical with the cache on or
+// off.
 //
 // -features runs the post-draw feature-fetch stage (the dataset needs a
 // feature file); -feature-cache-mb pins the hottest nodes' vectors
@@ -83,7 +84,7 @@ func run(args []string, out io.Writer) (err error) {
 		batch       = fs.Int("batch", 0, "mini-batch size (0: config default)")
 		targets     = fs.Int("targets", 4096, "epoch target-node count")
 		seed        = fs.Uint64("seed", 1, "sampling seed")
-		cacheMB     = fs.Int64("cache-mb", 0, "hot-neighbor cache budget in MiB (0: cache off)")
+		cacheMB     = fs.Int64("cache-mb", 0, "neighbor cache budget in MiB, shortest lists first (0: cache off)")
 		probe       = fs.Bool("probe", false, "print the probed io_uring capability set and exit")
 		odirect     = fs.Bool("odirect", false, "open the edge file O_DIRECT (falls back to buffered with a logged reason when unsupported)")
 		features    = fs.Bool("features", false, "fetch feature vectors for every sampled node after each batch's draw")

@@ -70,7 +70,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		data         = fs.String("data", "", "dataset directory (required)")
 		threads      = fs.Int("threads", 0, "worker-pool size (0: config default)")
 		batch        = fs.Int("batch", 0, "engine mini-batch size / chunking granularity (0: config default)")
-		cacheMB      = fs.Int64("cache-mb", 0, "hot-neighbor cache budget in MiB (0: cache off)")
+		cacheMB      = fs.Int64("cache-mb", 0, "neighbor cache budget in MiB, shortest lists first (0: cache off)")
 		featMB       = fs.Int64("feature-cache-mb", 0, "hot-node feature cache budget in MiB (0: cache off)")
 		queue        = fs.Int("queue", 0, fmt.Sprintf("admission queue bound in jobs; full queue fast-fails 429 (0: default %d)", serve.DefaultConfig().QueueDepth))
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max graceful-drain wait on SIGINT/SIGTERM")
@@ -133,6 +133,13 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if ds.HasLabels() {
 		fmt.Fprintf(out, "labels: %d classes per node (training datasets carry the full label file)\n", ds.NumClasses())
+	}
+	lists, listBytes, rows, rowBytes := srv.CacheInfo()
+	if cacheBytes > 0 {
+		fmt.Fprintf(out, "neighbor cache: pinned %d lists / %d B under a %d B budget, shortest first\n", lists, listBytes, cacheBytes)
+	}
+	if featCacheBytes > 0 {
+		fmt.Fprintf(out, "feature cache: pinned %d rows / %d B under a %d B budget\n", rows, rowBytes, featCacheBytes)
 	}
 	fmt.Fprintf(out, "serving on http://%s (%d workers, queue %d)\n", ln.Addr(), eff.Core.Threads, eff.QueueDepth)
 	return serveLoop(ctx, out, srv, ln, *drainTimeout)

@@ -128,7 +128,8 @@ func (o *runOutput) String() string {
 
 // TestRunServesAndDrains drives the command past flag parsing: it
 // serves a generated graph on a loopback port, names the probed backend
-// in its startup log, answers /healthz, answers one /v1/sample whose
+// and the neighbor cache's pinned lists in its startup log, answers
+// /healthz, answers one /v1/sample whose
 // digest equals a direct core run on the pread pool over the same
 // files, and drains cleanly when its context ends.
 func TestRunServesAndDrains(t *testing.T) {
@@ -178,6 +179,15 @@ func TestRunServesAndDrains(t *testing.T) {
 		folded = folded*0x100000001b3 ^ b.Digest()
 	}
 	want := fmt.Sprintf("%016x", folded)
+	// -cache-mb 1 holds every list: the cache sits behind the draw, so the
+	// digest is the cache-off run's, and the startup log counts the lists.
+	var lists int
+	for v := range uint32(ds.NumNodes()) {
+		if st, en := ds.Range(v); en > st {
+			lists++
+		}
+	}
+	cacheLine := fmt.Sprintf("neighbor cache: pinned %d lists / %d B under a 1048576 B budget, shortest first\n", lists, ds.NumEdges()*storage.EntryBytes)
 
 	t.Run("single-node", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -187,7 +197,7 @@ func TestRunServesAndDrains(t *testing.T) {
 		go func() {
 			done <- run(ctx, []string{
 				"-data", dir, "-addr", "127.0.0.1:0",
-				"-threads", "2", "-batch", fmt.Sprint(batch),
+				"-threads", "2", "-batch", fmt.Sprint(batch), "-cache-mb", "1",
 			}, out)
 		}()
 		var base string
@@ -198,7 +208,7 @@ func TestRunServesAndDrains(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("no listen address after 30s:\n%s", out)
 		}
-		for _, line := range []string{"; backend " + string(uring.Auto()) + "\n", "features: 8-dim f32", "labels: 4 classes", "2 workers"} {
+		for _, line := range []string{"; backend " + string(uring.Auto()) + "\n", "features: 8-dim f32", "labels: 4 classes", cacheLine, "2 workers"} {
 			if !strings.Contains(out.String(), line) {
 				t.Fatalf("startup log missing %q:\n%s", line, out)
 			}

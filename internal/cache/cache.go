@@ -1,29 +1,34 @@
 // Package cache implements the engine's two memory-budgeted row stores:
-// the hot-neighbor cache (the complete neighbor lists of the hottest
-// nodes) and the hot-node feature cache (their feature vectors). On
-// skewed (R-MAT-like) graphs a small number of nodes appear in a large
-// fraction of sampled frontiers, so keeping their rows in memory slashes
-// device traffic the way DiskGNN and GIDS report — while the engine's
-// memory story stays honest, because a cache charges its memctl budget
-// exactly what it holds: the rows, the index and the access counters.
+// the neighbor cache (complete neighbor lists) and the hot-node feature
+// cache (feature vectors). Keeping rows in memory saves the reads that
+// sampling would otherwise issue for them, the way DiskGNN and GIDS
+// report — while the engine's memory story stays honest, because a cache
+// charges its memctl budget exactly what it holds: the rows, the index
+// and the access counters.
 //
 // Both caches are strictly I/O bypasses: they store the same bytes the
 // files hold, so a consumer that draws first and only then consults the
 // cache produces bit-identical output with the cache on or off, at any
 // budget, whatever is pinned.
 //
-// One order decides what is pinned: (measured heat desc, degree desc,
-// node id asc). Heat is an access count the owner feeds in (Count, then
-// Fold when the epoch it was taken over completed); with nothing
-// measured the order is degree-first, which Build and BuildFeatures pin.
-// A learning feature cache re-ranks itself on Readmit and swaps only the
-// rows that changed; every other cache is static for its lifetime.
+// One order decides what is pinned: measured heat per charged byte desc,
+// then charge asc, degree desc and node id asc. Heat is an access count
+// the owner feeds in (Count, then Fold when the epoch it was taken over
+// completed); only a feature cache measures it. With nothing measured a
+// neighbor list's charge grows with its length, so Build pins the
+// shortest lists first: a visit to an uncached list costs at least one
+// read however long it is, and short lists save the most reads per byte.
+// Feature rows all cost the same, so BuildFeatures pins degree-first, the
+// skewed graph's hottest rows. A learning feature cache re-ranks itself on
+// Readmit and swaps only the rows that changed; every other cache is
+// static for its lifetime.
 package cache
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"ringsampler/internal/memctl"
@@ -187,12 +192,12 @@ func (r *ranked) rebuild() {
 	}
 }
 
-// Build pins the complete neighbor lists of the highest-degree nodes
-// (ties broken by ascending node id) under budget. Selection stops at the
-// first candidate that does not fit: the selected set is a prefix of one
-// fixed order, so a larger budget always caches a superset of a smaller
-// one — which is what makes device traffic provably monotone in the
-// budget for a fixed workload. The neighbor cache is always static.
+// Build pins complete neighbor lists under budget, shortest first (ties
+// broken by ascending node id). Selection stops at the first candidate
+// that does not fit: the selected set is a prefix of one fixed order, so
+// a larger budget always caches a superset of a smaller one — which is
+// what makes device traffic provably monotone in the budget for a fixed
+// workload. The neighbor cache is always static.
 func Build(g Graph, budget *memctl.Budget) (*Hot, error) {
 	return build(newSource(g, source{minDeg: 1, readBatch: g.ReadBatch, what: "list"}), budget, false)
 }
@@ -221,9 +226,10 @@ func newSource(g interface{ Offsets() []int64 }, src source) *source {
 }
 
 // build selects the cold-start prefix of src's candidates under budget,
-// charges it exactly what the cache holds (see overhead), and fills the
-// rows in file order. A feature cache learns when its budget is at least
-// LearnBudget and too small for a static cache to pin every row.
+// charges it exactly what the cache holds (see overhead), marks it in the
+// rank index and fills the rows in file order. A feature cache learns
+// when its budget is at least LearnBudget and too small for a static
+// cache to pin every row.
 func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 	if budget == nil {
 		return nil, fmt.Errorf("cache: nil budget")
@@ -241,41 +247,51 @@ func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 	learn = learn && allowance >= LearnBudget(n) && allowance < FeatureBudget(n, src.stride, src.hi-src.lo, false)
 	perRow, fixed := overhead(n, src.stride == 0, learn)
 	rank := newRanking(src, perRow)
-	picked := rank.admitted(rank.selectTop(max(allowance-fixed, 0)))
+	c := rank.selectTop(max(allowance-fixed, 0))
+	pinned := newRanked(n)
+	partRows, partBytes := c.rows, c.bytes
+	if partRows == nil {
+		partRows, partBytes = rank.mark(c, pinned.bits, nil)
+	}
+	// slots[i] and ats[i] are the first slot and data byte of part i's rows.
+	slots, ats := make([]int64, len(partRows)+1), make([]int64, len(partRows)+1)
+	for i := range partRows {
+		slots[i+1], ats[i+1] = slots[i]+partRows[i], ats[i]+partBytes[i]
+	}
+	rows, dataBytes := slots[len(partRows)], ats[len(partRows)]
 	h := &Hot{stride: src.stride}
-	if len(picked) == 0 {
+	if rows == 0 {
 		return h, nil
 	}
-	var dataBytes int64
-	for _, v := range picked {
-		if src.stride == 0 {
-			h.off = append(h.off, dataBytes)
-		}
-		dataBytes += src.rowBytes(src.degree(int64(v)))
-	}
-	if err := budget.Charge(dataBytes + int64(len(picked))*perRow + fixed); err != nil {
+	if err := budget.Charge(dataBytes + rows*perRow + fixed); err != nil {
 		return nil, err
 	}
-	h.data = make([]byte, dataBytes)
+	h.pinned, h.data = pinned, make([]byte, dataBytes)
 	if src.stride == 0 {
-		h.off = append(h.off, dataBytes)
+		h.off = make([]int64, rows+1)
+		h.off[rows] = dataBytes
 	}
-	// Ascending id is file order for both layouts, and so is rank order,
-	// the order of the slots, so neighbouring rows merge into one read;
-	// the reads go out together.
+	// Each part marks and lays out its own rows, concurrently. Ascending
+	// id is file order for both layouts, and so is rank order, the order
+	// of the slots, so neighbouring rows merge into one read; the reads
+	// go out together.
+	lays := make([]laying, len(partRows))
+	for i := range lays {
+		lays[i] = laying{src: src, off: h.off, slot: slots[i], at: ats[i]}
+	}
+	if got, gotBytes := rank.mark(c, pinned.bits, lays); !slices.Equal(got, partRows) || !slices.Equal(gotBytes, partBytes) {
+		return nil, fmt.Errorf("cache: marked %v rows of %v B per part, planned %v of %v B", got, gotBytes, partRows, partBytes)
+	}
 	fill := filler{src: src, data: h.data}
-	var at int64
-	for _, v := range picked {
-		n := src.rowBytes(src.degree(int64(v)))
-		fill.add(src.rowOff(int64(v)), at, n)
-		at += n
+	for i := range lays {
+		l := &lays[i]
+		l.flush(l.rd)
+		for _, rd := range l.reads {
+			fill.add(rd.Off, rd.Pos, rd.Len)
+		}
 	}
 	if _, err := fill.run(); err != nil {
 		return nil, err
-	}
-	h.pinned = newRanked(n)
-	for _, v := range picked {
-		h.pinned.bits[v>>6] |= 1 << (v & 63)
 	}
 	h.pinned.rebuild()
 	if learn {
@@ -283,6 +299,46 @@ func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 		h.learn = &learner{rank: rank, want: make([]uint64, (n+63)/64)}
 	}
 	return h, nil
+}
+
+// laying lays out one part's rows as mark finds them: each row's slot
+// and data bytes follow the last one's, from where the parts before it
+// end, and rows adjacent in the file and in the cache merge into one
+// fill read of at most maxFillRun (a longer row is a read of its own).
+type laying struct {
+	src      *source
+	off      []int64 // variable rows: the cache's row offsets
+	slot, at int64
+	rd       uring.Read // the read being extended
+	reads    []uring.Read
+}
+
+// word lays out the rows of the pinned bits w of the 64 nodes from v0.
+func (l *laying) word(v0 int64, w uint64) {
+	// Locals, not fields: a store into off could otherwise alias them.
+	offsets, stride, off, slot, at, rd := l.src.offsets, l.src.stride, l.off, l.slot, l.at, l.rd
+	for ; w != 0; w &= w - 1 {
+		v := v0 + int64(bits.TrailingZeros64(w))
+		fileOff, n := v*stride, stride
+		if stride == 0 {
+			fileOff, n = offsets[v]*EntryBytes, (offsets[v+1]-offsets[v])*EntryBytes
+			off[slot] = at
+		}
+		if rd.Len == 0 || fileOff != rd.Off+rd.Len || rd.Len+n > maxFillRun {
+			l.flush(rd)
+			rd = uring.Read{Off: fileOff, Pos: at}
+		}
+		rd.Len += n
+		slot, at = slot+1, at+n
+	}
+	l.slot, l.at, l.rd = slot, at, rd
+}
+
+// flush ends the read rd.
+func (l *laying) flush(rd uring.Read) {
+	if rd.Len > 0 {
+		l.reads = append(l.reads, rd)
+	}
 }
 
 // filler plans the reads that copy rows from the file into the data

@@ -27,13 +27,19 @@ func (g *fakeGraph) ReadBatch(dst []byte, reads []uring.Read) (int64, error) {
 	return moved, nil
 }
 
-// buildFake makes a graph where node v has degrees[v] neighbors, each
-// entry value encoding (node, position) so cached bytes are checkable.
-func buildFake(degrees []int64) *fakeGraph {
+// offsetsOf is the CSR offset index of a degree sequence.
+func offsetsOf(degrees []int64) []int64 {
 	offsets := make([]int64, len(degrees)+1)
 	for i, d := range degrees {
 		offsets[i+1] = offsets[i] + d
 	}
+	return offsets
+}
+
+// buildFake makes a graph where node v has degrees[v] neighbors, each
+// entry value encoding (node, position) so cached bytes are checkable.
+func buildFake(degrees []int64) *fakeGraph {
+	offsets := offsetsOf(degrees)
 	edges := make([]byte, offsets[len(degrees)]*EntryBytes)
 	for v, d := range degrees {
 		for j := int64(0); j < d; j++ {
@@ -43,18 +49,18 @@ func buildFake(degrees []int64) *fakeGraph {
 	return &fakeGraph{offsets: offsets, edges: edges}
 }
 
-// TestBuildDegreeFirstPrefix: selection is degree-first with id
+// TestBuildShortestFirstPrefix: selection is shortest-list-first with id
 // tie-break, stops at the first candidate that does not fit, and the
 // cached bytes are exactly the file bytes.
-func TestBuildDegreeFirstPrefix(t *testing.T) {
-	// Degrees: node 3 is hottest, then node 1, then 0 and 4 tie, node 2
-	// is degree-0 and must never be cached.
-	g := buildFake([]int64{4, 10, 0, 20, 4})
-	// Budget fits node 3 (80B + overhead) and node 1 (40B + overhead)
-	// but not node 0 (16B + overhead): prefix rule stops there even
-	// though node 4 would also not fit.
-	perRow, fixed := overhead(5, true, false)
-	budget := memctl.New(20*EntryBytes + 10*EntryBytes + 2*perRow + fixed + 8)
+func TestBuildShortestFirstPrefix(t *testing.T) {
+	// Degrees: node 5 is the shortest list, then nodes 0 and 4 tie, then
+	// node 1 and node 3; node 2 is degree-0 and must never be cached.
+	g := buildFake([]int64{4, 10, 0, 20, 4, 1})
+	// Budget fits node 5 (4 B + overhead) and node 0 (16 B + overhead)
+	// but not its tie, node 4: the prefix rule stops there, and a
+	// longer list would not fit either.
+	perRow, fixed := overhead(6, true, false)
+	budget := memctl.New(1*EntryBytes + 4*EntryBytes + 2*perRow + fixed + 4*EntryBytes + perRow - 1)
 	h, err := Build(g, budget)
 	if err != nil {
 		t.Fatal(err)
@@ -62,15 +68,15 @@ func TestBuildDegreeFirstPrefix(t *testing.T) {
 	if h.Nodes() != 2 {
 		t.Fatalf("Nodes = %d, want 2", h.Nodes())
 	}
-	if h.Bytes() != 30*EntryBytes {
-		t.Fatalf("Bytes = %d, want %d", h.Bytes(), 30*EntryBytes)
+	if h.Bytes() != 5*EntryBytes {
+		t.Fatalf("Bytes = %d, want %d", h.Bytes(), 5*EntryBytes)
 	}
-	for _, v := range []uint32{0, 2, 4} {
+	for _, v := range []uint32{1, 2, 3, 4} {
 		if h.Lookup(v) != nil {
 			t.Fatalf("node %d unexpectedly cached", v)
 		}
 	}
-	for _, v := range []uint32{1, 3} {
+	for _, v := range []uint32{0, 5} {
 		nb := h.Lookup(v)
 		st, en := g.Range(v)
 		if int64(len(nb)) != (en-st)*EntryBytes {
@@ -120,7 +126,7 @@ func TestBuildBudgetMonotone(t *testing.T) {
 	}
 }
 
-// TestBuildTinyBudget: a budget too small for even the hottest node
+// TestBuildTinyBudget: a budget too small for even the shortest list
 // yields a valid empty cache, not an error.
 func TestBuildTinyBudget(t *testing.T) {
 	g := buildFake([]int64{100, 200})

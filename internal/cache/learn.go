@@ -127,9 +127,7 @@ func (h *Hot) Readmit() (Readmission, error) {
 	l, stride := h.learn, h.stride
 	src := l.rank.src
 	// The rows' bytes are their whole cost: a learning cache holds nothing per row.
-	for _, v := range l.rank.admitted(l.rank.selectTop(int64(len(h.data)))) {
-		l.want[v>>6] |= 1 << (v & 63)
-	}
+	l.rank.mark(l.rank.selectTop(int64(len(h.data))), l.want, nil)
 
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -60,11 +62,7 @@ func (g *fakeFeatures) FeatureReadBatch(dst []byte, reads []uring.Read) (int64, 
 }
 
 func newFakeFeatures(degrees []int64, stride int64) *fakeFeatures {
-	offsets := make([]int64, len(degrees)+1)
-	for i, d := range degrees {
-		offsets[i+1] = offsets[i] + d
-	}
-	return &fakeFeatures{offsets: offsets, stride: stride}
+	return &fakeFeatures{offsets: offsetsOf(degrees), stride: stride}
 }
 
 // tiedDegrees draws n degrees from a handful of values, so every cut
@@ -79,9 +77,10 @@ func tiedDegrees(rng *rand.Rand, n int) []int64 {
 }
 
 // referenceOrder is the order the selection must reproduce, the slow
-// obvious way: every candidate, sorted by (heat desc, degree desc, id
-// asc).
-func referenceOrder(degrees []int64, heat []uint32, minDeg int64) []uint32 {
+// obvious way: every candidate, sorted by (heat per charged byte desc,
+// charge asc, degree desc, id asc), where a row of degree d is charged
+// cost(d).
+func referenceOrder(degrees []int64, heat []uint32, minDeg int64, cost func(deg int64) int64) []uint32 {
 	var cands []uint32
 	for v, d := range degrees {
 		if d >= minDeg {
@@ -90,8 +89,12 @@ func referenceOrder(degrees []int64, heat []uint32, minDeg int64) []uint32 {
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		a, b := cands[i], cands[j]
-		if heat != nil && heat[a] != heat[b] {
-			return heat[a] > heat[b]
+		ca, cb := cost(degrees[a]), cost(degrees[b])
+		if heat != nil && int64(heat[a])*cb != int64(heat[b])*ca {
+			return int64(heat[a])*cb > int64(heat[b])*ca
+		}
+		if ca != cb {
+			return ca < cb
 		}
 		if degrees[a] != degrees[b] {
 			return degrees[a] > degrees[b]
@@ -105,7 +108,7 @@ func referenceOrder(degrees []int64, heat []uint32, minDeg int64) []uint32 {
 // that does not fit, and returns them in ascending id order.
 func referencePrefix(degrees []int64, heat []uint32, minDeg int64, cost func(deg int64) int64, allowance int64) []uint32 {
 	var picked []uint32
-	for _, v := range referenceOrder(degrees, heat, minDeg) {
+	for _, v := range referenceOrder(degrees, heat, minDeg, cost) {
 		c := cost(degrees[v])
 		if c > allowance {
 			break
@@ -117,18 +120,52 @@ func referencePrefix(degrees []int64, heat []uint32, minDeg int64, cost func(deg
 	return picked
 }
 
-// coreCounts are the GOMAXPROCS settings the select is checked at: one
-// part — the sequential select — and 2, 3 and 8 parts, whose boundaries
-// fall on different nodes.
+// picked returns, in ascending id order, the candidates inside cutoff c
+// of r over n nodes. Where the select counted each part's rows and bytes,
+// they must be what mark finds there.
+func picked(t *testing.T, r *ranking, c cutoff, n int) []uint32 {
+	t.Helper()
+	marked := make([]uint64, (n+63)/64)
+	rows, bytes := r.mark(c, marked, nil)
+	if c.rows != nil && (!slices.Equal(c.rows, rows) || !slices.Equal(c.bytes, bytes)) {
+		t.Fatalf("the select counted %v rows of %v B per part, mark found %v of %v B", c.rows, c.bytes, rows, bytes)
+	}
+	var out []uint32
+	for v := range n {
+		if marked[v>>6]&(1<<(v&63)) != 0 {
+			out = append(out, uint32(v))
+		}
+	}
+	return out
+}
+
+// coreCounts are the GOMAXPROCS settings the select is checked at: 1, 2,
+// 3 and 8 cores, whose parts' boundaries fall on different nodes.
 var coreCounts = []int{1, 2, 3, 8}
+
+// boundaries returns the part boundaries inside n nodes at every core
+// count: where the select splits them.
+func boundaries(n int) []int {
+	var out []int
+	for _, procs := range coreCounts {
+		sp := splitRange(0, int64(n), partsPerCore*procs)
+		for _, b := range sp[1 : len(sp)-1] {
+			if 0 < b && b < int64(n) {
+				out = append(out, int(b))
+			}
+		}
+	}
+	return out
+}
 
 // cutBudgets returns allowances whose cut lands at every place the
 // select must get right, for the reference order over n nodes and its
 // rows' costs: before the first candidate (nothing admitted), inside the
-// hottest keys, inside the low digit (the first candidate of degree
-// below 2^digitBits, and half-way from there to the end), on and around
-// every part boundary at every core count — where tied keys straddle it
-// when the inputs put a run of ties there — and after every candidate
+// first keys, where the order crosses from one low digit of degrees to
+// the rest (the first candidate on the other side of 2^digitBits from
+// the first, and half-way from there to the end), on and around every
+// part boundary at every core count — where tied keys straddle it when
+// the inputs put a run of ties there — and after every candidate
 // (everything admitted).
 func cutBudgets(order []uint32, n int, degrees []int64, cost func(deg int64) int64) []int64 {
 	pre := make([]int64, len(order)+1)
@@ -145,15 +182,13 @@ func cutBudgets(order []uint32, n int, degrees []int64, cost func(deg int64) int
 		return pre[j] + cost(degrees[order[j]]) - 1
 	}
 	budgets := []int64{fits(0), fits(1), fits(2), fits(3)}
-	if j := slices.IndexFunc(order, func(v uint32) bool { return degrees[v] < 1<<digitBits }); j >= 0 {
+	low := func(v uint32) bool { return degrees[v] < 1<<digitBits }
+	if j := slices.IndexFunc(order, func(v uint32) bool { return low(v) != low(order[0]) }); j >= 0 {
 		budgets = append(budgets, fits(j+1), fits(j+2), fits((j+len(order))/2))
 	}
-	for _, procs := range coreCounts {
-		parts := min(procs, n)
-		for k := 1; k < parts; k++ {
-			if j := at[n*k/parts] - 1; j >= 0 {
-				budgets = append(budgets, fits(j-1), fits(j), fits(j+1))
-			}
+	for _, b := range boundaries(n) {
+		if j := at[b] - 1; j >= 0 {
+			budgets = append(budgets, fits(j-1), fits(j), fits(j+1))
 		}
 	}
 	return append(budgets, fits(len(order)), fits(len(order))+1)
@@ -164,20 +199,18 @@ func cutBudgets(order []uint32, n int, degrees []int64, cost func(deg int64) int
 // between two parts.
 func tiesAtBoundaries(vals []int64, value int64) {
 	n := len(vals)
-	for _, procs := range coreCounts {
-		for k := 1; k < min(procs, n); k++ {
-			b := n * k / min(procs, n)
-			for v := max(0, b-3); v < min(n, b+3); v++ {
-				vals[v] = value
-			}
+	for _, b := range boundaries(n) {
+		for v := max(0, b-3); v < min(n, b+3); v++ {
+			vals[v] = value
 		}
 	}
 }
 
 // TestSelectCutsMatchSort drives the select routine itself through every
-// kind of cut (see cutBudgets), for neighbor lists and fixed rows, over
-// degree-only and learned keys, at every core count: each pick must be
-// the sort's, with runs of tied keys placed across every part boundary.
+// kind of cut (see cutBudgets), for neighbor lists (shortest first) and
+// fixed rows, the rows over degree-only and learned keys (no list cache
+// learns), at every core count: each pick must be the sort's, with runs
+// of tied keys placed across every part boundary.
 func TestSelectCutsMatchSort(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(31))
@@ -193,18 +226,26 @@ func TestSelectCutsMatchSort(t *testing.T) {
 	}
 	listRow, _ := overhead(n, true, false)
 	featRow, _ := overhead(n, false, true)
+	// One list of over 2^22 entries makes the list keys three digits wide.
+	longLists := slices.Clone(degrees)
+	longLists[n/2+1] = 4_200_000
+	lists := func(d int64) int64 { return d*EntryBytes + listRow }
 	for _, c := range []struct {
-		name   string
-		src    *source
-		minDeg int64
-		perRow int64
-		cost   func(deg int64) int64
+		name    string
+		src     *source
+		minDeg  int64
+		perRow  int64
+		cost    func(deg int64) int64
+		degrees []int64
+		heats   [][]uint32
 	}{
-		{"lists", newSource(buildFake(degrees), source{minDeg: 1}), 1, listRow, func(d int64) int64 { return d*EntryBytes + listRow }},
-		{"rows", newSource(newFakeFeatures(degrees, stride), source{stride: stride}), 0, featRow, func(int64) int64 { return stride + featRow }},
+		{"lists", newSource(buildFake(degrees), source{minDeg: 1}), 1, listRow, lists, degrees, [][]uint32{nil}},
+		{"long lists", newSource(indexOnly(offsetsOf(longLists)), source{minDeg: 1}), 1, listRow, lists, longLists, [][]uint32{nil}},
+		{"rows", newSource(newFakeFeatures(degrees, stride), source{stride: stride}), 0, featRow, func(int64) int64 { return stride + featRow }, degrees, [][]uint32{nil, counts}},
 	} {
-		for _, heat := range [][]uint32{nil, counts} {
-			order := referenceOrder(degrees, heat, c.minDeg)
+		degrees := c.degrees
+		for _, heat := range c.heats {
+			order := referenceOrder(degrees, heat, c.minDeg, c.cost)
 			for _, procs := range coreCounts {
 				runtime.GOMAXPROCS(procs)
 				for _, allowance := range cutBudgets(order, n, degrees, c.cost) {
@@ -216,7 +257,7 @@ func TestSelectCutsMatchSort(t *testing.T) {
 							r.maxHeat = max(r.maxHeat, uint16(h))
 						}
 					}
-					got := r.admitted(r.selectTop(allowance))
+					got := picked(t, &r, r.selectTop(allowance), n)
 					if want := referencePrefix(degrees, heat, c.minDeg, c.cost, allowance); !slices.Equal(got, want) {
 						t.Fatalf("%s, learned %v, GOMAXPROCS %d, allowance %d: picked %v, sort picks %v", c.name, heat != nil, procs, allowance, got, want)
 					}
@@ -286,7 +327,7 @@ func coldStartMatchesSort(t *testing.T) {
 		// Every kind of cut, on a few trials: each build copies the rows.
 		cuts := trial%10 < 3
 		if cuts {
-			for _, allowance := range cutBudgets(referenceOrder(degrees, nil, 1), n, degrees, lists) {
+			for _, allowance := range cutBudgets(referenceOrder(degrees, nil, 1, lists), n, degrees, lists) {
 				limits = append(limits, allowance+listFixed)
 			}
 		}
@@ -330,7 +371,7 @@ func coldStartMatchesSort(t *testing.T) {
 		rows := func(int64) int64 { return stride }
 		limits = []int64{1, staticFixed - 1, staticFixed + stride, staticFixed + stride*int64(1+rng.Intn(n)) + int64(rng.Intn(40)), staticFixed + stride*int64(n), 0}
 		if cuts {
-			for _, allowance := range cutBudgets(referenceOrder(degrees, nil, 0), n, degrees, rows) {
+			for _, allowance := range cutBudgets(referenceOrder(degrees, nil, 0, rows), n, degrees, rows) {
 				limits = append(limits, allowance+staticFixed)
 			}
 		}
@@ -1145,25 +1186,47 @@ func (g indexOnly) ReadBatch(_ []byte, reads []uring.Read) (moved int64, _ error
 	return moved, nil
 }
 
-// hubCache builds a static neighbor cache that pins exactly 150 hub lists
-// of 32,768 entries on a million-node index whose other nodes have
-// exponentially distributed degree: the shape of a serving cache.
+// hubCache pins exactly 150 hub lists of 32,768 entries on a
+// million-node index whose other nodes have exponentially distributed
+// degree: the shape of a degree-first serving cache, a sparse bitmap.
+// Build pins shortest first, so the index is set up by hand.
 func hubCache(b *testing.B, rng *rand.Rand) (*Hot, []int64) {
 	const n, hubs, hubDegree = 1_000_000, 150, 1 << 15
 	degrees := make([]int64, n)
 	for i := range degrees {
 		degrees[i] = int64(rng.ExpFloat64() * 20)
 	}
+	h := &Hot{pinned: newRanked(n), data: make([]byte, hubs*hubDegree*EntryBytes)}
 	for _, v := range rng.Perm(n)[:hubs] {
 		degrees[v] = hubDegree
+		h.pinned.bits[v>>6] |= 1 << (v & 63)
 	}
-	offsets := make([]int64, n+1)
-	for v, d := range degrees {
-		offsets[v+1] = offsets[v] + d
+	h.pinned.rebuild()
+	for slot := range hubs + 1 {
+		h.off = append(h.off, int64(slot)*hubDegree*EntryBytes)
 	}
-	perRow, fixed := overhead(n, true, false)
-	h, err := Build(indexOnly(offsets), memctl.New(fixed+hubs*(hubDegree*EntryBytes+perRow)))
-	if err != nil || h.Nodes() != hubs {
+	return h, offsetsOf(degrees)
+}
+
+// shortCache builds a static neighbor cache under a quarter of the edge
+// bytes over a million-node, 20M-edge R-MAT-shaped degree sequence —
+// node v's degree is the edge count times the R-MAT probability of its
+// id, (a+b) = 0.76 per 0 bit and (c+d) = 0.24 per 1 bit, rounded at
+// random — so that it pins the shortest-first prefix, a dense bitmap.
+func shortCache(b *testing.B, rng *rand.Rand) (*Hot, []int64) {
+	const n, edges = 1 << 20, 20_000_000
+	degrees := make([]int64, n)
+	for v := range degrees {
+		ones := bits.OnesCount(uint(v))
+		x := edges * math.Pow(0.76, float64(20-ones)) * math.Pow(0.24, float64(ones))
+		degrees[v] = int64(x)
+		if rng.Float64() < x-math.Floor(x) {
+			degrees[v]++
+		}
+	}
+	offsets := offsetsOf(degrees)
+	h, err := Build(indexOnly(offsets), memctl.New(offsets[n]*EntryBytes/4))
+	if err != nil || h.Nodes() < n/8 {
 		b.Fatalf("pinned %d lists, err %v", h.Nodes(), err)
 	}
 	return h, offsets
@@ -1171,9 +1234,10 @@ func hubCache(b *testing.B, rng *rand.Rand) (*Hot, []int64) {
 
 // BenchmarkLookup times one Lookup on a million-node index, hits and
 // misses as they come: on an adaptive cache of 128 B rows under 32 MB, of
-// a uniformly random node; on a static cache of 150 hub lists, of the
-// source of a uniformly random edge, so that a node turns up as often as
-// its degree, as in a sampled frontier.
+// a uniformly random node; on a static cache of 150 hub lists and on the
+// shortest-first static cache of an R-MAT-shaped graph (shortCache), of
+// the source of a uniformly random edge, so that a node turns up as often
+// as its degree, as in a sampled frontier.
 func BenchmarkLookup(b *testing.B) {
 	b.Run("learning", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
@@ -1184,16 +1248,21 @@ func BenchmarkLookup(b *testing.B) {
 		}
 		lookups(b, h, probes)
 	})
-	b.Run("static-hubs", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
-		h, offsets := hubCache(b, rng)
-		probes := make([]uint32, 1<<16)
-		for i := range probes {
-			e := rng.Int63n(offsets[len(offsets)-1])
-			probes[i] = uint32(sort.Search(len(offsets)-1, func(v int) bool { return offsets[v+1] > e }))
-		}
-		lookups(b, h, probes)
-	})
+	for _, c := range []struct {
+		name  string
+		build func(*testing.B, *rand.Rand) (*Hot, []int64)
+	}{{"static-hubs", hubCache}, {"static-short", shortCache}} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			h, offsets := c.build(b, rng)
+			probes := make([]uint32, 1<<16)
+			for i := range probes {
+				e := rng.Int63n(offsets[len(offsets)-1])
+				probes[i] = uint32(sort.Search(len(offsets)-1, func(v int) bool { return offsets[v+1] > e }))
+			}
+			lookups(b, h, probes)
+		})
+	}
 }
 
 // lookups times b.N Lookups cycling through probes (a power of two long).

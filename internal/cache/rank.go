@@ -8,11 +8,16 @@ import (
 	"sync"
 )
 
-// ranking is the admission order over a source's candidates: (heat desc,
-// degree desc, node id asc). Heat and degree pack into one integer key —
-// degree in the low degField bits, heat above — so "hotter" is "larger
-// key" and the id tie-break is scan order. A candidate is a node of the
-// owned range with at least the source's minimum degree.
+// ranking is the admission order over a source's candidates: measured
+// heat per charged byte desc, then charge asc, degree desc and node id
+// asc. Only a feature cache learns, and its rows all cost the same, so
+// heat per byte orders as heat does and the charge ties: its order is
+// (heat desc, degree desc, id asc). A neighbor list costs more the longer
+// it is and is never measured, so its order is (degree asc, id asc):
+// shortest list first, each saving a read per visit for the fewest bytes.
+// Heat and degree pack into one integer key, degree in the low degField
+// bits and heat above; the id tie-break is scan order. A candidate is a
+// node of the owned range with at least the source's minimum degree.
 type ranking struct {
 	src *source
 	// degField is the width of the key's degree field: the bit length of
@@ -20,6 +25,9 @@ type ranking struct {
 	// up to whole radix digits, so that every digit of a key is either all
 	// heat or all degree.
 	degField uint
+	// shortFirst ranks the degree field ascending: the rows are
+	// variable, so a lower degree is a lower charge.
+	shortFirst bool
 	// perRow is what the cache holds per pinned row besides the row.
 	perRow int64
 	// heat holds, per node, the folded access count above the low
@@ -33,7 +41,7 @@ type ranking struct {
 func newRanking(src *source, perRow int64) ranking {
 	edges := src.offsets[src.hi] - src.offsets[src.lo]
 	digits := (uint(bits.Len64(uint64(edges))) + digitBits - 1) / digitBits
-	return ranking{src: src, degField: digits * digitBits, perRow: perRow}
+	return ranking{src: src, degField: digits * digitBits, shortFirst: src.stride == 0, perRow: perRow}
 }
 
 // cost is what a row of a node of the given degree is charged.
@@ -43,15 +51,28 @@ func (r *ranking) cost(deg int64) int64 { return r.src.rowBytes(deg) + r.perRow 
 // [spans[i], spans[i+1]).
 type spans []int64
 
-// split cuts the owned range into one part per core (GOMAXPROCS, fewer
-// when the range has fewer nodes).
+// partsPerCore is how many parts split cuts per core: parts of equal
+// size can hold very different numbers of rows (on an R-MAT graph the low
+// ids hold most), and the runtime spreads many parts over the cores.
+const partsPerCore = 4
+
+// split cuts the owned range into partsPerCore parts per core
+// (GOMAXPROCS; fewer when the range has fewer nodes).
 func (s *source) split() spans {
-	n := s.hi - s.lo
-	parts := max(1, min(int64(runtime.GOMAXPROCS(0)), n))
+	return splitRange(s.lo, s.hi, partsPerCore*runtime.GOMAXPROCS(0))
+}
+
+// splitRange cuts [lo, hi) into up to parts parts of about equal size.
+// Every boundary inside the range is a multiple of 64, so no two parts
+// share a word of a node bitmap; a part may be empty.
+func splitRange(lo, hi int64, parts int) spans {
+	n := hi - lo
+	parts = max(1, min(parts, int((n+63)/64)))
 	sp := make(spans, parts+1)
 	for i := range sp {
-		sp[i] = s.lo + n*int64(i)/parts
+		sp[i] = max(lo, (lo+n*int64(i)/int64(parts))&^63)
 	}
+	sp[parts] = hi
 	return sp
 }
 
@@ -69,8 +90,8 @@ func (sp spans) each(fn func(i int, lo, hi int64)) {
 	wg.Wait()
 }
 
-// cutoff describes a prefix of the ranking: every candidate whose key is
-// above key, plus the first ties (by ascending id) at key.
+// cutoff describes a prefix of the ranking: every candidate whose key
+// ranks ahead of key, plus the first ties (by ascending id) at key.
 type cutoff struct {
 	key uint64
 	// parts are the node ranges the select scanned; ties[i] is how many
@@ -78,6 +99,10 @@ type cutoff struct {
 	// each part takes what the parts before it left.
 	parts spans
 	ties  []int64
+	// rows and bytes, when the select could count them, are what each
+	// part admits: the rows and their bytes. They are nil when a bucket
+	// admitted whole held rows of different costs.
+	rows, bytes []int64
 }
 
 // digitBits is the radix of selectTop: each pass resolves this many key
@@ -95,17 +120,28 @@ type tally struct {
 // would pick, in O(nodes) time and constant space per core. It is a
 // most-significant-digit radix select on the key: each pass histograms
 // the row cost per digit value among the candidates that match the
-// digits already fixed, walks the buckets from the hottest down while
-// they fit whole, and descends into the first that does not; the last
+// digits already fixed, walks the buckets in rank order while they fit
+// whole, and descends into the first that does not; the last
 // bucket, one key and so one row cost, is cut by division. Every pass
-// runs on all parts at once, each into its own tally; the walk sums them.
+// runs on all parts at once, each into its own tally; the walk sums them,
+// and counts each part's rows where the buckets it takes allow (count).
 func (r *ranking) selectTop(allowance int64) cutoff {
 	c := cutoff{parts: r.src.split()}
 	tallies := make([]tally, len(c.parts)-1)
+	c.rows, c.bytes = make([]int64, len(tallies)), make([]int64, len(tallies))
+	counted := true
 	keyBits := r.degField + uint(bits.Len16(r.maxHeat))
-	var shift uint
+	var top uint
 	if keyBits > 0 {
-		shift = (keyBits - 1) / digitBits * digitBits
+		top = (keyBits - 1) / digitBits * digitBits
+	}
+	// Shortest first, the cut usually lands among the shortest lists: the
+	// select first probes the keys below 2^digitBits, one scan of the low
+	// digit, and starts over from the top digit only if they all fit.
+	probe := r.shortFirst && r.maxHeat == 0 && top > 0
+	shift := top
+	if probe {
+		shift = 0
 	}
 	// A scan also fills next, looking one digit ahead for the keys whose
 	// current digit is 0: degrees and counts are skewed towards small
@@ -133,14 +169,33 @@ func (r *ranking) selectTop(allowance int64) cutoff {
 				hist[d] += x
 			}
 		}
-		b := len(hist) - 1
-		for ; b >= 0 && hist[b] <= remaining; b-- {
-			remaining -= hist[b]
+		// The buckets go in rank order: a degree digit of a shortest-first
+		// ranking ascends, every other digit descends.
+		b, step, end := len(hist)-1, -1, -1
+		if r.shortFirst && shift < r.degField {
+			b, step, end = 0, 1, len(hist)
 		}
-		if b < 0 {
-			// Everything fits, every candidate is at or above key 0. (A
-			// bucket descended into did not fit, so only pass one gets here.)
+		for ; b != end && hist[b] <= remaining; b += step {
+			remaining -= hist[b]
+			counted = counted && r.count(&c, tallies, b, prefix|uint64(b)<<shift, shift)
+		}
+		if b == end && probe {
+			probe, shift, remaining, counted = false, top, allowance, true
+			clear(c.rows)
+			clear(c.bytes)
+			continue
+		}
+		if b == end {
+			// Everything fits, every candidate is at or ahead of the last
+			// key. (A bucket descended into did not fit, so only a first
+			// pass gets here.)
+			if r.shortFirst {
+				c.key = 1<<r.degField - 1
+			}
 			c.ties = slices.Repeat([]int64{math.MaxInt64}, len(tallies))
+			if !counted {
+				c.rows, c.bytes = nil, nil
+			}
 			return c
 		}
 		prefix |= uint64(b) << shift
@@ -155,14 +210,38 @@ func (r *ranking) selectTop(allowance int64) cutoff {
 		}
 	}
 	c.key = prefix
-	cost := r.cost(int64(prefix & (1<<r.degField - 1)))
+	deg := int64(prefix & (1<<r.degField - 1))
+	cost := r.cost(deg)
 	ties := remaining / cost
 	c.ties = make([]int64, len(tallies))
 	for i := range tallies {
 		c.ties[i] = min(ties, tallies[i].hist[prefix&(1<<digitBits-1)]/cost)
 		ties -= c.ties[i]
+		c.rows[i] += c.ties[i]
+		c.bytes[i] += c.ties[i] * r.src.rowBytes(deg)
+	}
+	if !counted {
+		c.rows, c.bytes = nil, nil
 	}
 	return c
+}
+
+// count adds the rows of bucket b, key, of a pass at shift, part by part,
+// to c's sizes, and reports whether it could: it divides a bucket's cost
+// by its rows' when they all cost the same — fixed rows, or the one key
+// of a bucket of the last digit.
+func (r *ranking) count(c *cutoff, tallies []tally, b int, key uint64, shift uint) bool {
+	if r.src.stride == 0 && shift > 0 {
+		return false
+	}
+	deg := int64(key & (1<<r.degField - 1))
+	cost, width := r.cost(deg), r.src.rowBytes(deg)
+	for i := range tallies {
+		n := tallies[i].hist[b] / cost
+		c.rows[i] += n
+		c.bytes[i] += n * width
+	}
+	return true
 }
 
 // pass is one select scan over the nodes [lo, hi): it histograms into t
@@ -182,6 +261,25 @@ func (r *ranking) pass(t *tally, lo, hi int64, shift uint, prefix uint64, look, 
 	offsets, minDeg := r.src.offsets[lo:hi+1], r.src.minDeg
 	perDeg, base := r.cost(1)-r.cost(0), r.cost(0)
 	hist, next := &t.hist, &t.next
+	if r.maxHeat == 0 && shift == 0 && prefix == 0 {
+		// The keys below 2^digitBits, one per bucket, as a shortest-first
+		// select's first scan asks: count them, and charge each bucket its
+		// one cost after the scan.
+		prev := offsets[0]
+		for _, o := range offsets[1:] {
+			if deg := o - prev; uint64(deg) <= mask {
+				hist[deg]++
+			}
+			prev = o
+		}
+		for d := range hist {
+			hist[d] *= int64(d)*perDeg + base
+			if int64(d) < minDeg {
+				hist[d] = 0
+			}
+		}
+		return
+	}
 	if r.maxHeat == 0 {
 		// The key is the degree: the pass reads the offsets alone. Inside
 		// the prefix no branch depends on the degree — isolated nodes and
@@ -203,7 +301,9 @@ func (r *ranking) pass(t *tally, lo, hi int64, shift uint, prefix uint64, look, 
 				nextCost = 0
 			}
 			hist[digit] += cost
-			next[nextDigit] += nextCost // ignored unless look
+			if look {
+				next[nextDigit] += nextCost
+			}
 		}
 		return
 	}
@@ -235,49 +335,93 @@ func (r *ranking) pass(t *tally, lo, hi int64, shift uint, prefix uint64, look, 
 	}
 }
 
-// admitted returns, in ascending id order, every candidate inside the
-// cutoff: each part collects its own, concurrently.
-func (r *ranking) admitted(c cutoff) []uint32 {
-	lists := make([][]uint32, len(c.parts)-1)
+// mark sets in marked every candidate inside the cutoff, each part
+// concurrently (they own whole words, see splitRange), and returns per
+// part the rows it marked and their bytes. With lays, part i also lays
+// out its rows through lays[i] as it marks them.
+func (r *ranking) mark(c cutoff, marked []uint64, lays []laying) (rows, bytes []int64) {
+	rows, bytes = make([]int64, len(c.ties)), make([]int64, len(c.ties))
 	c.parts.each(func(i int, lo, hi int64) {
-		lists[i] = r.admit(c.key, lo, hi, c.ties[i])
+		var lay *laying
+		if lays != nil {
+			lay = &lays[i]
+		}
+		rows[i], bytes[i] = r.markPart(marked, c.key, lo, hi, c.ties[i], lay)
 	})
-	return slices.Concat(lists...)
+	return rows, bytes
 }
 
-// admit is admitted over the nodes [lo, hi): every candidate above key,
-// and the first ties at it.
-func (r *ranking) admit(key uint64, lo, hi, ties int64) []uint32 {
+// markPart is mark over the nodes [lo, hi): every candidate ahead of
+// key, and the first ties at it. It builds each word of marked in a
+// register and hands it to lay, if any, while the word's offsets are in
+// cache.
+func (r *ranking) markPart(marked []uint64, key uint64, lo, hi, ties int64, lay *laying) (rows, bytes int64) {
 	cutHeat, cutDeg := key>>r.degField, int64(key&(1<<r.degField-1))
-	offsets, minDeg := r.src.offsets[lo:hi+1], r.src.minDeg
-	var heat []uint16
-	if r.maxHeat > 0 { // else the key is the degree
-		heat = r.heat[lo:hi]
+	offsets, minDeg := r.src.offsets, r.src.minDeg
+	// With the degree for key, a candidate is ahead of the cut when its
+	// degree is in [first, first+span). That is one unsigned compare and
+	// no branch — which candidates are in is scattered all over an index
+	// — but the rare tie's.
+	first, span := max(cutDeg+1, minDeg), uint64(math.MaxInt64)
+	if r.shortFirst {
+		first, span = minDeg, uint64(max(cutDeg-minDeg, 0))
 	}
-	var out []uint32
-	for i := range hi - lo {
-		// Hotter than the cut is in whatever the degree; at the cut's heat
-		// the degree decides, and at the cut's key the id does.
-		var h uint64
-		if heat != nil {
-			if h = uint64(heat[i] >> pendingBits); h < cutHeat {
-				continue
+	var degrees int64
+	for v := lo; v < hi; {
+		end := min(hi, v|63+1)
+		var word uint64
+		if r.maxHeat == 0 {
+			prev, bit := offsets[v], uint64(1)<<(v&63)
+			for _, o := range offsets[v+1 : end+1] {
+				deg := o - prev
+				prev = o
+				_, in := bits.Sub64(uint64(deg-first), span, 0)
+				if deg == cutDeg && deg >= minDeg && ties > 0 {
+					in = 1
+					ties--
+				}
+				word |= bit & -in
+				bit <<= 1
+				degrees += deg & -int64(in)
+			}
+		} else {
+			for u := v; u < end; u++ {
+				// Hotter than the cut is in whatever the degree; at the
+				// cut's heat the degree decides, in the field's order, and
+				// at the cut's key the id does.
+				h := uint64(r.heat[u] >> pendingBits)
+				if h < cutHeat {
+					continue
+				}
+				deg := offsets[u+1] - offsets[u]
+				if deg < minDeg {
+					continue
+				}
+				if h == cutHeat {
+					if deg == cutDeg {
+						if ties == 0 {
+							continue
+						}
+						ties--
+					} else if deg < cutDeg != r.shortFirst {
+						continue
+					}
+				}
+				word |= 1 << (u & 63)
+				degrees += deg
 			}
 		}
-		deg := offsets[i+1] - offsets[i]
-		// The cut's degree first: above the minimum (unless everything is
-		// admitted) it rejects the isolated nodes too, in a branch that
-		// mostly goes one way.
-		if h == cutHeat && deg < cutDeg || deg < minDeg {
-			continue
-		}
-		if h == cutHeat && deg == cutDeg {
-			if ties == 0 {
-				continue
+		if word != 0 {
+			marked[v>>6] |= word
+			rows += int64(bits.OnesCount64(word))
+			if lay != nil {
+				lay.word(v&^63, word)
 			}
-			ties--
 		}
-		out = append(out, uint32(lo+i))
+		v = end
 	}
-	return out
+	if r.src.stride > 0 {
+		return rows, rows * r.src.stride
+	}
+	return rows, degrees * EntryBytes
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"ringsampler/internal/cache"
+	"ringsampler/internal/gen"
 	"ringsampler/internal/sample"
+	"ringsampler/internal/storage"
 	"ringsampler/internal/uring"
 )
 
@@ -85,8 +87,9 @@ func TestCacheAdversarialTargetOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A cached hub, and a file-adjacent pair of non-cached nodes with
-	// degree in [1, fanout] so all their entries are picked.
+	// A cached node (a short list: the cache pins shortest first), and a
+	// file-adjacent pair of non-cached nodes with degree in [1, fanout]
+	// so all their entries are picked.
 	var hub uint32
 	foundHub := false
 	for v := int64(0); v < ds.NumNodes(); v++ {
@@ -157,20 +160,36 @@ func TestCacheAdversarialTargetOrder(t *testing.T) {
 // cached node set a superset of a smaller one's, so for a fixed
 // workload, device bytes are non-increasing and cache-served bytes and
 // hits (so, over a fixed lookup count, the hit rate) non-decreasing in
-// the budget.
+// the budget. The smallest budget holds exactly the degree-1 lists with
+// their offsets and the rank index: shortest first, it pins all of them
+// and nothing else.
 func TestCacheMonotoneDeviceBytes(t *testing.T) {
 	ds := testDataset(t)
 	targets := testTargets(ds, 256)
+	var ones int
+	for v := range uint32(ds.NumNodes()) {
+		if st, en := ds.Range(v); en-st == 1 {
+			ones++
+		}
+	}
+	words := (ds.NumNodes() + 63) / 64
+	onesBudget := words*8 + (words+7)/8*4 + 8 + int64(ones)*(storage.EntryBytes+8)
+	if ones == 0 || onesBudget >= cacheBudgets[1] {
+		t.Fatalf("%d degree-1 lists under %d B: no budget between cache-off and %d B", ones, onesBudget, cacheBudgets[1])
+	}
 	prevDevice := int64(-1)
 	prevCached := int64(-1)
 	prevHits := int64(-1)
-	for _, budget := range cacheBudgets {
+	for _, budget := range slices.Insert(slices.Clone(cacheBudgets), 1, onesBudget) {
 		cfg := DefaultConfig()
 		cfg.Seed = 33
 		cfg.CacheBudgetBytes = budget
 		s, err := New(ds, cfg, uring.BackendSim)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if nodes, bytes := s.CacheInfo(); budget == onesBudget && (nodes != ones || bytes != int64(ones)*storage.EntryBytes) {
+			t.Fatalf("budget %d pinned %d lists of %d B, want the %d degree-1 lists", budget, nodes, bytes, ones)
 		}
 		w, err := s.NewWorker(0)
 		if err != nil {
@@ -395,5 +414,54 @@ func TestCachesBelowTheirIndexPinNothing(t *testing.T) {
 	off, tiny := run(0), run((ds.NumNodes()+63)/64*8)
 	if !slices.Equal(off.Digests, tiny.Digests) || off.IO.DeviceBytes() != tiny.IO.DeviceBytes() {
 		t.Fatalf("empty caches changed the epoch: %d device bytes, cache-off %d", tiny.IO.DeviceBytes(), off.IO.DeviceBytes())
+	}
+}
+
+// TestCacheShortestFirstExactCounts pins the neighbor cache's effect at
+// one budget, a quarter of the edge file as the benchmark's workloads
+// give it, on a generated R-MAT graph: which lists it pins and what an
+// epoch then reads, exactly. Shortest first, the cache pins the many
+// short lists that each cost a read per visit; the counts move only if
+// the order, the charge, the draw or the planner changes.
+func TestCacheShortestFirstExactCounts(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := gen.Generate(dir, "rmat-cache", "rmat", 20_000, 400_000, 5); err != nil {
+		t.Fatal(err)
+	}
+	ds := openDS(t, dir, false)
+	targets := testTargets(ds, 4096)
+	run := func(budget int64) (*EpochStats, int, int64) {
+		cfg := DefaultConfig()
+		cfg.Seed = 7
+		cfg.BatchSize = 256
+		cfg.Threads = 2
+		cfg.CacheBudgetBytes = budget
+		s, err := New(ds, cfg, uring.BackendSim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := runEpoch(s, targets, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, bytes := s.CacheInfo()
+		return st, nodes, bytes
+	}
+	off, _, _ := run(0)
+	on, nodes, bytes := run(ds.NumEdges() * storage.EntryBytes / 4)
+	if !slices.Equal(off.Digests, on.Digests) {
+		t.Fatal("the cache changed the sampled batches")
+	}
+	// Degree-first, the same budget pinned 14 hub lists of 376,568 B and
+	// the epoch read 250,056 times, 1,330,000 B.
+	if nodes != 8480 || bytes != 329_292 {
+		t.Fatalf("pinned %d lists of %d B, want 8480 of 329292 B", nodes, bytes)
+	}
+	if off.IO.Reads != 255_741 || off.IO.DeviceBytes() != 1_352_800 {
+		t.Fatalf("cache-off epoch read %d times, %d B; want 255741, 1352800", off.IO.Reads, off.IO.DeviceBytes())
+	}
+	if on.IO.Reads != 155_718 || on.IO.DeviceBytes() != 653_200 {
+		t.Fatalf("cached epoch read %d times, %d B (%.2f reads, %.1f B per target); want 155718, 653200",
+			on.IO.Reads, on.IO.DeviceBytes(), float64(on.IO.Reads)/float64(len(targets)), float64(on.IO.DeviceBytes())/float64(len(targets)))
 	}
 }

@@ -50,12 +50,14 @@ type Config struct {
 	// bit-identical sample sets.
 	Seed uint64
 	// CacheBudgetBytes is the memory budget (bytes, accounted through
-	// memctl) for the hot-neighbor cache: the complete neighbor lists of
-	// the highest-degree nodes, pinned at sampler construction and
-	// consulted before any read is planned, so cached nodes never touch
-	// the ring. 0 (the default) disables the cache. Sampling decisions
-	// are identical with the cache on or off — only device traffic
-	// changes — so Batch digests never depend on this knob.
+	// memctl) for the neighbor cache: complete neighbor lists, shortest
+	// first, pinned at sampler construction and consulted before any
+	// read is planned, so cached nodes never touch the ring. A visit to
+	// an uncached list costs at least one read however long the list,
+	// so the shortest lists save the most reads per byte. 0 (the
+	// default) disables the cache. Sampling decisions are identical with
+	// the cache on or off — only device traffic changes — so Batch
+	// digests never depend on this knob.
 	CacheBudgetBytes int64
 	// FetchFeatures appends the feature stage to every batch: after the
 	// sampling layers complete, the deduplicated union of the batch's

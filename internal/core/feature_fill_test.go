@@ -221,8 +221,9 @@ func BenchmarkNewFeatureCache(b *testing.B) {
 
 // BenchmarkNewNeighborCache times the cold start of a serving sampler:
 // New on a 100k-node graph with a neighbor cache of a quarter of
-// edges.dat, which selects the highest-degree lists and fills them.
-// SetBytes is the pinned list bytes.
+// edges.dat, which selects the shortest lists and fills them — over a
+// quarter of the nodes (26,127 lists), most of the graph's lists, as
+// on rmat-1m. SetBytes is the pinned list bytes; rows the pinned lists.
 func BenchmarkNewNeighborCache(b *testing.B) {
 	dir := b.TempDir()
 	if _, err := gen.GenerateWith(dir, "coldstart", "rmat", 100_000, 800_000, 7, gen.Options{}); err != nil {
@@ -245,7 +246,11 @@ func BenchmarkNewNeighborCache(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		_, pinned := s.CacheInfo()
+		rows, pinned := s.CacheInfo()
+		if int64(rows)*4 < ds.NumNodes() {
+			b.Fatalf("pinned %d lists of %d nodes, want a quarter at least", rows, ds.NumNodes())
+		}
 		b.SetBytes(pinned)
+		b.ReportMetric(float64(rows), "rows")
 	}
 }

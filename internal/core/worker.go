@@ -44,8 +44,9 @@ type Sampler struct {
 // backend. BackendIOURing fails fast here when the environment doesn't
 // support it (callers gate on uring.Probe()). When
 // Config.CacheBudgetBytes (or FeatureCacheBudgetBytes) is positive the
-// corresponding hot cache is populated here, degree-first, charged
-// against a memctl budget of that size. The feature cache then follows
+// corresponding cache is populated here — shortest neighbor lists
+// first, feature vectors degree-first — charged against a memctl budget
+// of that size. The feature cache then follows
 // the measured access pattern from the second epoch on (see
 // RunEpochSeeded) — unless its budget is below cache.LearnBudget, which
 // is logged once here and leaves it degree-first.

@@ -116,10 +116,17 @@ func writeHist(w io.Writer, name, help string, h *hist, scale float64) {
 	fmt.Fprintf(w, "%s_count %d\n", name, cum)
 }
 
+// cacheInfo is what a server's caches pin (Server.CacheInfo).
+type cacheInfo struct {
+	lists, rows         int
+	listBytes, rowBytes int64
+}
+
 // write renders the full metrics surface: serving-layer counters and
-// histograms plus the pool's merged ring-level IOStats (live workers
-// and retired ones — retirement never drops counters).
-func (m *metrics) write(w io.Writer, ioStats core.IOStats, workers int, retired int64, queueCap int) {
+// histograms, what the caches pin, and the pool's merged ring-level
+// IOStats (live workers and retired ones — retirement never drops
+// counters).
+func (m *metrics) write(w io.Writer, ioStats core.IOStats, pins cacheInfo, workers int, retired int64, queueCap int) {
 	writeMetric(w, "ringsampler_serve_requests_total", "counter", "Requests admitted past validation.", m.requests.Load())
 	writeMetric(w, "ringsampler_serve_feature_requests_total", "counter", "Admitted requests that asked for feature payloads.", m.featureRequests.Load())
 	writeMetric(w, "ringsampler_serve_responses_ok_total", "counter", "Requests answered 200.", m.responsesOK.Load())
@@ -135,6 +142,11 @@ func (m *metrics) write(w io.Writer, ioStats core.IOStats, workers int, retired 
 	writeMetric(w, "ringsampler_serve_inflight_requests", "gauge", "Requests currently being handled.", m.inflight.Load())
 	writeMetric(w, "ringsampler_serve_workers", "gauge", "Size of the worker pool.", int64(workers))
 	writeMetric(w, "ringsampler_serve_workers_retired_total", "counter", "Broken workers retired and replaced.", retired)
+
+	writeMetric(w, "ringsampler_cache_pinned_rows", "gauge", "Neighbor lists the neighbor cache pins (shortest first).", int64(pins.lists))
+	writeMetric(w, "ringsampler_cache_pinned_bytes", "gauge", "Bytes of the neighbor lists the neighbor cache pins.", pins.listBytes)
+	writeMetric(w, "ringsampler_feat_cache_pinned_rows", "gauge", "Feature vectors the feature cache pins.", int64(pins.rows))
+	writeMetric(w, "ringsampler_feat_cache_pinned_bytes", "gauge", "Bytes of the feature vectors the feature cache pins.", pins.rowBytes)
 
 	writeHist(w, "ringsampler_serve_queue_wait_seconds", "Time from admission to worker pickup.", m.queueWait, 1e-9)
 	writeHist(w, "ringsampler_serve_sample_seconds", "Per-job engine sampling time.", m.sampleLat, 1e-9)

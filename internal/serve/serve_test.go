@@ -990,7 +990,7 @@ func TestMetricsExportEveryIOCounter(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	newMetrics().write(&buf, st, 1, 0, 1)
+	newMetrics().write(&buf, st, cacheInfo{}, 1, 0, 1)
 	exported := map[int64]bool{}
 	for _, line := range strings.Split(buf.String(), "\n") {
 		name, val, ok := strings.Cut(line, " ")
@@ -1002,6 +1002,34 @@ func TestMetricsExportEveryIOCounter(t *testing.T) {
 		f := v.Type().Field(i)
 		if f.Type.Kind() == reflect.Int64 && f.Name != "FixedReads" && !exported[v.Field(i).Int()] {
 			t.Errorf("IOStats.%s has no ringsampler_io_* metric", f.Name)
+		}
+	}
+}
+
+// TestMetricsExportCachePins: /metrics reports what each cache pins —
+// the neighbor cache's lists and bytes, the feature cache's rows and
+// bytes — as the server's CacheInfo does, and zeros with both caches off.
+func TestMetricsExportCachePins(t *testing.T) {
+	ds := testFeatureDataset(t)
+	for _, budget := range []int64{0, 16 << 10} {
+		cfg := DefaultConfig()
+		cfg.Core.Threads = 1
+		cfg.Core.CacheBudgetBytes, cfg.Core.FeatureCacheBudgetBytes = budget, budget/2
+		srv, base := startServer(t, ds, cfg)
+		lists, listBytes, rows, rowBytes := srv.CacheInfo()
+		if budget > 0 && (lists == 0 || listBytes == 0 || rows == 0 || rowBytes == 0) || budget == 0 && lists+rows != 0 {
+			t.Fatalf("budget %d: caches pin %d lists of %d B and %d rows of %d B", budget, lists, listBytes, rows, rowBytes)
+		}
+		body := scrapeMetrics(t, &http.Client{}, base)
+		for name, want := range map[string]int64{
+			"ringsampler_cache_pinned_rows":       int64(lists),
+			"ringsampler_cache_pinned_bytes":      listBytes,
+			"ringsampler_feat_cache_pinned_rows":  int64(rows),
+			"ringsampler_feat_cache_pinned_bytes": rowBytes,
+		} {
+			if got := metricValue(t, body, name); got != float64(want) {
+				t.Errorf("budget %d: %s = %v, want %d", budget, name, got, want)
+			}
 		}
 	}
 }

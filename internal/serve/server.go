@@ -120,9 +120,10 @@ type Server struct {
 	met *metrics
 
 	// Pooled mode: admitted jobs wait in queue for the pool's slots.
-	ds    *storage.Dataset
-	queue chan core.Job
-	pool  *core.Pool
+	ds      *storage.Dataset
+	sampler *core.Sampler
+	queue   chan core.Job
+	pool    *core.Pool
 	// Router mode: admitted chunks fan out to the shard engines.
 	rt *shard.Router
 
@@ -157,7 +158,7 @@ func New(ds *storage.Dataset, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, met: newMetrics(), ds: ds, queue: make(chan core.Job, cfg.QueueDepth)}
+	s := &Server{cfg: cfg, met: newMetrics(), ds: ds, sampler: sampler, queue: make(chan core.Job, cfg.QueueDepth)}
 	s.pool = sampler.NewPool(cfg.Core.Threads, s.queue)
 	s.initHTTP()
 	return s, nil
@@ -211,6 +212,19 @@ func (s *Server) IOStats() core.IOStats {
 		return s.rt.Stats()
 	}
 	return s.pool.Stats()
+}
+
+// CacheInfo returns what the sampler's caches pin: the neighbor cache's
+// lists and their bytes, and the feature cache's rows and their bytes.
+// All are zero for a cache that is off, and in router mode, whose caches
+// live in the shard engines.
+func (s *Server) CacheInfo() (lists int, listBytes int64, rows int, rowBytes int64) {
+	if s.sampler == nil {
+		return 0, 0, 0, 0
+	}
+	lists, listBytes = s.sampler.CacheInfo()
+	rows, rowBytes = s.sampler.FeatureCacheInfo()
+	return lists, listBytes, rows, rowBytes
 }
 
 // Serve accepts connections on ln until Shutdown. It returns
@@ -268,7 +282,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		workers, retired = s.cfg.Core.Threads, s.pool.Retired()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.met.write(w, s.IOStats(), workers, retired, cap(s.queue))
+	var pins cacheInfo
+	pins.lists, pins.listBytes, pins.rows, pins.rowBytes = s.CacheInfo()
+	s.met.write(w, s.IOStats(), pins, workers, retired, cap(s.queue))
 }
 
 // sampleRequest is the POST /v1/sample body.

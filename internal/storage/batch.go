@@ -63,10 +63,11 @@ func readBatch(f *os.File, align int, dst []byte, reads []uring.Read, base int64
 
 // readCostBytes is what one read costs beyond its bytes, in bytes copied
 // in the same time. On the 2-core reference box a page-cache read through
-// the ring costs ≈ 0.4 µs plus ≈ 0.3 ns per byte (rmat-1m's quarter-size
-// caches: 23 MB in 66,503 runs fill in ≈ 35 ms, 20 MB in 146 lists in
-// ≈ 6.5 ms), so about a kilobyte.
-const readCostBytes = 1 << 10
+// one ring costs ≈ 0.7 µs plus ≈ 0.2 ns per byte: rmat-1m's 20 MB
+// neighbor cache fills its 283,074 shortest lists, 17.6 MB in 5,550
+// reads, in ≈ 7.4 ms, and the 145 longest, 19.9 MB in 122 reads, in
+// ≈ 3.9 ms (medians of 40 fills each, GOMAXPROCS 1). That is about 4 KiB.
+const readCostBytes = 4 << 10
 
 // cutParts cuts reads into at most parts contiguous parts of about equal
 // cost — bytes plus readCostBytes per read, so that a few large runs and

@@ -16,6 +16,23 @@ if [ "${QUICK:-0}" = "1" ]; then
     short=-short
 fi
 
+# gate PKG NAMES [FLAG...] runs go test FLAG... -run NAMES PKG, NAMES being
+# test names joined by |, after checking with go test -list that each of
+# them is a test of PKG: a renamed or deleted test fails here, where
+# -run alone would pass on "no tests to run".
+gate() {
+    pkg=$1 names=$2
+    shift 2
+    listed=$(go test -list . "$pkg")
+    for name in $(echo "$names" | tr '|' ' '); do
+        if ! echo "$listed" | grep -qx "$name"; then
+            echo "check: gate names $name, which is not a test of $pkg" >&2
+            exit 1
+        fi
+    done
+    go test "$@" -run "$names" "$pkg"
+}
+
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt: the following files need formatting:" >&2
@@ -50,12 +67,12 @@ go test -C cmd/bench $short ./...
 # holds, its counters' order kept over long runs, its rows moved in place
 # both ways, and every cache's rank index, static caches' included, equal
 # to a sorted list (DESIGN.md §10).
-go test -race -run 'TestEpochThreadInvariance|TestStrategyThreadInvariance' ./internal/core
-go test -race -run 'TestRouterMatchesSingleNode|TestRouterShardFaultStillIdentical' ./internal/shard
-go test -race -run 'TestShardConformance' ./internal/serve
-go test -race -run 'TestTrainThreadInvariance|TestTrainOverlappedMatchesSerialized' ./internal/train
-go test -race -run 'TestFeatureCacheThreadInvariance|TestFeatureCacheBypassAcrossReadmissions|TestFeatureCacheReadmitConcurrentWithSamplers' ./internal/core
-go test -race -run 'TestChargeEqualsHeld|TestCountersKeepOrderOverLongRuns|TestRankedAgainstSorted|TestReadmitMovesInPlace' ./internal/cache
+gate ./internal/core 'TestEpochThreadInvariance|TestStrategyThreadInvariance' -race
+gate ./internal/shard 'TestRouterMatchesSingleNode|TestRouterShardFaultStillIdentical' -race
+gate ./internal/serve 'TestShardConformance' -race
+gate ./internal/train 'TestTrainThreadInvariance|TestTrainOverlappedMatchesSerialized' -race
+gate ./internal/core 'TestFeatureCacheThreadInvariance|TestFeatureCacheBypassAcrossReadmissions|TestFeatureCacheReadmitConcurrentWithSamplers' -race
+gate ./internal/cache 'TestChargeEqualsHeld|TestCountersKeepOrderOverLongRuns|TestRankedAgainstSorted|TestReadmitMovesInPlace' -race
 
 # Serving shutdown order (DESIGN.md §8): no handler may still send on the
 # admission queue when Shutdown closes it, and the queue_depth and
@@ -63,14 +80,14 @@ go test -race -run 'TestChargeEqualsHeld|TestCountersKeepOrderOverLongRuns|TestR
 # drain; the worker pool under them retires a broken worker and keeps
 # its counters, keeps each job on one OS thread, and charges CPU per
 # job. Repeated, because a wrong order loses a race only sometimes.
-go test -race -count=5 -run 'TestServeForcedShutdownQueueGaugeZero|TestServeGracefulDrain' ./internal/serve
-go test -race -count=5 -run 'TestPoolRetiresBrokenWorker|TestPoolJobStaysOnOneThread|TestPoolChargesCPUPerJob' ./internal/core
+gate ./internal/serve 'TestServeForcedShutdownQueueGaugeZero|TestServeGracefulDrain' -race -count=5
+gate ./internal/core 'TestPoolRetiresBrokenWorker|TestPoolJobStaysOnOneThread|TestPoolChargesCPUPerJob' -race -count=5
 
 # Epoch runner hand-off (DESIGN.md §6): every batch reports exactly once,
 # so an epoch canceled after its last batch started completes, returns
 # nil and folds its feature-cache counts. Repeated, because a collector
 # that races cancellation against the last results loses only sometimes.
-go test -race -count=5 -run 'TestEpochCancellation|TestEpochCtxPreCanceled|TestEpochHandlerError|TestEpochCancelNearEnd' ./internal/core
+gate ./internal/core 'TestEpochCancellation|TestEpochCtxPreCanceled|TestEpochHandlerError|TestEpochCancelNearEnd' -race -count=5
 
 go test -race $short ./...
 
