@@ -250,9 +250,6 @@ func build(src *source, budget *memctl.Budget, learn bool) (*Hot, error) {
 	c := rank.selectTop(max(allowance-fixed, 0))
 	pinned := newRanked(n)
 	partRows, partBytes := c.rows, c.bytes
-	if partRows == nil {
-		partRows, partBytes = rank.mark(c, pinned.bits, nil)
-	}
 	// slots[i] and ats[i] are the first slot and data byte of part i's rows.
 	slots, ats := make([]int64, len(partRows)+1), make([]int64, len(partRows)+1)
 	for i := range partRows {

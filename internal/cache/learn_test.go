@@ -161,8 +161,8 @@ func boundaries(n int) []int {
 // cutBudgets returns allowances whose cut lands at every place the
 // select must get right, for the reference order over n nodes and its
 // rows' costs: before the first candidate (nothing admitted), inside the
-// first keys, where the order crosses from one low digit of degrees to
-// the rest (the first candidate on the other side of 2^digitBits from
+// first keys, where the order crosses from counted degrees to listed ones
+// or back (the first candidate on the other side of 2^countedBits from
 // the first, and half-way from there to the end), on and around every
 // part boundary at every core count — where tied keys straddle it when
 // the inputs put a run of ties there — and after every candidate
@@ -182,7 +182,7 @@ func cutBudgets(order []uint32, n int, degrees []int64, cost func(deg int64) int
 		return pre[j] + cost(degrees[order[j]]) - 1
 	}
 	budgets := []int64{fits(0), fits(1), fits(2), fits(3)}
-	low := func(v uint32) bool { return degrees[v] < 1<<digitBits }
+	low := func(v uint32) bool { return degrees[v] < 1<<countedBits }
 	if j := slices.IndexFunc(order, func(v uint32) bool { return low(v) != low(order[0]) }); j >= 0 {
 		budgets = append(budgets, fits(j+1), fits(j+2), fits((j+len(order))/2))
 	}
@@ -210,7 +210,9 @@ func tiesAtBoundaries(vals []int64, value int64) {
 // kind of cut (see cutBudgets), for neighbor lists (shortest first) and
 // fixed rows, the rows over degree-only and learned keys (no list cache
 // learns), at every core count: each pick must be the sort's, with runs
-// of tied keys placed across every part boundary.
+// of tied keys placed across every part boundary — of a counted degree,
+// and of a listed one (at least 2^countedBits), whose ties the select
+// credits row by row.
 func TestSelectCutsMatchSort(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(31))
@@ -226,10 +228,13 @@ func TestSelectCutsMatchSort(t *testing.T) {
 	}
 	listRow, _ := overhead(n, true, false)
 	featRow, _ := overhead(n, false, true)
-	// One list of over 2^22 entries makes the list keys three digits wide.
+	// One list of over 2^22 entries, far above every other listed one.
 	longLists := slices.Clone(degrees)
 	longLists[n/2+1] = 4_200_000
 	lists := func(d int64) int64 { return d*EntryBytes + listRow }
+	rows := func(int64) int64 { return stride + featRow }
+	listedTies := slices.Clone(degrees)
+	tiesAtBoundaries(listedTies, 1<<countedBits)
 	for _, c := range []struct {
 		name    string
 		src     *source
@@ -241,7 +246,9 @@ func TestSelectCutsMatchSort(t *testing.T) {
 	}{
 		{"lists", newSource(buildFake(degrees), source{minDeg: 1}), 1, listRow, lists, degrees, [][]uint32{nil}},
 		{"long lists", newSource(indexOnly(offsetsOf(longLists)), source{minDeg: 1}), 1, listRow, lists, longLists, [][]uint32{nil}},
-		{"rows", newSource(newFakeFeatures(degrees, stride), source{stride: stride}), 0, featRow, func(int64) int64 { return stride + featRow }, degrees, [][]uint32{nil, counts}},
+		{"rows", newSource(newFakeFeatures(degrees, stride), source{stride: stride}), 0, featRow, rows, degrees, [][]uint32{nil, counts}},
+		{"lists, listed ties", newSource(buildFake(listedTies), source{minDeg: 1}), 1, listRow, lists, listedTies, [][]uint32{nil}},
+		{"rows, listed ties", newSource(newFakeFeatures(listedTies, stride), source{stride: stride}), 0, featRow, rows, listedTies, [][]uint32{nil, counts}},
 	} {
 		degrees := c.degrees
 		for _, heat := range c.heats {
@@ -511,11 +518,11 @@ func TestReadmitMatchesSort(t *testing.T) {
 	}
 }
 
-// TestSelectDeepKeys drives the select through keys of three degree
-// digits and up to two heat digits — every combination of "the cut is in
-// the bucket the scan looked ahead into" and "it is not" — against the
-// sort, at every core count. Sixty folds a round take the largest folded
-// count past one 11-bit digit in the third round.
+// TestSelectDeepKeys drives the select through degrees on both sides of
+// 2^countedBits, listed ones up to 9 M, and folded counts of up to twelve
+// bits — cuts among the counted degrees and among the listed ones —
+// against the sort, at every core count. Sixty folds a round take the
+// largest folded count past 2^11 in the third round.
 func TestSelectDeepKeys(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range coreCounts {
@@ -1208,12 +1215,11 @@ func hubCache(b *testing.B, rng *rand.Rand) (*Hot, []int64) {
 	return h, offsetsOf(degrees)
 }
 
-// shortCache builds a static neighbor cache under a quarter of the edge
-// bytes over a million-node, 20M-edge R-MAT-shaped degree sequence —
-// node v's degree is the edge count times the R-MAT probability of its
-// id, (a+b) = 0.76 per 0 bit and (c+d) = 0.24 per 1 bit, rounded at
-// random — so that it pins the shortest-first prefix, a dense bitmap.
-func shortCache(b *testing.B, rng *rand.Rand) (*Hot, []int64) {
+// rmatOffsets is the offset index of a million-node, 20M-edge
+// R-MAT-shaped degree sequence: node v's degree is the edge count times
+// the R-MAT probability of its id, (a+b) = 0.76 per 0 bit and (c+d) =
+// 0.24 per 1 bit, rounded at random.
+func rmatOffsets(rng *rand.Rand) []int64 {
 	const n, edges = 1 << 20, 20_000_000
 	degrees := make([]int64, n)
 	for v := range degrees {
@@ -1224,7 +1230,15 @@ func shortCache(b *testing.B, rng *rand.Rand) (*Hot, []int64) {
 			degrees[v]++
 		}
 	}
-	offsets := offsetsOf(degrees)
+	return offsetsOf(degrees)
+}
+
+// shortCache builds a static neighbor cache under a quarter of the edge
+// bytes over rmatOffsets, so that it pins the shortest-first prefix, a
+// dense bitmap.
+func shortCache(b *testing.B, rng *rand.Rand) (*Hot, []int64) {
+	const n = 1 << 20
+	offsets := rmatOffsets(rng)
 	h, err := Build(indexOnly(offsets), memctl.New(offsets[n]*EntryBytes/4))
 	if err != nil || h.Nodes() < n/8 {
 		b.Fatalf("pinned %d lists, err %v", h.Nodes(), err)
@@ -1278,18 +1292,40 @@ func lookups(b *testing.B, h *Hot, probes []uint32) {
 }
 
 // BenchmarkReadmit times one epoch-boundary re-admission on a
-// million-node index: the ranking passes plus the moves and fills of the
+// million-node index: the select's scans plus the moves and fills of the
 // rows a steady access pattern still changes.
 func BenchmarkReadmit(b *testing.B) {
-	const n = 1_000_000
 	rng := rand.New(rand.NewSource(1))
 	h := millionNodeCache(b, rng)
+	epoch := trainingEpoch(rng, 1_000_000)
+	epoch(h)
+	if _, err := h.Readmit(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		epoch(h)
+		b.StartTimer()
+		re, err := h.Readmit()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(re.Admitted), "rows")
+	}
+}
+
+// trainingEpoch returns a function that counts one epoch of accesses to
+// n nodes into a learning cache and folds it: 250 batches of 8,192 nodes,
+// an eighth of each from a fixed training set of 100,000 random nodes,
+// the rest skewed towards low ids, the way frontiers are.
+func trainingEpoch(rng *rand.Rand, n int) func(h *Hot) {
 	train := make([]uint32, 100_000)
 	for i := range train {
 		train[i] = uint32(rng.Intn(n))
 	}
 	batch := make([]uint32, 8192)
-	epoch := func() {
+	return func(h *Hot) {
 		for k := 0; k < 250; k++ {
 			for j := range batch {
 				if j < 1024 {
@@ -1302,19 +1338,46 @@ func BenchmarkReadmit(b *testing.B) {
 		}
 		h.Fold()
 	}
-	epoch()
-	if _, err := h.Readmit(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		epoch()
-		b.StartTimer()
-		re, err := h.Readmit()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(re.Admitted), "rows")
+}
+
+// BenchmarkSelect times the select and the marking of its prefix alone,
+// without the fill, over rmatOffsets: neighbor lists under 10, 25 and 95 %
+// of the edge bytes, and 128 B feature rows under a quarter of the rows'
+// bytes, cold (degree-first) and learned from one trainingEpoch.
+func BenchmarkSelect(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	offsets := rmatOffsets(rng)
+	n := len(offsets) - 1
+	listRow, _ := overhead(int64(n), true, false)
+	lists := newRanking(newSource(indexOnly(offsets), source{minDeg: 1}), listRow)
+	const stride = 128
+	rows := func() ranking { return newRanking(newSource(indexOnly(offsets), source{stride: stride}), 0) }
+	learned := &Hot{learn: &learner{rank: rows()}}
+	learned.learn.rank.heat = make([]uint16, n)
+	trainingEpoch(rng, n)(learned)
+	for _, c := range []struct {
+		name      string
+		r         ranking
+		allowance int64
+	}{
+		{"lists-10", lists, offsets[n] * EntryBytes / 10},
+		{"lists-25", lists, offsets[n] * EntryBytes / 4},
+		{"lists-95", lists, offsets[n] * EntryBytes * 95 / 100},
+		{"rows-25-cold", rows(), int64(n) * stride / 4},
+		{"rows-25-learned", learned.learn.rank, int64(n) * stride / 4},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			marked := make([]uint64, (n+63)/64)
+			var pinned int64
+			for i := 0; i < b.N; i++ {
+				clear(marked)
+				rows, _ := c.r.mark(c.r.selectTop(c.allowance), marked, nil)
+				pinned = 0
+				for _, x := range rows {
+					pinned += x
+				}
+			}
+			b.ReportMetric(float64(pinned), "rows")
+		})
 	}
 }

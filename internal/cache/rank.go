@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"runtime"
@@ -15,33 +16,26 @@ import (
 // (heat desc, degree desc, id asc). A neighbor list costs more the longer
 // it is and is never measured, so its order is (degree asc, id asc):
 // shortest list first, each saving a read per visit for the fewest bytes.
-// Heat and degree pack into one integer key, degree in the low degField
-// bits and heat above; the id tie-break is scan order. A candidate is a
-// node of the owned range with at least the source's minimum degree.
+// A candidate is a node of the owned range with at least the source's
+// minimum degree.
 type ranking struct {
 	src *source
-	// degField is the width of the key's degree field: the bit length of
-	// the owned range's edge count, which no degree in it exceeds, rounded
-	// up to whole radix digits, so that every digit of a key is either all
-	// heat or all degree.
-	degField uint
-	// shortFirst ranks the degree field ascending: the rows are
-	// variable, so a lower degree is a lower charge.
+	// shortFirst ranks degrees ascending: the rows are variable, so a
+	// lower degree is a lower charge.
 	shortFirst bool
 	// perRow is what the cache holds per pinned row besides the row.
 	perRow int64
 	// heat holds, per node, the folded access count above the low
 	// pendingBits, which count the epoch in progress (see learner). Only
-	// a learning cache has it. While nothing has been folded (maxHeat 0)
-	// the key is the degree alone, and no pass reads heat.
+	// a learning cache has it: its rows are fixed and every node is a
+	// candidate. While nothing has been folded (maxHeat 0) the order is
+	// by degree alone, and no scan reads heat.
 	heat    []uint16
-	maxHeat uint16 // largest folded count: bounds the key width
+	maxHeat uint16 // largest folded count
 }
 
 func newRanking(src *source, perRow int64) ranking {
-	edges := src.offsets[src.hi] - src.offsets[src.lo]
-	digits := (uint(bits.Len64(uint64(edges))) + digitBits - 1) / digitBits
-	return ranking{src: src, degField: digits * digitBits, shortFirst: src.stride == 0, perRow: perRow}
+	return ranking{src: src, shortFirst: src.stride == 0, perRow: perRow}
 }
 
 // cost is what a row of a node of the given degree is charged.
@@ -76,6 +70,12 @@ func splitRange(lo, hi int64, parts int) spans {
 	return sp
 }
 
+// find returns the part that holds node v.
+func (sp spans) find(v int64) int {
+	i, _ := slices.BinarySearch(sp, v+1) // the first boundary above v
+	return i - 1
+}
+
 // each runs fn on every part, concurrently, and waits for all of them.
 func (sp spans) each(fn func(i int, lo, hi int64)) {
 	var wg sync.WaitGroup
@@ -90,249 +90,190 @@ func (sp spans) each(fn func(i int, lo, hi int64)) {
 	wg.Wait()
 }
 
-// cutoff describes a prefix of the ranking: every candidate whose key
-// ranks ahead of key, plus the first ties (by ascending id) at key.
+// cutoff describes a prefix of the ranking: every candidate that ranks
+// ahead of the key (heat, deg), plus the first ties (by ascending id) at
+// it.
 type cutoff struct {
-	key uint64
+	heat uint16
+	deg  int64
 	// parts are the node ranges the select scanned; ties[i] is how many
-	// candidates at key part i admits. The ties go to the lowest ids, so
+	// candidates at the key part i admits. The ties go to the lowest ids, so
 	// each part takes what the parts before it left.
 	parts spans
 	ties  []int64
-	// rows and bytes, when the select could count them, are what each
-	// part admits: the rows and their bytes. They are nil when a bucket
-	// admitted whole held rows of different costs.
+	// rows and bytes are what each part admits: the rows and their bytes.
 	rows, bytes []int64
 }
 
-// digitBits is the radix of selectTop: each pass resolves this many key
-// bits through a 16 KiB histogram (usually the digit below through another).
-const digitBits = 11
+// admit counts n rows of rowBytes bytes each into part i.
+func (c *cutoff) admit(i int, n, rowBytes int64) {
+	c.rows[i] += n
+	c.bytes[i] += n * rowBytes
+}
 
-// tally is one part's histograms in a select pass: the row cost per value
-// of the digit resolved, and of the digit below for keys whose digit is 0.
+// countedBits bounds the degrees the select counts: each degree below
+// 2^countedBits has a bucket, and a candidate of higher degree is listed
+// by id — a range of E edges lists at most E/2^countedBits of them.
+const countedBits = 11
+
+// tally is one part's counts in a select scan.
 type tally struct {
-	hist, next [1 << digitBits]int64
+	n    []int64 // candidates per heat, then per degree below 2^countedBits
+	long []int64 // the other candidates' ids, ascending
 }
 
 // selectTop finds the longest prefix of the ranking whose rows fit in
 // allowance bytes — exactly what a full sort followed by a charging loop
-// would pick, in O(nodes) time and constant space per core. It is a
-// most-significant-digit radix select on the key: each pass histograms
-// the row cost per digit value among the candidates that match the
-// digits already fixed, walks the buckets in rank order while they fit
-// whole, and descends into the first that does not; the last
-// bucket, one key and so one row cost, is cut by division. Every pass
-// runs on all parts at once, each into its own tally; the walk sums them,
-// and counts each part's rows where the buckets it takes allow (count).
+// would pick, in O(nodes) time — and what each part admits of it. It is a
+// counting select of at most two scans, each run on all parts at once,
+// each part into its own tally. A learned ranking first counts the
+// candidates per heat: rows all cost the same, so whole heats are taken,
+// hottest first, while they fit, and the first that does not is the
+// cut's. The second scan, over the candidates at that heat (every
+// candidate when nothing was measured), counts them per degree below
+// 2^countedBits and lists the rest. The walk takes whole degree buckets in
+// rank order while they fit, and listed rows one at a time, sorted by
+// (degree, id) only when it reaches them; the first bucket or row that
+// does not fit holds the cut, and a bucket's rows, all of one cost, are
+// cut by division.
 func (r *ranking) selectTop(allowance int64) cutoff {
 	c := cutoff{parts: r.src.split()}
 	tallies := make([]tally, len(c.parts)-1)
 	c.rows, c.bytes = make([]int64, len(tallies)), make([]int64, len(tallies))
-	counted := true
-	keyBits := r.degField + uint(bits.Len16(r.maxHeat))
-	var top uint
-	if keyBits > 0 {
-		top = (keyBits - 1) / digitBits * digitBits
-	}
-	// Shortest first, the cut usually lands among the shortest lists: the
-	// select first probes the keys below 2^digitBits, one scan of the low
-	// digit, and starts over from the top digit only if they all fit.
-	probe := r.shortFirst && r.maxHeat == 0 && top > 0
-	shift := top
-	if probe {
-		shift = 0
-	}
-	// A scan also fills next, looking one digit ahead for the keys whose
-	// current digit is 0: degrees and counts are skewed towards small
-	// values, so the cut usually lands in bucket 0 of a field's upper
-	// digits, and then the scan for the digit below has already been done.
-	var hist [1 << digitBits]int64
-	var prefix uint64
-	remaining := allowance
-	for scanned := false; ; {
-		// A heat digit of a fixed-row source resolves without the degree:
-		// the pass streams the counters and never touches the offsets.
-		needDeg := shift < r.degField || r.src.minDeg > 0 || r.src.stride == 0
-		// A scan can look ahead when the digit below is in the keys it
-		// builds: always, unless that is the first degree digit and the
-		// scan reads no degrees.
-		look := !scanned && shift > 0 && (shift != r.degField || needDeg)
-		if !scanned {
-			c.parts.each(func(i int, lo, hi int64) {
-				r.pass(&tallies[i], lo, hi, shift, prefix, look, needDeg)
-			})
-		}
-		clear(hist[:])
-		for i := range tallies {
-			for d, x := range &tallies[i].hist {
-				hist[d] += x
-			}
-		}
-		// The buckets go in rank order: a degree digit of a shortest-first
-		// ranking ascends, every other digit descends.
-		b, step, end := len(hist)-1, -1, -1
-		if r.shortFirst && shift < r.degField {
-			b, step, end = 0, 1, len(hist)
-		}
-		for ; b != end && hist[b] <= remaining; b += step {
-			remaining -= hist[b]
-			counted = counted && r.count(&c, tallies, b, prefix|uint64(b)<<shift, shift)
-		}
-		if b == end && probe {
-			probe, shift, remaining, counted = false, top, allowance, true
-			clear(c.rows)
-			clear(c.bytes)
-			continue
-		}
-		if b == end {
-			// Everything fits, every candidate is at or ahead of the last
-			// key. (A bucket descended into did not fit, so only a first
-			// pass gets here.)
-			if r.shortFirst {
-				c.key = 1<<r.degField - 1
-			}
-			c.ties = slices.Repeat([]int64{math.MaxInt64}, len(tallies))
-			if !counted {
-				c.rows, c.bytes = nil, nil
-			}
-			return c
-		}
-		prefix |= uint64(b) << shift
-		if shift == 0 {
-			break
-		}
-		shift -= digitBits
-		if scanned = look && b == 0; scanned {
-			for i := range tallies {
-				tallies[i].hist = tallies[i].next
-			}
-		}
-	}
-	c.key = prefix
-	deg := int64(prefix & (1<<r.degField - 1))
-	cost := r.cost(deg)
-	ties := remaining / cost
 	c.ties = make([]int64, len(tallies))
-	for i := range tallies {
-		c.ties[i] = min(ties, tallies[i].hist[prefix&(1<<digitBits-1)]/cost)
-		ties -= c.ties[i]
-		c.rows[i] += c.ties[i]
-		c.bytes[i] += c.ties[i] * r.src.rowBytes(deg)
+	// Until a cut sets it, the key is the last of the order: everything
+	// fits.
+	if r.shortFirst {
+		c.deg = math.MaxInt64
 	}
-	if !counted {
-		c.rows, c.bytes = nil, nil
+	remaining := allowance
+	// take admits bucket b of every tally, rows of degree deg, if they
+	// all fit, and reports whether they did.
+	take := func(b int, deg int64) bool {
+		var n int64
+		for i := range tallies {
+			n += tallies[i].n[b]
+		}
+		if n*r.cost(deg) > remaining {
+			return false
+		}
+		remaining -= n * r.cost(deg)
+		for i := range tallies {
+			c.admit(i, tallies[i].n[b], r.src.rowBytes(deg))
+		}
+		return true
+	}
+	if r.maxHeat > 0 {
+		c.parts.each(func(i int, lo, hi int64) {
+			n := make([]int64, r.maxHeat+1)
+			for _, w := range r.heat[lo:hi] {
+				n[w>>pendingBits]++
+			}
+			tallies[i].n = n
+		})
+		for c.heat = r.maxHeat; take(int(c.heat), 0); c.heat-- {
+			if c.heat == 0 {
+				return c.all()
+			}
+		}
+	}
+	c.parts.each(func(i int, lo, hi int64) { r.scan(&tallies[i], lo, hi, c.heat) })
+
+	// counted walks the degree buckets in rank order, listed the listed
+	// rows; each reports whether everything it walked fit.
+	counted := func() bool {
+		d, step := int64(1<<countedBits-1), int64(-1)
+		if r.shortFirst {
+			d, step = 0, 1
+		}
+		for ; d >= 0 && d < 1<<countedBits; d += step {
+			if d >= r.src.minDeg && !take(int(d), d) {
+				c.deg = d
+				ties := remaining / r.cost(d)
+				for i := range tallies {
+					c.ties[i] = min(ties, tallies[i].n[d])
+					ties -= c.ties[i]
+					c.admit(i, c.ties[i], r.src.rowBytes(d))
+				}
+				return false
+			}
+		}
+		return true
+	}
+	listed := func() bool {
+		var long []int64
+		for i := range tallies {
+			long = append(long, tallies[i].long...)
+		}
+		deg := r.src.degree
+		slices.SortFunc(long, func(u, v int64) int {
+			o := cmp.Compare(deg(u), deg(v))
+			if !r.shortFirst {
+				o = -o
+			}
+			return cmp.Or(o, cmp.Compare(u, v))
+		})
+		for j, v := range long {
+			d := deg(v)
+			if r.cost(d) > remaining {
+				// The rows taken at v's degree are the cut's ties, each
+				// in its own part.
+				c.deg = d
+				for k := j - 1; k >= 0 && deg(long[k]) == d; k-- {
+					c.ties[c.parts.find(long[k])]++
+				}
+				return false
+			}
+			remaining -= r.cost(d)
+			c.admit(c.parts.find(v), 1, r.src.rowBytes(d))
+		}
+		return true
+	}
+	first, then := listed, counted
+	if r.shortFirst {
+		first, then = counted, listed
+	}
+	if first() && then() {
+		return c.all()
 	}
 	return c
 }
 
-// count adds the rows of bucket b, key, of a pass at shift, part by part,
-// to c's sizes, and reports whether it could: it divides a bucket's cost
-// by its rows' when they all cost the same — fixed rows, or the one key
-// of a bucket of the last digit.
-func (r *ranking) count(c *cutoff, tallies []tally, b int, key uint64, shift uint) bool {
-	if r.src.stride == 0 && shift > 0 {
-		return false
-	}
-	deg := int64(key & (1<<r.degField - 1))
-	cost, width := r.cost(deg), r.src.rowBytes(deg)
-	for i := range tallies {
-		n := tallies[i].hist[b] / cost
-		c.rows[i] += n
-		c.bytes[i] += n * width
-	}
-	return true
+// all makes c admit every candidate at or ahead of its key: the select
+// found that everything it walked fits.
+func (c cutoff) all() cutoff {
+	c.ties = slices.Repeat([]int64{math.MaxInt64}, len(c.ties))
+	return c
 }
 
-// pass is one select scan over the nodes [lo, hi): it histograms into t
-// the digit at shift of every candidate key that agrees with prefix on
-// the digits above it, and with look the digit below of those whose digit
-// at shift is 0. needDeg is false only where the keys' degree bits are
-// all below shift and every node is a candidate.
-func (r *ranking) pass(t *tally, lo, hi int64, shift uint, prefix uint64, look, needDeg bool) {
-	clear(t.hist[:])
-	clear(t.next[:])
-	above := (shift + digitBits) & 63
-	wantAbove := prefix >> above
-	below := (shift - digitBits) & 63
-	const mask = 1<<digitBits - 1
-	// Everything the loops read is a local: a store into the histograms
-	// could otherwise alias the fields, and each would be reloaded per node.
-	offsets, minDeg := r.src.offsets[lo:hi+1], r.src.minDeg
-	perDeg, base := r.cost(1)-r.cost(0), r.cost(0)
-	hist, next := &t.hist, &t.next
-	if r.maxHeat == 0 && shift == 0 && prefix == 0 {
-		// The keys below 2^digitBits, one per bucket, as a shortest-first
-		// select's first scan asks: count them, and charge each bucket its
-		// one cost after the scan.
-		prev := offsets[0]
-		for _, o := range offsets[1:] {
-			if deg := o - prev; uint64(deg) <= mask {
-				hist[deg]++
-			}
-			prev = o
+// scan is the select's degree scan over the nodes [lo, hi): it counts
+// into t the candidates of each degree below 2^countedBits and lists the
+// others, a learned ranking's only those at heat.
+func (r *ranking) scan(t *tally, lo, hi int64, heat uint16) {
+	// Locals, not fields: a store into the counts could otherwise alias
+	// them, and each would be reloaded per node.
+	offsets, n, long := r.src.offsets[lo:hi+1], new([1 << countedBits]int64), t.long
+	count := func(v int64, deg uint64) {
+		if deg < 1<<countedBits {
+			n[deg]++
+		} else {
+			long = append(long, v)
 		}
-		for d := range hist {
-			hist[d] *= int64(d)*perDeg + base
-			if int64(d) < minDeg {
-				hist[d] = 0
-			}
-		}
-		return
 	}
 	if r.maxHeat == 0 {
-		// The key is the degree: the pass reads the offsets alone. Inside
-		// the prefix no branch depends on the degree — isolated nodes and
-		// hubs are scattered all over an index, so one would mispredict —
-		// instead a non-candidate adds 0, and so does a key whose digit is
-		// not 0 to the lookahead.
-		low, span := wantAbove<<above, uint64(1)<<above // the prefix's degrees
-		for i := range hi - lo {
-			deg := offsets[i+1] - offsets[i]
-			if uint64(deg)-low >= span {
-				continue
-			}
-			cost := deg*perDeg + base
-			if deg < minDeg {
-				cost = 0
-			}
-			digit, nextDigit, nextCost := uint64(deg)>>shift&mask, uint64(deg)>>below&mask, cost
-			if digit != 0 {
-				nextCost = 0
-			}
-			hist[digit] += cost
-			if look {
-				next[nextDigit] += nextCost
-			}
+		prev := offsets[0]
+		for i, o := range offsets[1:] {
+			count(lo+int64(i), uint64(o-prev))
+			prev = o
 		}
-		return
-	}
-	// The heat part of the match comes first: it alone rejects most nodes
-	// on a degree pass, before their degrees are read.
-	heatShift, wantHeat := uint(0), prefix>>r.degField
-	if shift >= r.degField {
-		heatShift = (above - r.degField) & 63
-		wantHeat >>= heatShift
-	}
-	for i, w := range r.heat[lo:hi] {
-		if uint64(w>>pendingBits)>>heatShift != wantHeat {
-			continue
-		}
-		k := uint64(w>>pendingBits) << (r.degField & 63)
-		var deg int64
-		if needDeg {
-			deg = offsets[i+1] - offsets[i]
-			if k |= uint64(deg); deg < minDeg || k>>above != wantAbove {
-				continue
+	} else {
+		for i, w := range r.heat[lo:hi] {
+			if w>>pendingBits == heat {
+				count(lo+int64(i), uint64(offsets[i+1]-offsets[i]))
 			}
-		}
-		cost := deg*perDeg + base
-		digit := k >> shift & mask
-		hist[digit] += cost
-		if digit == 0 && look {
-			next[k>>below&mask] += cost
 		}
 	}
+	t.n, t.long = n[:], long
 }
 
 // mark sets in marked every candidate inside the cutoff, each part
@@ -346,17 +287,16 @@ func (r *ranking) mark(c cutoff, marked []uint64, lays []laying) (rows, bytes []
 		if lays != nil {
 			lay = &lays[i]
 		}
-		rows[i], bytes[i] = r.markPart(marked, c.key, lo, hi, c.ties[i], lay)
+		rows[i], bytes[i] = r.markPart(marked, c.heat, c.deg, lo, hi, c.ties[i], lay)
 	})
 	return rows, bytes
 }
 
 // markPart is mark over the nodes [lo, hi): every candidate ahead of
-// key, and the first ties at it. It builds each word of marked in a
-// register and hands it to lay, if any, while the word's offsets are in
-// cache.
-func (r *ranking) markPart(marked []uint64, key uint64, lo, hi, ties int64, lay *laying) (rows, bytes int64) {
-	cutHeat, cutDeg := key>>r.degField, int64(key&(1<<r.degField-1))
+// the key (heat, deg), and the first ties at it. It builds each word of
+// marked in a register and hands it to lay, if any, while the word's
+// offsets are in cache.
+func (r *ranking) markPart(marked []uint64, cutHeat uint16, cutDeg int64, lo, hi, ties int64, lay *laying) (rows, bytes int64) {
 	offsets, minDeg := r.src.offsets, r.src.minDeg
 	// With the degree for key, a candidate is ahead of the cut when its
 	// degree is in [first, first+span). That is one unsigned compare and
@@ -387,28 +327,19 @@ func (r *ranking) markPart(marked []uint64, key uint64, lo, hi, ties int64, lay 
 		} else {
 			for u := v; u < end; u++ {
 				// Hotter than the cut is in whatever the degree; at the
-				// cut's heat the degree decides, in the field's order, and
-				// at the cut's key the id does.
-				h := uint64(r.heat[u] >> pendingBits)
+				// cut's heat a higher degree is, and at its degree the
+				// first ties.
+				h := r.heat[u] >> pendingBits
 				if h < cutHeat {
 					continue
 				}
-				deg := offsets[u+1] - offsets[u]
-				if deg < minDeg {
-					continue
-				}
-				if h == cutHeat {
-					if deg == cutDeg {
-						if ties == 0 {
-							continue
-						}
-						ties--
-					} else if deg < cutDeg != r.shortFirst {
+				if deg := offsets[u+1] - offsets[u]; h == cutHeat && deg <= cutDeg {
+					if deg < cutDeg || ties == 0 {
 						continue
 					}
+					ties--
 				}
 				word |= 1 << (u & 63)
-				degrees += deg
 			}
 		}
 		if word != 0 {

@@ -66,13 +66,14 @@ go test -C cmd/bench $short ./...
 # re-admissions, re-admission race-free, its charge equal to the bytes it
 # holds, its counters' order kept over long runs, its rows moved in place
 # both ways, and every cache's rank index, static caches' included, equal
-# to a sorted list (DESIGN.md §10).
+# to a sorted list; the cache select's picks equal a sort's at every cut
+# and core count (DESIGN.md §10).
 gate ./internal/core 'TestEpochThreadInvariance|TestStrategyThreadInvariance' -race
 gate ./internal/shard 'TestRouterMatchesSingleNode|TestRouterShardFaultStillIdentical' -race
 gate ./internal/serve 'TestShardConformance' -race
 gate ./internal/train 'TestTrainThreadInvariance|TestTrainOverlappedMatchesSerialized' -race
 gate ./internal/core 'TestFeatureCacheThreadInvariance|TestFeatureCacheBypassAcrossReadmissions|TestFeatureCacheReadmitConcurrentWithSamplers' -race
-gate ./internal/cache 'TestChargeEqualsHeld|TestCountersKeepOrderOverLongRuns|TestRankedAgainstSorted|TestReadmitMovesInPlace' -race
+gate ./internal/cache 'TestChargeEqualsHeld|TestCountersKeepOrderOverLongRuns|TestRankedAgainstSorted|TestReadmitMovesInPlace|TestSelectCutsMatchSort|TestColdStartMatchesSort|TestSelectDeepKeys|TestReadmitMatchesSort' -race
 
 # Serving shutdown order (DESIGN.md §8): no handler may still send on the
 # admission queue when Shutdown closes it, and the queue_depth and
