@@ -22,7 +22,6 @@ import (
 	"path/filepath"
 
 	"ringsampler/internal/gen"
-	"ringsampler/internal/graph"
 	"ringsampler/internal/storage"
 )
 
@@ -68,7 +67,7 @@ func run(args []string, out io.Writer) error {
 // them otherwise, or always when regen is set. The generation seed is
 // derived from the directory name, so every checkout builds the same
 // bytes.
-func prepare(root string, regen bool) (string, graph.Manifest, error) {
+func prepare(root string, regen bool) (string, storage.Manifest, error) {
 	dir := filepath.Join(root, benchDir)
 	if !regen {
 		if man, err := verify(dir); err == nil {
@@ -79,11 +78,11 @@ func prepare(root string, regen bool) (string, graph.Manifest, error) {
 	h.Write([]byte(benchDir))
 	opts := gen.Options{FeatureDim: benchFeatureDim, NumClasses: benchNumClasses}
 	if _, err := gen.GenerateWith(dir, benchName, "rmat", benchNodes, benchEdges, h.Sum64(), opts); err != nil {
-		return "", graph.Manifest{}, fmt.Errorf("generate %s: %w", dir, err)
+		return "", storage.Manifest{}, fmt.Errorf("generate %s: %w", dir, err)
 	}
 	man, err := verify(dir)
 	if err != nil {
-		return "", graph.Manifest{}, fmt.Errorf("freshly generated dataset fails verification: %w", err)
+		return "", storage.Manifest{}, fmt.Errorf("freshly generated dataset fails verification: %w", err)
 	}
 	return dir, man, nil
 }
@@ -91,10 +90,10 @@ func prepare(root string, regen bool) (string, graph.Manifest, error) {
 // verify opens the dataset (storage.Open validates file sizes, checksums
 // and offset-index consistency) and checks it is the graph prepare
 // builds: its name, counts and feature and label shapes.
-func verify(dir string) (graph.Manifest, error) {
+func verify(dir string) (storage.Manifest, error) {
 	ds, err := storage.Open(dir)
 	if err != nil {
-		return graph.Manifest{}, err
+		return storage.Manifest{}, err
 	}
 	defer ds.Close()
 	man := ds.Manifest()

@@ -14,7 +14,8 @@
 //
 // -features runs the post-draw feature-fetch stage (the dataset needs a
 // feature file); -feature-cache-mb pins the hottest nodes' vectors
-// under a second memory budget. -probe with -data additionally reports
+// under a second memory budget, and is refused without -features or
+// -train, the only stages that read it. -probe with -data additionally reports
 // the dataset's feature presence, dim and stride.
 //
 // -odirect bypasses the page cache with the probed alignment; every
@@ -62,7 +63,6 @@ import (
 	"time"
 
 	"ringsampler/internal/core"
-	"ringsampler/internal/graph"
 	"ringsampler/internal/sample"
 	"ringsampler/internal/storage"
 	"ringsampler/internal/train"
@@ -88,7 +88,7 @@ func run(args []string, out io.Writer) (err error) {
 		probe       = fs.Bool("probe", false, "print the probed io_uring capability set and exit")
 		odirect     = fs.Bool("odirect", false, "open the edge file O_DIRECT (falls back to buffered with a logged reason when unsupported)")
 		features    = fs.Bool("features", false, "fetch feature vectors for every sampled node after each batch's draw")
-		featMB      = fs.Int64("feature-cache-mb", 0, "hot-node feature cache budget in MiB (0: cache off)")
+		featMB      = fs.Int64("feature-cache-mb", 0, "hot-node feature cache budget in MiB, with -features or -train (0: cache off)")
 		trainMode   = fs.Bool("train", false, "train a GraphSAGE classifier through the double-buffered sample→fetch→train pipeline")
 		trainEpochs = fs.Int("train-epochs", 3, "training epoch count (with -train)")
 		trainHidden = fs.Int("train-hidden", 16, "GraphSAGE hidden width (with -train)")
@@ -106,7 +106,7 @@ func run(args []string, out io.Writer) (err error) {
 		fmt.Fprintf(out, "  ring:             %v\n", caps.Ring)
 		// With -data the probe also reports what the dataset carries.
 		if *data != "" {
-			man, err := graph.LoadManifest(filepath.Join(*data, storage.ManifestFile))
+			man, err := storage.LoadManifest(filepath.Join(*data, storage.ManifestFile))
 			if err != nil {
 				return err
 			}
@@ -138,6 +138,9 @@ func run(args []string, out io.Writer) (err error) {
 	featCacheBytes, err := mibFlag("-feature-cache-mb", *featMB)
 	if err != nil {
 		return err
+	}
+	if featCacheBytes > 0 && !*features && !*trainMode {
+		return errors.New("-feature-cache-mb needs -features or -train: no other stage reads the feature cache")
 	}
 	if *threads < 0 || *threads > core.MaxThreads {
 		return fmt.Errorf("-threads %d must be between 0 (config default) and %d", *threads, core.MaxThreads)

@@ -99,6 +99,25 @@ func TestRunRefusesRetiredFlags(t *testing.T) {
 	}
 }
 
+// TestRunRefusesUnreadFeatureCache: -feature-cache-mb without -features
+// or -train would build and fill a feature cache that no stage reads; it
+// is refused by name before any output, on a dataset that has features.
+// With -features the same budget runs.
+func TestRunRefusesUnreadFeatureCache(t *testing.T) {
+	dir := rmatGraphDir(t, 2000, 30000, 11, 8, 0)
+	var sb strings.Builder
+	err := run([]string{"-data", dir, "-feature-cache-mb", "1", "-targets", "64"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "-feature-cache-mb") {
+		t.Fatalf("-feature-cache-mb without -features: err = %v, want a refusal naming -feature-cache-mb", err)
+	}
+	if sb.Len() != 0 {
+		t.Fatalf("work started before the flag was refused:\n%s", sb.String())
+	}
+	if err := run([]string{"-data", dir, "-features", "-feature-cache-mb", "1", "-targets", "64"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRunRequiresData: every mode but -probe needs -data, and a run
 // without it fails with one line naming -data before any output; -probe
 // without it still prints the capability set.

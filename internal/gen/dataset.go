@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"ringsampler/internal/graph"
 	"ringsampler/internal/storage"
 )
 
@@ -19,7 +18,7 @@ type Options struct {
 
 	// NumClasses, when ≥ 2, emits labels.bin: one uint32 class id per
 	// node derived from the node's feature vector (so the labeling is
-	// linearly realizable — see writeLabels), with the class count and
+	// linearly realizable — see nodeLabel), with the class count and
 	// CRC-32C checksum recorded in the manifest. Requires FeatureDim > 0.
 	NumClasses int
 }
@@ -29,14 +28,14 @@ type Options struct {
 // write the edge file + offset index + manifest. The whole pipeline is
 // streaming, so graphs larger than memory generate fine. Deterministic
 // for a fixed (kind, nodes, edges, seed).
-func Generate(dir, name, kind string, nodes, edges int64, seed uint64) (graph.Manifest, error) {
+func Generate(dir, name, kind string, nodes, edges int64, seed uint64) (storage.Manifest, error) {
 	return GenerateWith(dir, name, kind, nodes, edges, seed, Options{})
 }
 
 // GenerateWith is Generate with explicit component options (e.g. a node
 // feature file).
-func GenerateWith(dir, name, kind string, nodes, edges int64, seed uint64, o Options) (graph.Manifest, error) {
-	var man graph.Manifest
+func GenerateWith(dir, name, kind string, nodes, edges int64, seed uint64, o Options) (storage.Manifest, error) {
+	var man storage.Manifest
 	if o.FeatureDim < 0 {
 		return man, fmt.Errorf("gen: feature dim %d must be non-negative", o.FeatureDim)
 	}
@@ -49,7 +48,7 @@ func GenerateWith(dir, name, kind string, nodes, edges int64, seed uint64, o Opt
 		}
 	}
 	tmpDir := filepath.Join(dir, ".extsort")
-	sorter, err := graph.NewExternalSorter(tmpDir, 1<<20)
+	sorter, err := newExternalSorter(tmpDir, 1<<20)
 	if err != nil {
 		return man, err
 	}
@@ -58,7 +57,7 @@ func GenerateWith(dir, name, kind string, nodes, edges int64, seed uint64, o Opt
 	var addErr error
 	add := func(src, dst uint32) {
 		if addErr == nil {
-			addErr = sorter.Add(graph.Edge{Src: src, Dst: dst})
+			addErr = sorter.add(edge{Src: src, Dst: dst})
 		}
 	}
 	switch kind {
@@ -80,28 +79,25 @@ func GenerateWith(dir, name, kind string, nodes, edges int64, seed uint64, o Opt
 	if err != nil {
 		return man, err
 	}
-	if err := sorter.Merge(func(e graph.Edge) error {
-		return w.Add(e.Src, e.Dst)
-	}); err != nil {
-		return man, err
-	}
 	if o.FeatureDim > 0 {
-		featBytes, sum, err := writeFeatures(dir, nodes, o.FeatureDim, seed)
-		if err != nil {
-			return man, err
-		}
-		if err := w.SetFeatures(o.FeatureDim, featBytes, sum); err != nil {
+		if err := w.WriteFeatures(o.FeatureDim, func(v int64, vec []float32) { nodeFeature(seed, v, vec) }); err != nil {
 			return man, err
 		}
 	}
 	if o.NumClasses >= 2 {
-		sum, err := writeLabels(dir, nodes, o.FeatureDim, o.NumClasses, seed)
-		if err != nil {
+		weights := classWeights(seed, o.NumClasses, o.FeatureDim)
+		vec := make([]float32, o.FeatureDim)
+		if err := w.WriteLabels(o.NumClasses, func(v int64) uint32 {
+			nodeFeature(seed, v, vec)
+			return nodeLabel(weights, vec)
+		}); err != nil {
 			return man, err
 		}
-		if err := w.SetLabels(o.NumClasses, sum); err != nil {
-			return man, err
-		}
+	}
+	if err := sorter.merge(func(e edge) error {
+		return w.Add(e.Src, e.Dst)
+	}); err != nil {
+		return man, err
 	}
 	return w.Finish()
 }

@@ -1,4 +1,4 @@
-package graph
+package gen
 
 import (
 	"bufio"
@@ -11,39 +11,42 @@ import (
 	"sort"
 )
 
-// ExternalSorter sorts an edge stream by (Src, Dst) without holding it
+// edge is one directed edge. Node IDs are uint32 throughout the repo
+// (scaled graphs stay below 2^32 nodes; the paper's offset index is
+// what carries the 64-bit addressing).
+type edge struct {
+	Src, Dst uint32
+}
+
+// externalSorter sorts an edge stream by (Src, Dst) without holding it
 // in memory: edges accumulate in a bounded chunk, full chunks are
-// sorted and spilled to run files, and Merge k-way-merges the runs.
+// sorted and spilled to run files, and merge k-way-merges the runs.
 // Preprocessing therefore stays out-of-core like the sampler itself —
 // the paper's datasets (up to 8.2B edges) never fit in RAM.
-type ExternalSorter struct {
+type externalSorter struct {
 	tmpDir   string
 	chunkCap int
-	chunk    []Edge
+	chunk    []edge
 	runs     []string
 }
 
 const edgeRecordBytes = 8 // two little-endian uint32s
 
-// NewExternalSorter creates a sorter spilling runs of chunkEdges edges
-// into tmpDir (created if missing). chunkEdges <= 0 selects a default
-// of 1M edges (~8 MB per run).
-func NewExternalSorter(tmpDir string, chunkEdges int) (*ExternalSorter, error) {
-	if chunkEdges <= 0 {
-		chunkEdges = 1 << 20
-	}
+// newExternalSorter creates a sorter spilling runs of chunkEdges edges
+// into tmpDir (created if missing).
+func newExternalSorter(tmpDir string, chunkEdges int) (*externalSorter, error) {
 	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return nil, fmt.Errorf("graph: extsort tmpdir: %w", err)
+		return nil, fmt.Errorf("gen: extsort tmpdir: %w", err)
 	}
-	return &ExternalSorter{
+	return &externalSorter{
 		tmpDir:   tmpDir,
 		chunkCap: chunkEdges,
-		chunk:    make([]Edge, 0, chunkEdges),
+		chunk:    make([]edge, 0, chunkEdges),
 	}, nil
 }
 
-// Add buffers one edge, spilling a sorted run when the chunk fills.
-func (s *ExternalSorter) Add(e Edge) error {
+// add buffers one edge, spilling a sorted run when the chunk fills.
+func (s *externalSorter) add(e edge) error {
 	s.chunk = append(s.chunk, e)
 	if len(s.chunk) >= s.chunkCap {
 		return s.spill()
@@ -51,12 +54,12 @@ func (s *ExternalSorter) Add(e Edge) error {
 	return nil
 }
 
-func (s *ExternalSorter) spill() error {
+func (s *externalSorter) spill() error {
 	sortEdges(s.chunk)
 	path := filepath.Join(s.tmpDir, fmt.Sprintf("run-%06d.bin", len(s.runs)))
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("graph: extsort spill: %w", err)
+		return fmt.Errorf("gen: extsort spill: %w", err)
 	}
 	w := bufio.NewWriterSize(f, 1<<16)
 	var rec [edgeRecordBytes]byte
@@ -65,22 +68,22 @@ func (s *ExternalSorter) spill() error {
 		binary.LittleEndian.PutUint32(rec[4:], e.Dst)
 		if _, err := w.Write(rec[:]); err != nil {
 			f.Close()
-			return fmt.Errorf("graph: extsort spill: %w", err)
+			return fmt.Errorf("gen: extsort spill: %w", err)
 		}
 	}
 	if err := w.Flush(); err != nil {
 		f.Close()
-		return fmt.Errorf("graph: extsort spill: %w", err)
+		return fmt.Errorf("gen: extsort spill: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("graph: extsort spill: %w", err)
+		return fmt.Errorf("gen: extsort spill: %w", err)
 	}
 	s.runs = append(s.runs, path)
 	s.chunk = s.chunk[:0]
 	return nil
 }
 
-func sortEdges(es []Edge) {
+func sortEdges(es []edge) {
 	sort.Slice(es, func(i, j int) bool {
 		if es[i].Src != es[j].Src {
 			return es[i].Src < es[j].Src
@@ -89,9 +92,9 @@ func sortEdges(es []Edge) {
 	})
 }
 
-// Merge emits every added edge in (Src, Dst) order and removes the run
+// merge emits every added edge in (Src, Dst) order and removes the run
 // files. The sorter is spent afterwards.
-func (s *ExternalSorter) Merge(emit func(Edge) error) error {
+func (s *externalSorter) merge(emit func(edge) error) error {
 	defer s.cleanup()
 	if len(s.runs) == 0 {
 		// Everything fit in one chunk: sort and emit directly.
@@ -118,7 +121,7 @@ func (s *ExternalSorter) Merge(emit func(Edge) error) error {
 	for _, path := range s.runs {
 		f, err := os.Open(path)
 		if err != nil {
-			return fmt.Errorf("graph: extsort merge: %w", err)
+			return fmt.Errorf("gen: extsort merge: %w", err)
 		}
 		rr := &runReader{f: f, br: bufio.NewReaderSize(f, 1<<16)}
 		ok, err := rr.next()
@@ -152,7 +155,7 @@ func (s *ExternalSorter) Merge(emit func(Edge) error) error {
 	return nil
 }
 
-func (s *ExternalSorter) cleanup() {
+func (s *externalSorter) cleanup() {
 	for _, path := range s.runs {
 		os.Remove(path)
 	}
@@ -162,7 +165,7 @@ func (s *ExternalSorter) cleanup() {
 type runReader struct {
 	f   *os.File
 	br  *bufio.Reader
-	cur Edge
+	cur edge
 }
 
 func (r *runReader) next() (bool, error) {
@@ -171,7 +174,7 @@ func (r *runReader) next() (bool, error) {
 		if err == io.EOF {
 			return false, nil
 		}
-		return false, fmt.Errorf("graph: extsort read run: %w", err)
+		return false, fmt.Errorf("gen: extsort read run: %w", err)
 	}
 	r.cur.Src = binary.LittleEndian.Uint32(rec[0:])
 	r.cur.Dst = binary.LittleEndian.Uint32(rec[4:])

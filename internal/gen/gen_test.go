@@ -127,6 +127,19 @@ func TestGenerateDefaultEdgeOnly(t *testing.T) {
 	}
 }
 
+// TestGenerateRefusesOversizedFeatureDim: a feature dim past the limit
+// Open enforces (1<<20) is refused by GenerateWith and leaves no
+// features.bin, rather than writing a dataset Open would then refuse.
+func TestGenerateRefusesOversizedFeatureDim(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := GenerateWith(dir, "wide", "rmat", 2, 1, 1, Options{FeatureDim: 1<<20 + 1}); err == nil {
+		t.Fatal("GenerateWith accepted feature dim 1<<20 + 1, which Open refuses")
+	}
+	if _, err := os.Stat(filepath.Join(dir, storage.FeaturesFile)); !os.IsNotExist(err) {
+		t.Fatalf("refused generation left a feature file (stat err %v)", err)
+	}
+}
+
 // TestRMATSkew: the paper-shaped quadrant probabilities concentrate
 // edge mass on low-ID nodes far beyond what a uniform generator does —
 // the hub-dominated regime offset-based sampling is designed for.

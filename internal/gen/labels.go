@@ -1,15 +1,6 @@
 package gen
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"os"
-	"path/filepath"
-
-	"ringsampler/internal/sample"
-	"ringsampler/internal/storage"
-)
+import "ringsampler/internal/sample"
 
 // labelSalt decorrelates the per-class label-weight RNG streams from
 // both the edge-generation and the feature streams that mix the same
@@ -50,44 +41,4 @@ func nodeLabel(weights [][]float32, vec []float32) uint32 {
 		}
 	}
 	return best
-}
-
-// writeLabels emits dir/labels.bin: one little-endian uint32 class id
-// per node, label(v) = argmax_c w_c·(x_v − 0.5) over the classWeights
-// hyperplanes, where x_v is exactly the feature vector writeFeatures
-// emits for node v. Like the features, every label is a pure function
-// of (seed, v, classes) — independent of write order. Returns the
-// storage.ChecksumFile digest for the manifest.
-func writeLabels(dir string, nodes int64, dim, classes int, seed uint64) (string, error) {
-	if dim <= 0 {
-		return "", fmt.Errorf("gen: labels need features (dim %d must be positive)", dim)
-	}
-	if classes < 2 {
-		return "", fmt.Errorf("gen: numClasses %d must be at least 2", classes)
-	}
-	weights := classWeights(seed, classes, dim)
-	path := filepath.Join(dir, storage.LabelsFile)
-	f, err := os.Create(path)
-	if err != nil {
-		return "", fmt.Errorf("gen: create label file: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<16)
-	vec := make([]float32, dim)
-	var rec [storage.LabelBytes]byte
-	for v := int64(0); v < nodes; v++ {
-		nodeFeature(seed, v, vec)
-		binary.LittleEndian.PutUint32(rec[:], nodeLabel(weights, vec))
-		if _, err := bw.Write(rec[:]); err != nil {
-			f.Close()
-			return "", fmt.Errorf("gen: write label file: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return "", fmt.Errorf("gen: flush label file: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return "", fmt.Errorf("gen: close label file: %w", err)
-	}
-	return storage.ChecksumFile(path)
 }

@@ -54,9 +54,6 @@ type Dataset struct {
 	labelsErr  error
 }
 
-// Manifest re-exported to avoid forcing every caller to import graph.
-type Manifest = manifestAlias
-
 // OpenOptions configures how the edge file is opened.
 type OpenOptions struct {
 	// Direct opens the edge file with O_DIRECT, bypassing the page cache
@@ -89,7 +86,7 @@ func Open(dir string) (*Dataset, error) {
 // and feature files; the size checks then apply to the local slices and
 // reads are translated by the slice base.
 func OpenWith(dir string, opts OpenOptions) (*Dataset, error) {
-	man, err := loadManifest(filepath.Join(dir, ManifestFile))
+	man, err := LoadManifest(filepath.Join(dir, ManifestFile))
 	if err != nil {
 		return nil, err
 	}

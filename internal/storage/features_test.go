@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -31,15 +32,11 @@ func writeFeatureDataset(t testing.TB, dim int) (dir string, feats []byte) {
 	for i := 0; i < 4*dim; i++ {
 		binary.LittleEndian.PutUint32(feats[i*FeatureElemBytes:], uint32(i))
 	}
-	featPath := filepath.Join(dir, FeaturesFile)
-	if err := os.WriteFile(featPath, feats, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := ChecksumFile(featPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SetFeatures(dim, int64(len(feats)), sum); err != nil {
+	if err := w.WriteFeatures(dim, func(v int64, vec []float32) {
+		for d := range vec {
+			vec[d] = math.Float32frombits(uint32(v*int64(dim) + int64(d)))
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Finish(); err != nil {
@@ -209,23 +206,37 @@ func editManifest(t *testing.T, dir, old, new string) {
 	}
 }
 
-func TestSetFeaturesValidation(t *testing.T) {
-	dir := t.TempDir()
-	w, err := NewWriter(dir, "x", 4)
+// TestWriteFeaturesValidation: WriteFeatures refuses every dim Open
+// would refuse — zero, negative, or past maxFeatureDim — before it
+// creates features.bin, and the refused writer is spent: Finish writes
+// no manifest. A consistent dim is accepted.
+func TestWriteFeaturesValidation(t *testing.T) {
+	fill := func(int64, []float32) {}
+	for _, dim := range []int{0, -1, maxFeatureDim + 1} {
+		dir := t.TempDir()
+		w, err := NewWriter(dir, "x", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteFeatures(dim, fill); err == nil {
+			t.Fatalf("WriteFeatures accepted dim %d", dim)
+		}
+		if _, err := os.Stat(filepath.Join(dir, FeaturesFile)); !os.IsNotExist(err) {
+			t.Fatalf("WriteFeatures(%d) left a feature file (stat err %v)", dim, err)
+		}
+		if _, err := w.Finish(); err == nil {
+			t.Fatalf("Finish after a refused WriteFeatures(%d) succeeded", dim)
+		}
+		if _, err := os.Stat(filepath.Join(dir, ManifestFile)); !os.IsNotExist(err) {
+			t.Fatalf("refused writer left a manifest (stat err %v)", err)
+		}
+	}
+	w, err := NewWriter(t.TempDir(), "x", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.SetFeatures(0, 0, "deadbeefdeadbeef"); err == nil {
-		t.Fatal("SetFeatures accepted dim 0")
-	}
-	if err := w.SetFeatures(-1, 16, "deadbeefdeadbeef"); err == nil {
-		t.Fatal("SetFeatures accepted negative dim")
-	}
-	if err := w.SetFeatures(2, 31, "deadbeefdeadbeef"); err == nil {
-		t.Fatal("SetFeatures accepted featBytes that disagree with numNodes*dim*4")
-	}
-	if err := w.SetFeatures(2, 32, "deadbeefdeadbeef"); err != nil {
-		t.Fatalf("SetFeatures rejected consistent fields: %v", err)
+	if err := w.WriteFeatures(2, fill); err != nil {
+		t.Fatalf("WriteFeatures rejected dim 2: %v", err)
 	}
 }
 

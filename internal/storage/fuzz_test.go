@@ -185,19 +185,19 @@ func fuzzSeedArgs(t *testing.T, path string) [][]byte {
 // seedVerdicts is Open's verdict on every checked-in seed, as recorded
 // while the offset index was still decoded from a copy of the file.
 var seedVerdicts = map[string]string{
-	"FuzzOpen/14073a29b88ab2fa":           "graph: decode manifest DIR/manifest.json: invalid character '\\n' in string literal",
-	"FuzzOpen/24ed21e2f5f0ea44":           "graph: decode manifest DIR/manifest.json: unexpected end of JSON input",
-	"FuzzOpen/3e575163d7a9efe6":           "graph: decode manifest DIR/manifest.json: invalid character '\\x01' looking for beginning of value",
+	"FuzzOpen/14073a29b88ab2fa":           "storage: decode manifest DIR/manifest.json: invalid character '\\n' in string literal",
+	"FuzzOpen/24ed21e2f5f0ea44":           "storage: decode manifest DIR/manifest.json: unexpected end of JSON input",
+	"FuzzOpen/3e575163d7a9efe6":           "storage: decode manifest DIR/manifest.json: invalid character '\\x01' looking for beginning of value",
 	"FuzzOpen/637a3b765c4d0b1c":           "storage: offset index DIR/offsets.idx not monotone at node 3",
-	"FuzzOpen/6ca18ac65166f9fc":           "graph: decode manifest DIR/manifest.json: invalid character '\\x7f' looking for beginning of value",
-	"FuzzOpen/74b222b5a80b9489":           "graph: decode manifest DIR/manifest.json: unexpected end of JSON input",
-	"FuzzOpen/7e14cd3b0acaca7b":           "graph: decode manifest DIR/manifest.json: invalid character 'A' after object key:value pair",
-	"FuzzOpen/8c43c88388885b6c":           "graph: decode manifest DIR/manifest.json: invalid character 'è' looking for beginning of value",
-	"FuzzOpen/b10bcad37f38c99d":           "graph: decode manifest DIR/manifest.json: invalid character '0' after object key",
-	"FuzzOpen/b6020ef4403a9e55":           "graph: manifest DIR/manifest.json has version 0, want 2",
-	"FuzzOpen/bec780b446763b2b":           "graph: decode manifest DIR/manifest.json: invalid character '\\x01' after object key",
-	"FuzzOpen/cbe341c9005d5f1d":           "graph: decode manifest DIR/manifest.json: invalid character '0' looking for beginning of object key string",
-	"FuzzOpen/d91734d62ad088ab":           "graph: decode manifest DIR/manifest.json: unexpected end of JSON input",
+	"FuzzOpen/6ca18ac65166f9fc":           "storage: decode manifest DIR/manifest.json: invalid character '\\x7f' looking for beginning of value",
+	"FuzzOpen/74b222b5a80b9489":           "storage: decode manifest DIR/manifest.json: unexpected end of JSON input",
+	"FuzzOpen/7e14cd3b0acaca7b":           "storage: decode manifest DIR/manifest.json: invalid character 'A' after object key:value pair",
+	"FuzzOpen/8c43c88388885b6c":           "storage: decode manifest DIR/manifest.json: invalid character 'è' looking for beginning of value",
+	"FuzzOpen/b10bcad37f38c99d":           "storage: decode manifest DIR/manifest.json: invalid character '0' after object key",
+	"FuzzOpen/b6020ef4403a9e55":           "storage: manifest DIR/manifest.json has version 0, want 2",
+	"FuzzOpen/bec780b446763b2b":           "storage: decode manifest DIR/manifest.json: invalid character '\\x01' after object key",
+	"FuzzOpen/cbe341c9005d5f1d":           "storage: decode manifest DIR/manifest.json: invalid character '0' looking for beginning of object key string",
+	"FuzzOpen/d91734d62ad088ab":           "storage: decode manifest DIR/manifest.json: unexpected end of JSON input",
 	"FuzzOpenFeatures/checksum-flip":      "storage: feature file DIR/features.bin checksum 0760efaf != manifest 5a418fda (corrupt capture?)",
 	"FuzzOpenFeatures/dim-huge":           "storage: manifest DIR featureDim 1048577 exceeds limit 1048576",
 	"FuzzOpenFeatures/dim-zero":           "storage: manifest DIR has featureDim 0 but featBytes 64 / checksum \"5a418fda\" — inconsistent feature fields",

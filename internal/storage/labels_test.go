@@ -28,15 +28,7 @@ func writeLabeledDataset(t testing.TB, classes int) (dir string, labs []byte) {
 	for v := 0; v < 4; v++ {
 		binary.LittleEndian.PutUint32(labs[v*LabelBytes:], uint32(v%classes))
 	}
-	labPath := filepath.Join(dir, LabelsFile)
-	if err := os.WriteFile(labPath, labs, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sum, err := ChecksumFile(labPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.SetLabels(classes, sum); err != nil {
+	if err := w.WriteLabels(classes, func(v int64) uint32 { return uint32(v) % uint32(classes) }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.Finish(); err != nil {
@@ -229,23 +221,34 @@ func TestOpenLabelsRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestSetLabelsValidation(t *testing.T) {
-	dir := t.TempDir()
-	w, err := NewWriter(dir, "x", 4)
-	if err != nil {
-		t.Fatal(err)
+// TestWriteLabelsValidation: WriteLabels refuses every class count
+// Open would refuse and a label at or above the class count, naming the
+// node, and a refused writer writes no manifest; consistent labels are
+// accepted.
+func TestWriteLabelsValidation(t *testing.T) {
+	newWriter := func() *Writer {
+		w, err := NewWriter(t.TempDir(), "x", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
 	}
-	if err := w.SetLabels(0, "deadbeefdeadbeef"); err == nil {
-		t.Fatal("SetLabels accepted 0 classes")
+	zero := func(int64) uint32 { return 0 }
+	for _, classes := range []int{0, 1, maxNumClasses + 1} {
+		if err := newWriter().WriteLabels(classes, zero); err == nil {
+			t.Fatalf("WriteLabels accepted %d classes", classes)
+		}
 	}
-	if err := w.SetLabels(1, "deadbeefdeadbeef"); err == nil {
-		t.Fatal("SetLabels accepted 1 class")
+	w := newWriter()
+	err := w.WriteLabels(2, func(v int64) uint32 { return uint32(v) })
+	if err == nil || !strings.Contains(err.Error(), "node 2 has label 2") {
+		t.Fatalf("out-of-range label: err %v, want a refusal naming node 2", err)
 	}
-	if err := w.SetLabels(maxNumClasses+1, "deadbeefdeadbeef"); err == nil {
-		t.Fatal("SetLabels accepted a class count over the limit")
+	if _, err := w.Finish(); err == nil {
+		t.Fatal("Finish after a refused WriteLabels succeeded")
 	}
-	if err := w.SetLabels(2, "deadbeefdeadbeef"); err != nil {
-		t.Fatalf("SetLabels rejected consistent fields: %v", err)
+	if err := newWriter().WriteLabels(2, zero); err != nil {
+		t.Fatalf("WriteLabels rejected consistent labels: %v", err)
 	}
 }
 

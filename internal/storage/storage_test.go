@@ -115,7 +115,7 @@ func TestOpenRejectsTruncatedFiles(t *testing.T) {
 func TestOpenRejectsManifestMismatch(t *testing.T) {
 	dir := t.TempDir()
 	writeTestDataset(t, dir)
-	man, err := loadManifest(filepath.Join(dir, ManifestFile))
+	man, err := LoadManifest(filepath.Join(dir, ManifestFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestOpenRejectsManifestMismatch(t *testing.T) {
 func TestOpenRejectsLyingNodeCount(t *testing.T) {
 	dir := t.TempDir()
 	writeTestDataset(t, dir)
-	man, err := loadManifest(filepath.Join(dir, ManifestFile))
+	man, err := LoadManifest(filepath.Join(dir, ManifestFile))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,17 +4,21 @@
 // indices (offsets.idx) so offsets[x]..offsets[x+1] delimit node x's
 // neighbors, and a JSON manifest. The offset index is the only
 // edge-file metadata the sampler keeps in memory — node-proportional,
-// never edge-proportional.
+// never edge-proportional. The package owns the whole format: Writer
+// writes every dataset file, including features.bin and labels.bin,
+// and Open verifies every one.
 package storage
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
-
-	"ringsampler/internal/graph"
 )
 
 // File names and record sizes of the on-disk layout.
@@ -27,8 +31,10 @@ const (
 	OffsetBytes = 8 // one int64 entry index in offsets.idx
 )
 
-// Writer builds a dataset directory from a source-sorted edge stream.
-// It holds only the offset index (node-proportional) in memory.
+// Writer builds a dataset directory: the edge file from a source-sorted
+// edge stream, the offset index, the optional feature and label files
+// and the manifest. It holds only the offset index in memory. After any
+// error it is unusable and holds no open file.
 type Writer struct {
 	dir      string
 	name     string
@@ -39,13 +45,13 @@ type Writer struct {
 	lastSrc  int64 // highest source seen; -1 before the first edge
 	count    int64
 
-	// Staged feature metadata (SetFeatures), folded into the manifest by
+	// Feature metadata (WriteFeatures), folded into the manifest by
 	// Finish. Zero values mean an edge-only dataset.
 	featDim      int
 	featBytes    int64
 	featChecksum string
 
-	// Staged label metadata (SetLabels). Zero values mean an unlabeled
+	// Label metadata (WriteLabels). Zero values mean an unlabeled
 	// dataset.
 	numClasses    int
 	labelChecksum string
@@ -80,10 +86,10 @@ func NewWriter(dir, name string, numNodes int64) (*Writer, error) {
 func (w *Writer) Add(src, dst uint32) error {
 	s := int64(src)
 	if s >= w.numNodes || int64(dst) >= w.numNodes {
-		return fmt.Errorf("storage: edge (%d,%d) outside node range [0,%d)", src, dst, w.numNodes)
+		return w.abort(fmt.Errorf("storage: edge (%d,%d) outside node range [0,%d)", src, dst, w.numNodes))
 	}
 	if s < w.lastSrc {
-		return fmt.Errorf("storage: edges out of order: source %d after %d", src, w.lastSrc)
+		return w.abort(fmt.Errorf("storage: edges out of order: source %d after %d", src, w.lastSrc))
 	}
 	if s > w.lastSrc {
 		// Close the offset ranges of every node in (lastSrc, s].
@@ -95,82 +101,111 @@ func (w *Writer) Add(src, dst uint32) error {
 	var rec [EntryBytes]byte
 	binary.LittleEndian.PutUint32(rec[:], dst)
 	if _, err := w.bw.Write(rec[:]); err != nil {
-		return fmt.Errorf("storage: write edge: %w", err)
+		return w.abort(fmt.Errorf("storage: write edge: %w", err))
 	}
 	w.count++
 	return nil
 }
 
-// SetFeatures stages the feature-file metadata Finish records in the
-// manifest. The caller is responsible for having written
-// dir/features.bin with exactly featBytes = numNodes*dim*
-// FeatureElemBytes bytes whose ChecksumFile digest (CRC-32C) is
-// checksum — Open re-verifies all three.
-func (w *Writer) SetFeatures(dim int, featBytes int64, checksum string) error {
-	if dim <= 0 {
-		return fmt.Errorf("storage: feature dim %d must be positive", dim)
+// WriteFeatures writes features.bin: node v's dim-wide f32 vector, as
+// vector fills it, at byte v*dim*FeatureElemBytes. Finish records the
+// dim, size and checksum in the manifest. A dim Open would refuse is
+// refused here, before the file is created.
+func (w *Writer) WriteFeatures(dim int, vector func(v int64, vec []float32)) error {
+	if dim <= 0 || dim > maxFeatureDim {
+		return w.abort(fmt.Errorf("storage: feature dim %d outside [1, %d]", dim, maxFeatureDim))
 	}
-	if want := w.numNodes * int64(dim) * FeatureElemBytes; featBytes != want {
-		return fmt.Errorf("storage: feature bytes %d != numNodes*dim*%d = %d", featBytes, FeatureElemBytes, want)
+	vec := make([]float32, dim)
+	sum, err := w.writeRecords(FeaturesFile, w.numNodes, dim*FeatureElemBytes, func(v int64, rec []byte) {
+		vector(v, vec)
+		for d, x := range vec {
+			binary.LittleEndian.PutUint32(rec[d*FeatureElemBytes:], math.Float32bits(x))
+		}
+	})
+	if err != nil {
+		return w.abort(err)
 	}
-	w.featDim = dim
-	w.featBytes = featBytes
-	w.featChecksum = checksum
+	w.featDim, w.featBytes, w.featChecksum = dim, w.numNodes*int64(dim)*FeatureElemBytes, sum
 	return nil
 }
 
-// SetLabels stages the label-file metadata Finish records in the
-// manifest. The caller is responsible for having written dir/labels.bin
-// with numNodes little-endian uint32 class ids, all in
-// [0, numClasses), whose ChecksumFile digest (CRC-32C) is checksum —
-// Open re-verifies every record.
-func (w *Writer) SetLabels(numClasses int, checksum string) error {
-	if numClasses < 2 {
-		return fmt.Errorf("storage: numClasses %d must be at least 2", numClasses)
+// WriteLabels writes labels.bin: node v's class id, label(v), as a
+// little-endian uint32 at byte v*LabelBytes. Finish records the class
+// count and checksum in the manifest. A class count or a label Open
+// would refuse is refused here.
+func (w *Writer) WriteLabels(classes int, label func(v int64) uint32) error {
+	if classes < 2 || classes > maxNumClasses {
+		return w.abort(fmt.Errorf("storage: numClasses %d outside [2, %d]", classes, maxNumClasses))
 	}
-	if numClasses > maxNumClasses {
-		return fmt.Errorf("storage: numClasses %d exceeds limit %d", numClasses, maxNumClasses)
+	var bad error
+	sum, err := w.writeRecords(LabelsFile, w.numNodes, LabelBytes, func(v int64, rec []byte) {
+		c := label(v)
+		if c >= uint32(classes) && bad == nil {
+			bad = fmt.Errorf("storage: node %d has label %d, outside [0, %d)", v, c, classes)
+		}
+		binary.LittleEndian.PutUint32(rec, c)
+	})
+	if err := cmp.Or(err, bad); err != nil {
+		return w.abort(err)
 	}
-	w.numClasses = numClasses
-	w.labelChecksum = checksum
+	w.numClasses, w.labelChecksum = classes, sum
 	return nil
+}
+
+// writeRecords creates the dataset file name and writes n records of
+// size bytes, record v filled by put, through one 64 KiB buffer that
+// feeds both the file and a CRC-32C. It returns the sum in the
+// manifest's form, so no file is read back to be checksummed.
+func (w *Writer) writeRecords(name string, n int64, size int, put func(v int64, rec []byte)) (string, error) {
+	f, err := os.Create(filepath.Join(w.dir, name))
+	if err != nil {
+		return "", fmt.Errorf("storage: create %s: %w", name, err)
+	}
+	crc := crc32.New(castagnoli)
+	bw := bufio.NewWriterSize(io.MultiWriter(f, crc), 1<<16)
+	rec := make([]byte, size)
+	for v := int64(0); v < n; v++ {
+		put(v, rec)
+		if _, err := bw.Write(rec); err != nil {
+			f.Close()
+			return "", fmt.Errorf("storage: write %s: %w", name, err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return "", fmt.Errorf("storage: write %s: %w", name, err)
+	}
+	if err := f.Close(); err != nil {
+		return "", fmt.Errorf("storage: close %s: %w", name, err)
+	}
+	return formatChecksum(crc.Sum32()), nil
+}
+
+// abort closes the edge file and returns err.
+func (w *Writer) abort(err error) error {
+	w.f.Close()
+	return err
 }
 
 // Finish flushes the edge file, writes the offset index and manifest,
 // and returns the manifest. The writer is unusable afterwards.
-func (w *Writer) Finish() (graph.Manifest, error) {
-	var man graph.Manifest
+func (w *Writer) Finish() (Manifest, error) {
 	for v := w.lastSrc + 1; v <= w.numNodes; v++ {
 		w.offsets[v] = w.count
 	}
 	if err := w.bw.Flush(); err != nil {
-		return man, fmt.Errorf("storage: flush edge file: %w", err)
+		return Manifest{}, w.abort(fmt.Errorf("storage: flush edge file: %w", err))
 	}
 	if err := w.f.Close(); err != nil {
-		return man, fmt.Errorf("storage: close edge file: %w", err)
+		return Manifest{}, fmt.Errorf("storage: close edge file: %w", err)
 	}
-	of, err := os.Create(filepath.Join(w.dir, OffsetsFile))
-	if err != nil {
-		return man, fmt.Errorf("storage: create offset index: %w", err)
+	if _, err := w.writeRecords(OffsetsFile, int64(len(w.offsets)), OffsetBytes, func(v int64, rec []byte) {
+		binary.LittleEndian.PutUint64(rec, uint64(w.offsets[v]))
+	}); err != nil {
+		return Manifest{}, err
 	}
-	ow := bufio.NewWriterSize(of, 1<<16)
-	var rec [OffsetBytes]byte
-	for _, o := range w.offsets {
-		binary.LittleEndian.PutUint64(rec[:], uint64(o))
-		if _, err := ow.Write(rec[:]); err != nil {
-			of.Close()
-			return man, fmt.Errorf("storage: write offset index: %w", err)
-		}
-	}
-	if err := ow.Flush(); err != nil {
-		of.Close()
-		return man, fmt.Errorf("storage: flush offset index: %w", err)
-	}
-	if err := of.Close(); err != nil {
-		return man, fmt.Errorf("storage: close offset index: %w", err)
-	}
-	man = graph.Manifest{
-		Version:       graph.ManifestVersion,
+	man := Manifest{
+		Version:       ManifestVersion,
 		Name:          w.name,
 		NumNodes:      w.numNodes,
 		NumEdges:      w.count,
@@ -181,8 +216,5 @@ func (w *Writer) Finish() (graph.Manifest, error) {
 		NumClasses:    w.numClasses,
 		LabelChecksum: w.labelChecksum,
 	}
-	if err := man.Save(filepath.Join(w.dir, ManifestFile)); err != nil {
-		return man, err
-	}
-	return man, nil
+	return man, man.Save(filepath.Join(w.dir, ManifestFile))
 }

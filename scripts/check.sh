@@ -47,6 +47,13 @@ sh scripts/doclint.sh
 go vet ./...
 go build ./...
 
+# Format gates (DESIGN.md §10): storage.Writer writes every dataset
+# file, so a writer change that moves a byte fails here, early and by
+# name — the checked-in dataset regenerates byte for byte, and the
+# checksums the writer stages equal a re-read of the files it wrote.
+gate ./cmd/benchprep 'TestPrepareRegenMatchesCheckedIn'
+gate ./internal/storage 'TestWriterChecksumMatchesFile'
+
 # The benchmark harness is a module of its own (cmd/bench/go.mod), so
 # nothing above compiles it: vet it and run its tests so an API change
 # underneath it cannot break the benchmark silently. The smoke run
